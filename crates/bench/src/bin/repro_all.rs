@@ -8,8 +8,7 @@
 //! Figures run one after another (their outputs interleave badly
 //! otherwise), but each binary fans its own (scheme × load × seed) batch
 //! out over the thread pool — `TLB_THREADS` (default: all cores) controls
-//! the width, and `bench_pr2` at the end records the serial-vs-parallel
-//! wall-clock trajectory to `results/BENCH_PR2.json`.
+//! the width.
 
 use std::process::Command;
 
@@ -31,12 +30,6 @@ fn main() {
         "fig17",
         "ablation",
         "extensions",
-        "bench_pr2",
-        "bench_pr4",
-        "bench_pr5",
-        "bench_pr6",
-        "bench_pr8",
-        "bench_pr9",
     ];
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("bin dir");

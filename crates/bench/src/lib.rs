@@ -11,20 +11,8 @@
 
 pub mod harness;
 pub mod out;
-pub mod perf;
-pub mod perf4;
-pub mod perf5;
-pub mod perf6;
-pub mod perf8;
-pub mod perf9;
 pub mod scale;
 
 pub use harness::*;
 pub use out::Out;
-pub use perf::{PerfEntry, PerfReport};
-pub use perf4::{MacroEntry, MicroEntry, Pr4Report};
-pub use perf5::{Pr5Report, SweepEntry};
-pub use perf6::{Pr6Report, SteadyAllocEntry};
-pub use perf8::{EnduranceEntry, FidelityEntry, Pr8Report};
-pub use perf9::{EngineEntry, Pr9Report};
 pub use scale::Scale;

@@ -11,11 +11,12 @@
 //! Two deliberate properties:
 //!
 //! * **Opt-in per binary.** The workspace's production binaries keep the
-//!   plain system allocator; only `tests/alloc_hygiene.rs` and `bench_pr6`
-//!   install the counter. Code that snapshots counters therefore must
-//!   tolerate a non-counting process — [`probe_counting`] detects whether
-//!   a counter is live so gates can fail loudly instead of passing
-//!   vacuously when the allocator is absent.
+//!   plain system allocator; only `tests/alloc_hygiene.rs` and the
+//!   benchmark's traced binary install the counter. Code that snapshots
+//!   counters therefore must tolerate a non-counting process —
+//!   [`probe_counting`] detects whether a counter is live so gates can
+//!   fail loudly instead of passing vacuously when the allocator is
+//!   absent.
 //! * **Deterministic.** The simulator is bit-deterministic, so a given
 //!   (config, flows) pair produces the *same* allocation schedule every
 //!   run. The steady-state gate is therefore a hard equality (`== 0`),

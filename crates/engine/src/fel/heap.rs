@@ -1,5 +1,5 @@
 //! The original binary-heap FEL, kept as the differential reference for
-//! [`super::CalendarFel`] (`TLB_FEL=heap`, or the `heap-fel` feature).
+//! [`super::CalendarFel`] ([`super::FelKind::Heap`]).
 
 use super::{Entry, FelBackend};
 use crate::time::SimTime;

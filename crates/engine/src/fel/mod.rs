@@ -82,31 +82,6 @@ pub enum FelKind {
     Heap,
 }
 
-impl FelKind {
-    /// Backend selection for queues that don't get an explicit kind:
-    /// `TLB_FEL=heap` / `TLB_FEL=calendar` wins, then the `heap-fel` cargo
-    /// feature flips the default, else [`FelKind::Calendar`].
-    ///
-    /// Tests that compare backends should pin kinds explicitly (via
-    /// [`crate::EventQueue::with_kind`] or the simulator config) rather
-    /// than mutate the environment, which is process-global.
-    pub fn from_env() -> FelKind {
-        crate::env_knob::choice(
-            "TLB_FEL",
-            Self::default_kind(),
-            &[("calendar", FelKind::Calendar), ("heap", FelKind::Heap)],
-        )
-    }
-
-    fn default_kind() -> FelKind {
-        if cfg!(feature = "heap-fel") {
-            FelKind::Heap
-        } else {
-            FelKind::Calendar
-        }
-    }
-}
-
 /// The operations a FEL backend provides. [`crate::EventQueue`] owns the
 /// clock, the sequence counter and the monotonicity accounting; backends
 /// only order entries by `(time, key, seq)`.

@@ -12,8 +12,8 @@
 //!   event execution order is a pure function of the schedule, never of
 //!   storage internals. It runs on a swappable FEL backend ([`fel`]): a
 //!   two-tier calendar queue by default, with the original binary heap kept
-//!   behind `TLB_FEL=heap` / the `heap-fel` feature as a differential
-//!   reference — both produce bit-identical schedules.
+//!   as a differential reference ([`FelKind::Heap`]) — both produce
+//!   bit-identical schedules.
 //! * Randomness comes from [`SimRng`], a self-contained xoshiro256++ generator
 //!   seeded via SplitMix64. No external RNG crate is used at runtime, which
 //!   pins the random stream independent of dependency versions.

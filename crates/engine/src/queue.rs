@@ -97,21 +97,19 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue with the clock at zero, on the environment-selected
-    /// backend ([`FelKind::from_env`]).
+    /// An empty queue with the clock at zero, on the calendar backend.
     pub fn new() -> Self {
-        Self::with_kind(FelKind::from_env())
+        Self::with_kind(FelKind::Calendar)
     }
 
-    /// An empty queue with pre-allocated capacity for `cap` events, on the
-    /// environment-selected backend.
+    /// An empty calendar-backed queue with pre-allocated capacity for
+    /// `cap` events.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacity_and_kind(cap, FelKind::from_env())
+        Self::with_capacity_and_kind(cap, FelKind::Calendar)
     }
 
-    /// An empty queue on an explicitly chosen backend. Differential tests
-    /// and the bench harness pin kinds this way instead of racing on the
-    /// `TLB_FEL` environment variable.
+    /// An empty queue on an explicitly chosen backend; differential tests
+    /// pin the heap reference this way.
     pub fn with_kind(kind: FelKind) -> Self {
         Self::with_capacity_and_kind(0, kind)
     }

@@ -1,12 +1,10 @@
 //! Engine-level support for sharded (multi-core) execution of one
-//! simulation: the engine-selection knob and the spin barrier the
-//! conservative window protocol synchronizes on.
+//! simulation: the engine selector and the spin barrier the conservative
+//! window protocol synchronizes on.
 //!
 //! The actual fabric partitioning, window protocol and report merge live in
 //! `tlb-simnet` (they need the network state); this module owns the pieces
 //! that are simulator-agnostic.
-
-use crate::env_knob;
 
 /// Which execution engine drives a run: the serial reference event loop, or
 /// the conservatively synchronized multi-core sharded engine. Mirrors the
@@ -27,30 +25,6 @@ pub enum EngineKind {
         /// OS worker threads (`None`: available parallelism).
         workers: Option<u32>,
     },
-}
-
-impl EngineKind {
-    /// Engine selection for runs that don't pin one explicitly:
-    /// `TLB_ENGINE=serial` / `sharded` / `sharded:<workers>`; unset, empty
-    /// or invalid values fall back to [`EngineKind::Serial`].
-    pub fn from_env() -> EngineKind {
-        env_knob::parse_with("TLB_ENGINE", EngineKind::Serial, |s| {
-            let expect = || "want `serial`, `sharded`, or `sharded:<workers>`".to_string();
-            match s {
-                "serial" => Ok(EngineKind::Serial),
-                "sharded" => Ok(EngineKind::Sharded { workers: None }),
-                _ => match s.strip_prefix("sharded:") {
-                    Some(n) => n
-                        .parse::<u32>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .map(|n| EngineKind::Sharded { workers: Some(n) })
-                        .ok_or_else(expect),
-                    None => Err(expect()),
-                },
-            }
-        })
-    }
 }
 
 /// A reusable generation-counted spin barrier.
@@ -107,38 +81,6 @@ impl SpinBarrier {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn engine_kind_parses_worker_suffix() {
-        let var = "TLB_ENGINE";
-        // Serialize against other tests via a single test body (process
-        // env is global); restore the variable afterwards.
-        let saved = std::env::var(var).ok();
-        std::env::set_var(var, "sharded:4");
-        assert_eq!(
-            EngineKind::from_env(),
-            EngineKind::Sharded { workers: Some(4) }
-        );
-        std::env::set_var(var, "SHARDED");
-        assert_eq!(
-            EngineKind::from_env(),
-            EngineKind::Sharded { workers: None }
-        );
-        std::env::set_var(var, "serial");
-        assert_eq!(EngineKind::from_env(), EngineKind::Serial);
-        for bad in ["sharded:0", "sharded:lots", "parallel", "sharded:"] {
-            std::env::set_var(var, bad);
-            assert_eq!(
-                EngineKind::from_env(),
-                EngineKind::Serial,
-                "{bad:?} must fall back to serial"
-            );
-        }
-        match saved {
-            Some(v) => std::env::set_var(var, v),
-            None => std::env::remove_var(var),
-        }
-    }
 
     #[test]
     fn spin_barrier_synchronizes_phases() {

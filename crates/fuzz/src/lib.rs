@@ -57,6 +57,55 @@ pub fn run_scenario_checked(raw: RawScenario) -> Result<tlb_simnet::RunReport, S
     Ok(report)
 }
 
+/// The fixed 16-job batch the determinism, differential-reference and
+/// allocation-hygiene tests all run: four raw tuples spanning schemes,
+/// incast, and static + mid-run degradation, each fanned out over four
+/// workload seeds (16 jobs gives a 3-thread pool enough queue depth that a
+/// worker probe is not racing one fast worker draining the whole batch).
+pub fn differential_batch() -> Vec<(tlb_simnet::SimConfig, Vec<tlb_workload::FlowSpec>)> {
+    const NO_FAILURE: scenario::RawFailure = (0, false, 0, 0, false);
+    let raws: [RawScenario; 4] = [
+        (
+            (2, 3, 2, 10),
+            (4, 6, 1, 2),
+            (42, true, 50, 10, false),
+            NO_FAILURE,
+        ),
+        (
+            (3, 4, 3, 15),
+            (5, 10, 2, 3),
+            (7, true, 25, 40, true),
+            NO_FAILURE,
+        ),
+        (
+            (2, 2, 4, 5),
+            (1, 8, 1, 0),
+            (99, false, 50, 0, false),
+            NO_FAILURE,
+        ),
+        (
+            (4, 6, 2, 20),
+            (3, 12, 3, 5),
+            (1234, true, 75, 5, true),
+            NO_FAILURE,
+        ),
+    ];
+    raws.iter()
+        .flat_map(
+            |&(topo, traffic, (seed, degrade, bw, extra, mid), failure)| {
+                (0..4).map(move |k| {
+                    let fault = (seed + k * 1000, degrade, bw, extra, mid);
+                    (topo, traffic, fault, failure)
+                })
+            },
+        )
+        .map(|raw| {
+            let b = Scenario::from_raw(raw).build();
+            (b.cfg, b.flows)
+        })
+        .collect()
+}
+
 /// FCT agreement band for the hybrid differential oracle. Deliberately
 /// generous: fuzzed scenarios hit extreme corners (near-empty fabrics,
 /// heavy degradation) where the fluid approximation strays furthest, and

@@ -281,10 +281,6 @@ impl Scenario {
         // Non-negotiable for fuzzing: every run is audited, even in
         // release builds (CI's fuzz-smoke job runs optimized).
         cfg.audit = true;
-        // Pin packet fidelity regardless of `TLB_FIDELITY` so scenarios
-        // stay pure functions of their raw parameters; the hybrid
-        // differential runner overrides this explicitly on its own copy.
-        cfg.fidelity = tlb_simnet::FidelityKind::Packet;
 
         let flows = self.flows();
         cfg.trace_flows = flows.iter().take(3).map(|f| f.id).collect();

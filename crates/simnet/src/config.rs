@@ -126,27 +126,24 @@ pub struct SimConfig {
     /// audit tests) disables it.
     #[doc(hidden)]
     pub fault_drop_nth: Option<u64>,
-    /// Future-event-list backend for the run. Presets take the process
-    /// default (`TLB_FEL` env var / `heap-fel` feature, else the calendar
-    /// queue); the differential tests and `bench_pr4` pin it explicitly.
+    /// Future-event-list backend for the run. Presets use the calendar
+    /// queue; differential tests set [`FelKind::Heap`] as the reference.
     /// Both backends are bit-identical in results — this only selects the
     /// data structure.
     pub fel: FelKind,
-    /// Load-balancer dispatch path. Presets take the process default
-    /// (`TLB_LB_DISPATCH` env var / `dyn-lb` feature, else static enum
-    /// dispatch); differential tests and `bench_pr5` pin it explicitly.
-    /// Both paths are bit-identical in results — this only selects the
-    /// call mechanism.
+    /// Load-balancer dispatch path. Presets use static enum dispatch;
+    /// differential tests set [`LbDispatch::Dyn`] as the reference. Both
+    /// paths are bit-identical in results — this only selects the call
+    /// mechanism.
     pub lb_dispatch: LbDispatch,
-    /// Packet-delivery scheduling. Presets take the process default
-    /// (`TLB_DELIVERY` env var, else per-link pipelines); differential
-    /// tests and `bench_pr5` pin it explicitly. Both modes are
-    /// bit-identical in results — this only selects how arrivals sit in
-    /// the future-event list.
+    /// Packet-delivery scheduling. Presets use per-link pipelines;
+    /// differential tests set [`DeliveryKind::PerPacket`] as the
+    /// reference. Both modes are bit-identical in results — this only
+    /// selects how arrivals sit in the future-event list.
     pub delivery: DeliveryKind,
-    /// Simulation fidelity. Presets take the process default
-    /// (`TLB_FIDELITY` env var, else full packet fidelity). Unlike the
-    /// other differential knobs, [`FidelityKind::Hybrid`] is a *modeling*
+    /// Simulation fidelity. Presets use full packet fidelity (`tlb-sim
+    /// --fidelity hybrid` selects the other). Unlike the differential
+    /// fields above, [`FidelityKind::Hybrid`] is a *modeling*
     /// change: long-flow tails ride a fluid fair-share rate model, so
     /// results agree with [`FidelityKind::Packet`] within tolerance bands
     /// (`tests/fidelity.rs`) rather than bit-for-bit.
@@ -155,39 +152,20 @@ pub struct SimConfig {
     /// loop has processed `W` events and report the steady-state delta in
     /// [`crate::RunReport::alloc_audit`]. Only meaningful when the binary
     /// installs [`tlb_engine::CountingAlloc`] and the run executes
-    /// serially (the counters are process-wide). Presets take the process
-    /// default (`TLB_ALLOC_AUDIT` env var: `1` for a default warmup of
-    /// 2^17 events, or an explicit event count); `None` when a run ends
-    /// before `W` events. The simulator is deterministic, so the delta is
-    /// exactly reproducible for a given (config, flows) pair.
+    /// serially (the counters are process-wide). Presets leave it `None`;
+    /// the report's audit is also `None` when a run ends before `W`
+    /// events. The simulator is deterministic, so the delta is exactly
+    /// reproducible for a given (config, flows) pair.
     pub alloc_warmup_events: Option<u64>,
-    /// Execution engine. Presets take the process default (`TLB_ENGINE`
-    /// env var: `serial`, `sharded`, or `sharded:<workers>`, defaulting
-    /// to serial). [`tlb_engine::EngineKind::Sharded`] executes the run
-    /// across OS threads via conservative fabric sharding; results are
-    /// bit-identical to serial for any worker count
+    /// Execution engine. Presets run serially (`tlb-sim --engine sharded`
+    /// selects the other). [`tlb_engine::EngineKind::Sharded`] executes
+    /// the run across OS threads via conservative fabric sharding; results
+    /// are bit-identical to serial for any worker count
     /// (`tests/determinism.rs`). Configurations the sharded engine cannot
     /// partition (hybrid fidelity, chained flows, single-shard
     /// topologies, …) silently run serially — see
     /// `network/sharded.rs` for the exact preconditions.
     pub engine: EngineKind,
-}
-
-/// The default warmup (in processed events) for `TLB_ALLOC_AUDIT=1`.
-pub const DEFAULT_ALLOC_WARMUP_EVENTS: u64 = 1 << 17;
-
-/// Parse `TLB_ALLOC_AUDIT`: unset/`0`/empty disables, `1` enables with
-/// [`DEFAULT_ALLOC_WARMUP_EVENTS`], any other integer is the warmup event
-/// count itself.
-fn alloc_warmup_from_env() -> Option<u64> {
-    tlb_engine::env_knob::parse_with("TLB_ALLOC_AUDIT", None, |s| match s {
-        "0" => Ok(None),
-        "1" => Ok(Some(DEFAULT_ALLOC_WARMUP_EVENTS)),
-        other => other
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| "want 0, 1, or a warmup event count".to_string()),
-    })
 }
 
 /// How in-flight packets are scheduled for arrival.
@@ -200,23 +178,6 @@ pub enum DeliveryKind {
     /// One FEL entry per in-flight packet, kept as the differential
     /// reference.
     PerPacket,
-}
-
-impl DeliveryKind {
-    /// The delivery mode selected by the environment:
-    /// `TLB_DELIVERY=pipelined` or `=per-packet`, defaulting to
-    /// [`DeliveryKind::Pipelined`].
-    pub fn from_env() -> DeliveryKind {
-        tlb_engine::env_knob::choice(
-            "TLB_DELIVERY",
-            DeliveryKind::Pipelined,
-            &[
-                ("pipelined", DeliveryKind::Pipelined),
-                ("per-packet", DeliveryKind::PerPacket),
-                ("per_packet", DeliveryKind::PerPacket),
-            ],
-        )
-    }
 }
 
 /// Which traffic runs at packet-level fidelity.
@@ -236,33 +197,20 @@ pub enum FidelityKind {
     Hybrid,
 }
 
-impl FidelityKind {
-    /// The fidelity selected by the environment: `TLB_FIDELITY=packet` or
-    /// `=hybrid`, defaulting to [`FidelityKind::Packet`].
-    pub fn from_env() -> FidelityKind {
-        tlb_engine::env_knob::choice(
-            "TLB_FIDELITY",
-            FidelityKind::Packet,
-            &[
-                ("packet", FidelityKind::Packet),
-                ("hybrid", FidelityKind::Hybrid),
-            ],
-        )
-    }
-}
-
 impl SimConfig {
-    /// The paper's basic NS2 setup (§4.2/§6.1): one sending rack and two
-    /// receiving racks behind 15 spines, 1 Gbit/s links, 100 µs RTT,
-    /// 256-packet buffers, DCTCP.
-    pub fn basic_paper(scheme: Scheme) -> SimConfig {
+    /// What the three presets share: the paper's queue sizes and ECN
+    /// threshold, no scheduled events or tracing, the audit in debug
+    /// builds, and the production implementation of every mode field.
+    fn preset(
+        topo: Fabric,
+        tcp: TcpConfig,
+        scheme: Scheme,
+        horizon: SimTime,
+        series_bucket: SimTime,
+    ) -> SimConfig {
         SimConfig {
-            topo: LeafSpineBuilder::new(3, 15, 16)
-                .link_gbps(1.0)
-                .target_rtt(SimTime::from_micros(100))
-                .build()
-                .into(),
-            tcp: TcpConfig::dctcp_default(),
+            topo,
+            tcp,
             queue: QueueCfg {
                 capacity_pkts: 256,
                 ecn_threshold_pkts: Some(20),
@@ -273,22 +221,39 @@ impl SimConfig {
             },
             scheme,
             seed: 1,
-            horizon: SimTime::from_secs(10),
+            horizon,
             short_threshold: 100_000,
-            series_bucket: SimTime::from_millis(1),
+            series_bucket,
             link_events: Vec::new(),
             failure_events: Vec::new(),
             trace_flows: Vec::new(),
             sample_queues: false,
             audit: cfg!(debug_assertions),
             fault_drop_nth: None,
-            fel: FelKind::from_env(),
-            lb_dispatch: LbDispatch::from_env(),
-            delivery: DeliveryKind::from_env(),
-            fidelity: FidelityKind::from_env(),
-            alloc_warmup_events: alloc_warmup_from_env(),
-            engine: EngineKind::from_env(),
+            fel: FelKind::Calendar,
+            lb_dispatch: LbDispatch::Enum,
+            delivery: DeliveryKind::Pipelined,
+            fidelity: FidelityKind::Packet,
+            alloc_warmup_events: None,
+            engine: EngineKind::Serial,
         }
+    }
+
+    /// The paper's basic NS2 setup (§4.2/§6.1): one sending rack and two
+    /// receiving racks behind 15 spines, 1 Gbit/s links, 100 µs RTT,
+    /// 256-packet buffers, DCTCP.
+    pub fn basic_paper(scheme: Scheme) -> SimConfig {
+        let topo = LeafSpineBuilder::new(3, 15, 16)
+            .link_gbps(1.0)
+            .target_rtt(SimTime::from_micros(100))
+            .build();
+        Self::preset(
+            topo.into(),
+            TcpConfig::dctcp_default(),
+            scheme,
+            SimTime::from_secs(10),
+            SimTime::from_millis(1),
+        )
     }
 
     /// The §6.2 large-scale setup: 8 ToR × 8 core. The paper uses 256 hosts
@@ -296,77 +261,33 @@ impl SimConfig {
     /// down for quicker runs while preserving the oversubscription shape
     /// when set ≥ `2 × spines`.
     pub fn large_scale(scheme: Scheme, hosts_per_leaf: usize) -> SimConfig {
-        SimConfig {
-            topo: LeafSpineBuilder::new(8, 8, hosts_per_leaf)
-                .link_gbps(1.0)
-                .target_rtt(SimTime::from_micros(100))
-                .build()
-                .into(),
-            tcp: TcpConfig::dctcp_default(),
-            queue: QueueCfg {
-                capacity_pkts: 256,
-                ecn_threshold_pkts: Some(20),
-            },
-            host_queue: QueueCfg {
-                capacity_pkts: 2048,
-                ecn_threshold_pkts: Some(20),
-            },
+        let topo = LeafSpineBuilder::new(8, 8, hosts_per_leaf)
+            .link_gbps(1.0)
+            .target_rtt(SimTime::from_micros(100))
+            .build();
+        Self::preset(
+            topo.into(),
+            TcpConfig::dctcp_default(),
             scheme,
-            seed: 1,
-            horizon: SimTime::from_secs(20),
-            short_threshold: 100_000,
-            series_bucket: SimTime::from_millis(5),
-            link_events: Vec::new(),
-            failure_events: Vec::new(),
-            trace_flows: Vec::new(),
-            sample_queues: false,
-            audit: cfg!(debug_assertions),
-            fault_drop_nth: None,
-            fel: FelKind::from_env(),
-            lb_dispatch: LbDispatch::from_env(),
-            delivery: DeliveryKind::from_env(),
-            fidelity: FidelityKind::from_env(),
-            alloc_warmup_events: alloc_warmup_from_env(),
-            engine: EngineKind::from_env(),
-        }
+            SimTime::from_secs(20),
+            SimTime::from_millis(5),
+        )
     }
 
     /// The §7 Mininet-testbed setup: 10 equal-cost paths, 20 Mbit/s links,
     /// 1 ms per-link delay, 256-packet buffers, 200 ms min RTO.
     pub fn testbed(scheme: Scheme) -> SimConfig {
-        SimConfig {
-            topo: LeafSpineBuilder::new(2, 10, 12)
-                .link_mbps(20.0)
-                .prop_per_link(SimTime::from_millis(1))
-                .build()
-                .into(),
-            tcp: TcpConfig::testbed_default(),
-            queue: QueueCfg {
-                capacity_pkts: 256,
-                ecn_threshold_pkts: Some(20),
-            },
-            host_queue: QueueCfg {
-                capacity_pkts: 2048,
-                ecn_threshold_pkts: Some(20),
-            },
+        let topo = LeafSpineBuilder::new(2, 10, 12)
+            .link_mbps(20.0)
+            .prop_per_link(SimTime::from_millis(1))
+            .build();
+        Self::preset(
+            topo.into(),
+            TcpConfig::testbed_default(),
             scheme,
-            seed: 1,
-            horizon: SimTime::from_secs(400),
-            short_threshold: 100_000,
-            series_bucket: SimTime::from_millis(500),
-            link_events: Vec::new(),
-            failure_events: Vec::new(),
-            trace_flows: Vec::new(),
-            sample_queues: false,
-            audit: cfg!(debug_assertions),
-            fault_drop_nth: None,
-            fel: FelKind::from_env(),
-            lb_dispatch: LbDispatch::from_env(),
-            delivery: DeliveryKind::from_env(),
-            fidelity: FidelityKind::from_env(),
-            alloc_warmup_events: alloc_warmup_from_env(),
-            engine: EngineKind::from_env(),
-        }
+            SimTime::from_secs(400),
+            SimTime::from_millis(500),
+        )
     }
 
     /// Check configuration consistency.

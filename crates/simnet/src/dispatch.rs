@@ -8,11 +8,10 @@
 //! into the forwarding loop.
 //!
 //! The `dyn` path stays alive as a differential reference (mirroring the
-//! FEL's heap-vs-calendar pattern): [`AnyLb::Dyn`] wraps the trait object,
-//! [`LbDispatch`] selects which path a run uses, `TLB_LB_DISPATCH`
-//! overrides it per process, and the `dyn-lb` cargo feature flips the
-//! default. Both paths must be observably identical — digest tests in
-//! `tests/determinism.rs` hold them to bit-for-bit equality.
+//! FEL's heap-vs-calendar pattern): [`AnyLb::Dyn`] wraps the trait object
+//! and [`LbDispatch`] selects which path a run uses. Both paths must be
+//! observably identical — digest tests in `tests/determinism.rs` hold them
+//! to bit-for-bit equality.
 
 use crate::Scheme;
 use tlb_core::Tlb;
@@ -32,27 +31,6 @@ pub enum LbDispatch {
     /// The original `Box<dyn LoadBalancer>` virtual-call path, kept as a
     /// differential reference.
     Dyn,
-}
-
-impl LbDispatch {
-    /// The dispatch selected by the environment: `TLB_LB_DISPATCH=enum`
-    /// or `=dyn`, defaulting to [`LbDispatch::Enum`] (the `dyn-lb`
-    /// feature flips the default to `Dyn`).
-    pub fn from_env() -> LbDispatch {
-        tlb_engine::env_knob::choice(
-            "TLB_LB_DISPATCH",
-            Self::default_kind(),
-            &[("enum", LbDispatch::Enum), ("dyn", LbDispatch::Dyn)],
-        )
-    }
-
-    fn default_kind() -> LbDispatch {
-        if cfg!(feature = "dyn-lb") {
-            LbDispatch::Dyn
-        } else {
-            LbDispatch::Enum
-        }
-    }
 }
 
 /// A load balancer with static dispatch: one variant per concrete scheme,
@@ -81,7 +59,7 @@ pub enum AnyLb {
     DiffFlow(DiffFlow),
     /// The paper's scheme: traffic-aware adaptive granularity.
     Tlb(Box<Tlb>),
-    /// Virtual-call reference path (`dyn-lb` feature / `TLB_LB_DISPATCH=dyn`).
+    /// Virtual-call reference path ([`LbDispatch::Dyn`]).
     Dyn(Box<dyn LoadBalancer>),
 }
 
@@ -316,13 +294,6 @@ mod tests {
                 let b = slow.choose_uplink(&pkt, PortView::new(&ports), now, &mut rng_b);
                 assert_eq!(a, b, "{} diverged at packet {i}", scheme.name());
             }
-        }
-    }
-
-    #[test]
-    fn dispatch_env_defaults_to_enum() {
-        if std::env::var("TLB_LB_DISPATCH").is_err() && !cfg!(feature = "dyn-lb") {
-            assert_eq!(LbDispatch::from_env(), LbDispatch::Enum);
         }
     }
 }

@@ -209,8 +209,8 @@ pub struct RunReport {
     /// Pending-event count of the engine's future-event list, sampled once
     /// every 4096 processed events. The sampling schedule is a pure
     /// function of the event count, so the samples are bit-identical
-    /// across FEL backends and thread counts; `bench_pr4` reads its
-    /// queue-depth histogram (p50/p99) from here.
+    /// across FEL backends and thread counts; the benchmark reads its
+    /// queue-depth percentiles (`engine.fel.depth_p50/p99`) from here.
     pub fel_depth: SampleSet,
     /// Peak of the pipelined-delivery FEL occupancy bound
     /// `2·ports + pending starts/timers/housekeeping` over the same sample
@@ -319,6 +319,23 @@ impl RunReport {
             self.long.reorder_ratio() * 100.0,
             self.completed,
             self.total_flows,
+        )
+    }
+
+    /// Determinism digest: `events|short afct|long goodput|drops|marks|
+    /// completed`, floats to 12 decimals. Two runs of the same job must
+    /// agree on it whatever the FEL backend, dispatch path, delivery mode,
+    /// engine or thread count; `benchmark/expected_digests.json` pins it
+    /// per workload.
+    pub fn digest(&self) -> String {
+        format!(
+            "{}|{:.12}|{:.12}|{}|{}|{}",
+            self.events,
+            self.fct_short.afct,
+            self.fct_long.mean_goodput,
+            self.drops,
+            self.marks,
+            self.completed
         )
     }
 

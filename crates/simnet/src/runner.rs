@@ -94,38 +94,6 @@ mod tests {
             .collect()
     }
 
-    /// Everything a run reports that determinism must pin: engine events,
-    /// both FCT summaries (exact bits via `to_bits`), transport counters,
-    /// drop/mark/decision totals, and the full audit ledger.
-    fn digest(r: &RunReport) -> String {
-        let fct = |s: &tlb_metrics::FctSummary| {
-            format!(
-                "{}/{}/{:x}/{:x}/{:x}/{:x}/{:x}",
-                s.completed,
-                s.unfinished,
-                s.afct.to_bits(),
-                s.p99.to_bits(),
-                s.p50.to_bits(),
-                s.deadline_miss.to_bits(),
-                s.mean_goodput.to_bits()
-            )
-        };
-        format!(
-            "{} ev={} short={} long={} drops={} marks={} dec={} done={}/{} end={:?} audit={:?}",
-            r.scheme,
-            r.events,
-            fct(&r.fct_short),
-            fct(&r.fct_long),
-            r.drops,
-            r.marks,
-            r.lb_decisions,
-            r.completed,
-            r.total_flows,
-            r.sim_end,
-            r.audit,
-        )
-    }
-
     #[test]
     fn parallel_batch_preserves_order() {
         let jobs = vec![
@@ -173,8 +141,19 @@ mod tests {
 
         assert_eq!(by_one.len(), parallel.len());
         for ((a, b), c) in by_one.iter().zip(&parallel).zip(&pinned) {
-            assert_eq!(digest(a), digest(b), "parallel diverged from serial");
-            assert_eq!(digest(a), digest(c), "pinned-serial diverged");
+            for (leg, other) in [("parallel", b), ("pinned-serial", c)] {
+                assert_eq!(a.digest(), other.digest(), "{leg} diverged from serial");
+                assert_eq!(a.audit, other.audit, "{leg} audit ledger diverged");
+                // `{:?}` prints floats round-trip exact: every FCT statistic,
+                // not only the digest's two, must match to the bit.
+                let rest = |r: &RunReport| {
+                    format!(
+                        "{:?} {:?} {} {:?}",
+                        r.fct_short, r.fct_long, r.lb_decisions, r.sim_end
+                    )
+                };
+                assert_eq!(rest(a), rest(other), "{leg} FCT/decisions/end diverged");
+            }
             assert!(b.audit.is_some(), "test builds must carry the audit");
         }
     }

@@ -5,6 +5,7 @@
 //! tlb-sim --scheme tlb --workload websearch --load 0.6
 //! tlb-sim --scheme letflow --workload mix --shorts 100 --longs 3
 //! tlb-sim --scheme rps --degrade 0:3:0.25:200 --json
+//! tlb-sim --fat-tree 8 --engine sharded --workers 4 --fidelity packet
 //! tlb-sim --help
 //! ```
 
@@ -32,11 +33,12 @@ OPTIONS:
     --gbps <f>            link rate in Gbit/s                                   [1.0]
     --duration-ms <n>     Poisson traffic window                                 [50]
     --seed <n>            RNG seed (runs are deterministic per seed)              [1]
-    --engine <e>          serial | sharded — execution engine (default: the
-                          TLB_ENGINE env knob, itself defaulting to serial);
-                          sharded falls back to serial when the config is
-                          unpartitionable, with bit-identical results
-    --workers <n>         worker threads for --engine sharded          [all cores]
+    --fidelity <f>        packet | hybrid — hybrid moves long-flow tails onto a
+                          fluid fair-share model (banded, not bit-identical) [packet]
+    --engine <e>          serial | sharded — sharded falls back to serial when
+                          the config is unpartitionable, with bit-identical
+                          results                                            [serial]
+    --workers <n>         worker threads; needs --engine sharded       [all cores]
     --degrade l:s:bw:us   degrade uplink leaf l -> spine s to bw x bandwidth
                           with +us microseconds delay (repeatable)
     --fail sw:up:at_us    take LB switch sw's uplink up down at_us microseconds
@@ -47,32 +49,102 @@ OPTIONS:
     --help                this text
 ";
 
-struct Args(Vec<String>);
+/// Options that take a value.
+const VALUE_OPTS: &[&str] = &[
+    "--scheme",
+    "--workload",
+    "--load",
+    "--shorts",
+    "--longs",
+    "--leaves",
+    "--spines",
+    "--hosts-per-leaf",
+    "--fat-tree",
+    "--gbps",
+    "--duration-ms",
+    "--seed",
+    "--fidelity",
+    "--engine",
+    "--workers",
+    "--degrade",
+    "--fail",
+    "--repair",
+];
+/// Options that stand alone.
+const FLAGS: &[&str] = &["--json", "--help", "-h"];
+
+/// Reject the command line: say why on stderr and exit 2.
+fn usage_error(msg: String) -> ! {
+    eprintln!("tlb-sim: {msg} (see --help)");
+    std::process::exit(2);
+}
+
+/// `value` parsed as `T`, or a usage error naming `flag`, the value and
+/// what was wanted.
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str, want: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(format!("bad {flag} '{value}', expected {want}")))
+}
+
+/// The `N` colon-separated fields of a `--degrade`/`--fail`/`--repair`
+/// value of the given `shape`.
+fn fields<'a, const N: usize>(flag: &str, spec: &'a str, shape: &str) -> [&'a str; N] {
+    let parts: Vec<&str> = spec.split(':').collect();
+    parts
+        .try_into()
+        .unwrap_or_else(|_| usage_error(format!("bad {flag} '{spec}', expected {shape}")))
+}
+
+/// The command line as `(option, value)` pairs and bare flags, every name
+/// checked against [`VALUE_OPTS`] / [`FLAGS`].
+struct Args {
+    opts: Vec<(String, String)>,
+    flags: Vec<String>,
+}
 
 impl Args {
-    fn value_of(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.0.get(i + 1))
-            .map(|s| s.as_str())
+    fn from_argv(mut argv: impl Iterator<Item = String>) -> Args {
+        let mut args = Args {
+            opts: Vec::new(),
+            flags: Vec::new(),
+        };
+        while let Some(name) = argv.next() {
+            if FLAGS.contains(&name.as_str()) {
+                args.flags.push(name);
+            } else if VALUE_OPTS.contains(&name.as_str()) {
+                match argv.next() {
+                    Some(value) => args.opts.push((name, value)),
+                    None => usage_error(format!("{name} needs a value")),
+                }
+            } else {
+                usage_error(format!("unknown option '{name}'"));
+            }
+        }
+        args
     }
 
     fn values_of<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.0
-            .windows(2)
-            .filter(move |w| w[0] == key)
-            .map(|w| w[1].as_str())
+        self.opts
+            .iter()
+            .filter(move |(name, _)| name == key)
+            .map(|(_, value)| value.as_str())
+    }
+
+    fn value_of<'a>(&'a self, key: &'a str) -> Option<&'a str> {
+        self.values_of(key).next()
     }
 
     fn flag(&self, key: &str) -> bool {
-        self.0.iter().any(|a| a == key)
+        self.flags.iter().any(|a| a == key)
     }
 
-    fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.value_of(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// `key`'s value as `T`; `default` only when the option is absent.
+    fn parse<T: std::str::FromStr>(&self, key: &str, default: T, want: &str) -> T {
+        match self.value_of(key) {
+            Some(v) => parse_value(key, v, want),
+            None => default,
+        }
     }
 }
 
@@ -91,32 +163,37 @@ fn scheme_from(name: &str) -> Scheme {
         },
         "diffflow" => Scheme::diffflow_default(),
         "tlb" => Scheme::tlb_default(),
-        other => {
-            eprintln!("unknown scheme: {other}\n{HELP}");
-            std::process::exit(2);
-        }
+        other => usage_error(format!(
+            "bad --scheme '{other}', expected one of the listed"
+        )),
     }
 }
 
 fn main() {
-    let args = Args(std::env::args().skip(1).collect());
+    let args = Args::from_argv(std::env::args().skip(1));
     if args.flag("--help") || args.flag("-h") {
         print!("{HELP}");
         return;
     }
 
+    const COUNT: &str = "a non-negative integer";
+    const NUMBER: &str = "a number";
     let scheme = scheme_from(args.value_of("--scheme").unwrap_or("tlb"));
     let scheme_name = scheme.name();
-    let leaves: usize = args.parse("--leaves", 8);
-    let spines: usize = args.parse("--spines", 8);
-    let hosts_per_leaf: usize = args.parse("--hosts-per-leaf", 16);
-    let gbps: f64 = args.parse("--gbps", 1.0);
-    let seed: u64 = args.parse("--seed", 1);
+    let leaves: usize = args.parse("--leaves", 8, COUNT);
+    let spines: usize = args.parse("--spines", 8, COUNT);
+    let hosts_per_leaf: usize = args.parse("--hosts-per-leaf", 16, COUNT);
+    let gbps: f64 = args.parse("--gbps", 1.0, NUMBER);
+    let seed: u64 = args.parse("--seed", 1, COUNT);
+    // Parsed whatever the workload, so a bad value never passes unseen.
+    let load: f64 = args.parse("--load", 0.6, NUMBER);
+    let duration_ms: u64 = args.parse("--duration-ms", 50, COUNT);
+    let n_short: usize = args.parse("--shorts", 100, COUNT);
+    let n_long: usize = args.parse("--longs", 3, COUNT);
 
     let mut cfg = SimConfig::basic_paper(scheme);
     cfg.topo = if let Some(k) = args.value_of("--fat-tree") {
-        let k: usize = k.parse().expect("fat-tree arity");
-        FatTreeBuilder::new(k)
+        FatTreeBuilder::new(parse_value("--fat-tree", k, COUNT))
             .link_gbps(gbps)
             .target_rtt(SimTime::from_micros(100))
             .build()
@@ -130,35 +207,37 @@ fn main() {
     };
     cfg.seed = seed;
 
-    if let Some(engine) = args.value_of("--engine") {
-        let workers = args.value_of("--workers").map(|w| {
-            w.parse::<u32>().unwrap_or_else(|_| {
-                eprintln!("bad --workers '{w}', expected a positive integer");
-                std::process::exit(2);
-            })
-        });
-        cfg.engine = match engine {
-            "serial" => EngineKind::Serial,
-            "sharded" => EngineKind::Sharded { workers },
-            other => {
-                eprintln!("unknown engine: {other}\n{HELP}");
-                std::process::exit(2);
-            }
-        };
+    cfg.fidelity = match args.value_of("--fidelity").unwrap_or("packet") {
+        "packet" => FidelityKind::Packet,
+        "hybrid" => FidelityKind::Hybrid,
+        other => usage_error(format!(
+            "bad --fidelity '{other}', expected packet or hybrid"
+        )),
+    };
+
+    let workers = args
+        .value_of("--workers")
+        .map(|w| parse_value::<std::num::NonZeroU32>("--workers", w, "a positive integer").get());
+    cfg.engine = match args.value_of("--engine").unwrap_or("serial") {
+        "serial" => EngineKind::Serial,
+        "sharded" => EngineKind::Sharded { workers },
+        other => usage_error(format!(
+            "bad --engine '{other}', expected serial or sharded"
+        )),
+    };
+    if let (Some(w), EngineKind::Serial) = (workers, cfg.engine) {
+        usage_error(format!("--workers {w} needs --engine sharded"));
     }
 
     for spec in args.values_of("--degrade") {
-        let parts: Vec<&str> = spec.split(':').collect();
-        if parts.len() != 4 {
-            eprintln!("bad --degrade '{spec}', expected l:s:bw:us");
-            std::process::exit(2);
-        }
-        let l: u32 = parts[0].parse().expect("leaf index");
-        let s: u32 = parts[1].parse().expect("spine index");
-        let bw: f64 = parts[2].parse().expect("bandwidth factor");
-        let us: u64 = parts[3].parse().expect("extra delay (us)");
-        cfg.topo
-            .degrade_link(LeafId(l), SpineId(s), bw, SimTime::from_micros(us));
+        let key = "--degrade";
+        let [l, s, bw, us] = fields(key, spec, "l:s:bw:us");
+        cfg.topo.degrade_link(
+            LeafId(parse_value(key, l, "a leaf index")),
+            SpineId(parse_value(key, s, "a spine index")),
+            parse_value(key, bw, "a bandwidth factor"),
+            SimTime::from_micros(parse_value(key, us, "extra delay in microseconds")),
+        );
     }
 
     for (key, action) in [
@@ -166,19 +245,12 @@ fn main() {
         ("--repair", FailureAction::Up),
     ] {
         for spec in args.values_of(key) {
-            let parts: Vec<&str> = spec.split(':').collect();
-            if parts.len() != 3 {
-                eprintln!("bad {key} '{spec}', expected sw:up:at_us");
-                std::process::exit(2);
-            }
-            let sw: u32 = parts[0].parse().expect("LB switch index");
-            let up: u32 = parts[1].parse().expect("uplink index");
-            let at: u64 = parts[2].parse().expect("event time (us)");
+            let [sw, up, at] = fields(key, spec, "sw:up:at_us");
             cfg.failure_events.push(FailureEvent {
-                at: SimTime::from_micros(at),
+                at: SimTime::from_micros(parse_value(key, at, "event time in microseconds")),
                 target: FailureTarget::Link {
-                    sw: LeafId(sw),
-                    up: SpineId(up),
+                    sw: LeafId(parse_value(key, sw, "an LB switch index")),
+                    up: SpineId(parse_value(key, up, "an uplink index")),
                 },
                 action,
             });
@@ -191,8 +263,8 @@ fn main() {
     let flows = match workload {
         "mix" => {
             let mut mix = BasicMixConfig::paper_default();
-            mix.n_short = args.parse("--shorts", 100);
-            mix.n_long = args.parse("--longs", 3);
+            mix.n_short = n_short;
+            mix.n_long = n_long;
             basic_mix(&cfg.topo, &mix, &mut rng)
         }
         w @ ("websearch" | "datamining") => {
@@ -202,9 +274,9 @@ fn main() {
                 data_mining()
             };
             let wl = PoissonWorkload {
-                load: args.parse("--load", 0.6),
+                load,
                 dist: &dist,
-                duration: SimTime::from_millis(args.parse("--duration-ms", 50u64)),
+                duration: SimTime::from_millis(duration_ms),
                 deadline_lo: SimTime::from_millis(5),
                 deadline_hi: SimTime::from_millis(25),
                 short_threshold: 100_000,
@@ -212,10 +284,9 @@ fn main() {
             };
             wl.generate(&cfg.topo, &mut rng)
         }
-        other => {
-            eprintln!("unknown workload: {other}\n{HELP}");
-            std::process::exit(2);
-        }
+        other => usage_error(format!(
+            "bad --workload '{other}', expected websearch, datamining or mix"
+        )),
     };
 
     let n = flows.len();

@@ -26,7 +26,7 @@ use tlb::prelude::*;
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-/// The BENCH_PR6 macro job shape: the large-scale fabric under a Poisson
+/// The macro job shape: the large-scale fabric under a Poisson
 /// web-search load (what fig10 sweeps), sized to finish quickly in debug
 /// builds while still processing enough events to have a steady state.
 fn fig10_job() -> (SimConfig, Vec<FlowSpec>) {
@@ -153,46 +153,11 @@ fn steady_state_is_allocation_free() {
     }
 
     // --- the fuzzer's 16-job differential batch, run serially ------------
-    // Same raw tuples as tests/determinism.rs: they span schemes, incast,
-    // and static + mid-run degradation.
-    let raws: [tlb_fuzz::RawScenario; 4] = [
-        (
-            (2, 3, 2, 10),
-            (4, 6, 1, 2),
-            (42, true, 50, 10, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (3, 4, 3, 15),
-            (5, 10, 2, 3),
-            (7, true, 25, 40, true),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (2, 2, 4, 5),
-            (1, 8, 1, 0),
-            (99, false, 50, 0, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (4, 6, 2, 20),
-            (3, 12, 3, 5),
-            (1234, true, 75, 5, true),
-            (0, false, 0, 0, false),
-        ),
-    ];
-    for &(topo, traffic, (seed, degrade, bw, extra, mid), failure) in &raws {
-        for k in 0..4u64 {
-            let raw = (
-                topo,
-                traffic,
-                (seed + k * 1000, degrade, bw, extra, mid),
-                failure,
-            );
-            let b = tlb_fuzz::Scenario::from_raw(raw).build();
-            let e = learn_events(b.cfg.clone(), b.flows.clone());
-            let r = audited(b.cfg, b.flows, e / 2);
-            assert_zero_alloc(&r, &format!("fuzz {raw:?}"));
-        }
+    // The same batch as tests/determinism.rs: schemes, incast, and static +
+    // mid-run degradation.
+    for (i, (cfg, flows)) in tlb_fuzz::differential_batch().into_iter().enumerate() {
+        let e = learn_events(cfg.clone(), flows.clone());
+        let r = audited(cfg, flows, e / 2);
+        assert_zero_alloc(&r, &format!("fuzz job {i} ({})", r.scheme));
     }
 }

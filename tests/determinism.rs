@@ -2,8 +2,12 @@
 //! produce identical runs even with chaining, failure injection, tracing
 //! and every scheme in the registry.
 
+use tlb::engine::{EngineKind, FelKind};
 use tlb::prelude::*;
-use tlb::simnet::LinkEvent;
+use tlb_fuzz::differential_batch;
+
+type Job = (SimConfig, Vec<FlowSpec>);
+type SetMode = fn(&mut SimConfig);
 
 fn full_feature_run(scheme: Scheme, seed: u64) -> RunReport {
     let mut cfg = SimConfig::basic_paper(scheme);
@@ -26,15 +30,18 @@ fn full_feature_run(scheme: Scheme, seed: u64) -> RunReport {
     Simulation::new_chained(cfg, flows, next).run()
 }
 
-fn digest(r: &RunReport) -> (u64, String, u64, u64, usize, usize) {
-    (
-        r.events,
-        format!("{:.12}/{:.12}", r.fct_short.afct, r.fct_long.mean_goodput),
-        r.drops,
-        r.marks,
-        r.traces.len(),
-        r.completed,
-    )
+/// What two runs of one job must share whatever implementation mode,
+/// engine or thread count ran them: the digest, the number of traced hops
+/// and the whole audit ledger.
+fn assert_same_results(a: &RunReport, b: &RunReport, what: &str) {
+    assert_eq!(a.digest(), b.digest(), "{}: {what}", a.scheme);
+    assert_eq!(
+        a.traces.len(),
+        b.traces.len(),
+        "{}: {what}: trace length",
+        a.scheme
+    );
+    assert_eq!(a.audit, b.audit, "{}: {what}: audit counters", a.scheme);
 }
 
 /// Order-sensitive hash of the sampled FEL-occupancy series. The sample
@@ -51,6 +58,41 @@ fn fel_depth_hash(r: &RunReport) -> u64 {
         })
 }
 
+/// `jobs` with `set` applied to every config.
+fn with_mode(mut jobs: Vec<Job>, set: impl Fn(&mut SimConfig)) -> Vec<Job> {
+    jobs.iter_mut().for_each(|(cfg, _)| set(cfg));
+    jobs
+}
+
+/// Run `jobs` one by one and again on a 3-thread pool (an odd worker
+/// count, pinned via the explicit pool so the test does not race on the
+/// environment), prove the pool really fanned out, and require identical
+/// results. Returns the `(serial, threaded)` reports for extra checks.
+fn serial_vs_three_threads(jobs: Vec<Job>) -> Vec<(RunReport, RunReport)> {
+    let serial: Vec<_> = jobs
+        .iter()
+        .cloned()
+        .map(|(cfg, flows)| run_one(cfg, flows))
+        .collect();
+    let before = rayon::workers_observed();
+    let threaded = rayon::with_threads(3, || run_all(jobs));
+    assert!(
+        rayon::workers_observed() - before >= 2,
+        "3-thread batch must actually fan out over >1 OS thread"
+    );
+    let pairs: Vec<_> = serial.into_iter().zip(threaded).collect();
+    for (a, b) in &pairs {
+        assert_same_results(a, b, "3-thread != serial");
+        assert_eq!(
+            fel_depth_hash(a),
+            fel_depth_hash(b),
+            "{}: fel_depth series diverged across thread counts",
+            a.scheme
+        );
+    }
+    pairs
+}
+
 #[test]
 fn all_schemes_are_bit_deterministic() {
     let mut schemes = Scheme::extended_set();
@@ -59,14 +101,13 @@ fn all_schemes_are_bit_deterministic() {
         let name = scheme.name();
         let a = full_feature_run(scheme.clone(), 99);
         let b = full_feature_run(scheme, 99);
-        assert_eq!(digest(&a), digest(&b), "{name} not deterministic");
+        assert_same_results(&a, &b, "not deterministic");
         assert_eq!(
             fel_depth_hash(&a),
             fel_depth_hash(&b),
             "{name}: fel_depth series diverged between reruns"
         );
         // Even the packet traces must match hop for hop.
-        assert_eq!(a.traces.len(), b.traces.len());
         for (x, y) in a.traces.iter().zip(&b.traces) {
             assert_eq!(x.hop, y.hop, "{name}: trace diverged");
             assert_eq!(x.at, y.at, "{name}: trace timing diverged");
@@ -99,16 +140,11 @@ fn parallel_execution_matches_serial() {
         "batch must actually fan out over >1 OS thread"
     );
     for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(digest(a), digest(b), "{}: parallel != serial", a.scheme);
+        assert_same_results(a, b, "parallel != serial");
         assert_eq!(
             fel_depth_hash(a),
             fel_depth_hash(b),
             "{}: fel_depth series diverged across thread counts",
-            a.scheme
-        );
-        assert_eq!(
-            a.audit, b.audit,
-            "{}: audit counters diverged across thread counts",
             a.scheme
         );
     }
@@ -117,198 +153,115 @@ fn parallel_execution_matches_serial() {
 #[test]
 fn fuzz_scenarios_are_digest_stable_across_thread_counts() {
     // The fuzzer's scenarios must be as deterministic as the hand-built
-    // ones, including under an odd worker count (`TLB_THREADS=3`
-    // equivalent, pinned here via the explicit pool so the test does not
-    // race on the environment). Fixed raw tuples span schemes, incast,
-    // and static + mid-run degradation.
-    let raws: [tlb_fuzz::RawScenario; 4] = [
-        (
-            (2, 3, 2, 10),
-            (4, 6, 1, 2),
-            (42, true, 50, 10, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (3, 4, 3, 15),
-            (5, 10, 2, 3),
-            (7, true, 25, 40, true),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (2, 2, 4, 5),
-            (1, 8, 1, 0),
-            (99, false, 50, 0, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (4, 6, 2, 20),
-            (3, 12, 3, 5),
-            (1234, true, 75, 5, true),
-            (0, false, 0, 0, false),
-        ),
-    ];
-    // Fan each tuple out over four workload seeds: 16 jobs gives the
-    // 3-thread pool enough queue depth that the worker probe below is not
-    // racing a single fast worker draining the whole batch.
-    let jobs: Vec<_> = raws
-        .iter()
-        .flat_map(
-            |&(topo, traffic, (seed, degrade, bw, extra, mid), failure)| {
-                (0..4).map(move |k| {
-                    (
-                        topo,
-                        traffic,
-                        (seed + k * 1000, degrade, bw, extra, mid),
-                        failure,
-                    )
-                })
-            },
-        )
-        .map(|raw| {
-            let b = tlb_fuzz::Scenario::from_raw(raw).build();
-            (b.cfg, b.flows)
-        })
-        .collect();
-    let serial: Vec<_> = jobs
-        .iter()
-        .cloned()
-        .map(|(cfg, flows)| run_one(cfg, flows))
-        .collect();
-    let before = rayon::workers_observed();
-    let threaded = rayon::with_threads(3, || run_all(jobs));
+    // ones, including under an odd worker count.
+    serial_vs_three_threads(differential_batch());
+}
+
+#[test]
+fn hybrid_fuzz_batch_is_digest_stable_across_thread_counts() {
+    // The hybrid fluid tier (PR 8) must be exactly as deterministic as
+    // packet fidelity: the same batch at `FidelityKind::Hybrid`, serial vs
+    // a 3-thread pool. Hybrid digests are their own stable baseline — they
+    // are never compared to packet digests (that comparison is banded, in
+    // `tests/fidelity.rs`), only to themselves across worker counts.
+    let pairs = serial_vs_three_threads(with_mode(differential_batch(), |c| {
+        c.fidelity = FidelityKind::Hybrid
+    }));
     assert!(
-        rayon::workers_observed() - before >= 2,
-        "3-thread batch must actually fan out over >1 OS thread"
+        pairs.iter().any(|(serial, _)| serial.fluid_migrations > 0),
+        "the batch must exercise the fluid tier somewhere"
     );
-    for (a, b) in serial.iter().zip(&threaded) {
-        assert_eq!(digest(a), digest(b), "{}: 3-thread != serial", a.scheme);
+    for (a, b) in &pairs {
         assert_eq!(
-            fel_depth_hash(a),
-            fel_depth_hash(b),
-            "{}: fel_depth series diverged across thread counts",
-            a.scheme
-        );
-        assert_eq!(
-            a.audit, b.audit,
-            "{}: audit counters diverged across thread counts",
+            (a.fluid_migrations, a.fluid_bytes),
+            (b.fluid_migrations, b.fluid_bytes),
+            "{}: fluid migrations/bytes diverged across thread counts",
             a.scheme
         );
     }
 }
 
-#[test]
-fn fel_backends_are_bit_identical_on_fuzz_batch() {
-    // The calendar queue replaced the heap FEL in PR 4; both backends must
-    // realize the exact same (time, seq) pop order, so the full simulation
-    // digest — events, FCT bits, audit ledger — must match on the same
-    // 16-job fuzz batch the thread-count test uses.
-    use tlb::engine::FelKind;
-    let raws: [tlb_fuzz::RawScenario; 4] = [
-        (
-            (2, 3, 2, 10),
-            (4, 6, 1, 2),
-            (42, true, 50, 10, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (3, 4, 3, 15),
-            (5, 10, 2, 3),
-            (7, true, 25, 40, true),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (2, 2, 4, 5),
-            (1, 8, 1, 0),
-            (99, false, 50, 0, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (4, 6, 2, 20),
-            (3, 12, 3, 5),
-            (1234, true, 75, 5, true),
-            (0, false, 0, 0, false),
-        ),
-    ];
-    let jobs_with = |kind: FelKind| -> Vec<_> {
-        raws.iter()
-            .flat_map(
-                |&(topo, traffic, (seed, degrade, bw, extra, mid), failure)| {
-                    (0..4).map(move |k| {
-                        (
-                            topo,
-                            traffic,
-                            (seed + k * 1000, degrade, bw, extra, mid),
-                            failure,
-                        )
-                    })
-                },
-            )
-            .map(|raw| {
-                let mut b = tlb_fuzz::Scenario::from_raw(raw).build();
-                b.cfg.fel = kind;
-                (b.cfg, b.flows)
-            })
-            .collect()
-    };
-    let heap = run_all(jobs_with(FelKind::Heap));
-    let calendar = run_all(jobs_with(FelKind::Calendar));
-    assert_eq!(heap.len(), calendar.len());
-    for (a, b) in heap.iter().zip(&calendar) {
-        assert_eq!(digest(a), digest(b), "{}: calendar != heap", a.scheme);
-        assert_eq!(
-            fel_depth_hash(a),
-            fel_depth_hash(b),
-            "{}: fel_depth series diverged across FEL backends",
-            a.scheme
-        );
-        assert_eq!(
-            a.audit, b.audit,
-            "{}: audit counters diverged across FEL backends",
-            a.scheme
-        );
-    }
-}
+/// The reference implementation behind each bit-identical mode field,
+/// next to the production path the presets select.
+///
+/// * The calendar queue replaced the heap FEL in PR 4; both backends must
+///   realize the exact same `(time, key, seq)` pop order.
+/// * PR 5 replaced the per-packet `Box<dyn LoadBalancer>` virtual call
+///   with static enum dispatch (`AnyLb`); both paths build the identical
+///   balancer from the identical salt.
+/// * PR 5 also replaced one FEL `Arrive` entry per in-flight packet with
+///   per-link delivery pipes plus a chained `Deliver` event. The pipe
+///   reserves the exact sequence number the per-packet push would have
+///   taken, so every observable, including the sampled `fel_depth`
+///   *schedule*, is bit-identical across modes; only the FEL *occupancy*
+///   may differ, bounded in pipelined mode by `fel_bound_peak` (itself
+///   mode-independent).
+const REFERENCES: [(&str, SetMode); 3] = [
+    ("heap FEL", |c| c.fel = FelKind::Heap),
+    ("dyn LB dispatch", |c| c.lb_dispatch = LbDispatch::Dyn),
+    ("per-packet delivery", |c| {
+        c.delivery = DeliveryKind::PerPacket
+    }),
+];
 
-#[test]
-fn fel_backends_are_bit_identical_on_load_sweep() {
-    // Same check on fig10-shaped traffic: the large-scale fabric under a
-    // Poisson web-search load, where RTO timers and dense packet events mix
-    // in the queue (the workload class BENCH_PR4's macro sweep times).
-    use tlb::engine::FelKind;
-    let dist = web_search();
-    let jobs_with = |kind: FelKind| -> Vec<_> {
-        let mut jobs = Vec::new();
-        for &load in &[0.4, 0.8] {
-            for scheme in [Scheme::Ecmp, Scheme::tlb_default()] {
-                let mut cfg = SimConfig::large_scale(scheme, 8);
-                cfg.fel = kind;
-                let wl = PoissonWorkload {
-                    load,
-                    dist: &dist,
-                    duration: SimTime::from_millis(5),
-                    deadline_lo: SimTime::from_millis(5),
-                    deadline_hi: SimTime::from_millis(25),
-                    short_threshold: 100_000,
-                    inter_leaf_only: true,
-                };
-                let flows = wl.generate(&cfg.topo, &mut SimRng::new(7 ^ load.to_bits()));
-                jobs.push((cfg, flows));
+/// Run `jobs` on the production path and under each of [`REFERENCES`],
+/// and require the full simulation digest — events, FCT bits, audit
+/// ledger — to match job for job.
+fn assert_references_match_production(jobs: &[Job]) {
+    let production = run_all_ref(jobs);
+    for (label, set) in REFERENCES {
+        let ref_jobs = with_mode(jobs.to_vec(), set);
+        let same_delivery = ref_jobs[0].0.delivery == jobs[0].0.delivery;
+        let reference = run_all(ref_jobs);
+        assert_eq!(production.len(), reference.len());
+        for (a, b) in production.iter().zip(&reference) {
+            assert_same_results(a, b, &format!("production != {label}"));
+            assert_eq!(
+                a.fel_bound_peak, b.fel_bound_peak,
+                "{}: {label}: the occupancy bound must be mode-independent",
+                a.scheme
+            );
+            if same_delivery {
+                assert_eq!(
+                    fel_depth_hash(a),
+                    fel_depth_hash(b),
+                    "{}: {label}: fel_depth series diverged",
+                    a.scheme
+                );
             }
         }
-        jobs
-    };
-    let heap = run_all(jobs_with(FelKind::Heap));
-    let calendar = run_all(jobs_with(FelKind::Calendar));
-    for (a, b) in heap.iter().zip(&calendar) {
-        assert_eq!(digest(a), digest(b), "{}: calendar != heap", a.scheme);
-        assert_eq!(
-            fel_depth_hash(a),
-            fel_depth_hash(b),
-            "{}: fel_depth series diverged across FEL backends",
-            a.scheme
-        );
-        assert_eq!(a.audit, b.audit, "{}: audit diverged", a.scheme);
     }
+}
+
+#[test]
+fn reference_implementations_are_bit_identical_on_fuzz_batch() {
+    assert_references_match_production(&differential_batch());
+}
+
+#[test]
+fn reference_implementations_are_bit_identical_on_load_sweep() {
+    // Same check on fig10-shaped traffic: the large-scale fabric under a
+    // Poisson web-search load, where RTO timers and dense packet events mix
+    // in the queue.
+    let dist = web_search();
+    let mut jobs = Vec::new();
+    for &load in &[0.4, 0.8] {
+        for scheme in [Scheme::Ecmp, Scheme::tlb_default()] {
+            let cfg = SimConfig::large_scale(scheme, 8);
+            let wl = PoissonWorkload {
+                load,
+                dist: &dist,
+                duration: SimTime::from_millis(5),
+                deadline_lo: SimTime::from_millis(5),
+                deadline_hi: SimTime::from_millis(25),
+                short_threshold: 100_000,
+                inter_leaf_only: true,
+            };
+            let flows = wl.generate(&cfg.topo, &mut SimRng::new(7 ^ load.to_bits()));
+            jobs.push((cfg, flows));
+        }
+    }
+    assert_references_match_production(&jobs);
 }
 
 #[test]
@@ -337,256 +290,6 @@ fn workload_generators_are_seed_stable() {
     }
 }
 
-#[test]
-fn lb_dispatch_paths_are_bit_identical_on_fuzz_batch() {
-    // PR 5 replaced the per-packet `Box<dyn LoadBalancer>` virtual call
-    // with static enum dispatch (`AnyLb`). Both paths build the identical
-    // balancer from the identical salt, so the full simulation digest —
-    // events, FCT bits, audit ledger — must match on the same 16-job fuzz
-    // batch the FEL-backend test uses.
-    use tlb::simnet::LbDispatch;
-    let raws: [tlb_fuzz::RawScenario; 4] = [
-        (
-            (2, 3, 2, 10),
-            (4, 6, 1, 2),
-            (42, true, 50, 10, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (3, 4, 3, 15),
-            (5, 10, 2, 3),
-            (7, true, 25, 40, true),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (2, 2, 4, 5),
-            (1, 8, 1, 0),
-            (99, false, 50, 0, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (4, 6, 2, 20),
-            (3, 12, 3, 5),
-            (1234, true, 75, 5, true),
-            (0, false, 0, 0, false),
-        ),
-    ];
-    let jobs_with = |dispatch: LbDispatch| -> Vec<_> {
-        raws.iter()
-            .flat_map(
-                |&(topo, traffic, (seed, degrade, bw, extra, mid), failure)| {
-                    (0..4).map(move |k| {
-                        (
-                            topo,
-                            traffic,
-                            (seed + k * 1000, degrade, bw, extra, mid),
-                            failure,
-                        )
-                    })
-                },
-            )
-            .map(|raw| {
-                let mut b = tlb_fuzz::Scenario::from_raw(raw).build();
-                b.cfg.lb_dispatch = dispatch;
-                (b.cfg, b.flows)
-            })
-            .collect()
-    };
-    let fast = run_all(jobs_with(LbDispatch::Enum));
-    let reference = run_all(jobs_with(LbDispatch::Dyn));
-    assert_eq!(fast.len(), reference.len());
-    for (a, b) in fast.iter().zip(&reference) {
-        assert_eq!(digest(a), digest(b), "{}: enum != dyn dispatch", a.scheme);
-        assert_eq!(
-            fel_depth_hash(a),
-            fel_depth_hash(b),
-            "{}: fel_depth series diverged across dispatch paths",
-            a.scheme
-        );
-        assert_eq!(
-            a.audit, b.audit,
-            "{}: audit counters diverged across dispatch paths",
-            a.scheme
-        );
-    }
-}
-
-#[test]
-fn delivery_modes_are_bit_identical_on_fuzz_batch() {
-    // PR 5 replaced one FEL `Arrive` entry per in-flight packet with
-    // per-link delivery pipes plus a chained `Deliver` event. The pipe
-    // reserves the exact sequence number the per-packet push would have
-    // taken, so the (time, seq) pop order — and with it every observable,
-    // including the sampled `fel_depth` schedule — must be bit-identical
-    // across modes. Only the FEL *occupancy* may differ, bounded in
-    // pipelined mode by `fel_bound_peak` (itself mode-independent).
-    use tlb::simnet::DeliveryKind;
-    let raws: [tlb_fuzz::RawScenario; 4] = [
-        (
-            (2, 3, 2, 10),
-            (4, 6, 1, 2),
-            (42, true, 50, 10, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (3, 4, 3, 15),
-            (5, 10, 2, 3),
-            (7, true, 25, 40, true),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (2, 2, 4, 5),
-            (1, 8, 1, 0),
-            (99, false, 50, 0, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (4, 6, 2, 20),
-            (3, 12, 3, 5),
-            (1234, true, 75, 5, true),
-            (0, false, 0, 0, false),
-        ),
-    ];
-    let jobs_with = |delivery: DeliveryKind| -> Vec<_> {
-        raws.iter()
-            .flat_map(
-                |&(topo, traffic, (seed, degrade, bw, extra, mid), failure)| {
-                    (0..4).map(move |k| {
-                        (
-                            topo,
-                            traffic,
-                            (seed + k * 1000, degrade, bw, extra, mid),
-                            failure,
-                        )
-                    })
-                },
-            )
-            .map(|raw| {
-                let mut b = tlb_fuzz::Scenario::from_raw(raw).build();
-                b.cfg.delivery = delivery;
-                (b.cfg, b.flows)
-            })
-            .collect()
-    };
-    let pipelined = run_all(jobs_with(DeliveryKind::Pipelined));
-    let per_packet = run_all(jobs_with(DeliveryKind::PerPacket));
-    assert_eq!(pipelined.len(), per_packet.len());
-    for (a, b) in pipelined.iter().zip(&per_packet) {
-        assert_eq!(
-            digest(a),
-            digest(b),
-            "{}: pipelined != per-packet",
-            a.scheme
-        );
-        assert_eq!(
-            a.audit, b.audit,
-            "{}: audit counters diverged across delivery modes",
-            a.scheme
-        );
-        assert_eq!(
-            a.fel_bound_peak, b.fel_bound_peak,
-            "{}: the occupancy bound must be mode-independent",
-            a.scheme
-        );
-    }
-}
-
-#[test]
-fn hybrid_fuzz_batch_is_digest_stable_across_thread_counts() {
-    // The hybrid fluid tier (PR 8) must be exactly as deterministic as
-    // packet fidelity: same 16-job fuzz batch as the packet test above,
-    // run at `FidelityKind::Hybrid`, serial vs a 3-thread pool. Hybrid
-    // digests are their own stable baseline — they are never compared to
-    // packet digests (that comparison is banded, in `tests/fidelity.rs`),
-    // only to themselves across worker counts.
-    let raws: [tlb_fuzz::RawScenario; 4] = [
-        (
-            (2, 3, 2, 10),
-            (4, 6, 1, 2),
-            (42, true, 50, 10, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (3, 4, 3, 15),
-            (5, 10, 2, 3),
-            (7, true, 25, 40, true),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (2, 2, 4, 5),
-            (1, 8, 1, 0),
-            (99, false, 50, 0, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (4, 6, 2, 20),
-            (3, 12, 3, 5),
-            (1234, true, 75, 5, true),
-            (0, false, 0, 0, false),
-        ),
-    ];
-    let jobs: Vec<_> = raws
-        .iter()
-        .flat_map(
-            |&(topo, traffic, (seed, degrade, bw, extra, mid), failure)| {
-                (0..4).map(move |k| {
-                    (
-                        topo,
-                        traffic,
-                        (seed + k * 1000, degrade, bw, extra, mid),
-                        failure,
-                    )
-                })
-            },
-        )
-        .map(|raw| {
-            let b = tlb_fuzz::Scenario::from_raw(raw).build();
-            let mut cfg = b.cfg;
-            cfg.fidelity = FidelityKind::Hybrid;
-            (cfg, b.flows)
-        })
-        .collect();
-    let serial: Vec<_> = jobs
-        .iter()
-        .cloned()
-        .map(|(cfg, flows)| run_one(cfg, flows))
-        .collect();
-    assert!(
-        serial.iter().any(|r| r.fluid_migrations > 0),
-        "the batch must exercise the fluid tier somewhere"
-    );
-    let before = rayon::workers_observed();
-    let threaded = rayon::with_threads(3, || run_all(jobs));
-    assert!(
-        rayon::workers_observed() - before >= 2,
-        "3-thread batch must actually fan out over >1 OS thread"
-    );
-    for (a, b) in serial.iter().zip(&threaded) {
-        assert_eq!(digest(a), digest(b), "{}: 3-thread != serial", a.scheme);
-        assert_eq!(
-            fel_depth_hash(a),
-            fel_depth_hash(b),
-            "{}: fel_depth series diverged across thread counts",
-            a.scheme
-        );
-        assert_eq!(
-            a.fluid_migrations, b.fluid_migrations,
-            "{}: migration counts diverged across thread counts",
-            a.scheme
-        );
-        assert_eq!(
-            a.fluid_bytes, b.fluid_bytes,
-            "{}: fluid byte totals diverged across thread counts",
-            a.scheme
-        );
-        assert_eq!(
-            a.audit, b.audit,
-            "{}: audit counters diverged across thread counts",
-            a.scheme
-        );
-    }
-}
-
 /// Compare everything the sharded merge path must reproduce bit-for-bit
 /// against a serial reference: the scalar digest, the audit ledger, the
 /// end-of-run clock, and every traced hop. `fel_depth` is deliberately
@@ -594,17 +297,8 @@ fn hybrid_fuzz_batch_is_digest_stable_across_thread_counts() {
 /// event counter, so the sharded samples interleave differently (the
 /// *simulation* is still bit-identical; the probe is engine-local).
 fn assert_sharded_matches(serial: &RunReport, sharded: &RunReport, label: &str) {
-    assert_eq!(
-        digest(serial),
-        digest(sharded),
-        "{label}: sharded != serial"
-    );
-    assert_eq!(
-        serial.audit, sharded.audit,
-        "{label}: audit counters diverged"
-    );
+    assert_same_results(serial, sharded, &format!("{label}: sharded != serial"));
     assert_eq!(serial.sim_end, sharded.sim_end, "{label}: sim_end diverged");
-    assert_eq!(serial.traces.len(), sharded.traces.len());
     for (x, y) in serial.traces.iter().zip(&sharded.traces) {
         assert_eq!(x.hop, y.hop, "{label}: trace hop diverged");
         assert_eq!(x.at, y.at, "{label}: trace timing diverged");
@@ -616,60 +310,14 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
     // The tentpole acceptance gate: one simulation executed across OS
     // threads by conservative fabric sharding must produce the exact
     // serial digests for ANY worker count. Same 16-job fuzz batch as the
-    // backend/dispatch/delivery differentials (schemes, incast, static +
-    // mid-run degradation), serial vs sharded at 1/2/4/8 workers.
-    use tlb::engine::EngineKind;
-    let raws: [tlb_fuzz::RawScenario; 4] = [
-        (
-            (2, 3, 2, 10),
-            (4, 6, 1, 2),
-            (42, true, 50, 10, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (3, 4, 3, 15),
-            (5, 10, 2, 3),
-            (7, true, 25, 40, true),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (2, 2, 4, 5),
-            (1, 8, 1, 0),
-            (99, false, 50, 0, false),
-            (0, false, 0, 0, false),
-        ),
-        (
-            (4, 6, 2, 20),
-            (3, 12, 3, 5),
-            (1234, true, 75, 5, true),
-            (0, false, 0, 0, false),
-        ),
-    ];
-    let jobs_with = |engine: EngineKind| -> Vec<_> {
-        raws.iter()
-            .flat_map(
-                |&(topo, traffic, (seed, degrade, bw, extra, mid), failure)| {
-                    (0..4).map(move |k| {
-                        (
-                            topo,
-                            traffic,
-                            (seed + k * 1000, degrade, bw, extra, mid),
-                            failure,
-                        )
-                    })
-                },
-            )
-            .map(|raw| {
-                let mut b = tlb_fuzz::Scenario::from_raw(raw).build();
-                b.cfg.engine = engine;
-                (b.cfg, b.flows)
-            })
-            .collect()
-    };
-    let serial = run_all(jobs_with(EngineKind::Serial));
+    // reference differentials (schemes, incast, static + mid-run
+    // degradation), serial vs sharded at 1/2/4/8 workers.
+    let serial = run_all(differential_batch());
     for workers in [1u32, 2, 4, 8] {
-        let sharded = run_all(jobs_with(EngineKind::Sharded {
-            workers: Some(workers),
+        let sharded = run_all(with_mode(differential_batch(), |c| {
+            c.engine = EngineKind::Sharded {
+                workers: Some(workers),
+            }
         }));
         assert_eq!(serial.len(), sharded.len());
         for (a, b) in serial.iter().zip(&sharded) {
@@ -690,7 +338,6 @@ fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
     // down/up flap. Failures force whole-fabric reachability recomputes,
     // which the sharded engine must mirror into every replica at exactly
     // the serial instant.
-    use tlb::engine::EngineKind;
     let run = |engine: EngineKind| {
         let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
         cfg.topo = FatTreeBuilder::new(8)
@@ -742,7 +389,6 @@ fn sharded_parallel_windows_match_serial() {
     // short flows): the engine MUST open barrier-synchronized parallel
     // windows — asserted via `sharded_windows` — and still match the
     // serial digests bit for bit.
-    use tlb::engine::EngineKind;
     let run = |engine: EngineKind| {
         let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
         cfg.topo = LeafSpineBuilder::new(2, 2, 2)
@@ -780,7 +426,6 @@ fn sharded_engine_delegates_hybrid_fidelity_to_serial() {
     // fair shares), so the sharded engine refuses them and delegates to
     // the serial engine. The run must report the fallback and produce the
     // exact serial-hybrid results.
-    use tlb::engine::EngineKind;
     let run = |engine: EngineKind| {
         let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
         cfg.fidelity = FidelityKind::Hybrid;

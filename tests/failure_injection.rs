@@ -80,17 +80,6 @@ fn link_event_validation() {
 
 /// Delivery-mode-safe run fingerprint (excludes `fel_depth`, whose values
 /// legitimately differ between pipelined and per-packet delivery).
-fn digest(r: &RunReport) -> (u64, String, u64, u64, usize, usize) {
-    (
-        r.events,
-        format!("{:.12}/{:.12}", r.fct_short.afct, r.fct_long.mean_goodput),
-        r.drops,
-        r.marks,
-        r.traces.len(),
-        r.completed,
-    )
-}
-
 fn pinned_tlb() -> Scheme {
     let mut t = TlbConfig::paper_default();
     t.threshold_mode = ThresholdMode::Fixed(u64::MAX);
@@ -145,8 +134,8 @@ fn flap_and_repair_reconverge_cleanly() {
         for delivery in [DeliveryKind::Pipelined, DeliveryKind::PerPacket] {
             let r = run(fel, delivery);
             assert_eq!(
-                digest(&r),
-                digest(&base),
+                r.digest(),
+                base.digest(),
                 "{fel:?}/{delivery:?} diverged from Calendar/Pipelined"
             );
         }
@@ -201,8 +190,8 @@ fn fat_tree_k8_flap_matrix_is_bit_identical() {
             for delivery in [DeliveryKind::Pipelined, DeliveryKind::PerPacket] {
                 let r = run(fel, dispatch, delivery);
                 assert_eq!(
-                    digest(&r),
-                    digest(&base),
+                    r.digest(),
+                    base.digest(),
                     "{fel:?}/{dispatch:?}/{delivery:?} diverged"
                 );
             }
@@ -279,8 +268,9 @@ fn refailing_dead_targets_is_a_deterministic_noop() {
     // Everything but the raw event count must match (the duplicate is
     // itself one FEL pop, so `events` grows by exactly the extras).
     let noev = |r: &RunReport| {
-        let (_, fct, drops, marks, traces, completed) = digest(r);
-        (fct, drops, marks, traces, completed)
+        let digest = r.digest();
+        let (_events, rest) = digest.split_once('|').expect("digest has fields");
+        rest.to_string()
     };
 
     // Case 1: the same link goes down twice before its repair.

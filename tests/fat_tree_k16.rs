@@ -11,17 +11,6 @@
 use tlb::engine::FelKind;
 use tlb::prelude::*;
 
-fn digest(r: &RunReport) -> (u64, String, u64, u64, usize, usize) {
-    (
-        r.events,
-        format!("{:.12}/{:.12}", r.fct_short.afct, r.fct_long.mean_goodput),
-        r.drops,
-        r.marks,
-        r.traces.len(),
-        r.completed,
-    )
-}
-
 fn k16_cfg(scheme: Scheme) -> SimConfig {
     let mut cfg = SimConfig::basic_paper(scheme);
     cfg.topo = FatTreeBuilder::new(16)
@@ -63,7 +52,7 @@ fn k16_smoke_completes_with_clean_audit() {
 fn k16_digests_are_stable_across_reruns_and_backends() {
     let base = k16_run(Scheme::tlb_default(), FidelityKind::Packet, 16);
     let rerun = k16_run(Scheme::tlb_default(), FidelityKind::Packet, 16);
-    assert_eq!(digest(&base), digest(&rerun), "k=16 rerun diverged");
+    assert_eq!(base.digest(), rerun.digest(), "k=16 rerun diverged");
 
     // The differential backends must agree at this scale too.
     for fel in [FelKind::Calendar, FelKind::Heap] {
@@ -76,7 +65,7 @@ fn k16_digests_are_stable_across_reruns_and_backends() {
         mix.long_hi = 2_000_000;
         let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(16));
         let r = Simulation::new(cfg, flows).run();
-        assert_eq!(digest(&r), digest(&base), "{fel:?} diverged on k=16");
+        assert_eq!(r.digest(), base.digest(), "{fel:?} diverged on k=16");
     }
 }
 
@@ -91,6 +80,6 @@ fn k16_hybrid_smoke_migrates_and_completes() {
     assert!(r.audit.is_some(), "conservation audit did not run");
     // Determinism holds for the hybrid tier on the deep path shape too.
     let rerun = k16_run(Scheme::tlb_default(), FidelityKind::Hybrid, 16);
-    assert_eq!(digest(&r), digest(&rerun), "k=16 hybrid rerun diverged");
+    assert_eq!(r.digest(), rerun.digest(), "k=16 hybrid rerun diverged");
     assert_eq!(r.fluid_bytes, rerun.fluid_bytes);
 }

@@ -47,16 +47,6 @@ fn high_bdp_job(scheme: Scheme, seed: u64) -> (SimConfig, Vec<FlowSpec>) {
     (cfg, flows)
 }
 
-fn digest(r: &RunReport) -> (u64, String, u64, u64, usize) {
-    (
-        r.events,
-        format!("{:.12}/{:.12}", r.fct_short.afct, r.fct_long.mean_goodput),
-        r.drops,
-        r.marks,
-        r.completed,
-    )
-}
-
 #[test]
 fn pipelined_delivery_bounds_fel_depth_on_high_bdp_links() {
     for scheme in [Scheme::Rps, Scheme::tlb_default()] {
@@ -68,7 +58,7 @@ fn pipelined_delivery_bounds_fel_depth_on_high_bdp_links() {
         let reference = run_one_ref(&cfg, &flows);
 
         // Same physics, same results — only the FEL residency differs.
-        assert_eq!(digest(&piped), digest(&reference), "{name}: modes diverged");
+        assert_eq!(piped.digest(), reference.digest(), "{name}: modes diverged");
         assert_eq!(piped.audit, reference.audit, "{name}: audit diverged");
         assert_eq!(
             piped.fel_bound_peak, reference.fel_bound_peak,

@@ -1,5 +1,5 @@
 //! The hybrid fluid/packet fidelity tier, validated differentially
-//! against full packet fidelity (`TLB_FIDELITY`, PR 8).
+//! against full packet fidelity (PR 8).
 //!
 //! Under [`FidelityKind::Hybrid`], flows that cross the 100 KB
 //! short/long boundary hand their unsent tail to a per-link fair-share
@@ -21,23 +21,11 @@
 //!   operating point; measured quick-scale ratios sit well inside them
 //!   (short AFCT ratio ≈ 0.6–0.9, long AFCT ratio ≈ 0.9–1.2).
 //! * **Packet mode untouched**: `FidelityKind::Packet` runs the
-//!   historical per-packet paths — same digests as before the knob
-//!   existed (asserted here against a default-config run, and by the
-//!   unchanged determinism suite).
+//!   historical per-packet paths — same digests as before the field
+//!   existed (the presets set it literally, and the determinism suite
+//!   and `benchmark/expected_digests.json` pin packet-mode digests).
 
 use tlb::prelude::*;
-
-/// Delivery-mode-safe run fingerprint (same shape as `determinism.rs`).
-fn digest(r: &RunReport) -> (u64, String, u64, u64, usize, usize) {
-    (
-        r.events,
-        format!("{:.12}/{:.12}", r.fct_short.afct, r.fct_long.mean_goodput),
-        r.drops,
-        r.marks,
-        r.traces.len(),
-        r.completed,
-    )
-}
 
 fn pinned_tlb() -> Scheme {
     let mut t = TlbConfig::paper_default();
@@ -237,38 +225,6 @@ fn pinned_tlb_voluntary_reroutes_are_exactly_preserved() {
     }
 }
 
-/// The fidelity knob itself must not perturb packet-mode results: a
-/// config with `FidelityKind::Packet` set explicitly is bit-identical to
-/// the preset default (which reads `TLB_FIDELITY`, unset in CI) — i.e.
-/// packet fidelity *is* the pre-knob simulator.
-#[test]
-fn explicit_packet_fidelity_matches_the_default() {
-    let run = |set_explicitly: bool| {
-        let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
-        cfg.audit = true;
-        if set_explicitly {
-            cfg.fidelity = FidelityKind::Packet;
-        }
-        let mut mix = BasicMixConfig::paper_default();
-        mix.n_short = 30;
-        mix.n_long = 2;
-        mix.long_lo = 1_000_000;
-        mix.long_hi = 2_000_000;
-        let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(5));
-        Simulation::new(cfg, flows).run()
-    };
-    let a = run(false);
-    let b = run(true);
-    assert_eq!(
-        digest(&a),
-        digest(&b),
-        "fidelity knob perturbed packet mode"
-    );
-    assert_eq!(a.audit, b.audit, "audit counters diverged");
-    assert_eq!(a.fluid_migrations, 0);
-    assert_eq!(b.fluid_migrations, 0);
-}
-
 /// Hybrid runs are themselves bit-deterministic: same seed, same digests,
 /// rerun to rerun (the fluid model's f64 updates happen in a fixed
 /// flow-id order precisely so this holds).
@@ -276,7 +232,7 @@ fn explicit_packet_fidelity_matches_the_default() {
 fn hybrid_runs_are_bit_deterministic() {
     let a = run_shape("fig04", FidelityKind::Hybrid, Scheme::tlb_default());
     let b = run_shape("fig04", FidelityKind::Hybrid, Scheme::tlb_default());
-    assert_eq!(digest(&a), digest(&b), "hybrid rerun diverged");
+    assert_eq!(a.digest(), b.digest(), "hybrid rerun diverged");
     assert_eq!(a.fluid_migrations, b.fluid_migrations);
     assert_eq!(a.fluid_bytes, b.fluid_bytes);
     assert_eq!(a.audit, b.audit, "hybrid audit counters diverged");
