@@ -107,8 +107,8 @@ fn ports_with_lens(lens: &[usize]) -> Vec<OutPort> {
 }
 
 /// Run one scripted conformance session. `fault` arms
-/// [`Tlb::fault_skip_recompute_at`] (requires the `fault-inject` feature;
-/// passing `Some` without it is a caller bug). Returns the first observed
+/// `Tlb::fault_skip_recompute_at` (which only exists under the
+/// `fault-inject` feature; passing `Some` without it is a caller bug). Returns the first observed
 /// divergence between the real TLB and the reference mirror.
 pub fn run_conformance(
     n_ports: usize,

@@ -163,8 +163,9 @@ pub struct SimConfig {
     /// are bit-identical to serial for any worker count
     /// (`tests/determinism.rs`). Configurations the sharded engine cannot
     /// partition (hybrid fidelity, chained flows, single-shard
-    /// topologies, …) silently run serially — see
-    /// `network/sharded.rs` for the exact preconditions.
+    /// topologies, …) silently run serially — the module docs of
+    /// `network/sharded.rs` ("What the sharded engine refuses") list the
+    /// exact preconditions.
     pub engine: EngineKind,
 }
 
@@ -302,6 +303,14 @@ impl SimConfig {
         if self.series_bucket.is_zero() {
             return Err("series bucket must be positive".into());
         }
+        // A balancer's live-uplink set (`PortView`) and the reach masks are
+        // one `u64` per LB switch.
+        if self.topo.n_spines() > 64 {
+            return Err(format!(
+                "{} uplinks per LB switch: at most 64 are supported",
+                self.topo.n_spines()
+            ));
+        }
         for (i, ev) in self.link_events.iter().enumerate() {
             if ev.bw_factor <= 0.0 || ev.bw_factor.is_nan() {
                 return Err(format!("link event {i}: bw_factor must be positive"));
@@ -370,6 +379,19 @@ mod tests {
         assert_eq!(c.topo.n_spines(), 10, "10 equal-cost paths");
         assert_eq!(c.topo.host_link().bytes_per_sec, 2_500_000, "20 Mbit/s");
         assert_eq!(c.tcp.min_rto, SimTime::from_millis(200));
+    }
+
+    #[test]
+    fn more_than_64_uplinks_per_lb_switch_is_rejected() {
+        let mut c = SimConfig::basic_paper(Scheme::Ecmp);
+        c.topo = LeafSpineBuilder::new(2, 64, 1).build().into();
+        c.validate().expect("64 uplinks fill the mask exactly");
+        c.topo = LeafSpineBuilder::new(2, 65, 1).build().into();
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("65 uplinks"), "{err}");
+        // A fat tree has k/2 uplinks per edge/agg: k = 130 is one too many.
+        c.topo = tlb_net::FatTreeBuilder::new(130).build().into();
+        assert!(c.validate().unwrap_err().contains("65 uplinks"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Static load-balancer dispatch: the hot-path alternative to
 //! `Box<dyn LoadBalancer>`.
 //!
-//! [`Scheme::build`] returns a trait object, which costs a virtual call on
+//! A `Box<dyn LoadBalancer>` ([`Scheme::build`]) costs a virtual call on
 //! **every** forwarded packet. [`AnyLb`] is a closed enum over the same
 //! concrete schemes whose trait methods dispatch by `match` — the compiler
 //! sees through the variant and can inline the scheme's decision logic
@@ -64,9 +64,14 @@ pub enum AnyLb {
 }
 
 /// Forward one expression to every variant's payload. `Box<T>` payloads
-/// auto-deref, so the same arm body works for concrete and boxed variants.
+/// auto-deref in method calls, so one arm body serves concrete and boxed
+/// variants alike; the two-body form gives the boxed variants (`Tlb`,
+/// `Dyn`) their own expression where auto-deref is not enough.
 macro_rules! dispatch {
     ($self:expr, $lb:ident => $body:expr) => {
+        dispatch!($self, $lb => $body, $lb => $body)
+    };
+    ($self:expr, $lb:ident => $body:expr, $boxed:ident => $boxed_body:expr) => {
         match $self {
             AnyLb::Ecmp($lb) => $body,
             AnyLb::Rps($lb) => $body,
@@ -78,10 +83,18 @@ macro_rules! dispatch {
             AnyLb::Hermes($lb) => $body,
             AnyLb::Wcmp($lb) => $body,
             AnyLb::DiffFlow($lb) => $body,
-            AnyLb::Tlb($lb) => $body,
-            AnyLb::Dyn($lb) => $body,
+            AnyLb::Tlb($boxed) => $boxed_body,
+            AnyLb::Dyn($boxed) => $boxed_body,
         }
     };
+}
+
+impl AnyLb {
+    /// The concrete balancer behind this value as a trait object — what
+    /// [`LbDispatch::Dyn`] runs (never an `AnyLb` inside the box).
+    pub(crate) fn into_dyn(self) -> Box<dyn LoadBalancer> {
+        dispatch!(self, lb => Box::new(lb) as Box<dyn LoadBalancer>, boxed => boxed)
+    }
 }
 
 impl LoadBalancer for AnyLb {
@@ -121,50 +134,28 @@ impl LoadBalancer for AnyLb {
         dispatch!(self, lb => lb.q_threshold())
     }
 
+    // `Tlb` also has *inherent* `long_reroutes()`/`forced_reroutes()`
+    // returning `u64`, which method-call syntax would pick over the
+    // trait's `Option<u64>`: name the trait, and deref the boxes by hand.
     #[inline]
     fn long_reroutes(&self) -> Option<u64> {
-        // `Tlb` also has an *inherent* `long_reroutes() -> u64` that method
-        // resolution prefers over the trait's `Option<u64>`, so the Tlb arm
-        // must qualify the call; the macro can't express a per-arm cast.
-        match self {
-            AnyLb::Ecmp(lb) => LoadBalancer::long_reroutes(lb),
-            AnyLb::Rps(lb) => LoadBalancer::long_reroutes(lb),
-            AnyLb::Presto(lb) => LoadBalancer::long_reroutes(lb),
-            AnyLb::LetFlow(lb) => LoadBalancer::long_reroutes(lb),
-            AnyLb::Drill(lb) => LoadBalancer::long_reroutes(lb),
-            AnyLb::CongaLite(lb) => LoadBalancer::long_reroutes(lb),
-            AnyLb::FlowBender(lb) => LoadBalancer::long_reroutes(lb),
-            AnyLb::Hermes(lb) => LoadBalancer::long_reroutes(lb),
-            AnyLb::Wcmp(lb) => LoadBalancer::long_reroutes(lb),
-            AnyLb::DiffFlow(lb) => LoadBalancer::long_reroutes(lb),
-            AnyLb::Tlb(lb) => LoadBalancer::long_reroutes(&**lb),
-            AnyLb::Dyn(lb) => lb.long_reroutes(),
-        }
+        dispatch!(self,
+            lb => LoadBalancer::long_reroutes(lb),
+            b => LoadBalancer::long_reroutes(&**b))
     }
 
     #[inline]
     fn forced_reroutes(&self) -> Option<u64> {
-        // Same shadowing situation as `long_reroutes`: `Tlb` has an
-        // inherent `forced_reroutes() -> u64`, so dispatch by hand.
-        match self {
-            AnyLb::Ecmp(lb) => LoadBalancer::forced_reroutes(lb),
-            AnyLb::Rps(lb) => LoadBalancer::forced_reroutes(lb),
-            AnyLb::Presto(lb) => LoadBalancer::forced_reroutes(lb),
-            AnyLb::LetFlow(lb) => LoadBalancer::forced_reroutes(lb),
-            AnyLb::Drill(lb) => LoadBalancer::forced_reroutes(lb),
-            AnyLb::CongaLite(lb) => LoadBalancer::forced_reroutes(lb),
-            AnyLb::FlowBender(lb) => LoadBalancer::forced_reroutes(lb),
-            AnyLb::Hermes(lb) => LoadBalancer::forced_reroutes(lb),
-            AnyLb::Wcmp(lb) => LoadBalancer::forced_reroutes(lb),
-            AnyLb::DiffFlow(lb) => LoadBalancer::forced_reroutes(lb),
-            AnyLb::Tlb(lb) => LoadBalancer::forced_reroutes(&**lb),
-            AnyLb::Dyn(lb) => lb.forced_reroutes(),
-        }
+        dispatch!(self,
+            lb => LoadBalancer::forced_reroutes(lb),
+            b => LoadBalancer::forced_reroutes(&**b))
     }
 }
 
 impl Scheme {
-    /// Build this scheme as a statically dispatched [`AnyLb`].
+    /// Build this scheme as a statically dispatched [`AnyLb`] — the one
+    /// constructor table ([`Scheme::build`] boxes what this builds).
+    /// `salt` decorrelates hash-based schemes across switches.
     pub fn build_static(&self, salt: u64) -> AnyLb {
         match self {
             Scheme::Ecmp => AnyLb::Ecmp(Ecmp::new(salt)),

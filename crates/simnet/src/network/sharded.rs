@@ -20,8 +20,8 @@
 //! ## Why the merged schedule is bit-identical to the serial engine
 //!
 //! Both engines order events by `(time, key, seq)` where
-//! [`super::event_key`] encodes `(class, entity)`. Every key is pushed by
-//! exactly one shard (see the table in `event_key`'s docs), so:
+//! [`super::events::event_key`] encodes `(class, entity)`. Every key is
+//! pushed by exactly one shard (see `event_key`'s docs), so:
 //!
 //! * same-`(time, key)` ties are always same-shard, and the shard's local
 //!   FIFO `seq` assigns them exactly the relative order the serial engine
@@ -36,13 +36,13 @@
 //!
 //! ## Global events and the serialized tail
 //!
-//! [`super::Event::Failure`] / [`super::Event::LinkChange`] mutate fabric
-//! state every replica reads (`recompute_reach` scans the whole port
-//! table). They are seeded only into shard 0's FEL and executed in
-//! **micro-steps**: parallel windows never cross the next scheduled admin
-//! time; when it becomes the global minimum the coordinator runs every
-//! event at exactly that timestamp through the cross-shard merge loop and
-//! mirrors the state mutation into every replica.
+//! [`Event::Failure`] / [`Event::LinkChange`] mutate fabric state every
+//! replica reads (`recompute_reach` scans the whole port table). They are
+//! seeded only into shard 0's FEL and executed in **micro-steps**:
+//! parallel windows never cross the next scheduled admin time; when it
+//! becomes the global minimum the coordinator runs every event at exactly
+//! that timestamp through the cross-shard merge loop and mirrors the state
+//! mutation into every replica.
 //!
 //! The serial engine stops at the instant the last flow completes,
 //! possibly mid-window. To reproduce that exactly, a parallel window with
@@ -64,12 +64,15 @@
 //!
 //! Hybrid fidelity (fluid flows span shards), closed-loop chains (a
 //! completion on one shard would have to start a flow on another),
-//! `fault_drop_nth` (a global arrival counter), single-shard topologies,
-//! zero lookahead, and ≥ 2²⁷ flows (key-space). [`try_run`] returns
-//! `None` and [`super::run_with`] runs the serial engine — which is the
-//! digest reference anyway.
+//! `fault_drop_nth` (a global arrival counter), single-shard topologies
+//! and zero lookahead. [`try_run`] returns `None` and [`super::run_with`]
+//! runs the serial engine — which is the digest reference anyway.
 
-use super::{Net, NodeRef, PlanKind, PortId, PortMap, SimConfig};
+use super::events::{class, key_of, split_key, Event};
+use super::link;
+use super::portmap::{NodeRef, PortId, PortMap};
+use super::Net;
+use crate::config::{FidelityKind, SimConfig};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tlb_engine::{SimTime, SpinBarrier};
@@ -92,34 +95,13 @@ pub(crate) struct ShardMap {
 }
 
 impl ShardMap {
-    /// Partition the fabric: leaf-spine → one shard per leaf (spine `s`
-    /// rides with leaf `s % n_leaves`), fat tree → one shard per pod
-    /// (core `c` rides with pod `c % n_pods`). Hosts follow their
+    /// Partition the fabric by [`PortMap::shard_of`]. Hosts follow their
     /// leaf/edge, so host links are never cross-shard.
     fn new(pmap: &PortMap) -> ShardMap {
-        let (n_shards, sw_owner): (u16, Vec<u16>) = match pmap.plan {
-            PlanKind::LeafSpine {
-                n_leaves, n_spines, ..
-            } => {
-                let mut own: Vec<u16> = (0..n_leaves as u16).collect();
-                own.extend((0..n_spines as u16).map(|s| s % n_leaves as u16));
-                (n_leaves as u16, own)
-            }
-            PlanKind::FatTree {
-                half,
-                n_edges,
-                n_aggs,
-            } => {
-                let n_pods = (n_edges / half) as u16;
-                let mut own: Vec<u16> = (0..n_edges as u16).map(|e| e / half as u16).collect();
-                own.extend((0..n_aggs as u16).map(|a| a / half as u16));
-                let n_cores = half * half;
-                own.extend((0..n_cores as u16).map(|c| c % n_pods));
-                (n_pods, own)
-            }
-        };
-        debug_assert_eq!(sw_owner.len(), pmap.sw.len());
-        let hpl = pmap.hosts_per_lb();
+        let sw_owner: Vec<u16> = (0..pmap.sw.len() as u16)
+            .map(|sw| pmap.shard_of(sw))
+            .collect();
+        let hpl = pmap.hosts_per_lb;
         let host_owner: Vec<u16> = (0..pmap.n_hosts)
             .map(|h| sw_owner[(h / hpl) as usize])
             .collect();
@@ -127,19 +109,13 @@ impl ShardMap {
             NodeRef::Host(h) => host_owner[h as usize],
             NodeRef::Switch(sw) => sw_owner[sw as usize],
         };
-        let port_owner: Vec<u16> = (0..pmap.n_ports() as u32)
-            .map(|p| match pmap.decode(p) {
-                super::PortRef::HostNic(h) => host_owner[h as usize],
-                super::PortRef::Up { sw, .. } | super::PortRef::Down { sw, .. } => {
-                    sw_owner[sw as usize]
-                }
-            })
-            .collect();
         let arrive_owner: Vec<u16> = (0..pmap.n_ports() as u32)
             .map(|p| owner_of(pmap.next_node(p)))
             .collect();
+        // A port belongs to the node its reverse link delivers to.
+        let port_owner: Vec<u16> = pmap.rev.iter().map(|&r| arrive_owner[r as usize]).collect();
         ShardMap {
-            n_shards,
+            n_shards: pmap.n_shards(),
             sw_owner,
             host_owner,
             port_owner,
@@ -175,6 +151,91 @@ pub(crate) struct XMsg {
     pub pkt: Packet,
 }
 
+impl<'a> Net<'a> {
+    /// Run every local event strictly before `end` (and at or before
+    /// `horizon`). The global completion gate lives with the coordinator —
+    /// the window protocol switches to a serialized tail before the run
+    /// could possibly finish mid-window.
+    fn run_window(&mut self, end: SimTime, horizon: SimTime) {
+        while self.q.peek_time().is_some_and(|t| t < end && t <= horizon) {
+            self.step();
+        }
+    }
+
+    /// Receive a cross-shard handoff: park the packet and schedule its
+    /// arrival, exactly as the per-packet delivery path would have on the
+    /// sending side. `Arrive` and `Deliver` share an ordering class on the
+    /// transmitting port, so the merged `(time, key, seq)` schedule is
+    /// unchanged relative to a serial run in either delivery mode.
+    fn inject_arrival(&mut self, XMsg { port, at, pkt }: XMsg) {
+        debug_assert!(self.shard.is_some());
+        let slot = self.arena.insert(pkt);
+        self.q.push_keyed(
+            at,
+            key_of(class::ARRIVAL, port),
+            Event::Arrive { port, slot },
+        );
+    }
+
+    /// Fold one shard replica into this one (the coordinator folds every
+    /// shard into shard 0, then reports from the result). Entities move
+    /// wholesale to their owner; counters add; the clocks join on the
+    /// latest. Per the ownership partition every moved slot on `self` is
+    /// still in its pristine build state, so the merged `Net` is what a
+    /// serial run would have produced (up to the FEL telemetry caveat on
+    /// [`super::metrics::Metrics::absorb`]).
+    fn absorb_shard(&mut self, mut other: Net<'a>) {
+        let octx = other.shard.take().expect("absorbing a serial net");
+        let oid = octx.id;
+        let map = &octx.map;
+        debug_assert!(octx.outbox.is_empty(), "unrouted cross-shard messages");
+        for pi in 0..self.ports.len() {
+            if map.port_owner[pi] == oid {
+                std::mem::swap(&mut self.ports[pi], &mut other.ports[pi]);
+                std::mem::swap(&mut self.pipes[pi], &mut other.pipes[pi]);
+                self.link_fifo[pi] = other.link_fifo[pi];
+            }
+        }
+        for l in 0..self.lb_sws.len() {
+            if map.sw_owner[l] == oid {
+                std::mem::swap(&mut self.lb_sws[l], &mut other.lb_sws[l]);
+            }
+        }
+        for i in 0..self.flows.len() {
+            if other.senders[i].is_some() {
+                debug_assert!(self.senders[i].is_none());
+                self.senders[i] = other.senders[i].take();
+            }
+            if other.receivers[i].is_some() {
+                debug_assert!(self.receivers[i].is_none());
+                self.receivers[i] = other.receivers[i].take();
+            }
+            if other.completed[i] {
+                debug_assert!(!self.completed[i]);
+                self.completed[i] = true;
+            }
+        }
+        self.n_completed += other.n_completed;
+        self.events += other.events;
+        self.arrive_seen += other.arrive_seen;
+        self.m.absorb(other.m);
+        self.audit.absorb(&other.audit);
+        self.q
+            .absorb_monotonicity_violations(other.q.monotonicity_violations());
+        // Residual in-flight packets (end-of-run leftovers in the other
+        // shard's FEL) feed the merged ledger; queued/in-service residuals
+        // ride the moved ports and pipe residuals the moved pipes, both
+        // scanned later by `finish_audit`.
+        let end = other.q.now();
+        for (_, ev) in other.q.drain_unordered() {
+            if let Event::Arrive { slot, .. } = ev {
+                self.audit.residual_propagating(&other.arena.take(slot));
+            }
+        }
+        self.q.join_clock(end);
+    }
+}
+
 /// A shard's mailbox: messages other shards routed to it, plus the
 /// earliest pending within-horizon timestamp (`u64::MAX` when none) —
 /// folded into the coordinator's global minimum so in-flight handoffs
@@ -202,10 +263,9 @@ pub(crate) fn try_run(
     workers: Option<u32>,
     wall_start: std::time::Instant,
 ) -> Option<crate::report::RunReport> {
-    if cfg.fidelity == super::FidelityKind::Hybrid
+    if cfg.fidelity == FidelityKind::Hybrid
         || cfg.fault_drop_nth.is_some()
         || next_flow.iter().any(|n| n.is_some())
-        || flows.len() >= (1 << super::KEY_ENTITY_BITS)
     {
         return None;
     }
@@ -300,7 +360,7 @@ pub(crate) fn try_run(
     for other in nets {
         base.absorb_shard(other);
     }
-    base.finish_sharded_traces();
+    base.m.sort_sharded_traces();
     base.shard = None;
     let mut report = base.into_report(wall_start.elapsed());
     report.engine_workers = Some(n_workers as u32);
@@ -313,41 +373,12 @@ pub(crate) fn try_run(
 /// (a mid-run rewrite may shrink a delay; the lookahead must lower-bound
 /// every state the link ever reaches).
 fn lookahead(cfg: &SimConfig, pmap: &PortMap, map: &ShardMap) -> SimTime {
-    let props_of = |p: PortId| match pmap.decode(p) {
-        super::PortRef::HostNic(h) => cfg.topo.host_link_of(tlb_net::HostId(h)),
-        super::PortRef::Up { sw, up } => cfg.topo.uplink_props(sw as usize, up as usize),
-        super::PortRef::Down { .. } => {
-            let rev = pmap.rev[p as usize];
-            match pmap.decode(rev) {
-                super::PortRef::HostNic(h) => cfg.topo.host_link_of(tlb_net::HostId(h)),
-                super::PortRef::Up { sw, up } => cfg.topo.uplink_props(sw as usize, up as usize),
-                super::PortRef::Down { .. } => unreachable!("downlink paired with a downlink"),
-            }
-        }
-    };
     let mut min = SimTime::from_nanos(u64::MAX);
-    for p in 0..pmap.n_ports() as u32 {
-        if map.port_owner[p as usize] == map.arrive_owner[p as usize] {
-            continue;
+    link::for_each_link_state(cfg, pmap, |p, l| {
+        if map.port_owner[p as usize] != map.arrive_owner[p as usize] {
+            min = min.min(l.prop_delay);
         }
-        let mut prop = props_of(p).prop_delay;
-        min = min.min(prop);
-        // Replay this link's event schedule exactly like the serial
-        // engine's pipe sizing does, tracking the smallest delay reached.
-        let mut evs: Vec<&crate::config::LinkEvent> = cfg
-            .link_events
-            .iter()
-            .filter(|ev| {
-                let up = pmap.sw_up(ev.leaf.index() as u32, ev.spine.index() as u32);
-                up == p || pmap.rev[up as usize] == p
-            })
-            .collect();
-        evs.sort_by_key(|ev| ev.at);
-        for ev in evs {
-            prop = ev.new_prop_delay.unwrap_or(prop) + ev.extra_delay;
-            min = min.min(prop);
-        }
-    }
+    });
     debug_assert!(min.as_nanos() < u64::MAX, "no cross-shard links");
     min
 }
@@ -459,7 +490,7 @@ impl<'n, 'a> Run<'n, 'a> {
             std::mem::take(&mut ib.msgs)
         };
         for m in msgs {
-            net.inject_arrival(m.port, m.at, m.pkt);
+            net.inject_arrival(m);
         }
         net.run_window(end, self.horizon);
         self.route_outbox(&mut net, scratch);
@@ -531,13 +562,13 @@ impl<'n, 'a> Run<'n, 'a> {
             // AND the remaining completions fit under the per-window
             // bound. Only then fall back to the serialized tail.
             if self.last_start < end && self.total_flows - done <= self.bound {
-                self.run_tail();
+                self.merged_loop(None);
                 self.finish();
                 return;
             }
             if next_sched <= t_min {
                 debug_assert_eq!(next_sched, t_min, "admin event skipped a window");
-                self.micro_step(SimTime::from_nanos(next_sched));
+                self.merged_loop(Some(SimTime::from_nanos(next_sched)));
                 while self.sched.get(*sched_at).copied() == Some(next_sched) {
                     *sched_at += 1;
                 }
@@ -567,100 +598,72 @@ impl<'n, 'a> Run<'n, 'a> {
             ib.min_at = u64::MAX;
             let mut net = self.nets[s].lock().unwrap();
             for m in ib.msgs.drain(..) {
-                net.inject_arrival(m.port, m.at, m.pkt);
+                net.inject_arrival(m);
             }
-        }
-    }
-
-    /// Execute every event at exactly time `at` through the global
-    /// `(time, key)` merge, mirroring admin mutations into every replica.
-    fn micro_step(&self, at: SimTime) {
-        self.flush_inboxes();
-        self.merged_loop(Some(at));
-        for (s, net) in self.nets.iter().enumerate() {
-            self.publish(s, &net.lock().unwrap());
-        }
-    }
-
-    /// Finish the run serially: the global merge with the serial loop's
-    /// exact termination conditions (stop the instant the last flow
-    /// completes; never pop past the horizon).
-    fn run_tail(&self) {
-        self.flush_inboxes();
-        self.merged_loop(None);
-        for (s, net) in self.nets.iter().enumerate() {
-            self.publish(s, &net.lock().unwrap());
         }
     }
 
     /// The cross-shard merge: repeatedly pop the `(time, key)`-minimum
     /// event over all shard FELs and dispatch it on its shard, routing
     /// handoffs immediately. `Some(at)` = micro-step (only events at
-    /// exactly `at`); `None` = completion tail (serial termination).
+    /// exactly `at`, i.e. the admin events scheduled there and whatever
+    /// shares their timestamp); `None` = completion tail, with the serial
+    /// loop's exact termination conditions (stop the instant the last flow
+    /// completes; never pop past the horizon).
     ///
     /// Single-origin-per-key makes the tie order exact: a `(time, key)`
     /// collision across two shards is impossible, and within a shard the
     /// FEL's own `(time, key, seq)` order applies.
     fn merged_loop(&self, only_at: Option<SimTime>) {
+        self.flush_inboxes();
         let mut guards: Vec<_> = self.nets.iter().map(|m| m.lock().unwrap()).collect();
+        let map = guards[0]
+            .shard
+            .as_ref()
+            .expect("sharded net without ctx")
+            .map
+            .clone();
         let mut done: usize = guards.iter().map(|g| g.n_completed).sum();
         let mut outbox = Vec::new();
         loop {
             if only_at.is_none() && done >= self.total_flows {
                 break;
             }
-            let mut best: Option<(u64, u32, usize)> = None;
-            for (s, g) in guards.iter().enumerate() {
-                if let Some((t, k)) = g.q.peek_time_key() {
-                    let cand = (t.as_nanos(), k, s);
-                    if best.is_none_or(|b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-            }
+            let best = guards
+                .iter()
+                .enumerate()
+                .filter_map(|(s, g)| g.q.peek_time_key().map(|(t, k)| (t, k, s)))
+                .min();
             let Some((t, key, s)) = best else { break };
-            match only_at {
-                Some(at) if t != at.as_nanos() => break,
-                _ => {}
-            }
-            if t > self.horizon.as_nanos() {
+            if only_at.is_some_and(|at| t != at) || t > self.horizon {
                 break;
             }
-            // Admin events mutate state every replica reads: dispatch on
-            // the owning shard (accounting included), then mirror the
-            // mutation everywhere else.
-            let class = key >> super::KEY_ENTITY_BITS;
-            let entity = (key & ((1 << super::KEY_ENTITY_BITS) - 1)) as usize;
             let before = guards[s].n_completed;
             guards[s].step();
             done += guards[s].n_completed - before;
-            if class == 6 || class == 7 {
-                for (r, g) in guards.iter_mut().enumerate() {
-                    if r == s {
-                        continue;
-                    }
-                    if class == 6 {
-                        g.apply_link_change(entity);
+            // Admin events mutate state every replica reads: the owning
+            // shard dispatched it (accounting included); mirror the
+            // mutation everywhere else.
+            let (rank, entity) = split_key(key);
+            if matches!(rank, class::LINK_CHANGE | class::FAILURE) {
+                for (_, g) in guards.iter_mut().enumerate().filter(|&(r, _)| r != s) {
+                    if rank == class::LINK_CHANGE {
+                        g.apply_link_change(entity as usize);
                     } else {
-                        g.apply_failure(entity);
+                        g.apply_failure(entity as usize);
                     }
                 }
             }
             // Route this event's handoffs immediately — the merge may
             // reach their timestamps before the next barrier.
             let ctx = guards[s].shard.as_mut().expect("sharded net without ctx");
-            if !ctx.outbox.is_empty() {
-                outbox.append(&mut ctx.outbox);
-                for m in outbox.drain(..) {
-                    let target = guards[s]
-                        .shard
-                        .as_ref()
-                        .expect("sharded net without ctx")
-                        .map
-                        .arrive_owner[m.port as usize] as usize;
-                    guards[target].inject_arrival(m.port, m.at, m.pkt);
-                }
+            outbox.append(&mut ctx.outbox);
+            for m in outbox.drain(..) {
+                guards[map.arrive_owner[m.port as usize] as usize].inject_arrival(m);
             }
+        }
+        for (s, g) in guards.iter().enumerate() {
+            self.publish(s, g);
         }
     }
 }

@@ -3,10 +3,10 @@
 
 use super::*;
 use crate::scheme::Scheme;
-use tlb_net::{FlowId, LeafId, SpineId};
+use tlb_net::{FlowId, HostId, LeafId, SpineId};
 use tlb_workload::FlowSpec;
 
-fn one_flow(size: u64) -> Vec<FlowSpec> {
+pub(super) fn one_flow(size: u64) -> Vec<FlowSpec> {
     vec![FlowSpec {
         id: FlowId(0),
         src: HostId(0),
@@ -368,42 +368,6 @@ fn tlb_tick_cadence_is_the_update_interval() {
 }
 
 #[test]
-fn mid_run_link_change_applies() {
-    use crate::config::LinkEvent;
-    // One path only; brown out at t=1ms; a long flow must slow down after.
-    let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
-    cfg.topo = tlb_net::LeafSpineBuilder::new(2, 1, 2)
-        .link_gbps(1.0)
-        .target_rtt(SimTime::from_micros(100))
-        .build()
-        .into();
-    cfg.link_events.push(LinkEvent {
-        at: SimTime::from_millis(1),
-        leaf: LeafId(0),
-        spine: SpineId(0),
-        new_prop_delay: None,
-        bw_factor: 0.5,
-        extra_delay: SimTime::ZERO,
-    });
-    let r = Simulation::new(
-        cfg,
-        vec![FlowSpec {
-            id: FlowId(0),
-            src: HostId(0),
-            dst: HostId(2),
-            size_bytes: 5_000_000,
-            start: SimTime::ZERO,
-            deadline: None,
-        }],
-    )
-    .run();
-    assert_eq!(r.completed, 1);
-    let fct = r.fct.fct_of(FlowId(0)).unwrap();
-    // 5 MB at 1 Gbit/s ~ 40 ms; at 0.5 Gbit/s after the first ms ~ 79 ms.
-    assert!(fct > 0.06, "brownout had no effect: fct {fct}");
-}
-
-#[test]
 fn chained_head_start_time_is_honoured() {
     let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
     let mk = |id: u32, start_us: u64| FlowSpec {
@@ -442,74 +406,81 @@ fn double_chaining_rejected() {
     let _ = Simulation::new_chained(cfg, flows3, vec![Some(2), Some(2), None]);
 }
 
-#[test]
-fn event_payload_stays_compact() {
-    // The hot enum is copied in and out of the FEL millions of times per
-    // run; `Arrive` carries a 4-byte arena handle, not a boxed packet. If
-    // a new variant grows the enum past two words, that is a perf
-    // regression worth a deliberate decision.
-    assert!(
-        std::mem::size_of::<Event>() <= 16,
-        "Event grew to {} bytes",
-        std::mem::size_of::<Event>()
-    );
-}
+// ---- the job check (`check_job`/`check_flow`) --------------------------
 
-#[test]
-fn ooo_buffers_return_to_the_pool() {
-    // Every receiver's out-of-order buffer must come back to the pool at
-    // FIN delivery, and a later generation of flows must be served
-    // entirely from recycled buffers: misses only for the first
-    // generation. (The final generation's FINs are still in flight when
-    // the run loop exits on all-complete, so its buffers are legitimately
-    // parked in live receivers, not the pool.)
-    let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
-    let mk = |id: u32, start_us: u64| FlowSpec {
+fn flow(id: u32, src: u32, dst: u32) -> FlowSpec {
+    FlowSpec {
         id: FlowId(id),
-        src: HostId(id % 8),
-        dst: HostId(16 + id % 8),
-        size_bytes: 29_200,
-        start: SimTime::from_micros(start_us),
+        src: HostId(src),
+        dst: HostId(dst),
+        size_bytes: 50_000,
+        start: SimTime::ZERO,
         deadline: None,
-    };
-    // Two non-overlapping generations of 4 flows each.
-    let flows: Vec<FlowSpec> = (0..4)
-        .map(|i| mk(i, 0))
-        .chain((4..8).map(|i| mk(i, 20_000)))
-        .collect();
-    let mut net = Net::build(&cfg, &flows, vec![None; flows.len()], None);
-    net.run_loop();
-    assert_eq!(net.n_completed, flows.len());
-    let (hits, misses) = net.ooo_pool.stats();
-    assert_eq!(misses, 4, "only the first generation allocates");
-    assert_eq!(hits, 4, "the second generation reuses the parked buffers");
+    }
+}
+
+/// Run `entry` and return the panic message it dies with.
+fn rejection(entry: impl FnOnce() + std::panic::UnwindSafe) -> String {
+    let err = std::panic::catch_unwind(entry).expect_err("the job must be rejected");
+    err.downcast_ref::<String>()
+        .expect("a formatted panic")
+        .clone()
+}
+
+/// All three entry points reject `flows` with a message containing every
+/// string in `needles`.
+fn all_entry_points_reject(flows: Vec<FlowSpec>, needles: &[&str]) {
+    let cfg = || crate::SimConfig::basic_paper(Scheme::Ecmp);
+    let next = vec![None; flows.len()];
+    let (a, b, c) = (flows.clone(), flows.clone(), flows);
+    for msg in [
+        rejection(move || drop(Simulation::new(cfg(), a))),
+        rejection(move || drop(Simulation::new_chained(cfg(), b, next))),
+        rejection(move || drop(crate::run_one_ref(&cfg(), &c))),
+    ] {
+        assert!(
+            msg.starts_with("invalid simulation configuration: "),
+            "{msg}"
+        );
+        for n in needles {
+            assert!(msg.contains(n), "{msg:?} does not name {n:?}");
+        }
+    }
 }
 
 #[test]
-fn per_packet_arena_drains_and_recycles() {
-    // In per-packet delivery every in-flight packet parks in the arena,
-    // and the slab must stabilize at the peak in-flight population rather
-    // than growing with the total packet count. Residual slots at loop
-    // exit belong to still-queued `Arrive` events; `finish_audit` drains
-    // them and debug-asserts the arena empties (exercised via
-    // `into_report` below, since the basic preset audits in debug builds).
-    let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
-    cfg.delivery = crate::DeliveryKind::PerPacket;
-    let flows = one_flow(500 * 1460);
-    let mut net = Net::build(&cfg, &flows, vec![None; 1], None);
-    net.run_loop();
-    assert_eq!(net.n_completed, 1);
-    let slots = net.arena.slots_allocated();
-    assert!(slots > 0, "per-packet mode must actually use the arena");
-    assert!(
-        slots < 500,
-        "slab grew to {slots} slots for a 500-segment flow — recycling broke"
+fn out_of_range_hosts_are_rejected() {
+    // basic_paper has 48 hosts; `host_nic` is the identity, so host 48
+    // would alias leaf 0's first uplink and run 14M events to nowhere.
+    let n_hosts = crate::SimConfig::basic_paper(Scheme::Ecmp).topo.n_hosts() as u32;
+    all_entry_points_reject(vec![flow(0, n_hosts, 16)], &["flow 0", "src"]);
+    all_entry_points_reject(
+        vec![flow(0, 0, 16), flow(1, 1, n_hosts + 3)],
+        &["flow 1", "dst"],
     );
-    assert_eq!(net.arena.peak_live(), slots);
+}
+
+#[test]
+fn non_dense_flow_ids_are_rejected() {
+    all_entry_points_reject(vec![flow(0, 0, 16), flow(2, 1, 17)], &["flow 1", "id"]);
+}
+
+#[test]
+fn flow_count_is_bounded_by_the_event_key() {
+    // Through the per-flow check with a synthetic index — not a
+    // 134M-element vector.
+    let n = 1usize << KEY_ENTITY_BITS;
+    assert!(check_flow(n - 1, &flow(n as u32 - 1, 0, 16), 48).is_ok());
+    let err = check_flow(n, &flow(n as u32, 0, 16), 48).unwrap_err();
     assert!(
-        net.arena.live() as usize <= net.q.len(),
-        "live slots must be exactly the still-queued arrivals"
+        err.contains(&format!("flow {n}")) && err.contains("key"),
+        "{err}"
     );
-    let r = net.into_report(std::time::Duration::ZERO);
-    assert_eq!(r.completed, 1);
+}
+
+#[test]
+#[should_panic(expected = "flow 0: next pointer 7 out of range")]
+fn dangling_chain_pointer_rejected() {
+    let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
+    let _ = Simulation::new_chained(cfg, one_flow(1000), vec![Some(7)]);
 }

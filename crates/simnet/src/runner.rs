@@ -33,8 +33,9 @@ pub fn run_one(cfg: SimConfig, flows: Vec<FlowSpec>) -> RunReport {
 /// [`run_one`] for harnesses that replay the same `(config, flows)` job
 /// across repetitions (benchmarks, fuzz shrinking).
 pub fn run_one_ref(cfg: &SimConfig, flows: &[FlowSpec]) -> RunReport {
-    cfg.validate().expect("invalid simulation configuration");
-    crate::network::run_with(cfg, flows, vec![None; flows.len()])
+    let next = vec![None; flows.len()];
+    crate::network::check_job(cfg, flows, &next);
+    crate::network::run_with(cfg, flows, next)
 }
 
 /// Run a batch of independent simulations in parallel, preserving input
@@ -94,8 +95,18 @@ mod tests {
             .collect()
     }
 
+    /// `rayon::workers_observed` is one process-wide counter: the tests
+    /// that spawn pool workers or assert the counter stood still take this
+    /// lock, so the harness's own test threads cannot interleave them.
+    static POOL_PROBE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn pool_probe() -> std::sync::MutexGuard<'static, ()> {
+        POOL_PROBE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn parallel_batch_preserves_order() {
+        let _probe = pool_probe();
         let jobs = vec![
             small_job(Scheme::Ecmp, 1),
             small_job(Scheme::Rps, 1),
@@ -113,6 +124,7 @@ mod tests {
 
     #[test]
     fn parallel_equals_serial() {
+        let _probe = pool_probe();
         // Serial baseline two ways: run_one in a loop, and run_all pinned
         // to one thread (which must collapse to in-line execution).
         let by_one: Vec<RunReport> = batch()
@@ -160,6 +172,7 @@ mod tests {
 
     #[test]
     fn single_thread_spawns_no_workers() {
+        let _probe = pool_probe();
         let before = rayon::workers_observed();
         let reports = rayon::with_threads(1, || run_all(batch()));
         assert_eq!(reports.len(), 8);

@@ -1,10 +1,8 @@
 //! The registry of load-balancing schemes a simulation can run.
 
-use tlb_core::{Tlb, TlbConfig};
+use tlb_core::TlbConfig;
 use tlb_engine::SimTime;
-use tlb_lb::{
-    CongaLite, DiffFlow, Drill, Ecmp, FlowBender, HermesLite, LetFlow, Presto, Rps, Wcmp,
-};
+use tlb_lb::DiffFlow;
 use tlb_switch::LoadBalancer;
 
 /// A load-balancing scheme plus its parameters. One balancer instance is
@@ -158,38 +156,10 @@ impl Scheme {
         ]
     }
 
-    /// Instantiate a balancer for one leaf switch. `salt` decorrelates
-    /// hash-based schemes across switches.
+    /// Instantiate a balancer for one leaf switch as a trait object: the
+    /// concrete balancer [`Scheme::build_static`] constructs, boxed.
     pub fn build(&self, salt: u64) -> Box<dyn LoadBalancer> {
-        match self {
-            Scheme::Ecmp => Box::new(Ecmp::new(salt)),
-            Scheme::Rps => Box::new(Rps::new()),
-            Scheme::Presto { cell_bytes } => Box::new(Presto::new(*cell_bytes)),
-            Scheme::LetFlow { timeout } => Box::new(LetFlow::new(*timeout)),
-            Scheme::Drill { d, m } => Box::new(Drill::new(*d, *m)),
-            Scheme::CongaLite { timeout } => Box::new(CongaLite::new(*timeout)),
-            Scheme::FlowBender {
-                mark_threshold_pkts,
-                frac_threshold,
-                window_pkts,
-            } => Box::new(FlowBender::new(
-                *mark_threshold_pkts,
-                *frac_threshold,
-                *window_pkts,
-            )),
-            Scheme::Hermes {
-                reroute_size_bytes,
-                congested_pkts,
-                benefit_factor,
-            } => Box::new(HermesLite::new(
-                *reroute_size_bytes,
-                *congested_pkts,
-                *benefit_factor,
-            )),
-            Scheme::Wcmp => Box::new(Wcmp::new()),
-            Scheme::DiffFlow { threshold_bytes } => Box::new(DiffFlow::new(*threshold_bytes)),
-            Scheme::Tlb(cfg) => Box::new(Tlb::new(*cfg)),
-        }
+        self.build_static(salt).into_dyn()
     }
 }
 
