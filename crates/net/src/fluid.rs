@@ -78,6 +78,9 @@ pub struct FluidNet {
     /// Scratch epoch marks for deduplicating affected-flow scans.
     touched: Vec<u64>,
     epoch: u64,
+    /// The flows marked in the current scan, in collection order (sorted by
+    /// [`FluidNet::finish_scan`]); scratch, reused across scans.
+    scan: Vec<u32>,
     /// Pending rate changes since the last [`FluidNet::take_changes`].
     changes: Vec<RateChange>,
     active: usize,
@@ -96,6 +99,7 @@ impl FluidNet {
             flows: vec![DEAD; n_flows],
             touched: vec![0; n_flows],
             epoch: 0,
+            scan: Vec::new(),
             changes: Vec::new(),
             active: 0,
             peak_active: 0,
@@ -231,6 +235,7 @@ impl FluidNet {
 
     fn begin_scan(&mut self) {
         self.epoch += 1;
+        self.scan.clear();
     }
 
     /// Advance every not-yet-touched flow on `link` at its old rate and
@@ -244,19 +249,27 @@ impl FluidNet {
                 continue;
             }
             self.touched[fi] = self.epoch;
+            self.scan.push(f);
             self.advance(f, now_s);
         }
         std::mem::swap(&mut self.on_link[li], &mut list);
     }
 
-    /// Re-rate every flow marked in this scan (the whole affected set),
-    /// in flow-id order for determinism.
+    /// Re-rate every flow collected in this scan (the whole affected set)
+    /// in ascending flow-id order — the order [`FluidNet::take_changes`]
+    /// hands to the driver, so it must not depend on link or insertion
+    /// order. Costs the affected set, not the flow table.
     fn finish_scan(&mut self, now_s: f64) {
-        for fi in 0..self.flows.len() {
-            if self.touched[fi] == self.epoch && self.flows[fi].active {
-                self.rerate(fi as u32, now_s);
-            }
+        let mut scan = std::mem::take(&mut self.scan);
+        scan.sort_unstable();
+        for &f in &scan {
+            debug_assert!(
+                self.flows[f as usize].active,
+                "collected flow left mid-scan"
+            );
+            self.rerate(f, now_s);
         }
+        self.scan = scan;
     }
 
     /// Move `flow`'s byte clock to `now_s` at its current rate.
@@ -383,6 +396,43 @@ mod tests {
         // 1000 B of flow 0: 1 s at 1000 B/s leaves 0... it finished at
         // t=1.0 exactly; remaining clamped to 0 -> done immediately.
         assert!((ch[0].done_at_s - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn join_rerates_sharers_in_ascending_id_order() {
+        // 10 k flow slots, almost all idle; the sharers sit on the three
+        // path links in an order that is neither ascending nor per-link
+        // sorted, and one of them crosses two of the links (collected once).
+        let mut net = FluidNet::new(4, 10_000);
+        for l in 0..4 {
+            net.set_capacity(l, 1e6);
+        }
+        let sharers: [(u32, &[u32]); 6] = [
+            (9_000, &[2]),
+            (17, &[0, 2]),
+            (4_321, &[1]),
+            (3, &[2]),
+            (8_999, &[0]),
+            (5_000, &[3]), // off the joiner's path: must not re-rate
+        ];
+        for (f, path) in sharers {
+            net.join(f, path, 1e6, 0.0);
+        }
+        let mut ch = Vec::new();
+        net.take_changes(&mut ch);
+        ch.clear();
+        net.join(2_500, &[0, 1, 2], 1e6, 0.5);
+        net.take_changes(&mut ch);
+        // What the full-table walk produced: the joiner, then every marked
+        // flow by ascending id.
+        let order: Vec<u32> = ch.iter().map(|c| c.flow).collect();
+        assert_eq!(order, vec![2_500, 3, 17, 4_321, 8_999, 9_000]);
+        // And a leave hands the share back in the same order, leaver excluded.
+        ch.clear();
+        net.leave(2_500, 0.75);
+        net.take_changes(&mut ch);
+        let order: Vec<u32> = ch.iter().map(|c| c.flow).collect();
+        assert_eq!(order, vec![3, 17, 4_321, 8_999, 9_000]);
     }
 
     #[test]

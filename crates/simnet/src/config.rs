@@ -163,9 +163,9 @@ pub struct SimConfig {
     /// are bit-identical to serial for any worker count
     /// (`tests/determinism.rs`). Configurations the sharded engine cannot
     /// partition (hybrid fidelity, chained flows, single-shard
-    /// topologies, …) silently run serially — the module docs of
-    /// `network/sharded.rs` ("What the sharded engine refuses") list the
-    /// exact preconditions.
+    /// topologies, …) run serially and
+    /// [`crate::RunReport::engine_fallback`] says which
+    /// [`crate::FallbackReason`] applied.
     pub engine: EngineKind,
 }
 

@@ -38,6 +38,6 @@ pub use config::{
 };
 pub use dispatch::{AnyLb, LbDispatch};
 pub use network::Simulation;
-pub use report::{Hop, RunReport, Summary, TraceEvent};
+pub use report::{FallbackReason, Hop, RunReport, Summary, TraceEvent};
 pub use runner::{run_all, run_all_ref, run_one, run_one_ref};
 pub use scheme::Scheme;

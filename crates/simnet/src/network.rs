@@ -194,18 +194,20 @@ pub(crate) fn run_with(
     next_flow: Vec<Option<u32>>,
 ) -> RunReport {
     let wall_start = std::time::Instant::now();
+    let mut engine_fallback = None;
     if let tlb_engine::EngineKind::Sharded { workers } = cfg.engine {
-        if let Some(report) = sharded::try_run(cfg, flows, &next_flow, workers, wall_start) {
-            return report;
+        match sharded::try_run(cfg, flows, &next_flow, workers, wall_start) {
+            Ok(report) => return report,
+            // A precondition is unmet: the serial engine is the sharded
+            // engine's own fallback, digest-identical by definition.
+            Err(why) => engine_fallback = Some(why),
         }
-        // Preconditions unmet (hybrid fidelity, chained flows, injected
-        // drops, a single-shard topology, or zero lookahead): the serial
-        // engine is the sharded engine's own fallback, digest-identical
-        // by definition.
     }
     let mut net = Net::build(cfg, flows, next_flow, None);
     net.run_loop();
-    net.into_report(wall_start.elapsed())
+    let mut report = net.into_report(wall_start.elapsed());
+    report.engine_fallback = engine_fallback;
+    report
 }
 
 struct Net<'a> {

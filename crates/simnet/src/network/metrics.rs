@@ -265,7 +265,9 @@ impl Net<'_> {
             sim_end,
             wall,
             engine_workers: None,
+            engine_fallback: None,
             sharded_windows: 0,
+            sharded_tail_events: 0,
         }
     }
 }

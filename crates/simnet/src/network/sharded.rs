@@ -45,35 +45,76 @@
 //! mutation into every replica.
 //!
 //! The serial engine stops at the instant the last flow completes,
-//! possibly mid-window. To reproduce that exactly, a parallel window with
-//! end `E` is only opened when the run provably cannot finish inside it:
-//! either some flow starts at or after `E` (its `FlowStart` is not
-//! processed in the window — events run strictly before `E` — so it
-//! cannot complete there), or `remaining flows > bound`, where `bound` is
-//! a static upper bound on completions per window (each host can complete
-//! at most `window/tx(min_wire) + 2` flows). Once neither holds — every
-//! flow has started and `remaining ≤ bound` — the coordinator finishes
-//! the run in a **serialized tail**: a global `(time, key)` merge across
-//! the shard FELs with the serial loop's exact termination conditions.
-//! For open-loop traces the `last_start` guard keeps windows parallel for
-//! the whole arrival span and confines the tail to the post-trace drain;
-//! small bursts take the tail from the first event — same digests, all
-//! machinery exercised, no parallelism.
+//! possibly mid-window. To reproduce that exactly, a parallel window
+//! `[T, E)` (`E ≤ T + Δ`) is opened only when the run provably cannot end
+//! inside it. One rule decides, with three conjuncts; the coordinator
+//! leaves the windows for the **serialized tail** — a global `(time, key)`
+//! merge across the shard FELs with the serial loop's exact termination
+//! conditions — only when all three hold:
+//!
+//! 1. **every flow starts before `E`** (`last_start < E`). Events run
+//!    strictly before `E`, so a `FlowStart` at or after it is not even
+//!    popped and its flow cannot complete in the window;
+//! 2. **the remaining completions fit in one window**
+//!    (`remaining ≤ Σ_h c_h`). A flow completes only when a delivery pops
+//!    at its receiving host, each delivery completes at most one flow, and
+//!    host `h` sees at most `c_h = Δ / tx_h(header_bytes) + 2` packet
+//!    arrivals in any window (see [`host_arrival_bounds`]);
+//! 3. **no shard reports a blocker**: a flow whose receiver the shard owns
+//!    and which still misses more than `c_dst` distinct segments
+//!    (`total_segs − delivered_segs() − buffered() > c_dst`).
+//!
+//! Proof sketch for (3). *Distinct missing segments*: the receiver counts
+//! a flow complete when its cumulative point reaches `total_segs`, so
+//! every segment it has neither delivered nor buffered must still arrive
+//! at the host at least once — `m` missing segments need `m` arrivals.
+//! *Serialized host downlink*: every packet for host `h` crosses the one
+//! port that drives `h`'s downlink, which transmits one packet at a time,
+//! so consecutive arrivals at `h` are at least `tx_h(header_bytes)` apart
+//! and a window of length `≤ Δ` holds at most `c_h` of them. *Static host
+//! links*: a [`crate::config::LinkEvent`] rewrites fabric uplinks only,
+//! so `tx_h` — and with it `c_h` — is a constant of the run, computed
+//! once. Hence a flow missing more than `c_dst` segments at `T` is still
+//! incomplete at `E`, and so is the run. The count only ever falls (one
+//! per new distinct segment), so "is a blocker" is monotone: a flow that
+//! stops being one never becomes one again, which is what lets each shard
+//! keep a cursor over its candidates instead of rescanning (see
+//! [`Watch`]).
+//!
+//! Each shard publishes its blocker bit with its next timestamp and
+//! completion count after every window *and* after every micro-step: the
+//! bit describes the state at the start of the next candidate window, and
+//! a micro-step delivers data like any other event, so a bit carried
+//! across one would be stale.
+//!
+//! Conjunct (2) alone is loose — on the 8×8 web-search job `Σ_h c_h`
+//! exceeds the flow count, so it holds from the first event — and (1)
+//! stops holding when arrivals end, long before the drain does. With (3)
+//! the windows stay parallel until every long flow is within one window's
+//! worth of segments of finishing: the tail shrinks from the whole
+//! post-arrival drain to the last few hundred events. A job with no
+//! candidate at all (every flow at most `c_dst` segments) keeps the old
+//! behaviour: windows while flows are still starting, then the tail.
 //!
 //! ## What the sharded engine refuses (and falls back to serial on)
 //!
-//! Hybrid fidelity (fluid flows span shards), closed-loop chains (a
-//! completion on one shard would have to start a flow on another),
-//! `fault_drop_nth` (a global arrival counter), single-shard topologies
-//! and zero lookahead. [`try_run`] returns `None` and [`super::run_with`]
-//! runs the serial engine — which is the digest reference anyway.
+//! Each precondition of the partition is a
+//! [`crate::report::FallbackReason`]: hybrid fidelity (a fluid flow's
+//! rate reads links in several shards), closed-loop chains (a completion
+//! on one shard would have to start a flow on another at the same
+//! instant), `fault_drop_nth` (a fabric-wide arrival counter),
+//! single-shard topologies and zero lookahead. [`try_run`] returns the
+//! reason, [`super::run_with`] runs the serial engine — the digest
+//! reference anyway — and records it in
+//! [`crate::report::RunReport::engine_fallback`], which `tlb-sim` prints.
 
 use super::events::{class, key_of, split_key, Event};
 use super::link;
 use super::portmap::{NodeRef, PortId, PortMap};
 use super::Net;
 use crate::config::{FidelityKind, SimConfig};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use crate::report::FallbackReason;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tlb_engine::{SimTime, SpinBarrier};
 use tlb_net::Packet;
@@ -177,6 +218,15 @@ impl<'a> Net<'a> {
         );
     }
 
+    /// Distinct segments of flow `fi` that have not reached its receiver
+    /// yet (all of them while the receiver does not exist).
+    fn missing_segs(&self, fi: usize) -> u32 {
+        let got = self.receivers[fi]
+            .as_ref()
+            .map_or(0, |r| r.delivered_segs() + r.buffered() as u32);
+        self.total_segs[fi] - got
+    }
+
     /// Fold one shard replica into this one (the coordinator folds every
     /// shard into shard 0, then reports from the result). Entities move
     /// wholesale to their owner; counters add; the clocks join on the
@@ -245,6 +295,52 @@ struct Inbox {
     min_at: u64,
 }
 
+/// One shard's side of conjunct 3 of the tail rule (module docs): the
+/// flows it receives that could block the tail, and which of them still
+/// does.
+struct Watch {
+    /// `(flow, c_dst)` for every flow whose receiving host the shard owns
+    /// and whose segment count exceeds that host's per-window arrival
+    /// bound, in flow order. Entries before `witness` have stopped being
+    /// blockers for good.
+    candidates: Vec<(u32, u32)>,
+    /// Index of the cached witness: the first candidate not yet known to
+    /// have drained.
+    witness: usize,
+}
+
+impl Watch {
+    /// The candidates of `net`'s shard under the per-host arrival bounds `c`.
+    fn new(net: &Net, c: &[u32]) -> Watch {
+        let ctx = net.shard.as_ref().expect("sharded net without ctx");
+        let candidates = (net.flows.iter().zip(&net.total_segs))
+            .enumerate()
+            .filter(|(_, (f, &segs))| ctx.owns_host(f.dst.0) && segs > c[f.dst.index()])
+            .map(|(i, (f, _))| (i as u32, c[f.dst.index()]))
+            .collect();
+        Watch {
+            candidates,
+            witness: 0,
+        }
+    }
+
+    /// Whether some flow received on `net`'s shard cannot complete within
+    /// one window from the current state. O(1) while the cached witness
+    /// still blocks; when it drains the cursor moves on and — blockers
+    /// being monotone — never returns, so a whole run scans each candidate
+    /// once.
+    fn has_blocker(&mut self, net: &Net) -> bool {
+        self.witness += self.candidates[self.witness..]
+            .iter()
+            .take_while(|&&(flow, c)| net.missing_segs(flow as usize) <= c)
+            .count();
+        self.witness < self.candidates.len()
+    }
+}
+
+/// The only way a lock here fails: its last holder panicked.
+const POISONED: &str = "a shard worker panicked";
+
 const STATE_RUN: u8 = 0;
 const STATE_DONE: u8 = 1;
 
@@ -254,33 +350,33 @@ struct Ctl {
     window_end: AtomicU64,
 }
 
-/// Run `cfg` sharded, or return `None` when a precondition fails and the
-/// caller should use the serial engine.
+/// Run `cfg` sharded, or say which precondition fails so the caller runs
+/// the serial engine and reports why.
 pub(crate) fn try_run(
     cfg: &SimConfig,
     flows: &[FlowSpec],
     next_flow: &[Option<u32>],
     workers: Option<u32>,
     wall_start: std::time::Instant,
-) -> Option<crate::report::RunReport> {
-    if cfg.fidelity == FidelityKind::Hybrid
-        || cfg.fault_drop_nth.is_some()
-        || next_flow.iter().any(|n| n.is_some())
-    {
-        return None;
+) -> Result<crate::report::RunReport, FallbackReason> {
+    if cfg.fidelity == FidelityKind::Hybrid {
+        return Err(FallbackReason::HybridFidelity);
+    }
+    if next_flow.iter().any(|n| n.is_some()) {
+        return Err(FallbackReason::ChainedFlows);
+    }
+    if cfg.fault_drop_nth.is_some() {
+        return Err(FallbackReason::FaultDropNth);
     }
     let pmap = PortMap::new(&cfg.topo);
     let map = ShardMap::new(&pmap);
     if map.n_shards < 2 {
-        return None;
+        return Err(FallbackReason::SingleShard);
     }
     let lookahead = lookahead(cfg, &pmap, &map);
     if lookahead.is_zero() {
-        return None;
+        return Err(FallbackReason::ZeroLookahead);
     }
-    let map = Arc::new(map);
-    let bound = completion_bound(cfg, lookahead);
-    let n_shards = map.n_shards as usize;
     let n_workers = workers
         .map(|w| w as usize)
         .unwrap_or_else(|| {
@@ -288,61 +384,10 @@ pub(crate) fn try_run(
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-        .clamp(1, n_shards);
-
-    // Build every replica (in parallel — builds are independent).
-    let mut slots: Vec<Option<Net>> = (0..n_shards).map(|_| None).collect();
-    std::thread::scope(|sc| {
-        for (sid, slot) in slots.iter_mut().enumerate() {
-            let map = map.clone();
-            sc.spawn(move || {
-                let ctx = ShardCtx {
-                    id: sid as u16,
-                    map,
-                    outbox: Vec::new(),
-                };
-                *slot = Some(Net::build(cfg, flows, next_flow.to_vec(), Some(ctx)));
-            });
-        }
-    });
-    let nets: Vec<Mutex<Net>> = slots
-        .into_iter()
-        .map(|n| Mutex::new(n.expect("replica build panicked")))
-        .collect();
-
-    let run = Run {
-        nets: &nets,
-        inboxes: (0..n_shards)
-            .map(|_| {
-                Mutex::new(Inbox {
-                    msgs: Vec::new(),
-                    min_at: u64::MAX,
-                })
-            })
-            .collect(),
-        next_time: (0..n_shards).map(|_| AtomicU64::new(0)).collect(),
-        done_flows: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
-        ctl: Ctl {
-            state: AtomicU8::new(STATE_RUN),
-            window_end: AtomicU64::new(0),
-        },
-        barrier: SpinBarrier::new(n_workers),
-        sched: admin_schedule(cfg),
-        horizon: cfg.horizon,
-        total_flows: flows.len(),
-        last_start: flows.iter().map(|f| f.start.as_nanos()).max().unwrap_or(0),
-        lookahead,
-        bound,
-        n_workers,
-        windows: AtomicU64::new(0),
-    };
-
-    // Seed the published per-shard minimums so the coordinator's first
-    // decision sees the real schedule.
-    for (s, net) in nets.iter().enumerate() {
-        let net = net.lock().unwrap();
-        run.publish(s, &net);
-    }
+        .clamp(1, map.n_shards as usize);
+    let arrivals = host_arrival_bounds(cfg, lookahead);
+    let nets = build_replicas(cfg, flows, next_flow, Arc::new(map));
+    let run = Run::new(cfg, flows, &nets, lookahead, &arrivals, n_workers);
 
     std::thread::scope(|sc| {
         for w in 1..n_workers {
@@ -351,11 +396,15 @@ pub(crate) fn try_run(
         }
         run.worker_loop(0);
     });
-    let run_windows = run.windows.load(Ordering::Relaxed);
+    let windows = run.windows.load(Ordering::Relaxed);
+    let tail_events = run.tail_events.load(Ordering::Relaxed);
     drop(run);
 
     // Fold every replica into shard 0 and report from the merged state.
-    let mut nets: Vec<Net> = nets.into_iter().map(|m| m.into_inner().unwrap()).collect();
+    let mut nets: Vec<Net> = nets
+        .into_iter()
+        .map(|m| m.into_inner().expect(POISONED))
+        .collect();
     let mut base = nets.remove(0);
     for other in nets {
         base.absorb_shard(other);
@@ -364,8 +413,36 @@ pub(crate) fn try_run(
     base.shard = None;
     let mut report = base.into_report(wall_start.elapsed());
     report.engine_workers = Some(n_workers as u32);
-    report.sharded_windows = run_windows;
-    Some(report)
+    report.sharded_windows = windows;
+    report.sharded_tail_events = tail_events;
+    Ok(report)
+}
+
+/// One full replica per shard (built in parallel — builds are
+/// independent).
+fn build_replicas<'a>(
+    cfg: &'a SimConfig,
+    flows: &'a [FlowSpec],
+    next_flow: &[Option<u32>],
+    map: Arc<ShardMap>,
+) -> Vec<Mutex<Net<'a>>> {
+    let mut slots: Vec<Option<Net>> = (0..map.n_shards).map(|_| None).collect();
+    std::thread::scope(|sc| {
+        for (sid, slot) in slots.iter_mut().enumerate() {
+            let ctx = ShardCtx {
+                id: sid as u16,
+                map: map.clone(),
+                outbox: Vec::new(),
+            };
+            sc.spawn(move || {
+                *slot = Some(Net::build(cfg, flows, next_flow.to_vec(), Some(ctx)));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|n| Mutex::new(n.expect("replica build panicked")))
+        .collect()
 }
 
 /// The conservative lookahead: minimum propagation delay over every
@@ -383,24 +460,25 @@ fn lookahead(cfg: &SimConfig, pmap: &PortMap, map: &ShardMap) -> SimTime {
     min
 }
 
-/// Upper bound on flow completions within one parallel window. A flow
-/// completes only when a host-side delivery pops (Hybrid fluid
-/// completions are rejected up front), each delivery completes at most
-/// one flow, and deliveries to host `h` are serialized by its downlink —
+/// Per host `h`, `c_h`: an upper bound on packet arrivals at `h` within
+/// one parallel window. Deliveries to `h` are serialized by its downlink —
 /// whose props no [`crate::config::LinkEvent`] ever rewrites (they target
-/// fabric uplinks). A window of length `Δ` therefore delivers at most
-/// `Δ / tx_h(min_wire) + 2` packets per host.
-fn completion_bound(cfg: &SimConfig, lookahead: SimTime) -> usize {
+/// fabric uplinks) — so a window of length `Δ` delivers at most
+/// `Δ / tx_h(min_wire) + 2` packets there. Both completion conjuncts of
+/// the tail rule read this table (module docs): their sum bounds the
+/// completions per window, and `c_dst` bounds the distinct segments one
+/// flow can gain.
+fn host_arrival_bounds(cfg: &SimConfig, lookahead: SimTime) -> Vec<u32> {
     let min_wire = cfg.tcp.header_bytes.max(1) as u64;
-    let mut bound = 0usize;
-    for h in 0..cfg.topo.n_hosts() {
-        let link = cfg.topo.host_link_of(tlb_net::HostId(h as u32));
-        let tx = tlb_engine::time::tx_time(min_wire, link.bytes_per_sec)
-            .as_nanos()
-            .max(1);
-        bound += (lookahead.as_nanos() / tx + 2) as usize;
-    }
-    bound
+    (0..cfg.topo.n_hosts())
+        .map(|h| {
+            let link = cfg.topo.host_link_of(tlb_net::HostId(h as u32));
+            let tx = tlb_engine::time::tx_time(min_wire, link.bytes_per_sec)
+                .as_nanos()
+                .max(1);
+            u32::try_from(lookahead.as_nanos() / tx + 2).unwrap_or(u32::MAX)
+        })
+        .collect()
 }
 
 /// The merged, sorted schedule of admin (failure/link-change) event
@@ -423,6 +501,13 @@ struct Run<'n, 'a> {
     inboxes: Vec<Mutex<Inbox>>,
     next_time: Vec<AtomicU64>,
     done_flows: Vec<AtomicUsize>,
+    /// Per shard: it receives a flow that cannot complete within one
+    /// window (conjunct 3 of the tail rule), as of its last `publish`.
+    blocked: Vec<AtomicBool>,
+    /// Per shard: the state behind `blocked`. Locked only by whoever holds
+    /// the shard's `Net` (its worker in a window, the coordinator between
+    /// windows), so never contended.
+    watch: Vec<Mutex<Watch>>,
     ctl: Ctl,
     barrier: SpinBarrier,
     sched: Vec<u64>,
@@ -432,16 +517,68 @@ struct Run<'n, 'a> {
     /// this cannot contain the final completion, whatever `bound` says.
     last_start: u64,
     lookahead: SimTime,
-    bound: usize,
+    /// `Σ_h c_h`: completions one window can hold (conjunct 2).
+    bound: u64,
     n_workers: usize,
     /// Parallel windows opened (surfaces in
     /// [`crate::report::RunReport::sharded_windows`]).
     windows: AtomicU64,
+    /// Events executed by [`Run::merged_loop`] (surfaces in
+    /// [`crate::report::RunReport::sharded_tail_events`]).
+    tail_events: AtomicU64,
 }
 
 impl<'n, 'a> Run<'n, 'a> {
-    /// Publish shard `s`'s next within-horizon timestamp and completion
-    /// count (read by the coordinator after the barrier).
+    fn new(
+        cfg: &SimConfig,
+        flows: &[FlowSpec],
+        nets: &'n [Mutex<Net<'a>>],
+        lookahead: SimTime,
+        arrivals: &[u32],
+        n_workers: usize,
+    ) -> Run<'n, 'a> {
+        let n_shards = nets.len();
+        let run = Run {
+            nets,
+            inboxes: (0..n_shards)
+                .map(|_| {
+                    Mutex::new(Inbox {
+                        msgs: Vec::new(),
+                        min_at: u64::MAX,
+                    })
+                })
+                .collect(),
+            next_time: (0..n_shards).map(|_| AtomicU64::new(0)).collect(),
+            done_flows: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
+            blocked: (0..n_shards).map(|_| AtomicBool::new(false)).collect(),
+            watch: (nets.iter())
+                .map(|n| Mutex::new(Watch::new(&n.lock().expect(POISONED), arrivals)))
+                .collect(),
+            ctl: Ctl {
+                state: AtomicU8::new(STATE_RUN),
+                window_end: AtomicU64::new(0),
+            },
+            barrier: SpinBarrier::new(n_workers),
+            sched: admin_schedule(cfg),
+            horizon: cfg.horizon,
+            total_flows: flows.len(),
+            last_start: flows.iter().map(|f| f.start.as_nanos()).max().unwrap_or(0),
+            lookahead,
+            bound: arrivals.iter().map(|&c| u64::from(c)).sum(),
+            n_workers,
+            windows: AtomicU64::new(0),
+            tail_events: AtomicU64::new(0),
+        };
+        // Seed the published per-shard state so the coordinator's first
+        // decision sees the real schedule.
+        for (s, net) in nets.iter().enumerate() {
+            run.publish(s, &net.lock().expect(POISONED));
+        }
+        run
+    }
+
+    /// Publish shard `s`'s next within-horizon timestamp, completion count
+    /// and blocker bit (read by the coordinator after the barrier).
     fn publish(&self, s: usize, net: &Net) {
         let t = match net.q.peek_time() {
             Some(t) if t <= self.horizon => t.as_nanos(),
@@ -449,6 +586,8 @@ impl<'n, 'a> Run<'n, 'a> {
         };
         self.next_time[s].store(t, Ordering::Release);
         self.done_flows[s].store(net.n_completed, Ordering::Release);
+        let blocked = self.watch[s].lock().expect(POISONED).has_blocker(net);
+        self.blocked[s].store(blocked, Ordering::Release);
     }
 
     /// The window protocol, from every worker's point of view. Worker 0
@@ -556,12 +695,14 @@ impl<'n, 'a> Run<'n, 'a> {
             let end = t_min
                 .saturating_add(self.lookahead.as_nanos())
                 .min(next_sched);
-            // The run can only end inside the candidate window if every
-            // flow starts strictly before its end (events run strictly
-            // before `end`, so a later FlowStart cannot even be popped)
-            // AND the remaining completions fit under the per-window
-            // bound. Only then fall back to the serialized tail.
-            if self.last_start < end && self.total_flows - done <= self.bound {
+            // The run can end inside the candidate window only if every
+            // flow starts before its end, the remaining completions fit
+            // in one window, and no flow is more than one window's worth
+            // of segments short (module docs). Only then go serial.
+            if self.last_start < end
+                && (self.total_flows - done) as u64 <= self.bound
+                && !self.blocked.iter().any(|b| b.load(Ordering::Acquire))
+            {
                 self.merged_loop(None);
                 self.finish();
                 return;
@@ -625,6 +766,7 @@ impl<'n, 'a> Run<'n, 'a> {
             .clone();
         let mut done: usize = guards.iter().map(|g| g.n_completed).sum();
         let mut outbox = Vec::new();
+        let mut steps = 0u64;
         loop {
             if only_at.is_none() && done >= self.total_flows {
                 break;
@@ -640,6 +782,7 @@ impl<'n, 'a> Run<'n, 'a> {
             }
             let before = guards[s].n_completed;
             guards[s].step();
+            steps += 1;
             done += guards[s].n_completed - before;
             // Admin events mutate state every replica reads: the owning
             // shard dispatched it (accounting included); mirror the
@@ -662,6 +805,7 @@ impl<'n, 'a> Run<'n, 'a> {
                 guards[map.arrive_owner[m.port as usize] as usize].inject_arrival(m);
             }
         }
+        self.tail_events.fetch_add(steps, Ordering::Relaxed);
         for (s, g) in guards.iter().enumerate() {
             self.publish(s, g);
         }
@@ -710,6 +854,125 @@ mod tests {
             let edge = ft.edge_of(tlb_net::HostId(h));
             assert_eq!(map.host_owner[h as usize], map.sw_owner[edge]);
         }
+    }
+
+    /// One cross-rack flow of `segs` full segments on the basic fabric.
+    fn one_flow(cfg: &SimConfig, segs: u32) -> Vec<FlowSpec> {
+        vec![FlowSpec {
+            id: tlb_net::FlowId(0),
+            src: tlb_net::HostId(0),
+            dst: tlb_net::HostId(cfg.topo.hosts_per_leaf() as u32),
+            size_bytes: u64::from(segs) * cfg.tcp.mss as u64,
+            start: SimTime::ZERO,
+            deadline: None,
+        }]
+    }
+
+    #[test]
+    fn blocker_bit_is_recomputed_after_a_micro_step_that_delivers_data() {
+        // Drive a whole one-flow run through the micro-step path, one
+        // timestamp at a time: after every micro-step the published bit
+        // must be the definition evaluated on the receiver's state *now* —
+        // in particular right after the step whose delivery takes the flow
+        // from `c_dst + 1` missing segments to `c_dst`.
+        let cfg = SimConfig::basic_paper(Scheme::Ecmp);
+        let pmap = PortMap::new(&cfg.topo);
+        let map = ShardMap::new(&pmap);
+        let la = lookahead(&cfg, &pmap, &map);
+        let arrivals = host_arrival_bounds(&cfg, la);
+        let flows = one_flow(&cfg, arrivals[0] + 3);
+        let dst = flows[0].dst.index();
+        let (c, rx) = (arrivals[dst], map.host_owner[dst] as usize);
+        let nets = build_replicas(&cfg, &flows, &[None], Arc::new(map));
+        let run = Run::new(&cfg, &flows, &nets, la, &arrivals, 1);
+        let blocked = |s: usize| run.blocked[s].load(Ordering::Acquire);
+        assert!(blocked(rx), "an unstarted flow of c + 3 segments blocks");
+
+        let mut cleared_at = None;
+        loop {
+            let t = (run.next_time.iter())
+                .map(|t| t.load(Ordering::Acquire))
+                .min()
+                .unwrap();
+            let was = blocked(rx);
+            run.merged_loop(Some(SimTime::from_nanos(t)));
+            let net = nets[rx].lock().unwrap();
+            let missing = net.missing_segs(0);
+            assert_eq!(blocked(rx), missing > c, "stale bit after t = {t}");
+            if was && !blocked(rx) {
+                assert_eq!(missing, c, "cleared by the delivery that reached c");
+                assert!(cleared_at.replace(t).is_none(), "blockers are monotone");
+            }
+            if net.n_completed == 1 {
+                break;
+            }
+        }
+        assert!(cleared_at.is_some());
+        for s in (0..nets.len()).filter(|&s| s != rx) {
+            assert!(!blocked(s), "shard {s} receives nothing");
+        }
+        assert!(run.tail_events.load(Ordering::Relaxed) > u64::from(c));
+    }
+
+    #[test]
+    fn a_flow_of_exactly_c_segments_is_never_watched() {
+        let cfg = SimConfig::basic_paper(Scheme::Ecmp);
+        let pmap = PortMap::new(&cfg.topo);
+        let map = Arc::new(ShardMap::new(&pmap));
+        let arrivals = host_arrival_bounds(&cfg, lookahead(&cfg, &pmap, &map));
+        for (extra, watched) in [(0, 0), (1, 1)] {
+            let flows = one_flow(&cfg, arrivals[0] + extra);
+            let nets = build_replicas(&cfg, &flows, &[None], map.clone());
+            let n: usize = (nets.iter())
+                .map(|n| Watch::new(&n.lock().unwrap(), &arrivals).candidates.len())
+                .sum();
+            assert_eq!(n, watched, "c + {extra} segments");
+        }
+    }
+
+    #[test]
+    fn every_refusal_names_its_reason() {
+        let base = SimConfig::basic_paper(Scheme::Ecmp);
+        let flows = [one_flow(&base, 4), one_flow(&base, 4)].concat();
+        let flows: Vec<FlowSpec> = (flows.into_iter().enumerate())
+            .map(|(i, f)| FlowSpec {
+                id: tlb_net::FlowId(i as u32),
+                ..f
+            })
+            .collect();
+        let try_with = |set: &dyn Fn(&mut SimConfig), next: &[Option<u32>]| {
+            let mut cfg = base.clone();
+            set(&mut cfg);
+            try_run(&cfg, &flows, next, Some(2), std::time::Instant::now()).map(|r| r.completed)
+        };
+        let flat = [None, None];
+        assert_eq!(try_with(&|_| {}, &flat), Ok(2));
+        assert_eq!(
+            try_with(&|c| c.fidelity = FidelityKind::Hybrid, &flat),
+            Err(FallbackReason::HybridFidelity)
+        );
+        assert_eq!(
+            try_with(&|_| {}, &[Some(1), None]),
+            Err(FallbackReason::ChainedFlows)
+        );
+        assert_eq!(
+            try_with(&|c| c.fault_drop_nth = Some(7), &flat),
+            Err(FallbackReason::FaultDropNth)
+        );
+        let one_leaf = |c: &mut SimConfig| {
+            c.topo = tlb_net::LeafSpineBuilder::new(1, 2, 32).build().into();
+        };
+        assert_eq!(try_with(&one_leaf, &flat), Err(FallbackReason::SingleShard));
+        let no_delay = |c: &mut SimConfig| {
+            c.topo = tlb_net::LeafSpineBuilder::new(3, 15, 16)
+                .prop_per_link(SimTime::ZERO)
+                .build()
+                .into();
+        };
+        assert_eq!(
+            try_with(&no_delay, &flat),
+            Err(FallbackReason::ZeroLookahead)
+        );
     }
 
     #[test]

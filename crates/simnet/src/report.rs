@@ -281,14 +281,55 @@ pub struct RunReport {
     /// `Some(workers)` iff the sharded engine executed this run (with that
     /// many worker threads); `None` for the serial engine, including when
     /// [`tlb_engine::EngineKind::Sharded`] was requested but a
-    /// precondition forced the serial fallback. Results are bit-identical
-    /// either way — this records which machinery produced them.
+    /// precondition forced the serial fallback (see `engine_fallback`).
+    /// Results are bit-identical either way — this records which machinery
+    /// produced them.
     pub engine_workers: Option<u32>,
+    /// `Some(why)` iff [`tlb_engine::EngineKind::Sharded`] was requested
+    /// and the serial engine ran instead.
+    pub engine_fallback: Option<FallbackReason>,
     /// Parallel windows the sharded engine opened (0 for serial runs and
-    /// for sharded runs small enough to execute entirely in the
-    /// serialized tail). Tests use this to prove a job actually
-    /// exercised barrier-synchronized parallel execution.
+    /// for sharded runs that could have ended inside their first window).
+    /// Tests use this to prove a job actually exercised
+    /// barrier-synchronized parallel execution.
     pub sharded_windows: u64,
+    /// Events the sharded coordinator executed single-threaded: the
+    /// admin-time micro-steps plus the serialized completion tail (0 for
+    /// serial runs). `events - sharded_tail_events` ran inside windows.
+    pub sharded_tail_events: u64,
+}
+
+/// Why a run that asked for the sharded engine executed on the serial one:
+/// the precondition of the conservative partition it does not meet.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FallbackReason {
+    /// Hybrid fidelity: a fluid flow's fair share reads every link on its
+    /// path, across shards.
+    HybridFidelity,
+    /// Closed-loop chains: a completion on one shard would have to start
+    /// the successor flow on another at the same instant.
+    ChainedFlows,
+    /// `fault_drop_nth` counts arrivals fabric-wide.
+    FaultDropNth,
+    /// The fabric partitions into fewer than two shards.
+    SingleShard,
+    /// Some cross-shard link has zero propagation delay at some point of
+    /// the run, so no window can be opened.
+    ZeroLookahead,
+}
+
+impl std::fmt::Display for FallbackReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FallbackReason::HybridFidelity => "hybrid fidelity (fluid flows span shards)",
+            FallbackReason::ChainedFlows => {
+                "chained flows (completions start flows on other shards)"
+            }
+            FallbackReason::FaultDropNth => "fault_drop_nth (a fabric-wide arrival counter)",
+            FallbackReason::SingleShard => "the fabric has a single shard",
+            FallbackReason::ZeroLookahead => "a cross-shard link with zero propagation delay",
+        })
+    }
 }
 
 impl RunReport {

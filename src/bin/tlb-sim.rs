@@ -37,7 +37,7 @@ OPTIONS:
                           fluid fair-share model (banded, not bit-identical) [packet]
     --engine <e>          serial | sharded — sharded falls back to serial when
                           the config is unpartitionable, with bit-identical
-                          results                                            [serial]
+                          results; stderr says which ran, or why not         [serial]
     --workers <n>         worker threads; needs --engine sharded       [all cores]
     --degrade l:s:bw:us   degrade uplink leaf l -> spine s to bw x bandwidth
                           with +us microseconds delay (repeatable)
@@ -292,6 +292,16 @@ fn main() {
     let n = flows.len();
     eprintln!("running {n} flows under {scheme_name} (seed {seed})...");
     let r = Simulation::new(cfg, flows).run();
+    // Which machinery produced the (identical) results goes to stderr: the
+    // summary on stdout is compared across engines.
+    match (r.engine_workers, r.engine_fallback) {
+        (Some(workers), _) => eprintln!(
+            "engine: sharded, {workers} workers, {} windows, {} tail events",
+            r.sharded_windows, r.sharded_tail_events
+        ),
+        (None, Some(why)) => eprintln!("engine: serial, sharded engine refused: {why}"),
+        (None, None) => eprintln!("engine: serial"),
+    }
 
     if args.flag("--json") {
         println!(

@@ -1,7 +1,8 @@
 //! `tlb-sim` end to end: the command line cannot lie (a value it cannot
 //! parse, an option it does not know, or `--workers` without the sharded
 //! engine exits 2 naming the culprit), the engine and fidelity options
-//! select what they say, and the run is a pure function of the command
+//! select what they say (and stderr says which engine ran, or why the
+//! sharded one did not), and the run is a pure function of the command
 //! line — no `TLB_*` mode variable in the environment changes it.
 
 use std::process::{Command, Output};
@@ -88,6 +89,30 @@ fn sharded_engine_prints_the_serial_summary() {
     let serial = summary(&[], &[]);
     let sharded = summary(&["--engine", "sharded", "--workers", "2"], &[]);
     assert_eq!(serial, sharded);
+}
+
+#[test]
+fn the_engine_line_says_which_engine_ran_and_why() {
+    let engine_line = |extra: &[&str]| {
+        let out = tlb_sim(&[JOB, extra].concat(), &[]);
+        assert!(out.status.success());
+        let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        let lines: Vec<&str> = err.lines().filter(|l| l.starts_with("engine: ")).collect();
+        assert_eq!(lines.len(), 1, "one engine line in {err:?}");
+        lines[0].to_string()
+    };
+    assert_eq!(engine_line(&[]), "engine: serial");
+    let sharded = engine_line(&["--engine", "sharded", "--workers", "2"]);
+    assert!(
+        sharded.starts_with("engine: sharded, 2 workers, ") && sharded.ends_with(" tail events"),
+        "{sharded:?}"
+    );
+    assert!(sharded.contains(" windows, "), "{sharded:?}");
+    let refused = engine_line(&["--engine", "sharded", "--fidelity", "hybrid"]);
+    assert_eq!(
+        refused,
+        "engine: serial, sharded engine refused: hybrid fidelity (fluid flows span shards)"
+    );
 }
 
 #[test]

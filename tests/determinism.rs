@@ -4,6 +4,7 @@
 
 use tlb::engine::{EngineKind, FelKind};
 use tlb::prelude::*;
+use tlb::simnet::FallbackReason;
 use tlb_fuzz::differential_batch;
 
 type Job = (SimConfig, Vec<FlowSpec>);
@@ -305,13 +306,37 @@ fn assert_sharded_matches(serial: &RunReport, sharded: &RunReport, label: &str) 
     }
 }
 
+/// `cfg` run serially and on each of `workers` sharded worker counts, the
+/// sharded reports checked against the serial one and returned.
+fn sharded_vs_serial(cfg: &SimConfig, flows: &[FlowSpec], workers: &[u32]) -> Vec<RunReport> {
+    let serial = run_one_ref(cfg, flows);
+    assert_eq!(serial.completed, serial.total_flows);
+    workers
+        .iter()
+        .map(|&w| {
+            let mut cfg = cfg.clone();
+            cfg.engine = EngineKind::Sharded { workers: Some(w) };
+            let sharded = run_one_ref(&cfg, flows);
+            assert_eq!(sharded.engine_workers, Some(w));
+            assert_sharded_matches(&serial, &sharded, &format!("{w} workers"));
+            sharded
+        })
+        .collect()
+}
+
 #[test]
 fn sharded_engine_is_bit_identical_across_worker_counts() {
     // The tentpole acceptance gate: one simulation executed across OS
     // threads by conservative fabric sharding must produce the exact
     // serial digests for ANY worker count. Same 16-job fuzz batch as the
     // reference differentials (schemes, incast, static + mid-run
-    // degradation), serial vs sharded at 1/2/4/8 workers.
+    // degradation), serial vs sharded at 1/2/4/8 workers. Every job has a
+    // multi-shard fabric and a long flow, so every job must open parallel
+    // windows: a long flow is a blocker until it is within one window's
+    // worth of segments of finishing.
+    for (cfg, flows) in differential_batch() {
+        assert!(flows.iter().any(|f| f.size_bytes >= cfg.short_threshold));
+    }
     let serial = run_all(differential_batch());
     for workers in [1u32, 2, 4, 8] {
         let sharded = run_all(with_mode(differential_batch(), |c| {
@@ -327,6 +352,14 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
                 b.scheme
             );
             assert_sharded_matches(a, b, &format!("{} @ {workers} workers", a.scheme));
+            assert!(
+                b.sharded_windows > 0 && b.sharded_tail_events < b.events,
+                "{} @ {workers} workers: {} windows, {} of {} events in the tail",
+                b.scheme,
+                b.sharded_windows,
+                b.sharded_tail_events,
+                b.events
+            );
         }
     }
 }
@@ -338,85 +371,69 @@ fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
     // down/up flap. Failures force whole-fabric reachability recomputes,
     // which the sharded engine must mirror into every replica at exactly
     // the serial instant.
-    let run = |engine: EngineKind| {
-        let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
-        cfg.topo = FatTreeBuilder::new(8)
-            .link_gbps(1.0)
-            .target_rtt(SimTime::from_micros(100))
-            .build()
-            .into();
-        cfg.audit = true;
-        cfg.engine = engine;
-        cfg.trace_flows = vec![FlowId(3)];
-        for (at_ms, action) in [(2, FailureAction::Down), (6, FailureAction::Up)] {
-            cfg.failure_events.push(FailureEvent {
-                at: SimTime::from_millis(at_ms),
-                target: FailureTarget::Link {
-                    sw: LeafId(0), // edge 0
-                    up: SpineId(1),
-                },
-                action,
-            });
-        }
-        let mut mix = BasicMixConfig::paper_default();
-        mix.n_short = 40;
-        mix.n_long = 2;
-        mix.long_lo = 1_500_000;
-        mix.long_hi = 2_500_000;
-        let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(23));
-        Simulation::new(cfg, flows).run()
-    };
-    let serial = run(EngineKind::Serial);
-    assert_eq!(serial.completed, serial.total_flows);
-    for workers in [2u32, 4, 8] {
-        let sharded = run(EngineKind::Sharded {
-            workers: Some(workers),
+    let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
+    cfg.topo = FatTreeBuilder::new(8)
+        .link_gbps(1.0)
+        .target_rtt(SimTime::from_micros(100))
+        .build()
+        .into();
+    cfg.audit = true;
+    cfg.trace_flows = vec![FlowId(3)];
+    for (at_ms, action) in [(2, FailureAction::Down), (6, FailureAction::Up)] {
+        cfg.failure_events.push(FailureEvent {
+            at: SimTime::from_millis(at_ms),
+            target: FailureTarget::Link {
+                sw: LeafId(0), // edge 0
+                up: SpineId(1),
+            },
+            action,
         });
-        assert_eq!(
-            sharded.engine_workers,
-            Some(workers),
-            "k=8 fat tree must shard into 8 pods"
+    }
+    let mut mix = BasicMixConfig::paper_default();
+    mix.n_short = 40;
+    mix.n_long = 2;
+    mix.long_lo = 1_500_000;
+    mix.long_hi = 2_500_000;
+    let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(23));
+    // `engine_workers == Some(w)` in the helper: k=8 shards into 8 pods.
+    for sharded in sharded_vs_serial(&cfg, &flows, &[2, 4, 8]) {
+        // The two long flows block the tail across both failure
+        // micro-steps: windows before, between and after them.
+        assert!(sharded.sharded_windows > 0, "k8 flap ran without windows");
+        assert!(
+            sharded.sharded_tail_events * 10 < sharded.events,
+            "k8 flap: {} of {} events ran in micro-steps and the tail",
+            sharded.sharded_tail_events,
+            sharded.events
         );
-        assert_sharded_matches(&serial, &sharded, &format!("k8 flap @ {workers} workers"));
     }
 }
 
 #[test]
 fn sharded_parallel_windows_match_serial() {
-    // The fuzz batch above is small enough that the sharded engine runs
-    // it entirely in the serialized completion tail. This job is shaped
-    // so `flows >> completion bound` (tiny lookahead, few hosts, many
-    // short flows): the engine MUST open barrier-synchronized parallel
-    // windows — asserted via `sharded_windows` — and still match the
-    // serial digests bit for bit.
-    let run = |engine: EngineKind| {
-        let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
-        cfg.topo = LeafSpineBuilder::new(2, 2, 2)
-            .link_mbps(100.0)
-            .prop_per_link(SimTime::from_micros(5))
-            .build()
-            .into();
-        cfg.audit = true;
-        cfg.engine = engine;
-        let mut mix = BasicMixConfig::paper_default();
-        mix.n_short = 60;
-        mix.n_long = 2;
-        mix.long_lo = 300_000;
-        mix.long_hi = 400_000;
-        let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(5));
-        Simulation::new(cfg, flows).run()
-    };
-    let serial = run(EngineKind::Serial);
-    for workers in [1u32, 2] {
-        let sharded = run(EngineKind::Sharded {
-            workers: Some(workers),
-        });
-        assert_eq!(sharded.engine_workers, Some(workers));
+    // A job shaped so `flows >> completion bound` (tiny lookahead, few
+    // hosts, many short flows): the aggregate conjunct of the tail rule
+    // forces barrier-synchronized parallel windows whatever the long
+    // flows do — asserted via `sharded_windows` — and the digests still
+    // match bit for bit.
+    let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
+    cfg.topo = LeafSpineBuilder::new(2, 2, 2)
+        .link_mbps(100.0)
+        .prop_per_link(SimTime::from_micros(5))
+        .build()
+        .into();
+    cfg.audit = true;
+    let mut mix = BasicMixConfig::paper_default();
+    mix.n_short = 60;
+    mix.n_long = 2;
+    mix.long_lo = 300_000;
+    mix.long_hi = 400_000;
+    let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(5));
+    for sharded in sharded_vs_serial(&cfg, &flows, &[1, 2]) {
         assert!(
             sharded.sharded_windows > 0,
             "job sized for parallel windows ran entirely in the tail"
         );
-        assert_sharded_matches(&serial, &sharded, &format!("windows @ {workers} workers"));
     }
 }
 
@@ -439,12 +456,184 @@ fn sharded_engine_delegates_hybrid_fidelity_to_serial() {
         Simulation::new(cfg, flows).run()
     };
     let serial = run(EngineKind::Serial);
+    assert_eq!(serial.engine_fallback, None);
     let sharded = run(EngineKind::Sharded { workers: Some(4) });
     assert_eq!(
-        sharded.engine_workers, None,
-        "hybrid fidelity must fall back to the serial engine"
+        (sharded.engine_workers, sharded.engine_fallback),
+        (None, Some(FallbackReason::HybridFidelity)),
+        "hybrid fidelity must fall back to the serial engine and say so"
     );
     assert_sharded_matches(&serial, &sharded, "hybrid fallback");
     assert_eq!(serial.fluid_migrations, sharded.fluid_migrations);
     assert_eq!(serial.fluid_bytes, sharded.fluid_bytes);
+}
+
+#[test]
+fn sharded_websearch_confines_the_tail_to_the_last_window() {
+    // The paper's §6.2 job at a quarter of the benchmark's length (8×8
+    // leaf-spine, 256 hosts, web-search at load 0.7, 40 ms of arrivals).
+    // Arrivals end a fifth of the way into the run; the long flows keep
+    // the windows parallel through the whole drain, so at most 1 % of the
+    // events may run on the coordinator.
+    let mut cfg = SimConfig::large_scale(Scheme::tlb_default(), 32);
+    cfg.audit = false;
+    let dist = web_search();
+    let flows = PoissonWorkload {
+        load: 0.7,
+        dist: &dist,
+        duration: SimTime::from_millis(40),
+        deadline_lo: SimTime::from_millis(5),
+        deadline_hi: SimTime::from_millis(25),
+        short_threshold: cfg.short_threshold,
+        inter_leaf_only: true,
+    }
+    .generate(&cfg.topo, &mut SimRng::new(20190805));
+    for r in sharded_vs_serial(&cfg, &flows, &[1, 2, 4]) {
+        assert!(
+            r.sharded_tail_events * 100 <= r.events,
+            "{} of {} events in the tail",
+            r.sharded_tail_events,
+            r.events
+        );
+        assert!(r.sharded_windows > 0);
+    }
+}
+
+/// A 4-leaf, 1 Gbit/s fabric and `c`, the most packets one of its hosts
+/// can receive in one window (lookahead / header serialization time + 2) —
+/// the tail rule's per-flow threshold, restated from its definition.
+fn small_fabric() -> (SimConfig, u32) {
+    let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
+    cfg.topo = LeafSpineBuilder::new(4, 4, 4)
+        .link_gbps(1.0)
+        .target_rtt(SimTime::from_micros(100))
+        .build()
+        .into();
+    cfg.audit = true;
+    let lookahead = cfg.topo.uplink_props(0, 0).prop_delay.as_nanos();
+    let header_tx = cfg.tcp.header_bytes as u64 * 8; // ns at 1 Gbit/s
+    (cfg, (lookahead / header_tx + 2) as u32)
+}
+
+/// Flow `id` from host `src` to host `dst`, `segs` full segments.
+fn flow_of(
+    cfg: &SimConfig,
+    id: u32,
+    (src, dst): (u32, u32),
+    segs: u32,
+    start: SimTime,
+) -> FlowSpec {
+    FlowSpec {
+        id: FlowId(id),
+        src: HostId(src),
+        dst: HostId(dst),
+        size_bytes: u64::from(segs) * cfg.tcp.mss as u64,
+        start,
+        deadline: None,
+    }
+}
+
+#[test]
+fn sharded_tail_boundary_is_exactly_one_window_of_segments() {
+    // Twelve 3-segment flows finish within the first millisecond; the
+    // last flow starts at 2 ms. When its start comes into range it is the
+    // only flow left and misses all of its segments: exactly `c` of them
+    // is not a blocker, so the coordinator runs the whole flow in the
+    // tail; `c + 1` is one, so windows stay open until its first data
+    // segment lands. Both must match the serial engine bit for bit.
+    let (cfg, c) = small_fabric();
+    let run = |last_segs: u32| {
+        let mut flows: Vec<FlowSpec> = (0..12)
+            .map(|i| {
+                let pair = (i % 4, 4 + (i * 5) % 12);
+                flow_of(&cfg, i, pair, 3, SimTime::from_micros(10 * i as u64))
+            })
+            .collect();
+        flows.push(flow_of(
+            &cfg,
+            12,
+            (1, 14),
+            last_segs,
+            SimTime::from_millis(2),
+        ));
+        sharded_vs_serial(&cfg, &flows, &[2]).remove(0)
+    };
+    let (at, above) = (run(c), run(c + 1));
+    // With `c` segments every event of the last flow — handshake, `c` data
+    // segments, `c` ACKs, each over four hops — is a tail event.
+    assert!(at.sharded_tail_events > 8 * u64::from(c));
+    assert!(
+        above.sharded_windows > at.sharded_windows,
+        "one more segment must keep windows open: {} vs {}",
+        above.sharded_windows,
+        at.sharded_windows
+    );
+    assert!(above.sharded_tail_events < at.sharded_tail_events);
+}
+
+#[test]
+fn sharded_all_short_job_matches_serial() {
+    // No flow ever exceeds one window of segments, so no shard ever
+    // reports a blocker: windows come from the start-time conjunct alone
+    // (arrivals spread over 3 ms) and the post-arrival drain is the tail.
+    let (cfg, c) = small_fabric();
+    let flows: Vec<FlowSpec> = (0..120)
+        .map(|i| {
+            let pair = (i % 16, (i % 16 + 4 + i % 3 * 4) % 16);
+            let at = SimTime::from_micros(25 * i as u64);
+            flow_of(&cfg, i, pair, 1 + i % c, at)
+        })
+        .collect();
+    for r in sharded_vs_serial(&cfg, &flows, &[1, 2, 4]) {
+        assert!(r.sharded_windows > 0, "staggered starts must open windows");
+        assert!(r.sharded_tail_events > 0, "nothing blocks the drain");
+    }
+}
+
+#[test]
+fn sharded_micro_steps_between_windows_match_serial_traces() {
+    // A rate change and a link failure land mid-transfer, 200 µs apart,
+    // with tracing on: each is a coordinator micro-step that mirrors the
+    // mutation into every replica, and each must be followed by parallel
+    // windows again — the long flows are still far from done — not by the
+    // tail. Over 90 % of the run's events come after the first of them.
+    let (mut cfg, _) = small_fabric();
+    cfg.trace_flows = vec![FlowId(0), FlowId(5)];
+    cfg.link_events.push(LinkEvent {
+        at: SimTime::from_micros(1_000),
+        leaf: LeafId(0),
+        spine: SpineId(1),
+        bw_factor: 0.5,
+        new_prop_delay: None,
+        extra_delay: SimTime::from_micros(20),
+    });
+    for (at_us, action) in [(1_200, FailureAction::Down), (6_000, FailureAction::Up)] {
+        cfg.failure_events.push(FailureEvent {
+            at: SimTime::from_micros(at_us),
+            target: FailureTarget::Link {
+                sw: LeafId(0),
+                up: SpineId(2),
+            },
+            action,
+        });
+    }
+    let flows: Vec<FlowSpec> = (0..8)
+        .map(|i| {
+            let pair = (i % 4, 4 + (i * 5) % 12);
+            flow_of(&cfg, i, pair, 1_000, SimTime::from_micros(5 * i as u64))
+        })
+        .collect();
+    for r in sharded_vs_serial(&cfg, &flows, &[1, 2, 4]) {
+        assert!(!r.traces.is_empty());
+        assert!(
+            r.sim_end > SimTime::from_micros(6_000),
+            "the repair must land mid-run"
+        );
+        assert!(
+            r.sharded_tail_events * 10 < r.events,
+            "{} of {} events on the coordinator: a micro-step fell into the tail",
+            r.sharded_tail_events,
+            r.events
+        );
+    }
 }
