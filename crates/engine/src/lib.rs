@@ -21,6 +21,7 @@
 pub mod alloc_audit;
 pub mod env_knob;
 pub mod fel;
+pub mod indexed_heap;
 pub mod queue;
 pub mod rng;
 pub mod shard;
@@ -28,6 +29,7 @@ pub mod time;
 
 pub use alloc_audit::{AllocCounters, CountingAlloc};
 pub use fel::FelKind;
+pub use indexed_heap::IndexedMinHeap;
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use shard::{EngineKind, SpinBarrier};

@@ -14,24 +14,23 @@
 //! concurrent packet traffic on the same links is the documented modeling
 //! approximation the hybrid tolerance bands absorb.
 //!
-//! Everything is deterministic: iteration orders are insertion orders,
-//! arithmetic is plain `f64` evaluated in a fixed order, and every rate
-//! change bumps the flow's generation counter so a driver using an FEL
-//! without removal can discard stale completion events on pop.
+//! Everything is deterministic: iteration orders are insertion orders and
+//! arithmetic is plain `f64` evaluated in a fixed order. Every rate change
+//! is reported with the completion time it projects; the *latest* report
+//! for a flow supersedes the earlier ones, and keeping only that one (the
+//! driver holds them in an indexed heap) is the driver's job — the model
+//! itself never schedules anything.
 
 /// Maximum directed links on a fluid path: NIC, two LB uplinks, and the
 /// descent (core→agg, agg→edge, edge→host) of a three-tier fat tree.
 pub const MAX_FLUID_PATH: usize = 6;
 
-/// One pending rate update the driver turns into a (re)scheduled
-/// completion event.
+/// One pending rate update: the flow's new projected completion time,
+/// superseding any the driver holds for it.
 #[derive(Clone, Copy, Debug)]
 pub struct RateChange {
     /// The affected fluid flow.
     pub flow: u32,
-    /// The flow's generation after this change; completion events carrying
-    /// an older generation are stale.
-    pub gen: u32,
     /// Absolute completion time in seconds (`now + remaining / rate`).
     pub done_at_s: f64,
 }
@@ -47,9 +46,6 @@ struct FluidFlow {
     rate: f64,
     /// When `remaining` was last advanced, in seconds.
     updated_at: f64,
-    /// Bumped on every rate change; stale completion events carry an old
-    /// value and are ignored by the driver.
-    gen: u32,
 }
 
 const DEAD: FluidFlow = FluidFlow {
@@ -59,7 +55,6 @@ const DEAD: FluidFlow = FluidFlow {
     remaining: 0.0,
     rate: 0.0,
     updated_at: 0.0,
-    gen: 0,
 };
 
 /// The fluid tier's whole state: per-link populations and per-flow rates.
@@ -112,18 +107,6 @@ impl FluidNet {
         self.caps[link as usize] = bytes_per_sec;
     }
 
-    /// Whether `flow` is currently in the fluid tier.
-    #[inline]
-    pub fn is_active(&self, flow: u32) -> bool {
-        self.flows[flow as usize].active
-    }
-
-    /// `flow`'s current generation (valid while active).
-    #[inline]
-    pub fn gen(&self, flow: u32) -> u32 {
-        self.flows[flow as usize].gen
-    }
-
     /// Live fluid flows right now.
     #[inline]
     pub fn active_flows(&self) -> usize {
@@ -136,14 +119,11 @@ impl FluidNet {
         self.peak_active
     }
 
-    /// Run `f` for every active fluid flow and its path (insertion order of
-    /// flow ids — deterministic).
-    pub fn for_each_active(&self, mut f: impl FnMut(u32, &[u32])) {
-        for (i, fl) in self.flows.iter().enumerate() {
-            if fl.active {
-                f(i as u32, &fl.path[..fl.path_len as usize]);
-            }
-        }
+    /// The directed links an active `flow` occupies.
+    pub fn path(&self, flow: u32) -> &[u32] {
+        let f = &self.flows[flow as usize];
+        debug_assert!(f.active, "path of an inactive fluid flow");
+        &f.path[..f.path_len as usize]
     }
 
     /// Enter `flow` into the fluid tier with `bytes` to deliver over
@@ -205,10 +185,7 @@ impl FluidNet {
             self.n_on[l as usize] -= 1;
             self.dead_on[l as usize] += 1;
         }
-        self.flows[fi] = FluidFlow {
-            gen: self.flows[fi].gen + 1,
-            ..DEAD
-        };
+        self.flows[fi] = DEAD;
         self.active -= 1;
         self.finish_scan(now_s);
         for &l in &path[..path_len] {
@@ -225,8 +202,11 @@ impl FluidNet {
         self.finish_scan(now_s);
     }
 
-    /// Drain the pending rate changes (deterministic order). The driver
-    /// schedules one completion event per entry.
+    /// Drain the pending rate changes (deterministic order; a flow re-rated
+    /// more than once since the last drain appears once per re-rate, latest
+    /// last). A driver that keeps per-flow state from them drains after
+    /// every [`FluidNet::leave`]: changes still pending for a flow when it
+    /// leaves are not withdrawn.
     pub fn take_changes(&mut self, into: &mut Vec<RateChange>) {
         into.append(&mut self.changes);
     }
@@ -282,8 +262,8 @@ impl FluidNet {
         f.updated_at = now_s;
     }
 
-    /// Recompute `flow`'s fair share from current populations, bump its
-    /// generation, and emit the change.
+    /// Recompute `flow`'s fair share from current populations and emit the
+    /// change.
     fn rerate(&mut self, flow: u32, now_s: f64) {
         let fi = flow as usize;
         let (path, path_len) = (self.flows[fi].path, self.flows[fi].path_len as usize);
@@ -299,11 +279,9 @@ impl FluidNet {
         );
         let f = &mut self.flows[fi];
         f.rate = rate;
-        f.gen += 1;
         debug_assert_eq!(f.updated_at, now_s, "rerate before advance");
         self.changes.push(RateChange {
             flow,
-            gen: f.gen,
             done_at_s: now_s + f.remaining / rate,
         });
     }
@@ -343,7 +321,6 @@ mod tests {
         }
         net.join(0, &[0, 1, 2], 500.0, 1.0);
         let c = last_change_for(&mut net, 0);
-        assert_eq!(c.gen, 1);
         assert!((c.done_at_s - 1.5).abs() < 1e-12, "500 B at 1000 B/s");
         assert_eq!(net.active_flows(), 1);
     }
@@ -433,20 +410,6 @@ mod tests {
         net.take_changes(&mut ch);
         let order: Vec<u32> = ch.iter().map(|c| c.flow).collect();
         assert_eq!(order, vec![3, 17, 4_321, 8_999, 9_000]);
-    }
-
-    #[test]
-    fn generations_increase_monotonically() {
-        let mut net = FluidNet::new(1, 4);
-        net.set_capacity(0, 1000.0);
-        net.join(0, &[0], 1000.0, 0.0);
-        net.join(1, &[0], 1000.0, 0.0);
-        net.join(2, &[0], 1000.0, 0.0);
-        let mut ch = Vec::new();
-        net.take_changes(&mut ch);
-        let gens: Vec<u32> = ch.iter().filter(|c| c.flow == 0).map(|c| c.gen).collect();
-        assert_eq!(gens, vec![1, 2, 3], "one bump per membership change");
-        assert_eq!(net.gen(0), 3);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | `forward` | the per-packet switch path: admission, serialization, delivery pipes, the balancer decision, LB ticks | the event loop, `host`, `hybrid` (`choose_up`) |
 //! | `host` | the endpoints: flow start, timers, sender outputs, receiver delivery, completion | the event loop, `forward`, `hybrid` |
 //! | `admin` | scheduled link changes and failures, routing reconvergence | the event loop; the sharded coordinator mirrors `apply_*` |
-//! | `hybrid` | the fluid seam: migration, rerating, `FluidDone`, demotion — `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
+//! | `hybrid` | the fluid seam: migration, the completion heap and its one `FluidDone` timer, demotion — `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
 //! | `metrics` | the metric collectors, their build-time sizing, the shard fold and [`crate::RunReport`] assembly | the packet path writes them; `run_with`/`sharded` finish them |
 //! | `finish` | closing the conservation audit | `metrics` (`into_report`) |
 //! | `sharded` | the conservative multi-core engine over `Net` replicas | `run_with` |
@@ -472,10 +472,11 @@ impl<'a> Net<'a> {
     const FEL_DEPTH_SAMPLE_EVERY: u64 = 4096;
 
     /// The pipelined-delivery FEL occupancy bound: at most one `TxDone`
-    /// and one `Deliver` per port, plus every pending flow start, timer,
-    /// housekeeping and fluid-completion event. Computed from counters
-    /// that are identical across delivery modes, so its peak is
-    /// digest-stable.
+    /// and one `Deliver` per port, plus every pending flow start, timer and
+    /// housekeeping event, plus the fluid tier's completion timers (one
+    /// live and rarely a few superseded ones — not one per rate change).
+    /// Computed from counters that are identical across delivery modes, so
+    /// its peak is digest-stable.
     #[inline]
     fn fel_bound(&self) -> u64 {
         2 * self.ports.len() as u64
@@ -526,6 +527,9 @@ impl<'a> Net<'a> {
                     "FEL occupancy {} exceeds the pipelined bound {bound}",
                     self.q.len(),
                 );
+            }
+            if let Some(hy) = self.hybrid.as_ref().filter(|_| self.cfg.audit) {
+                hy.check_timer();
             }
         }
         self.cur_key = events::event_key(&ev);

@@ -29,10 +29,11 @@ pub(super) enum Event {
     Failure(u32),
     /// Sample leaf-0's uplink queues (Fig. 5 visualization).
     QueueSample,
-    /// A fluid-tier flow's projected completion time arrived (hybrid
-    /// fidelity only). The FEL has no removal, so superseded projections
-    /// stay queued and are filtered at the pop by the flow's fluid
-    /// generation counter.
+    /// The fluid tier's completion timer (hybrid fidelity only): `flow` was
+    /// the earliest projected completion when it was armed. Projections
+    /// live in the seam's indexed heap, not here — the FEL holds one live
+    /// timer, and `gen` tells it from the few armed before the minimum
+    /// moved earlier (see [`super::hybrid`]).
     FluidDone { flow: u32, gen: u32 },
 }
 

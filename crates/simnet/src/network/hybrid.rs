@@ -3,12 +3,23 @@
 //! [`Net::hybrid`] is `Some` iff the run uses
 //! [`crate::FidelityKind::Hybrid`]; packet-fidelity runs never enter this
 //! module and execute the historical per-packet paths bit-for-bit.
+//!
+//! The seam, not the FEL, is the fluid tier's priority queue. Every join,
+//! leave and capacity change re-rates each sharer (≈87 of them per change
+//! on the web-search workload), and each re-rate moves that flow's
+//! projected completion time; fewer than 1 % of the projections ever come
+//! true. So the projections live in an [`IndexedMinHeap`] keyed by flow —
+//! one entry per resident, updated in place — and the FEL holds a single
+//! live `FluidDone` timer at the heap's minimum ([`Net::arm_fluid_timer`]).
+//! Completions are still one FEL event each, at the same `(time,
+//! FLUID_DONE, flow)` position a per-projection event would have had, so
+//! the schedule every other event sees is unchanged.
 
 use super::events::{push_ev, Event};
 use super::link;
 use super::portmap::{NextHop, NodeRef, PortId};
 use super::Net;
-use tlb_engine::SimTime;
+use tlb_engine::{IndexedMinHeap, SimTime};
 use tlb_net::{FluidNet, Packet, RateChange, MAX_FLUID_PATH};
 use tlb_switch::OutPort;
 use tlb_transport::TcpConfig;
@@ -16,11 +27,18 @@ use tlb_transport::TcpConfig;
 /// Everything the fluid tier adds to a run.
 pub(super) struct Hybrid {
     fluid: FluidNet,
+    /// Every resident's projected completion `(at_ns, flow)`: upserted at
+    /// each rate change, removed when the flow leaves the tier.
+    done: IndexedMinHeap,
+    /// `(at_ns, flow)` of the live `FluidDone` timer, `None` when none is
+    /// pending. Never later than `done`'s minimum between events.
+    armed: Option<(u64, u32)>,
+    /// Generation of the live timer. Arming bumps it, so a timer armed
+    /// before the minimum moved earlier is recognised at its pop.
+    timer_gen: u32,
     /// Per-flow: has ever migrated packet→fluid (audit bookkeeping). A
     /// flow demoted by a failure reroutes at packet fidelity, then may
-    /// migrate *again* once it re-qualifies over a healthy path; stale
-    /// `FluidDone`s from earlier residencies die on the generation
-    /// counter.
+    /// migrate *again* once it re-qualifies over a healthy path.
     pub migrated: Vec<bool>,
     /// Per-flow: fluid tail still in flight (completion waits for it).
     pub pend: Vec<bool>,
@@ -31,12 +49,16 @@ pub(super) struct Hybrid {
     /// over every residency — equal to the tail sizes handed over unless
     /// a demotion returned a remainder mid-tail.
     pub credit: Vec<u64>,
-    /// `FluidDone` events pending in the FEL, stale ones included (part of
-    /// the FEL occupancy bound).
+    /// `FluidDone` timers pending in the FEL, superseded ones included
+    /// (part of the FEL occupancy bound; a handful at most).
     pub events_pending: u64,
     pub migrations: u64,
     pub demotions: u64,
     pub bytes: u64,
+    /// Rate changes drained from the fluid model.
+    pub rate_changes_seen: u64,
+    /// `FluidDone` timers pushed into the FEL.
+    pub timer_events: u64,
     /// Scratch for draining [`FluidNet::take_changes`].
     rate_changes: Vec<RateChange>,
     /// Scratch for collecting failure-demoted fluid flows.
@@ -51,6 +73,9 @@ impl Hybrid {
         }
         Hybrid {
             fluid,
+            done: IndexedMinHeap::new(n_flows),
+            armed: None,
+            timer_gen: 0,
             migrated: vec![false; n_flows],
             pend: vec![false; n_flows],
             tail_bytes: vec![0; n_flows],
@@ -59,8 +84,43 @@ impl Hybrid {
             migrations: 0,
             demotions: 0,
             bytes: 0,
+            rate_changes_seen: 0,
+            timer_events: 0,
             rate_changes: Vec::with_capacity(64),
             demote_scratch: Vec::with_capacity(64),
+        }
+    }
+
+    /// Move the fluid model's pending rate changes into the completion
+    /// heap: each re-rate replaces the flow's projected completion time in
+    /// place. Called after every mutation of the model, so the heap always
+    /// holds exactly the residents, each at its latest projection. The ceil
+    /// keeps the integer event time at-or-after the real completion
+    /// instant, so the pop-side residual is ≤ one rate·nanosecond of bytes.
+    fn absorb_changes(&mut self, now: SimTime) {
+        self.fluid.take_changes(&mut self.rate_changes);
+        self.rate_changes_seen += self.rate_changes.len() as u64;
+        for ch in self.rate_changes.drain(..) {
+            let at = SimTime::from_nanos((ch.done_at_s * 1e9).ceil() as u64).max(now);
+            self.done.upsert(ch.flow, at.as_nanos());
+        }
+    }
+
+    /// The audit's view of the completion heap, checked between events:
+    /// it holds exactly the fluid model's residents, and whenever it is
+    /// non-empty a live timer is armed no later than its minimum.
+    pub fn check_timer(&self) {
+        assert_eq!(
+            self.done.len(),
+            self.fluid.active_flows(),
+            "completion heap and fluid residents disagree"
+        );
+        if let Some(min) = self.done.peek() {
+            assert!(
+                self.armed.is_some_and(|a| a <= min),
+                "fluid timer {:?} armed after the earliest completion {min:?}",
+                self.armed
+            );
         }
     }
 }
@@ -171,41 +231,68 @@ impl Net<'_> {
         self.flush_fluid_changes(now);
     }
 
-    /// Drain the fluid model's rate changes into `FluidDone` events. Each
-    /// rerate projects a new completion time; older projections for the
-    /// same flow go stale via the generation counter. The ceil keeps the
-    /// integer event time at-or-after the real completion instant, so the
-    /// pop-side residual is ≤ one rate·nanosecond of bytes.
+    /// Drain the fluid model's rate changes into the completion heap
+    /// ([`Hybrid::absorb_changes`]), then make sure the one FEL timer still
+    /// covers the minimum.
     fn flush_fluid_changes(&mut self, now: SimTime) {
         let Some(hy) = self.hybrid.as_mut() else {
             return;
         };
-        hy.fluid.take_changes(&mut hy.rate_changes);
-        for ch in hy.rate_changes.drain(..) {
-            let at = SimTime::from_nanos((ch.done_at_s * 1e9).ceil() as u64).max(now);
-            push_ev(
-                &mut self.q,
-                at,
-                Event::FluidDone {
-                    flow: ch.flow,
-                    gen: ch.gen,
-                },
-            );
-            hy.events_pending += 1;
-        }
+        hy.absorb_changes(now);
+        self.arm_fluid_timer();
     }
 
-    /// A fluid tail's projected completion time arrived. Stale unless the
-    /// flow is still in the fluid tier at the same generation (reroutes,
-    /// demotions and rerates all bump it).
+    /// Keep one live `FluidDone` timer at or before the earliest projected
+    /// completion: push a new one only when none is pending or the minimum
+    /// became strictly earlier than the armed `(time, flow)`. A minimum
+    /// that moved *later* costs nothing now — the armed timer fires early
+    /// and re-arms from [`Net::on_fluid_done`].
+    fn arm_fluid_timer(&mut self) {
+        let Some(hy) = self.hybrid.as_mut() else {
+            return;
+        };
+        let Some(min) = hy.done.peek() else {
+            return;
+        };
+        if hy.armed.is_some_and(|armed| armed <= min) {
+            return;
+        }
+        hy.timer_gen = hy.timer_gen.wrapping_add(1);
+        hy.armed = Some(min);
+        hy.events_pending += 1;
+        hy.timer_events += 1;
+        push_ev(
+            &mut self.q,
+            SimTime::from_nanos(min.0),
+            Event::FluidDone {
+                flow: min.1,
+                gen: hy.timer_gen,
+            },
+        );
+    }
+
+    /// The fluid timer fired. It completes `flow` iff it is the live timer
+    /// (`gen`) and `(now, flow)` is still the earliest projected
+    /// completion; a superseded timer is dropped, and a live one that
+    /// fired early (its flow was re-rated later, or demoted) only re-arms.
+    /// Exactly one tail completes per event and the next timer goes
+    /// through the FEL, so same-nanosecond completions run in ascending
+    /// flow id with every lower event class — a chained successor's
+    /// `FlowStart` pushed at `now` included — dispatched in between.
     pub(super) fn on_fluid_done(&mut self, flow: u32, gen: u32, now: SimTime) {
         let Some(hy) = self.hybrid.as_mut() else {
             return;
         };
         hy.events_pending -= 1;
-        if !hy.fluid.is_active(flow) || hy.fluid.gen(flow) != gen {
+        if gen != hy.timer_gen {
             return;
         }
+        hy.armed = None;
+        if hy.done.peek() != Some((now.as_nanos(), flow)) {
+            self.arm_fluid_timer();
+            return;
+        }
+        hy.done.remove(flow);
         let fi = flow as usize;
         let rem = hy.fluid.leave(flow, now.as_secs_f64());
         // The event time was ceiled past the projected instant, so at most
@@ -238,25 +325,29 @@ impl Net<'_> {
     /// (re)transmission — the reroute happens at packet fidelity, exactly
     /// like a never-migrated flow. Once a later ACK re-qualifies the flow
     /// over a healthy path, [`Net::maybe_migrate`] moves the tail back to
-    /// the fluid tier; `FluidDone`s left over from this residency are
-    /// inert because [`tlb_net::FluidNet::leave`] bumped the generation.
+    /// the fluid tier. A timer armed for a demoted tail fires early and
+    /// re-arms.
     pub(super) fn demote_failed(&mut self, now: SimTime) {
         // Lift the tier out while the demoted senders emit:
         // `process_outputs` needs the whole `Net`.
         let Some(mut hy) = self.hybrid.take() else {
             return;
         };
-        hy.demote_scratch.clear();
-        let ports = &self.ports;
-        let victims = &mut hy.demote_scratch;
-        hy.fluid.for_each_active(|f, path| {
-            if path.iter().any(|&l| ports[l as usize].is_down()) {
-                victims.push(f);
-            }
-        });
-        for &f in &hy.demote_scratch {
+        // The completion heap is the resident set; ascending flow id is
+        // the demotion order.
+        let mut victims = std::mem::take(&mut hy.demote_scratch);
+        victims.clear();
+        let crosses_dead_port =
+            |f: &u32| (hy.fluid.path(*f).iter()).any(|&l| self.ports[l as usize].is_down());
+        victims.extend(hy.done.ids().filter(crosses_dead_port));
+        victims.sort_unstable();
+        for &f in &victims {
             let fi = f as usize;
+            hy.done.remove(f);
             let rem = hy.fluid.leave(f, now.as_secs_f64());
+            // Before the next victim leaves: this leave re-rated it, and a
+            // projection absorbed after its own removal would resurrect it.
+            hy.absorb_changes(now);
             // Round the fluid remainder up to whole bytes for the packet
             // path; the clamp guards the f64 bookkeeping's edges (a tail
             // is ≥ 1 byte by construction).
@@ -273,7 +364,75 @@ impl Net<'_> {
             self.process_outputs(f, &mut out, now);
             self.out_buf = out;
         }
+        hy.demote_scratch = victims;
         self.hybrid = Some(hy);
-        self.flush_fluid_changes(now);
+        self.arm_fluid_timer();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FidelityKind, Scheme, SimConfig};
+    use tlb_net::{FlowId, HostId};
+    use tlb_workload::FlowSpec;
+
+    #[test]
+    fn same_nanosecond_tails_complete_in_flow_order_around_a_chained_start() {
+        // Flows 0 and 1 are mirror images on disjoint leaf pairs (8 leaves
+        // × 4 hosts), so their packet prefixes run in lockstep, both tails
+        // migrate at the same instant and both are projected to finish in
+        // the same nanosecond. Flow 2 is chained behind flow 0. At that
+        // nanosecond the order is: tail 0 completes and pushes flow 2's
+        // `FlowStart` at `now`; the start (a lower event class) runs; only
+        // then does the re-armed timer complete tail 1.
+        let mut cfg = SimConfig::large_scale(Scheme::Ecmp, 4);
+        cfg.fidelity = FidelityKind::Hybrid;
+        cfg.audit = true;
+        let flow = |id: u32, src: u32, dst: u32, size_bytes: u64| FlowSpec {
+            id: FlowId(id),
+            src: HostId(src),
+            dst: HostId(dst),
+            size_bytes,
+            start: SimTime::ZERO,
+            deadline: None,
+        };
+        let flows = [
+            flow(0, 0, 4, 1_000_000),
+            flow(1, 8, 12, 1_000_000),
+            flow(2, 16, 20, 20_000),
+        ];
+        let mut net = Net::build(&cfg, &flows, vec![Some(2), None, None], None);
+
+        let mut log = Vec::new();
+        let mut seen = [false; 3]; // tail 0 done, flow 2 started, tail 1 done
+        while net.n_completed < flows.len() {
+            net.step();
+            let state = [net.completed[0], net.senders[2].is_some(), net.completed[1]];
+            for (i, what) in ["tail 0 done", "flow 2 started", "tail 1 done"]
+                .into_iter()
+                .enumerate()
+            {
+                if state[i] && !seen[i] {
+                    seen[i] = true;
+                    log.push((net.q.now(), what));
+                }
+            }
+        }
+        let hy = net.hybrid.as_ref().expect("hybrid run");
+        assert_eq!((hy.migrations, hy.demotions), (2, 0));
+        // One `now` for all three, or the scenario lost its symmetry.
+        let at = log[0].0;
+        assert_eq!(
+            log,
+            [
+                (at, "tail 0 done"),
+                (at, "flow 2 started"),
+                (at, "tail 1 done")
+            ]
+        );
+        // One timer per completion: the join of tail 1 never moved the
+        // minimum strictly earlier than tail 0's armed `(time, flow)`.
+        assert_eq!(hy.timer_events, 2);
     }
 }

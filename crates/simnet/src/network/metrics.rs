@@ -220,10 +220,7 @@ impl Net<'_> {
                 .fold(None, |acc: Option<u64>, n| Some(acc.unwrap_or(0) + n))
         };
         let lb_state_final = lbs().map(|lb| lb.state_bytes()).max().unwrap_or(0);
-        let (fluid_migrations, fluid_demotions, fluid_bytes) = self
-            .hybrid
-            .as_ref()
-            .map_or((0, 0, 0), |h| (h.migrations, h.demotions, h.bytes));
+        let fluid = |f: fn(&super::hybrid::Hybrid) -> u64| self.hybrid.as_ref().map_or(0, f);
 
         let m = self.m;
         RunReport {
@@ -252,9 +249,11 @@ impl Net<'_> {
             traces: m.traces,
             queue_series: m.queue_series,
             lb_decisions: m.lb_decisions,
-            fluid_migrations,
-            fluid_demotions,
-            fluid_bytes,
+            fluid_migrations: fluid(|h| h.migrations),
+            fluid_demotions: fluid(|h| h.demotions),
+            fluid_bytes: fluid(|h| h.bytes),
+            fluid_rate_changes: fluid(|h| h.rate_changes_seen),
+            fluid_timer_events: fluid(|h| h.timer_events),
             // Voluntary long-flow reroutes (TLB) and failure-forced ones
             // are tallied separately.
             tlb_long_reroutes: sum_reported(|lb| lb.long_reroutes()),

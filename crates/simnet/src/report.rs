@@ -260,6 +260,13 @@ pub struct RunReport {
     /// migration (demotions return the undelivered remainder to the
     /// packet path, tracked separately in the conservation check).
     pub fluid_bytes: u64,
+    /// Hybrid fidelity only: rate changes the fluid model reported (every
+    /// join, leave and capacity change re-rates each sharer). Each one
+    /// moves an entry of the seam's completion heap, not an FEL event.
+    pub fluid_rate_changes: u64,
+    /// Hybrid fidelity only: `FluidDone` timers pushed into the FEL — one
+    /// per completion plus the few that were superseded or fired early.
+    pub fluid_timer_events: u64,
     /// Path traces for [`crate::SimConfig::trace_flows`] (in time order).
     pub traces: Vec<TraceEvent>,
     /// With [`crate::SimConfig::sample_queues`]: `(time_s, qlen_pkts per

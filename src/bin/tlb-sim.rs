@@ -291,6 +291,7 @@ fn main() {
 
     let n = flows.len();
     eprintln!("running {n} flows under {scheme_name} (seed {seed})...");
+    let hybrid = cfg.fidelity == FidelityKind::Hybrid;
     let r = Simulation::new(cfg, flows).run();
     // Which machinery produced the (identical) results goes to stderr: the
     // summary on stdout is compared across engines.
@@ -301,6 +302,14 @@ fn main() {
         ),
         (None, Some(why)) => eprintln!("engine: serial, sharded engine refused: {why}"),
         (None, None) => eprintln!("engine: serial"),
+    }
+    // What the fluid tier cost: timer events are FEL pushes, rate changes
+    // only move entries of the seam's completion heap.
+    if hybrid {
+        eprintln!(
+            "fluid: {} migrations, {} demotions, {} rate changes, {} timer events",
+            r.fluid_migrations, r.fluid_demotions, r.fluid_rate_changes, r.fluid_timer_events
+        );
     }
 
     if args.flag("--json") {

@@ -52,6 +52,17 @@ fn summary(extra: &[&str], env: &[(&str, &str)]) -> String {
         .join("\n")
 }
 
+/// The stderr lines of `JOB` plus `extra` that start with `prefix`.
+fn stderr_lines(extra: &[&str], prefix: &str) -> Vec<String> {
+    let out = tlb_sim(&[JOB, extra].concat(), &[]);
+    assert!(out.status.success());
+    let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    err.lines()
+        .filter(|l| l.starts_with(prefix))
+        .map(str::to_string)
+        .collect()
+}
+
 fn field(summary: &str, name: &str) -> String {
     summary
         .lines()
@@ -94,12 +105,9 @@ fn sharded_engine_prints_the_serial_summary() {
 #[test]
 fn the_engine_line_says_which_engine_ran_and_why() {
     let engine_line = |extra: &[&str]| {
-        let out = tlb_sim(&[JOB, extra].concat(), &[]);
-        assert!(out.status.success());
-        let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
-        let lines: Vec<&str> = err.lines().filter(|l| l.starts_with("engine: ")).collect();
-        assert_eq!(lines.len(), 1, "one engine line in {err:?}");
-        lines[0].to_string()
+        let lines = stderr_lines(extra, "engine: ");
+        assert_eq!(lines.len(), 1, "one engine line in {lines:?}");
+        lines[0].clone()
     };
     assert_eq!(engine_line(&[]), "engine: serial");
     let sharded = engine_line(&["--engine", "sharded", "--workers", "2"]);
@@ -122,6 +130,42 @@ fn hybrid_fidelity_changes_the_event_count() {
     let hybrid = summary(&["--fidelity", "hybrid"], &[]);
     assert_ne!(field(&packet, "events"), field(&hybrid, "events"));
     assert_eq!(field(&packet, "completed"), field(&hybrid, "completed"));
+}
+
+#[test]
+fn the_fluid_line_reports_a_bounded_timer_count_under_hybrid_only() {
+    assert!(
+        stderr_lines(&[], "fluid: ").is_empty(),
+        "packet runs have no fluid tier"
+    );
+    let lines = stderr_lines(&["--fidelity", "hybrid"], "fluid: ");
+    assert_eq!(lines.len(), 1, "one fluid line in {lines:?}");
+    // "fluid: M migrations, D demotions, R rate changes, T timer events"
+    let counts: Vec<u64> = lines[0]
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|w| !w.is_empty())
+        .map(|w| w.parse().expect("a count"))
+        .collect();
+    let [m, d, r, t] = counts[..] else {
+        panic!("four counts in {:?}", lines[0]);
+    };
+    assert!(
+        lines[0].ends_with(" timer events") && lines[0].contains(" rate changes, "),
+        "{:?}",
+        lines[0]
+    );
+    assert!(
+        m > 0 && r >= m,
+        "the job migrates long flows: {:?}",
+        lines[0]
+    );
+    // One FEL timer per completion plus the few superseded or early ones —
+    // not one per rate change.
+    assert!(
+        t <= 4 * (m + d) + 16,
+        "timer events unbounded: {:?}",
+        lines[0]
+    );
 }
 
 #[test]

@@ -240,9 +240,9 @@ fn hybrid_seam_demotes_then_remigrates_and_conserves() {
     // onto the surviving spine, and — once an ACK confirms the new path
     // is healthy and unsent bytes remain — hands its tail to the fluid
     // tier a *second* time (PR 9; demotion previously pinned the flow to
-    // packets for good). Stale `FluidDone`s from the first residency must
-    // die on the generation counter, and the byte ledger must balance
-    // across the whole migrate → demote → re-migrate history. Two spines
+    // packets for good). A timer armed for the first residency must fire
+    // early and do nothing, and the byte ledger must balance across the
+    // whole migrate → demote → re-migrate history. Two spines
     // so a live path remains after the flap; the ECMP hash
     // deterministically lands flow 0 on spine 0 (if that tie-break ever
     // changes, the `fluid_demotions` assert below will say so — retarget

@@ -93,3 +93,56 @@ fn pipelined_delivery_bounds_fel_depth_on_high_bdp_links() {
         );
     }
 }
+
+/// The fig10 premise (`tests/fidelity.rs`): large-scale web-search at 60 %
+/// load under one fidelity — 100 ms of arrivals, long enough that fluid
+/// tails overlap and every join or leave re-rates a crowd of sharers.
+fn websearch_job(fidelity: FidelityKind) -> RunReport {
+    let mut cfg = SimConfig::large_scale(Scheme::tlb_default(), 32);
+    cfg.audit = true; // arm the in-loop occupancy and fluid-timer oracles
+    cfg.fidelity = fidelity;
+    let dist = web_search();
+    let wl = PoissonWorkload {
+        load: 0.6,
+        dist: &dist,
+        duration: SimTime::from_millis(100),
+        deadline_lo: SimTime::from_millis(5),
+        deadline_hi: SimTime::from_millis(25),
+        short_threshold: 100_000,
+        inter_leaf_only: true,
+    };
+    let flows = wl.generate(&cfg.topo, &mut SimRng::new(100));
+    Simulation::new(cfg, flows).run()
+}
+
+/// The fluid tier must not use the FEL as its priority queue: every join
+/// and leave re-rates all sharers, and if each re-rate were an FEL event
+/// the superseded ones would sit there until their time came. With the
+/// projections in the seam's indexed heap, a hybrid run's FEL is no deeper
+/// than its packet twin's and holds one timer push per completion, give or
+/// take the few that are superseded or fire early.
+#[test]
+fn fluid_completions_stay_out_of_the_fel() {
+    let packet = websearch_job(FidelityKind::Packet);
+    let hybrid = websearch_job(FidelityKind::Hybrid);
+    assert_eq!(hybrid.completed, hybrid.total_flows);
+    assert!(hybrid.fluid_migrations > 0, "nothing migrated");
+    let residencies = hybrid.fluid_migrations + hybrid.fluid_demotions;
+    assert!(
+        hybrid.fluid_rate_changes > 10 * residencies,
+        "scenario has too little sharing to tell: {} rate changes for {residencies} residencies",
+        hybrid.fluid_rate_changes
+    );
+    assert!(
+        hybrid.fluid_timer_events <= 4 * residencies + 16,
+        "{} fluid timer events for {residencies} residencies",
+        hybrid.fluid_timer_events
+    );
+    assert!(
+        hybrid.fel_depth.max() <= packet.fel_depth.max() + 16.0,
+        "hybrid FEL depth {} against the packet twin's {}",
+        hybrid.fel_depth.max(),
+        packet.fel_depth.max()
+    );
+    assert!(hybrid.fel_depth.max() <= hybrid.fel_bound_peak as f64);
+}

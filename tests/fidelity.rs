@@ -38,10 +38,40 @@ fn run_shape(shape: &str, fidelity: FidelityKind, scheme: Scheme) -> RunReport {
     match shape {
         // Fig. 4's premise: sustained short load under a handful of long
         // flows on the 15-path basic fabric — the long-flow-centric view.
-        "fig04" => {
+        "fig04" | "fig04-brownout" | "fig04-flap" => {
             let mut cfg = SimConfig::basic_paper(scheme);
             cfg.audit = true;
             cfg.fidelity = fidelity;
+            // Leaf 0 holds every sender. The variants hit nine of its
+            // fifteen uplinks 3 ms in, while the long tails are fluid: a
+            // brown-out to 40 % re-rates the tails crossing them; a hard
+            // flap demotes those tails, and they migrate again over the
+            // six surviving paths (and the repaired ones after 6 ms).
+            for s in 0..9 {
+                match shape {
+                    "fig04-brownout" => cfg.link_events.push(LinkEvent {
+                        at: SimTime::from_millis(3),
+                        leaf: LeafId(0),
+                        spine: SpineId(s),
+                        bw_factor: 0.4,
+                        new_prop_delay: None,
+                        extra_delay: SimTime::ZERO,
+                    }),
+                    "fig04-flap" => {
+                        for (at_ms, action) in [(3, FailureAction::Down), (6, FailureAction::Up)] {
+                            cfg.failure_events.push(FailureEvent {
+                                at: SimTime::from_millis(at_ms),
+                                target: FailureTarget::Link {
+                                    sw: LeafId(0),
+                                    up: SpineId(s),
+                                },
+                                action,
+                            });
+                        }
+                    }
+                    _ => {}
+                }
+            }
             let mut mix = BasicMixConfig::paper_default();
             mix.n_short = 60;
             mix.n_long = 5;
@@ -236,4 +266,58 @@ fn hybrid_runs_are_bit_deterministic() {
     assert_eq!(a.fluid_migrations, b.fluid_migrations);
     assert_eq!(a.fluid_bytes, b.fluid_bytes);
     assert_eq!(a.audit, b.audit, "hybrid audit counters diverged");
+}
+
+/// Everything a run reports about flows and packets except how many FEL
+/// events it took: the digest without its `events` field, and both FCT
+/// summaries in full.
+fn results_pin(r: &RunReport) -> String {
+    let digest = r.digest();
+    let (_events, rest) = digest.split_once('|').expect("digest has fields");
+    format!("{rest} {:?} {:?}", r.fct_short, r.fct_long)
+}
+
+/// How the fluid tier schedules its completions is an implementation
+/// matter; what the run *reports* is not. These are the hybrid results of
+/// the three paper shapes, a brown-out and a demote-and-remigrate flap,
+/// recorded before fluid completions moved from one FEL event per rate
+/// change to one timer over an indexed heap — that change, and any later
+/// one to the seam's scheduling, must leave them bit-identical.
+#[test]
+fn hybrid_results_are_pinned_whatever_schedules_the_completions() {
+    let pins: [(&str, &str); 5] = [
+        (
+            "fig04",
+            "0.002273657161|95528444.623588979244|0|6271|365 FctSummary { completed: 360, unfinished: 0, afct: 0.0022736571611111107, p99: 0.005315135120000003, p50: 0.0020382869999999997, deadline_miss: 0.002777777777777778, mean_goodput: 34644930.066784 } FctSummary { completed: 5, unfinished: 0, afct: 0.015610311400000002, p99: 0.022870937280000003, p50: 0.013867114, deadline_miss: 0.0, mean_goodput: 95528444.62358898 }",
+        ),
+        (
+            "fig08",
+            "0.003353899525|120938264.355006739497|0|8000|403 FctSummary { completed: 400, unfinished: 0, afct: 0.0033538995249999975, p99: 0.007096621049999999, p50: 0.0031178935, deadline_miss: 0.0, mean_goodput: 23709089.267542653 } FctSummary { completed: 3, unfinished: 0, afct: 0.13586666833333333, p99: 0.16470055968, p50: 0.149554938, deadline_miss: 0.0, mean_goodput: 120938264.35500674 }",
+        ),
+        (
+            "fig10",
+            "0.000681427223|73518418.144620403647|0|3034|195 FctSummary { completed: 121, unfinished: 0, afct: 0.0006814272231404956, p99: 0.0014652613999999993, p50: 0.000650215, deadline_miss: 0.0, mean_goodput: 31861106.36231863 } FctSummary { completed: 74, unfinished: 0, afct: 0.029593025662162164, p99: 0.13092666279999998, p50: 0.0243620575, deadline_miss: 0.0, mean_goodput: 73518418.1446204 }",
+        ),
+        (
+            "fig04-brownout",
+            "0.003769737333|68561521.165128380060|0|1841|365 FctSummary { completed: 360, unfinished: 0, afct: 0.0037697373333333345, p99: 0.007622202660000004, p50: 0.0035787815000000002, deadline_miss: 0.008333333333333333, mean_goodput: 22279538.22219322 } FctSummary { completed: 5, unfinished: 0, afct: 0.0290812026, p99: 0.052677341200000005, p50: 0.017928514, deadline_miss: 0.0, mean_goodput: 68561521.16512838 }",
+        ),
+        (
+            "fig04-flap",
+            "0.002588845333|113167572.793100640178|13|7285|365 FctSummary { completed: 360, unfinished: 0, afct: 0.0025888453333333347, p99: 0.006146536720000001, p50: 0.0022542919999999998, deadline_miss: 0.0, mean_goodput: 31693529.933814652 } FctSummary { completed: 5, unfinished: 0, afct: 0.0119690656, p99: 0.0138441934, p50: 0.013168832, deadline_miss: 0.0, mean_goodput: 113167572.79310064 }",
+        ),
+    ];
+    for (shape, pin) in pins {
+        let r = run_shape(shape, FidelityKind::Hybrid, Scheme::tlb_default());
+        assert_eq!(r.completed, r.total_flows, "{shape}: stranded flows");
+        if shape == "fig04-flap" {
+            assert!(r.fluid_demotions > 0, "{shape}: the flap demoted nothing");
+            // Five long flows: more residencies than that are re-entries.
+            assert!(
+                r.fluid_migrations > 5,
+                "{shape}: no demoted tail migrated again"
+            );
+        }
+        assert_eq!(results_pin(&r), pin, "{shape}: hybrid results moved");
+    }
 }
