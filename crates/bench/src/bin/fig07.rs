@@ -62,8 +62,7 @@ fn run_at(p: Point, q_th_bytes: u64, seed: u64) -> (f64, f64) {
     cfg.topo = LeafSpineBuilder::new(3, p.n_paths, 16)
         .link_gbps(1.0)
         .target_rtt(SimTime::from_micros(100))
-        .build()
-        .into();
+        .build();
     cfg.queue.capacity_pkts = 512; // §4.2 buffer
     cfg.queue.ecn_threshold_pkts = None;
     cfg.host_queue.ecn_threshold_pkts = None;

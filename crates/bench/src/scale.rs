@@ -1,5 +1,8 @@
 //! Quick/full experiment scaling.
 
+use std::sync::OnceLock;
+use tlb_engine::env_knob::parse_with;
+
 /// How big to run the experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
@@ -11,12 +14,11 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read `TLB_SCALE` from the environment (`full` → [`Scale::Full`]).
+    /// `TLB_SCALE` from the environment, read once: `quick` or `full`, any
+    /// case. Anything else warns on stderr and runs quick.
     pub fn from_env() -> Scale {
-        match std::env::var("TLB_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
-        }
+        static SCALE: OnceLock<Scale> = OnceLock::new();
+        *SCALE.get_or_init(|| parse_with("TLB_SCALE", Scale::Quick, parse_scale))
     }
 
     /// Pick between the quick and full value of a parameter.
@@ -28,17 +30,41 @@ impl Scale {
     }
 }
 
-/// The base RNG seed, overridable via `TLB_SEED`.
+fn parse_scale(s: &str) -> Result<Scale, String> {
+    match s {
+        "quick" => Ok(Scale::Quick),
+        "full" => Ok(Scale::Full),
+        _ => Err("want quick or full".into()),
+    }
+}
+
+fn parse_seed(s: &str) -> Result<u64, String> {
+    s.parse()
+        .map_err(|_| "want an unsigned 64-bit integer".into())
+}
+
+/// The base RNG seed: `TLB_SEED` from the environment, read once. A value
+/// that is not a `u64` warns on stderr and runs the default seed.
 pub fn base_seed() -> u64 {
-    std::env::var("TLB_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20190805) // the paper's conference dates
+    static SEED: OnceLock<u64> = OnceLock::new();
+    // The default is the paper's conference dates.
+    *SEED.get_or_init(|| parse_with("TLB_SEED", 20190805, parse_seed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn grammars_accept_only_what_they_name() {
+        // `parse_with` hands over trimmed, lower-cased text.
+        assert_eq!(parse_scale("full"), Ok(Scale::Full));
+        assert_eq!(parse_scale("quick"), Ok(Scale::Quick));
+        assert!(parse_scale("ful").is_err());
+        assert_eq!(parse_seed("20190901"), Ok(20190901));
+        assert!(parse_seed("abc").is_err());
+        assert!(parse_seed("-1").is_err());
+    }
 
     #[test]
     fn pick_selects_by_scale() {

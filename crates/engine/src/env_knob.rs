@@ -1,5 +1,6 @@
-//! The parser behind the one `TLB_*` runtime knob the library reads,
-//! `TLB_THREADS` (the sweep thread pool, `vendor/rayon`).
+//! The parser behind every `TLB_*` variable the workspace reads:
+//! `TLB_THREADS` (the sweep thread pool, `vendor/rayon`) and the figure
+//! harness's `TLB_SCALE` / `TLB_SEED` (`tlb-bench`).
 //!
 //! It owns the mechanics: normalization (trim + ASCII-lowercase), the
 //! empty-value → default rule, and the warning for a value the knob's

@@ -216,8 +216,7 @@ mod tests {
         forged.bound = tlb_net::LeafSpineBuilder::new(2, 2, 2)
             .link_gbps(0.0001)
             .target_rtt(tlb_engine::SimTime::from_micros(100))
-            .build()
-            .into();
+            .build();
         let err = check_report(&forged, &r).unwrap_err();
         assert!(
             err.contains("below the serialization+propagation bound"),

@@ -177,8 +177,8 @@ pub fn bound_fabric(pristine: &Fabric, events: &[LinkEvent]) -> Fabric {
         let mut cur = pristine.uplink_props(sw, up);
         let (mut best_bw, mut best_prop) = (cur.bytes_per_sec, cur.prop_delay);
         for ev in evs {
-            cur.bytes_per_sec = ((cur.bytes_per_sec as f64) * ev.bw_factor).max(1.0) as u64;
-            cur.prop_delay = ev.new_prop_delay.unwrap_or(cur.prop_delay) + ev.extra_delay;
+            cur.prop_delay = ev.new_prop_delay.unwrap_or(cur.prop_delay);
+            cur = cur.degraded(ev.bw_factor, ev.extra_delay);
             best_bw = best_bw.max(cur.bytes_per_sec);
             best_prop = best_prop.min(cur.prop_delay);
         }
@@ -265,13 +265,11 @@ impl Scenario {
                 .link_gbps(self.gbps_tenths as f64 / 10.0)
                 .target_rtt(SimTime::from_micros(100))
                 .build()
-                .into()
         } else {
             LeafSpineBuilder::new(self.leaves, self.spines, self.hosts_per_leaf)
                 .link_gbps(self.gbps_tenths as f64 / 10.0)
                 .target_rtt(SimTime::from_micros(100))
                 .build()
-                .into()
         };
 
         let mut cfg = SimConfig::basic_paper(self.scheme());

@@ -1,222 +1,198 @@
-//! Production fabrics behind one abstraction: the k-ary fat tree of
-//! "Randomized Load-balanced Routing for Fat-tree Networks" next to the
-//! paper's leaf-spine, unified as [`Fabric`].
+//! A fabric the simulator can run on: a [`Shape`] plus the two link tables
+//! that give every wire its physics.
 //!
-//! # k-ary fat tree
-//!
-//! For even `k`: `k` pods, each with `k/2` edge switches and `k/2`
-//! aggregation switches, plus `(k/2)²` core switches; every edge switch
-//! serves `k/2` hosts, so the fabric carries `k³/4` hosts (k=4 → 16,
-//! k=8 → 128, k=16 → 1024). Indexing conventions (all 0-based,
-//! `half = k/2`):
-//!
-//! * host `h`: edge `h / half`, slot `h % half`; edge `e`: pod `e / half`.
-//! * aggregation switch `a = p·half + j` (pod `p`, position `j`).
-//! * core switch `c = j·half + m`: reachable from every pod's aggregation
-//!   switch at position `j` via its uplink `m`; its downlink to pod `p`
-//!   lands on aggregation `p·half + j`.
-//!
-//! Equal-cost paths: `half` choices (the aggregation position `j`) for
-//! intra-pod pairs, `half²` choices (`j`, then core uplink `m`) for
-//! inter-pod pairs — both fanning out at the *edge* switch, which is why
-//! edge and aggregation switches all run a load balancer instance while
-//! cores forward deterministically by destination pod.
-//!
-//! Links are stored once per undirected pair (degradation and failure
-//! always apply to both directions in this simulator), unlike
-//! [`LeafSpine`]'s historical split up/down vectors.
+//! Links are undirected — degradation and failure always hit both
+//! directions — so each is stored once, on the side that climbs: one entry
+//! per host NIC, and one per `(LB switch, uplink)`. A downlink's properties
+//! are those of the uplink it terminates ([`Shape::up_peer`]).
 
 use crate::ids::{HostId, LeafId, SpineId};
-use crate::topology::{LeafSpine, LinkProps};
+use crate::topology::{LinkProps, Route, Shape};
 use tlb_engine::SimTime;
 
-/// A k-ary fat-tree fabric with per-link properties.
+/// A leaf-spine or fat-tree fabric with per-link properties.
+///
+/// Every [`Shape`] query (`n_hosts`, `leaf_of`, `n_spines`, …) answers for
+/// the fabric through `Deref`: a fabric *is* its shape, wired.
 #[derive(Clone, Debug)]
-pub struct FatTree {
-    k: usize,
-    /// `hosts[h]`: host NIC <-> edge link.
+pub struct Fabric {
+    shape: Shape,
+    /// `hosts[h]`: host NIC <-> leaf.
     hosts: Vec<LinkProps>,
-    /// `edge_up[e * half + j]`: edge `e` <-> aggregation `(pod(e), j)`.
-    edge_up: Vec<LinkProps>,
-    /// `agg_up[a * half + m]`: aggregation `a = (p, j)` <-> core `(j, m)`.
-    agg_up: Vec<LinkProps>,
+    /// `up[sw * n_spines + u]`: LB switch `sw`'s uplink `u`.
+    up: Vec<LinkProps>,
 }
 
-impl FatTree {
-    /// Arity `k` (even).
+impl std::ops::Deref for Fabric {
+    type Target = Shape;
+
     #[inline]
-    pub fn k(&self) -> usize {
-        self.k
+    fn deref(&self) -> &Shape {
+        &self.shape
+    }
+}
+
+fn check_factor(bw_factor: f64) {
+    assert!(
+        bw_factor > 0.0 && bw_factor <= 1.0,
+        "bandwidth factor must be in (0, 1]"
+    );
+}
+
+impl Fabric {
+    /// The shape, by value — what a port layout keeps a copy of.
+    pub fn shape(&self) -> Shape {
+        self.shape
     }
 
-    /// `k / 2`: hosts per edge, edges per pod, uplinks per switch.
-    #[inline]
-    pub fn half(&self) -> usize {
-        self.k / 2
+    /// The reference host link (host 0's). Fabrics are built uniform, so
+    /// this is every host's link until [`Fabric::degrade_host_link`]
+    /// touches one; per-host queries go through [`Fabric::host_link_of`].
+    pub fn host_link(&self) -> LinkProps {
+        self.hosts[0]
     }
 
-    /// Number of pods (= `k`).
-    #[inline]
-    pub fn n_pods(&self) -> usize {
-        self.k
-    }
-
-    /// Number of edge switches (`k²/2`).
-    #[inline]
-    pub fn n_edges(&self) -> usize {
-        self.k * self.half()
-    }
-
-    /// Number of aggregation switches (`k²/2`).
-    #[inline]
-    pub fn n_aggs(&self) -> usize {
-        self.k * self.half()
-    }
-
-    /// Number of core switches (`(k/2)²`).
-    #[inline]
-    pub fn n_cores(&self) -> usize {
-        self.half() * self.half()
-    }
-
-    /// Total host count (`k³/4`).
-    #[inline]
-    pub fn n_hosts(&self) -> usize {
-        self.n_edges() * self.half()
-    }
-
-    /// The edge switch a host hangs off.
-    #[inline]
-    pub fn edge_of(&self, h: HostId) -> usize {
-        debug_assert!(h.index() < self.n_hosts());
-        h.index() / self.half()
-    }
-
-    /// A host's port index on its edge switch.
-    #[inline]
-    pub fn host_slot(&self, h: HostId) -> usize {
-        h.index() % self.half()
-    }
-
-    /// The pod an edge switch belongs to.
-    #[inline]
-    pub fn pod_of_edge(&self, e: usize) -> usize {
-        e / self.half()
-    }
-
-    /// Aggregation switch index for pod `p`, position `j`.
-    #[inline]
-    pub fn agg_index(&self, p: usize, j: usize) -> usize {
-        p * self.half() + j
-    }
-
-    /// Core switch index reachable via aggregation position `j`, uplink `m`.
-    #[inline]
-    pub fn core_index(&self, j: usize, m: usize) -> usize {
-        j * self.half() + m
-    }
-
-    /// All hosts under an edge switch.
-    pub fn hosts_of_edge(&self, e: usize) -> impl Iterator<Item = HostId> {
-        let start = e * self.half();
-        (start..start + self.half()).map(HostId::from)
-    }
-
-    /// A specific host's NIC <-> edge link.
+    /// A specific host's NIC link.
     #[inline]
     pub fn host_link_of(&self, h: HostId) -> LinkProps {
         self.hosts[h.index()]
     }
 
-    /// The edge `e` <-> aggregation `(pod(e), j)` link.
+    /// LB switch `sw`'s `up`-th uplink: leaf -> spine, or in a fat tree
+    /// edge -> aggregation below `n_leaves` and aggregation -> core above.
     #[inline]
-    pub fn edge_uplink(&self, e: usize, j: usize) -> LinkProps {
-        self.edge_up[e * self.half() + j]
+    pub fn uplink_props(&self, sw: usize, up: usize) -> LinkProps {
+        self.up[self.slot(sw, up)]
     }
 
-    /// The aggregation `a` <-> core link behind uplink `m`.
-    #[inline]
-    pub fn agg_uplink(&self, a: usize, m: usize) -> LinkProps {
-        self.agg_up[a * self.half() + m]
-    }
-
-    /// Set an edge uplink's properties (both directions).
-    pub fn set_edge_uplink(&mut self, e: usize, j: usize, props: LinkProps) {
-        let i = e * self.half() + j;
-        self.edge_up[i] = props;
-    }
-
-    /// Set an aggregation uplink's properties (both directions).
-    pub fn set_agg_uplink(&mut self, a: usize, m: usize, props: LinkProps) {
-        let i = a * self.half() + m;
-        self.agg_up[i] = props;
-    }
-
-    /// Degrade one host's NIC <-> edge link.
-    pub fn degrade_host_link(&mut self, h: HostId, bw_factor: f64, extra_delay: SimTime) {
+    /// An uplink's index in the table. The uplink bound is checked by hand:
+    /// past it the flat index would name a neighbour's link.
+    fn slot(&self, sw: usize, up: usize) -> usize {
         assert!(
-            bw_factor > 0.0 && bw_factor <= 1.0,
-            "bandwidth factor must be in (0, 1]"
+            sw < self.n_lb_switches() && up < self.n_spines(),
+            "no uplink {up} on LB switch {sw}"
         );
-        let link = &mut self.hosts[h.index()];
-        link.bytes_per_sec = ((link.bytes_per_sec as f64) * bw_factor).max(1.0) as u64;
-        link.prop_delay += extra_delay;
+        sw * self.n_spines() + up
     }
 
-    fn min_inter_edge_delay(&self, e1: usize, e2: usize) -> SimTime {
-        let half = self.half();
-        let (p1, p2) = (self.pod_of_edge(e1), self.pod_of_edge(e2));
-        let mut best: Option<SimTime> = None;
-        for j in 0..half {
-            let first = self.edge_uplink(e1, j).prop_delay;
-            let d = if p1 == p2 {
-                first + self.edge_uplink(e2, j).prop_delay
-            } else {
-                let a1 = self.agg_index(p1, j);
-                let a2 = self.agg_index(p2, j);
-                let core_leg = (0..half)
-                    .map(|m| self.agg_uplink(a1, m).prop_delay + self.agg_uplink(a2, m).prop_delay)
-                    .min()
-                    .expect("fat tree has no cores");
-                first + core_leg + self.edge_uplink(e2, j).prop_delay
-            };
-            best = Some(best.map_or(d, |b| b.min(d)));
-        }
-        best.expect("fat tree has no aggregation switches")
+    /// Set an uplink's properties outright. Unlike
+    /// [`degrade_link`](Fabric::degrade_link) this can *improve* a link —
+    /// how repair schedules and the fuzzer's best-state bound are expressed.
+    pub fn set_uplink(&mut self, sw: usize, up: usize, props: LinkProps) {
+        let i = self.slot(sw, up);
+        self.up[i] = props;
+    }
+
+    /// Degrade an uplink: multiply bandwidth by `bw_factor` ∈ (0, 1] and
+    /// add `extra_delay` — how Fig. 16/17's asymmetric scenarios are built.
+    /// `(l, s)` is (LB switch, uplink), the historical leaf-spine naming.
+    pub fn degrade_link(&mut self, l: LeafId, s: SpineId, bw_factor: f64, extra_delay: SimTime) {
+        check_factor(bw_factor);
+        let worse = self
+            .uplink_props(l.index(), s.index())
+            .degraded(bw_factor, extra_delay);
+        self.set_uplink(l.index(), s.index(), worse);
+    }
+
+    /// Degrade one host's NIC link, by the same rule.
+    pub fn degrade_host_link(&mut self, h: HostId, bw_factor: f64, extra_delay: SimTime) {
+        check_factor(bw_factor);
+        let link = &mut self.hosts[h.index()];
+        *link = link.degraded(bw_factor, extra_delay);
     }
 
     /// Minimum one-way base propagation delay from `src` to `dst` over all
-    /// equal-cost paths (excludes serialization and queueing) — the
-    /// propagation term of the fuzzer's FCT lower-bound oracle.
+    /// equal-cost paths (excludes serialization and queueing): lower-bounds
+    /// any packet's traversal time, which makes it the propagation term of
+    /// the fuzzer's FCT lower-bound oracle.
     pub fn min_one_way_delay(&self, src: HostId, dst: HostId) -> SimTime {
-        let nics = self.host_link_of(src).prop_delay + self.host_link_of(dst).prop_delay;
-        let (e1, e2) = (self.edge_of(src), self.edge_of(dst));
-        if e1 == e2 {
-            return nics;
+        let (a, b) = (self.leaf_of(src).0, self.leaf_of(dst).0);
+        self.host_link_of(src).prop_delay
+            + self.min_climb(a, b, dst.0)
+            + self.host_link_of(dst).prop_delay
+    }
+
+    /// The cheapest way to join switch `a` to its mirror image `b` on the
+    /// destination's side. A Clos path is its sequence of uplink choices:
+    /// the descent into `dst` retraces, link for link, the climb out of
+    /// `dst`'s leaf under the same choices. So walk both climbs in lockstep
+    /// while [`Shape::next_hop`] says up; they meet where it says down.
+    fn min_climb(&self, a: u32, b: u32, dst: u32) -> SimTime {
+        if let Route::Down(_) = self.next_hop(a, dst) {
+            debug_assert_eq!(a, b, "the two climbs meet where the descent starts");
+            return SimTime::ZERO;
         }
-        nics + self.min_inter_edge_delay(e1, e2)
+        (0..self.n_spines() as u32)
+            .map(|u| {
+                self.uplink_props(a as usize, u as usize).prop_delay
+                    + self.uplink_props(b as usize, u as usize).prop_delay
+                    + self.min_climb(self.up_peer(a, u).0, self.up_peer(b, u).0, dst)
+            })
+            .min()
+            .expect("an LB switch has uplinks")
     }
 
-    /// Minimum base RTT over all paths. Links are undirected, so the best
-    /// round trip reuses the best one-way path in both directions.
+    /// Minimum base RTT over all equal-cost paths (what a transport's RTT
+    /// estimate converges to on idle paths). Links are undirected, so the
+    /// best round trip takes the best one-way path both ways.
     pub fn min_rtt(&self, src: HostId, dst: HostId) -> SimTime {
-        let one_way = self.min_one_way_delay(src, dst);
-        one_way + one_way
+        self.min_one_way_delay(src, dst) * 2
     }
 
-    /// True if any link differs from any other of its tier (diagnostics).
+    /// True if any link differs from another of its tier: host links,
+    /// leaf uplinks, or (fat tree) aggregation uplinks.
     pub fn is_asymmetric(&self) -> bool {
-        self.edge_up.windows(2).any(|w| w[0] != w[1])
-            || self.agg_up.windows(2).any(|w| w[0] != w[1])
-            || self.hosts.windows(2).any(|w| w[0] != w[1])
+        let differ = |tier: &[LinkProps]| tier.windows(2).any(|w| w[0] != w[1]);
+        differ(&self.hosts)
+            || self
+                .up
+                .chunks(self.n_leaves() * self.n_spines())
+                .any(differ)
     }
 }
 
-/// Builder for [`FatTree`] fabrics; defaults mirror [`LeafSpineBuilder`]
-/// (1 Gbit/s links), with per-link propagation spread over the 12 link
-/// traversals of an inter-pod round trip.
+/// Builder for [`Fabric`]s. It starts at [`LeafSpineBuilder::new`] or
+/// [`FatTreeBuilder::new`] — two names for its two ways in, never values —
+/// and all links start identical.
+#[derive(Clone, Debug)]
+pub struct FabricBuilder {
+    shape: Shape,
+    link: LinkProps,
+}
+
+/// Starts a leaf-spine fabric. The default matches the paper's basic NS2
+/// setup: all links 1 Gbit/s, 100 µs round-trip propagation.
 ///
-/// [`LeafSpineBuilder`]: crate::topology::LeafSpineBuilder
+/// ```
+/// use tlb_net::{HostId, LeafSpineBuilder};
+/// use tlb_engine::SimTime;
+///
+/// // The paper's §4.2 fabric: 15 equal-cost paths at 1 Gbit/s.
+/// let topo = LeafSpineBuilder::new(3, 15, 16)
+///     .link_gbps(1.0)
+///     .target_rtt(SimTime::from_micros(100))
+///     .build();
+/// assert_eq!(topo.n_spines(), 15);
+/// assert_eq!(topo.min_rtt(HostId(0), HostId(20)), SimTime::from_micros(100));
+/// ```
+pub enum LeafSpineBuilder {}
+
+impl LeafSpineBuilder {
+    /// Start a fabric with the given switch/host counts.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(n_leaves: usize, n_spines: usize, hosts_per_leaf: usize) -> FabricBuilder {
+        assert!(n_leaves > 0 && n_spines > 0 && hosts_per_leaf > 0);
+        let dim = |n: usize| u32::try_from(n).expect("fabric dimension fits u32");
+        let shape = Shape::LeafSpine {
+            leaves: dim(n_leaves),
+            spines: dim(n_spines),
+            hosts_per_leaf: dim(hosts_per_leaf),
+        };
+        FabricBuilder::of(shape).target_rtt(SimTime::from_micros(100))
+    }
+}
+
+/// Starts a k-ary fat tree: 1 Gbit/s links, 120 µs inter-pod round trip.
 ///
 /// ```
 /// use tlb_net::{FatTreeBuilder, HostId};
@@ -227,272 +203,60 @@ impl FatTree {
 /// // Hosts 0 and 15 sit in different pods: the full 6-hop path both ways.
 /// assert_eq!(t.min_rtt(HostId(0), HostId(15)), SimTime::from_micros(120));
 /// ```
-#[derive(Clone, Debug)]
-pub struct FatTreeBuilder {
-    k: usize,
-    link_bytes_per_sec: u64,
-    prop_per_link: SimTime,
-}
+pub enum FatTreeBuilder {}
 
 impl FatTreeBuilder {
     /// Start a k-ary fat tree. `k` must be even and ≥ 2.
-    pub fn new(k: usize) -> Self {
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(k: usize) -> FabricBuilder {
         assert!(
             k >= 2 && k.is_multiple_of(2),
             "fat-tree arity must be even and >= 2"
         );
-        FatTreeBuilder {
-            k,
-            link_bytes_per_sec: 125_000_000,            // 1 Gbit/s
-            prop_per_link: SimTime::from_nanos(10_000), // 120 us RTT / 12 hops
-        }
+        let k = u32::try_from(k).expect("fat-tree arity fits u32");
+        FabricBuilder::of(Shape::FatTree { k }).target_rtt(SimTime::from_micros(120))
+    }
+}
+
+impl FabricBuilder {
+    fn of(shape: Shape) -> FabricBuilder {
+        let link = LinkProps::gbps(1.0, SimTime::ZERO);
+        FabricBuilder { shape, link }
     }
 
     /// Set every link's capacity in Gbit/s.
     pub fn link_gbps(mut self, gbps: f64) -> Self {
-        self.link_bytes_per_sec = (gbps * 1e9 / 8.0).round() as u64;
+        self.link = LinkProps::gbps(gbps, self.link.prop_delay);
+        self
+    }
+
+    /// Set every link's capacity in Mbit/s (testbed scenarios).
+    pub fn link_mbps(mut self, mbps: f64) -> Self {
+        self.link = LinkProps::mbps(mbps, self.link.prop_delay);
         self
     }
 
     /// Set the per-link one-way propagation delay directly.
     pub fn prop_per_link(mut self, d: SimTime) -> Self {
-        self.prop_per_link = d;
+        self.link.prop_delay = d;
         self
     }
 
-    /// Choose per-link propagation so an *inter-pod* round trip's base
-    /// propagation equals `rtt` (12 traversals of a 6-link path).
-    pub fn target_rtt(mut self, rtt: SimTime) -> Self {
-        self.prop_per_link = rtt / 12;
-        self
+    /// Choose per-link propagation so the longest host-to-host round trip
+    /// propagates in `rtt`: 8 link traversals on a leaf-spine, 12 between
+    /// fat-tree pods.
+    pub fn target_rtt(self, rtt: SimTime) -> Self {
+        let links = 4 * self.shape.tiers();
+        self.prop_per_link(rtt / links)
     }
 
     /// Finish building.
-    pub fn build(self) -> FatTree {
-        let link = LinkProps {
-            bytes_per_sec: self.link_bytes_per_sec,
-            prop_delay: self.prop_per_link,
-        };
-        let half = self.k / 2;
-        let n_edges = self.k * half;
-        FatTree {
-            k: self.k,
-            hosts: vec![link; n_edges * half],
-            edge_up: vec![link; n_edges * half],
-            agg_up: vec![link; n_edges * half],
-        }
-    }
-}
-
-/// A fabric the simulator can run on: the paper's leaf-spine or a k-ary
-/// fat tree, with a uniform query surface.
-///
-/// Rack-generic vocabulary: a *leaf* is the host-facing switch tier (edge
-/// switches in a fat tree), so `n_leaves`/`leaf_of`/`hosts_of` keep their
-/// historical names and every workload generator works on both fabrics
-/// unchanged. *LB switches* are the switches that own equal-cost uplinks
-/// and therefore run a load-balancer instance: leaves in leaf-spine,
-/// edge + aggregation switches in a fat tree. Both fabrics have a uniform
-/// uplink count per LB switch (`n_spines` / `k/2`), addressed by
-/// `(LeafId, SpineId)` pairs reinterpreted as (LB switch, uplink).
-#[derive(Clone, Debug)]
-pub enum Fabric {
-    /// Two-tier leaf-spine (the paper's evaluation fabrics).
-    LeafSpine(LeafSpine),
-    /// Three-tier k-ary fat tree.
-    FatTree(FatTree),
-}
-
-impl From<LeafSpine> for Fabric {
-    fn from(t: LeafSpine) -> Fabric {
-        Fabric::LeafSpine(t)
-    }
-}
-
-impl From<FatTree> for Fabric {
-    fn from(t: FatTree) -> Fabric {
-        Fabric::FatTree(t)
-    }
-}
-
-impl Fabric {
-    /// The leaf-spine inside, if that's what this is.
-    pub fn as_leaf_spine(&self) -> Option<&LeafSpine> {
-        match self {
-            Fabric::LeafSpine(t) => Some(t),
-            Fabric::FatTree(_) => None,
-        }
-    }
-
-    /// The fat tree inside, if that's what this is.
-    pub fn as_fat_tree(&self) -> Option<&FatTree> {
-        match self {
-            Fabric::LeafSpine(_) => None,
-            Fabric::FatTree(t) => Some(t),
-        }
-    }
-
-    /// Total host count.
-    pub fn n_hosts(&self) -> usize {
-        match self {
-            Fabric::LeafSpine(t) => t.n_hosts(),
-            Fabric::FatTree(t) => t.n_hosts(),
-        }
-    }
-
-    /// Host-facing switches: leaves, or fat-tree edges.
-    pub fn n_leaves(&self) -> usize {
-        match self {
-            Fabric::LeafSpine(t) => t.n_leaves(),
-            Fabric::FatTree(t) => t.n_edges(),
-        }
-    }
-
-    /// Hosts per host-facing switch.
-    pub fn hosts_per_leaf(&self) -> usize {
-        match self {
-            Fabric::LeafSpine(t) => t.hosts_per_leaf(),
-            Fabric::FatTree(t) => t.half(),
-        }
-    }
-
-    /// Equal-cost uplinks per LB switch (spines, or `k/2`).
-    pub fn n_spines(&self) -> usize {
-        match self {
-            Fabric::LeafSpine(t) => t.n_spines(),
-            Fabric::FatTree(t) => t.half(),
-        }
-    }
-
-    /// Switches running a load-balancer instance: leaves, or fat-tree
-    /// edges followed by aggregations (in that index order).
-    pub fn n_lb_switches(&self) -> usize {
-        match self {
-            Fabric::LeafSpine(t) => t.n_leaves(),
-            Fabric::FatTree(t) => t.n_edges() + t.n_aggs(),
-        }
-    }
-
-    /// All switches: leaves + spines, or edges + aggregations + cores.
-    pub fn n_switches(&self) -> usize {
-        match self {
-            Fabric::LeafSpine(t) => t.n_leaves() + t.n_spines(),
-            Fabric::FatTree(t) => t.n_edges() + t.n_aggs() + t.n_cores(),
-        }
-    }
-
-    /// The host-facing switch a host hangs off.
-    pub fn leaf_of(&self, h: HostId) -> LeafId {
-        match self {
-            Fabric::LeafSpine(t) => t.leaf_of(h),
-            Fabric::FatTree(t) => LeafId(t.edge_of(h) as u32),
-        }
-    }
-
-    /// A host's port index on its switch.
-    pub fn host_slot(&self, h: HostId) -> usize {
-        match self {
-            Fabric::LeafSpine(t) => t.host_slot(h),
-            Fabric::FatTree(t) => t.host_slot(h),
-        }
-    }
-
-    /// All hosts under a host-facing switch.
-    pub fn hosts_of(&self, l: LeafId) -> impl Iterator<Item = HostId> + '_ {
-        let (start, n) = match self {
-            Fabric::LeafSpine(t) => (l.index() * t.hosts_per_leaf(), t.hosts_per_leaf()),
-            Fabric::FatTree(t) => (l.index() * t.half(), t.half()),
-        };
-        (start..start + n).map(HostId::from)
-    }
-
-    /// The reference host link (host 0's; fabrics start uniform).
-    pub fn host_link(&self) -> LinkProps {
-        self.host_link_of(HostId(0))
-    }
-
-    /// A specific host's NIC link.
-    pub fn host_link_of(&self, h: HostId) -> LinkProps {
-        match self {
-            Fabric::LeafSpine(t) => t.host_link_of(h),
-            Fabric::FatTree(t) => t.host_link_of(h),
-        }
-    }
-
-    /// An LB switch's `up`-th uplink. For leaf-spine this is the
-    /// leaf->spine link; for a fat tree, edge->aggregation for
-    /// `sw < n_edges` and aggregation->core above that.
-    pub fn uplink_props(&self, sw: usize, up: usize) -> LinkProps {
-        match self {
-            Fabric::LeafSpine(t) => t.uplink(LeafId(sw as u32), SpineId(up as u32)),
-            Fabric::FatTree(t) => {
-                if sw < t.n_edges() {
-                    t.edge_uplink(sw, up)
-                } else {
-                    t.agg_uplink(sw - t.n_edges(), up)
-                }
-            }
-        }
-    }
-
-    /// Set an LB switch uplink's properties outright (both directions);
-    /// the repair-capable counterpart of [`degrade_link`](Fabric::degrade_link).
-    pub fn set_uplink(&mut self, sw: usize, up: usize, props: LinkProps) {
-        match self {
-            Fabric::LeafSpine(t) => t.set_link(LeafId(sw as u32), SpineId(up as u32), props),
-            Fabric::FatTree(t) => {
-                if sw < t.n_edges() {
-                    t.set_edge_uplink(sw, up, props);
-                } else {
-                    t.set_agg_uplink(sw - t.n_edges(), up, props);
-                }
-            }
-        }
-    }
-
-    /// Degrade an LB switch uplink (both directions): multiply bandwidth
-    /// by `bw_factor` ∈ (0, 1] and add `extra_delay`. `(l, s)` is
-    /// (LB switch, uplink) — the historical leaf-spine naming.
-    pub fn degrade_link(&mut self, l: LeafId, s: SpineId, bw_factor: f64, extra_delay: SimTime) {
-        assert!(
-            bw_factor > 0.0 && bw_factor <= 1.0,
-            "bandwidth factor must be in (0, 1]"
-        );
-        let mut p = self.uplink_props(l.index(), s.index());
-        p.bytes_per_sec = ((p.bytes_per_sec as f64) * bw_factor).max(1.0) as u64;
-        p.prop_delay += extra_delay;
-        self.set_uplink(l.index(), s.index(), p);
-    }
-
-    /// Degrade one host's NIC link (both directions).
-    pub fn degrade_host_link(&mut self, h: HostId, bw_factor: f64, extra_delay: SimTime) {
-        match self {
-            Fabric::LeafSpine(t) => t.degrade_host_link(h, bw_factor, extra_delay),
-            Fabric::FatTree(t) => t.degrade_host_link(h, bw_factor, extra_delay),
-        }
-    }
-
-    /// Minimum base RTT over all equal-cost paths.
-    pub fn min_rtt(&self, src: HostId, dst: HostId) -> SimTime {
-        match self {
-            Fabric::LeafSpine(t) => t.min_rtt(src, dst),
-            Fabric::FatTree(t) => t.min_rtt(src, dst),
-        }
-    }
-
-    /// Minimum one-way base propagation delay over all equal-cost paths.
-    pub fn min_one_way_delay(&self, src: HostId, dst: HostId) -> SimTime {
-        match self {
-            Fabric::LeafSpine(t) => t.min_one_way_delay(src, dst),
-            Fabric::FatTree(t) => t.min_one_way_delay(src, dst),
-        }
-    }
-
-    /// True if any same-tier link pair differs (diagnostics).
-    pub fn is_asymmetric(&self) -> bool {
-        match self {
-            Fabric::LeafSpine(t) => t.is_asymmetric(),
-            Fabric::FatTree(t) => t.is_asymmetric(),
+    pub fn build(self) -> Fabric {
+        let s = self.shape;
+        Fabric {
+            shape: s,
+            hosts: vec![self.link; s.n_hosts()],
+            up: vec![self.link; s.n_lb_switches() * s.n_spines()],
         }
     }
 }
@@ -500,115 +264,257 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
-    fn k4() -> FatTree {
+    /// Paper §4.2: 15 equal-cost paths, 1 Gbit/s, 100 us RTT.
+    fn basic() -> Fabric {
+        LeafSpineBuilder::new(3, 15, 16)
+            .link_gbps(1.0)
+            .target_rtt(SimTime::from_micros(100))
+            .build()
+    }
+
+    fn k4() -> Fabric {
         FatTreeBuilder::new(4)
             .link_gbps(1.0)
             .target_rtt(SimTime::from_micros(120))
             .build()
     }
 
-    #[test]
-    fn k4_dimensions() {
-        let t = k4();
-        assert_eq!(t.k(), 4);
-        assert_eq!(t.n_pods(), 4);
-        assert_eq!(t.n_edges(), 8);
-        assert_eq!(t.n_aggs(), 8);
-        assert_eq!(t.n_cores(), 4);
-        assert_eq!(t.n_hosts(), 16);
+    fn slow(f: &mut Fabric, sw: usize, up: usize, extra: SimTime) {
+        let mut p = f.uplink_props(sw, up);
+        p.prop_delay += extra;
+        f.set_uplink(sw, up, p);
+    }
+
+    /// Every equal-cost path walked the way a packet walks it — climb over
+    /// each uplink, descend where [`Shape::next_hop`] says — over an
+    /// explicit reverse map of [`Shape::up_peer`], so nothing here leans on
+    /// the mirror symmetry `min_climb` exploits.
+    fn brute_force_one_way(f: &Fabric, src: HostId, dst: HostId) -> SimTime {
+        let mut below: HashMap<(u32, u32), (u32, u32)> = HashMap::new();
+        for sw in 0..f.n_lb_switches() as u32 {
+            for u in 0..f.n_spines() as u32 {
+                assert!(below.insert(f.up_peer(sw, u), (sw, u)).is_none());
+            }
+        }
+        fn walk(
+            f: &Fabric,
+            below: &HashMap<(u32, u32), (u32, u32)>,
+            sw: u32,
+            dst: HostId,
+            so_far: SimTime,
+            best: &mut Option<SimTime>,
+        ) {
+            match f.next_hop(sw, dst.0) {
+                Route::Up => {
+                    for u in 0..f.n_spines() as u32 {
+                        let d = f.uplink_props(sw as usize, u as usize).prop_delay;
+                        walk(f, below, f.up_peer(sw, u).0, dst, so_far + d, best);
+                    }
+                }
+                Route::Down(_) if sw == f.leaf_of(dst).0 => {
+                    *best = Some(best.map_or(so_far, |b| b.min(so_far)));
+                }
+                Route::Down(d) => {
+                    let (lower, u) = below[&(sw, d)];
+                    let d = f.uplink_props(lower as usize, u as usize).prop_delay;
+                    walk(f, below, lower, dst, so_far + d, best);
+                }
+            }
+        }
+        let mut best = None;
+        walk(f, &below, f.leaf_of(src).0, dst, SimTime::ZERO, &mut best);
+        f.host_link_of(src).prop_delay + best.unwrap() + f.host_link_of(dst).prop_delay
     }
 
     #[test]
-    fn scale_dimensions() {
-        assert_eq!(FatTreeBuilder::new(8).build().n_hosts(), 128);
-        assert_eq!(FatTreeBuilder::new(16).build().n_hosts(), 1024);
-        assert_eq!(FatTreeBuilder::new(16).build().n_cores(), 64);
-    }
-
-    #[test]
-    fn host_edge_pod_arithmetic() {
-        let t = k4();
-        assert_eq!(t.edge_of(HostId(0)), 0);
-        assert_eq!(t.edge_of(HostId(3)), 1);
-        assert_eq!(t.edge_of(HostId(15)), 7);
-        assert_eq!(t.pod_of_edge(0), 0);
-        assert_eq!(t.pod_of_edge(3), 1);
-        assert_eq!(t.pod_of_edge(7), 3);
-        assert_eq!(t.host_slot(HostId(5)), 1);
-        let under: Vec<_> = t.hosts_of_edge(2).collect();
-        assert_eq!(under, vec![HostId(4), HostId(5)]);
+    fn symmetric_rtt_matches_target() {
+        let t = basic();
+        assert_eq!(t.host_link().bytes_per_sec, 125_000_000);
+        assert_eq!(t.min_rtt(HostId(0), HostId(20)), SimTime::from_micros(100));
+        assert!(!t.is_asymmetric());
+        // Defaults are the same targets: 100 us, and 120 us between pods.
+        let d = LeafSpineBuilder::new(2, 2, 2).build();
+        assert_eq!(d.min_rtt(HostId(0), HostId(2)), SimTime::from_micros(100));
+        let d = FatTreeBuilder::new(4).build();
+        assert_eq!(d.min_rtt(HostId(0), HostId(15)), SimTime::from_micros(120));
     }
 
     #[test]
     fn path_delays_by_locality() {
         let t = k4();
         let hop = SimTime::from_micros(10); // 120 us / 12
-                                            // Same edge: two NIC hops.
-        assert_eq!(t.min_one_way_delay(HostId(0), HostId(1)), hop + hop);
+        assert_eq!(t.min_one_way_delay(HostId(0), HostId(1)), hop * 2);
         // Same pod, different edge: NIC + edge->agg + agg->edge + NIC.
         assert_eq!(t.min_one_way_delay(HostId(0), HostId(2)), hop * 4);
         // Different pod: 6 links.
         assert_eq!(t.min_one_way_delay(HostId(0), HostId(15)), hop * 6);
         assert_eq!(t.min_rtt(HostId(0), HostId(15)), SimTime::from_micros(120));
+        let t = basic();
+        let nic = t.host_link().prop_delay;
+        assert_eq!(t.min_one_way_delay(HostId(0), HostId(1)), nic * 2);
+    }
+
+    #[test]
+    fn degrade_adds_delay_and_cuts_bandwidth() {
+        let mut t = basic();
+        t.degrade_link(LeafId(1), SpineId(3), 0.5, SimTime::from_micros(40));
+        assert!(t.is_asymmetric());
+        let up = t.uplink_props(1, 3);
+        assert_eq!(up.bytes_per_sec, 62_500_000);
+        assert_eq!(
+            up.prop_delay,
+            SimTime::from_nanos(12_500) + SimTime::from_micros(40)
+        );
+        // Other links untouched.
+        assert_eq!(t.uplink_props(0, 3).bytes_per_sec, 125_000_000);
+        assert_eq!(t.uplink_props(1, 2).bytes_per_sec, 125_000_000);
+    }
+
+    #[test]
+    fn degrade_targets_the_right_tier() {
+        let mut f = k4();
+        // LB switch 9 = aggregation 1 (pod 0, j=1); uplink 1 -> core (1,1).
+        f.degrade_link(LeafId(9), SpineId(1), 0.5, SimTime::ZERO);
+        assert_eq!(f.uplink_props(9, 1).bytes_per_sec, 62_500_000);
+        assert_eq!(f.uplink_props(9, 0).bytes_per_sec, 125_000_000);
+        assert_eq!(f.uplink_props(1, 1).bytes_per_sec, 125_000_000);
+        assert!(f.is_asymmetric());
     }
 
     #[test]
     fn degradation_reroutes_the_minimum() {
+        let extra = SimTime::from_micros(100);
         let mut t = k4();
         let before = t.min_one_way_delay(HostId(0), HostId(15));
         // Slow down edge 0's uplink j=0; the j=1 plane keeps the old bound.
-        let mut p = t.edge_uplink(0, 0);
-        p.prop_delay += SimTime::from_micros(100);
-        t.set_edge_uplink(0, 0, p);
+        slow(&mut t, 0, 0, extra);
         assert!(t.is_asymmetric());
         assert_eq!(t.min_one_way_delay(HostId(0), HostId(15)), before);
         // Slowing the other plane too finally moves the bound.
-        let mut q = t.edge_uplink(0, 1);
-        q.prop_delay += SimTime::from_micros(100);
-        t.set_edge_uplink(0, 1, q);
-        assert_eq!(
-            t.min_one_way_delay(HostId(0), HostId(15)),
-            before + SimTime::from_micros(100)
-        );
-    }
+        slow(&mut t, 0, 1, extra);
+        assert_eq!(t.min_one_way_delay(HostId(0), HostId(15)), before + extra);
 
-    #[test]
-    fn fabric_surface_agrees_across_variants() {
-        let ls: Fabric = crate::topology::LeafSpineBuilder::new(8, 2, 2)
-            .build()
-            .into();
-        let ft: Fabric = k4().into();
-        for f in [&ls, &ft] {
-            assert_eq!(f.n_hosts(), 16);
-            assert_eq!(f.hosts_per_leaf(), 2);
-            assert_eq!(f.n_spines(), 2);
-            assert_eq!(f.leaf_of(HostId(5)).index(), 2);
-            assert_eq!(f.host_slot(HostId(5)), 1);
-            let under: Vec<_> = f.hosts_of(LeafId(1)).collect();
-            assert_eq!(under, vec![HostId(2), HostId(3)]);
+        // Leaf-spine: one slow spine out of 15 moves nothing until the
+        // other 14 are slow as well; the degraded hop is crossed once each
+        // way, so the RTT then grows by twice the extra delay.
+        let mut t = basic();
+        let before = t.min_rtt(HostId(0), HostId(20));
+        slow(&mut t, 0, 0, extra);
+        assert_eq!(t.min_rtt(HostId(0), HostId(20)), before);
+        for s in 1..15 {
+            slow(&mut t, 0, s, extra);
         }
-        assert_eq!(ls.n_leaves(), 8);
-        assert_eq!(ft.n_leaves(), 8);
-        assert_eq!(ls.n_lb_switches(), 8);
-        assert_eq!(ft.n_lb_switches(), 16);
-        assert_eq!(ft.n_switches(), 20);
+        assert_eq!(t.min_rtt(HostId(0), HostId(20)), before + extra * 2);
+        assert_eq!(t.min_rtt(HostId(16), HostId(40)), before);
     }
 
     #[test]
-    fn fabric_degrade_targets_the_right_tier() {
-        let mut f: Fabric = k4().into();
-        // LB switch 9 = aggregation 1 (pod 0, j=1); uplink 1 -> core (1,1).
-        f.degrade_link(LeafId(9), SpineId(1), 0.5, SimTime::ZERO);
-        let t = f.as_fat_tree().unwrap();
-        assert_eq!(t.agg_uplink(1, 1).bytes_per_sec, 62_500_000);
-        assert_eq!(t.agg_uplink(1, 0).bytes_per_sec, 125_000_000);
-        assert_eq!(t.edge_uplink(1, 1).bytes_per_sec, 125_000_000);
+    fn host_link_degradation_is_per_host_and_reported() {
+        let mut t = basic();
+        t.degrade_host_link(HostId(5), 0.25, SimTime::from_micros(10));
+        // A fabric whose only asymmetry is a host link still reports it.
+        assert!(t.is_asymmetric(), "host-link asymmetry must be reported");
+        let d = t.host_link_of(HostId(5));
+        assert_eq!(d.bytes_per_sec, 125_000_000 / 4);
+        assert_eq!(
+            d.prop_delay,
+            SimTime::from_nanos(12_500) + SimTime::from_micros(10)
+        );
+        // Rack mates keep pristine links, and so does the reference.
+        assert_eq!(t.host_link_of(HostId(4)).bytes_per_sec, 125_000_000);
+        assert_eq!(t.host_link_of(HostId(6)).bytes_per_sec, 125_000_000);
+        assert_eq!(t.host_link().bytes_per_sec, 125_000_000);
+    }
+
+    #[test]
+    fn host_link_degradation_slows_every_path_of_that_host() {
+        let extra = SimTime::from_micros(50);
+        for (mut t, far) in [(basic(), HostId(20)), (k4(), HostId(15))] {
+            let before_far = t.min_one_way_delay(HostId(0), far);
+            let before_near = t.min_one_way_delay(HostId(0), HostId(1));
+            t.degrade_host_link(HostId(0), 1.0, extra);
+            assert_eq!(t.min_one_way_delay(HostId(0), far), before_far + extra);
+            assert_eq!(
+                t.min_one_way_delay(HostId(0), HostId(1)),
+                before_near + extra
+            );
+            // A pair not involving host 0 is untouched.
+            assert_eq!(t.min_one_way_delay(HostId(1), far), before_far);
+        }
+    }
+
+    #[test]
+    fn set_uplink_can_improve_and_restores_symmetry() {
+        let mut t = basic();
+        let pristine = t.uplink_props(0, 0);
+        t.degrade_link(LeafId(0), SpineId(0), 0.5, SimTime::from_micros(40));
+        assert!(t.is_asymmetric());
+        let fast = LinkProps {
+            bytes_per_sec: pristine.bytes_per_sec * 2,
+            prop_delay: pristine.prop_delay / 2,
+        };
+        t.set_uplink(0, 0, fast);
+        assert_eq!(t.uplink_props(0, 0), fast);
+        t.set_uplink(0, 0, pristine);
+        assert!(!t.is_asymmetric(), "restoring the link restores symmetry");
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidth factor")]
+    fn degrade_rejects_zero_factor() {
+        basic().degrade_link(LeafId(0), SpineId(0), 0.0, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidth factor")]
+    fn degrade_host_link_rejects_zero_factor() {
+        basic().degrade_host_link(HostId(0), 0.0, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "no uplink 15 on LB switch 0")]
+    fn an_uplink_past_the_last_is_not_the_next_switchs_first() {
+        basic().degrade_link(LeafId(0), SpineId(15), 0.5, SimTime::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "even")]
     fn odd_arity_rejected() {
         FatTreeBuilder::new(5);
+    }
+
+    proptest! {
+        /// The lockstep climb finds what walking every path finds, on
+        /// randomly degraded leaf-spines and k = 4 / 6 fat trees.
+        #[test]
+        fn prop_min_one_way_delay_is_the_brute_force_minimum(
+            kind in 0usize..3,
+            dims in (2usize..5, 1usize..5, 1usize..3),
+            hits in proptest::collection::vec((0usize..1000, 0usize..1000, 1u64..400), 0..40),
+            nic_hits in proptest::collection::vec((0usize..1000, 1u64..100), 0..4),
+        ) {
+            let mut f = match kind {
+                0 => LeafSpineBuilder::new(dims.0, dims.1, dims.2).build(),
+                1 => FatTreeBuilder::new(4).build(),
+                _ => FatTreeBuilder::new(6).build(),
+            };
+            for (sw, up, us) in hits {
+                let (sw, up) = (sw % f.n_lb_switches(), up % f.n_spines());
+                f.degrade_link(LeafId(sw as u32), SpineId(up as u32), 1.0, SimTime::from_micros(us));
+            }
+            for (h, us) in nic_hits {
+                f.degrade_host_link(HostId::from(h % f.n_hosts()), 1.0, SimTime::from_micros(us));
+            }
+            for src in (0..f.n_hosts()).map(HostId::from) {
+                for dst in (0..f.n_hosts()).map(HostId::from) {
+                    let want = brute_force_one_way(&f, src, dst);
+                    prop_assert_eq!(f.min_one_way_delay(src, dst), want, "{:?} -> {:?}", src, dst);
+                    prop_assert_eq!(f.min_rtt(src, dst), want * 2);
+                }
+            }
+        }
     }
 }

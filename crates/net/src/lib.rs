@@ -1,9 +1,9 @@
 //! # tlb-net — network primitives for the TLB simulator
 //!
-//! Identifiers, packet representation, link properties and the leaf-spine
-//! topology the paper evaluates on (§2.2, §4.2, §6.2, §7), including the
-//! asymmetric variants of Fig. 16/17 built by degrading individual
-//! leaf-to-spine links.
+//! Identifiers, packet representation, link properties and the Clos
+//! fabrics — the leaf-spine the paper evaluates on (§2.2, §4.2, §6.2, §7)
+//! and the k-ary fat tree — including the asymmetric variants of Fig. 16/17
+//! built by degrading individual uplinks.
 
 pub mod arena;
 pub mod fabric;
@@ -13,8 +13,8 @@ pub mod packet;
 pub mod topology;
 
 pub use arena::{PacketArena, PacketSlot};
-pub use fabric::{Fabric, FatTree, FatTreeBuilder};
+pub use fabric::{Fabric, FabricBuilder, FatTreeBuilder, LeafSpineBuilder};
 pub use fluid::{FluidNet, RateChange, MAX_FLUID_PATH};
 pub use ids::{FlowId, HostId, LeafId, SpineId};
 pub use packet::{Packet, PktKind};
-pub use topology::{LeafSpine, LeafSpineBuilder, LinkProps};
+pub use topology::{LinkProps, Route, Shape, Tier};

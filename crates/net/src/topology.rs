@@ -1,17 +1,30 @@
-//! Leaf-spine topology with per-link properties and asymmetry injection.
+//! The shape of a Clos fabric and its one wiring rule.
 //!
-//! The paper's topologies:
-//! * §2.2/§4.2/§6.1 basic: one leaf pair, 15 spines (15 equal-cost paths),
-//!   1 Gbit/s, 100 µs base RTT.
-//! * §6.2 large-scale: 8 ToR × 8 core, 256 hosts, 1 Gbit/s.
-//! * §7 testbed: 10 equal-cost paths, 20 Mbit/s, 1 ms per-link delay.
-//! * Fig. 16/17 asymmetry: 2 randomly chosen leaf-to-spine links with extra
-//!   delay or reduced bandwidth.
+//! The paper evaluates on leaf-spine fabrics (§4.2: 15 equal-cost paths at
+//! 1 Gbit/s; §6.2: 8 ToR × 8 core; §7: 10 paths at 20 Mbit/s); the k-ary
+//! fat tree of "Randomized Load-balanced Routing for Fat-tree Networks" is
+//! the same folded Clos with one more tier. [`Shape`] says which, and
+//! answers every question about who is wired to whom:
+//!
+//! * **Switch order.** LB switches — the ones that own equal-cost uplinks
+//!   and run a load balancer — come first: leaves, or fat-tree edges then
+//!   aggregations. Top switches (spines, or cores) follow; they only
+//!   descend. A *leaf* is any host-facing switch, so a fat-tree edge is a
+//!   leaf, and every LB switch has [`Shape::n_spines`] uplinks.
+//! * **Hosts** are numbered leaf-major: host `h` sits on leaf
+//!   `h / hosts_per_leaf`, slot `h % hosts_per_leaf`.
+//! * **Fat tree** (even `k`, `half = k/2`): `k` pods of `half` edges and
+//!   `half` aggregations, `half²` cores, `half` hosts per edge (`k³/4`
+//!   hosts). Edge `e` is in pod `e / half`; aggregation `a = p·half + j`
+//!   is pod `p`'s position `j`; core `c = j·half + m` hangs off uplink `m`
+//!   of every pod's position-`j` aggregation and has one downlink per pod.
+//!   Inter-pod pairs have `half²` equal-cost paths (`j`, then `m`),
+//!   intra-pod pairs `half`.
 
-use crate::ids::{HostId, LeafId, SpineId};
+use crate::ids::{HostId, LeafId};
 use tlb_engine::SimTime;
 
-/// Physical properties of one directed link.
+/// Physical properties of one link (both directions).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkProps {
     /// Capacity in bytes per second.
@@ -36,279 +49,237 @@ impl LinkProps {
             prop_delay,
         }
     }
+
+    /// The one degrade rule: bandwidth times `bw_factor` (never below one
+    /// byte per second), propagation plus `extra_delay`. A factor above 1
+    /// is a repair or an upgrade.
+    pub fn degraded(self, bw_factor: f64, extra_delay: SimTime) -> LinkProps {
+        LinkProps {
+            bytes_per_sec: ((self.bytes_per_sec as f64) * bw_factor).max(1.0) as u64,
+            prop_delay: self.prop_delay + extra_delay,
+        }
+    }
 }
 
-/// A two-tier leaf-spine (folded Clos) fabric.
-///
-/// Hosts are numbered leaf-major: hosts `l * hosts_per_leaf ..` belong to
-/// leaf `l`. Every leaf connects to every spine, so hosts in different racks
-/// have exactly `n_spines` equal-cost paths; links are stored per direction
-/// so asymmetry can be injected on individual leaf→spine (and the paired
-/// spine→leaf) links.
-#[derive(Clone, Debug)]
-pub struct LeafSpine {
-    n_leaves: usize,
-    n_spines: usize,
-    hosts_per_leaf: usize,
-    /// `hosts[h]`: host NIC <-> leaf link (same both directions).
-    hosts: Vec<LinkProps>,
-    /// `up[leaf][spine]`: leaf -> spine.
-    up: Vec<LinkProps>,
-    /// `down[spine][leaf]`: spine -> leaf.
-    down: Vec<LinkProps>,
+/// Which Clos fabric: the only type that is matched on to tell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// Two tiers: every leaf connects to every spine.
+    LeafSpine {
+        /// Leaf switches.
+        leaves: u32,
+        /// Spine switches (= equal-cost inter-rack paths).
+        spines: u32,
+        /// Hosts attached to each leaf.
+        hosts_per_leaf: u32,
+    },
+    /// Three tiers: a k-ary fat tree.
+    FatTree {
+        /// Arity (even, ≥ 2).
+        k: u32,
+    },
 }
 
-impl LeafSpine {
-    /// Number of leaf switches.
+/// A switch's role; [`Shape::tier`] pairs it with the index within the role.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// Leaf-spine, host-facing.
+    Leaf,
+    /// Leaf-spine, top.
+    Spine,
+    /// Fat tree, host-facing.
+    Edge,
+    /// Fat tree, middle.
+    Agg,
+    /// Fat tree, top.
+    Core,
+}
+
+impl Tier {
+    /// The lower-case name port labels are spelled with.
+    pub fn name(self) -> &'static str {
+        ["leaf", "spine", "edge", "agg", "core"][self as usize]
+    }
+}
+
+/// [`Shape::next_hop`]'s verdict for one destination host.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// The destination is below this switch: its one downlink toward it.
+    Down(u32),
+    /// Keep climbing; any uplink will do.
+    Up,
+}
+
+impl Shape {
+    /// Host-facing switches: leaves, or fat-tree edges (`k²/2`).
     #[inline]
     pub fn n_leaves(&self) -> usize {
-        self.n_leaves
+        match *self {
+            Shape::LeafSpine { leaves, .. } => leaves as usize,
+            Shape::FatTree { k } => (k * (k / 2)) as usize,
+        }
     }
 
-    /// Number of spine switches (= number of equal-cost inter-rack paths).
-    #[inline]
-    pub fn n_spines(&self) -> usize {
-        self.n_spines
-    }
-
-    /// Hosts attached to each leaf.
+    /// Hosts per host-facing switch — also the downlinks of every LB switch.
     #[inline]
     pub fn hosts_per_leaf(&self) -> usize {
-        self.hosts_per_leaf
+        match *self {
+            Shape::LeafSpine { hosts_per_leaf, .. } => hosts_per_leaf as usize,
+            Shape::FatTree { k } => (k / 2) as usize,
+        }
+    }
+
+    /// Equal-cost uplinks per LB switch (spines, or `k/2`).
+    #[inline]
+    pub fn n_spines(&self) -> usize {
+        match *self {
+            Shape::LeafSpine { spines, .. } => spines as usize,
+            Shape::FatTree { k } => (k / 2) as usize,
+        }
+    }
+
+    /// Switches running a load balancer: leaves, or edges then aggregations.
+    #[inline]
+    pub fn n_lb_switches(&self) -> usize {
+        match *self {
+            Shape::LeafSpine { leaves, .. } => leaves as usize,
+            Shape::FatTree { k } => (k * k) as usize,
+        }
+    }
+
+    /// Pods — what a top switch has one downlink to each of: single leaves,
+    /// or the fat tree's `k` pods.
+    #[inline]
+    pub fn n_pods(&self) -> usize {
+        match *self {
+            Shape::LeafSpine { leaves, .. } => leaves as usize,
+            Shape::FatTree { k } => k as usize,
+        }
+    }
+
+    /// All switches: LB switches, then spines or the `(k/2)²` cores.
+    pub fn n_switches(&self) -> usize {
+        self.n_lb_switches()
+            + match *self {
+                Shape::LeafSpine { spines, .. } => spines as usize,
+                Shape::FatTree { k } => ((k / 2) * (k / 2)) as usize,
+            }
+    }
+
+    /// Switch tiers between two hosts at the fabric's far ends.
+    pub(crate) fn tiers(&self) -> u64 {
+        match *self {
+            Shape::LeafSpine { .. } => 2,
+            Shape::FatTree { .. } => 3,
+        }
     }
 
     /// Total host count.
     #[inline]
     pub fn n_hosts(&self) -> usize {
-        self.n_leaves * self.hosts_per_leaf
+        self.n_leaves() * self.hosts_per_leaf()
     }
 
-    /// The leaf a host hangs off.
+    /// The host-facing switch a host hangs off.
     #[inline]
     pub fn leaf_of(&self, h: HostId) -> LeafId {
         debug_assert!(h.index() < self.n_hosts());
-        LeafId((h.index() / self.hosts_per_leaf) as u32)
+        LeafId((h.index() / self.hosts_per_leaf()) as u32)
     }
 
-    /// A host's port index on its leaf (0-based within the rack).
+    /// A host's port index on its switch (0-based within the rack).
     #[inline]
     pub fn host_slot(&self, h: HostId) -> usize {
-        h.index() % self.hosts_per_leaf
+        h.index() % self.hosts_per_leaf()
     }
 
-    /// All hosts under a leaf.
+    /// All hosts under a host-facing switch.
     pub fn hosts_of(&self, l: LeafId) -> impl Iterator<Item = HostId> {
-        let start = l.index() * self.hosts_per_leaf;
-        (start..start + self.hosts_per_leaf).map(HostId::from)
+        let start = l.index() * self.hosts_per_leaf();
+        (start..start + self.hosts_per_leaf()).map(HostId::from)
     }
 
-    /// The reference host NIC <-> leaf link (host 0's). Fabrics are built
-    /// uniform, so this is every host's link until [`degrade_host_link`]
-    /// touches one; per-host queries go through [`host_link_of`].
-    ///
-    /// [`degrade_host_link`]: LeafSpine::degrade_host_link
-    /// [`host_link_of`]: LeafSpine::host_link_of
-    #[inline]
-    pub fn host_link(&self) -> LinkProps {
-        self.hosts[0]
-    }
-
-    /// A specific host's NIC <-> leaf link (same both directions).
-    #[inline]
-    pub fn host_link_of(&self, h: HostId) -> LinkProps {
-        self.hosts[h.index()]
-    }
-
-    /// The leaf -> spine uplink.
-    #[inline]
-    pub fn uplink(&self, l: LeafId, s: SpineId) -> LinkProps {
-        self.up[l.index() * self.n_spines + s.index()]
-    }
-
-    /// The spine -> leaf downlink.
-    #[inline]
-    pub fn downlink(&self, s: SpineId, l: LeafId) -> LinkProps {
-        self.down[s.index() * self.n_leaves + l.index()]
-    }
-
-    /// Base round-trip propagation delay between two inter-rack hosts via a
-    /// given spine (excludes serialization and queueing).
-    pub fn rtt_via(&self, src: HostId, spine: SpineId, dst: HostId) -> SimTime {
-        let sl = self.leaf_of(src);
-        let dl = self.leaf_of(dst);
-        let src_nic = self.host_link_of(src).prop_delay;
-        let dst_nic = self.host_link_of(dst).prop_delay;
-        let one_way = src_nic
-            + self.uplink(sl, spine).prop_delay
-            + self.downlink(spine, dl).prop_delay
-            + dst_nic;
-        let back = dst_nic
-            + self.uplink(dl, spine).prop_delay
-            + self.downlink(spine, sl).prop_delay
-            + src_nic;
-        one_way + back
-    }
-
-    /// Minimum base RTT over all spines for a host pair (what a transport's
-    /// RTT estimate converges to on idle paths).
-    pub fn min_rtt(&self, src: HostId, dst: HostId) -> SimTime {
-        (0..self.n_spines)
-            .map(|s| self.rtt_via(src, SpineId(s as u32), dst))
-            .min()
-            .expect("topology has no spines")
-    }
-
-    /// Minimum one-way base propagation delay from `src` to `dst`: over all
-    /// spines for inter-rack pairs, or the two host links for intra-rack
-    /// ones. Lower-bounds any packet's traversal time (excludes
-    /// serialization and queueing), which makes it the propagation term of
-    /// the fuzzer's FCT lower-bound oracle.
-    pub fn min_one_way_delay(&self, src: HostId, dst: HostId) -> SimTime {
-        let sl = self.leaf_of(src);
-        let dl = self.leaf_of(dst);
-        let nics = self.host_link_of(src).prop_delay + self.host_link_of(dst).prop_delay;
-        if sl == dl {
-            return nics;
-        }
-        (0..self.n_spines)
-            .map(|s| {
-                let spine = SpineId(s as u32);
-                nics + self.uplink(sl, spine).prop_delay + self.downlink(spine, dl).prop_delay
-            })
-            .min()
-            .expect("topology has no spines")
-    }
-
-    /// Degrade the leaf<->spine link pair: multiply bandwidth by
-    /// `bw_factor` (≤ 1.0) and add `extra_delay` to propagation, in both
-    /// directions. This is how Fig. 16/17's asymmetric scenarios are built.
-    pub fn degrade_link(&mut self, l: LeafId, s: SpineId, bw_factor: f64, extra_delay: SimTime) {
-        assert!(
-            bw_factor > 0.0 && bw_factor <= 1.0,
-            "bandwidth factor must be in (0, 1]"
-        );
-        let up = &mut self.up[l.index() * self.n_spines + s.index()];
-        up.bytes_per_sec = ((up.bytes_per_sec as f64) * bw_factor).max(1.0) as u64;
-        up.prop_delay += extra_delay;
-        let down = &mut self.down[s.index() * self.n_leaves + l.index()];
-        down.bytes_per_sec = ((down.bytes_per_sec as f64) * bw_factor).max(1.0) as u64;
-        down.prop_delay += extra_delay;
-    }
-
-    /// Degrade one host's NIC <-> leaf link (both directions): multiply
-    /// bandwidth by `bw_factor` and add `extra_delay` to propagation.
-    pub fn degrade_host_link(&mut self, h: HostId, bw_factor: f64, extra_delay: SimTime) {
-        assert!(
-            bw_factor > 0.0 && bw_factor <= 1.0,
-            "bandwidth factor must be in (0, 1]"
-        );
-        let link = &mut self.hosts[h.index()];
-        link.bytes_per_sec = ((link.bytes_per_sec as f64) * bw_factor).max(1.0) as u64;
-        link.prop_delay += extra_delay;
-    }
-
-    /// Set the leaf<->spine link pair's properties outright (both
-    /// directions). Unlike [`degrade_link`](LeafSpine::degrade_link) this
-    /// can *improve* a link — it is how repair / flap-up schedules and the
-    /// fuzzer's best-fabric-state tracking are expressed.
-    pub fn set_link(&mut self, l: LeafId, s: SpineId, props: LinkProps) {
-        self.up[l.index() * self.n_spines + s.index()] = props;
-        self.down[s.index() * self.n_leaves + l.index()] = props;
-    }
-
-    /// True if any link differs from any other of its tier (diagnostics).
-    ///
-    /// Checks all three link populations: leaf->spine uplinks,
-    /// spine->leaf downlinks, *and* host NIC links — an earlier version
-    /// only compared the uplink/downlink vectors, so a fabric whose only
-    /// asymmetry was a degraded host link reported itself symmetric.
-    pub fn is_asymmetric(&self) -> bool {
-        self.up.windows(2).any(|w| w[0] != w[1])
-            || self.down.windows(2).any(|w| w[0] != w[1])
-            || self.hosts.windows(2).any(|w| w[0] != w[1])
-    }
-}
-
-/// Builder for [`LeafSpine`] fabrics.
-///
-/// The default matches the paper's basic NS2 setup: all links 1 Gbit/s, and
-/// per-link propagation delay chosen so the end-to-end round-trip propagation
-/// is 100 µs (8 link traversals per round trip).
-///
-/// ```
-/// use tlb_net::{HostId, LeafSpineBuilder};
-/// use tlb_engine::SimTime;
-///
-/// // The paper's §4.2 fabric: 15 equal-cost paths at 1 Gbit/s.
-/// let topo = LeafSpineBuilder::new(3, 15, 16)
-///     .link_gbps(1.0)
-///     .target_rtt(SimTime::from_micros(100))
-///     .build();
-/// assert_eq!(topo.n_spines(), 15);
-/// assert_eq!(topo.min_rtt(HostId(0), HostId(20)), SimTime::from_micros(100));
-/// ```
-#[derive(Clone, Debug)]
-pub struct LeafSpineBuilder {
-    n_leaves: usize,
-    n_spines: usize,
-    hosts_per_leaf: usize,
-    link_bytes_per_sec: u64,
-    prop_per_link: SimTime,
-}
-
-impl LeafSpineBuilder {
-    /// Start a fabric with the given switch/host counts.
-    pub fn new(n_leaves: usize, n_spines: usize, hosts_per_leaf: usize) -> Self {
-        assert!(n_leaves > 0 && n_spines > 0 && hosts_per_leaf > 0);
-        LeafSpineBuilder {
-            n_leaves,
-            n_spines,
-            hosts_per_leaf,
-            link_bytes_per_sec: 125_000_000,            // 1 Gbit/s
-            prop_per_link: SimTime::from_nanos(12_500), // 100 us RTT / 8 hops
+    /// Where LB switch `sw`'s uplink `u` lands: `(peer switch, the peer's
+    /// downlink that comes back)`.
+    pub fn up_peer(&self, sw: u32, u: u32) -> (u32, u32) {
+        match *self {
+            // Leaf `sw` <-> spine `u`, whose downlinks are numbered by leaf.
+            Shape::LeafSpine { leaves, .. } => (leaves + u, sw),
+            Shape::FatTree { k } => {
+                let (half, n_edges) = (k / 2, k * (k / 2));
+                if sw < n_edges {
+                    // Edge in pod p <-> aggregation (p, u).
+                    (n_edges + sw / half * half + u, sw % half)
+                } else {
+                    // Aggregation (p, j) <-> core (j, u).
+                    let a = sw - n_edges;
+                    (2 * n_edges + a % half * half + u, a / half)
+                }
+            }
         }
     }
 
-    /// Set every link's capacity in Gbit/s.
-    pub fn link_gbps(mut self, gbps: f64) -> Self {
-        self.link_bytes_per_sec = (gbps * 1e9 / 8.0).round() as u64;
-        self
+    /// The routing rule at switch `sw` for a packet to host `dst`: descend
+    /// when the destination sits below this switch, otherwise climb.
+    #[inline]
+    pub fn next_hop(&self, sw: u32, dst: u32) -> Route {
+        match *self {
+            Shape::LeafSpine {
+                leaves,
+                hosts_per_leaf,
+                ..
+            } => {
+                let dl = dst / hosts_per_leaf;
+                if sw >= leaves {
+                    Route::Down(dl)
+                } else if dl == sw {
+                    Route::Down(dst % hosts_per_leaf)
+                } else {
+                    Route::Up
+                }
+            }
+            Shape::FatTree { k } => {
+                let (half, n_edges) = (k / 2, k * (k / 2));
+                let de = dst / half;
+                if sw >= 2 * n_edges {
+                    // Core: one downlink per pod.
+                    Route::Down(de / half)
+                } else if sw >= n_edges {
+                    if de / half == (sw - n_edges) / half {
+                        Route::Down(de % half)
+                    } else {
+                        Route::Up
+                    }
+                } else if de == sw {
+                    Route::Down(dst % half)
+                } else {
+                    Route::Up
+                }
+            }
+        }
     }
 
-    /// Set every link's capacity in Mbit/s (testbed scenarios).
-    pub fn link_mbps(mut self, mbps: f64) -> Self {
-        self.link_bytes_per_sec = (mbps * 1e6 / 8.0).round() as u64;
-        self
-    }
-
-    /// Set the per-link one-way propagation delay directly.
-    pub fn prop_per_link(mut self, d: SimTime) -> Self {
-        self.prop_per_link = d;
-        self
-    }
-
-    /// Choose per-link propagation so the host-to-host round-trip
-    /// propagation equals `rtt` (divided evenly over the 8 traversals of a
-    /// 4-hop path).
-    pub fn target_rtt(mut self, rtt: SimTime) -> Self {
-        self.prop_per_link = rtt / 8;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> LeafSpine {
-        let link = LinkProps {
-            bytes_per_sec: self.link_bytes_per_sec,
-            prop_delay: self.prop_per_link,
+    /// Switch `sw`'s role and its index within that role.
+    pub fn tier(&self, sw: u32) -> (Tier, u32) {
+        let (lower, top) = match *self {
+            Shape::LeafSpine { .. } => ([Tier::Leaf; 2], Tier::Spine),
+            Shape::FatTree { .. } => ([Tier::Edge, Tier::Agg], Tier::Core),
         };
-        LeafSpine {
-            n_leaves: self.n_leaves,
-            n_spines: self.n_spines,
-            hosts_per_leaf: self.hosts_per_leaf,
-            hosts: vec![link; self.n_leaves * self.hosts_per_leaf],
-            up: vec![link; self.n_leaves * self.n_spines],
-            down: vec![link; self.n_spines * self.n_leaves],
+        let (n_lb, n_leaves) = (self.n_lb_switches() as u32, self.n_leaves() as u32);
+        if sw >= n_lb {
+            (top, sw - n_lb)
+        } else {
+            (lower[(sw / n_leaves) as usize], sw % n_leaves)
         }
+    }
+
+    /// The pod LB switch `sw` belongs to; `None` for a top switch, which
+    /// serves them all.
+    pub fn pod_of(&self, sw: u32) -> Option<u32> {
+        let (_, i) = self.tier(sw);
+        let per_pod = (self.n_leaves() / self.n_pods()) as u32;
+        ((sw as usize) < self.n_lb_switches()).then_some(i / per_pod)
     }
 }
 
@@ -317,27 +288,71 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn basic() -> LeafSpine {
-        // Paper §4.2: 15 equal-cost paths, 1 Gbit/s, 100 us RTT.
-        LeafSpineBuilder::new(3, 15, 16)
-            .link_gbps(1.0)
-            .target_rtt(SimTime::from_micros(100))
-            .build()
+    #[test]
+    fn link_conversions_and_the_degrade_rule() {
+        assert_eq!(
+            LinkProps::gbps(1.0, SimTime::ZERO).bytes_per_sec,
+            125_000_000
+        );
+        let l = LinkProps::mbps(20.0, SimTime::from_millis(1));
+        assert_eq!(l.bytes_per_sec, 2_500_000);
+        let d = l.degraded(0.5, SimTime::from_micros(40));
+        assert_eq!(d.bytes_per_sec, 1_250_000);
+        assert_eq!(
+            d.prop_delay,
+            SimTime::from_millis(1) + SimTime::from_micros(40)
+        );
+        // Never below one byte per second; above 1 is a repair.
+        assert_eq!(l.degraded(1e-12, SimTime::ZERO).bytes_per_sec, 1);
+        assert_eq!(l.degraded(2.0, SimTime::ZERO).bytes_per_sec, 5_000_000);
     }
 
     #[test]
-    fn dimensions() {
-        let t = basic();
-        assert_eq!(t.n_leaves(), 3);
-        assert_eq!(t.n_spines(), 15);
-        assert_eq!(t.n_hosts(), 48);
-        assert_eq!(t.hosts_per_leaf(), 16);
+    fn fat_tree_dimensions() {
+        let k4 = Shape::FatTree { k: 4 };
+        assert_eq!(k4.n_pods(), 4);
+        assert_eq!(k4.n_leaves(), 8);
+        assert_eq!(k4.n_lb_switches(), 16);
+        assert_eq!(k4.n_switches(), 20);
+        assert_eq!(k4.n_hosts(), 16);
+        assert_eq!(Shape::FatTree { k: 8 }.n_hosts(), 128);
+        let k16 = Shape::FatTree { k: 16 };
+        assert_eq!(k16.n_hosts(), 1024);
+        assert_eq!(k16.n_switches() - k16.n_lb_switches(), 64);
+    }
+
+    #[test]
+    fn host_edge_pod_arithmetic() {
+        let t = Shape::FatTree { k: 4 };
+        assert_eq!(t.leaf_of(HostId(0)), LeafId(0));
+        assert_eq!(t.leaf_of(HostId(3)), LeafId(1));
+        assert_eq!(t.leaf_of(HostId(15)), LeafId(7));
+        assert_eq!(t.host_slot(HostId(5)), 1);
+        let under: Vec<_> = t.hosts_of(LeafId(2)).collect();
+        assert_eq!(under, vec![HostId(4), HostId(5)]);
+        // Edges 0, 3, 7; aggregations 8 + (0, 3, 7); a core.
+        for (sw, pod) in [(0, 0), (3, 1), (7, 3), (8, 0), (11, 1), (15, 3)] {
+            assert_eq!(t.pod_of(sw), Some(pod), "switch {sw}");
+        }
+        assert_eq!(t.pod_of(16), None);
+        assert_eq!(t.tier(11), (Tier::Agg, 3));
+        assert_eq!(t.tier(19), (Tier::Core, 3));
+        // Aggregation 1 = (pod 0, j = 1): uplink 1 -> core (1, 1) = switch
+        // 16 + 3, whose downlink 0 returns to pod 0.
+        assert_eq!(t.up_peer(9, 1), (19, 0));
+        // Edge 5 (pod 2, position 1), uplink 0 -> aggregation (2, 0).
+        assert_eq!(t.up_peer(5, 0), (8 + 4, 1));
     }
 
     #[test]
     fn leaf_major_numbering() {
-        let t = basic();
-        assert_eq!(t.leaf_of(HostId(0)), LeafId(0));
+        let t = Shape::LeafSpine {
+            leaves: 3,
+            spines: 15,
+            hosts_per_leaf: 16,
+        };
+        assert_eq!((t.n_leaves(), t.n_spines(), t.n_hosts()), (3, 15, 48));
+        assert_eq!(t.hosts_per_leaf(), 16);
         assert_eq!(t.leaf_of(HostId(15)), LeafId(0));
         assert_eq!(t.leaf_of(HostId(16)), LeafId(1));
         assert_eq!(t.host_slot(HostId(17)), 1);
@@ -345,180 +360,51 @@ mod tests {
         assert_eq!(under_leaf2.len(), 16);
         assert_eq!(under_leaf2[0], HostId(32));
         assert_eq!(under_leaf2[15], HostId(47));
+        assert_eq!(t.up_peer(1, 4), (3 + 4, 1));
+        assert_eq!(t.tier(2), (Tier::Leaf, 2));
+        assert_eq!(t.tier(3), (Tier::Spine, 0));
+        assert_eq!((t.pod_of(2), t.pod_of(3)), (Some(2), None));
     }
 
     #[test]
-    fn symmetric_rtt_matches_target() {
-        let t = basic();
-        let rtt = t.rtt_via(HostId(0), SpineId(7), HostId(20));
-        assert_eq!(rtt, SimTime::from_micros(100));
-        assert_eq!(t.min_rtt(HostId(0), HostId(20)), SimTime::from_micros(100));
-    }
-
-    #[test]
-    fn gbps_conversion() {
-        let t = basic();
-        assert_eq!(t.host_link().bytes_per_sec, 125_000_000);
-        let l = LinkProps::mbps(20.0, SimTime::from_millis(1));
-        assert_eq!(l.bytes_per_sec, 2_500_000);
-    }
-
-    #[test]
-    fn degrade_adds_delay_and_cuts_bandwidth() {
-        let mut t = basic();
-        assert!(!t.is_asymmetric());
-        t.degrade_link(LeafId(1), SpineId(3), 0.5, SimTime::from_micros(40));
-        assert!(t.is_asymmetric());
-        let up = t.uplink(LeafId(1), SpineId(3));
-        assert_eq!(up.bytes_per_sec, 62_500_000);
-        assert_eq!(
-            up.prop_delay,
-            SimTime::from_nanos(12_500) + SimTime::from_micros(40)
-        );
-        // Paired downlink degraded too.
-        let down = t.downlink(SpineId(3), LeafId(1));
-        assert_eq!(down.bytes_per_sec, 62_500_000);
-        // Other links untouched.
-        assert_eq!(t.uplink(LeafId(0), SpineId(3)).bytes_per_sec, 125_000_000);
-        assert_eq!(t.uplink(LeafId(1), SpineId(2)).bytes_per_sec, 125_000_000);
-    }
-
-    #[test]
-    fn degraded_path_rtt_grows() {
-        let mut t = basic();
-        let before = t.rtt_via(HostId(0), SpineId(0), HostId(20));
-        t.degrade_link(LeafId(0), SpineId(0), 1.0, SimTime::from_micros(100));
-        let after = t.rtt_via(HostId(0), SpineId(0), HostId(20));
-        // The degraded hop is crossed twice per round trip (uplink out,
-        // downlink back), so the RTT grows by twice the extra delay.
-        assert_eq!(after, before + SimTime::from_micros(200));
-        // Path via another spine unchanged.
-        assert_eq!(t.rtt_via(HostId(0), SpineId(1), HostId(20)), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth factor")]
-    fn degrade_rejects_zero_factor() {
-        let mut t = basic();
-        t.degrade_link(LeafId(0), SpineId(0), 0.0, SimTime::ZERO);
+    fn both_shapes_share_the_rack_vocabulary() {
+        let ls = Shape::LeafSpine {
+            leaves: 8,
+            spines: 2,
+            hosts_per_leaf: 2,
+        };
+        let ft = Shape::FatTree { k: 4 };
+        for f in [ls, ft] {
+            assert_eq!(f.n_hosts(), 16);
+            assert_eq!(f.n_leaves(), 8);
+            assert_eq!(f.hosts_per_leaf(), 2);
+            assert_eq!(f.n_spines(), 2);
+            assert_eq!(f.leaf_of(HostId(5)).index(), 2);
+            assert_eq!(f.host_slot(HostId(5)), 1);
+            let under: Vec<_> = f.hosts_of(LeafId(1)).collect();
+            assert_eq!(under, vec![HostId(2), HostId(3)]);
+        }
+        assert_eq!(ls.n_lb_switches(), 8);
+        assert_eq!(ft.n_lb_switches(), 16);
     }
 
     proptest! {
         /// Every host maps to a valid leaf and back.
         #[test]
         fn prop_host_leaf_roundtrip(
-            leaves in 1usize..10,
-            spines in 1usize..20,
-            hpl in 1usize..40,
+            leaves in 1u32..10,
+            spines in 1u32..20,
+            hosts_per_leaf in 1u32..40,
         ) {
-            let t = LeafSpineBuilder::new(leaves, spines, hpl).build();
+            let t = Shape::LeafSpine { leaves, spines, hosts_per_leaf };
             for h in 0..t.n_hosts() {
                 let host = HostId::from(h);
                 let leaf = t.leaf_of(host);
-                prop_assert!(leaf.index() < leaves);
+                prop_assert!(leaf.index() < leaves as usize);
                 let slot = t.host_slot(host);
-                prop_assert!(slot < hpl);
-                prop_assert_eq!(leaf.index() * hpl + slot, h);
+                prop_assert!(slot < hosts_per_leaf as usize);
+                prop_assert_eq!(leaf.index() * hosts_per_leaf as usize + slot, h);
             }
         }
-
-        /// RTT via every spine is identical on a symmetric fabric.
-        #[test]
-        fn prop_symmetric_equal_paths(spines in 1usize..16, rtt_us in 10u64..500) {
-            let t = LeafSpineBuilder::new(2, spines, 2)
-                .target_rtt(SimTime::from_micros(rtt_us))
-                .build();
-            let r0 = t.rtt_via(HostId(0), SpineId(0), HostId(2));
-            for s in 1..spines {
-                prop_assert_eq!(t.rtt_via(HostId(0), SpineId(s as u32), HostId(2)), r0);
-            }
-        }
-
-        /// The one-way bound is at most half the min RTT on symmetric
-        /// fabrics and never grows smaller under link degradation.
-        #[test]
-        fn prop_one_way_lower_bounds_rtt(
-            leaves in 2usize..6,
-            spines in 1usize..12,
-            extra_us in 0u64..300,
-        ) {
-            let mut t = LeafSpineBuilder::new(leaves, spines, 2).build();
-            let (a, b) = (HostId(0), HostId(2)); // different leaves (hpl=2)
-            let one_way = t.min_one_way_delay(a, b);
-            prop_assert!(one_way + one_way <= t.min_rtt(a, b));
-            t.degrade_link(LeafId(0), SpineId(0), 0.5, SimTime::from_micros(extra_us));
-            prop_assert!(t.min_one_way_delay(a, b) >= one_way);
-        }
-    }
-
-    #[test]
-    fn host_link_degradation_is_per_host_and_reported() {
-        let mut t = basic();
-        assert!(!t.is_asymmetric());
-        t.degrade_host_link(HostId(5), 0.25, SimTime::from_micros(10));
-        // The audit bug this pins: a fabric whose only asymmetry is a host
-        // link must still report asymmetric.
-        assert!(t.is_asymmetric(), "host-link asymmetry must be reported");
-        let d = t.host_link_of(HostId(5));
-        assert_eq!(d.bytes_per_sec, 125_000_000 / 4);
-        assert_eq!(
-            d.prop_delay,
-            SimTime::from_nanos(12_500) + SimTime::from_micros(10)
-        );
-        // Every other host — including rack mates — keeps pristine links,
-        // and the reference accessor still reports host 0's.
-        assert_eq!(t.host_link_of(HostId(4)).bytes_per_sec, 125_000_000);
-        assert_eq!(t.host_link_of(HostId(6)).bytes_per_sec, 125_000_000);
-        assert_eq!(t.host_link().bytes_per_sec, 125_000_000);
-    }
-
-    #[test]
-    fn host_link_degradation_slows_every_path_of_that_host() {
-        let mut t = basic();
-        let before_inter = t.min_one_way_delay(HostId(0), HostId(20));
-        let before_intra = t.min_one_way_delay(HostId(0), HostId(1));
-        t.degrade_host_link(HostId(0), 1.0, SimTime::from_micros(50));
-        // Both intra- and inter-rack bounds move by exactly the NIC delta.
-        assert_eq!(
-            t.min_one_way_delay(HostId(0), HostId(20)),
-            before_inter + SimTime::from_micros(50)
-        );
-        assert_eq!(
-            t.min_one_way_delay(HostId(0), HostId(1)),
-            before_intra + SimTime::from_micros(50)
-        );
-        // A pair not involving host 0 is untouched.
-        assert_eq!(t.min_one_way_delay(HostId(1), HostId(2)), before_intra);
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth factor")]
-    fn degrade_host_link_rejects_zero_factor() {
-        let mut t = basic();
-        t.degrade_host_link(HostId(0), 0.0, SimTime::ZERO);
-    }
-
-    #[test]
-    fn set_link_can_improve_and_restores_symmetry() {
-        let mut t = basic();
-        let pristine = t.uplink(LeafId(0), SpineId(0));
-        t.degrade_link(LeafId(0), SpineId(0), 0.5, SimTime::from_micros(40));
-        assert!(t.is_asymmetric());
-        let fast = LinkProps {
-            bytes_per_sec: pristine.bytes_per_sec * 2,
-            prop_delay: pristine.prop_delay / 2,
-        };
-        t.set_link(LeafId(0), SpineId(0), fast);
-        assert_eq!(t.uplink(LeafId(0), SpineId(0)), fast);
-        assert_eq!(t.downlink(SpineId(0), LeafId(0)), fast);
-        t.set_link(LeafId(0), SpineId(0), pristine);
-        assert!(!t.is_asymmetric(), "restoring the link restores symmetry");
-    }
-
-    #[test]
-    fn intra_leaf_one_way_is_two_host_links() {
-        let t = basic();
-        let d = t.min_one_way_delay(HostId(0), HostId(1));
-        assert_eq!(d, t.host_link().prop_delay + t.host_link().prop_delay);
     }
 }

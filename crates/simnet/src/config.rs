@@ -249,7 +249,7 @@ impl SimConfig {
             .target_rtt(SimTime::from_micros(100))
             .build();
         Self::preset(
-            topo.into(),
+            topo,
             TcpConfig::dctcp_default(),
             scheme,
             SimTime::from_secs(10),
@@ -267,7 +267,7 @@ impl SimConfig {
             .target_rtt(SimTime::from_micros(100))
             .build();
         Self::preset(
-            topo.into(),
+            topo,
             TcpConfig::dctcp_default(),
             scheme,
             SimTime::from_secs(20),
@@ -283,7 +283,7 @@ impl SimConfig {
             .prop_per_link(SimTime::from_millis(1))
             .build();
         Self::preset(
-            topo.into(),
+            topo,
             TcpConfig::testbed_default(),
             scheme,
             SimTime::from_secs(400),
@@ -291,54 +291,139 @@ impl SimConfig {
         )
     }
 
-    /// Check configuration consistency.
-    pub fn validate(&self) -> Result<(), String> {
-        self.tcp.validate()?;
+    /// Check that the configuration can run: everything that would
+    /// otherwise surface as a panic somewhere inside the run.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError as E;
+        self.tcp.validate().map_err(E::Tcp)?;
+        self.scheme.validate().map_err(E::Scheme)?;
         if self.queue.capacity_pkts == 0 || self.host_queue.capacity_pkts == 0 {
-            return Err("queues need nonzero capacity".into());
+            return Err(E::ZeroQueueCapacity);
         }
         if self.horizon.is_zero() {
-            return Err("horizon must be positive".into());
+            return Err(E::ZeroHorizon);
         }
         if self.series_bucket.is_zero() {
-            return Err("series bucket must be positive".into());
+            return Err(E::ZeroSeriesBucket);
         }
-        // A balancer's live-uplink set (`PortView`) and the reach masks are
-        // one `u64` per LB switch.
-        if self.topo.n_spines() > 64 {
-            return Err(format!(
-                "{} uplinks per LB switch: at most 64 are supported",
-                self.topo.n_spines()
-            ));
+        let topo = &self.topo;
+        let (n_lb, n_up) = (topo.n_lb_switches(), topo.n_spines());
+        if n_up > 64 {
+            return Err(E::TooManyUplinks(n_up));
         }
-        for (i, ev) in self.link_events.iter().enumerate() {
+        if topo.n_switches() > usize::from(u16::MAX) {
+            return Err(E::TooManySwitches(topo.n_switches()));
+        }
+        // Serialization time divides by the rate.
+        if let Some(h) = (0..topo.n_hosts())
+            .find(|&h| topo.host_link_of(tlb_net::HostId::from(h)).bytes_per_sec == 0)
+        {
+            return Err(E::ZeroRateHostLink(h));
+        }
+        for sw in 0..n_lb {
+            if let Some(up) = (0..n_up).find(|&up| topo.uplink_props(sw, up).bytes_per_sec == 0) {
+                return Err(E::ZeroRateUplink { sw, up });
+            }
+        }
+        let no_link = |sw: LeafId, up: SpineId| sw.index() >= n_lb || up.index() >= n_up;
+        for (index, ev) in self.link_events.iter().enumerate() {
             if ev.bw_factor <= 0.0 || ev.bw_factor.is_nan() {
-                return Err(format!("link event {i}: bw_factor must be positive"));
+                return Err(E::LinkEventFactor { index });
             }
-            if ev.leaf.index() >= self.topo.n_lb_switches()
-                || ev.spine.index() >= self.topo.n_spines()
-            {
-                return Err(format!("link event {i}: link out of range"));
+            if no_link(ev.leaf, ev.spine) {
+                return Err(E::LinkEventTarget { index });
             }
         }
-        for (i, ev) in self.failure_events.iter().enumerate() {
-            match ev.target {
-                FailureTarget::Link { sw, up } => {
-                    if sw.index() >= self.topo.n_lb_switches() || up.index() >= self.topo.n_spines()
-                    {
-                        return Err(format!("failure event {i}: link out of range"));
-                    }
-                }
-                FailureTarget::Switch { sw } => {
-                    if sw >= self.topo.n_switches() {
-                        return Err(format!("failure event {i}: switch out of range"));
-                    }
-                }
+        for (index, ev) in self.failure_events.iter().enumerate() {
+            let missing = match ev.target {
+                FailureTarget::Link { sw, up } => no_link(sw, up),
+                FailureTarget::Switch { sw } => sw >= topo.n_switches(),
+            };
+            if missing {
+                return Err(E::FailureEventTarget { index });
             }
         }
         Ok(())
     }
 }
+
+/// Why a [`SimConfig`] cannot run ([`SimConfig::validate`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// [`TcpConfig::validate`]'s complaint.
+    Tcp(String),
+    /// A scheme parameter its balancer's constructor would reject
+    /// ([`Scheme::validate`]).
+    Scheme(String),
+    /// A switch or host queue that holds no packet.
+    ZeroQueueCapacity,
+    /// A run that ends when it starts.
+    ZeroHorizon,
+    /// Time series with no bucket width.
+    ZeroSeriesBucket,
+    /// This many uplinks per LB switch; a balancer's live-uplink set
+    /// (`PortView`) and the reach masks are one `u64` per LB switch.
+    TooManyUplinks(usize),
+    /// This many switches; switch ids are 16 bits.
+    TooManySwitches(usize),
+    /// This host's NIC link carries 0 bytes per second.
+    ZeroRateHostLink(usize),
+    /// LB switch `sw`'s uplink `up` carries 0 bytes per second.
+    ZeroRateUplink {
+        /// The LB switch.
+        sw: usize,
+        /// Its uplink.
+        up: usize,
+    },
+    /// `link_events[index]` multiplies bandwidth by zero, less, or NaN.
+    LinkEventFactor {
+        /// Position in [`SimConfig::link_events`].
+        index: usize,
+    },
+    /// `link_events[index]` names an uplink the fabric does not have.
+    LinkEventTarget {
+        /// Position in [`SimConfig::link_events`].
+        index: usize,
+    },
+    /// `failure_events[index]` names a link or switch the fabric does not
+    /// have.
+    FailureEventTarget {
+        /// Position in [`SimConfig::failure_events`].
+        index: usize,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use ConfigError as E;
+        match self {
+            E::Tcp(why) => write!(f, "transport: {why}"),
+            E::Scheme(why) => write!(f, "scheme: {why}"),
+            E::ZeroQueueCapacity => write!(f, "queues need nonzero capacity"),
+            E::ZeroHorizon => write!(f, "horizon must be positive"),
+            E::ZeroSeriesBucket => write!(f, "series bucket must be positive"),
+            E::TooManyUplinks(n) => {
+                write!(f, "{n} uplinks per LB switch: at most 64 are supported")
+            }
+            E::TooManySwitches(n) => {
+                write!(f, "{n} switches: at most {} are supported", u16::MAX)
+            }
+            E::ZeroRateHostLink(h) => write!(f, "host {h}'s link has a zero rate"),
+            E::ZeroRateUplink { sw, up } => {
+                write!(f, "LB switch {sw}'s uplink {up} has a zero rate")
+            }
+            E::LinkEventFactor { index } => {
+                write!(f, "link event {index}: bw_factor must be positive")
+            }
+            E::LinkEventTarget { index } => write!(f, "link event {index}: link out of range"),
+            E::FailureEventTarget { index } => {
+                write!(f, "failure event {index}: target out of range")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -384,20 +469,100 @@ mod tests {
     #[test]
     fn more_than_64_uplinks_per_lb_switch_is_rejected() {
         let mut c = SimConfig::basic_paper(Scheme::Ecmp);
-        c.topo = LeafSpineBuilder::new(2, 64, 1).build().into();
+        c.topo = LeafSpineBuilder::new(2, 64, 1).build();
         c.validate().expect("64 uplinks fill the mask exactly");
-        c.topo = LeafSpineBuilder::new(2, 65, 1).build().into();
+        c.topo = LeafSpineBuilder::new(2, 65, 1).build();
         let err = c.validate().unwrap_err();
-        assert!(err.contains("65 uplinks"), "{err}");
+        assert_eq!(err, ConfigError::TooManyUplinks(65));
+        assert!(err.to_string().contains("65 uplinks"), "{err}");
         // A fat tree has k/2 uplinks per edge/agg: k = 130 is one too many.
-        c.topo = tlb_net::FatTreeBuilder::new(130).build().into();
-        assert!(c.validate().unwrap_err().contains("65 uplinks"));
+        c.topo = tlb_net::FatTreeBuilder::new(130).build();
+        assert_eq!(c.validate(), Err(ConfigError::TooManyUplinks(65)));
     }
 
+    /// Every way a config can be refused, and that the refusal comes from
+    /// `Simulation::new` — before `run`, so before anything is built.
     #[test]
-    fn validation_catches_zero_horizon() {
-        let mut c = SimConfig::basic_paper(Scheme::Ecmp);
-        c.horizon = SimTime::ZERO;
-        assert!(c.validate().is_err());
+    fn every_config_error_is_produced_and_stops_simulation_new() {
+        use ConfigError as E;
+        let event = |spine, bw_factor| LinkEvent {
+            at: SimTime::ZERO,
+            leaf: LeafId(0),
+            spine: SpineId(spine),
+            bw_factor,
+            new_prop_delay: None,
+            extra_delay: SimTime::ZERO,
+        };
+        let dead = tlb_net::LinkProps::gbps(0.0, SimTime::from_micros(10));
+        let broken = |break_it: &dyn Fn(&mut SimConfig)| {
+            let mut c = SimConfig::basic_paper(Scheme::Ecmp);
+            break_it(&mut c);
+            c
+        };
+        let cases: Vec<(SimConfig, ConfigError)> = vec![
+            (
+                broken(&|c| c.tcp.mss = 0),
+                E::Tcp("mss must be positive".into()),
+            ),
+            (
+                broken(&|c| c.scheme = Scheme::Presto { cell_bytes: 0 }),
+                E::Scheme("Presto: cell_bytes must be positive".into()),
+            ),
+            (
+                broken(&|c| c.host_queue.capacity_pkts = 0),
+                E::ZeroQueueCapacity,
+            ),
+            (broken(&|c| c.horizon = SimTime::ZERO), E::ZeroHorizon),
+            (
+                broken(&|c| c.series_bucket = SimTime::ZERO),
+                E::ZeroSeriesBucket,
+            ),
+            (
+                broken(&|c| c.topo = LeafSpineBuilder::new(2, 65, 1).build()),
+                E::TooManyUplinks(65),
+            ),
+            (
+                broken(&|c| c.topo = LeafSpineBuilder::new(65_535, 1, 1).build()),
+                E::TooManySwitches(65_536),
+            ),
+            (
+                broken(&|c| c.topo = LeafSpineBuilder::new(3, 15, 16).link_gbps(0.0).build()),
+                E::ZeroRateHostLink(0),
+            ),
+            (
+                broken(&|c| c.topo.set_uplink(1, 2, dead)),
+                E::ZeroRateUplink { sw: 1, up: 2 },
+            ),
+            (
+                broken(&|c| c.link_events = vec![event(0, 0.5), event(0, f64::NAN)]),
+                E::LinkEventFactor { index: 1 },
+            ),
+            (
+                broken(&|c| c.link_events = vec![event(15, 0.5)]),
+                E::LinkEventTarget { index: 0 },
+            ),
+            (
+                broken(&|c| {
+                    c.failure_events = vec![FailureEvent {
+                        at: SimTime::ZERO,
+                        target: FailureTarget::Switch { sw: 18 },
+                        action: FailureAction::Down,
+                    }]
+                }),
+                E::FailureEventTarget { index: 0 },
+            ),
+        ];
+        for (c, want) in cases {
+            assert_eq!(c.validate(), Err(want.clone()));
+            let panic = std::panic::catch_unwind(|| crate::Simulation::new(c, Vec::new()))
+                .err()
+                .unwrap_or_else(|| panic!("Simulation::new accepted {want:?}"));
+            let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(
+                *msg,
+                format!("invalid simulation configuration: {want}"),
+                "{want:?}"
+            );
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! # tlb-simnet — the packet-level data-center network simulator
 //!
 //! This crate wires everything together into the NS2-equivalent substrate
-//! the paper evaluates on: a leaf-spine fabric of output-queued switches
-//! ([`tlb_switch`]), DCTCP endpoints ([`tlb_transport`]), a pluggable leaf
-//! load balancer ([`tlb_switch::LoadBalancer`] — TLB from [`tlb_core`],
+//! the paper evaluates on: a Clos fabric ([`tlb_net::Fabric`], leaf-spine
+//! or fat tree) of output-queued switches ([`tlb_switch`]), DCTCP endpoints
+//! ([`tlb_transport`]), a pluggable load balancer ([`tlb_switch::LoadBalancer`] — TLB from [`tlb_core`],
 //! baselines from [`tlb_lb`]), traffic from [`tlb_workload`], and
 //! measurement from [`tlb_metrics`].
 //!
@@ -34,7 +34,8 @@ pub mod scheme;
 
 pub use audit::{AuditReport, KindCounts};
 pub use config::{
-    DeliveryKind, FailureAction, FailureEvent, FailureTarget, FidelityKind, LinkEvent, SimConfig,
+    ConfigError, DeliveryKind, FailureAction, FailureEvent, FailureTarget, FidelityKind, LinkEvent,
+    SimConfig,
 };
 pub use dispatch::{AnyLb, LbDispatch};
 pub use network::Simulation;

@@ -10,7 +10,7 @@
 //!
 //! | module | the one decision it owns | called from |
 //! |---|---|---|
-//! | `portmap` | the fabric plan: port layout, the climb-then-descend routing rule, reach masks, port labels/hops, the shard partition | every module (the only one that knows which fabric it is) |
+//! | `portmap` | the port layout over the fabric's `tlb_net::Shape` (which owns the wiring and the climb-then-descend rule): port ids, `next_hop` in port ids, reach masks, port labels/hops, the shard partition | every module; none of them knows which fabric it is |
 //! | `events` | the event vocabulary and its `(class, entity)` FEL ordering key | every module that pushes or pops the FEL |
 //! | `link` | link physics: a port's props, what a `LinkEvent` does to them, every state a link reaches, the in-flight bound, payload capacity | build, `admin`, `hybrid`, `sharded` |
 //! | `forward` | the per-packet switch path: admission, serialization, delivery pipes, the balancer decision, LB ticks | the event loop, `host`, `hybrid` (`choose_up`) |
@@ -158,7 +158,7 @@ fn check_flow(i: usize, f: &FlowSpec, n_hosts: usize) -> Result<(), String> {
 pub(crate) fn check_job(cfg: &SimConfig, flows: &[FlowSpec], next: &[Option<u32>]) {
     let n_hosts = cfg.topo.n_hosts();
     let check = || -> Result<(), String> {
-        cfg.validate()?;
+        cfg.validate().map_err(|e| e.to_string())?;
         for (i, f) in flows.iter().enumerate() {
             check_flow(i, f, n_hosts)?;
         }

@@ -122,8 +122,7 @@ mod tests {
         cfg.topo = tlb_net::LeafSpineBuilder::new(2, 1, 2)
             .link_gbps(1.0)
             .target_rtt(SimTime::from_micros(100))
-            .build()
-            .into();
+            .build();
         cfg.link_events.push(LinkEvent {
             at: SimTime::from_millis(1),
             leaf: LeafId(0),

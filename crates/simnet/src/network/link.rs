@@ -33,9 +33,10 @@ pub(super) fn event_ports(pmap: &PortMap, ev: &LinkEvent) -> [PortId; 2] {
 /// What `ev` turns a link in state `l` into.
 pub(super) fn apply_event(ev: &LinkEvent, l: LinkProps) -> LinkProps {
     LinkProps {
-        bytes_per_sec: ((l.bytes_per_sec as f64) * ev.bw_factor).max(1.0) as u64,
-        prop_delay: ev.new_prop_delay.unwrap_or(l.prop_delay) + ev.extra_delay,
+        prop_delay: ev.new_prop_delay.unwrap_or(l.prop_delay),
+        ..l
     }
+    .degraded(ev.bw_factor, ev.extra_delay)
 }
 
 /// Show `see` every state each port's link ever reaches: its build-time

@@ -1,12 +1,12 @@
-//! The fabric plan: the flat port-table layout and the one routing rule —
-//! climb until the destination is below you, then descend. This is the
-//! only module that knows which fabric it is laid out for ([`PlanKind`]);
-//! everything else asks [`PortMap::next_hop`], [`PortMap::next_node`],
-//! [`PortMap::label`]/[`PortMap::hop`], [`PortMap::recompute_reach`] and
-//! [`PortMap::shard_of`].
+//! The port layout: every output queue of the fabric in one flat table,
+//! laid out from the fabric's [`Shape`] — which alone knows who is wired
+//! to whom and where a packet goes next. This module turns the shape's
+//! answers into port ids; everything else asks [`PortMap::next_hop`],
+//! [`PortMap::next_node`], [`PortMap::label`]/[`PortMap::hop`],
+//! [`PortMap::recompute_reach`] and [`PortMap::shard_of`].
 
 use crate::report::Hop;
-use tlb_net::Fabric;
+use tlb_net::{Fabric, Route, Shape, Tier};
 use tlb_switch::{OutPort, PortView};
 
 /// Index into the flat port table (see [`PortMap`]).
@@ -59,42 +59,11 @@ impl SwPorts {
     }
 }
 
-/// Fabric-specific routing constants, resolved once at build.
-#[derive(Clone, Copy, Debug)]
-enum PlanKind {
-    /// Two tiers: leaves (LB) under spines.
-    LeafSpine { n_leaves: u32 },
-    /// Three tiers: edges and aggs (both LB) under cores; `k = 2 * half`.
-    FatTree {
-        half: u32,
-        n_edges: u32,
-        n_aggs: u32,
-    },
-}
-
-/// A switch's role in the fabric (with [`PortMap::tier`]'s index within
-/// that role): the one decoder behind trace hops, audit labels and the
-/// shard partition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Tier {
-    Leaf,
-    Spine,
-    Edge,
-    Agg,
-    Core,
-}
-
-impl Tier {
-    fn name(self) -> &'static str {
-        ["leaf", "spine", "edge", "agg", "core"][self as usize]
-    }
-}
-
-/// The flat port-table layout: hosts' NICs first, then per switch its
-/// uplinks followed by its downlinks. Switch order is leaves-then-spines
-/// (leaf-spine) or edges-then-aggs-then-cores (fat tree), so the LB
-/// switches are exactly `sw[0..n_lb]` and their uplinks are contiguous —
-/// the load balancer's [`PortView`] is a plain slice of the table.
+/// The flat port-table layout: hosts' NICs first, then per switch (in the
+/// shape's order, LB switches first) its uplinks followed by its
+/// downlinks. The LB switches are exactly `sw[0..n_lb]` and their uplinks
+/// are contiguous — the load balancer's [`PortView`] is a plain slice of
+/// the table.
 pub(super) struct PortMap {
     /// Hosts' NIC ports occupy `[0, n_hosts)`.
     pub n_hosts: u32,
@@ -104,7 +73,8 @@ pub(super) struct PortMap {
     pub sw: Vec<SwPorts>,
     /// Switches that run a load balancer: `sw[0..n_lb]`.
     pub n_lb: u32,
-    plan: PlanKind,
+    /// A copy, so the per-packet routing rule matches on a local value.
+    shape: Shape,
     /// Decoded form of every port.
     port_ref: Vec<PortRef>,
     /// The reverse-direction port of each port's (undirected) link.
@@ -119,34 +89,20 @@ pub(super) struct PortMap {
 
 impl PortMap {
     pub fn new(topo: &Fabric) -> PortMap {
-        let n_hosts = topo.n_hosts() as u32;
-        let hosts_per_lb = topo.hosts_per_leaf() as u32;
-        let n_lb = topo.n_lb_switches() as u32;
-        // What sits above the LB switches: each spine reaches every leaf,
-        // each core every pod.
-        let (plan, top_down) = match topo {
-            Fabric::LeafSpine(t) => {
-                let n_leaves = t.n_leaves() as u32;
-                (PlanKind::LeafSpine { n_leaves }, n_leaves)
-            }
-            Fabric::FatTree(t) => (
-                PlanKind::FatTree {
-                    half: t.half() as u32,
-                    n_edges: t.n_edges() as u32,
-                    n_aggs: t.n_aggs() as u32,
-                },
-                t.k() as u32,
-            ),
-        };
-        let mut sw = Vec::with_capacity(topo.n_switches());
+        let shape = topo.shape();
+        let n_hosts = shape.n_hosts() as u32;
+        let hosts_per_lb = shape.hosts_per_leaf() as u32;
+        let n_lb = shape.n_lb_switches() as u32;
+        let mut sw = Vec::with_capacity(shape.n_switches());
         let mut port_ref: Vec<PortRef> = (0..n_hosts).map(PortRef::HostNic).collect();
-        for s in 0..topo.n_switches() as u16 {
+        for s in 0..shape.n_switches() as u16 {
             // Every LB switch has the same fan-out: one uplink per
-            // equal-cost path, one downlink per host (or lower switch).
+            // equal-cost path, one downlink per host (or lower switch). A
+            // top switch reaches every pod.
             let (n_up, n_down) = if (s as u32) < n_lb {
-                (topo.n_spines() as u32, hosts_per_lb)
+                (shape.n_spines() as u32, hosts_per_lb)
             } else {
-                (0, top_down)
+                (0, shape.n_pods() as u32)
             };
             let up_base = port_ref.len() as u32;
             port_ref.extend((0..n_up as u16).map(|up| PortRef::Up { sw: s, up }));
@@ -163,21 +119,22 @@ impl PortMap {
             hosts_per_lb,
             sw,
             n_lb,
-            plan,
+            shape,
             port_ref,
             rev: Vec::new(),
             next_node: Vec::new(),
-            n_groups: (n_hosts / hosts_per_lb) as usize,
+            n_groups: shape.n_leaves(),
         };
         // Every downlink is the reverse of exactly one host NIC or uplink;
         // fill both directions of each pair from the NIC/uplink side.
         let mut rev = vec![u32::MAX; pm.n_ports()];
         for p in 0..pm.n_ports() as u32 {
-            let d = match pm.decode(p) {
-                PortRef::HostNic(h) => pm.sw_down(h / hosts_per_lb, h % hosts_per_lb),
-                PortRef::Up { sw, up } => pm.up_peer_down(sw as u32, up as u32),
+            let (peer, down) = match pm.decode(p) {
+                PortRef::HostNic(h) => (h / hosts_per_lb, h % hosts_per_lb),
+                PortRef::Up { sw, up } => shape.up_peer(sw as u32, up as u32),
                 PortRef::Down { .. } => continue,
             };
+            let d = pm.sw_down(peer, down);
             rev[p as usize] = d;
             rev[d as usize] = p;
         }
@@ -191,31 +148,6 @@ impl PortMap {
             .collect();
         pm.rev = rev;
         pm
-    }
-
-    /// The downlink on the far switch that terminates LB switch `s`'s
-    /// uplink `u`.
-    fn up_peer_down(&self, s: u32, u: u32) -> PortId {
-        match self.plan {
-            // leaf s, uplink u <-> spine u's downlink s.
-            PlanKind::LeafSpine { n_leaves } => self.sw_down(n_leaves + u, s),
-            PlanKind::FatTree {
-                half,
-                n_edges,
-                n_aggs,
-            } => {
-                if s < n_edges {
-                    // edge (pod p) uplink j <-> agg (p, j)'s downlink to it.
-                    let p = s / half;
-                    self.sw_down(n_edges + p * half + u, s % half)
-                } else {
-                    // agg (p, j) uplink m <-> core (j, m)'s downlink to pod p.
-                    let a = s - n_edges;
-                    let (p, j) = (a / half, a % half);
-                    self.sw_down(n_edges + n_aggs + j * half + u, p)
-                }
-            }
-        }
     }
 
     #[inline]
@@ -263,48 +195,15 @@ impl PortMap {
         self.next_node[p as usize]
     }
 
-    /// The routing rule at switch `sw` for a packet to host `dst`: descend
-    /// when the destination sits below this switch, otherwise climb.
+    /// The shape's routing rule at switch `sw` for a packet to host `dst`,
+    /// in port ids.
     #[inline]
     pub fn next_hop(&self, sw: u32, dst: u32) -> NextHop {
-        match self.plan {
-            PlanKind::LeafSpine { n_leaves } => {
-                let hpl = self.hosts_per_lb;
-                let dl = dst / hpl;
-                if sw >= n_leaves {
-                    // Spine: one downlink per leaf.
-                    NextHop::Down(self.sw_down(sw, dl))
-                } else if dl == sw {
-                    // Downstream (or intra-rack): single path to the host.
-                    NextHop::Down(self.sw_down(sw, dst % hpl))
-                } else {
-                    NextHop::Up { group: dl }
-                }
-            }
-            PlanKind::FatTree {
-                half,
-                n_edges,
-                n_aggs,
-            } => {
-                let de = dst / half;
-                if sw < n_edges {
-                    if de == sw {
-                        NextHop::Down(self.sw_down(sw, dst % half))
-                    } else {
-                        NextHop::Up { group: de }
-                    }
-                } else if sw < n_edges + n_aggs {
-                    if de / half == (sw - n_edges) / half {
-                        // Same pod: straight down to the destination edge.
-                        NextHop::Down(self.sw_down(sw, de % half))
-                    } else {
-                        NextHop::Up { group: de }
-                    }
-                } else {
-                    // Core: one downlink per pod.
-                    NextHop::Down(self.sw_down(sw, de / half))
-                }
-            }
+        match self.shape.next_hop(sw, dst) {
+            Route::Down(d) => NextHop::Down(self.sw_down(sw, d)),
+            Route::Up => NextHop::Up {
+                group: dst / self.hosts_per_lb,
+            },
         }
     }
 
@@ -313,21 +212,9 @@ impl PortMap {
         self.n_groups
     }
 
-    /// Switch `sw`'s role and its index within that role.
     fn tier(&self, sw: u16) -> (Tier, u16) {
-        let s = sw as u32;
-        let (tier, first) = match self.plan {
-            PlanKind::LeafSpine { n_leaves } if s < n_leaves => (Tier::Leaf, 0),
-            PlanKind::LeafSpine { n_leaves } => (Tier::Spine, n_leaves),
-            PlanKind::FatTree { n_edges, .. } if s < n_edges => (Tier::Edge, 0),
-            PlanKind::FatTree {
-                n_edges, n_aggs, ..
-            } if s < n_edges + n_aggs => (Tier::Agg, n_edges),
-            PlanKind::FatTree {
-                n_edges, n_aggs, ..
-            } => (Tier::Core, n_edges + n_aggs),
-        };
-        (tier, (s - first) as u16)
+        let (tier, i) = self.shape.tier(sw as u32);
+        (tier, i as u16)
     }
 
     /// The audit label of port `p`: `host3.nic`, `leaf0.up2`,
@@ -364,24 +251,18 @@ impl PortMap {
         }
     }
 
-    /// The sharded engine's partition: leaf-spine → one shard per leaf
-    /// (spine `s` rides with leaf `s % n_leaves`), fat tree → one shard
-    /// per pod (core `c` rides with pod `c % n_pods`).
+    /// The sharded engine's partition: one shard per pod (a leaf-spine's
+    /// pods are its leaves).
     pub fn n_shards(&self) -> u16 {
-        match self.plan {
-            PlanKind::LeafSpine { n_leaves } => n_leaves as u16,
-            PlanKind::FatTree { half, n_edges, .. } => (n_edges / half) as u16,
-        }
+        self.shape.n_pods() as u16
     }
 
-    /// The shard that owns switch `sw` (see [`PortMap::n_shards`]).
+    /// The shard that owns switch `sw`: its pod's; top switches, which
+    /// belong to no pod, are dealt round-robin.
     pub fn shard_of(&self, sw: u16) -> u16 {
-        match self.tier(sw) {
-            (Tier::Leaf, l) => l,
-            // A pod holds k/2 edges and k/2 aggs — as many as an edge has
-            // hosts.
-            (Tier::Edge | Tier::Agg, i) => i / self.hosts_per_lb as u16,
-            (Tier::Spine | Tier::Core, i) => i % self.n_shards(),
+        match self.shape.pod_of(sw as u32) {
+            Some(pod) => pod as u16,
+            None => self.tier(sw).1 % self.n_shards(),
         }
     }
 

@@ -5,13 +5,15 @@ use super::*;
 use tlb_net::{FatTreeBuilder, LeafSpineBuilder, MAX_FLUID_PATH};
 
 fn fabrics() -> Vec<(&'static str, PortMap)> {
-    let leaf_spine: Fabric = LeafSpineBuilder::new(3, 4, 2).build().into();
-    let k4: Fabric = FatTreeBuilder::new(4).build().into();
-    let k8: Fabric = FatTreeBuilder::new(8).build().into();
+    let leaf_spine: Fabric = LeafSpineBuilder::new(3, 4, 2).build();
+    let k4: Fabric = FatTreeBuilder::new(4).build();
+    let k8: Fabric = FatTreeBuilder::new(8).build();
+    let k16: Fabric = FatTreeBuilder::new(16).build();
     vec![
         ("leaf-spine 3x4x2", PortMap::new(&leaf_spine)),
         ("fat tree k=4", PortMap::new(&k4)),
         ("fat tree k=8", PortMap::new(&k8)),
+        ("fat tree k=16", PortMap::new(&k16)),
     ]
 }
 

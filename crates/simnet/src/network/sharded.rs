@@ -841,18 +841,23 @@ mod tests {
     #[test]
     fn fat_tree_partition_is_per_pod() {
         let mut cfg = SimConfig::basic_paper(Scheme::Ecmp);
-        cfg.topo = tlb_net::FatTreeBuilder::new(4).build().into();
+        cfg.topo = tlb_net::FatTreeBuilder::new(4).build();
         let pmap = PortMap::new(&cfg.topo);
         let map = ShardMap::new(&pmap);
-        let ft = cfg.topo.as_fat_tree().unwrap();
-        assert_eq!(map.n_shards as usize, ft.n_pods());
-        // Every edge and agg lives with its pod; hosts with their edge.
-        for e in 0..ft.n_edges() {
-            assert_eq!(map.sw_owner[e], (e / ft.half()) as u16);
+        // k = 4: 4 pods of 2 edges (switches 0..8) and 2 aggs (8..16) over
+        // 4 cores (16..20), 2 hosts per edge.
+        assert_eq!(map.n_shards, 4);
+        // Every edge and agg lives with its pod; hosts with their edge;
+        // cores are dealt round-robin.
+        for e in 0..8 {
+            assert_eq!(map.sw_owner[e], (e / 2) as u16);
+            assert_eq!(map.sw_owner[8 + e], (e / 2) as u16);
         }
-        for h in 0..cfg.topo.n_hosts() as u32 {
-            let edge = ft.edge_of(tlb_net::HostId(h));
-            assert_eq!(map.host_owner[h as usize], map.sw_owner[edge]);
+        for c in 0..4 {
+            assert_eq!(map.sw_owner[16 + c], c as u16);
+        }
+        for h in 0..16 {
+            assert_eq!(map.host_owner[h], map.sw_owner[h / 2]);
         }
     }
 
@@ -960,14 +965,13 @@ mod tests {
             Err(FallbackReason::FaultDropNth)
         );
         let one_leaf = |c: &mut SimConfig| {
-            c.topo = tlb_net::LeafSpineBuilder::new(1, 2, 32).build().into();
+            c.topo = tlb_net::LeafSpineBuilder::new(1, 2, 32).build();
         };
         assert_eq!(try_with(&one_leaf, &flat), Err(FallbackReason::SingleShard));
         let no_delay = |c: &mut SimConfig| {
             c.topo = tlb_net::LeafSpineBuilder::new(3, 15, 16)
                 .prop_per_link(SimTime::ZERO)
-                .build()
-                .into();
+                .build();
         };
         assert_eq!(
             try_with(&no_delay, &flat),

@@ -156,6 +156,45 @@ impl Scheme {
         ]
     }
 
+    /// Check the parameters against what the balancers' constructors
+    /// assert, so a bad value is reported before anything is built.
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |ok: bool, why: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(format!("{}: {why}", self.name()))
+            }
+        };
+        match self {
+            Scheme::Ecmp
+            | Scheme::Rps
+            | Scheme::LetFlow { .. }
+            | Scheme::CongaLite { .. }
+            | Scheme::Wcmp => Ok(()),
+            Scheme::Presto { cell_bytes } => check(*cell_bytes > 0, "cell_bytes must be positive"),
+            Scheme::Drill { d, .. } => check(*d >= 1, "needs at least one random sample"),
+            Scheme::FlowBender {
+                frac_threshold,
+                window_pkts,
+                ..
+            } => {
+                check(*window_pkts > 0, "window_pkts must be positive")?;
+                check(
+                    (0.0..=1.0).contains(frac_threshold),
+                    "frac_threshold out of [0,1]",
+                )
+            }
+            Scheme::Hermes { benefit_factor, .. } => {
+                check(*benefit_factor >= 1.0, "benefit factor must be >= 1")
+            }
+            Scheme::DiffFlow { threshold_bytes } => {
+                check(*threshold_bytes > 0, "threshold_bytes must be positive")
+            }
+            Scheme::Tlb(cfg) => cfg.validate().map_err(|why| format!("TLB: {why}")),
+        }
+    }
+
     /// Instantiate a balancer for one leaf switch as a trait object: the
     /// concrete balancer [`Scheme::build_static`] constructs, boxed.
     pub fn build(&self, salt: u64) -> Box<dyn LoadBalancer> {
@@ -202,6 +241,43 @@ mod tests {
             "CONGA-lite"
         );
         assert_eq!(Scheme::flowbender_default().build(0).name(), "FlowBender");
+    }
+
+    /// `validate` refuses exactly what a constructor would panic on.
+    #[test]
+    fn validate_rejects_what_the_constructors_assert() {
+        for scheme in Scheme::extended_set() {
+            scheme.validate().expect("defaults are valid");
+        }
+        let mut tlb = TlbConfig::paper_default();
+        tlb.mss = 0;
+        let bad = [
+            Scheme::Presto { cell_bytes: 0 },
+            Scheme::Drill { d: 0, m: 1 },
+            Scheme::FlowBender {
+                mark_threshold_pkts: 20,
+                frac_threshold: 0.05,
+                window_pkts: 0,
+            },
+            Scheme::FlowBender {
+                mark_threshold_pkts: 20,
+                frac_threshold: 1.5,
+                window_pkts: 32,
+            },
+            Scheme::Hermes {
+                reroute_size_bytes: 100_000,
+                congested_pkts: 20,
+                benefit_factor: 0.5,
+            },
+            Scheme::DiffFlow { threshold_bytes: 0 },
+            Scheme::Tlb(tlb),
+        ];
+        for scheme in bad {
+            let why = scheme.validate().expect_err("out-of-range parameter");
+            assert!(why.starts_with(scheme.name()), "{why}");
+            let built = std::panic::catch_unwind(|| scheme.build_static(1));
+            assert!(built.is_err(), "{why}: the constructor accepts it");
+        }
     }
 
     #[test]

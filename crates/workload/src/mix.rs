@@ -192,7 +192,7 @@ mod tests {
     use tlb_net::LeafSpineBuilder;
 
     fn topo() -> Fabric {
-        LeafSpineBuilder::new(3, 15, 16).build().into()
+        LeafSpineBuilder::new(3, 15, 16).build()
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod tests {
 
     #[test]
     fn is_a_valid_inter_rack_matching() {
-        let topo: Fabric = LeafSpineBuilder::new(4, 4, 8).build().into();
+        let topo: Fabric = LeafSpineBuilder::new(4, 4, 8).build();
         let mut rng = SimRng::new(3);
         let flows = permutation(&topo, &FixedBytes(1_000_000), &mut rng);
         assert_eq!(flows.len(), 32);
@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let topo: Fabric = LeafSpineBuilder::new(2, 4, 8).build().into();
+        let topo: Fabric = LeafSpineBuilder::new(2, 4, 8).build();
         let a = permutation(&topo, &FixedBytes(1000), &mut SimRng::new(9));
         let b = permutation(&topo, &FixedBytes(1000), &mut SimRng::new(9));
         for (x, y) in a.iter().zip(&b) {
@@ -76,7 +76,7 @@ mod tests {
 
     #[test]
     fn two_rack_permutation_crosses_racks() {
-        let topo: Fabric = LeafSpineBuilder::new(2, 2, 4).build().into();
+        let topo: Fabric = LeafSpineBuilder::new(2, 2, 4).build();
         let mut rng = SimRng::new(1);
         let flows = permutation(&topo, &FixedBytes(1000), &mut rng);
         for f in &flows {

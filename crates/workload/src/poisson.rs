@@ -109,7 +109,7 @@ mod tests {
     use tlb_net::LeafSpineBuilder;
 
     fn topo() -> Fabric {
-        LeafSpineBuilder::new(4, 4, 4).build().into()
+        LeafSpineBuilder::new(4, 4, 4).build()
     }
 
     fn workload(dist: &impl SizeDist, load: f64) -> PoissonWorkload<'_, impl SizeDist + '_> {

@@ -15,8 +15,7 @@ fn main() {
         cfg.topo = LeafSpineBuilder::new(2, 3, 8)
             .link_gbps(1.0)
             .target_rtt(SimTime::from_micros(100))
-            .build()
-            .into();
+            .build();
         cfg
     };
 

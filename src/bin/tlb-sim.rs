@@ -22,14 +22,15 @@ OPTIONS:
     --scheme <s>          ecmp | rps | presto | letflow | drill | conga |
                           flowbender | hermes | wcmp | diffflow | tlb          [tlb]
     --workload <w>        websearch | datamining | mix                    [websearch]
-    --load <f>            offered load fraction for Poisson workloads           [0.6]
+    --load <f>            offered load fraction for Poisson workloads, in
+                          (0, 1.5]                                              [0.6]
     --shorts <n>          short flows for the 'mix' workload                    [100]
     --longs <n>           long flows for the 'mix' workload                       [3]
-    --leaves <n>          leaf switches                                           [8]
-    --spines <n>          spine switches (= equal-cost paths)                     [8]
-    --hosts-per-leaf <n>  hosts per rack                                         [16]
+    --leaves <n>          leaf switches, at least 2                               [8]
+    --spines <n>          spine switches (= equal-cost paths), 1 to 64            [8]
+    --hosts-per-leaf <n>  hosts per rack, at least 1                             [16]
     --fat-tree <k>        use a k-ary fat tree instead of leaf-spine (k even,
-                          k^3/4 hosts); overrides the three knobs above
+                          2 to 128, k^3/4 hosts); overrides the three knobs above
     --gbps <f>            link rate in Gbit/s                                   [1.0]
     --duration-ms <n>     Poisson traffic window                                 [50]
     --seed <n>            RNG seed (runs are deterministic per seed)              [1]
@@ -79,12 +80,37 @@ fn usage_error(msg: String) -> ! {
     std::process::exit(2);
 }
 
-/// `value` parsed as `T`, or a usage error naming `flag`, the value and
-/// what was wanted.
+/// `value` parsed as a `T` that is `ok`, or a usage error naming `flag`,
+/// the value and what was wanted.
+fn parse_where<T: std::str::FromStr>(
+    flag: &str,
+    value: &str,
+    want: &str,
+    ok: impl FnOnce(&T) -> bool,
+) -> T {
+    match value.parse() {
+        Ok(v) if ok(&v) => v,
+        _ => usage_error(format!("bad {flag} '{value}', expected {want}")),
+    }
+}
+
+/// [`parse_where`] any `T` will do.
 fn parse_value<T: std::str::FromStr>(flag: &str, value: &str, want: &str) -> T {
-    value
-        .parse()
-        .unwrap_or_else(|_| usage_error(format!("bad {flag} '{value}', expected {want}")))
+    parse_where(flag, value, want, |_| true)
+}
+
+/// Longest time an option may name, in microseconds (about 11 days): far
+/// past any horizon, far below where nanosecond clock arithmetic overflows.
+const MAX_US: u64 = 1_000_000_000_000;
+
+/// `value` as a time in microseconds.
+fn parse_micros(flag: &str, value: &str) -> SimTime {
+    SimTime::from_micros(parse_where(
+        flag,
+        value,
+        "microseconds, at most 10^12",
+        |&us| us <= MAX_US,
+    ))
 }
 
 /// The `N` colon-separated fields of a `--degrade`/`--fail`/`--repair`
@@ -139,12 +165,24 @@ impl Args {
         self.flags.iter().any(|a| a == key)
     }
 
-    /// `key`'s value as `T`; `default` only when the option is absent.
-    fn parse<T: std::str::FromStr>(&self, key: &str, default: T, want: &str) -> T {
+    /// `key`'s value as a `T` that is `ok`; `default` only when the option
+    /// is absent.
+    fn parse_where<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+        want: &str,
+        ok: impl FnOnce(&T) -> bool,
+    ) -> T {
         match self.value_of(key) {
-            Some(v) => parse_value(key, v, want),
+            Some(v) => parse_where(key, v, want, ok),
             None => default,
         }
+    }
+
+    /// [`Args::parse_where`] any `T` will do.
+    fn parse<T: std::str::FromStr>(&self, key: &str, default: T, want: &str) -> T {
+        self.parse_where(key, default, want, |_| true)
     }
 }
 
@@ -177,33 +215,46 @@ fn main() {
     }
 
     const COUNT: &str = "a non-negative integer";
-    const NUMBER: &str = "a number";
     let scheme = scheme_from(args.value_of("--scheme").unwrap_or("tlb"));
     let scheme_name = scheme.name();
-    let leaves: usize = args.parse("--leaves", 8, COUNT);
-    let spines: usize = args.parse("--spines", 8, COUNT);
-    let hosts_per_leaf: usize = args.parse("--hosts-per-leaf", 16, COUNT);
-    let gbps: f64 = args.parse("--gbps", 1.0, NUMBER);
+    // Every workload sends between racks, and a balancer's uplink set is
+    // one 64-bit mask.
+    let leaves: usize =
+        args.parse_where("--leaves", 8, "an integer, at least 2", |&n: &usize| n >= 2);
+    let spines: usize = args.parse_where("--spines", 8, "an integer from 1 to 64", |n| {
+        (1..=64).contains(n)
+    });
+    let hosts_per_leaf: usize =
+        args.parse_where("--hosts-per-leaf", 16, "a positive integer", |&n| n >= 1);
+    let gbps: f64 = args.parse_where("--gbps", 1.0, "a positive number", |g: &f64| {
+        g.is_finite() && *g > 0.0
+    });
     let seed: u64 = args.parse("--seed", 1, COUNT);
     // Parsed whatever the workload, so a bad value never passes unseen.
-    let load: f64 = args.parse("--load", 0.6, NUMBER);
-    let duration_ms: u64 = args.parse("--duration-ms", 50, COUNT);
+    let load: f64 = args.parse_where("--load", 0.6, "a number in (0, 1.5]", |l| {
+        *l > 0.0 && *l <= 1.5
+    });
+    let duration_ms: u64 =
+        args.parse_where("--duration-ms", 50, "milliseconds, at most 10^9", |&ms| {
+            ms <= MAX_US / 1000
+        });
     let n_short: usize = args.parse("--shorts", 100, COUNT);
     let n_long: usize = args.parse("--longs", 3, COUNT);
 
     let mut cfg = SimConfig::basic_paper(scheme);
     cfg.topo = if let Some(k) = args.value_of("--fat-tree") {
-        FatTreeBuilder::new(parse_value("--fat-tree", k, COUNT))
-            .link_gbps(gbps)
-            .target_rtt(SimTime::from_micros(100))
-            .build()
-            .into()
+        let even = "an even integer from 2 to 128";
+        FatTreeBuilder::new(parse_where("--fat-tree", k, even, |&k: &usize| {
+            (2..=128).contains(&k) && k % 2 == 0
+        }))
+        .link_gbps(gbps)
+        .target_rtt(SimTime::from_micros(100))
+        .build()
     } else {
         LeafSpineBuilder::new(leaves, spines, hosts_per_leaf)
             .link_gbps(gbps)
             .target_rtt(SimTime::from_micros(100))
             .build()
-            .into()
     };
     cfg.seed = seed;
 
@@ -229,14 +280,30 @@ fn main() {
         usage_error(format!("--workers {w} needs --engine sharded"));
     }
 
+    // `(sw, up)` of a `--degrade`/`--fail`/`--repair` value, on the fabric.
+    let (n_lb, n_up) = (cfg.topo.n_lb_switches(), cfg.topo.n_spines());
+    let uplink = |key: &str, spec: &str, sw: &str, up: &str| -> (LeafId, SpineId) {
+        let sw: u32 = parse_value(key, sw, "an LB switch index");
+        let up: u32 = parse_value(key, up, "an uplink index");
+        if sw as usize >= n_lb || up as usize >= n_up {
+            usage_error(format!(
+                "bad {key} '{spec}', the fabric has {n_lb} LB switches of {n_up} uplinks"
+            ));
+        }
+        (LeafId(sw), SpineId(up))
+    };
+
     for spec in args.values_of("--degrade") {
         let key = "--degrade";
         let [l, s, bw, us] = fields(key, spec, "l:s:bw:us");
+        let (l, s) = uplink(key, spec, l, s);
         cfg.topo.degrade_link(
-            LeafId(parse_value(key, l, "a leaf index")),
-            SpineId(parse_value(key, s, "a spine index")),
-            parse_value(key, bw, "a bandwidth factor"),
-            SimTime::from_micros(parse_value(key, us, "extra delay in microseconds")),
+            l,
+            s,
+            parse_where(key, bw, "a bandwidth factor in (0, 1]", |f: &f64| {
+                *f > 0.0 && *f <= 1.0
+            }),
+            parse_micros(key, us),
         );
     }
 
@@ -246,17 +313,20 @@ fn main() {
     ] {
         for spec in args.values_of(key) {
             let [sw, up, at] = fields(key, spec, "sw:up:at_us");
+            let (sw, up) = uplink(key, spec, sw, up);
             cfg.failure_events.push(FailureEvent {
-                at: SimTime::from_micros(parse_value(key, at, "event time in microseconds")),
-                target: FailureTarget::Link {
-                    sw: LeafId(parse_value(key, sw, "an LB switch index")),
-                    up: SpineId(parse_value(key, up, "an uplink index")),
-                },
+                at: parse_micros(key, at),
+                target: FailureTarget::Link { sw, up },
                 action,
             });
         }
     }
     cfg.failure_events.sort_by_key(|e| e.at);
+    // The range checks above name the flag; whatever they miss still stops
+    // here, before `Simulation::new` would panic on it.
+    if let Err(why) = cfg.validate() {
+        usage_error(format!("cannot run this configuration: {why}"));
+    }
 
     let workload = args.value_of("--workload").unwrap_or("websearch");
     let mut rng = SimRng::new(seed ^ 0xABCD);

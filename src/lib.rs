@@ -3,15 +3,15 @@
 //! A from-scratch Rust reproduction of *"TLB: Traffic-aware Load Balancing
 //! with Adaptive Granularity in Data Center Networks"* (ICPP 2019): the TLB
 //! scheme itself, the ECMP/RPS/Presto/LetFlow/DRILL baselines, and the
-//! packet-level leaf-spine network simulator (DCTCP transport, output-queued
-//! ECN-marking switches) the evaluation runs on.
+//! packet-level Clos-fabric network simulator (leaf-spine or fat tree, DCTCP
+//! transport, output-queued ECN-marking switches) the evaluation runs on.
 //!
 //! ## Crate map
 //!
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`engine`] | `tlb-engine` | discrete-event core: [`engine::SimTime`], event queue, RNG |
-//! | [`net`] | `tlb-net` | packets, ids, leaf-spine topology, asymmetry |
+//! | [`net`] | `tlb-net` | packets, ids, the Clos fabric (leaf-spine / fat tree), asymmetry |
 //! | [`switch`] | `tlb-switch` | output-queued ports, ECN, `LoadBalancer` trait |
 //! | [`lb`] | `tlb-lb` | ECMP, RPS, Presto, LetFlow, DRILL, CONGA-lite |
 //! | [`core`] | `tlb-core` | **the paper's contribution**: the TLB balancer |
@@ -54,10 +54,7 @@ pub mod prelude {
     pub use tlb_engine::{SimRng, SimTime};
     pub use tlb_metrics::{FlowClass, SampleSet};
     pub use tlb_model::{q_th_min, ModelParams, QTh};
-    pub use tlb_net::{
-        Fabric, FatTree, FatTreeBuilder, FlowId, HostId, LeafId, LeafSpine, LeafSpineBuilder,
-        SpineId,
-    };
+    pub use tlb_net::{Fabric, FatTreeBuilder, FlowId, HostId, LeafId, LeafSpineBuilder, SpineId};
     pub use tlb_simnet::{
         run_all, run_all_ref, run_one, run_one_ref, AuditReport, DeliveryKind, FailureAction,
         FailureEvent, FailureTarget, FidelityKind, LbDispatch, LinkEvent, RunReport, Scheme,

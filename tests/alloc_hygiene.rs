@@ -118,8 +118,7 @@ fn steady_state_is_allocation_free() {
         cfg.topo = LeafSpineBuilder::new(4, 4, 8)
             .link_gbps(10.0)
             .target_rtt(SimTime::from_micros(100))
-            .build()
-            .into();
+            .build();
         cfg.delivery = DeliveryKind::Pipelined;
         for (at_us, extra_us) in [(1_300, 150), (1_600, 150)] {
             cfg.link_events.push(tlb::simnet::LinkEvent {

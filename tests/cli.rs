@@ -1,6 +1,6 @@
 //! `tlb-sim` end to end: the command line cannot lie (a value it cannot
-//! parse, an option it does not know, or `--workers` without the sharded
-//! engine exits 2 naming the culprit), the engine and fidelity options
+//! parse or that is out of range, an option it does not know, or
+//! `--workers` without the sharded engine exits 2 naming the culprit), the engine and fidelity options
 //! select what they say (and stderr says which engine ran, or why the
 //! sharded one did not), and the run is a pure function of the command
 //! line — no `TLB_*` mode variable in the environment changes it.
@@ -73,7 +73,7 @@ fn field(summary: &str, name: &str) -> String {
 
 #[test]
 fn bad_command_lines_exit_2_naming_the_culprit() {
-    let cases: [(&[&str], &[&str]); 6] = [
+    let cases: &[(&[&str], &[&str])] = &[
         (&["--load", "abc"], &["--load", "abc"]),
         (&["--fidelty", "hybrid"], &["--fidelty"]),
         (&["--workers", "2"], &["--workers", "2", "--engine sharded"]),
@@ -83,12 +83,39 @@ fn bad_command_lines_exit_2_naming_the_culprit() {
         ),
         (&["--fidelity", "fluid"], &["--fidelity", "fluid"]),
         (&["--seed"], &["--seed"]),
+        // Values that parse but that no fabric, workload or clock can take.
+        (&["--leaves", "0"], &["--leaves", "'0'"]),
+        (&["--leaves", "1"], &["--leaves", "'1'"]),
+        (&["--spines", "0"], &["--spines", "'0'"]),
+        (&["--spines", "65"], &["--spines", "'65'"]),
+        (&["--hosts-per-leaf", "0"], &["--hosts-per-leaf", "'0'"]),
+        (&["--fat-tree", "3"], &["--fat-tree", "'3'", "even"]),
+        (&["--fat-tree", "130"], &["--fat-tree", "'130'"]),
+        (&["--gbps", "0"], &["--gbps", "'0'"]),
+        (&["--gbps", "1e-12"], &["zero rate"]),
+        (&["--load", "0"], &["--load", "'0'"]),
+        (&["--load", "nan"], &["--load", "nan"]),
+        (&["--load", "2"], &["--load", "'2'"]),
+        (&["--degrade", "9:0:0.5:10"], &["--degrade", "9:0:0.5:10"]),
+        (&["--degrade", "0:0:2:10"], &["--degrade", "'2'", "(0, 1]"]),
+        (&["--fail", "99:0:100"], &["--fail", "99:0:100"]),
+        (&["--repair", "0:8:100"], &["--repair", "0:8:100"]),
+        (
+            &["--fail", "0:0:18446744073709551615"],
+            &["--fail", "18446744073709551615"],
+        ),
+        (
+            &["--duration-ms", "18446744073709551615"],
+            &["--duration-ms", "18446744073709551615"],
+        ),
     ];
-    for (args, named) in cases {
+    for &(args, named) in cases {
         let out = tlb_sim(args, &[]);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?} ran a simulation");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
         for word in named {
             assert!(err.contains(word), "{args:?}: {err:?} lacks {word:?}");
         }

@@ -160,8 +160,7 @@ fn one_path_cfg(scheme: Scheme) -> SimConfig {
     cfg.topo = LeafSpineBuilder::new(2, 1, 2)
         .link_gbps(1.0)
         .target_rtt(SimTime::from_micros(100))
-        .build()
-        .into();
+        .build();
     cfg.audit = true;
     cfg.fidelity = FidelityKind::Hybrid;
     cfg
@@ -251,8 +250,7 @@ fn hybrid_seam_demotes_then_remigrates_and_conserves() {
     cfg.topo = LeafSpineBuilder::new(2, 2, 2)
         .link_gbps(1.0)
         .target_rtt(SimTime::from_micros(100))
-        .build()
-        .into();
+        .build();
     for (at_ms, action) in [(4, FailureAction::Down), (8, FailureAction::Up)] {
         cfg.failure_events.push(FailureEvent {
             at: SimTime::from_millis(at_ms),

@@ -267,7 +267,7 @@ fn reference_implementations_are_bit_identical_on_load_sweep() {
 
 #[test]
 fn workload_generators_are_seed_stable() {
-    let topo = LeafSpineBuilder::new(4, 4, 8).build().into();
+    let topo = LeafSpineBuilder::new(4, 4, 8).build();
     // Regression pin: the first web-search Poisson flow for seed 1. If this
     // changes, the RNG stream or generator logic changed and all recorded
     // results need regeneration.
@@ -375,8 +375,7 @@ fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
     cfg.topo = FatTreeBuilder::new(8)
         .link_gbps(1.0)
         .target_rtt(SimTime::from_micros(100))
-        .build()
-        .into();
+        .build();
     cfg.audit = true;
     cfg.trace_flows = vec![FlowId(3)];
     for (at_ms, action) in [(2, FailureAction::Down), (6, FailureAction::Up)] {
@@ -420,8 +419,7 @@ fn sharded_parallel_windows_match_serial() {
     cfg.topo = LeafSpineBuilder::new(2, 2, 2)
         .link_mbps(100.0)
         .prop_per_link(SimTime::from_micros(5))
-        .build()
-        .into();
+        .build();
     cfg.audit = true;
     let mut mix = BasicMixConfig::paper_default();
     mix.n_short = 60;
@@ -507,8 +505,7 @@ fn small_fabric() -> (SimConfig, u32) {
     cfg.topo = LeafSpineBuilder::new(4, 4, 4)
         .link_gbps(1.0)
         .target_rtt(SimTime::from_micros(100))
-        .build()
-        .into();
+        .build();
     cfg.audit = true;
     let lookahead = cfg.topo.uplink_props(0, 0).prop_delay.as_nanos();
     let header_tx = cfg.tcp.header_bytes as u64 * 8; // ns at 1 Gbit/s

@@ -153,8 +153,7 @@ fn fat_tree_k8_flap_matrix_is_bit_identical() {
         cfg.topo = FatTreeBuilder::new(8)
             .link_gbps(1.0)
             .target_rtt(SimTime::from_micros(100))
-            .build()
-            .into();
+            .build();
         cfg.audit = true;
         cfg.fel = fel;
         cfg.lb_dispatch = dispatch;
@@ -208,8 +207,7 @@ fn degradation_actually_bites() {
         cfg.topo = LeafSpineBuilder::new(2, 1, 2) // exactly one path
             .link_gbps(1.0)
             .target_rtt(SimTime::from_micros(100))
-            .build()
-            .into();
+            .build();
         if with_failure {
             cfg.link_events.push(LinkEvent {
                 at: SimTime::from_millis(5),

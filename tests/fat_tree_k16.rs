@@ -16,8 +16,7 @@ fn k16_cfg(scheme: Scheme) -> SimConfig {
     cfg.topo = FatTreeBuilder::new(16)
         .link_gbps(1.0)
         .target_rtt(SimTime::from_micros(100))
-        .build()
-        .into();
+        .build();
     cfg.audit = true;
     cfg
 }

@@ -19,8 +19,7 @@ fn high_bdp_job(scheme: Scheme, seed: u64) -> (SimConfig, Vec<FlowSpec>) {
     cfg.topo = LeafSpineBuilder::new(2, 4, 8)
         .link_gbps(10.0)
         .prop_per_link(SimTime::from_micros(500))
-        .build()
-        .into();
+        .build();
     cfg.horizon = SimTime::from_millis(60);
     let hosts_per_leaf = cfg.topo.hosts_per_leaf() as u32;
     let mut flows = Vec::new();
