@@ -36,6 +36,7 @@ fn bench_event_queue(c: &mut Criterion) {
         }
         // The simulator's steady-state pattern: the queue stays
         // ~constant-size while events are pushed and popped in alternation.
+        group.throughput(Throughput::Elements(4096));
         group.bench_function(format!("{name}/steady_state_churn"), |b| {
             b.iter_batched_ref(
                 || {
@@ -58,6 +59,41 @@ fn bench_event_queue(c: &mut Criterion) {
                 BatchSize::SmallInput,
             )
         });
+        // The walk `steady_state_churn` never makes: a serialization time
+        // mixed with a long propagation delay (`highbdp_bulk`'s 1.2 µs and
+        // 500 µs) carries the clock across every bucket of the 2.1 ms wheel
+        // several times per sample, at a shallow and at a web-search depth.
+        // As in a run, one queue lives through all of it, and the entries
+        // start on a few shared instants, so those that took the same hops
+        // since meet again in one bucket (what synchronized ticks and ACK
+        // clocks do) — storage laid out per bucket rather than per live
+        // entry grows toward (deepest bucket × wheel span) here and is
+        // cold on every push, however hot it looks above.
+        for depth in [26u32, 1_000] {
+            const OPS: u64 = 65_536;
+            group.throughput(Throughput::Elements(OPS));
+            group.bench_function(format!("{name}/wheel_walk_{depth}"), |b| {
+                let mut q = EventQueue::<u32>::with_capacity_and_kind(4096, kind);
+                let mut rng = SimRng::new(3);
+                for i in 0..depth {
+                    q.push(SimTime::from_nanos((i % 8) as u64 * 60_000), i);
+                }
+                b.iter(|| {
+                    let mut acc = 0u32;
+                    for _ in 0..OPS {
+                        let (t, e) = q.pop().expect("non-empty");
+                        acc ^= e;
+                        let after = if rng.gen_range(2) == 0 {
+                            1_200
+                        } else {
+                            500_000
+                        };
+                        q.push(t + SimTime::from_nanos(after), e);
+                    }
+                    acc
+                })
+            });
+        }
     }
     group.finish();
 }

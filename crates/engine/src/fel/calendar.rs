@@ -17,8 +17,12 @@
 //!
 //! The minimum bucket is held *activated*: its entries live in `active`,
 //! sorted **descending** by `(time, key, seq)` so `Vec::pop` yields the minimum
-//! without shifting. Non-active buckets are plain unsorted append vectors —
-//! a push into them is O(1) — and get one `sort_unstable` when activated.
+//! without shifting. Every other bucket is a singly linked list of nodes
+//! in one shared pool (`heads[p]` is the list head, `NIL` when empty): a
+//! push links the most recently freed node, so the memory a push writes is
+//! the memory a pop just read, and storage is O(peak wheel entries) however
+//! far the wheel spans. Activation walks the list into `active`, frees its
+//! nodes and sorts once (the key is unique, so list order is irrelevant).
 //! An occupancy bitmap (one bit per physical bucket) makes
 //! next-non-empty-bucket a word scan.
 //!
@@ -55,6 +59,68 @@ pub const DEFAULT_SHIFT: u32 = 9;
 /// ~2.1 ms.
 pub const DEFAULT_BUCKETS: usize = 4096;
 
+/// "No node": the empty-list head, the end-of-list link, the empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One pooled entry: an [`Entry`]'s fields plus the list link. `event` is
+/// `None` exactly while the node sits on the free list; spelling the
+/// fields out (rather than `Option<Entry<E>>` + `next`) lets the link
+/// share the word `key` leaves half empty.
+struct Node<E> {
+    time: SimTime,
+    seq: u64,
+    key: u32,
+    next: u32,
+    event: Option<E>,
+}
+
+/// The node store every non-active bucket's list lives in, with a LIFO
+/// free list threaded through the unused nodes.
+struct Pool<E> {
+    nodes: Vec<Node<E>>,
+    free: u32,
+}
+
+impl<E> Pool<E> {
+    /// Store `entry` in the most recently freed node (growing the pool
+    /// only when none is free), linked in front of `next`.
+    #[inline]
+    fn link(&mut self, entry: Entry<E>, next: u32) -> u32 {
+        let node = Node {
+            time: entry.time,
+            seq: entry.seq,
+            key: entry.key,
+            next,
+            event: Some(entry.event),
+        };
+        if self.free == NIL {
+            let i = self.nodes.len();
+            assert!(i < NIL as usize, "calendar pool exhausted its u32 index");
+            self.nodes.push(node);
+            return i as u32;
+        }
+        let i = self.free;
+        self.free = std::mem::replace(&mut self.nodes[i as usize], node).next;
+        i
+    }
+
+    /// Move the list starting at `head` into `out`, freeing its nodes.
+    fn unlink_into(&mut self, mut head: u32, out: &mut Vec<Entry<E>>) {
+        while head != NIL {
+            let node = &mut self.nodes[head as usize];
+            out.push(Entry {
+                time: node.time,
+                key: node.key,
+                seq: node.seq,
+                event: node.event.take().expect("listed node holds no event"),
+            });
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = head;
+            head = next;
+        }
+    }
+}
+
 /// A two-tier calendar-queue FEL. See the module docs for the design.
 pub struct CalendarFel<E> {
     /// log2 of the bucket width in nanoseconds.
@@ -63,9 +129,11 @@ pub struct CalendarFel<E> {
     nb: usize,
     /// `nb - 1`, as a slot mask.
     mask: u64,
-    /// Unsorted append buckets, indexed by `slot & mask`.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Occupancy bitmap over `buckets` (the active bucket's bit is clear).
+    /// Per-bucket list head into `pool`, indexed by `slot & mask`.
+    heads: Vec<u32>,
+    /// The nodes of every non-active bucket.
+    pool: Pool<E>,
+    /// Occupancy bitmap over `heads` (the active bucket's bit is clear).
     occ: Vec<u64>,
     /// The activated minimum bucket, sorted descending by `(time, key, seq)`.
     active: Vec<Entry<E>>,
@@ -78,30 +146,26 @@ pub struct CalendarFel<E> {
 }
 
 impl<E> CalendarFel<E> {
+    /// Bytes one pooled wheel entry occupies (callers pin it for their
+    /// event type: the pool is the FEL's hot working set).
+    pub const NODE_BYTES: usize = std::mem::size_of::<Node<E>>();
+
     /// An empty queue with the default geometry.
     pub fn new() -> CalendarFel<E> {
         Self::with_geometry(DEFAULT_SHIFT, DEFAULT_BUCKETS)
     }
 
-    /// Per-bucket capacity pre-warmed by [`CalendarFel::with_capacity`].
-    /// Steady-state bucket depth in simulation runs stays in the single
-    /// digits (events inside one 512 ns slot); without the pre-warm, the
-    /// long tail of buckets hitting their all-time depth peak keeps
-    /// doubling 4→8→16-entry vectors for the whole run, which the
-    /// zero-allocation steady-state gate rejects. 32 entries × 32 bytes ×
-    /// 4096 buckets ≈ 4 MB per queue — noise next to the run's metrics.
-    const BUCKET_RESERVE: usize = 32;
-
-    /// An empty queue with room reserved in the overflow tier — build-time
-    /// bulk pushes (all flow-start events of a run) land there — and every
-    /// wheel bucket pre-warmed to [`Self::BUCKET_RESERVE`] entries.
+    /// An empty queue that holds `cap` entries without reallocating,
+    /// wherever they land: build-time bulk pushes (all flow-start events of
+    /// a run) go to the overflow tier, the wheel's share to the pool, and
+    /// one bucket can hold all of it when activated. Three reservations,
+    /// whatever the wheel size; pages are touched only as entries arrive,
+    /// so resident memory follows the peak depth, not `cap`.
     pub fn with_capacity(cap: usize) -> CalendarFel<E> {
         let mut q = Self::new();
         q.overflow.reserve(cap);
-        q.active.reserve(Self::BUCKET_RESERVE);
-        for b in &mut q.buckets {
-            b.reserve(Self::BUCKET_RESERVE);
-        }
+        q.pool.nodes.reserve(cap);
+        q.active.reserve(cap);
         q
     }
 
@@ -119,13 +183,23 @@ impl<E> CalendarFel<E> {
             shift,
             nb,
             mask: (nb - 1) as u64,
-            buckets: (0..nb).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; nb],
+            pool: Pool {
+                nodes: Vec::new(),
+                free: NIL,
+            },
             occ: vec![0u64; nb / 64],
             active: Vec::new(),
             active_slot: 0,
             wheel_len: 0,
             overflow: BinaryHeap::new(),
         }
+    }
+
+    /// High-water mark of the node pool: the most entries that ever sat in
+    /// non-active buckets at once (the pool never shrinks).
+    pub fn pool_nodes_peak(&self) -> usize {
+        self.pool.nodes.len()
     }
 
     #[inline]
@@ -162,13 +236,21 @@ impl<E> CalendarFel<E> {
         None
     }
 
+    /// Link `entry` into non-active bucket `p`.
+    #[inline]
+    fn link(&mut self, p: usize, entry: Entry<E>) {
+        self.heads[p] = self.pool.link(entry, self.heads[p]);
+        self.set_bit(p);
+    }
+
     /// Move the active remainder back to its (empty) home bucket.
     fn retire_active(&mut self) {
         debug_assert!(!self.active.is_empty());
         let p = (self.active_slot & self.mask) as usize;
-        debug_assert!(self.buckets[p].is_empty(), "active home bucket not empty");
-        std::mem::swap(&mut self.buckets[p], &mut self.active);
-        self.set_bit(p);
+        debug_assert!(self.heads[p] == NIL, "active home bucket not empty");
+        while let Some(entry) = self.active.pop() {
+            self.link(p, entry);
+        }
     }
 
     /// Activate the occupied bucket with the lowest slot (≥ `slot(now)`).
@@ -184,7 +266,8 @@ impl<E> CalendarFel<E> {
         // in-window rotation per physical bucket.
         let delta = (p + self.nb - start) & (self.nb - 1);
         self.active_slot = now_slot + delta as u64;
-        std::mem::swap(&mut self.active, &mut self.buckets[p]);
+        let head = std::mem::replace(&mut self.heads[p], NIL);
+        self.pool.unlink_into(head, &mut self.active);
         self.active
             .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.key, e.seq)));
     }
@@ -202,11 +285,37 @@ impl<E> CalendarFel<E> {
             let entry = self.overflow.pop().expect("peeked entry vanished");
             // Promoted slots exceed every pre-existing wheel slot (tier
             // order), in particular `active_slot`: always a plain bucket.
-            let p = (slot & self.mask) as usize;
-            self.buckets[p].push(entry);
-            self.set_bit(p);
+            self.link((slot & self.mask) as usize, entry);
             self.wheel_len += 1;
         }
+    }
+}
+
+#[cfg(test)]
+impl<E> CalendarFel<E> {
+    /// `(nodes on bucket lists, nodes on the free list, pool size)`,
+    /// checking on the way that list heads and occupancy bits agree, that
+    /// exactly the listed nodes hold an event, and that the lists hold
+    /// every wheel entry outside `active`.
+    pub(crate) fn pool_census(&self) -> (usize, usize, usize) {
+        let walk = |mut i: u32, listed: bool| {
+            let mut n = 0;
+            while i != NIL {
+                let node = &self.pool.nodes[i as usize];
+                assert_eq!(node.event.is_some(), listed, "node {i} on the wrong list");
+                n += 1;
+                i = node.next;
+            }
+            n
+        };
+        let mut listed = 0;
+        for (p, &head) in self.heads.iter().enumerate() {
+            let bit = self.occ[p / 64] >> (p % 64) & 1 == 1;
+            assert_eq!(bit, head != NIL, "bucket {p}: occupancy bit vs list head");
+            listed += walk(head, true);
+        }
+        assert_eq!(listed, self.wheel_len - self.active.len());
+        (listed, walk(self.pool.free, false), self.pool.nodes.len())
     }
 }
 
@@ -241,9 +350,7 @@ impl<E> FelBackend<E> for CalendarFel<E> {
                 return;
             }
             if slot > self.active_slot {
-                let p = (slot & self.mask) as usize;
-                self.buckets[p].push(entry);
-                self.set_bit(p);
+                self.link((slot & self.mask) as usize, entry);
                 self.wheel_len += 1;
                 return;
             }
@@ -312,7 +419,8 @@ impl<E> FelBackend<E> for CalendarFel<E> {
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                out.append(&mut self.buckets[w * 64 + b]);
+                let head = std::mem::replace(&mut self.heads[w * 64 + b], NIL);
+                self.pool.unlink_into(head, out);
             }
             self.occ[w] = 0;
         }

@@ -114,9 +114,9 @@ impl<E> EventQueue<E> {
         Self::with_capacity_and_kind(0, kind)
     }
 
-    /// Explicit backend and capacity. For the calendar backend the
-    /// capacity reserves the overflow tier, where build-time bulk pushes
-    /// (e.g. every flow-start event of a run) land.
+    /// Explicit backend and capacity: either backend holds `cap` pending
+    /// events without reallocating, wherever they sit (for the calendar,
+    /// see [`CalendarFel::with_capacity`]).
     pub fn with_capacity_and_kind(cap: usize, kind: FelKind) -> Self {
         let backend = match kind {
             FelKind::Calendar => Backend::Calendar(CalendarFel::with_capacity(cap)),
@@ -354,6 +354,17 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn scheduled_total(&self) -> u64 {
         self.seq
+    }
+
+    /// High-water mark of the calendar backend's node pool — the most
+    /// events that ever waited in non-active wheel buckets at once, which
+    /// is the FEL's resident working set (diagnostics; 0 on the heap
+    /// backend, which has no pool).
+    pub fn pool_nodes_peak(&self) -> usize {
+        match &self.backend {
+            Backend::Calendar(b) => b.pool_nodes_peak(),
+            Backend::Heap(_) => 0,
+        }
     }
 
     /// How many times the clock invariant was broken: an event scheduled
@@ -677,6 +688,15 @@ mod tests {
     /// timestamp ties) and pops, replayed on every backend; all observable
     /// outputs must match the heap reference exactly.
     fn run_script(q: &mut EventQueue<u32>, ops: &[(u8, u16)]) -> StepLog {
+        run_script_with(q, ops, |_| {})
+    }
+
+    /// [`run_script`], calling `after_op` on the queue after every step.
+    fn run_script_with(
+        q: &mut EventQueue<u32>,
+        ops: &[(u8, u16)],
+        mut after_op: impl FnMut(&EventQueue<u32>),
+    ) -> StepLog {
         let mut log = Vec::with_capacity(ops.len());
         for (i, &(sel, raw)) in ops.iter().enumerate() {
             let popped = match sel % 4 {
@@ -702,11 +722,13 @@ mod tests {
                 }
             };
             log.push((popped, q.peek_time(), q.len()));
+            after_op(q);
         }
         // Drain the remainder: full pop order is part of the observable
         // contract.
         while let Some(p) = q.pop() {
             log.push((Some(p), q.peek_time(), q.len()));
+            after_op(q);
         }
         log
     }
@@ -746,6 +768,33 @@ mod tests {
                     seen[i] = true;
                 }
                 prop_assert!(seen.iter().all(|&s| s), "{name}");
+            }
+        }
+
+        /// The calendar's node pool follows the live entries: after every
+        /// step of the differential scripts each node is on exactly one
+        /// list (a bucket's or the free list), and the pool has never held
+        /// more nodes than the queue held entries — on all three geometries.
+        #[test]
+        fn prop_pool_nodes_are_conserved_and_bounded_by_depth(
+            ops in proptest::collection::vec((0u8..4, 0u16..u16::MAX), 1..300)
+        ) {
+            for (name, mut q) in [
+                ("calendar", EventQueue::with_kind(FelKind::Calendar)),
+                ("calendar-tiny", EventQueue::with_calendar_geometry(4, 64)),
+                ("calendar-wide", EventQueue::with_calendar_geometry(14, 64)),
+            ] {
+                let mut deepest = 0;
+                run_script_with(&mut q, &ops, |q| {
+                    let Backend::Calendar(cal) = &q.backend else {
+                        unreachable!("calendar geometries only");
+                    };
+                    deepest = deepest.max(q.len());
+                    let (listed, free, pool) = cal.pool_census();
+                    assert_eq!(listed + free, pool, "{name}: a node is on no list");
+                    assert!(pool <= deepest, "{name}: {pool} nodes for depth {deepest}");
+                    assert_eq!(pool, q.pool_nodes_peak(), "{name}");
+                });
             }
         }
 

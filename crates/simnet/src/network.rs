@@ -331,9 +331,10 @@ impl<'a> Net<'a> {
         // plus one `Deliver` per port) plus pending timers/starts; the
         // per-packet reference mode can additionally hold one `Arrive` per
         // packet in flight — `total_pipe` (≥ 2 per port) covers those.
-        // (For the calendar backend the capacity reserves the overflow
-        // tier, which is exactly where the build-time bulk of
-        // not-yet-started flows lands.)
+        // (The calendar backend reserves it once per tier — the overflow
+        // heap, where the build-time bulk of not-yet-started flows lands,
+        // the wheel's node pool and the active bucket — and touches only
+        // as much of each as the run's depth reaches.)
         let fel_cap = 2 * n + 2 * n_ports + total_pipe + 64;
         let total_segs: Vec<u32> = flows
             .iter()

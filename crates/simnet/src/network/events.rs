@@ -120,4 +120,14 @@ mod tests {
             std::mem::size_of::<Event>()
         );
     }
+
+    #[test]
+    fn fel_node_stays_compact() {
+        // What the calendar FEL keeps per waiting event: time, seq, key,
+        // the list link and the payload. 40 bytes is one and a half nodes
+        // per cache line; a layout that wraps the entry instead of
+        // flattening it pads to 48.
+        let node = tlb_engine::fel::CalendarFel::<Event>::NODE_BYTES;
+        assert!(node <= 40, "FEL node grew to {node} bytes");
+    }
 }

@@ -119,10 +119,15 @@ impl Net<'_> {
             .pop_front()
             .expect("Deliver on an empty pipe");
         debug_assert_eq!(entry.at, now, "pipe head out of FIFO order");
-        if let Some(front) = self.pipes[p as usize].front() {
-            let (at, seq) = (front.at, front.seq);
-            self.q
-                .push_reserved_keyed(at, key_of(class::ARRIVAL, p), seq, Event::Deliver(p));
+        match self.pipes[p as usize].front() {
+            Some(front) => {
+                let (at, seq) = (front.at, front.seq);
+                self.q
+                    .push_reserved_keyed(at, key_of(class::ARRIVAL, p), seq, Event::Deliver(p));
+            }
+            // Drained: re-base the ring at physical slot 0, as
+            // `OutPort::start_service` does for the port queue.
+            None => self.pipes[p as usize].clear(),
         }
         self.on_arrive(p, entry.pkt, now);
     }

@@ -19,6 +19,9 @@ pub(super) struct Metrics {
     pub fel_depth: SampleSet,
     /// Peak of the occupancy bound over the depth-sample schedule.
     pub fel_bound_peak: u64,
+    /// FEL pool high-water of the shards folded in so far (the hosting
+    /// replica's own queue is read at report time); 0 in a serial run.
+    pub fel_nodes_peak: u64,
     pub short_qdelay_series: TimeSeries,
     pub short_reorder: TimeSeries,
     pub long_reorder: TimeSeries,
@@ -96,6 +99,7 @@ impl Metrics {
             short_qdelay: SampleSet::with_capacity(sample_cap(short_segs)),
             fel_depth: SampleSet::with_capacity(depth_cap),
             fel_bound_peak: 0,
+            fel_nodes_peak: 0,
             short_qdelay_series: series(),
             short_reorder: series(),
             long_reorder: series(),
@@ -237,6 +241,7 @@ impl Net<'_> {
             short_qdelay: m.short_qdelay,
             fel_depth: m.fel_depth,
             fel_bound_peak: m.fel_bound_peak,
+            fel_nodes_peak: m.fel_nodes_peak.max(self.q.pool_nodes_peak() as u64),
             short_reorder_series: m.short_reorder.means(),
             long_reorder_series: m.long_reorder.means(),
             long_goodput_series: m.long_goodput.rates(),

@@ -269,6 +269,7 @@ impl<'a> Net<'a> {
         self.events += other.events;
         self.arrive_seen += other.arrive_seen;
         self.m.absorb(other.m);
+        self.m.fel_nodes_peak = self.m.fel_nodes_peak.max(other.q.pool_nodes_peak() as u64);
         self.audit.absorb(&other.audit);
         self.q
             .absorb_monotonicity_violations(other.q.monotonicity_violations());

@@ -68,6 +68,46 @@ fn conservation_sent_equals_received_plus_losses() {
 }
 
 #[test]
+fn a_drained_pipe_restarts_at_its_first_slot() {
+    // The delivery pipes' twin of the port test in `tlb_switch::port`: a
+    // 500-segment flow crosses its links in ack-clocked bursts that drain
+    // in between, cycling some pipe through ten times its capacity. Every
+    // pipe found empty afterwards must take its next entry where a fresh
+    // one would, not wherever the ring's head had marched to.
+    fn next_slot(pipe: &mut VecDeque<PipeEntry>) -> *const PipeEntry {
+        let pkt = Packet::data(FlowId(0), HostId(0), HostId(16), 0, 1460, 40, SimTime::ZERO);
+        pipe.push_back(PipeEntry {
+            at: SimTime::ZERO,
+            seq: 0,
+            pkt,
+        });
+        let at = pipe.as_slices().0.as_ptr();
+        pipe.clear();
+        at
+    }
+    let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
+    let flows = one_flow(500 * 1460);
+    let mut net = Net::build(&cfg, &flows, vec![None; 1], None);
+    let fresh: Vec<_> = net.pipes.iter_mut().map(next_slot).collect();
+    net.run_loop();
+    assert_eq!(net.n_completed, 1);
+    let mut cycled = 0;
+    for (pi, pipe) in net.pipes.iter_mut().enumerate() {
+        if !pipe.is_empty() {
+            continue;
+        }
+        let crossed = net.ports[pi].stats().pkts_tx as usize;
+        cycled += (crossed >= 10 * pipe.capacity()) as usize;
+        assert_eq!(
+            next_slot(pipe),
+            fresh[pi],
+            "pipe {pi} drained after {crossed} packets and kept its head"
+        );
+    }
+    assert!(cycled > 0, "no drained pipe carried ten times its capacity");
+}
+
+#[test]
 fn rps_single_flow_may_reorder_but_completes() {
     let r = run_basic(Scheme::Rps, one_flow(5_000_000));
     assert_eq!(r.completed, 1);

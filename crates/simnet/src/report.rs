@@ -218,6 +218,13 @@ pub struct RunReport {
     /// digest-stable; in pipelined delivery every `fel_depth` sample is
     /// asserted ≤ the bound whenever the audit is on.
     pub fel_bound_peak: u64,
+    /// High-water mark of the calendar FEL's node pool
+    /// ([`tlb_engine::EventQueue::pool_nodes_peak`]): the most events that
+    /// ever waited in the wheel outside its active bucket — the FEL's
+    /// resident working set, whatever capacity was reserved. The largest
+    /// shard's under the sharded engine, 0 on the heap backend; not part
+    /// of any digest.
+    pub fel_nodes_peak: u64,
     /// Instantaneous reorder ratio of short flows over time — Fig. 8(a).
     pub short_reorder_series: Vec<(f64, f64)>,
     /// Instantaneous reorder ratio of long flows — Fig. 9(a).

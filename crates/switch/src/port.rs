@@ -96,6 +96,8 @@ impl OutPort {
             // exact worst case — materializing it up front keeps a port
             // hitting its all-time depth peak mid-run off the allocator
             // (the steady-state allocation gate counts every regrowth).
+            // Only the slots a backlog actually reached are ever touched:
+            // `start_service` re-bases the ring whenever it drains.
             queue: VecDeque::with_capacity(cfg.capacity_pkts),
             queued_bytes: 0,
             in_service: None,
@@ -194,6 +196,13 @@ impl OutPort {
     pub fn start_service(&mut self) -> Option<&Packet> {
         assert!(self.in_service.is_none(), "start_service while busy");
         let pkt = self.queue.pop_front()?;
+        if self.queue.is_empty() {
+            // Re-base the drained ring at physical slot 0 (all `clear`
+            // does to an empty deque): `pop_front` alone never rewinds the
+            // head, and a port that idles between packets would march
+            // through its whole capacity, one cold line per packet.
+            self.queue.clear();
+        }
         self.queued_bytes -= pkt.wire_bytes as u64;
         self.service_tx = self.tx_time(pkt.wire_bytes as u64);
         Some(self.in_service.insert(pkt))
@@ -505,6 +514,29 @@ mod tests {
             p.enqueue(data(3), SimTime::ZERO),
             Enqueued::Queued { was_idle: true, .. }
         ));
+    }
+
+    #[test]
+    fn a_drained_queue_restarts_at_its_first_slot() {
+        // Ten times the ring's capacity goes through in bursts of one or
+        // two that drain in between: every burst must land where the very
+        // first packet did, not one slot further along the ring each time.
+        let cap = 16;
+        let mut p = OutPort::new(link(), cfg(cap, None));
+        let mut first_slot = None;
+        let mut seq = 0;
+        while (seq as usize) < 10 * cap {
+            for _ in 0..1 + seq % 2 {
+                p.enqueue(data(seq), SimTime::ZERO);
+                seq += 1;
+            }
+            let at = p.queue.as_slices().0.as_ptr();
+            assert_eq!(*first_slot.get_or_insert(at), at, "burst ending at {seq}");
+            while p.start_service().is_some() {
+                p.finish_service();
+            }
+            assert!(p.is_idle());
+        }
     }
 
     #[test]

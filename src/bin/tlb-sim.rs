@@ -365,14 +365,22 @@ fn main() {
     let r = Simulation::new(cfg, flows).run();
     // Which machinery produced the (identical) results goes to stderr: the
     // summary on stdout is compared across engines.
-    match (r.engine_workers, r.engine_fallback) {
-        (Some(workers), _) => eprintln!(
-            "engine: sharded, {workers} workers, {} windows, {} tail events",
+    let engine = match (r.engine_workers, r.engine_fallback) {
+        (Some(workers), _) => format!(
+            "sharded, {workers} workers, {} windows, {} tail events",
             r.sharded_windows, r.sharded_tail_events
         ),
-        (None, Some(why)) => eprintln!("engine: serial, sharded engine refused: {why}"),
-        (None, None) => eprintln!("engine: serial"),
-    }
+        (None, Some(why)) => format!("serial, sharded engine refused: {why}"),
+        (None, None) => "serial".to_string(),
+    };
+    // And what the FEL held: sampled depth against the node pool's
+    // high-water mark, i.e. how much of it the wheel kept resident.
+    eprintln!(
+        "engine: {engine}; fel depth p50 {:.0} max {:.0}, pool peak {} nodes",
+        r.fel_depth.quantile(0.5),
+        r.fel_depth.max(),
+        r.fel_nodes_peak
+    );
     // What the fluid tier cost: timer events are FEL pushes, rate changes
     // only move entries of the seam's completion heap.
     if hybrid {

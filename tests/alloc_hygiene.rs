@@ -16,8 +16,8 @@
 //! The warmup boundary is learned empirically per job: run once without
 //! auditing to learn the total event count `E`, then rerun with the
 //! window opening at `E/2`. Everything the simulator ever allocates —
-//! metric reservations, pool/arena warm-up growth, calendar-queue bucket
-//! doubling, balancer flow tables — must have reached steady state by
+//! metric reservations, pool/arena warm-up growth, calendar-queue pool
+//! growth, balancer flow tables — must have reached steady state by
 //! mid-run.
 
 use tlb::engine::{alloc_audit, CountingAlloc, FelKind};

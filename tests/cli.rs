@@ -134,7 +134,22 @@ fn the_engine_line_says_which_engine_ran_and_why() {
     let engine_line = |extra: &[&str]| {
         let lines = stderr_lines(extra, "engine: ");
         assert_eq!(lines.len(), 1, "one engine line in {lines:?}");
-        lines[0].clone()
+        // Which engine ran, then what its FEL held: sampled depth and the
+        // node pool's high-water mark (the job pushes into the wheel, so
+        // the pool cannot have stayed empty).
+        let (engine, fel) = lines[0]
+            .split_once("; fel depth p50 ")
+            .unwrap_or_else(|| panic!("no FEL half in {lines:?}"));
+        let nums: Vec<u64> = fel
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|w| !w.is_empty())
+            .map(|w| w.parse().expect("digits"))
+            .collect();
+        let [p50, max, pool] = nums[..] else {
+            panic!("want 'N max M, pool peak K nodes', got {fel:?}");
+        };
+        assert!(fel.ends_with(" nodes") && p50 <= max && pool > 0, "{fel:?}");
+        engine.to_string()
     };
     assert_eq!(engine_line(&[]), "engine: serial");
     let sharded = engine_line(&["--engine", "sharded", "--workers", "2"]);

@@ -76,6 +76,17 @@ fn pipelined_delivery_bounds_fel_depth_on_high_bdp_links() {
             piped.fel_bound_peak
         );
 
+        // What the wheel keeps resident is bounded the same way: the node
+        // pool grows only when every node is in use, so its high-water
+        // mark is a depth the wheel actually reached.
+        assert!(piped.fel_nodes_peak > 0, "{name}: nothing used the wheel");
+        assert!(
+            piped.fel_nodes_peak <= piped.fel_bound_peak,
+            "{name}: {} pooled FEL nodes exceed bound {}",
+            piped.fel_nodes_peak,
+            piped.fel_bound_peak
+        );
+
         // And it must matter: on a multi-megabyte BDP the per-packet
         // reference keeps an event per in-flight packet, far above the
         // fabric-sized bound the pipelined mode respects.
@@ -144,4 +155,12 @@ fn fluid_completions_stay_out_of_the_fel() {
         packet.fel_depth.max()
     );
     assert!(hybrid.fel_depth.max() <= hybrid.fel_bound_peak as f64);
+    for (name, r) in [("packet", &packet), ("hybrid", &hybrid)] {
+        assert!(
+            0 < r.fel_nodes_peak && r.fel_nodes_peak <= r.fel_bound_peak,
+            "{name}: {} pooled FEL nodes against bound {}",
+            r.fel_nodes_peak,
+            r.fel_bound_peak
+        );
+    }
 }
