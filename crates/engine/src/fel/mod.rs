@@ -8,7 +8,7 @@
 //! yield the exact same pop order — a total order over `(time, key, seq)` —
 //! so every simulation digest is bit-identical regardless of backend. The
 //! backend is selected per-queue via [`FelKind`]; see
-//! [`crate::EventQueue::with_kind`].
+//! [`crate::EventQueue::with_capacity_and_kind`].
 //!
 //! Determinism argument: [`Entry`]'s ordering key is `(time, key, seq)`
 //! where `key` is a caller-chosen u32 rank (0 for every plain

@@ -99,7 +99,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at zero, on the calendar backend.
     pub fn new() -> Self {
-        Self::with_kind(FelKind::Calendar)
+        Self::with_capacity(0)
     }
 
     /// An empty calendar-backed queue with pre-allocated capacity for
@@ -108,46 +108,23 @@ impl<E> EventQueue<E> {
         Self::with_capacity_and_kind(cap, FelKind::Calendar)
     }
 
-    /// An empty queue on an explicitly chosen backend; differential tests
-    /// pin the heap reference this way.
-    pub fn with_kind(kind: FelKind) -> Self {
-        Self::with_capacity_and_kind(0, kind)
-    }
-
     /// Explicit backend and capacity: either backend holds `cap` pending
     /// events without reallocating, wherever they sit (for the calendar,
-    /// see [`CalendarFel::with_capacity`]).
+    /// see [`CalendarFel::with_capacity`]); differential tests pin the
+    /// heap reference this way.
     pub fn with_capacity_and_kind(cap: usize, kind: FelKind) -> Self {
-        let backend = match kind {
+        Self::on(match kind {
             FelKind::Calendar => Backend::Calendar(CalendarFel::with_capacity(cap)),
             FelKind::Heap => Backend::Heap(HeapFel::with_capacity(cap)),
-        };
+        })
+    }
+
+    fn on(backend: Backend<E>) -> Self {
         EventQueue {
             backend,
             seq: 0,
             now: SimTime::ZERO,
             monotonicity_violations: 0,
-        }
-    }
-
-    /// A calendar-backed queue with explicit wheel geometry
-    /// (`2^shift`-ns buckets, `nb` of them). Tiny wheels force heavy
-    /// overflow/promotion churn; stress tests use this to exercise paths
-    /// the default ~2 ms window rarely hits.
-    pub fn with_calendar_geometry(shift: u32, nb: usize) -> Self {
-        EventQueue {
-            backend: Backend::Calendar(CalendarFel::with_geometry(shift, nb)),
-            seq: 0,
-            now: SimTime::ZERO,
-            monotonicity_violations: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> FelKind {
-        match self.backend {
-            Backend::Calendar(_) => FelKind::Calendar,
-            Backend::Heap(_) => FelKind::Heap,
         }
     }
 
@@ -157,12 +134,23 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedule `event` at absolute time `time`.
+    /// Schedule `event` at absolute time `time`, under ordering key 0.
     ///
     /// `time` may equal `now()` (the event runs later in the same instant)
     /// but must not precede it.
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
+        self.push_keyed(time, 0, event);
+    }
+
+    /// Schedule `event` at `time` with an explicit ordering key: pop order
+    /// is the total order over `(time, key, seq)`. Plain pushes use key 0,
+    /// so a caller mixing both gets keyed entries after the key-0 ties of
+    /// the same instant. The sharded engine keys every event by
+    /// (event class, entity) to make the cross-shard merge order
+    /// independent of per-shard `seq` counters.
+    #[inline]
+    pub fn push_keyed(&mut self, time: SimTime, key: u32, event: E) {
         if time < self.now {
             // Counted before the debug assert so release-mode audits (see
             // `monotonicity_violations`) still observe the violation.
@@ -175,111 +163,6 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.backend.insert(
-            Entry {
-                time,
-                key: 0,
-                seq,
-                event,
-            },
-            self.now,
-        );
-    }
-
-    /// Schedule `event` at `time` with an explicit ordering key: pop order
-    /// is the total order over `(time, key, seq)`. Plain pushes use key 0,
-    /// so a caller mixing both gets keyed entries after the key-0 ties of
-    /// the same instant. The sharded engine keys every event by
-    /// (event class, entity) to make the cross-shard merge order
-    /// independent of per-shard `seq` counters.
-    #[inline]
-    pub fn push_keyed(&mut self, time: SimTime, key: u32, event: E) {
-        if time < self.now {
-            self.monotonicity_violations += 1;
-        }
-        debug_assert!(
-            time >= self.now,
-            "scheduling into the past: {time} < now {now}",
-            now = self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.backend.insert(
-            Entry {
-                time,
-                key,
-                seq,
-                event,
-            },
-            self.now,
-        );
-    }
-
-    /// Schedule `event` `delay` after the current time.
-    #[inline]
-    pub fn push_after(&mut self, delay: SimTime, event: E) {
-        self.push(self.now + delay, event);
-    }
-
-    /// Claim the next insertion sequence number without scheduling
-    /// anything. The caller parks the claimed seq elsewhere (e.g. a
-    /// per-link delivery pipe) and later materializes the event with
-    /// [`EventQueue::push_reserved`]; pop order treats the reservation
-    /// exactly as if the event had been pushed here, so an event stream
-    /// that defers some pushes through reservations is bit-identical to
-    /// one that pushes everything eagerly.
-    #[inline]
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// Schedule `event` at `time` under a sequence number previously
-    /// claimed with [`EventQueue::reserve_seq`]. Subject to the same
-    /// clock-monotonicity contract as [`EventQueue::push`].
-    #[inline]
-    pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) {
-        if time < self.now {
-            self.monotonicity_violations += 1;
-        }
-        debug_assert!(
-            time >= self.now,
-            "scheduling into the past: {time} < now {now}",
-            now = self.now
-        );
-        debug_assert!(
-            seq < self.seq,
-            "push_reserved with an unclaimed seq {seq} (next is {next})",
-            next = self.seq
-        );
-        self.backend.insert(
-            Entry {
-                time,
-                key: 0,
-                seq,
-                event,
-            },
-            self.now,
-        );
-    }
-
-    /// The keyed twin of [`EventQueue::push_reserved`].
-    #[inline]
-    pub fn push_reserved_keyed(&mut self, time: SimTime, key: u32, seq: u64, event: E) {
-        if time < self.now {
-            self.monotonicity_violations += 1;
-        }
-        debug_assert!(
-            time >= self.now,
-            "scheduling into the past: {time} < now {now}",
-            now = self.now
-        );
-        debug_assert!(
-            seq < self.seq,
-            "push_reserved_keyed with an unclaimed seq {seq} (next is {next})",
-            next = self.seq
-        );
         self.backend.insert(
             Entry {
                 time,
@@ -348,14 +231,6 @@ impl<E> EventQueue<E> {
         self.backend.is_empty()
     }
 
-    /// Total number of events ever scheduled, including sequence numbers
-    /// claimed via [`EventQueue::reserve_seq`] that have not materialized
-    /// yet (diagnostics).
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.seq
-    }
-
     /// High-water mark of the calendar backend's node pool — the most
     /// events that ever waited in non-active wheel buckets at once, which
     /// is the FEL's resident working set (diagnostics; 0 on the heap
@@ -397,9 +272,31 @@ mod tests {
     /// nanosecond-scale schedules the other tests use.
     fn all_queues<E>() -> Vec<(&'static str, EventQueue<E>)> {
         vec![
-            ("calendar", EventQueue::with_kind(FelKind::Calendar)),
-            ("heap", EventQueue::with_kind(FelKind::Heap)),
-            ("calendar-tiny", EventQueue::with_calendar_geometry(4, 64)),
+            ("calendar", EventQueue::new()),
+            ("heap", heap_queue()),
+            ("calendar-tiny", with_calendar_geometry(4, 64)),
+        ]
+    }
+
+    /// The heap reference backend.
+    fn heap_queue<E>() -> EventQueue<E> {
+        EventQueue::with_capacity_and_kind(0, FelKind::Heap)
+    }
+
+    /// A calendar-backed queue with explicit wheel geometry
+    /// (`2^shift`-ns buckets, `nb` of them). Tiny wheels force heavy
+    /// overflow/promotion churn, exercising paths the default ~2 ms window
+    /// rarely hits.
+    fn with_calendar_geometry<E>(shift: u32, nb: usize) -> EventQueue<E> {
+        EventQueue::on(Backend::Calendar(CalendarFel::with_geometry(shift, nb)))
+    }
+
+    /// The calendar geometries the differential proptests sweep.
+    fn calendar_queues<E>() -> [(&'static str, EventQueue<E>); 3] {
+        [
+            ("calendar", EventQueue::new()),
+            ("calendar-tiny", with_calendar_geometry(4, 64)),
+            ("calendar-wide", with_calendar_geometry(14, 64)),
         ]
     }
 
@@ -440,16 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn push_after_is_relative() {
-        for (name, mut q) in all_queues() {
-            q.push(SimTime::from_nanos(100), 0u8);
-            q.pop();
-            q.push_after(SimTime::from_nanos(50), 1u8);
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(150), 1u8)), "{name}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn rejects_past_scheduling() {
         let mut q = EventQueue::new();
@@ -461,7 +348,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn rejects_past_scheduling_on_heap_too() {
-        let mut q = EventQueue::with_kind(FelKind::Heap);
+        let mut q = heap_queue();
         q.push(SimTime::from_nanos(100), ());
         q.pop();
         q.push(SimTime::from_nanos(99), ());
@@ -485,15 +372,12 @@ mod tests {
     fn counts_are_consistent() {
         for kind in [FelKind::Calendar, FelKind::Heap] {
             let mut q = EventQueue::with_capacity_and_kind(8, kind);
-            assert_eq!(q.kind(), kind);
             assert!(q.is_empty());
             q.push(SimTime::from_nanos(1), ());
             q.push(SimTime::from_nanos(2), ());
             assert_eq!(q.len(), 2);
-            assert_eq!(q.scheduled_total(), 2);
             q.pop();
             assert_eq!(q.len(), 1);
-            assert_eq!(q.scheduled_total(), 2);
         }
     }
 
@@ -509,9 +393,8 @@ mod tests {
             q.push_keyed(t, 2, "c2");
             q.push_keyed(t, 1, "b2");
             q.push(t, "a2");
-            let held = q.reserve_seq();
+            q.push_keyed(t, 1, "b3");
             q.push_keyed(t, 1, "b4");
-            q.push_reserved_keyed(t, 1, held, "b3");
             assert_eq!(q.peek_time_key(), Some((t, 0)), "{name}");
             for want in ["a1", "a2", "b1", "b2", "b3", "b4", "c1", "c2"] {
                 assert_eq!(q.pop(), Some((t, want)), "{name}");
@@ -537,40 +420,6 @@ mod tests {
             assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)), "{name}");
             assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 2)), "{name}");
             assert_eq!(q.pop(), Some((SimTime::from_millis(5), 3)), "{name}");
-        }
-    }
-
-    #[test]
-    fn reserved_seq_keeps_fifo_position_among_ties() {
-        // Claim a seq, push two later-claimed ties, then materialize the
-        // reservation: it must pop *before* the ties pushed after the
-        // claim, exactly where an eager push would have landed.
-        for (name, mut q) in all_queues() {
-            let t = SimTime::from_nanos(50);
-            q.push(t, 0u32);
-            let held = q.reserve_seq();
-            q.push(t, 2u32);
-            q.push(t, 3u32);
-            q.push_reserved(t, held, 1u32);
-            for want in 0..4u32 {
-                assert_eq!(q.pop(), Some((t, want)), "{name}");
-            }
-        }
-    }
-
-    #[test]
-    fn reserved_seq_counts_toward_scheduled_total() {
-        for (name, mut q) in all_queues::<u8>() {
-            q.push(SimTime::from_nanos(1), 0);
-            let held = q.reserve_seq();
-            assert_eq!(q.scheduled_total(), 2, "{name}");
-            assert_eq!(q.len(), 1, "{name}");
-            q.push_reserved(SimTime::from_nanos(2), held, 1);
-            assert_eq!(q.scheduled_total(), 2, "{name}");
-            assert_eq!(q.len(), 2, "{name}");
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 0)), "{name}");
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(2), 1)), "{name}");
-            assert_eq!(q.monotonicity_violations(), 0, "{name}");
         }
     }
 
@@ -661,7 +510,7 @@ mod tests {
     fn wheel_wraps_across_many_rotations() {
         // March the clock through hundreds of wheel rotations of the tiny
         // geometry, alternating short and bucket-crossing gaps.
-        let mut q = EventQueue::with_calendar_geometry(4, 64);
+        let mut q = with_calendar_geometry(4, 64);
         let mut expect = SimTime::ZERO;
         q.push(SimTime::ZERO, 0u32);
         for step in 0..5_000u32 {
@@ -709,7 +558,8 @@ mod tests {
                         6 => 600,       // next-bucket at default shift
                         _ => 3_000_000, // overflow tier
                     };
-                    q.push_after(SimTime::from_nanos(scale * (1 + raw as u64 % 3)), i as u32);
+                    let t = q.now() + SimTime::from_nanos(scale * (1 + raw as u64 % 3));
+                    q.push(t, i as u32);
                     None
                 }
                 2 => q.pop(),
@@ -779,11 +629,7 @@ mod tests {
         fn prop_pool_nodes_are_conserved_and_bounded_by_depth(
             ops in proptest::collection::vec((0u8..4, 0u16..u16::MAX), 1..300)
         ) {
-            for (name, mut q) in [
-                ("calendar", EventQueue::with_kind(FelKind::Calendar)),
-                ("calendar-tiny", EventQueue::with_calendar_geometry(4, 64)),
-                ("calendar-wide", EventQueue::with_calendar_geometry(14, 64)),
-            ] {
+            for (name, mut q) in calendar_queues() {
                 let mut deepest = 0;
                 run_script_with(&mut q, &ops, |q| {
                     let Backend::Calendar(cal) = &q.backend else {
@@ -798,27 +644,20 @@ mod tests {
             }
         }
 
-        /// Differential: random interleaved push/pop/push_after scripts
-        /// with heavy timestamp ties must produce identical pop results,
-        /// peeks, lengths and counters on the calendar backends vs the
-        /// heap reference.
+        /// Differential: random interleaved push/pop scripts with heavy
+        /// timestamp ties must produce identical pop results, peeks,
+        /// lengths and counters on the calendar backends vs the heap
+        /// reference.
         #[test]
         fn prop_backends_are_indistinguishable(
             ops in proptest::collection::vec((0u8..4, 0u16..u16::MAX), 1..300)
         ) {
-            let mut reference = EventQueue::with_kind(FelKind::Heap);
+            let mut reference = heap_queue();
             let ref_log = run_script(&mut reference, &ops);
-            for (name, mut q) in [
-                ("calendar", EventQueue::with_kind(FelKind::Calendar)),
-                ("calendar-tiny", EventQueue::with_calendar_geometry(4, 64)),
-                ("calendar-wide", EventQueue::with_calendar_geometry(14, 64)),
-            ] {
+            for (name, mut q) in calendar_queues() {
                 let log = run_script(&mut q, &ops);
                 prop_assert_eq!(&log, &ref_log, "{} diverged from heap", name);
                 prop_assert_eq!(q.now(), reference.now(), "{}: clock", name);
-                prop_assert_eq!(
-                    q.scheduled_total(), reference.scheduled_total(), "{}: scheduled", name
-                );
                 prop_assert_eq!(
                     q.monotonicity_violations(),
                     reference.monotonicity_violations(),

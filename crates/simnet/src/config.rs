@@ -347,7 +347,9 @@ impl SimConfig {
     }
 }
 
-/// Why a [`SimConfig`] cannot run ([`SimConfig::validate`]).
+/// Why a job cannot run: what [`SimConfig::validate`] refuses in the
+/// configuration, then what [`crate::Simulation::try_new_chained`] refuses
+/// in the flows and chain pointers handed in with it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// [`TcpConfig::validate`]'s complaint.
@@ -391,6 +393,52 @@ pub enum ConfigError {
         /// Position in [`SimConfig::failure_events`].
         index: usize,
     },
+    /// `flows[index]` carries this id; senders, receivers and the FCT
+    /// recorder are dense tables, so flow `i` must carry id `i`.
+    FlowIdNotDense {
+        /// Position in the flow list.
+        index: usize,
+        /// The id found there.
+        id: u32,
+    },
+    /// `flows[index]` names a host the fabric does not have.
+    FlowHostOutOfRange {
+        /// Position in the flow list.
+        index: usize,
+        /// Which endpoint: `"src"` or `"dst"`.
+        field: &'static str,
+        /// The host it names.
+        host: usize,
+        /// How many hosts the fabric has.
+        n_hosts: usize,
+    },
+    /// `flows[index]` exists: the flow index is the entity of an event
+    /// ordering key, which has `key_bits` bits for it.
+    FlowIndexOverflowsKey {
+        /// Position in the flow list.
+        index: usize,
+        /// Width of the key's entity field.
+        key_bits: u32,
+    },
+    /// The chain has `next` pointers for `flows` flows.
+    ChainLength {
+        /// Flows in the job.
+        flows: usize,
+        /// Chain pointers handed in with them.
+        next: usize,
+    },
+    /// Flow `flow`'s successor `next` is not a flow.
+    ChainOutOfRange {
+        /// The predecessor.
+        flow: usize,
+        /// The successor it names.
+        next: usize,
+    },
+    /// Two flows name `flow` as their successor.
+    ChainedTwice {
+        /// The shared successor.
+        flow: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -419,6 +467,27 @@ impl std::fmt::Display for ConfigError {
             E::FailureEventTarget { index } => {
                 write!(f, "failure event {index}: target out of range")
             }
+            E::FlowIdNotDense { index, id } => {
+                write!(f, "flow {index}: id is {id}, ids must be dense")
+            }
+            E::FlowHostOutOfRange {
+                index,
+                field,
+                host,
+                n_hosts,
+            } => write!(f, "flow {index}: {field} is host {host} of {n_hosts}"),
+            E::FlowIndexOverflowsKey { index, key_bits } => write!(
+                f,
+                "flow {index}: index overflows the {key_bits}-bit event key (at most {} flows)",
+                (1u64 << key_bits) - 1
+            ),
+            E::ChainLength { flows, next } => {
+                write!(f, "{next} next pointers for {flows} flows")
+            }
+            E::ChainOutOfRange { flow, next } => {
+                write!(f, "flow {flow}: next pointer {next} out of range")
+            }
+            E::ChainedTwice { flow } => write!(f, "flow {flow} chained twice"),
         }
     }
 }

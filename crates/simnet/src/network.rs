@@ -33,19 +33,20 @@
 //!
 //! ## Delivery pipes
 //!
-//! A link has constant propagation delay and its port serializes packets
-//! one at a time, so arrival times per link are non-decreasing and FIFO.
-//! Instead of one FEL entry per in-flight packet, each link keeps a
-//! `VecDeque` of `(arrival time, reserved seq, packet)` and at most one
-//! chained `Deliver` event in the FEL; popping it delivers the head and
-//! re-arms the chain. Sequence numbers are *reserved* at the moment a
-//! per-packet push would have happened
-//! ([`tlb_engine::EventQueue::reserve_seq`]), so the FEL's `(time, seq)`
-//! pop order — and therefore every observable result — is bit-identical
-//! to the per-packet reference ([`crate::DeliveryKind::PerPacket`]). The
-//! payoff is FEL occupancy bounded by O(ports + links + pending
-//! timers/starts) instead of O(packets in flight); the run loop enforces
-//! that bound whenever the audit is on.
+//! A link's port serializes packets one at a time and its wire is FIFO,
+//! so arrival times per link are non-decreasing. Instead of one FEL entry
+//! per in-flight packet, each link keeps a `VecDeque` of
+//! `(arrival time, packet)` and at most one chained `Deliver` event in the
+//! FEL; popping it delivers the head and re-arms the chain
+//! (`Net::schedule_arrival` is the one way in). That one live `Deliver` is
+//! the only event under its port's arrival key, so the FEL's
+//! `(time, key, seq)` pop order — and therefore every observable result —
+//! is bit-identical to the per-packet reference
+//! ([`crate::DeliveryKind::PerPacket`]), whose same-key arrivals pop in
+//! push order, the pipe's order. The payoff is FEL occupancy bounded by
+//! O(ports + links + pending timers/starts) instead of O(packets in
+//! flight); every engine's run loop enforces that bound whenever the audit
+//! is on.
 
 mod admin;
 mod events;
@@ -61,7 +62,7 @@ mod sharded;
 mod tests;
 
 use crate::audit::AuditLedger;
-use crate::config::{DeliveryKind, FidelityKind, SimConfig};
+use crate::config::{ConfigError, DeliveryKind, FidelityKind, SimConfig};
 use crate::dispatch::AnyLb;
 use crate::report::{AllocAudit, RunReport};
 use events::{push_ev, Event, KEY_ENTITY_BITS};
@@ -73,11 +74,10 @@ use tlb_switch::{LoadBalancer, OutPort};
 use tlb_transport::{OooPool, SenderOutput, TcpReceiver, TcpSender};
 use tlb_workload::FlowSpec;
 
-/// One in-flight packet parked in a link's delivery pipe: its arrival
-/// time and the FEL sequence number reserved for it.
+/// One in-flight packet parked in a link's delivery pipe, and when it
+/// arrives.
 struct PipeEntry {
     at: SimTime,
-    seq: u64,
     pkt: Packet,
 }
 
@@ -100,9 +100,19 @@ pub struct Simulation {
 impl Simulation {
     /// Configure a simulation over the given flow set (all flows start at
     /// their `start` time).
+    ///
+    /// # Panics
+    ///
+    /// With `invalid simulation configuration: …` where
+    /// [`Simulation::try_new`] returns the error.
     pub fn new(cfg: SimConfig, flows: Vec<FlowSpec>) -> Simulation {
+        or_panic(Simulation::try_new(cfg, flows))
+    }
+
+    /// [`Simulation::new`], with a job that cannot run as a typed error.
+    pub fn try_new(cfg: SimConfig, flows: Vec<FlowSpec>) -> Result<Simulation, ConfigError> {
         let next = vec![None; flows.len()];
-        Simulation::new_chained(cfg, flows, next)
+        Simulation::try_new_chained(cfg, flows, next)
     }
 
     /// Configure a closed-loop simulation: `next[i] = Some(j)` makes flow
@@ -111,9 +121,24 @@ impl Simulation {
     /// flight. Chained flows must not also have their own start event, so
     /// every index that appears as someone's `next` is launched only by its
     /// predecessor.
+    ///
+    /// # Panics
+    ///
+    /// With `invalid simulation configuration: …` where
+    /// [`Simulation::try_new_chained`] returns the error.
     pub fn new_chained(cfg: SimConfig, flows: Vec<FlowSpec>, next: Vec<Option<u32>>) -> Simulation {
-        check_job(&cfg, &flows, &next);
-        Simulation { cfg, flows, next }
+        or_panic(Simulation::try_new_chained(cfg, flows, next))
+    }
+
+    /// [`Simulation::new_chained`], with a job that cannot run as a typed
+    /// error.
+    pub fn try_new_chained(
+        cfg: SimConfig,
+        flows: Vec<FlowSpec>,
+        next: Vec<Option<u32>>,
+    ) -> Result<Simulation, ConfigError> {
+        check_job(&cfg, &flows, &next)?;
+        Ok(Simulation { cfg, flows, next })
     }
 
     /// Run to completion (all flows done or horizon reached) and report.
@@ -122,68 +147,76 @@ impl Simulation {
     }
 }
 
+/// The panicking entry points' way out of a failed job check.
+pub(crate) fn or_panic<T>(checked: Result<T, ConfigError>) -> T {
+    checked.unwrap_or_else(|e| panic!("invalid simulation configuration: {e}"))
+}
+
 /// What the driver indexes by without looking: flow `i` must carry id `i`
 /// (senders, receivers and the FCT recorder are dense tables), fit the
 /// event key's entity bits, and name hosts the fabric has (`host_nic` is
 /// the identity, so an out-of-range host would alias a switch port).
-fn check_flow(i: usize, f: &FlowSpec, n_hosts: usize) -> Result<(), String> {
+fn check_flow(i: usize, f: &FlowSpec, n_hosts: usize) -> Result<(), ConfigError> {
     if i >= 1 << KEY_ENTITY_BITS {
-        return Err(format!(
-            "flow {i}: index overflows the {KEY_ENTITY_BITS}-bit event key (at most {} flows)",
-            (1 << KEY_ENTITY_BITS) - 1
-        ));
+        return Err(ConfigError::FlowIndexOverflowsKey {
+            index: i,
+            key_bits: KEY_ENTITY_BITS,
+        });
     }
     if f.id.index() != i {
-        return Err(format!("flow {i}: id is {}, ids must be dense", f.id.0));
+        return Err(ConfigError::FlowIdNotDense {
+            index: i,
+            id: f.id.0,
+        });
     }
     for (field, h) in [("src", f.src), ("dst", f.dst)] {
         if h.index() >= n_hosts {
-            return Err(format!(
-                "flow {i}: {field} is host {} of {n_hosts}",
-                h.index()
-            ));
+            return Err(ConfigError::FlowHostOutOfRange {
+                index: i,
+                field,
+                host: h.index(),
+                n_hosts,
+            });
         }
     }
     Ok(())
 }
 
-/// The job check every entry point ([`Simulation::new`],
-/// [`Simulation::new_chained`], [`crate::runner::run_one_ref`]) runs before
-/// anything is built: the configuration, every flow ([`check_flow`]), and
-/// the chain pointers (in range, and no flow the successor of two).
-///
-/// # Panics
-///
-/// With `invalid simulation configuration: …` naming the offender.
-pub(crate) fn check_job(cfg: &SimConfig, flows: &[FlowSpec], next: &[Option<u32>]) {
+/// The job check every entry point ([`Simulation::try_new_chained`] and
+/// what lands in it, [`crate::runner::run_one_ref`]) runs before anything
+/// is built: the configuration, every flow ([`check_flow`]), and the chain
+/// pointers (one per flow, in range, and no flow the successor of two).
+pub(crate) fn check_job(
+    cfg: &SimConfig,
+    flows: &[FlowSpec],
+    next: &[Option<u32>],
+) -> Result<(), ConfigError> {
+    cfg.validate()?;
     let n_hosts = cfg.topo.n_hosts();
-    let check = || -> Result<(), String> {
-        cfg.validate().map_err(|e| e.to_string())?;
-        for (i, f) in flows.iter().enumerate() {
-            check_flow(i, f, n_hosts)?;
-        }
-        if next.len() != flows.len() {
-            return Err("next pointers must cover all flows".into());
-        }
-        // The successor bitmap is only needed once something is chained.
-        let mut chained: Vec<bool> = Vec::new();
-        for (i, &n) in next.iter().enumerate() {
-            let Some(n) = n.map(|n| n as usize) else {
-                continue;
-            };
-            if n >= flows.len() {
-                return Err(format!("flow {i}: next pointer {n} out of range"));
-            }
-            chained.resize(flows.len(), false);
-            if std::mem::replace(&mut chained[n], true) {
-                return Err(format!("flow {n} chained twice"));
-            }
-        }
-        Ok(())
-    };
-    if let Err(e) = check() {
-        panic!("invalid simulation configuration: {e}");
+    for (i, f) in flows.iter().enumerate() {
+        check_flow(i, f, n_hosts)?;
     }
+    if next.len() != flows.len() {
+        return Err(ConfigError::ChainLength {
+            flows: flows.len(),
+            next: next.len(),
+        });
+    }
+    // The successor bitmap is only needed once something is chained.
+    let mut chained: Vec<bool> = Vec::new();
+    for (flow, &n) in next.iter().enumerate() {
+        let Some(next) = n.map(|n| n as usize) else {
+            continue;
+        };
+        if next >= flows.len() {
+            return Err(ConfigError::ChainOutOfRange { flow, next });
+        }
+        chained.resize(flows.len(), false);
+        if std::mem::replace(&mut chained[next], true) {
+            return Err(ConfigError::ChainedTwice { flow: next });
+        }
+    }
+    Ok(())
 }
 
 /// Run one checked job over borrowed inputs. [`Simulation::run`] and the
@@ -217,7 +250,8 @@ struct Net<'a> {
     /// Every output queue in the fabric, laid out per [`PortMap`].
     ports: Vec<OutPort>,
     /// Per-link delivery pipes, parallel to `ports` (each port drives
-    /// exactly one link). Empty in per-packet mode.
+    /// exactly one link). Empty in per-packet mode; on a shard replica the
+    /// ones in use are the links it receives, not the ports it owns.
     pipes: Vec<VecDeque<PipeEntry>>,
     /// One balancer per LB switch (leaves, or edges then aggs).
     lb_sws: Vec<LbSw>,
@@ -374,15 +408,13 @@ impl<'a> Net<'a> {
             completed: vec![false; n],
             n_completed: 0,
             q: EventQueue::with_capacity_and_kind(fel_cap, cfg.fel),
-            // Per-packet mode parks every in-flight packet here; size it
-            // like the FEL so steady-state occupancy never grows the slab.
-            // Sharded replicas park cross-shard handoffs here even in
-            // pipelined mode, which otherwise keeps packets in the link
-            // pipes and skips the allocation entirely.
-            arena: if cfg.delivery == DeliveryKind::PerPacket || shard.is_some() {
-                PacketArena::with_capacity(fel_cap)
-            } else {
-                PacketArena::new()
+            // The per-packet reference parks every in-flight packet here;
+            // size it like the FEL so steady-state occupancy never grows
+            // the slab. Pipelined delivery keeps packets in the link pipes
+            // and skips the allocation entirely, on every engine.
+            arena: match cfg.delivery {
+                DeliveryKind::PerPacket => PacketArena::with_capacity(fel_cap),
+                DeliveryKind::Pipelined => PacketArena::new(),
             },
             // The free stack parks at most one buffer per torn-down flow,
             // so `n` bounds it; capped like the other flow-scaled
@@ -516,13 +548,9 @@ impl<'a> Net<'a> {
             let bound = self.fel_bound();
             self.m.fel_bound_peak = self.m.fel_bound_peak.max(bound);
             // The occupancy oracle: pipelined delivery must keep the
-            // FEL within the fabric-sized bound. A shard replica is
-            // exempt: cross-shard handoffs arrive as per-packet events,
-            // which the pipelined bound deliberately excludes.
-            if self.cfg.audit
-                && self.cfg.delivery == DeliveryKind::Pipelined
-                && self.shard.is_none()
-            {
+            // FEL within the fabric-sized bound, on the serial engine and
+            // on every shard replica alike.
+            if self.cfg.audit && self.cfg.delivery == DeliveryKind::Pipelined {
                 assert!(
                     self.q.len() as u64 <= bound,
                     "FEL occupancy {} exceeds the pipelined bound {bound}",

@@ -46,8 +46,9 @@ pub(super) mod class {
     pub const FLOW_START: u32 = 0;
     pub const TIMER: u32 = 1;
     /// `Arrive` and `Deliver` share a class on the transmitting port: they
-    /// are the same arrival in the two delivery modes, and the
-    /// reserved-seq machinery keeps the tie order aligned.
+    /// are the same arrival in the two delivery modes. At most one
+    /// `Deliver` per port is live and same-port `Arrive`s pop in push
+    /// order, so the key alone keeps the two schedules aligned.
     pub const ARRIVAL: u32 = 2;
     pub const TX_DONE: u32 = 3;
     pub const LB_TICK: u32 = 4;
@@ -95,9 +96,8 @@ pub(super) fn event_key(ev: &Event) -> u32 {
 }
 
 /// Push `ev` with its ordering key (every FEL insertion in this module
-/// tree goes through here or
-/// [`tlb_engine::EventQueue::push_reserved_keyed`], so both engines
-/// realize the same `(time, key, seq)` order).
+/// tree goes through here, so both engines realize the same
+/// `(time, key, seq)` order).
 #[inline]
 pub(super) fn push_ev(q: &mut EventQueue<Event>, at: SimTime, ev: Event) {
     let key = event_key(&ev);

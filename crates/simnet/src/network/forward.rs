@@ -4,7 +4,7 @@
 //! leaf-0 queue sampler. Everything here runs per packet-hop and performs
 //! no steady-state allocation.
 
-use super::events::{class, key_of, push_ev, Event};
+use super::events::{push_ev, Event};
 use super::portmap::{NextHop, NodeRef, PortId};
 use super::sharded::XMsg;
 use super::{Net, PipeEntry};
@@ -78,35 +78,43 @@ impl Net<'_> {
         // earlier (matters only after a prop-delay-shrinking LinkEvent).
         let at = (now + prop).max(self.link_fifo[pi]);
         self.link_fifo[pi] = at;
-        if let Some(ctx) = self.shard.as_mut() {
-            if ctx.map.arrive_owner[pi] != ctx.id {
-                // The next hop lives in another shard: hand the packet
-                // off as a message; the owner schedules the `Arrive`
-                // (see [`Net::inject_arrival`]). Always per-packet, even
-                // in pipelined mode — the shared ordering class keeps the
-                // merged schedule identical.
+        match self.shard.as_mut() {
+            // The next hop lives in another shard: hand the packet off;
+            // the owner runs the same `schedule_arrival` when it ingests
+            // the message.
+            Some(ctx) if ctx.map.arrive_owner[pi] != ctx.id => {
                 ctx.outbox.push(XMsg { port: p, at, pkt });
-                return;
             }
+            _ => self.schedule_arrival(p, at, pkt),
         }
-        let key = key_of(class::ARRIVAL, p);
+    }
+
+    /// The one place an arrival meets the FEL: `pkt` finishes crossing
+    /// port `p`'s link at `at`. Runs on the engine that owns the link's far
+    /// end — the transmitting port's own in a serial run, the receiving
+    /// shard's for a cross-shard handoff — with `at` non-decreasing per
+    /// port (`link_fifo`).
+    ///
+    /// Pipelined, the packet joins `pipes[p]` and only an empty pipe arms
+    /// `Deliver(p)`; successors chain when it pops. At most one
+    /// `Deliver(p)` is ever live and nothing else carries port `p`'s
+    /// arrival key, so `(time, key)` alone places it where the per-packet
+    /// reference — one arena-parked `Arrive` per packet, same-instant ties
+    /// in push order, which is the pipe's FIFO order — pops the same
+    /// packet.
+    #[inline]
+    pub(super) fn schedule_arrival(&mut self, p: PortId, at: SimTime, pkt: Packet) {
         match self.cfg.delivery {
             DeliveryKind::Pipelined => {
-                // Reserve the seq a per-packet `Arrive` push would have
-                // taken right here, so the FEL's (time, seq) order — and
-                // every downstream observable — matches the reference
-                // mode bit-for-bit. Only the pipe head keeps a live FEL
-                // event; successors chain when it pops.
-                let seq = self.q.reserve_seq();
-                let pipe = &mut self.pipes[pi];
+                let pipe = &mut self.pipes[p as usize];
                 if pipe.is_empty() {
-                    self.q.push_reserved_keyed(at, key, seq, Event::Deliver(p));
+                    push_ev(&mut self.q, at, Event::Deliver(p));
                 }
-                pipe.push_back(PipeEntry { at, seq, pkt });
+                pipe.push_back(PipeEntry { at, pkt });
             }
             DeliveryKind::PerPacket => {
                 let slot = self.arena.insert(pkt);
-                self.q.push_keyed(at, key, Event::Arrive { port: p, slot });
+                push_ev(&mut self.q, at, Event::Arrive { port: p, slot });
             }
         }
     }
@@ -120,11 +128,7 @@ impl Net<'_> {
             .expect("Deliver on an empty pipe");
         debug_assert_eq!(entry.at, now, "pipe head out of FIFO order");
         match self.pipes[p as usize].front() {
-            Some(front) => {
-                let (at, seq) = (front.at, front.seq);
-                self.q
-                    .push_reserved_keyed(at, key_of(class::ARRIVAL, p), seq, Event::Deliver(p));
-            }
+            Some(front) => push_ev(&mut self.q, front.at, Event::Deliver(p)),
             // Drained: re-base the ring at physical slot 0, as
             // `OutPort::start_service` does for the port queue.
             None => self.pipes[p as usize].clear(),

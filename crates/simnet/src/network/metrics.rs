@@ -131,8 +131,10 @@ impl Metrics {
     /// Fold another shard's collectors in: samples and series merge,
     /// counters add, peaks max. FEL-occupancy telemetry (`fel_depth`,
     /// `fel_bound_peak`) is the one part that is not what a serial run
-    /// would have produced: per-shard sampling schedules differ from the
-    /// serial one (deterministically, but not identically).
+    /// would have produced: each replica samples its own FEL on its own
+    /// event count and checks it against its own bound, so the merged
+    /// samples stay within the merged peak but follow per-shard schedules
+    /// (deterministically, but not the serial one).
     pub fn absorb(&mut self, mut other: Metrics) {
         self.fct.absorb(other.fct);
         self.short_qlen.merge(&other.short_qlen);

@@ -108,7 +108,7 @@
 //! reference anyway — and records it in
 //! [`crate::report::RunReport::engine_fallback`], which `tlb-sim` prints.
 
-use super::events::{class, key_of, split_key, Event};
+use super::events::{class, split_key, Event};
 use super::link;
 use super::portmap::{NodeRef, PortId, PortMap};
 use super::Net;
@@ -131,7 +131,8 @@ pub(crate) struct ShardMap {
     /// Per port: owner of the switch/host the port belongs to.
     pub port_owner: Vec<u16>,
     /// Per port: owner of the node a packet reaches after crossing the
-    /// port's link — the shard that must execute the `Arrive`.
+    /// port's link — the shard that schedules and executes the arrival, so
+    /// the owner of the link's delivery pipe.
     pub arrive_owner: Vec<u16>,
 }
 
@@ -184,8 +185,9 @@ impl ShardCtx {
 }
 
 /// A packet crossing a shard boundary: "this packet finishes crossing
-/// `port`'s link at `at`" — everything the owning shard needs to schedule
-/// the `Arrive` with the exact key and timestamp the serial engine uses.
+/// `port`'s link at `at`" — the arguments of [`Net::schedule_arrival`],
+/// which the owning shard calls with the exact key and timestamp the
+/// serial engine uses.
 pub(crate) struct XMsg {
     pub port: PortId,
     pub at: SimTime,
@@ -203,19 +205,13 @@ impl<'a> Net<'a> {
         }
     }
 
-    /// Receive a cross-shard handoff: park the packet and schedule its
-    /// arrival, exactly as the per-packet delivery path would have on the
-    /// sending side. `Arrive` and `Deliver` share an ordering class on the
-    /// transmitting port, so the merged `(time, key, seq)` schedule is
-    /// unchanged relative to a serial run in either delivery mode.
+    /// Receive a cross-shard handoff: the packet rides this replica's
+    /// `pipes[port]` (or its arena, in the per-packet reference) exactly as
+    /// it would have on a serial engine — the sender owns the port, the
+    /// receiver owns the link's far end and everything scheduled on it.
     fn inject_arrival(&mut self, XMsg { port, at, pkt }: XMsg) {
         debug_assert!(self.shard.is_some());
-        let slot = self.arena.insert(pkt);
-        self.q.push_keyed(
-            at,
-            key_of(class::ARRIVAL, port),
-            Event::Arrive { port, slot },
-        );
+        self.schedule_arrival(port, at, pkt);
     }
 
     /// Distinct segments of flow `fi` that have not reached its receiver
@@ -242,8 +238,11 @@ impl<'a> Net<'a> {
         for pi in 0..self.ports.len() {
             if map.port_owner[pi] == oid {
                 std::mem::swap(&mut self.ports[pi], &mut other.ports[pi]);
-                std::mem::swap(&mut self.pipes[pi], &mut other.pipes[pi]);
                 self.link_fifo[pi] = other.link_fifo[pi];
+            }
+            // A link's pipe lives where its arrivals are scheduled.
+            if map.arrive_owner[pi] == oid {
+                std::mem::swap(&mut self.pipes[pi], &mut other.pipes[pi]);
             }
         }
         for l in 0..self.lb_sws.len() {
@@ -273,10 +272,11 @@ impl<'a> Net<'a> {
         self.audit.absorb(&other.audit);
         self.q
             .absorb_monotonicity_violations(other.q.monotonicity_violations());
-        // Residual in-flight packets (end-of-run leftovers in the other
-        // shard's FEL) feed the merged ledger; queued/in-service residuals
-        // ride the moved ports and pipe residuals the moved pipes, both
-        // scanned later by `finish_audit`.
+        // Residual in-flight packets of the per-packet reference (parked
+        // behind `Arrive` events in the other shard's FEL) feed the merged
+        // ledger; queued/in-service residuals ride the moved ports and
+        // pipelined in-flight residuals the moved pipes, both scanned
+        // later by `finish_audit`.
         let end = other.q.now();
         for (_, ev) in other.q.drain_unordered() {
             if let Event::Arrive { slot, .. } = ev {
@@ -724,7 +724,7 @@ impl<'n, 'a> Run<'n, 'a> {
     }
 
     fn finish(&self) {
-        // Flush still-parked handoffs into their owners' FELs so the
+        // Flush still-parked handoffs onto their owners' links so the
         // end-of-run audit counts them as propagating residuals, exactly
         // like the serial engine's leftover in-flight packets.
         self.flush_inboxes();

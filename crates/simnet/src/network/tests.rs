@@ -78,7 +78,6 @@ fn a_drained_pipe_restarts_at_its_first_slot() {
         let pkt = Packet::data(FlowId(0), HostId(0), HostId(16), 0, 1460, 40, SimTime::ZERO);
         pipe.push_back(PipeEntry {
             at: SimTime::ZERO,
-            seq: 0,
             pkt,
         });
         let at = pipe.as_slices().0.as_ptr();
@@ -428,24 +427,6 @@ fn chained_head_start_time_is_honoured() {
     assert!(r.fct.fct_of(FlowId(1)).unwrap() < 0.004);
 }
 
-#[test]
-#[should_panic(expected = "chained twice")]
-fn double_chaining_rejected() {
-    let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
-    let flows = one_flow(1000);
-    let mut flows3 = flows.clone();
-    flows3.push(FlowSpec {
-        id: FlowId(1),
-        ..flows[0]
-    });
-    flows3.push(FlowSpec {
-        id: FlowId(2),
-        ..flows[0]
-    });
-    // Flows 0 and 1 both claim flow 2 as successor.
-    let _ = Simulation::new_chained(cfg, flows3, vec![Some(2), Some(2), None]);
-}
-
 // ---- the job check (`check_job`/`check_flow`) --------------------------
 
 fn flow(id: u32, src: u32, dst: u32) -> FlowSpec {
@@ -488,21 +469,40 @@ fn all_entry_points_reject(flows: Vec<FlowSpec>, needles: &[&str]) {
     }
 }
 
+/// The typed refusal of a job over the basic fabric.
+fn refusal(flows: Vec<FlowSpec>, next: Vec<Option<u32>>) -> Option<ConfigError> {
+    let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
+    Simulation::try_new_chained(cfg, flows, next).err()
+}
+
 #[test]
 fn out_of_range_hosts_are_rejected() {
     // basic_paper has 48 hosts; `host_nic` is the identity, so host 48
     // would alias leaf 0's first uplink and run 14M events to nowhere.
-    let n_hosts = crate::SimConfig::basic_paper(Scheme::Ecmp).topo.n_hosts() as u32;
-    all_entry_points_reject(vec![flow(0, n_hosts, 16)], &["flow 0", "src"]);
-    all_entry_points_reject(
-        vec![flow(0, 0, 16), flow(1, 1, n_hosts + 3)],
-        &["flow 1", "dst"],
+    let n_hosts = crate::SimConfig::basic_paper(Scheme::Ecmp).topo.n_hosts();
+    let n = n_hosts as u32;
+    all_entry_points_reject(vec![flow(0, n, 16)], &["flow 0", "src"]);
+    let flows = vec![flow(0, 0, 16), flow(1, 1, n + 3)];
+    all_entry_points_reject(flows.clone(), &["flow 1", "dst"]);
+    assert_eq!(
+        refusal(flows, vec![None; 2]),
+        Some(ConfigError::FlowHostOutOfRange {
+            index: 1,
+            field: "dst",
+            host: n_hosts + 3,
+            n_hosts
+        })
     );
 }
 
 #[test]
 fn non_dense_flow_ids_are_rejected() {
-    all_entry_points_reject(vec![flow(0, 0, 16), flow(2, 1, 17)], &["flow 1", "id"]);
+    let flows = vec![flow(0, 0, 16), flow(2, 1, 17)];
+    all_entry_points_reject(flows.clone(), &["flow 1", "id"]);
+    assert_eq!(
+        refusal(flows, vec![None; 2]),
+        Some(ConfigError::FlowIdNotDense { index: 1, id: 2 })
+    );
 }
 
 #[test]
@@ -511,16 +511,37 @@ fn flow_count_is_bounded_by_the_event_key() {
     // 134M-element vector.
     let n = 1usize << KEY_ENTITY_BITS;
     assert!(check_flow(n - 1, &flow(n as u32 - 1, 0, 16), 48).is_ok());
-    let err = check_flow(n, &flow(n as u32, 0, 16), 48).unwrap_err();
-    assert!(
-        err.contains(&format!("flow {n}")) && err.contains("key"),
-        "{err}"
+    assert_eq!(
+        check_flow(n, &flow(n as u32, 0, 16), 48),
+        Err(ConfigError::FlowIndexOverflowsKey {
+            index: n,
+            key_bits: KEY_ENTITY_BITS
+        })
     );
 }
 
 #[test]
-#[should_panic(expected = "flow 0: next pointer 7 out of range")]
+fn chain_pointers_must_cover_all_flows() {
+    assert_eq!(
+        refusal(one_flow(1000), vec![None; 2]),
+        Some(ConfigError::ChainLength { flows: 1, next: 2 })
+    );
+}
+
+#[test]
 fn dangling_chain_pointer_rejected() {
-    let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
-    let _ = Simulation::new_chained(cfg, one_flow(1000), vec![Some(7)]);
+    assert_eq!(
+        refusal(one_flow(1000), vec![Some(7)]),
+        Some(ConfigError::ChainOutOfRange { flow: 0, next: 7 })
+    );
+}
+
+#[test]
+fn double_chaining_rejected() {
+    // Flows 0 and 1 both claim flow 2 as successor.
+    let flows = vec![flow(0, 0, 16), flow(1, 0, 16), flow(2, 0, 16)];
+    assert_eq!(
+        refusal(flows, vec![Some(2), Some(2), None]),
+        Some(ConfigError::ChainedTwice { flow: 2 })
+    );
 }

@@ -216,7 +216,9 @@ pub struct RunReport {
     /// `2·ports + pending starts/timers/housekeeping` over the same sample
     /// schedule. Computed from mode-independent counters, so it is
     /// digest-stable; in pipelined delivery every `fel_depth` sample is
-    /// asserted ≤ the bound whenever the audit is on.
+    /// asserted ≤ the bound whenever the audit is on, on the serial engine
+    /// and on every shard replica (where both are per-replica: the largest
+    /// replica's bound, the union of the replicas' depth samples).
     pub fel_bound_peak: u64,
     /// High-water mark of the calendar FEL's node pool
     /// ([`tlb_engine::EventQueue::pool_nodes_peak`]): the most events that

@@ -34,7 +34,7 @@ pub fn run_one(cfg: SimConfig, flows: Vec<FlowSpec>) -> RunReport {
 /// across repetitions (benchmarks, fuzz shrinking).
 pub fn run_one_ref(cfg: &SimConfig, flows: &[FlowSpec]) -> RunReport {
     let next = vec![None; flows.len()];
-    crate::network::check_job(cfg, flows, &next);
+    crate::network::or_panic(crate::network::check_job(cfg, flows, &next));
     crate::network::run_with(cfg, flows, next)
 }
 

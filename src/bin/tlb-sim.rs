@@ -80,6 +80,11 @@ fn usage_error(msg: String) -> ! {
     std::process::exit(2);
 }
 
+/// The usage error for a job the simulator refuses.
+fn refuse<T>(why: tlb::simnet::ConfigError) -> T {
+    usage_error(format!("cannot run this configuration: {why}"))
+}
+
 /// `value` parsed as a `T` that is `ok`, or a usage error naming `flag`,
 /// the value and what was wanted.
 fn parse_where<T: std::str::FromStr>(
@@ -323,10 +328,8 @@ fn main() {
     }
     cfg.failure_events.sort_by_key(|e| e.at);
     // The range checks above name the flag; whatever they miss still stops
-    // here, before `Simulation::new` would panic on it.
-    if let Err(why) = cfg.validate() {
-        usage_error(format!("cannot run this configuration: {why}"));
-    }
+    // here, before a workload is drawn over a fabric that cannot carry it.
+    cfg.validate().unwrap_or_else(refuse);
 
     let workload = args.value_of("--workload").unwrap_or("websearch");
     let mut rng = SimRng::new(seed ^ 0xABCD);
@@ -362,7 +365,7 @@ fn main() {
     let n = flows.len();
     eprintln!("running {n} flows under {scheme_name} (seed {seed})...");
     let hybrid = cfg.fidelity == FidelityKind::Hybrid;
-    let r = Simulation::new(cfg, flows).run();
+    let r = Simulation::try_new(cfg, flows).unwrap_or_else(refuse).run();
     // Which machinery produced the (identical) results goes to stderr: the
     // summary on stdout is compared across engines.
     let engine = match (r.engine_workers, r.engine_fallback) {

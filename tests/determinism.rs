@@ -185,17 +185,17 @@ fn hybrid_fuzz_batch_is_digest_stable_across_thread_counts() {
 /// The reference implementation behind each bit-identical mode field,
 /// next to the production path the presets select.
 ///
-/// * The calendar queue replaced the heap FEL in PR 4; both backends must
+/// * The heap FEL is the calendar queue's reference; both backends must
 ///   realize the exact same `(time, key, seq)` pop order.
-/// * PR 5 replaced the per-packet `Box<dyn LoadBalancer>` virtual call
-///   with static enum dispatch (`AnyLb`); both paths build the identical
+/// * The per-packet `Box<dyn LoadBalancer>` virtual call is the reference
+///   of static enum dispatch (`AnyLb`); both paths build the identical
 ///   balancer from the identical salt.
-/// * PR 5 also replaced one FEL `Arrive` entry per in-flight packet with
-///   per-link delivery pipes plus a chained `Deliver` event. The pipe
-///   reserves the exact sequence number the per-packet push would have
-///   taken, so every observable, including the sampled `fel_depth`
-///   *schedule*, is bit-identical across modes; only the FEL *occupancy*
-///   may differ, bounded in pipelined mode by `fel_bound_peak` (itself
+/// * One FEL `Arrive` entry per in-flight packet is the reference of the
+///   per-link delivery pipes with their one chained `Deliver` event. Both
+///   carry their port's arrival key, under which nothing else is pushed,
+///   so every observable, including the sampled `fel_depth` *schedule*,
+///   is bit-identical across modes; only the FEL *occupancy* may differ,
+///   bounded in pipelined mode by `fel_bound_peak` (itself
 ///   mode-independent).
 const REFERENCES: [(&str, SetMode); 3] = [
     ("heap FEL", |c| c.fel = FelKind::Heap),

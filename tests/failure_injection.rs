@@ -2,9 +2,10 @@
 //! two uplinks' capacity while traffic is in flight; adaptive schemes must
 //! keep delivering.
 
-use tlb::engine::FelKind;
+use tlb::engine::{EngineKind, FelKind};
 use tlb::prelude::*;
 use tlb::simnet::config::LinkEvent;
+use tlb::simnet::Hop;
 
 fn mix() -> BasicMixConfig {
     let mut m = BasicMixConfig::paper_default();
@@ -194,6 +195,84 @@ fn fat_tree_k8_flap_matrix_is_bit_identical() {
                     "{fel:?}/{dispatch:?}/{delivery:?} diverged"
                 );
             }
+        }
+    }
+}
+
+/// The tie the arrival key has to settle by itself: a mid-run `LinkEvent`
+/// shortens both of leaf 0's busy uplinks from 50 µs to 5 µs, so every
+/// packet sent in the next ~45 µs clamps to the wire's FIFO floor and
+/// several cross one link at the *same* instant. Pipelined delivery has one
+/// chained `Deliver` per port and the per-packet reference one `Arrive` per
+/// packet; both must pop those packets in the order they entered the
+/// link, on the serial engine and across shards — same digest, same audit
+/// ledger, same per-hop trace.
+#[test]
+fn same_instant_arrivals_on_one_link_keep_fifo_order_in_every_mode() {
+    let run = |delivery: DeliveryKind, engine: EngineKind| {
+        let mut cfg = SimConfig::basic_paper(Scheme::Rps);
+        cfg.topo = LeafSpineBuilder::new(2, 2, 4)
+            .link_gbps(1.0)
+            .prop_per_link(SimTime::from_micros(50))
+            .build();
+        cfg.audit = true;
+        cfg.delivery = delivery;
+        cfg.engine = engine;
+        for spine in 0..2 {
+            cfg.link_events.push(LinkEvent {
+                at: SimTime::from_millis(2),
+                leaf: LeafId(0),
+                spine: SpineId(spine),
+                bw_factor: 1.0,
+                new_prop_delay: Some(SimTime::from_micros(5)),
+                extra_delay: SimTime::ZERO,
+            });
+        }
+        cfg.trace_flows = vec![FlowId(0), FlowId(1)];
+        let flows: Vec<FlowSpec> = (0..4u32)
+            .map(|i| FlowSpec {
+                id: FlowId(i),
+                src: HostId(i),
+                dst: HostId(4 + i),
+                size_bytes: 2_000_000,
+                start: SimTime::ZERO,
+                deadline: None,
+            })
+            .collect();
+        Simulation::new(cfg, flows).run()
+    };
+    let rows = |r: &RunReport| -> Vec<_> {
+        (r.traces.iter())
+            .map(|t| (t.at, t.hop, t.flow, t.seq))
+            .collect()
+    };
+
+    let base = run(DeliveryKind::Pipelined, EngineKind::Serial);
+    assert_eq!(base.completed, base.total_flows);
+    assert!(base.audit.is_some(), "conservation audit did not run");
+    // The scenario must actually produce the tie, or the comparison below
+    // proves nothing about it.
+    let base_rows = rows(&base);
+    let tied = (base_rows.windows(2))
+        .filter(|w| matches!(w[0].1, Hop::SpineDownlink { .. }))
+        .filter(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+        .count();
+    assert!(
+        tied > 0,
+        "no two traced packets entered one spine downlink at the same instant"
+    );
+
+    let sharded = EngineKind::Sharded { workers: Some(2) };
+    for delivery in [DeliveryKind::Pipelined, DeliveryKind::PerPacket] {
+        for engine in [EngineKind::Serial, sharded] {
+            let r = run(delivery, engine);
+            let label = format!("{delivery:?}/{engine:?}");
+            if engine == sharded {
+                assert_eq!(r.engine_workers, Some(2), "{label}: engine refused");
+            }
+            assert_eq!(r.digest(), base.digest(), "{label}: digest diverged");
+            assert_eq!(r.audit, base.audit, "{label}: audit diverged");
+            assert_eq!(rows(&r), base_rows, "{label}: trace diverged");
         }
     }
 }

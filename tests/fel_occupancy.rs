@@ -8,6 +8,7 @@
 //! the spine, a multi-megabyte BDP), runs both delivery modes, and checks
 //! that the pipelined run is bit-identical yet bounded.
 
+use tlb::engine::EngineKind;
 use tlb::prelude::*;
 
 /// 2 leaves × 4 spines × 8 hosts, 10 Gbit/s everywhere, 500 µs per link:
@@ -102,6 +103,28 @@ fn pipelined_delivery_bounds_fel_depth_on_high_bdp_links() {
             "{name}: expected ≥2× FEL-depth reduction, got {piped_max} vs {ref_max}"
         );
     }
+}
+
+/// A shard replica is an engine like any other: a cross-shard packet rides
+/// the receiving shard's link pipe, so every shard's FEL stays inside the
+/// same fabric-sized bound (the in-loop oracle asserts it per sample on
+/// every replica; the report-level check is the merged samples' maximum).
+#[test]
+fn sharded_shards_stay_within_the_pipelined_bound() {
+    let (mut cfg, flows) = high_bdp_job(Scheme::Rps, 11);
+    let serial = run_one_ref(&cfg, &flows);
+    cfg.engine = EngineKind::Sharded { workers: Some(2) };
+    let sharded = run_one_ref(&cfg, &flows);
+    assert_eq!(sharded.engine_workers, Some(2), "engine refused");
+    assert_eq!(sharded.digest(), serial.digest(), "engines diverged");
+    assert_eq!(sharded.audit, serial.audit, "audit diverged");
+    assert!(sharded.fel_depth.len() > 10, "too few depth samples");
+    assert!(
+        sharded.fel_depth.max() <= sharded.fel_bound_peak as f64,
+        "a shard's FEL reached depth {} against a bound of {}",
+        sharded.fel_depth.max(),
+        sharded.fel_bound_peak
+    );
 }
 
 /// The fig10 premise (`tests/fidelity.rs`): large-scale web-search at 60 %
