@@ -1,11 +1,14 @@
-//! A recycling arena for in-flight packets.
+//! A recycling arena for in-flight packets: where a packet is while it
+//! crosses a link.
 //!
-//! The simulator's per-packet reference delivery mode used to carry every
-//! in-flight packet as a `Box<Packet>` inside its FEL event — one heap
-//! round-trip per packet per hop. The arena replaces that with a slab:
-//! packets park in a flat `Vec`, events carry a 4-byte [`PacketSlot`]
-//! handle, and freed slots go on a free list for reuse, so steady state
-//! recycles storage instead of allocating.
+//! Packets park in one flat slab, handles are 4 bytes, and freed slots go
+//! on a free list for reuse, so steady state recycles storage instead of
+//! allocating — and an idle link costs nothing, because links own no
+//! storage of their own. A link's in-flight packets are a [`PacketFifo`]:
+//! a `{ head, tail }` pair of slot indices, chained through a `next` field
+//! in the slots, each slot also carrying its packet's arrival time. One
+//! slot is one cache line, so following a link's FIFO touches exactly the
+//! lines of the packets on it.
 //!
 //! Handles are **generation-checked**: every slot carries an 8-bit
 //! generation that increments each time the slot is freed, and the handle
@@ -18,6 +21,7 @@
 //! which is what keeps the simulator's event payload one word.
 
 use crate::packet::Packet;
+use tlb_engine::SimTime;
 
 /// Index bits in a [`PacketSlot`]; the rest hold the generation.
 const IDX_BITS: u32 = 24;
@@ -48,9 +52,44 @@ impl PacketSlot {
     }
 }
 
+/// "No slot": an empty [`PacketFifo`]'s head, the last slot's `next`.
+const NIL: u32 = u32::MAX;
+
 struct Slot {
     generation: u8,
+    /// The slot behind this one on its [`PacketFifo`] (`NIL` at the tail);
+    /// meaningless for a packet parked with plain [`PacketArena::insert`].
+    next: u32,
+    /// When a FIFO-parked packet finishes crossing its link.
+    at: SimTime,
     pkt: Packet,
+}
+
+/// A FIFO of packets parked in a [`PacketArena`], each with an arrival
+/// time — one link's wire. The handle is two slot indices; the packets and
+/// the chain live in the arena, so every operation takes both.
+#[derive(Clone, Copy, Debug)]
+pub struct PacketFifo {
+    head: u32,
+    tail: u32,
+}
+
+impl PacketFifo {
+    /// True when no packet is on the FIFO.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.head == NIL
+    }
+}
+
+impl Default for PacketFifo {
+    /// A FIFO with nothing on it.
+    fn default() -> PacketFifo {
+        PacketFifo {
+            head: NIL,
+            tail: NIL,
+        }
+    }
 }
 
 /// A slab of in-flight packets with free-list recycling and
@@ -102,7 +141,12 @@ impl PacketArena {
                 idx <= IDX_MASK as usize,
                 "packet arena exhausted its 24-bit index space"
             );
-            self.slots.push(Slot { generation: 0, pkt });
+            self.slots.push(Slot {
+                generation: 0,
+                next: NIL,
+                at: SimTime::ZERO,
+                pkt,
+            });
             PacketSlot::new(idx as u32, 0)
         }
     }
@@ -113,16 +157,76 @@ impl PacketArena {
     /// possibly reissued) since this handle was created.
     #[inline]
     pub fn take(&mut self, handle: PacketSlot) -> Packet {
-        let slot = &mut self.slots[handle.index()];
         assert_eq!(
-            slot.generation,
+            self.slots[handle.index()].generation,
             handle.generation(),
             "stale PacketSlot {handle:?}: slot was freed since this handle was issued"
         );
+        self.release(handle.index() as u32)
+    }
+
+    /// Free slot `idx`, retiring every handle issued for it.
+    #[inline]
+    fn release(&mut self, idx: u32) -> Packet {
+        let slot = &mut self.slots[idx as usize];
         slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(handle.index() as u32);
+        self.free.push(idx);
         self.live -= 1;
         slot.pkt
+    }
+
+    /// Park `pkt` at the back of `list`, to arrive at `at`. The handle is
+    /// the packet's name while it is parked; it leaves through
+    /// [`PacketArena::pop_front`], never through [`PacketArena::take`].
+    #[inline]
+    pub fn push_back(&mut self, list: &mut PacketFifo, at: SimTime, pkt: Packet) -> PacketSlot {
+        let handle = self.insert(pkt);
+        let idx = handle.index() as u32;
+        let slot = &mut self.slots[idx as usize];
+        slot.at = at;
+        slot.next = NIL;
+        if list.is_empty() {
+            list.head = idx;
+        } else {
+            self.slots[list.tail as usize].next = idx;
+        }
+        list.tail = idx;
+        handle
+    }
+
+    #[inline]
+    fn head_slot(&self, list: &PacketFifo) -> Option<&Slot> {
+        (!list.is_empty()).then(|| &self.slots[list.head as usize])
+    }
+
+    /// The handle of `list`'s oldest packet.
+    #[inline]
+    pub fn front(&self, list: &PacketFifo) -> Option<PacketSlot> {
+        let slot = self.head_slot(list)?;
+        Some(PacketSlot::new(list.head, slot.generation))
+    }
+
+    /// When `list`'s oldest packet arrives.
+    #[inline]
+    pub fn front_at(&self, list: &PacketFifo) -> Option<SimTime> {
+        self.head_slot(list).map(|slot| slot.at)
+    }
+
+    /// Take `list`'s oldest packet and its arrival time, freeing the slot.
+    #[inline]
+    pub fn pop_front(&mut self, list: &mut PacketFifo) -> Option<(SimTime, Packet)> {
+        let (idx, slot) = (list.head, self.head_slot(list)?);
+        let at = slot.at;
+        list.head = slot.next;
+        Some((at, self.release(idx)))
+    }
+
+    /// Empty `list`, oldest packet first.
+    pub fn drain<'a>(
+        &'a mut self,
+        list: &'a mut PacketFifo,
+    ) -> impl Iterator<Item = (SimTime, Packet)> + 'a {
+        std::iter::from_fn(move || self.pop_front(list))
     }
 
     /// Packets currently parked.
@@ -153,7 +257,9 @@ impl PacketArena {
 mod tests {
     use super::*;
     use crate::ids::{FlowId, HostId};
-    use tlb_engine::SimTime;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn pkt(seq: u32) -> Packet {
         Packet::data(
@@ -237,6 +343,37 @@ mod tests {
     }
 
     #[test]
+    fn slot_is_one_cache_line() {
+        // One line per packet in flight: following a link's FIFO touches
+        // exactly the lines of the packets on it. A field that pushes the
+        // slot past 64 bytes doubles that.
+        assert!(
+            std::mem::size_of::<Slot>() <= 64,
+            "Slot grew to {} bytes",
+            std::mem::size_of::<Slot>()
+        );
+    }
+
+    #[test]
+    fn fifo_pops_in_push_order_with_arrival_times() {
+        let mut a = PacketArena::new();
+        let mut wire = PacketFifo::default();
+        assert!(wire.is_empty() && a.front_at(&wire).is_none());
+        assert!(a.pop_front(&mut wire).is_none());
+        let first = a.push_back(&mut wire, SimTime::from_nanos(10), pkt(1));
+        a.push_back(&mut wire, SimTime::from_nanos(10), pkt(2));
+        a.push_back(&mut wire, SimTime::from_nanos(30), pkt(3));
+        assert_eq!(a.live(), 3);
+        assert_eq!(a.front(&wire), Some(first));
+        let popped: Vec<_> = a
+            .drain(&mut wire)
+            .map(|(at, p)| (at.as_nanos(), p.seq))
+            .collect();
+        assert_eq!(popped, [(10, 1), (10, 2), (30, 3)]);
+        assert!(wire.is_empty() && a.is_empty());
+    }
+
+    #[test]
     fn with_capacity_does_not_grow_within_bound() {
         let mut a = PacketArena::with_capacity(16);
         let cap_slots = a.slots.capacity();
@@ -247,5 +384,63 @@ mod tests {
         }
         assert_eq!(a.slots.capacity(), cap_slots);
         assert_eq!(a.free.capacity(), cap_free);
+    }
+
+    proptest! {
+        /// Random `push_back` / `pop_front` / `drain` over 1–8 FIFOs
+        /// sharing one arena, interleaved with plain `insert` / `take`,
+        /// against a `VecDeque` per FIFO: same pop streams, same heads,
+        /// `live()` is the model's size, the slab never outgrows peak
+        /// occupancy, and a handle kept past its `pop_front` is stale.
+        #[test]
+        fn prop_fifos_match_vecdeque_model(
+            n_lists in 1usize..9,
+            ops in proptest::collection::vec((0u8..6, 0usize..8, 0u64..50), 1..300),
+        ) {
+            let mut a = PacketArena::new();
+            let mut lists = vec![PacketFifo::default(); n_lists];
+            let mut model: Vec<VecDeque<(SimTime, u32, PacketSlot)>> =
+                vec![VecDeque::new(); n_lists];
+            let mut loose: Vec<(PacketSlot, u32)> = Vec::new();
+            for (seq, (op, l, at)) in (0u32..).zip(ops) {
+                let (l, at) = (l % n_lists, SimTime::from_nanos(at));
+                match op {
+                    0 | 1 => {
+                        let h = a.push_back(&mut lists[l], at, pkt(seq));
+                        model[l].push_back((at, seq, h));
+                    }
+                    2 => {
+                        let got = a.pop_front(&mut lists[l]).map(|(at, p)| (at, p.seq));
+                        let want = model[l].pop_front();
+                        prop_assert_eq!(got, want.map(|(at, seq, _)| (at, seq)));
+                        if let Some((_, _, stale)) = want {
+                            let took = catch_unwind(AssertUnwindSafe(|| a.take(stale)));
+                            prop_assert!(took.is_err(), "popped handle still takes");
+                        }
+                    }
+                    3 => {
+                        let got: Vec<_> =
+                            a.drain(&mut lists[l]).map(|(at, p)| (at, p.seq)).collect();
+                        let want: Vec<_> =
+                            model[l].drain(..).map(|(at, seq, _)| (at, seq)).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                    4 => loose.push((a.insert(pkt(seq)), seq)),
+                    _ if loose.is_empty() => {}
+                    _ => {
+                        let (h, want) = loose.swap_remove(l % loose.len());
+                        prop_assert_eq!(a.take(h).seq, want);
+                    }
+                }
+                for (list, m) in lists.iter().zip(&model) {
+                    prop_assert_eq!(list.is_empty(), m.is_empty());
+                    prop_assert_eq!(a.front_at(list), m.front().map(|e| e.0));
+                    prop_assert_eq!(a.front(list), m.front().map(|e| e.2));
+                }
+                let parked = model.iter().map(VecDeque::len).sum::<usize>() + loose.len();
+                prop_assert_eq!(a.live(), parked);
+                prop_assert_eq!(a.slots_allocated(), a.peak_live());
+            }
+        }
     }
 }

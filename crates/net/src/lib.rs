@@ -12,7 +12,7 @@ pub mod ids;
 pub mod packet;
 pub mod topology;
 
-pub use arena::{PacketArena, PacketSlot};
+pub use arena::{PacketArena, PacketFifo, PacketSlot};
 pub use fabric::{Fabric, FabricBuilder, FatTreeBuilder, LeafSpineBuilder};
 pub use fluid::{FluidNet, RateChange, MAX_FLUID_PATH};
 pub use ids::{FlowId, HostId, LeafId, SpineId};

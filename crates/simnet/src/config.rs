@@ -172,12 +172,13 @@ pub struct SimConfig {
 /// How in-flight packets are scheduled for arrival.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeliveryKind {
-    /// One `VecDeque` pipe per link with a single chained delivery event:
-    /// FEL occupancy stays O(ports + links + timers) regardless of
-    /// packets in flight — the default production path.
+    /// One FIFO pipe per link (a list through the packet arena) with a
+    /// single chained delivery event: FEL occupancy stays
+    /// O(ports + links + timers) regardless of packets in flight — the
+    /// default production path.
     Pipelined,
-    /// One FEL entry per in-flight packet, kept as the differential
-    /// reference.
+    /// The same pipes, one FEL entry per in-flight packet: kept as the
+    /// differential reference.
     PerPacket,
 }
 

@@ -18,7 +18,7 @@
 //! | `admin` | scheduled link changes and failures, routing reconvergence | the event loop; the sharded coordinator mirrors `apply_*` |
 //! | `hybrid` | the fluid seam: migration, the completion heap and its one `FluidDone` timer, demotion — `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
 //! | `metrics` | the metric collectors, their build-time sizing, the shard fold and [`crate::RunReport`] assembly | the packet path writes them; `run_with`/`sharded` finish them |
-//! | `finish` | closing the conservation audit | `metrics` (`into_report`) |
+//! | `finish` | closing the conservation audit, counting what is still on the wire | `metrics` (`into_report`), `sharded` (the fold) |
 //! | `sharded` | the conservative multi-core engine over `Net` replicas | `run_with` |
 //!
 //! ## Failures
@@ -34,19 +34,22 @@
 //! ## Delivery pipes
 //!
 //! A link's port serializes packets one at a time and its wire is FIFO,
-//! so arrival times per link are non-decreasing. Instead of one FEL entry
-//! per in-flight packet, each link keeps a `VecDeque` of
-//! `(arrival time, packet)` and at most one chained `Deliver` event in the
-//! FEL; popping it delivers the head and re-arms the chain
-//! (`Net::schedule_arrival` is the one way in). That one live `Deliver` is
+//! so arrival times per link are non-decreasing. A packet that has left
+//! its port's serializer and not yet arrived is parked in `Net::arena`,
+//! linked behind its link's tail: a link's pipe is a
+//! [`tlb_net::PacketFifo`] — two slot indices — and "in flight on a wire"
+//! is the same set as "live in the arena" (`Net::schedule_arrival` is the
+//! one way in). Instead of one FEL entry per in-flight packet, a pipe
+//! keeps at most one chained `Deliver` event in the FEL; popping it
+//! delivers the head and re-arms the chain. That one live `Deliver` is
 //! the only event under its port's arrival key, so the FEL's
 //! `(time, key, seq)` pop order — and therefore every observable result —
 //! is bit-identical to the per-packet reference
-//! ([`crate::DeliveryKind::PerPacket`]), whose same-key arrivals pop in
-//! push order, the pipe's order. The payoff is FEL occupancy bounded by
-//! O(ports + links + pending timers/starts) instead of O(packets in
-//! flight); every engine's run loop enforces that bound whenever the audit
-//! is on.
+//! ([`crate::DeliveryKind::PerPacket`]), which pushes one `Arrive` per
+//! packet instead; same-key arrivals pop in push order, the pipe's order.
+//! The payoff is FEL occupancy bounded by O(ports + links + pending
+//! timers/starts) instead of O(packets in flight); every engine's run loop
+//! enforces that bound whenever the audit is on.
 
 mod admin;
 mod events;
@@ -67,19 +70,11 @@ use crate::dispatch::AnyLb;
 use crate::report::{AllocAudit, RunReport};
 use events::{push_ev, Event, KEY_ENTITY_BITS};
 use portmap::{PortMap, PortRef};
-use std::collections::VecDeque;
 use tlb_engine::{alloc_audit, EventQueue, SimRng, SimTime};
-use tlb_net::{Packet, PacketArena};
-use tlb_switch::{LoadBalancer, OutPort};
+use tlb_net::{PacketArena, PacketFifo};
+use tlb_switch::{LoadBalancer, OutPort, QueueCfg};
 use tlb_transport::{OooPool, SenderOutput, TcpReceiver, TcpSender};
 use tlb_workload::FlowSpec;
-
-/// One in-flight packet parked in a link's delivery pipe, and when it
-/// arrives.
-struct PipeEntry {
-    at: SimTime,
-    pkt: Packet,
-}
 
 /// An LB switch's control state (its ports live in the flat table).
 struct LbSw {
@@ -250,9 +245,10 @@ struct Net<'a> {
     /// Every output queue in the fabric, laid out per [`PortMap`].
     ports: Vec<OutPort>,
     /// Per-link delivery pipes, parallel to `ports` (each port drives
-    /// exactly one link). Empty in per-packet mode; on a shard replica the
-    /// ones in use are the links it receives, not the ports it owns.
-    pipes: Vec<VecDeque<PipeEntry>>,
+    /// exactly one link): the packets crossing the link, oldest first,
+    /// chained through `arena`. On a shard replica the ones in use are the
+    /// links it receives, not the ports it owns.
+    pipes: Vec<PacketFifo>,
     /// One balancer per LB switch (leaves, or edges then aggs).
     lb_sws: Vec<LbSw>,
     /// Whether any failure events are configured (constant per run):
@@ -279,9 +275,10 @@ struct Net<'a> {
     completed: Vec<bool>,
     n_completed: usize,
     q: EventQueue<Event>,
-    /// Parking lot for in-flight packets in per-packet delivery mode
-    /// (`Event::Arrive` carries a slot handle). Unused — and unallocated —
-    /// in pipelined mode, where packets ride the link pipes inline.
+    /// Where every packet is between leaving a port's serializer and
+    /// arriving, in both delivery modes: one slab for the whole fabric,
+    /// reserved once at build for the sum of the links' in-flight bounds
+    /// and touched only as deep as the wire ever got.
     arena: PacketArena,
     /// Recycles receivers' out-of-order buffers across flow lifetimes.
     ooo_pool: OooPool,
@@ -336,40 +333,34 @@ impl<'a> Net<'a> {
                     PortRef::HostNic(_) => cfg.host_queue,
                     _ => cfg.queue,
                 };
+                // A replica never enqueues on a port another shard owns:
+                // it keeps the link props and the admin flag every
+                // replica's `recompute_reach` reads, and no ring.
+                let qcfg = match &shard {
+                    Some(ctx) if ctx.map.port_owner[p as usize] != ctx.id => QueueCfg {
+                        capacity_pkts: 0,
+                        ..qcfg
+                    },
+                    _ => qcfg,
+                };
                 OutPort::new(link::base_props(&cfg.topo, &pmap, p), qcfg)
             })
             .collect();
-        // Pre-size each link's delivery pipe for the worst state the
-        // link reaches over the whole `LinkEvent` schedule (a stretched
-        // prop_delay or a bw_factor > 1 *raises* the in-flight ceiling).
-        // This is what keeps pipe growth out of the steady-state
-        // allocation gate.
-        let mut pipe_caps = vec![0usize; n_ports];
-        link::for_each_link_state(cfg, &pmap, |p, l| {
-            let cap = &mut pipe_caps[p as usize];
-            *cap = (*cap).max(link::in_flight_bound(&cfg.tcp, l));
-        });
-        let total_pipe: usize = pipe_caps.iter().sum();
-        let pipes = pipe_caps
-            .iter()
-            .map(|&cap| match cfg.delivery {
-                DeliveryKind::Pipelined => VecDeque::with_capacity(cap),
-                // Per-packet mode never touches the pipes.
-                DeliveryKind::PerPacket => VecDeque::new(),
-            })
-            .collect();
+        // The wire's one reservation, which is what keeps the arena's
+        // slab out of the steady-state allocation gate.
+        let wire_cap = link::wire_bound(cfg, &pmap);
 
         let n = flows.len();
         // Size the FEL so steady state never reallocates. In pipelined
         // delivery the occupancy is bounded by the fabric (one `TxDone`
         // plus one `Deliver` per port) plus pending timers/starts; the
         // per-packet reference mode can additionally hold one `Arrive` per
-        // packet in flight — `total_pipe` (≥ 2 per port) covers those.
+        // packet in flight — `wire_cap` (≥ 2 per port) covers those.
         // (The calendar backend reserves it once per tier — the overflow
         // heap, where the build-time bulk of not-yet-started flows lands,
         // the wheel's node pool and the active bucket — and touches only
         // as much of each as the run's depth reaches.)
-        let fel_cap = 2 * n + 2 * n_ports + total_pipe + 64;
+        let fel_cap = 2 * n + 2 * n_ports + wire_cap + 64;
         let total_segs: Vec<u32> = flows
             .iter()
             .map(|f| f.size_bytes.div_ceil(cfg.tcp.mss as u64) as u32)
@@ -401,21 +392,14 @@ impl<'a> Net<'a> {
                 .then(|| hybrid::Hybrid::new(&cfg.tcp, &ports, n)),
             pmap,
             ports,
-            pipes,
+            pipes: vec![PacketFifo::default(); n_ports],
             senders: (0..n).map(|_| None).collect(),
             receivers: (0..n).map(|_| None).collect(),
             next_flow,
             completed: vec![false; n],
             n_completed: 0,
             q: EventQueue::with_capacity_and_kind(fel_cap, cfg.fel),
-            // The per-packet reference parks every in-flight packet here;
-            // size it like the FEL so steady-state occupancy never grows
-            // the slab. Pipelined delivery keeps packets in the link pipes
-            // and skips the allocation entirely, on every engine.
-            arena: match cfg.delivery {
-                DeliveryKind::PerPacket => PacketArena::with_capacity(fel_cap),
-                DeliveryKind::Pipelined => PacketArena::new(),
-            },
+            arena: PacketArena::with_capacity(wire_cap),
             // The free stack parks at most one buffer per torn-down flow,
             // so `n` bounds it; capped like the other flow-scaled
             // collectors (24 bytes per parked handle).
@@ -570,7 +554,13 @@ impl<'a> Net<'a> {
             Event::TxDone(p) => self.on_tx_done(p, now),
             Event::Deliver(p) => self.on_deliver(p, now),
             Event::Arrive { port, slot } => {
-                let pkt = self.arena.take(slot);
+                // Same-port `Arrive`s pop in push order, the pipe's order.
+                assert_eq!(
+                    self.arena.front(&self.pipes[port as usize]),
+                    Some(slot),
+                    "Arrive does not name the head of its link's pipe"
+                );
+                let pkt = self.pop_pipe(port, now);
                 self.on_arrive(port, pkt, now);
             }
             Event::Timer { flow } => {

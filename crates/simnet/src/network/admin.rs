@@ -2,12 +2,15 @@
 //! failures/repairs, and the routing reconvergence they force. Each
 //! handler is split into the state mutation (`apply_*`, which the sharded
 //! coordinator mirrors into every replica) and the hybrid tier's reaction.
+//! A link change rewrites the port's props and nothing else: packets
+//! already on the wire keep their arrival times, and the arena behind the
+//! link pipes was reserved at build for every state the schedule reaches.
 
 use super::link;
 use super::portmap::PortId;
 use super::Net;
-use crate::config::{DeliveryKind, FailureAction, FailureTarget};
-use tlb_engine::{alloc_audit, SimTime};
+use crate::config::{FailureAction, FailureTarget};
+use tlb_engine::SimTime;
 
 impl Net<'_> {
     /// Apply a configured mid-run link change to both directions of the
@@ -26,38 +29,8 @@ impl Net<'_> {
         for p in changed {
             let port = &mut self.ports[p as usize];
             port.set_link(link::apply_event(ev, port.link()));
-            if self.cfg.delivery == DeliveryKind::Pipelined {
-                self.refit_pipe(p as usize);
-            }
         }
         changed
-    }
-
-    /// Safety net behind the build-time schedule-aware pipe sizing: after
-    /// a link change, make sure the port's delivery pipe can still hold
-    /// its worst-case in-flight count. Build sizing folds the same bound
-    /// over the whole schedule ([`link::for_each_link_state`]), so this
-    /// normally never grows; if it ever does, the growth happens
-    /// deterministically at the event itself and is measured out of the
-    /// steady-state allocation gate (the audit invariant covers the
-    /// per-packet paths, not a sanctioned reconfiguration).
-    fn refit_pipe(&mut self, pi: usize) {
-        let needed = link::in_flight_bound(&self.cfg.tcp, &self.ports[pi].link());
-        let pipe = &mut self.pipes[pi];
-        if pipe.capacity() < needed {
-            let before = alloc_audit::counters();
-            let len = pipe.len();
-            pipe.reserve(needed - len);
-            if let Some(base) = self.alloc_at_warmup.as_mut() {
-                // Shift the warmup baseline forward by the resize delta so
-                // the audited window excludes this growth.
-                let d = before.delta(alloc_audit::counters());
-                base.allocs += d.allocs;
-                base.reallocs += d.reallocs;
-                base.deallocs += d.deallocs;
-                base.bytes += d.bytes;
-            }
-        }
     }
 
     /// Apply the `i`-th configured failure/repair: flip the admin state

@@ -1,6 +1,5 @@
 //! Closing the packet-conservation audit at end of run.
 
-use super::events::Event;
 use super::Net;
 use crate::audit::{AuditLedger, AuditReport, PortAudit};
 
@@ -22,13 +21,29 @@ fn check_endpoints<T>(
 }
 
 impl Net<'_> {
+    /// Hand `ledger` every packet still crossing a link — in flight on a
+    /// wire is live in the arena, in both delivery modes — and leave the
+    /// pipes and the arena empty.
+    pub(super) fn drain_pipes(&mut self, ledger: &mut AuditLedger) {
+        for pipe in &mut self.pipes {
+            for (_, pkt) in self.arena.drain(pipe) {
+                ledger.residual_propagating(&pkt);
+            }
+        }
+        debug_assert!(
+            self.arena.is_empty(),
+            "{} arena slots are on no link's pipe",
+            self.arena.live()
+        );
+    }
+
     /// Close the packet-conservation ledger: feed it the end-of-run
     /// residuals (queued packets, pending serializations and propagations
-    /// — the latter live in the FEL in per-packet mode and in the link
-    /// pipes in pipelined mode), per-port accounting snapshots, the
-    /// engine's clock counter, and each live endpoint's invariant check,
-    /// then let it verify everything (see [`crate::audit`]). Drains the
-    /// event queue; call only from [`Net::into_report`].
+    /// — the latter are what is still parked in the arena), per-port
+    /// accounting snapshots, the engine's clock counter, and each live
+    /// endpoint's invariant check, then let it verify everything (see
+    /// [`crate::audit`]). Empties the link pipes; call only from
+    /// [`Net::into_report`].
     pub(super) fn finish_audit(&mut self) -> Option<AuditReport> {
         let mut ledger = std::mem::replace(&mut self.audit, AuditLedger::new(false));
         if !ledger.enabled() {
@@ -49,22 +64,7 @@ impl Net<'_> {
             .collect();
 
         let monotonicity = self.q.monotonicity_violations();
-        for (_, ev) in self.q.drain_unordered() {
-            if let Event::Arrive { slot, .. } = ev {
-                ledger.residual_propagating(&self.arena.take(slot));
-            }
-        }
-        debug_assert!(
-            self.arena.is_empty(),
-            "{} arena slots leaked past the FEL drain",
-            self.arena.live()
-        );
-        // Pipelined mode: in-flight packets live in the link pipes (at
-        // most one of them also has a `Deliver` event above, which carries
-        // no packet — no double counting).
-        for e in self.pipes.iter().flatten() {
-            ledger.residual_propagating(&e.pkt);
-        }
+        self.drain_pipes(&mut ledger);
 
         let (senders_checked, sender_violations) =
             check_endpoints(&self.senders, |s| s.invariant_violation());

@@ -1,5 +1,5 @@
 //! The per-packet switch path: admission, serialization, link crossing
-//! (per-link delivery pipes or per-packet arrivals), the routing walk and
+//! (per-link delivery pipes through the packet arena), the routing walk and
 //! the balancer decision, plus the balancers' periodic tick and the
 //! leaf-0 queue sampler. Everything here runs per packet-hop and performs
 //! no steady-state allocation.
@@ -7,7 +7,7 @@
 use super::events::{push_ev, Event};
 use super::portmap::{NextHop, NodeRef, PortId};
 use super::sharded::XMsg;
-use super::{Net, PipeEntry};
+use super::Net;
 use crate::config::DeliveryKind;
 use crate::report::{Hop, TraceEvent};
 use tlb_engine::SimTime;
@@ -95,45 +95,46 @@ impl Net<'_> {
     /// shard's for a cross-shard handoff — with `at` non-decreasing per
     /// port (`link_fifo`).
     ///
-    /// Pipelined, the packet joins `pipes[p]` and only an empty pipe arms
-    /// `Deliver(p)`; successors chain when it pops. At most one
-    /// `Deliver(p)` is ever live and nothing else carries port `p`'s
-    /// arrival key, so `(time, key)` alone places it where the per-packet
-    /// reference — one arena-parked `Arrive` per packet, same-instant ties
-    /// in push order, which is the pipe's FIFO order — pops the same
-    /// packet.
+    /// Either way the packet parks in the arena at the back of
+    /// `pipes[p]`; the delivery modes differ in what they push. Pipelined,
+    /// only an empty pipe arms `Deliver(p)` and successors chain when it
+    /// pops. At most one `Deliver(p)` is ever live and nothing else
+    /// carries port `p`'s arrival key, so `(time, key)` alone places it
+    /// where the per-packet reference — one `Arrive` per packet,
+    /// same-instant ties in push order, which is the pipe's FIFO order —
+    /// pops the same packet.
     #[inline]
     pub(super) fn schedule_arrival(&mut self, p: PortId, at: SimTime, pkt: Packet) {
+        let pipe = &mut self.pipes[p as usize];
+        let was_empty = pipe.is_empty();
+        let slot = self.arena.push_back(pipe, at, pkt);
         match self.cfg.delivery {
-            DeliveryKind::Pipelined => {
-                let pipe = &mut self.pipes[p as usize];
-                if pipe.is_empty() {
-                    push_ev(&mut self.q, at, Event::Deliver(p));
-                }
-                pipe.push_back(PipeEntry { at, pkt });
-            }
-            DeliveryKind::PerPacket => {
-                let slot = self.arena.insert(pkt);
-                push_ev(&mut self.q, at, Event::Arrive { port: p, slot });
-            }
+            DeliveryKind::Pipelined if was_empty => push_ev(&mut self.q, at, Event::Deliver(p)),
+            DeliveryKind::Pipelined => {}
+            DeliveryKind::PerPacket => push_ev(&mut self.q, at, Event::Arrive { port: p, slot }),
         }
+    }
+
+    /// The head of `p`'s pipe arrives now: take it off the wire.
+    #[inline]
+    pub(super) fn pop_pipe(&mut self, p: PortId, now: SimTime) -> Packet {
+        let (at, pkt) = self
+            .arena
+            .pop_front(&mut self.pipes[p as usize])
+            .expect("arrival on an empty pipe");
+        debug_assert_eq!(at, now, "pipe head out of FIFO order");
+        pkt
     }
 
     /// Pipelined delivery: the head of `p`'s pipe arrives now. Re-arm the
     /// chain for the next in-flight packet, then hand the packet to the
     /// arrival logic.
     pub(super) fn on_deliver(&mut self, p: PortId, now: SimTime) {
-        let entry = self.pipes[p as usize]
-            .pop_front()
-            .expect("Deliver on an empty pipe");
-        debug_assert_eq!(entry.at, now, "pipe head out of FIFO order");
-        match self.pipes[p as usize].front() {
-            Some(front) => push_ev(&mut self.q, front.at, Event::Deliver(p)),
-            // Drained: re-base the ring at physical slot 0, as
-            // `OutPort::start_service` does for the port queue.
-            None => self.pipes[p as usize].clear(),
+        let pkt = self.pop_pipe(p, now);
+        if let Some(at) = self.arena.front_at(&self.pipes[p as usize]) {
+            push_ev(&mut self.q, at, Event::Deliver(p));
         }
-        self.on_arrive(p, entry.pkt, now);
+        self.on_arrive(p, pkt, now);
     }
 
     /// A packet finished crossing port `p`'s link.
@@ -271,12 +272,13 @@ mod tests {
 
     #[test]
     fn per_packet_arena_drains_and_recycles() {
-        // In per-packet delivery every in-flight packet parks in the arena,
-        // and the slab must stabilize at the peak in-flight population rather
-        // than growing with the total packet count. Residual slots at loop
-        // exit belong to still-queued `Arrive` events; `finish_audit` drains
-        // them and debug-asserts the arena empties (exercised via
-        // `into_report` below, since the basic preset audits in debug builds).
+        // Every in-flight packet parks in the arena, and the slab must
+        // stabilize at the peak in-flight population rather than growing
+        // with the total packet count. In per-packet delivery each residual
+        // slot at loop exit has its own still-queued `Arrive` event;
+        // `finish_audit` drains the pipes and debug-asserts the arena
+        // empties (exercised via `into_report` below, since the basic
+        // preset audits in debug builds).
         let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
         cfg.delivery = DeliveryKind::PerPacket;
         let flows = one_flow(500 * 1460);

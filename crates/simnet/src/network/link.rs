@@ -1,7 +1,7 @@
 //! Link physics, stated once: which [`LinkProps`] a port starts with, what
 //! a [`LinkEvent`] does to them, every state a link reaches over the
-//! configured schedule, and the two quantities derived from a link's
-//! state (its in-flight packet bound and its payload goodput).
+//! configured schedule, and the quantities derived from a link's state
+//! (its in-flight packet bound, the fabric-wide sum, its payload goodput).
 
 use super::portmap::{PortId, PortMap, PortRef};
 use crate::config::{LinkEvent, SimConfig};
@@ -42,8 +42,8 @@ pub(super) fn apply_event(ev: &LinkEvent, l: LinkProps) -> LinkProps {
 /// Show `see` every state each port's link ever reaches: its build-time
 /// props, then the props after each [`LinkEvent`] targeting it, replayed
 /// in FEL order (by time; same-time events keep config order). Whatever
-/// must hold for the whole run — pipe capacity, the sharded lookahead —
-/// folds over this.
+/// must hold for the whole run — the arena's reservation, the sharded
+/// lookahead — folds over this.
 pub(super) fn for_each_link_state(
     cfg: &SimConfig,
     pmap: &PortMap,
@@ -75,6 +75,16 @@ pub(super) fn in_flight_bound(tcp: &TcpConfig, l: &LinkProps) -> usize {
         .as_nanos()
         .max(1);
     (l.prop_delay.as_nanos() / tx + 2).min(4096) as usize
+}
+
+/// Most packets ever crossing links at once, fabric-wide: the in-flight
+/// bound of every state every link reaches over the schedule (a stretched
+/// prop_delay or a bw_factor > 1 *raises* a link's ceiling, and while the
+/// change takes hold the link carries packets of both states).
+pub(super) fn wire_bound(cfg: &SimConfig, pmap: &PortMap) -> usize {
+    let mut total = 0;
+    for_each_link_state(cfg, pmap, |_, l| total += in_flight_bound(&cfg.tcp, l));
+    total
 }
 
 /// The fluid tier's capacity of a link in state `l`: its payload goodput,

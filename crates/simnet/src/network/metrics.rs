@@ -22,6 +22,10 @@ pub(super) struct Metrics {
     /// FEL pool high-water of the shards folded in so far (the hosting
     /// replica's own queue is read at report time); 0 in a serial run.
     pub fel_nodes_peak: u64,
+    /// Arena high-water marks of the shards folded in so far, summed (the
+    /// hosting replica's own arena is read at report time); 0 in a serial
+    /// run.
+    pub wire_pkts_peak: u64,
     pub short_qdelay_series: TimeSeries,
     pub short_reorder: TimeSeries,
     pub long_reorder: TimeSeries,
@@ -100,6 +104,7 @@ impl Metrics {
             fel_depth: SampleSet::with_capacity(depth_cap),
             fel_bound_peak: 0,
             fel_nodes_peak: 0,
+            wire_pkts_peak: 0,
             short_qdelay_series: series(),
             short_reorder: series(),
             long_reorder: series(),
@@ -244,6 +249,7 @@ impl Net<'_> {
             fel_depth: m.fel_depth,
             fel_bound_peak: m.fel_bound_peak,
             fel_nodes_peak: m.fel_nodes_peak.max(self.q.pool_nodes_peak() as u64),
+            wire_pkts_peak: m.wire_pkts_peak + self.arena.peak_live() as u64,
             short_reorder_series: m.short_reorder.means(),
             long_reorder_series: m.long_reorder.means(),
             long_goodput_series: m.long_goodput.rates(),

@@ -3,9 +3,15 @@
 //!
 //! One simulation is split into **shards** — per-pod for fat trees,
 //! per-leaf for leaf-spine fabrics, hosts colocated with their edge/leaf
-//! switch — each owning a full replica of the [`super::Net`] state but
-//! touching only its own entities: its switches' ports, its hosts'
-//! senders/receivers, its slice of the FEL. Shards advance in
+//! switch — each a replica of the [`super::Net`] state that touches only
+//! its own entities: its switches' ports, its hosts' senders/receivers,
+//! the links it receives, its slice of the FEL. A replica builds queue
+//! rings only for the ports it owns (the others keep their link props and
+//! admin flag, which every replica's `recompute_reach` reads) and its
+//! arena pages in only the packets on its own links; what it still
+//! duplicates per shard is the FEL reservation, the metric collectors and
+//! the per-flow tables (senders, receivers, `total_segs`, `completed`).
+//! Shards advance in
 //! barrier-synchronized **windows** bounded by the conservative lookahead
 //! `Δ` = the minimum propagation delay over any cross-shard link (folded
 //! over the whole [`crate::config::LinkEvent`] schedule): an event a shard
@@ -36,7 +42,7 @@
 //!
 //! ## Global events and the serialized tail
 //!
-//! [`Event::Failure`] / [`Event::LinkChange`] mutate fabric state every
+//! [`super::events::Event::Failure`] / `LinkChange` mutate fabric state every
 //! replica reads (`recompute_reach` scans the whole port table). They are
 //! seeded only into shard 0's FEL and executed in **micro-steps**:
 //! parallel windows never cross the next scheduled admin time; when it
@@ -108,7 +114,7 @@
 //! reference anyway — and records it in
 //! [`crate::report::RunReport::engine_fallback`], which `tlb-sim` prints.
 
-use super::events::{class, split_key, Event};
+use super::events::{class, split_key};
 use super::link;
 use super::portmap::{NodeRef, PortId, PortMap};
 use super::Net;
@@ -206,7 +212,7 @@ impl<'a> Net<'a> {
     }
 
     /// Receive a cross-shard handoff: the packet rides this replica's
-    /// `pipes[port]` (or its arena, in the per-packet reference) exactly as
+    /// `pipes[port]`, parked in this replica's arena, exactly as
     /// it would have on a serial engine — the sender owns the port, the
     /// receiver owns the link's far end and everything scheduled on it.
     fn inject_arrival(&mut self, XMsg { port, at, pkt }: XMsg) {
@@ -240,10 +246,6 @@ impl<'a> Net<'a> {
                 std::mem::swap(&mut self.ports[pi], &mut other.ports[pi]);
                 self.link_fifo[pi] = other.link_fifo[pi];
             }
-            // A link's pipe lives where its arrivals are scheduled.
-            if map.arrive_owner[pi] == oid {
-                std::mem::swap(&mut self.pipes[pi], &mut other.pipes[pi]);
-            }
         }
         for l in 0..self.lb_sws.len() {
             if map.sw_owner[l] == oid {
@@ -267,23 +269,17 @@ impl<'a> Net<'a> {
         self.n_completed += other.n_completed;
         self.events += other.events;
         self.arrive_seen += other.arrive_seen;
+        self.audit.absorb(&other.audit);
+        // What is still crossing the links the other shard receives feeds
+        // the merged ledger here; queued/in-service residuals ride the
+        // moved ports, scanned later by `finish_audit`.
+        other.drain_pipes(&mut self.audit);
         self.m.absorb(other.m);
         self.m.fel_nodes_peak = self.m.fel_nodes_peak.max(other.q.pool_nodes_peak() as u64);
-        self.audit.absorb(&other.audit);
+        self.m.wire_pkts_peak += other.arena.peak_live() as u64;
         self.q
             .absorb_monotonicity_violations(other.q.monotonicity_violations());
-        // Residual in-flight packets of the per-packet reference (parked
-        // behind `Arrive` events in the other shard's FEL) feed the merged
-        // ledger; queued/in-service residuals ride the moved ports and
-        // pipelined in-flight residuals the moved pipes, both scanned
-        // later by `finish_audit`.
-        let end = other.q.now();
-        for (_, ev) in other.q.drain_unordered() {
-            if let Event::Arrive { slot, .. } = ev {
-                self.audit.residual_propagating(&other.arena.take(slot));
-            }
-        }
-        self.q.join_clock(end);
+        self.q.join_clock(other.q.now());
     }
 }
 

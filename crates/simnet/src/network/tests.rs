@@ -67,43 +67,74 @@ fn conservation_sent_equals_received_plus_losses() {
     assert_eq!(c.out_of_order, 0, "single path cannot reorder");
 }
 
+/// The high-BDP shape of `tests/fel_occupancy.rs` — 2 leaves × 4 spines ×
+/// 8 hosts, 10 Gbit/s × 500 µs links, 16 cross-rack 4 MB flows sprayed
+/// over every uplink — cut off at 60 ms with every window still in flight.
+fn high_bdp_job(link_events: Vec<crate::config::LinkEvent>) -> (crate::SimConfig, Vec<FlowSpec>) {
+    let mut cfg = crate::SimConfig::basic_paper(Scheme::Rps);
+    cfg.audit = true;
+    cfg.topo = tlb_net::LeafSpineBuilder::new(2, 4, 8)
+        .link_gbps(10.0)
+        .prop_per_link(SimTime::from_micros(500))
+        .build();
+    cfg.horizon = SimTime::from_millis(60);
+    cfg.link_events = link_events;
+    let flows = (0..16u32)
+        .map(|i| FlowSpec {
+            id: FlowId(i),
+            src: HostId(i % 8),
+            dst: HostId(8 + (i * 3) % 8),
+            size_bytes: 4_000_000,
+            start: SimTime::from_micros(10 * i as u64),
+            deadline: None,
+        })
+        .collect();
+    (cfg, flows)
+}
+
 #[test]
-fn a_drained_pipe_restarts_at_its_first_slot() {
-    // The delivery pipes' twin of the port test in `tlb_switch::port`: a
-    // 500-segment flow crosses its links in ack-clocked bursts that drain
-    // in between, cycling some pipe through ten times its capacity. Every
-    // pipe found empty afterwards must take its next entry where a fresh
-    // one would, not wherever the ring's head had marched to.
-    fn next_slot(pipe: &mut VecDeque<PipeEntry>) -> *const PipeEntry {
-        let pkt = Packet::data(FlowId(0), HostId(0), HostId(16), 0, 1460, 40, SimTime::ZERO);
-        pipe.push_back(PipeEntry {
-            at: SimTime::ZERO,
-            pkt,
-        });
-        let at = pipe.as_slices().0.as_ptr();
-        pipe.clear();
-        at
-    }
-    let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
-    let flows = one_flow(500 * 1460);
-    let mut net = Net::build(&cfg, &flows, vec![None; 1], None);
-    let fresh: Vec<_> = net.pipes.iter_mut().map(next_slot).collect();
-    net.run_loop();
-    assert_eq!(net.n_completed, 1);
-    let mut cycled = 0;
-    for (pi, pipe) in net.pipes.iter_mut().enumerate() {
-        if !pipe.is_empty() {
-            continue;
+fn the_wire_follows_what_is_live() {
+    // A packet between a serializer and its arrival is in the arena and
+    // nowhere else, in both delivery modes: the slab never outgrows the
+    // one reservation made at build, the modes park the same packets, and
+    // closing the audit leaves every pipe and the arena empty. The second
+    // schedule stretches a busy uplink's delay fivefold mid-run — its
+    // in-flight ceiling rises under packets already on the wire.
+    let stretch = crate::config::LinkEvent {
+        at: SimTime::from_millis(30),
+        leaf: LeafId(0),
+        spine: SpineId(0),
+        bw_factor: 1.0,
+        new_prop_delay: Some(SimTime::from_micros(2_500)),
+        extra_delay: SimTime::ZERO,
+    };
+    for link_events in [vec![], vec![stretch]] {
+        let (mut cfg, flows) = high_bdp_job(link_events);
+        let mut seen = Vec::new();
+        for delivery in [DeliveryKind::Pipelined, DeliveryKind::PerPacket] {
+            cfg.delivery = delivery;
+            let mut net = Net::build(&cfg, &flows, vec![None; flows.len()], None);
+            let reserved = link::wire_bound(&cfg, &net.pmap);
+            net.run_loop();
+            let (peak, residual) = (net.arena.peak_live(), net.arena.live());
+            assert!(residual > 0, "{delivery:?}: the horizon cut nothing off");
+            assert!(
+                net.arena.slots_allocated() <= reserved,
+                "{delivery:?}: {} arena slots against {reserved} reserved",
+                net.arena.slots_allocated()
+            );
+            let audit = net.finish_audit().expect("the audit is on");
+            let propagating: u64 = audit.kinds.iter().map(|k| k.propagating_at_end).sum();
+            assert_eq!(propagating, residual as u64, "{delivery:?}");
+            assert!(net.pipes.iter().all(|pipe| pipe.is_empty()), "{delivery:?}");
+            assert!(net.arena.is_empty(), "{delivery:?}");
+            seen.push((peak, residual, audit));
         }
-        let crossed = net.ports[pi].stats().pkts_tx as usize;
-        cycled += (crossed >= 10 * pipe.capacity()) as usize;
         assert_eq!(
-            next_slot(pipe),
-            fresh[pi],
-            "pipe {pi} drained after {crossed} packets and kept its head"
+            seen[0], seen[1],
+            "the delivery modes parked different packets"
         );
     }
-    assert!(cycled > 0, "no drained pipe carried ten times its capacity");
 }
 
 #[test]

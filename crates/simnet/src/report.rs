@@ -227,6 +227,12 @@ pub struct RunReport {
     /// shard's under the sharded engine, 0 on the heap backend; not part
     /// of any digest.
     pub fel_nodes_peak: u64,
+    /// High-water mark of packets crossing links at once
+    /// ([`tlb_net::PacketArena::peak_live`]): how full the wire got, and
+    /// how much of the arena's reservation the run ever touched. Under the
+    /// sharded engine, the sum of the shards' own high-water marks, each
+    /// over the links it receives; not part of any digest.
+    pub wire_pkts_peak: u64,
     /// Instantaneous reorder ratio of short flows over time — Fig. 8(a).
     pub short_reorder_series: Vec<(f64, f64)>,
     /// Instantaneous reorder ratio of long flows — Fig. 9(a).

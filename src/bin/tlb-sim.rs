@@ -377,12 +377,14 @@ fn main() {
         (None, None) => "serial".to_string(),
     };
     // And what the FEL held: sampled depth against the node pool's
-    // high-water mark, i.e. how much of it the wheel kept resident.
+    // high-water mark, i.e. how much of it the wheel kept resident. Then
+    // how full the wire got: the most packets crossing links at once.
     eprintln!(
-        "engine: {engine}; fel depth p50 {:.0} max {:.0}, pool peak {} nodes",
+        "engine: {engine}; fel depth p50 {:.0} max {:.0}, pool peak {} nodes; wire peak {} pkts",
         r.fel_depth.quantile(0.5),
         r.fel_depth.max(),
-        r.fel_nodes_peak
+        r.fel_nodes_peak,
+        r.wire_pkts_peak
     );
     // What the fluid tier cost: timer events are FEL pushes, rate changes
     // only move entries of the seam's completion heap.

@@ -108,10 +108,10 @@ fn steady_state_is_allocation_free() {
     // Two stacked LinkEvents land INSIDE the audit window on one 10 Gb/s
     // uplink: a bandwidth improvement (shorter tx time) plus extra
     // propagation delay, each growing the worst-case number of packets in
-    // flight on the wire. Before build-time pipe sizing replayed the
-    // link-event schedule, the pipelined delivery pipe's ring buffer grew
-    // mid-window and the realloc tripped the gate; `refit_pipe` also
-    // shifts the warmup baseline if growth ever does happen at the event.
+    // flight on the wire. The packet arena behind the link pipes is
+    // reserved once at build for every state the link-event schedule
+    // reaches; a reservation that forgot the schedule would grow the slab
+    // mid-window and the realloc would trip the gate.
     {
         let dist = web_search();
         let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());

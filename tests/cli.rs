@@ -134,9 +134,12 @@ fn the_engine_line_says_which_engine_ran_and_why() {
     let engine_line = |extra: &[&str]| {
         let lines = stderr_lines(extra, "engine: ");
         assert_eq!(lines.len(), 1, "one engine line in {lines:?}");
-        // Which engine ran, then what its FEL held: sampled depth and the
+        // Which engine ran, then what its FEL held — sampled depth and the
         // node pool's high-water mark (the job pushes into the wheel, so
-        // the pool cannot have stayed empty).
+        // the pool cannot have stayed empty) — then how full the wire got
+        // (every packet crosses a link, so never zero either). All three
+        // are per-replica telemetry, summed or maxed over the shards, so
+        // the sharded figures are not the serial ones.
         let (engine, fel) = lines[0]
             .split_once("; fel depth p50 ")
             .unwrap_or_else(|| panic!("no FEL half in {lines:?}"));
@@ -145,10 +148,11 @@ fn the_engine_line_says_which_engine_ran_and_why() {
             .filter(|w| !w.is_empty())
             .map(|w| w.parse().expect("digits"))
             .collect();
-        let [p50, max, pool] = nums[..] else {
-            panic!("want 'N max M, pool peak K nodes', got {fel:?}");
+        let [p50, max, pool, wire] = nums[..] else {
+            panic!("want 'N max M, pool peak K nodes; wire peak W pkts', got {fel:?}");
         };
-        assert!(fel.ends_with(" nodes") && p50 <= max && pool > 0, "{fel:?}");
+        assert!(fel.contains(" nodes; wire peak ") && fel.ends_with(" pkts"));
+        assert!(p50 <= max && pool > 0 && wire > 0, "{fel:?}");
         engine.to_string()
     };
     assert_eq!(engine_line(&[]), "engine: serial");

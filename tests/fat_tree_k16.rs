@@ -84,14 +84,17 @@ fn k16_hybrid_smoke_migrates_and_completes() {
 }
 
 /// Resident memory follows what is live, not what is reserved (Linux only:
-/// it reads `VmHWM`). The k=16 fabric reserves ≈ 160 MB of port and pipe
-/// rings (5,120 switch ports × 256 packets, 1,024 NICs × 2,048, every
-/// link's in-flight bound); a run may page in only the slots a backlog
-/// actually reached, plus an FEL pool as deep as the wheel ever got.
+/// it reads `VmHWM`). The k=16 fabric reserves ≈ 130 MB of port rings
+/// (5,120 switch ports × 256 packets, 1,024 NICs × 2,048) and one arena
+/// slab for the sum of its 6,144 links' in-flight bounds; a run may page
+/// in only the ring slots a backlog actually reached, as many arena slots
+/// as packets were ever on the wire at once, and an FEL pool as deep as
+/// the wheel ever got. Links own no storage, so an idle one costs nothing.
 #[cfg(target_os = "linux")]
 mod resident_memory {
     use super::*;
     use std::process::Command;
+    use tlb::engine::EngineKind;
 
     fn vm_hwm_kib() -> u64 {
         let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
@@ -102,66 +105,116 @@ mod resident_memory {
         kib.trim().parse().expect("VmHWM in kB")
     }
 
-    const PROBE_TAG: &str = "k16 VmHWM growth KiB:";
+    const PROBE_TAG: &str = "VmHWM growth KiB:";
 
-    /// Prints how far building and running a k=16 web-search job (load
-    /// 0.5, 5 ms of arrivals: 294 flows, 5.2 M events, every tier's rings
-    /// cycling) pushed this process's peak RSS. A high-water mark is this
-    /// job's only when nothing else runs in the process, so the gate below
-    /// spawns this test alone in a child. The audit is off: its ledger is
-    /// test bookkeeping, and the ceiling is about the production path.
-    #[test]
-    #[ignore = "run by k16_resident_memory_stays_under_its_ceiling, in a process of its own"]
-    fn probe() {
+    /// Build and run one web-search job under TLB with the audit off (its
+    /// ledger is test bookkeeping; the gates are about the production
+    /// path) and print how far that pushed this process's peak RSS. A
+    /// high-water mark is the job's only when nothing else runs in the
+    /// process, so the gates below spawn each probe alone in a child.
+    fn probe_job(name: &str, mut cfg: SimConfig, load: f64, arrivals_ms: u64, seed: u64) {
         let before = vm_hwm_kib();
-        let mut cfg = k16_cfg(Scheme::tlb_default());
         cfg.audit = false;
         let dist = web_search();
         let wl = PoissonWorkload {
-            load: 0.5,
+            load,
             dist: &dist,
-            duration: SimTime::from_millis(5),
+            duration: SimTime::from_millis(arrivals_ms),
             deadline_lo: SimTime::from_millis(5),
             deadline_hi: SimTime::from_millis(25),
             short_threshold: 100_000,
             inter_leaf_only: true,
         };
-        let flows = wl.generate(&cfg.topo, &mut SimRng::new(16));
+        let flows = wl.generate(&cfg.topo, &mut SimRng::new(seed));
         let r = Simulation::new(cfg, flows).run();
-        assert_eq!(r.completed, r.total_flows, "k=16 web-search stranded flows");
-        println!("{PROBE_TAG} {}", vm_hwm_kib() - before);
+        assert_eq!(
+            r.completed, r.total_flows,
+            "{name} web-search stranded flows"
+        );
+        println!("{name} {PROBE_TAG} {}", vm_hwm_kib() - before);
     }
 
-    /// 1.25 × the 47,956 KiB this job grew by when the FEL pool and the
-    /// ring re-base landed. The commit before them grew by 104,256 KiB:
-    /// its ring heads marched through every port's and pipe's reserved
-    /// capacity, one page after another.
-    const CEILING_KIB: u64 = 59_945;
-
-    #[test]
-    fn k16_resident_memory_stays_under_its_ceiling() {
+    /// Run `resident_memory::<probe>` in a process of its own and read the
+    /// growth it printed.
+    fn growth_kib(probe: &str) -> u64 {
         let out = Command::new(std::env::current_exe().expect("test binary path"))
             .args([
                 "--exact",
-                "resident_memory::probe",
+                &format!("resident_memory::{probe}"),
                 "--ignored",
                 "--nocapture",
             ])
             .output()
             .expect("probe spawns");
         let text = String::from_utf8_lossy(&out.stdout);
-        assert!(out.status.success(), "probe failed: {text}");
-        let grew: u64 = text
-            .lines()
+        assert!(out.status.success(), "{probe} failed: {text}");
+        text.lines()
             .find_map(|l| l.split_once(PROBE_TAG))
             .unwrap_or_else(|| panic!("no probe line in {text}"))
             .1
             .trim()
             .parse()
-            .expect("a KiB count");
+            .expect("a KiB count")
+    }
+
+    /// The k=16 job: load 0.5, 5 ms of arrivals — 294 flows, 5.2 M events,
+    /// every tier's ports cycling.
+    #[test]
+    #[ignore = "run by k16_resident_memory_stays_under_its_ceiling, in a process of its own"]
+    fn probe() {
+        probe_job("k16", k16_cfg(Scheme::tlb_default()), 0.5, 5, 16);
+    }
+
+    /// 1.25 × the 36,884 KiB this job grew by once link pipes became lists
+    /// through the packet arena. With a ring per link it grew by 46,356
+    /// KiB (one touched page per ring, 6,144 of them); before rings
+    /// re-based on drain, by 104,256 KiB.
+    const CEILING_KIB: u64 = 46_105;
+
+    #[test]
+    fn k16_resident_memory_stays_under_its_ceiling() {
+        let grew = growth_kib("probe");
         assert!(
             grew <= CEILING_KIB,
             "building and running the k=16 job grew peak RSS by {grew} KiB, ceiling {CEILING_KIB}"
+        );
+    }
+
+    /// The benchmark's leaf-spine job — 8×8, 32 hosts per leaf, load 0.7,
+    /// 150 ms of arrivals — on `engine`.
+    fn leafspine_probe(name: &str, engine: EngineKind) {
+        let mut cfg = SimConfig::large_scale(Scheme::tlb_default(), 32);
+        cfg.engine = engine;
+        probe_job(name, cfg, 0.7, 150, 1);
+    }
+
+    #[test]
+    #[ignore = "run by sharded_replicas_stay_near_serial, in a process of its own"]
+    fn leafspine_serial_probe() {
+        leafspine_probe("leaf-spine serial", EngineKind::Serial);
+    }
+
+    #[test]
+    #[ignore = "run by sharded_replicas_stay_near_serial, in a process of its own"]
+    fn leafspine_sharded_probe() {
+        leafspine_probe(
+            "leaf-spine sharded",
+            EngineKind::Sharded { workers: Some(2) },
+        );
+    }
+
+    /// Eight shard replicas may not cost eight fabrics: a replica builds
+    /// rings only for the ports it owns and parks only the packets on the
+    /// links it receives. What it still duplicates — FEL reservation,
+    /// metric collectors, per-flow tables — has to fit in one more serial
+    /// run's worth of memory.
+    #[test]
+    fn sharded_replicas_stay_near_serial() {
+        let serial = growth_kib("leafspine_serial_probe");
+        let sharded = growth_kib("leafspine_sharded_probe");
+        assert!(
+            sharded <= 2 * serial,
+            "the sharded engine grew peak RSS by {sharded} KiB, the serial engine by {serial}"
         );
     }
 }
