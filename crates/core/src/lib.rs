@@ -19,13 +19,6 @@ pub mod config;
 
 pub use config::{ThresholdMode, TlbConfig};
 
-/// The parser behind the `TLB_THREADS` runtime knob: one normalization
-/// rule, one empty-value rule, one warning format. Implemented in
-/// `tlb-engine` (this crate depends on `tlb-engine`, so the helper cannot
-/// live here without a cycle) and re-exported here as the canonical import
-/// path for TLB-configuration code.
-pub use tlb_engine::env_knob;
-
 use tlb_engine::{SimRng, SimTime};
 use tlb_model::{q_th_min, ModelParams, QTh};
 use tlb_net::{Packet, PktKind};

@@ -11,8 +11,8 @@
 //! ```
 //!
 //! The helper lives in `tlb-engine` (the workspace's root crate, no
-//! dependencies) so the rayon stand-in can reach it; `tlb-core` re-exports
-//! it as [`env_knob`](crate::env_knob).
+//! dependencies) so the rayon stand-in can reach it; `tlb_engine::env_knob`
+//! is its one import path.
 
 /// Read env var `var` through `parse`, which receives the trimmed,
 /// ASCII-lowercased value (never empty) and returns either the parsed

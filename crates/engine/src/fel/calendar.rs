@@ -410,22 +410,4 @@ impl<E> FelBackend<E> for CalendarFel<E> {
     fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
     }
-
-    fn drain_into(&mut self, out: &mut Vec<Entry<E>>) {
-        out.reserve(self.len());
-        out.append(&mut self.active);
-        for w in 0..self.occ.len() {
-            let mut bits = self.occ[w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let head = std::mem::replace(&mut self.heads[w * 64 + b], NIL);
-                self.pool.unlink_into(head, out);
-            }
-            self.occ[w] = 0;
-        }
-        out.extend(self.overflow.drain());
-        self.wheel_len = 0;
-        self.active_slot = 0;
-    }
 }

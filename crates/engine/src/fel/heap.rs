@@ -58,8 +58,4 @@ impl<E> FelBackend<E> for HeapFel<E> {
     fn len(&self) -> usize {
         self.heap.len()
     }
-
-    fn drain_into(&mut self, out: &mut Vec<Entry<E>>) {
-        out.extend(self.heap.drain());
-    }
 }

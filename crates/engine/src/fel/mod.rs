@@ -26,7 +26,10 @@
 //! (event class, entity) — with each (class, entity) pushed by exactly one
 //! shard — makes the cross-shard merge order `(time, key)` well defined
 //! while leaving same-shard ties on the local FIFO `seq`, which is exactly
-//! the order the serial engine realizes when it uses the same keys.
+//! the order the serial engine realizes when it uses the same keys. (The
+//! one key `tlb-simnet` lets every shard push is an admin event's: each
+//! shard's copy touches only that shard's state, so the order among the
+//! copies decides nothing.)
 
 pub mod calendar;
 pub mod heap;
@@ -109,8 +112,4 @@ pub trait FelBackend<E> {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Move every pending entry into `out`, in arbitrary order, leaving
-    /// the backend empty.
-    fn drain_into(&mut self, out: &mut Vec<Entry<E>>);
 }

@@ -50,13 +50,6 @@ impl<E> FelBackend<E> for Backend<E> {
             Backend::Heap(b) => b.len(),
         }
     }
-
-    fn drain_into(&mut self, out: &mut Vec<Entry<E>>) {
-        match self {
-            Backend::Calendar(b) => b.drain_into(out),
-            Backend::Heap(b) => b.drain_into(out),
-        }
-    }
 }
 
 /// A future-event list with deterministic tie-breaking.
@@ -250,15 +243,6 @@ impl<E> EventQueue<E> {
     pub fn monotonicity_violations(&self) -> u64 {
         self.monotonicity_violations
     }
-
-    /// Drain every still-pending event in arbitrary order, without
-    /// advancing the clock. End-of-run accounting (e.g. counting packets
-    /// still in flight at the horizon) wants the set, not the order.
-    pub fn drain_unordered(&mut self) -> impl Iterator<Item = (SimTime, E)> + '_ {
-        let mut out = Vec::new();
-        self.backend.drain_into(&mut out);
-        out.into_iter().map(|e| (e.time, e.event))
-    }
 }
 
 #[cfg(test)]
@@ -450,28 +434,6 @@ mod tests {
                 );
             }
             assert_eq!(q.monotonicity_violations(), 1, "{name}");
-        }
-    }
-
-    #[test]
-    fn drain_unordered_empties_without_advancing_clock() {
-        for (name, mut q) in all_queues() {
-            q.push(SimTime::from_nanos(10), 1);
-            q.pop();
-            q.push(SimTime::from_nanos(30), 2);
-            q.push(SimTime::from_nanos(20), 3);
-            // Park one entry far in the future so the calendar's overflow
-            // tier participates in the drain.
-            q.push(SimTime::from_secs(2), 4);
-            let mut drained: Vec<i32> = q.drain_unordered().map(|(_, e)| e).collect();
-            drained.sort_unstable();
-            assert_eq!(drained, vec![2, 3, 4], "{name}");
-            assert!(q.is_empty(), "{name}");
-            assert_eq!(
-                q.now(),
-                SimTime::from_nanos(10),
-                "{name}: drain must not move the clock"
-            );
         }
     }
 

@@ -164,12 +164,59 @@ pub fn run_scenario_checked_hybrid(raw: RawScenario) -> Result<(), String> {
             }
         }
     }
+    differential_verdict("hybrid", &built.scenario, violations)
+}
+
+/// The sharded differential: run one scenario on the serial engine
+/// (oracle-checked) and again on the sharded engine with two workers. A
+/// typed refusal ([`tlb_simnet::RunReport::engine_fallback`]) is
+/// accepted — the serial engine ran; a silent one is not. Exact across
+/// engines: the digest, the end-of-run clock, the whole audit ledger and
+/// the completion count.
+pub fn run_scenario_checked_sharded(raw: RawScenario) -> Result<(), String> {
+    let built = Scenario::from_raw(raw).build();
+    let serial = tlb_simnet::run_one_ref(&built.cfg, &built.flows);
+    check_report(&built, &serial)?;
+
+    let mut cfg = built.cfg.clone();
+    cfg.engine = tlb_engine::EngineKind::Sharded { workers: Some(2) };
+    let sharded = tlb_simnet::run_one_ref(&cfg, &built.flows);
+
+    let mut violations: Vec<String> = Vec::new();
+    if sharded.engine_fallback.is_none() && sharded.engine_workers != Some(2) {
+        violations.push(format!(
+            "ran on {:?} workers without naming a fallback reason",
+            sharded.engine_workers
+        ));
+    }
+    let shown = |r: &tlb_simnet::RunReport| {
+        [
+            ("digest", r.digest()),
+            ("sim_end", format!("{:?}", r.sim_end)),
+            ("audit ledger", format!("{:?}", r.audit)),
+            ("completion", format!("{}/{}", r.completed, r.total_flows)),
+        ]
+    };
+    for ((what, a), (_, b)) in shown(&serial).into_iter().zip(shown(&sharded)) {
+        if a != b {
+            violations.push(format!("{what} diverged: serial {a} vs sharded {b}"));
+        }
+    }
+    differential_verdict("sharded", &built.scenario, violations)
+}
+
+/// `Ok` iff a differential found nothing; otherwise every violation, under
+/// the scenario that produced them.
+fn differential_verdict(
+    kind: &str,
+    scenario: &Scenario,
+    violations: Vec<String>,
+) -> Result<(), String> {
     if violations.is_empty() {
         Ok(())
     } else {
         Err(format!(
-            "hybrid differential on scenario {:?} violated {} oracle(s):\n  - {}",
-            built.scenario,
+            "{kind} differential on scenario {scenario:?} violated {} oracle(s):\n  - {}",
             violations.len(),
             violations.join("\n  - ")
         ))

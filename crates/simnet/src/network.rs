@@ -15,7 +15,7 @@
 //! | `link` | link physics: a port's props, what a `LinkEvent` does to them, every state a link reaches, the in-flight bound, payload capacity | build, `admin`, `hybrid`, `sharded` |
 //! | `forward` | the per-packet switch path: admission, serialization, delivery pipes, the balancer decision, LB ticks | the event loop, `host`, `hybrid` (`choose_up`) |
 //! | `host` | the endpoints: flow start, timers, sender outputs, receiver delivery, completion | the event loop, `forward`, `hybrid` |
-//! | `admin` | scheduled link changes and failures, routing reconvergence | the event loop; the sharded coordinator mirrors `apply_*` |
+//! | `admin` | scheduled link changes and failures, routing reconvergence | the event loop, on the serial engine and on every shard replica alike |
 //! | `hybrid` | the fluid seam: migration, the completion heap and its one `FluidDone` timer, demotion — `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
 //! | `metrics` | the metric collectors, their build-time sizing, the shard fold and [`crate::RunReport`] assembly | the packet path writes them; `run_with`/`sharded` finish them |
 //! | `finish` | closing the conservation audit, counting what is still on the wire | `metrics` (`into_report`), `sharded` (the fold) |
@@ -438,8 +438,11 @@ impl<'a> Net<'a> {
     }
 
     /// Push the events known at build: every owned chain head's start,
-    /// the owned balancers' first ticks, and — on the serial engine or
-    /// shard 0 — the admin schedule and the queue sampler.
+    /// the owned balancers' first ticks, the whole admin schedule — on
+    /// every shard replica too: a link change or failure mutates only
+    /// state each replica holds a full copy of, so each applies it to
+    /// itself at the event's own `(time, key)` — and, on the serial engine
+    /// or shard 0, the queue sampler.
     fn seed_fel(&mut self) {
         let cfg = self.cfg;
         let shard = self.shard.as_ref();
@@ -467,18 +470,16 @@ impl<'a> Net<'a> {
                 }
             }
         }
-        if shard.is_none_or(|c| c.id == 0) {
-            for (i, ev) in cfg.link_events.iter().enumerate() {
-                push_ev(&mut self.q, ev.at, Event::LinkChange(i as u32));
-            }
-            for (i, ev) in cfg.failure_events.iter().enumerate() {
-                push_ev(&mut self.q, ev.at, Event::Failure(i as u32));
-            }
-            self.misc_pending += (cfg.link_events.len() + cfg.failure_events.len()) as u64;
-            if cfg.sample_queues {
-                push_ev(&mut self.q, cfg.series_bucket, Event::QueueSample);
-                self.misc_pending += 1;
-            }
+        for (i, ev) in cfg.link_events.iter().enumerate() {
+            push_ev(&mut self.q, ev.at, Event::LinkChange(i as u32));
+        }
+        for (i, ev) in cfg.failure_events.iter().enumerate() {
+            push_ev(&mut self.q, ev.at, Event::Failure(i as u32));
+        }
+        self.misc_pending += (cfg.link_events.len() + cfg.failure_events.len()) as u64;
+        if cfg.sample_queues && shard.is_none_or(|c| c.id == 0) {
+            push_ev(&mut self.q, cfg.series_bucket, Event::QueueSample);
+            self.misc_pending += 1;
         }
     }
 
@@ -520,7 +521,7 @@ impl<'a> Net<'a> {
     }
 
     /// Pop and dispatch one event — the shared body of the serial loop,
-    /// the sharded window loop, and the coordinator's merged loops.
+    /// the sharded window loop, and the coordinator's tail.
     fn step(&mut self) {
         let (now, ev) = self.q.pop().expect("peeked event vanished");
         self.events += 1;
@@ -572,11 +573,11 @@ impl<'a> Net<'a> {
                 self.on_lb_tick(sw, now);
             }
             Event::LinkChange(i) => {
-                self.misc_pending -= 1;
+                self.admin_event_popped();
                 self.on_link_change(i as usize, now);
             }
             Event::Failure(i) => {
-                self.misc_pending -= 1;
+                self.admin_event_popped();
                 self.on_failure(i as usize, now);
             }
             Event::QueueSample => {
@@ -584,6 +585,16 @@ impl<'a> Net<'a> {
                 self.on_queue_sample(now);
             }
             Event::FluidDone { flow, gen } => self.on_fluid_done(flow, gen, now),
+        }
+    }
+
+    /// Bookkeeping shared by the two admin arms of [`Net::step`]. Every
+    /// shard replica pops its own copy of an admin event; the run counts
+    /// it once, on shard 0, so `events` is the serial engine's.
+    fn admin_event_popped(&mut self) {
+        self.misc_pending -= 1;
+        if self.shard.as_ref().is_some_and(|c| c.id != 0) {
+            self.events -= 1;
         }
     }
 

@@ -1,7 +1,9 @@
 //! Scheduled fabric administration: mid-run link-quality changes,
-//! failures/repairs, and the routing reconvergence they force. Each
-//! handler is split into the state mutation (`apply_*`, which the sharded
-//! coordinator mirrors into every replica) and the hybrid tier's reaction.
+//! failures/repairs, and the routing reconvergence they force. A handler
+//! mutates only state every shard replica holds a full copy of (port
+//! props, admin flags, reach masks), so under sharding each replica runs
+//! it whole on itself at the event's own `(time, key)`; the hybrid tier's
+//! reaction at the end of each is a no-op there (sharding refuses hybrid).
 //! A link change rewrites the port's props and nothing else: packets
 //! already on the wire keep their arrival times, and the arena behind the
 //! link pipes was reserved at build for every state the schedule reaches.
@@ -16,36 +18,20 @@ impl Net<'_> {
     /// Apply a configured mid-run link change to both directions of the
     /// targeted uplink pair.
     pub(super) fn on_link_change(&mut self, i: usize, now: SimTime) {
-        let changed = self.apply_link_change(i);
-        self.fluid_link_update(changed, now);
-    }
-
-    /// The state mutation of a link change — everything except the fluid
-    /// tier's rerating (all replicas read link physics on their own ports
-    /// at build and per-event). Returns the port pair.
-    pub(super) fn apply_link_change(&mut self, i: usize) -> [PortId; 2] {
         let ev = &self.cfg.link_events[i];
         let changed = link::event_ports(&self.pmap, ev);
         for p in changed {
             let port = &mut self.ports[p as usize];
             port.set_link(link::apply_event(ev, port.link()));
         }
-        changed
+        self.fluid_link_update(changed, now);
     }
 
     /// Apply the `i`-th configured failure/repair: flip the admin state
     /// of the target port(s) and their reverse directions, reconverge
-    /// routing, then demote the fluid tails that lost a link.
+    /// routing (each replica's reach recompute reads the admin state of
+    /// the *whole* fabric), then demote the fluid tails that lost a link.
     pub(super) fn on_failure(&mut self, i: usize, now: SimTime) {
-        self.apply_failure(i);
-        self.demote_failed(now);
-    }
-
-    /// The state mutation of a failure/repair — admin flips plus routing
-    /// reconvergence, without the hybrid-tier demotions. Each replica's
-    /// reach recompute reads the admin state of the *whole* fabric, so all
-    /// replicas must agree on it.
-    pub(super) fn apply_failure(&mut self, i: usize) {
         let ev = self.cfg.failure_events[i];
         let down = ev.action == FailureAction::Down;
         match ev.target {
@@ -60,6 +46,7 @@ impl Net<'_> {
             }
         }
         self.recompute_reach();
+        self.demote_failed(now);
     }
 
     /// Take one directed port and its reverse down (or back up). Queued

@@ -65,12 +65,6 @@ pub(super) fn key_of(class: u32, entity: u32) -> u32 {
     (class << KEY_ENTITY_BITS) | entity
 }
 
-/// The `(class, entity)` a key was built from.
-#[inline]
-pub(super) fn split_key(key: u32) -> (u32, u32) {
-    (key >> KEY_ENTITY_BITS, key & ((1 << KEY_ENTITY_BITS) - 1))
-}
-
 /// The FEL ordering key of an event: `(class rank << 27) | entity`. Both
 /// engines order same-timestamp events by this key before falling back to
 /// per-queue FIFO, which is what makes the sharded engine's cross-shard
@@ -78,7 +72,10 @@ pub(super) fn split_key(key: u32) -> (u32, u32) {
 /// pushed by exactly one shard, so same-`(time, key)` ties are always
 /// same-shard (ordered by that shard's local FIFO `seq`, exactly the
 /// relative order a serial run assigns) and cross-shard order is settled
-/// by `(time, key)` alone.
+/// by `(time, key)` alone. The one exception is the admin classes
+/// (`LinkChange`, `Failure`): every shard pushes its own copy of each, and
+/// a copy touches only its own replica, so the order among the
+/// same-`(time, key)` copies is immaterial.
 #[inline]
 pub(super) fn event_key(ev: &Event) -> u32 {
     match *ev {

@@ -26,8 +26,9 @@
 //! ## Why the merged schedule is bit-identical to the serial engine
 //!
 //! Both engines order events by `(time, key, seq)` where
-//! [`super::events::event_key`] encodes `(class, entity)`. Every key is
-//! pushed by exactly one shard (see `event_key`'s docs), so:
+//! [`super::events::event_key`] encodes `(class, entity)`. Every key but
+//! an admin event's (next section) is pushed by exactly one shard (see
+//! `event_key`'s docs), so:
 //!
 //! * same-`(time, key)` ties are always same-shard, and the shard's local
 //!   FIFO `seq` assigns them exactly the relative order the serial engine
@@ -43,12 +44,22 @@
 //! ## Global events and the serialized tail
 //!
 //! [`super::events::Event::Failure`] / `LinkChange` mutate fabric state every
-//! replica reads (`recompute_reach` scans the whole port table). They are
-//! seeded only into shard 0's FEL and executed in **micro-steps**:
-//! parallel windows never cross the next scheduled admin time; when it
-//! becomes the global minimum the coordinator runs every event at exactly
-//! that timestamp through the cross-shard merge loop and mirrors the state
-//! mutation into every replica.
+//! replica reads (`recompute_reach` scans the whole port table) — and only
+//! state every replica holds a full copy of: port props, admin flags,
+//! reach masks. So they are **replica-local**: every replica seeds the
+//! whole admin schedule into its own FEL and applies each event to itself
+//! at the event's own `(time, key)`, after its lower-ranked events of that
+//! instant and before the later ones — which is where the serial engine
+//! runs it. No other shard can tell when a replica did so: a shard's
+//! events read its own replica only, and whatever another shard does at
+//! `t` reaches it no earlier than `t + Δ`, as a handoff carrying its own
+//! arrival time. Windows span admin timestamps like any other and the
+//! coordinator never looks at them. Admin keys are the one exception to
+//! single-origin keys: each is pushed by every shard, one copy each, and
+//! a copy touches only its own replica, so the order among same-`(time,
+//! key)` copies (the tail's merge breaks it by shard index) is immaterial.
+//! The run counts an admin event once, on shard 0
+//! (`Net::admin_event_popped`), so `events` is the serial engine's.
 //!
 //! The serial engine stops at the instant the last flow completes,
 //! possibly mid-window. To reproduce that exactly, a parallel window
@@ -88,10 +99,8 @@
 //! [`Watch`]).
 //!
 //! Each shard publishes its blocker bit with its next timestamp and
-//! completion count after every window *and* after every micro-step: the
-//! bit describes the state at the start of the next candidate window, and
-//! a micro-step delivers data like any other event, so a bit carried
-//! across one would be stale.
+//! completion count after every window: the bit describes the state at
+//! the start of the next candidate window.
 //!
 //! Conjunct (2) alone is loose — on the 8×8 web-search job `Σ_h c_h`
 //! exceeds the flow count, so it holds from the first event — and (1)
@@ -114,7 +123,6 @@
 //! reference anyway — and records it in
 //! [`crate::report::RunReport::engine_fallback`], which `tlb-sim` prints.
 
-use super::events::{class, split_key};
 use super::link;
 use super::portmap::{NodeRef, PortId, PortMap};
 use super::Net;
@@ -177,7 +185,7 @@ pub(crate) struct ShardCtx {
     pub id: u16,
     pub map: Arc<ShardMap>,
     /// Cross-shard handoffs produced by this shard's events, drained and
-    /// routed after every window (or every merged step).
+    /// routed after every window (or every tail event).
     pub outbox: Vec<XMsg>,
 }
 
@@ -478,20 +486,6 @@ fn host_arrival_bounds(cfg: &SimConfig, lookahead: SimTime) -> Vec<u32> {
         .collect()
 }
 
-/// The merged, sorted schedule of admin (failure/link-change) event
-/// times. Parallel windows never cross the next entry; micro-steps
-/// consume entries as they execute.
-fn admin_schedule(cfg: &SimConfig) -> Vec<u64> {
-    let mut at: Vec<u64> = cfg
-        .link_events
-        .iter()
-        .map(|e| e.at.as_nanos())
-        .chain(cfg.failure_events.iter().map(|e| e.at.as_nanos()))
-        .collect();
-    at.sort_unstable();
-    at
-}
-
 /// Everything the window protocol shares across worker threads.
 struct Run<'n, 'a> {
     nets: &'n [Mutex<Net<'a>>],
@@ -507,7 +501,6 @@ struct Run<'n, 'a> {
     watch: Vec<Mutex<Watch>>,
     ctl: Ctl,
     barrier: SpinBarrier,
-    sched: Vec<u64>,
     horizon: SimTime,
     total_flows: usize,
     /// Latest flow start time (ns). A window whose end is at or before
@@ -520,7 +513,7 @@ struct Run<'n, 'a> {
     /// Parallel windows opened (surfaces in
     /// [`crate::report::RunReport::sharded_windows`]).
     windows: AtomicU64,
-    /// Events executed by [`Run::merged_loop`] (surfaces in
+    /// Events executed by [`Run::tail`] (surfaces in
     /// [`crate::report::RunReport::sharded_tail_events`]).
     tail_events: AtomicU64,
 }
@@ -556,7 +549,6 @@ impl<'n, 'a> Run<'n, 'a> {
                 window_end: AtomicU64::new(0),
             },
             barrier: SpinBarrier::new(n_workers),
-            sched: admin_schedule(cfg),
             horizon: cfg.horizon,
             total_flows: flows.len(),
             last_start: flows.iter().map(|f| f.start.as_nanos()).max().unwrap_or(0),
@@ -588,18 +580,16 @@ impl<'n, 'a> Run<'n, 'a> {
     }
 
     /// The window protocol, from every worker's point of view. Worker 0
-    /// doubles as the coordinator: it decides each window (running
-    /// micro-steps and the serialized tail itself, while the other
-    /// workers are parked at the barrier), publishes the decision, and
-    /// then works its own shards like everyone else.
+    /// doubles as the coordinator: it decides each window (running the
+    /// serialized tail itself, while the other workers are parked at the
+    /// barrier), publishes the decision, and then works its own shards
+    /// like everyone else.
     fn worker_loop(&self, w: usize) {
         let n_shards = self.nets.len();
         let mut scratch: Vec<Vec<XMsg>> = (0..n_shards).map(|_| Vec::new()).collect();
-        // Coordinator-only: index of the next unconsumed admin time.
-        let mut sched_at = 0usize;
         loop {
             if w == 0 {
-                self.decide(&mut sched_at);
+                self.decide();
             }
             self.barrier.wait();
             if self.ctl.state.load(Ordering::Acquire) == STATE_DONE {
@@ -663,60 +653,44 @@ impl<'n, 'a> Run<'n, 'a> {
         }
     }
 
+    /// The earliest pending within-horizon timestamp over every shard's
+    /// FEL (as last published) and inbox; `u64::MAX` when there is none.
+    fn global_min(&self) -> u64 {
+        (self.next_time.iter().zip(&self.inboxes))
+            .map(|(t, ib)| t.load(Ordering::Acquire).min(ib.lock().unwrap().min_at))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// The coordinator's between-windows step: find the global minimum,
-    /// then either declare the run done, execute a micro-step (admin
-    /// event), finish serially (completion tail), or open the next
-    /// parallel window. Runs with every other worker parked at the
-    /// barrier, so locking all shards is deadlock-free.
-    fn decide(&self, sched_at: &mut usize) {
-        loop {
-            let done: usize = self
-                .done_flows
-                .iter()
-                .map(|d| d.load(Ordering::Acquire))
-                .sum();
-            if done >= self.total_flows {
-                self.finish();
-                return;
-            }
-            let mut t_min = u64::MAX;
-            for s in 0..self.nets.len() {
-                t_min = t_min.min(self.next_time[s].load(Ordering::Acquire));
-                t_min = t_min.min(self.inboxes[s].lock().unwrap().min_at);
-            }
-            if t_min == u64::MAX {
-                self.finish();
-                return;
-            }
-            let next_sched = self.sched.get(*sched_at).copied().unwrap_or(u64::MAX);
-            let end = t_min
-                .saturating_add(self.lookahead.as_nanos())
-                .min(next_sched);
-            // The run can end inside the candidate window only if every
-            // flow starts before its end, the remaining completions fit
-            // in one window, and no flow is more than one window's worth
-            // of segments short (module docs). Only then go serial.
-            if self.last_start < end
-                && (self.total_flows - done) as u64 <= self.bound
-                && !self.blocked.iter().any(|b| b.load(Ordering::Acquire))
-            {
-                self.merged_loop(None);
-                self.finish();
-                return;
-            }
-            if next_sched <= t_min {
-                debug_assert_eq!(next_sched, t_min, "admin event skipped a window");
-                self.merged_loop(Some(SimTime::from_nanos(next_sched)));
-                while self.sched.get(*sched_at).copied() == Some(next_sched) {
-                    *sched_at += 1;
-                }
-                continue;
-            }
-            self.windows.fetch_add(1, Ordering::Relaxed);
-            self.ctl.window_end.store(end, Ordering::Release);
-            self.ctl.state.store(STATE_RUN, Ordering::Release);
+    /// then declare the run done, finish serially (completion tail), or
+    /// open the next parallel window. Runs with every other worker parked
+    /// at the barrier, so the tail's locking all shards is deadlock-free.
+    fn decide(&self) {
+        let done: usize = (self.done_flows.iter())
+            .map(|d| d.load(Ordering::Acquire))
+            .sum();
+        let t_min = self.global_min();
+        if done >= self.total_flows || t_min == u64::MAX {
+            self.finish();
             return;
         }
+        let end = t_min.saturating_add(self.lookahead.as_nanos());
+        // The run can end inside the candidate window only if every flow
+        // starts before its end, the remaining completions fit in one
+        // window, and no flow is more than one window's worth of segments
+        // short (module docs). Only then go serial.
+        if self.last_start < end
+            && (self.total_flows - done) as u64 <= self.bound
+            && !self.blocked.iter().any(|b| b.load(Ordering::Acquire))
+        {
+            self.tail();
+            self.finish();
+            return;
+        }
+        self.windows.fetch_add(1, Ordering::Relaxed);
+        self.ctl.window_end.store(end, Ordering::Release);
+        self.ctl.state.store(STATE_RUN, Ordering::Release);
     }
 
     fn finish(&self) {
@@ -741,18 +715,18 @@ impl<'n, 'a> Run<'n, 'a> {
         }
     }
 
-    /// The cross-shard merge: repeatedly pop the `(time, key)`-minimum
-    /// event over all shard FELs and dispatch it on its shard, routing
-    /// handoffs immediately. `Some(at)` = micro-step (only events at
-    /// exactly `at`, i.e. the admin events scheduled there and whatever
-    /// shares their timestamp); `None` = completion tail, with the serial
-    /// loop's exact termination conditions (stop the instant the last flow
-    /// completes; never pop past the horizon).
+    /// The completion tail: the cross-shard merge, with the serial loop's
+    /// exact termination conditions (stop the instant the last flow
+    /// completes; never pop past the horizon). Repeatedly pop the
+    /// `(time, key)`-minimum event over all shard FELs and dispatch it on
+    /// its shard, routing handoffs immediately.
     ///
     /// Single-origin-per-key makes the tie order exact: a `(time, key)`
-    /// collision across two shards is impossible, and within a shard the
-    /// FEL's own `(time, key, seq)` order applies.
-    fn merged_loop(&self, only_at: Option<SimTime>) {
+    /// collision across two shards is impossible — except among the
+    /// copies of an admin event, whose order does not matter (module
+    /// docs) — and within a shard the FEL's own `(time, key, seq)` order
+    /// applies.
+    fn tail(&self) {
         self.flush_inboxes();
         let mut guards: Vec<_> = self.nets.iter().map(|m| m.lock().unwrap()).collect();
         let map = guards[0]
@@ -764,36 +738,20 @@ impl<'n, 'a> Run<'n, 'a> {
         let mut done: usize = guards.iter().map(|g| g.n_completed).sum();
         let mut outbox = Vec::new();
         let mut steps = 0u64;
-        loop {
-            if only_at.is_none() && done >= self.total_flows {
-                break;
-            }
+        while done < self.total_flows {
             let best = guards
                 .iter()
                 .enumerate()
                 .filter_map(|(s, g)| g.q.peek_time_key().map(|(t, k)| (t, k, s)))
                 .min();
-            let Some((t, key, s)) = best else { break };
-            if only_at.is_some_and(|at| t != at) || t > self.horizon {
+            let Some((t, _, s)) = best else { break };
+            if t > self.horizon {
                 break;
             }
             let before = guards[s].n_completed;
             guards[s].step();
             steps += 1;
             done += guards[s].n_completed - before;
-            // Admin events mutate state every replica reads: the owning
-            // shard dispatched it (accounting included); mirror the
-            // mutation everywhere else.
-            let (rank, entity) = split_key(key);
-            if matches!(rank, class::LINK_CHANGE | class::FAILURE) {
-                for (_, g) in guards.iter_mut().enumerate().filter(|&(r, _)| r != s) {
-                    if rank == class::LINK_CHANGE {
-                        g.apply_link_change(entity as usize);
-                    } else {
-                        g.apply_failure(entity as usize);
-                    }
-                }
-            }
             // Route this event's handoffs immediately — the merge may
             // reach their timestamps before the next barrier.
             let ctx = guards[s].shard.as_mut().expect("sharded net without ctx");
@@ -803,9 +761,6 @@ impl<'n, 'a> Run<'n, 'a> {
             }
         }
         self.tail_events.fetch_add(steps, Ordering::Relaxed);
-        for (s, g) in guards.iter().enumerate() {
-            self.publish(s, g);
-        }
     }
 }
 
@@ -871,11 +826,11 @@ mod tests {
     }
 
     #[test]
-    fn blocker_bit_is_recomputed_after_a_micro_step_that_delivers_data() {
-        // Drive a whole one-flow run through the micro-step path, one
-        // timestamp at a time: after every micro-step the published bit
-        // must be the definition evaluated on the receiver's state *now* —
-        // in particular right after the step whose delivery takes the flow
+    fn blocker_bit_is_recomputed_after_every_window() {
+        // Drive a whole one-flow run through the window protocol, one
+        // timestamp per window: after every window the published bit must
+        // be the definition evaluated on the receiver's state *now* — in
+        // particular right after the window whose delivery takes the flow
         // from `c_dst + 1` missing segments to `c_dst`.
         let cfg = SimConfig::basic_paper(Scheme::Ecmp);
         let pmap = PortMap::new(&cfg.topo);
@@ -890,14 +845,14 @@ mod tests {
         let blocked = |s: usize| run.blocked[s].load(Ordering::Acquire);
         assert!(blocked(rx), "an unstarted flow of c + 3 segments blocks");
 
+        let mut scratch: Vec<Vec<XMsg>> = nets.iter().map(|_| Vec::new()).collect();
         let mut cleared_at = None;
         loop {
-            let t = (run.next_time.iter())
-                .map(|t| t.load(Ordering::Acquire))
-                .min()
-                .unwrap();
+            let t = run.global_min();
             let was = blocked(rx);
-            run.merged_loop(Some(SimTime::from_nanos(t)));
+            for s in 0..nets.len() {
+                run.phase_a(s, SimTime::from_nanos(t + 1), &mut scratch);
+            }
             let net = nets[rx].lock().unwrap();
             let missing = net.missing_segs(0);
             assert_eq!(blocked(rx), missing > c, "stale bit after t = {t}");
@@ -913,7 +868,6 @@ mod tests {
         for s in (0..nets.len()).filter(|&s| s != rx) {
             assert!(!blocked(s), "shard {s} receives nothing");
         }
-        assert!(run.tail_events.load(Ordering::Relaxed) > u64::from(c));
     }
 
     #[test]

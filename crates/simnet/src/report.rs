@@ -316,8 +316,9 @@ pub struct RunReport {
     /// barrier-synchronized parallel execution.
     pub sharded_windows: u64,
     /// Events the sharded coordinator executed single-threaded: the
-    /// admin-time micro-steps plus the serialized completion tail (0 for
-    /// serial runs). `events - sharded_tail_events` ran inside windows.
+    /// serialized completion tail (0 for serial runs; a replica's own copy
+    /// of an admin event popped there counts). The rest ran inside
+    /// windows.
     pub sharded_tail_events: u64,
 }
 

@@ -366,11 +366,10 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
-    // Three-tier partition + global-event micro-steps: a k=8 fat tree
-    // (128 hosts, 80 switches, 8 pod shards) with a mid-run edge-uplink
-    // down/up flap. Failures force whole-fabric reachability recomputes,
-    // which the sharded engine must mirror into every replica at exactly
-    // the serial instant.
+    // Three-tier partition + global events: a k=8 fat tree (128 hosts,
+    // 80 switches, 8 pod shards) with a mid-run edge-uplink down/up flap.
+    // Failures force whole-fabric reachability recomputes, which every
+    // replica must run on itself at exactly the serial instant.
     let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
     cfg.topo = FatTreeBuilder::new(8)
         .link_gbps(1.0)
@@ -396,12 +395,12 @@ fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
     let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(23));
     // `engine_workers == Some(w)` in the helper: k=8 shards into 8 pods.
     for sharded in sharded_vs_serial(&cfg, &flows, &[2, 4, 8]) {
-        // The two long flows block the tail across both failure
-        // micro-steps: windows before, between and after them.
+        // The two long flows block the tail across both failure events:
+        // windows before, between and after them.
         assert!(sharded.sharded_windows > 0, "k8 flap ran without windows");
         assert!(
             sharded.sharded_tail_events * 10 < sharded.events,
-            "k8 flap: {} of {} events ran in micro-steps and the tail",
+            "k8 flap: {} of {} events ran in the tail",
             sharded.sharded_tail_events,
             sharded.events
         );
@@ -588,12 +587,12 @@ fn sharded_all_short_job_matches_serial() {
 }
 
 #[test]
-fn sharded_micro_steps_between_windows_match_serial_traces() {
+fn sharded_windows_span_admin_events_and_match_serial_traces() {
     // A rate change and a link failure land mid-transfer, 200 µs apart,
-    // with tracing on: each is a coordinator micro-step that mirrors the
-    // mutation into every replica, and each must be followed by parallel
-    // windows again — the long flows are still far from done — not by the
-    // tail. Over 90 % of the run's events come after the first of them.
+    // with tracing on: every replica applies each to itself inside an
+    // ordinary parallel window, and the windows go on after them — the
+    // long flows are still far from done — not the tail. Over 90 % of the
+    // run's events come after the first of them.
     let (mut cfg, _) = small_fabric();
     cfg.trace_flows = vec![FlowId(0), FlowId(5)];
     cfg.link_events.push(LinkEvent {
@@ -628,9 +627,59 @@ fn sharded_micro_steps_between_windows_match_serial_traces() {
         );
         assert!(
             r.sharded_tail_events * 10 < r.events,
-            "{} of {} events on the coordinator: a micro-step fell into the tail",
+            "{} of {} events on the coordinator: an admin event sent the run into the tail",
             r.sharded_tail_events,
             r.events
         );
     }
+}
+
+#[test]
+fn sharded_admin_schedule_adds_no_coordinator_events() {
+    // 2,400 link events that change nothing, 1 µs apart over every uplink,
+    // land while eight long flows are mid-transfer. Each is one more event
+    // for the serial engine and one more on every replica — popped inside
+    // the window it falls in, so the coordinator opens the windows it
+    // would have opened without them and its tail is no longer.
+    const K: u64 = 2_400;
+    let (cfg, _) = small_fabric();
+    let mut noop = cfg.clone();
+    noop.link_events = (0..K)
+        .map(|i| LinkEvent {
+            at: SimTime::from_micros(1_000 + i),
+            leaf: LeafId((i % 4) as u32),
+            spine: SpineId((i / 4 % 4) as u32),
+            bw_factor: 1.0,
+            new_prop_delay: None,
+            extra_delay: SimTime::ZERO,
+        })
+        .collect();
+    let flows: Vec<FlowSpec> = (0..8)
+        .map(|i| {
+            let pair = (i % 4, 4 + (i * 5) % 12);
+            flow_of(&cfg, i, pair, 1_000, SimTime::from_micros(5 * i as u64))
+        })
+        .collect();
+    // The helper holds each sharded run to its serial twin's digest and
+    // `sim_end`, so these read as the serial engine's too.
+    let [twin, sharded] = [&cfg, &noop].map(|c| sharded_vs_serial(c, &flows, &[2]).remove(0));
+    assert!(
+        sharded.sim_end > SimTime::from_micros(1_000 + K),
+        "the whole schedule must land mid-run"
+    );
+    let events_differ_by_k =
+        twin.digest()
+            .replacen(&twin.events.to_string(), &(twin.events + K).to_string(), 1);
+    assert_eq!(sharded.digest(), events_differ_by_k);
+    assert!(
+        sharded.sharded_tail_events < K,
+        "{} coordinator events under {K} admin events",
+        sharded.sharded_tail_events
+    );
+    assert!(
+        sharded.sharded_windows <= twin.sharded_windows + twin.sharded_windows / 10 + 2,
+        "admin events clamped the windows: {} against {} without them",
+        sharded.sharded_windows,
+        twin.sharded_windows
+    );
 }

@@ -66,3 +66,18 @@ fn regression_hybrid_differential_under_failures() {
     );
     tlb_fuzz::run_scenario_checked_hybrid(raw).unwrap();
 }
+
+/// The sharded engine under random admin schedules: every case carries an
+/// active failure schedule (and often a mid-run degrade) and runs serial
+/// vs two shard workers with the audit on; digest, end-of-run clock, audit
+/// ledger and completion count must agree exactly. 64 fresh cases by
+/// default; CI's shard-smoke job runs it in the default test profile.
+#[test]
+fn fuzz_sharded_differential() {
+    proptest::run_cases_n(
+        "fuzz_sharded_differential",
+        64,
+        tlb_fuzz::failure_scenario_strategy(),
+        |raw| tlb_fuzz::run_scenario_checked_sharded(raw).map_err(proptest::TestCaseError::fail),
+    );
+}
