@@ -11,7 +11,6 @@ fn main() {
     let n_long = 5;
     let rounds = scale.pick(15, 40);
     let seed = tlb_bench::scale::base_seed();
-    let _ = scale;
 
     out.line("Fig. 4 — impact of switching granularity on long flows");
     out.line(&format!(

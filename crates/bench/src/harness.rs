@@ -56,7 +56,7 @@ pub fn large_scale_jobs(
 ) -> Vec<(SimConfig, Vec<FlowSpec>)> {
     // Keep the paper's 4:1 oversubscription at both scales (it is what makes
     // the uplinks contend); quick mode shortens the trace instead.
-    let hosts_per_leaf = scale.pick(32, 32);
+    let hosts_per_leaf = 32;
     let duration = scale.pick(SimTime::from_millis(25), SimTime::from_millis(150));
     schemes
         .iter()
@@ -231,22 +231,14 @@ pub fn asymmetric_scenario(
     Simulation::new(cfg, flows).run()
 }
 
-/// The shared driver of Fig. 10/11: sweep the paper's five schemes over the
-/// load axis on one flow-size distribution and print the four panels
-/// (AFCT, p99 FCT, deadline miss %, long-flow throughput).
 /// One labelled panel extractor for the four-panel figures.
 type Panel = (&'static str, Box<dyn Fn(&RunReport) -> f64>);
 
+/// The shared driver of Fig. 10/11: sweep the paper's five schemes over the
+/// load axis on one flow-size distribution and print the four panels
+/// (AFCT, p99 FCT, deadline miss %, long-flow throughput).
 pub fn large_scale_figure(id: &str, title: &str, dist: &impl SizeDist) {
     let scale = Scale::from_env();
-    let mut out = crate::Out::new(id);
-    out.line(title);
-    out.line(&format!(
-        "  topology: 8 ToR x 8 core, {} hosts, 1 Gbit/s, DCTCP",
-        scale.pick(8 * 16, 8 * 32)
-    ));
-    out.blank();
-
     let schemes = Scheme::paper_set();
     let loads = load_sweep(scale);
     // One big parallel batch: every (load, scheme) cell.
@@ -254,6 +246,15 @@ pub fn large_scale_figure(id: &str, title: &str, dist: &impl SizeDist) {
     for &load in &loads {
         jobs.extend(large_scale_jobs(&schemes, dist, load, scale));
     }
+
+    let mut out = crate::Out::new(id);
+    out.line(title);
+    out.line(&format!(
+        "  topology: 8 ToR x 8 core, {} hosts, 1 Gbit/s, DCTCP",
+        jobs[0].0.topo.n_hosts()
+    ));
+    out.blank();
+
     let reports = tlb_simnet::run_all(jobs);
     let cell = |li: usize, si: usize| &reports[li * schemes.len() + si];
 

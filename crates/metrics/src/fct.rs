@@ -1,6 +1,6 @@
 //! Flow-completion-time accounting: AFCT, tail FCT, deadline misses.
 
-use crate::stats::{mean, percentile, Cdf};
+use crate::stats::{mean, percentile};
 use tlb_engine::SimTime;
 use tlb_net::FlowId;
 
@@ -252,16 +252,12 @@ impl FctRecorder {
             .filter_map(|r| r.end.map(|e| (e - r.start).as_secs_f64()))
             .collect()
     }
-
-    /// Empirical CDF of completed FCTs for a class (Fig. 3(c)).
-    pub fn fct_cdf(&self, class: FlowClass) -> Cdf {
-        Cdf::from_samples(self.fct_samples(class))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Cdf;
 
     fn ms(n: u64) -> SimTime {
         SimTime::from_millis(n)
@@ -337,7 +333,7 @@ mod tests {
             r.flow_started(FlowId(i), 1_000, ms(0), None);
             r.flow_completed(FlowId(i), ms((i + 1) as u64));
         }
-        let cdf = r.fct_cdf(FlowClass::Short);
+        let cdf = Cdf::from_samples(r.fct_samples(FlowClass::Short));
         assert_eq!(cdf.len(), 10);
         assert!((cdf.fraction_below(0.005) - 0.5).abs() < 0.01);
     }

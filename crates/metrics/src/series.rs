@@ -24,11 +24,6 @@ impl TimeSeries {
         }
     }
 
-    /// The bucket width.
-    pub fn bucket_width(&self) -> SimTime {
-        self.bucket
-    }
-
     /// Materialize every bucket up to `horizon` now, so `add` calls within
     /// the horizon never resize mid-run. `cap` bounds the up-front footprint
     /// for absurd horizon/bucket ratios; observations beyond it fall back to
@@ -106,15 +101,6 @@ impl TimeSeries {
             self.counts[i] += c;
         }
     }
-
-    /// Mean of the per-bucket means (a robust "steady-state" scalar).
-    pub fn grand_mean(&self) -> f64 {
-        let m = self.means();
-        if m.is_empty() {
-            return 0.0;
-        }
-        m.iter().map(|(_, v)| v).sum::<f64>() / m.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -158,16 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn grand_mean_over_buckets() {
-        let mut s = TimeSeries::new(ms(1));
-        s.add(ms(0), 1.0);
-        s.add(ms(1), 3.0);
-        assert_eq!(s.grand_mean(), 2.0);
-        let empty = TimeSeries::new(ms(1));
-        assert_eq!(empty.grand_mean(), 0.0);
-    }
-
-    #[test]
     fn reserve_until_pre_materializes_without_changing_output() {
         let mut s = TimeSeries::new(ms(1));
         s.reserve_until(ms(10), 1 << 16);
@@ -177,7 +153,6 @@ mod tests {
         assert_eq!(s.sums.capacity(), cap, "adds within horizon must not grow");
         // Zero-count buckets stay invisible to every reader.
         assert_eq!(s.means().len(), 2);
-        assert_eq!(s.grand_mean(), 2.0);
         // The cap bounds the up-front footprint.
         let mut t = TimeSeries::new(ms(1));
         t.reserve_until(ms(1_000_000), 64);

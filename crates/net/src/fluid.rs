@@ -79,7 +79,6 @@ pub struct FluidNet {
     /// Pending rate changes since the last [`FluidNet::take_changes`].
     changes: Vec<RateChange>,
     active: usize,
-    peak_active: usize,
 }
 
 impl FluidNet {
@@ -97,7 +96,6 @@ impl FluidNet {
             scan: Vec::new(),
             changes: Vec::new(),
             active: 0,
-            peak_active: 0,
         }
     }
 
@@ -111,12 +109,6 @@ impl FluidNet {
     #[inline]
     pub fn active_flows(&self) -> usize {
         self.active
-    }
-
-    /// High-water mark of concurrently live fluid flows.
-    #[inline]
-    pub fn peak_active(&self) -> usize {
-        self.peak_active
     }
 
     /// The directed links an active `flow` occupies.
@@ -158,7 +150,6 @@ impl FluidNet {
         f.updated_at = now_s;
         f.rate = 0.0;
         self.active += 1;
-        self.peak_active = self.peak_active.max(self.active);
         // New rates for the joiner and everything it displaced.
         self.rerate(flow, now_s);
         self.finish_scan(now_s);
@@ -423,7 +414,6 @@ mod tests {
             }
         }
         assert_eq!(net.active_flows(), 1);
-        assert!(net.peak_active() >= 2);
         // The lazy list must have been compacted well below 40 entries.
         assert!(net.on_link[0].len() < 20, "len {}", net.on_link[0].len());
     }

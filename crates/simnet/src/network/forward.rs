@@ -60,7 +60,6 @@ impl Net<'_> {
         if self.pmap.is_lb_up(p) && pkt.kind == PktKind::Data && self.is_short[pkt.flow.index()] {
             let w = now.saturating_sub(pkt.enqueued_at).as_secs_f64();
             self.m.short_qdelay.push(w);
-            self.m.short_qdelay_series.add(now, w);
         }
         self.audit.tx_started(&pkt);
         push_ev(&mut self.q, now + tx_time, Event::TxDone(p));
@@ -185,14 +184,12 @@ impl Net<'_> {
         let up = self.choose_up(sw, group, &pkt, now);
         let p = self.pmap.sw_up(sw as u32, up);
         debug_assert!(self.pmap.up_range(sw as usize).contains(&(p as usize)));
-        // Fig. 3(a): queue length experienced at enqueue.
-        if pkt.kind == PktKind::Data {
+        // Fig. 3(a): queue length a short flow's data packet meets at
+        // enqueue. Long-flow packets are not sampled — the paper plots no
+        // such curve and a per-packet log would grow with bytes carried.
+        if pkt.kind == PktKind::Data && self.is_short[pkt.flow.index()] {
             let qlen = self.ports[p as usize].len_pkts() as f64;
-            if self.is_short[pkt.flow.index()] {
-                self.m.short_qlen.push(qlen);
-            } else {
-                self.m.long_qlen.push(qlen);
-            }
+            self.m.short_qlen.push(qlen);
         }
         self.enqueue(p, pkt, now);
     }

@@ -87,19 +87,17 @@ impl Net<'_> {
                 let after = receiver.delivered_segs();
                 let was_ooo = receiver.stats().out_of_order > ooo_before;
 
-                // Reordering time series per class.
+                // Short flows: the reorder-ratio series of Fig. 8(a). Long
+                // flows: the goodput series of Fig. 9(b), one bucket add
+                // per in-order advance — their reorder *ratio* comes from
+                // the receivers' own counters at report time.
                 if is_short {
                     self.m
                         .short_reorder
                         .add(now, if was_ooo { 1.0 } else { 0.0 });
-                } else {
-                    self.m
-                        .long_reorder
-                        .add(now, if was_ooo { 1.0 } else { 0.0 });
-                    if after > before {
-                        let bytes = (after - before) as f64 * self.cfg.tcp.mss as f64;
-                        self.m.long_goodput.add(now, bytes);
-                    }
+                } else if after > before {
+                    let bytes = (after - before) as f64 * self.cfg.tcp.mss as f64;
+                    self.m.long_goodput.add(now, bytes);
                 }
 
                 // Completion: every packet-path segment delivered in

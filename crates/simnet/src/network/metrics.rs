@@ -1,6 +1,15 @@
 //! What a run measures: the metric collectors, their build-time sizing
 //! (so steady state never grows them), the shard fold, and the assembly
 //! of the final [`RunReport`].
+//!
+//! One rule decides what lives here: a collector exists iff a figure
+//! binary, a test oracle, `tlb-sim` or the benchmark reads its *values*,
+//! and what a run records is bounded by flows, fabric and
+//! horizon ÷ bucket — never by bytes carried. Short-flow packets are few
+//! by definition (≤ `short_threshold` per flow), so the two per-packet
+//! sample sets are bounded by the flow count; a long flow costs this
+//! layer one `long_goodput` bucket add per in-order delivery and nothing
+//! else. DESIGN.md §14 lists each collector with its reader and bound.
 
 use super::Net;
 use crate::config::SimConfig;
@@ -13,7 +22,6 @@ use tlb_switch::LoadBalancer;
 pub(super) struct Metrics {
     pub fct: FctRecorder,
     pub short_qlen: SampleSet,
-    pub long_qlen: SampleSet,
     pub short_qdelay: SampleSet,
     /// FEL occupancy sampled every [`Net::FEL_DEPTH_SAMPLE_EVERY`] events.
     pub fel_depth: SampleSet,
@@ -26,9 +34,7 @@ pub(super) struct Metrics {
     /// hosting replica's own arena is read at report time); 0 in a serial
     /// run.
     pub wire_pkts_peak: u64,
-    pub short_qdelay_series: TimeSeries,
     pub short_reorder: TimeSeries,
-    pub long_reorder: TimeSeries,
     pub long_goodput: TimeSeries,
     pub qth_series: Vec<(f64, f64)>,
     /// Per-flow: is the flow in [`SimConfig::trace_flows`]?
@@ -44,26 +50,27 @@ pub(super) struct Metrics {
 }
 
 impl Metrics {
-    /// Pre-size every per-packet collector from workload bounds.
-    /// `total_segs` counts each flow's first transmissions; the +25%
-    /// headroom absorbs retransmissions (the allocation gate pins typical
-    /// runs well under that).
+    /// Pre-size every collector at build, so steady state never grows one.
+    /// The two per-packet sample sets follow *short*-flow segments only
+    /// (`total_segs` counts first transmissions; the +25% headroom absorbs
+    /// retransmissions — the allocation gate pins typical runs well under
+    /// that); everything else is bounded by flows, fabric or
+    /// horizon ÷ bucket.
     pub fn new(cfg: &SimConfig, total_segs: &[u32], is_short: &[bool], sharded: bool) -> Metrics {
         let n = total_segs.len();
-        let segs = |short: bool| -> usize {
-            total_segs
-                .iter()
-                .zip(is_short)
-                .filter(|&(_, &s)| s == short)
-                .map(|(&t, _)| t as usize)
-                .sum()
-        };
-        let sample_cap = |first_tx: usize| (first_tx + first_tx / 4 + 64).min(1 << 22);
-        let (short_segs, long_segs) = (segs(true), segs(false));
-        // FEL-depth samples: one per 4096 events; a data segment costs
+        let short_segs: usize = total_segs
+            .iter()
+            .zip(is_short)
+            .filter(|&(_, &short)| short)
+            .map(|(&t, _)| t as usize)
+            .sum();
+        let short_cap = (short_segs + short_segs / 4 + 64).min(1 << 22);
+        // FEL-depth samples — the one collector that follows the event
+        // count, at one `f64` per 4096 events: a data segment costs
         // O(2 hops·(TxDone+Arrive)) events each way, so 24·segs/4096 is a
-        // generous event-count estimate.
-        let depth_cap = ((short_segs + long_segs) * 24 / 4096 + 64).min(1 << 20);
+        // generous estimate.
+        let all_segs: usize = total_segs.iter().map(|&t| t as usize).sum();
+        let depth_cap = (all_segs * 24 / 4096 + 64).min(1 << 20);
         let mut fct = FctRecorder::new(cfg.short_threshold);
         fct.reserve(n);
         let mut traced = vec![false; n];
@@ -98,16 +105,13 @@ impl Metrics {
         };
         Metrics {
             fct,
-            short_qlen: SampleSet::with_capacity(sample_cap(short_segs)),
-            long_qlen: SampleSet::with_capacity(sample_cap(long_segs)),
-            short_qdelay: SampleSet::with_capacity(sample_cap(short_segs)),
+            short_qlen: SampleSet::with_capacity(short_cap),
+            short_qdelay: SampleSet::with_capacity(short_cap),
             fel_depth: SampleSet::with_capacity(depth_cap),
             fel_bound_peak: 0,
             fel_nodes_peak: 0,
             wire_pkts_peak: 0,
-            short_qdelay_series: series(),
             short_reorder: series(),
-            long_reorder: series(),
             long_goodput: series(),
             qth_series: Vec::new(),
             traced,
@@ -143,13 +147,10 @@ impl Metrics {
     pub fn absorb(&mut self, mut other: Metrics) {
         self.fct.absorb(other.fct);
         self.short_qlen.merge(&other.short_qlen);
-        self.long_qlen.merge(&other.long_qlen);
         self.short_qdelay.merge(&other.short_qdelay);
         self.fel_depth.merge(&other.fel_depth);
         self.fel_bound_peak = self.fel_bound_peak.max(other.fel_bound_peak);
-        self.short_qdelay_series.absorb(&other.short_qdelay_series);
         self.short_reorder.absorb(&other.short_reorder);
-        self.long_reorder.absorb(&other.long_reorder);
         self.long_goodput.absorb(&other.long_goodput);
         // Leaf/edge 0 (and with it the qth/queue samplers) is always
         // shard 0's.
@@ -244,16 +245,14 @@ impl Net<'_> {
             short,
             long,
             short_qlen: m.short_qlen,
-            long_qlen: m.long_qlen,
+            long_qlen: SampleSet::new(),
             short_qdelay: m.short_qdelay,
             fel_depth: m.fel_depth,
             fel_bound_peak: m.fel_bound_peak,
             fel_nodes_peak: m.fel_nodes_peak.max(self.q.pool_nodes_peak() as u64),
             wire_pkts_peak: m.wire_pkts_peak + self.arena.peak_live() as u64,
             short_reorder_series: m.short_reorder.means(),
-            long_reorder_series: m.long_reorder.means(),
             long_goodput_series: m.long_goodput.rates(),
-            short_qdelay_series: m.short_qdelay_series.means(),
             uplink_utilization,
             drops: self.ports.iter().map(|p| p.stats().dropped).sum(),
             marks: self.ports.iter().map(|p| p.stats().marked).sum(),

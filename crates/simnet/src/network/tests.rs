@@ -67,6 +67,38 @@ fn conservation_sent_equals_received_plus_losses() {
     assert_eq!(c.out_of_order, 0, "single path cannot reorder");
 }
 
+/// The measurement layer's rule: what a run records is bounded by flows,
+/// fabric and horizon ÷ bucket, never by bytes carried — a long flow
+/// leaves no per-packet sample behind.
+#[test]
+fn a_long_flow_leaves_no_per_packet_sample() {
+    let r = run_basic(Scheme::Rps, one_flow(500 * 1460));
+    assert_eq!(r.completed, 1);
+    assert_eq!(r.long.data_received, 500);
+    assert!(r.short_qlen.is_empty() && r.short_qdelay.is_empty() && r.long_qlen.is_empty());
+    assert_eq!(
+        r.fel_depth.len() as u64,
+        r.events / Net::FEL_DEPTH_SAMPLE_EVERY
+    );
+    // What the figures read of a long flow is still there.
+    assert!(!r.long_goodput_series.is_empty());
+    assert!((0.0..=1.0).contains(&r.long.reorder_ratio()));
+
+    // Short-flow data is sampled once per LB hop — one, the leaf uplink,
+    // on this fabric: at enqueue (`short_qlen`) and again when served
+    // (`short_qdelay`; a packet dropped at the uplink never is).
+    let mut mix = tlb_workload::BasicMixConfig::paper_default();
+    mix.n_short = 20;
+    mix.n_long = 2;
+    let cfg = crate::SimConfig::basic_paper(Scheme::tlb_default());
+    let flows = tlb_workload::basic_mix(&cfg.topo, &mix, &mut tlb_engine::SimRng::new(3));
+    let r = Simulation::new(cfg, flows).run();
+    assert!(r.long.data_sent > r.short.data_sent);
+    assert!(!r.short_qdelay.is_empty() && r.long_qlen.is_empty());
+    assert!(r.short_qdelay.len() <= r.short_qlen.len());
+    assert!(r.short_qlen.len() as u64 <= r.short.data_sent + r.short.retransmits);
+}
+
 /// The high-BDP shape of `tests/fel_occupancy.rs` — 2 leaves × 4 spines ×
 /// 8 hosts, 10 Gbit/s × 500 µs links, 16 cross-rack 4 MB flows sprayed
 /// over every uplink — cut off at 60 ms with every window still in flight.

@@ -180,7 +180,11 @@ pub struct Summary {
 }
 
 /// Everything measured in one run. Time series carry
-/// `(bucket_start_seconds, value)` points.
+/// `(bucket_start_seconds, value)` points. A field is here because a
+/// figure binary, a test, `tlb-sim` or the benchmark reads it, and none
+/// grows with the bytes a run carries: per-packet samples are taken of
+/// short-flow data only (bounded by flows × `short_threshold`), series by
+/// horizon ÷ bucket, everything else by flows or fabric.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Scheme display name.
@@ -199,12 +203,18 @@ pub struct RunReport {
     pub short: ClassCounters,
     /// Transport counters per class.
     pub long: ClassCounters,
-    /// Uplink queue length (packets) seen by short-flow data at enqueue —
-    /// Fig. 3(a).
+    /// Uplink queue length (packets) seen by short-flow data at enqueue,
+    /// one sample per LB hop — Fig. 3(a).
     pub short_qlen: SampleSet,
-    /// Same for long-flow data.
+    /// No longer recorded: always empty. It logged the same for every
+    /// long-flow data packet, which no figure, test or tool read and which
+    /// grew with the bytes a run carried. The field survives only because
+    /// `benchmark/src/replay.rs::samples_pushed` adds its length and no
+    /// file under `benchmark/` may change outside a benchmark PR; it goes
+    /// with that term (ROADMAP item 2).
     pub long_qlen: SampleSet,
-    /// Per-hop queueing delay of short-flow data (seconds) — Fig. 8(b).
+    /// Queueing delay of short-flow data at each LB uplink it was served
+    /// by (seconds) — Fig. 8(b).
     pub short_qdelay: SampleSet,
     /// Pending-event count of the engine's future-event list, sampled once
     /// every 4096 processed events. The sampling schedule is a pure
@@ -234,13 +244,11 @@ pub struct RunReport {
     /// over the links it receives; not part of any digest.
     pub wire_pkts_peak: u64,
     /// Instantaneous reorder ratio of short flows over time — Fig. 8(a).
+    /// (Long flows' reordering is reported as one ratio,
+    /// `long.reorder_ratio()` — Fig. 9(a).)
     pub short_reorder_series: Vec<(f64, f64)>,
-    /// Instantaneous reorder ratio of long flows — Fig. 9(a).
-    pub long_reorder_series: Vec<(f64, f64)>,
     /// Aggregate long-flow goodput (bytes/s) over time — Fig. 9(b).
     pub long_goodput_series: Vec<(f64, f64)>,
-    /// Mean queueing delay of short flows over time (seconds) — Fig. 8(b).
-    pub short_qdelay_series: Vec<(f64, f64)>,
     /// Utilization of each leaf uplink: `busy_time / sim_duration`,
     /// indexed `[leaf][uplink]` — Fig. 4(a).
     pub uplink_utilization: Vec<Vec<f64>>,

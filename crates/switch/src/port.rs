@@ -52,8 +52,6 @@ pub struct PortStats {
     pub pkts_tx: u64,
     /// Time the transmitter spent busy (for utilization).
     pub busy: SimTime,
-    /// Peak queue length observed at enqueue time, in packets.
-    pub peak_qlen_pkts: usize,
 }
 
 /// An output port: a FIFO of packets plus its outgoing link.
@@ -183,7 +181,6 @@ impl OutPort {
         self.queued_bytes += pkt.wire_bytes as u64;
         self.queue.push_back(pkt);
         self.stats.enqueued += 1;
-        self.stats.peak_qlen_pkts = self.stats.peak_qlen_pkts.max(self.queue.len());
         Enqueued::Queued { marked, was_idle }
     }
 
@@ -260,13 +257,6 @@ impl OutPort {
     /// first. Exposed for end-of-run conservation audits.
     pub fn iter_queued(&self) -> impl Iterator<Item = &Packet> {
         self.queue.iter()
-    }
-
-    /// Queueing delay the head-of-line packet has accumulated so far.
-    pub fn head_wait(&self, now: SimTime) -> Option<SimTime> {
-        self.queue
-            .front()
-            .map(|p| now.saturating_sub(p.enqueued_at))
     }
 }
 
@@ -537,17 +527,6 @@ mod tests {
             }
             assert!(p.is_idle());
         }
-    }
-
-    #[test]
-    fn head_wait_measures_queueing() {
-        let mut p = OutPort::new(link(), cfg(16, None));
-        assert_eq!(p.head_wait(SimTime::from_micros(5)), None);
-        p.enqueue(data(0), SimTime::from_micros(2));
-        assert_eq!(
-            p.head_wait(SimTime::from_micros(5)),
-            Some(SimTime::from_micros(3))
-        );
     }
 
     #[test]
