@@ -24,16 +24,17 @@ impl TimeSeries {
         }
     }
 
-    /// Materialize every bucket up to `horizon` now, so `add` calls within
-    /// the horizon never resize mid-run. `cap` bounds the up-front footprint
-    /// for absurd horizon/bucket ratios; observations beyond it fall back to
-    /// resize-on-demand.
+    /// Reserve room for every bucket up to `horizon` now, so `add` calls
+    /// within the horizon never reallocate mid-run. Nothing is written: a
+    /// run that ends long before its horizon touches only the buckets it
+    /// reached. `cap` bounds the up-front reservation for absurd
+    /// horizon/bucket ratios; observations beyond it fall back to
+    /// growth on demand.
     pub fn reserve_until(&mut self, horizon: SimTime, cap: usize) {
         let n = (self.idx(horizon) + 1).min(cap);
-        if n > self.sums.len() {
-            self.sums.resize(n, 0.0);
-            self.counts.resize(n, 0);
-        }
+        self.sums.reserve_exact(n.saturating_sub(self.sums.len()));
+        self.counts
+            .reserve_exact(n.saturating_sub(self.counts.len()));
     }
 
     fn idx(&self, t: SimTime) -> usize {
@@ -144,9 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn reserve_until_pre_materializes_without_changing_output() {
+    fn reserve_until_reserves_without_changing_output() {
         let mut s = TimeSeries::new(ms(1));
         s.reserve_until(ms(10), 1 << 16);
+        assert_eq!(s.n_buckets(), 0, "reserving writes no bucket");
         let cap = s.sums.capacity();
         s.add(ms(0), 1.0);
         s.add(ms(9), 3.0);
@@ -156,7 +158,7 @@ mod tests {
         // The cap bounds the up-front footprint.
         let mut t = TimeSeries::new(ms(1));
         t.reserve_until(ms(1_000_000), 64);
-        assert_eq!(t.n_buckets(), 64);
+        assert!((64..128).contains(&t.sums.capacity()));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!             └─> drop (drop-tail)                                 at next hop)
 //! ```
 //!
-//! and at end of run [`AuditLedger::finish`] proves, per packet class:
+//! and at end of run [`AuditLedger::finish`] proves, per packet class (the
+//! transport invariants, last, are checked earlier, as each endpoint
+//! closes):
 //!
 //! - **conservation** — `emitted == delivered + dropped + in-flight at
 //!   horizon` (in flight = queued in a port, being serialized, or
@@ -26,9 +28,12 @@
 //!   every port in the fabric;
 //! - **clock monotonicity** — the engine's
 //!   [`tlb_engine::EventQueue::monotonicity_violations`] counter is zero;
-//! - **transport invariants** — every live sender still satisfies
-//!   `snd_una ≤ snd_nxt`, `cwnd ≥ 1`, and `timer pending ⇒ deadline ≥
-//!   armed-at` ([`tlb_transport::TcpSender::invariant_violation`]).
+//! - **transport invariants** — every sender satisfied `snd_una ≤
+//!   snd_nxt`, `cwnd ≥ 1`, and `timer pending ⇒ deadline ≥ armed-at`
+//!   ([`tlb_transport::TcpSender::invariant_violation`]), and every receiver
+//!   its delivery invariants, when it closed — at its flow's end or the
+//!   run's, whichever came first ([`AuditLedger::sender_closed`],
+//!   [`AuditLedger::receiver_closed`]).
 //!
 //! Any violation panics with a labelled diff naming the class, the stage
 //! equation, and both sides' values. A passing audit is surfaced as
@@ -104,9 +109,11 @@ pub struct AuditReport {
     pub kinds: [KindCounts; KINDS],
     /// Ports whose accounting was verified (every port in the fabric).
     pub ports_checked: usize,
-    /// Live senders whose transport invariants were verified.
+    /// Senders whose transport invariants were verified: every one the run
+    /// opened.
     pub senders_checked: usize,
-    /// Live receivers whose delivery invariants were verified.
+    /// Receivers whose delivery invariants were verified: every one the
+    /// run opened.
     pub receivers_checked: usize,
     /// The engine's clock-violation counter (zero, or the audit panicked).
     pub monotonicity_violations: u64,
@@ -135,6 +142,8 @@ impl AuditReport {
 pub struct AuditLedger {
     enabled: bool,
     kinds: [KindCounts; KINDS],
+    senders_checked: usize,
+    receivers_checked: usize,
 }
 
 impl AuditLedger {
@@ -144,6 +153,8 @@ impl AuditLedger {
         AuditLedger {
             enabled,
             kinds: [KindCounts::default(); KINDS],
+            senders_checked: 0,
+            receivers_checked: 0,
         }
     }
 
@@ -171,6 +182,8 @@ impl AuditLedger {
             mine.in_service_at_end += theirs.in_service_at_end;
             mine.propagating_at_end += theirs.propagating_at_end;
         }
+        self.senders_checked += other.senders_checked;
+        self.receivers_checked += other.receivers_checked;
     }
 
     #[inline]
@@ -242,6 +255,28 @@ impl AuditLedger {
         }
     }
 
+    /// The sender of flow `flow` closed, its invariant check finding
+    /// `violation`: count it, and panic on the violation.
+    pub fn sender_closed(&mut self, flow: usize, violation: Option<String>) {
+        if self.enabled {
+            self.senders_checked += 1;
+            if let Some(v) = violation {
+                panic!("packet-conservation audit failed: [sender flow {flow}] {v}");
+            }
+        }
+    }
+
+    /// The receiver of flow `flow` closed, its invariant check finding
+    /// `violation`: count it, and panic on the violation.
+    pub fn receiver_closed(&mut self, flow: usize, violation: Option<String>) {
+        if self.enabled {
+            self.receivers_checked += 1;
+            if let Some(v) = violation {
+                panic!("packet-conservation audit failed: [receiver flow {flow}] {v}");
+            }
+        }
+    }
+
     /// End of run: `pkt` was still queued in a port.
     #[inline]
     pub fn residual_queued(&mut self, pkt: &Packet) {
@@ -270,23 +305,14 @@ impl AuditLedger {
     ///
     /// The caller supplies the fabric-wide facts the ledger cannot see:
     /// per-port `(enqueued, pkts_tx, queued_now, in_service, byte
-    /// mismatch)` tuples via `ports`, the engine's monotonicity counter,
-    /// and per-sender / per-receiver invariant findings. Residual hooks
-    /// must already have been fed every still-queued and still-pending
-    /// packet.
+    /// mismatch)` tuples via `ports` and the engine's monotonicity counter.
+    /// Residual hooks must already have been fed every still-queued and
+    /// still-pending packet, and every endpoint must have closed.
     ///
     /// # Panics
     ///
     /// On any violated invariant, with a labelled diff of every failure.
-    pub fn finish(
-        self,
-        ports: &[PortAudit],
-        monotonicity_violations: u64,
-        sender_violations: &[(usize, String)],
-        senders_checked: usize,
-        receiver_violations: &[(usize, String)],
-        receivers_checked: usize,
-    ) -> Option<AuditReport> {
+    pub fn finish(self, ports: &[PortAudit], monotonicity_violations: u64) -> Option<AuditReport> {
         if !self.enabled {
             return None;
         }
@@ -370,13 +396,6 @@ impl AuditLedger {
             ));
         }
 
-        for (flow, v) in sender_violations {
-            violations.push(format!("[sender flow {flow}] {v}"));
-        }
-        for (flow, v) in receiver_violations {
-            violations.push(format!("[receiver flow {flow}] {v}"));
-        }
-
         assert!(
             violations.is_empty(),
             "packet-conservation audit failed ({} violation(s)):\n  {}",
@@ -387,8 +406,8 @@ impl AuditLedger {
         Some(AuditReport {
             kinds: self.kinds,
             ports_checked: ports.len(),
-            senders_checked,
-            receivers_checked,
+            senders_checked: self.senders_checked,
+            receivers_checked: self.receivers_checked,
             monotonicity_violations,
         })
     }
@@ -464,7 +483,11 @@ mod tests {
         let mut l = AuditLedger::new(true);
         clean_single_hop(&mut l, PktKind::Syn);
         clean_single_hop(&mut l, PktKind::Data);
-        let report = l.finish(&[], 0, &[], 3, &[], 3).unwrap();
+        for flow in 0..3 {
+            l.sender_closed(flow, None);
+            l.receiver_closed(flow, None);
+        }
+        let report = l.finish(&[], 0).unwrap();
         assert_eq!(report.total_emitted(), 2);
         assert_eq!(report.total_delivered(), 2);
         assert_eq!(report.total_dropped(), 0);
@@ -487,7 +510,7 @@ mod tests {
         }
         // First arrival forwards (re-enqueues); second delivers.
         l.delivered(&p);
-        l.finish(&[], 0, &[], 0, &[], 0).unwrap();
+        l.finish(&[], 0).unwrap();
     }
 
     #[test]
@@ -523,10 +546,6 @@ mod tests {
                     queued_bytes_actual: 1500,
                 }],
                 0,
-                &[],
-                1,
-                &[],
-                1,
             )
             .unwrap();
         assert_eq!(r.kinds[kind_idx(PktKind::Data)].in_flight_at_end(), 2);
@@ -544,7 +563,7 @@ mod tests {
         l.tx_done(&p);
         // The packet vanishes between tx_done and arrive — no residual
         // accounts for it.
-        l.finish(&[], 0, &[], 0, &[], 0);
+        l.finish(&[], 0);
     }
 
     #[test]
@@ -563,36 +582,32 @@ mod tests {
                 queued_bytes_actual: 1500,
             }],
             0,
-            &[],
-            0,
-            &[],
-            0,
         );
     }
 
     #[test]
     #[should_panic(expected = "clock ran backwards")]
     fn monotonicity_violation_is_caught() {
-        AuditLedger::new(true).finish(&[], 3, &[], 0, &[], 0);
+        AuditLedger::new(true).finish(&[], 3);
     }
 
     #[test]
     #[should_panic(expected = "sender flow 7")]
     fn sender_violation_is_caught() {
-        AuditLedger::new(true).finish(&[], 0, &[(7, "cwnd 0.5 < 1 segment".into())], 1, &[], 0);
+        let mut l = AuditLedger::new(true);
+        l.sender_closed(7, Some("cwnd 0.5 < 1 segment".into()));
+        l.finish(&[], 0);
     }
 
     #[test]
     #[should_panic(expected = "receiver flow 4")]
     fn receiver_violation_is_caught() {
-        AuditLedger::new(true).finish(
-            &[],
-            0,
-            &[],
-            0,
-            &[(4, "rcv_nxt moved backwards: 2 after watermark 5".into())],
-            1,
+        let mut l = AuditLedger::new(true);
+        l.receiver_closed(
+            4,
+            Some("rcv_nxt moved backwards: 2 after watermark 5".into()),
         );
+        l.finish(&[], 0);
     }
 
     #[test]
@@ -600,6 +615,7 @@ mod tests {
         let mut l = AuditLedger::new(false);
         let p = pkt(PktKind::Data);
         l.emitted(&p); // would violate conservation if counted
-        assert!(l.finish(&[], 99, &[], 0, &[], 0).is_none());
+        l.sender_closed(0, Some("ignored".into()));
+        assert!(l.finish(&[], 99).is_none());
     }
 }

@@ -61,6 +61,7 @@ mod link;
 mod metrics;
 mod portmap;
 mod sharded;
+mod slab;
 #[cfg(test)]
 mod tests;
 
@@ -70,16 +71,36 @@ use crate::dispatch::AnyLb;
 use crate::report::{AllocAudit, RunReport};
 use events::{push_ev, Event, KEY_ENTITY_BITS};
 use portmap::{PortMap, PortRef};
+use slab::{Slab, SlabSlot};
 use tlb_engine::{alloc_audit, EventQueue, SimRng, SimTime};
 use tlb_net::{PacketArena, PacketFifo};
 use tlb_switch::{LoadBalancer, OutPort, QueueCfg};
-use tlb_transport::{OooPool, SenderOutput, TcpReceiver, TcpSender};
+use tlb_transport::{SenderOutput, TcpReceiver, TcpSender};
 use tlb_workload::FlowSpec;
 
 /// An LB switch's control state (its ports live in the flat table).
 struct LbSw {
     lb: AnyLb,
     rng: SimRng,
+}
+
+/// What the packet path indexes per flow. The endpoints themselves live
+/// in `Net::senders` / `Net::receivers` only while they are open (DESIGN
+/// §14, "Connection slabs").
+#[derive(Clone, Copy, Default)]
+struct FlowRow {
+    /// Segments the receiver must deliver in order (the hybrid seam
+    /// shrinks it at migration and regrows it at demotion).
+    total_segs: u32,
+    /// From the flow's start until its sender emits `Finished`.
+    sender: Option<SlabSlot>,
+    /// From the first SYN to arrive until the flow completes.
+    receiver: Option<SlabSlot>,
+    /// Short/long classification, fixed at build.
+    short: bool,
+    completed: bool,
+    /// In [`SimConfig::trace_flows`].
+    traced: bool,
 }
 
 /// One configured simulation, ready to run.
@@ -148,7 +169,7 @@ pub(crate) fn or_panic<T>(checked: Result<T, ConfigError>) -> T {
 }
 
 /// What the driver indexes by without looking: flow `i` must carry id `i`
-/// (senders, receivers and the FCT recorder are dense tables), fit the
+/// (the per-flow rows and the FCT recorder are dense tables), fit the
 /// event key's entity bits, and name hosts the fabric has (`host_nic` is
 /// the identity, so an out-of-range host would alias a switch port).
 fn check_flow(i: usize, f: &FlowSpec, n_hosts: usize) -> Result<(), ConfigError> {
@@ -264,15 +285,13 @@ struct Net<'a> {
     /// link's delay never shrinks, which keeps legacy runs bit-identical
     /// in both delivery modes).
     link_fifo: Vec<SimTime>,
-    senders: Vec<Option<TcpSender>>,
-    receivers: Vec<Option<TcpReceiver>>,
+    /// One row per flow of the job.
+    rows: Vec<FlowRow>,
+    /// The open connections' endpoints, each slab reserved at build for the
+    /// flows whose src (senders) or dst (receivers) this `Net` hosts.
+    senders: Slab<TcpSender>,
+    receivers: Slab<TcpReceiver>,
     next_flow: Vec<Option<u32>>,
-    total_segs: Vec<u32>,
-    /// Per-flow short/long classification, precomputed at build so the
-    /// per-packet paths index a bitvec instead of re-deriving it from the
-    /// flow table.
-    is_short: Vec<bool>,
-    completed: Vec<bool>,
     n_completed: usize,
     q: EventQueue<Event>,
     /// Where every packet is between leaving a port's serializer and
@@ -280,8 +299,6 @@ struct Net<'a> {
     /// reserved once at build for the sum of the links' in-flight bounds
     /// and touched only as deep as the wire ever got.
     arena: PacketArena,
-    /// Recycles receivers' out-of-order buffers across flow lifetimes.
-    ooo_pool: OooPool,
     out_buf: Vec<SenderOutput>,
     /// Event count at which to capture the allocation-audit baseline
     /// (`u64::MAX` = off; sharded replicas never arm it).
@@ -361,14 +378,16 @@ impl<'a> Net<'a> {
         // the wheel's node pool and the active bucket — and touches only
         // as much of each as the run's depth reaches.)
         let fel_cap = 2 * n + 2 * n_ports + wire_cap + 64;
-        let total_segs: Vec<u32> = flows
+        let rows: Vec<FlowRow> = flows
             .iter()
-            .map(|f| f.size_bytes.div_ceil(cfg.tcp.mss as u64) as u32)
+            .map(|f| FlowRow {
+                total_segs: f.size_bytes.div_ceil(cfg.tcp.mss as u64) as u32,
+                short: f.size_bytes < cfg.short_threshold,
+                traced: cfg.trace_flows.contains(&f.id),
+                ..FlowRow::default()
+            })
             .collect();
-        let is_short: Vec<bool> = flows
-            .iter()
-            .map(|f| f.size_bytes < cfg.short_threshold)
-            .collect();
+        let hosts = |h: tlb_net::HostId| shard.as_ref().is_none_or(|c| c.owns_host(h.0));
         let has_failures = !cfg.failure_events.is_empty();
         let reach_len = if has_failures {
             pmap.n_lb as usize * pmap.n_groups()
@@ -377,9 +396,10 @@ impl<'a> Net<'a> {
         };
 
         let mut net = Net {
-            m: metrics::Metrics::new(cfg, &total_segs, &is_short, shard.is_some()),
-            total_segs,
-            is_short,
+            m: metrics::Metrics::new(cfg, &rows, shard.is_some()),
+            senders: Slab::with_capacity(flows.iter().filter(|f| hosts(f.src)).count()),
+            receivers: Slab::with_capacity(flows.iter().filter(|f| hosts(f.dst)).count()),
+            rows,
             has_failures,
             reach: vec![0u64; reach_len],
             lb_sws: (0..pmap.n_lb as u64)
@@ -393,17 +413,10 @@ impl<'a> Net<'a> {
             pmap,
             ports,
             pipes: vec![PacketFifo::default(); n_ports],
-            senders: (0..n).map(|_| None).collect(),
-            receivers: (0..n).map(|_| None).collect(),
             next_flow,
-            completed: vec![false; n],
             n_completed: 0,
             q: EventQueue::with_capacity_and_kind(fel_cap, cfg.fel),
             arena: PacketArena::with_capacity(wire_cap),
-            // The free stack parks at most one buffer per torn-down flow,
-            // so `n` bounds it; capped like the other flow-scaled
-            // collectors (24 bytes per parked handle).
-            ooo_pool: OooPool::with_capacity(n.min(1 << 20)),
             // The sender state machine bounds its per-call output (see
             // `TcpConfig::max_outputs_per_call`); the allocation audit
             // asserts this buffer never regrows.

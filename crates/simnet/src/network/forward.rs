@@ -27,7 +27,7 @@ fn live_view(uplinks: &[OutPort], mask: u64) -> PortView<'_> {
 
 impl Net<'_> {
     pub(super) fn enqueue(&mut self, p: PortId, pkt: Packet, now: SimTime) {
-        if self.m.traced[pkt.flow.index()] {
+        if self.rows[pkt.flow.index()].traced {
             self.trace(self.pmap.hop(p), &pkt, now);
         }
         self.audit.enqueue_attempt(&pkt);
@@ -57,7 +57,7 @@ impl Net<'_> {
         // Leaf-uplink queueing delay of short-flow data (Fig. 8(b)) — the
         // queues the load balancer controls; NIC and downlink waits are the
         // same for every scheme and would only dilute the comparison.
-        if self.pmap.is_lb_up(p) && pkt.kind == PktKind::Data && self.is_short[pkt.flow.index()] {
+        if self.pmap.is_lb_up(p) && pkt.kind == PktKind::Data && self.rows[pkt.flow.index()].short {
             let w = now.saturating_sub(pkt.enqueued_at).as_secs_f64();
             self.m.short_qdelay.push(w);
         }
@@ -187,7 +187,7 @@ impl Net<'_> {
         // Fig. 3(a): queue length a short flow's data packet meets at
         // enqueue. Long-flow packets are not sampled — the paper plots no
         // such curve and a per-packet log would grow with bytes carried.
-        if pkt.kind == PktKind::Data && self.is_short[pkt.flow.index()] {
+        if pkt.kind == PktKind::Data && self.rows[pkt.flow.index()].short {
             let qlen = self.ports[p as usize].len_pkts() as f64;
             self.m.short_qlen.push(qlen);
         }

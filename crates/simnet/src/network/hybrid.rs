@@ -137,13 +137,12 @@ impl Net<'_> {
     /// and a fully-up path — the `in_fluid`/`snd_nxt` gates keep a flow
     /// from double-joining or rejoining after its tail completed.
     pub(super) fn maybe_migrate(&mut self, fi: usize, now: SimTime) {
-        if self.is_short[fi] || self.completed[fi] {
-            return;
-        }
-        let mss = self.cfg.tcp.mss as u64;
-        let Some(sender) = self.senders[fi].as_ref() else {
+        let row = self.rows[fi];
+        let Some(slot) = row.sender.filter(|_| !row.short && !row.completed) else {
             return;
         };
+        let mss = self.cfg.tcp.mss as u64;
+        let sender = &self.senders[slot];
         if !sender.is_established()
             || sender.in_fluid()
             || (sender.acked_segs() as u64) * mss < self.cfg.short_threshold
@@ -163,11 +162,12 @@ impl Net<'_> {
         {
             return;
         }
-        let (Some(hy), Some(sender)) = (self.hybrid.as_mut(), self.senders[fi].as_mut()) else {
+        let Some(hy) = self.hybrid.as_mut() else {
             return;
         };
+        let sender = &mut self.senders[slot];
         let tail = sender.hybrid_truncate();
-        self.total_segs[fi] = sender.total_segs();
+        self.rows[fi].total_segs = sender.total_segs();
         hy.migrated[fi] = true;
         hy.pend[fi] = true;
         hy.tail_bytes[fi] = tail;
@@ -193,7 +193,9 @@ impl Net<'_> {
             spec.id,
             spec.src,
             spec.dst,
-            self.senders[fi].as_ref().map_or(0, |s| s.snd_nxt()),
+            self.rows[fi]
+                .sender
+                .map_or(0, |s| self.senders[s].snd_nxt()),
             self.cfg.tcp.mss,
             self.cfg.tcp.header_bytes,
             now,
@@ -302,19 +304,16 @@ impl Net<'_> {
         hy.pend[fi] = false;
         hy.credit[fi] += hy.tail_bytes[fi];
         self.flush_fluid_changes(now);
-        let mut out = std::mem::take(&mut self.out_buf);
-        if let Some(sender) = self.senders[fi].as_mut() {
-            sender.fluid_done(now, &mut out);
-        }
-        self.process_outputs(flow, &mut out, now);
-        self.out_buf = out;
+        self.drive_sender(fi, now, |s, out| s.fluid_done(now, out));
         // If the receiver already delivered the whole packet prefix, the
         // tail was the last outstanding byte range — complete here (no
-        // further data arrivals would re-run the receiver-side check).
-        let prefix_done = self.receivers[fi]
-            .as_ref()
-            .is_some_and(|r| r.delivered_segs() >= self.total_segs[fi]);
-        if prefix_done && !self.completed[fi] {
+        // further data arrivals would re-run the receiver-side check). An
+        // open receiver means the flow has not completed.
+        let row = self.rows[fi];
+        let prefix_done = row
+            .receiver
+            .is_some_and(|r| self.receivers[r].delivered_segs() >= row.total_segs);
+        if prefix_done {
             self.complete(fi, now);
         }
     }
@@ -355,14 +354,10 @@ impl Net<'_> {
             hy.pend[fi] = false;
             hy.credit[fi] += hy.tail_bytes[fi] - rem_bytes;
             hy.demotions += 1;
-            let mut out = std::mem::take(&mut self.out_buf);
-            let add = self.senders[fi]
-                .as_mut()
-                .expect("demoted flow without a sender")
-                .fluid_demote(rem_bytes, now, &mut out);
-            self.total_segs[fi] += add;
-            self.process_outputs(f, &mut out, now);
-            self.out_buf = out;
+            // A fluid tail defers its sender's FIN, so the sender is open.
+            let mut add = 0;
+            self.drive_sender(fi, now, |s, out| add = s.fluid_demote(rem_bytes, now, out));
+            self.rows[fi].total_segs += add;
         }
         hy.demote_scratch = victims;
         self.hybrid = Some(hy);
@@ -408,7 +403,12 @@ mod tests {
         let mut seen = [false; 3]; // tail 0 done, flow 2 started, tail 1 done
         while net.n_completed < flows.len() {
             net.step();
-            let state = [net.completed[0], net.senders[2].is_some(), net.completed[1]];
+            let rows = &net.rows;
+            let state = [
+                rows[0].completed,
+                rows[2].sender.is_some(),
+                rows[1].completed,
+            ];
             for (i, what) in ["tail 0 done", "flow 2 started", "tail 1 done"]
                 .into_iter()
                 .enumerate()

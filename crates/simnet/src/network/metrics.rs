@@ -11,7 +11,7 @@
 //! layer one `long_goodput` bucket add per in-order delivery and nothing
 //! else. DESIGN.md §14 lists each collector with its reader and bound.
 
-use super::Net;
+use super::{FlowRow, Net};
 use crate::config::SimConfig;
 use crate::report::{ClassCounters, RunReport, TraceEvent};
 use tlb_engine::SimTime;
@@ -34,11 +34,17 @@ pub(super) struct Metrics {
     /// hosting replica's own arena is read at report time); 0 in a serial
     /// run.
     pub wire_pkts_peak: u64,
+    /// Connection-slab high-water marks of the shards folded in so far,
+    /// senders plus receivers (the hosting replica's own slabs are read at
+    /// report time); 0 in a serial run.
+    pub conns_peak: u64,
+    /// Transport counters of long (`[0]`) and short (`[1]`) flows —
+    /// indexed by `usize::from(FlowRow::short)` — folded in as each
+    /// endpoint closes.
+    pub classes: [ClassCounters; 2],
     pub short_reorder: TimeSeries,
     pub long_goodput: TimeSeries,
     pub qth_series: Vec<(f64, f64)>,
-    /// Per-flow: is the flow in [`SimConfig::trace_flows`]?
-    pub traced: Vec<bool>,
     pub traces: Vec<TraceEvent>,
     /// Per-row ordering keys for `traces`, recorded only under sharding:
     /// the report merge stable-sorts the concatenated shard traces by
@@ -56,29 +62,23 @@ impl Metrics {
     /// retransmissions — the allocation gate pins typical runs well under
     /// that); everything else is bounded by flows, fabric or
     /// horizon ÷ bucket.
-    pub fn new(cfg: &SimConfig, total_segs: &[u32], is_short: &[bool], sharded: bool) -> Metrics {
-        let n = total_segs.len();
-        let short_segs: usize = total_segs
-            .iter()
-            .zip(is_short)
-            .filter(|&(_, &short)| short)
-            .map(|(&t, _)| t as usize)
-            .sum();
+    pub fn new(cfg: &SimConfig, rows: &[FlowRow], sharded: bool) -> Metrics {
+        let n = rows.len();
+        let segs = |of: fn(&FlowRow) -> bool| -> usize {
+            (rows.iter().filter(|r| of(r)))
+                .map(|r| r.total_segs as usize)
+                .sum()
+        };
+        let short_segs = segs(|r| r.short);
         let short_cap = (short_segs + short_segs / 4 + 64).min(1 << 22);
         // FEL-depth samples — the one collector that follows the event
         // count, at one `f64` per 4096 events: a data segment costs
         // O(2 hops·(TxDone+Arrive)) events each way, so 24·segs/4096 is a
         // generous estimate.
-        let all_segs: usize = total_segs.iter().map(|&t| t as usize).sum();
-        let depth_cap = (all_segs * 24 / 4096 + 64).min(1 << 20);
+        let depth_cap = (segs(|_| true) * 24 / 4096 + 64).min(1 << 20);
         let mut fct = FctRecorder::new(cfg.short_threshold);
         fct.reserve(n);
-        let mut traced = vec![false; n];
-        let mut traced_segs = 0usize;
-        for f in cfg.trace_flows.iter().filter(|f| f.index() < n) {
-            traced[f.index()] = true;
-            traced_segs += total_segs[f.index()] as usize;
-        }
+        let traced_segs = segs(|r| r.traced);
         // A traced data segment records ~5 hops each way (NIC, uplink,
         // spine, downlink, delivery; same for its ACK), plus
         // handshake/teardown and retransmissions. 16 rows per segment
@@ -96,8 +96,8 @@ impl Metrics {
         } else {
             0
         };
-        // A per-class time series pre-sized to the run horizon, so bucket
-        // appends never resize mid-run.
+        // A per-class time series reserved to the run horizon, so bucket
+        // appends never reallocate mid-run.
         let series = || {
             let mut s = TimeSeries::new(cfg.series_bucket);
             s.reserve_until(cfg.horizon, 1 << 16);
@@ -111,10 +111,11 @@ impl Metrics {
             fel_bound_peak: 0,
             fel_nodes_peak: 0,
             wire_pkts_peak: 0,
+            conns_peak: 0,
+            classes: Default::default(),
             short_reorder: series(),
             long_goodput: series(),
             qth_series: Vec::new(),
-            traced,
             traces: Vec::with_capacity(trace_rows),
             trace_keys: Vec::with_capacity(if sharded { trace_rows } else { 0 }),
             queue_series: Vec::with_capacity(queue_rows),
@@ -150,6 +151,15 @@ impl Metrics {
         self.short_qdelay.merge(&other.short_qdelay);
         self.fel_depth.merge(&other.fel_depth);
         self.fel_bound_peak = self.fel_bound_peak.max(other.fel_bound_peak);
+        for (mine, theirs) in self.classes.iter_mut().zip(other.classes) {
+            mine.data_received += theirs.data_received;
+            mine.out_of_order += theirs.out_of_order;
+            mine.dup_acks += theirs.dup_acks;
+            mine.data_sent += theirs.data_sent;
+            mine.retransmits += theirs.retransmits;
+            mine.timeouts += theirs.timeouts;
+            mine.fast_retransmits += theirs.fast_retransmits;
+        }
         self.short_reorder.absorb(&other.short_reorder);
         self.long_goodput.absorb(&other.long_goodput);
         // Leaf/edge 0 (and with it the qth/queue samplers) is always
@@ -192,26 +202,8 @@ impl Net<'_> {
             "out_buf regrew past the derived per-call output bound"
         );
 
+        self.close_open_endpoints();
         let audit = self.finish_audit();
-
-        let mut short = ClassCounters::default();
-        let mut long = ClassCounters::default();
-        for (i, &is_short) in self.is_short.iter().enumerate() {
-            let c = if is_short { &mut short } else { &mut long };
-            if let Some(s) = &self.senders[i] {
-                let st = s.stats();
-                c.data_sent += st.data_sent;
-                c.retransmits += st.retransmits;
-                c.timeouts += st.timeouts;
-                c.fast_retransmits += st.fast_retransmits;
-                c.dup_acks += st.dup_acks;
-            }
-            if let Some(r) = &self.receivers[i] {
-                let st = r.stats();
-                c.data_received += st.total_data;
-                c.out_of_order += st.out_of_order;
-            }
-        }
 
         let uplink_utilization = (0..self.pmap.n_lb as usize)
             .map(|l| {
@@ -242,8 +234,8 @@ impl Net<'_> {
             fct_short: m.fct.summary(FlowClass::Short),
             fct_long: m.fct.summary(FlowClass::Long),
             fct: m.fct,
-            short,
-            long,
+            short: m.classes[1],
+            long: m.classes[0],
             short_qlen: m.short_qlen,
             long_qlen: SampleSet::new(),
             short_qdelay: m.short_qdelay,
@@ -251,6 +243,7 @@ impl Net<'_> {
             fel_bound_peak: m.fel_bound_peak,
             fel_nodes_peak: m.fel_nodes_peak.max(self.q.pool_nodes_peak() as u64),
             wire_pkts_peak: m.wire_pkts_peak + self.arena.peak_live() as u64,
+            conns_peak: m.conns_peak + (self.senders.peak() + self.receivers.peak()) as u64,
             short_reorder_series: m.short_reorder.means(),
             long_goodput_series: m.long_goodput.rates(),
             uplink_utilization,

@@ -7,10 +7,11 @@
 //! its own entities: its switches' ports, its hosts' senders/receivers,
 //! the links it receives, its slice of the FEL. A replica builds queue
 //! rings only for the ports it owns (the others keep their link props and
-//! admin flag, which every replica's `recompute_reach` reads) and its
-//! arena pages in only the packets on its own links; what it still
-//! duplicates per shard is the FEL reservation, the metric collectors and
-//! the per-flow tables (senders, receivers, `total_segs`, `completed`).
+//! admin flag, which every replica's `recompute_reach` reads), its arena
+//! pages in only the packets on its own links, and its connection slabs
+//! hold only the endpoints of the flows it hosts while they are open;
+//! what it still duplicates per shard is one `FlowRow` and one FCT record
+//! per flow of the job, the FEL reservation and the metric collectors.
 //! Shards advance in
 //! barrier-synchronized **windows** bounded by the conservative lookahead
 //! `Δ` = the minimum propagation delay over any cross-shard link (folded
@@ -229,21 +230,27 @@ impl<'a> Net<'a> {
     }
 
     /// Distinct segments of flow `fi` that have not reached its receiver
-    /// yet (all of them while the receiver does not exist).
+    /// yet: all of them before its receiver opens, none once the flow
+    /// completed (and the receiver closed).
     fn missing_segs(&self, fi: usize) -> u32 {
-        let got = self.receivers[fi]
-            .as_ref()
-            .map_or(0, |r| r.delivered_segs() + r.buffered() as u32);
-        self.total_segs[fi] - got
+        let row = &self.rows[fi];
+        let got = match row.receiver {
+            Some(r) => self.receivers[r].delivered_segs() + self.receivers[r].buffered() as u32,
+            None if row.completed => row.total_segs,
+            None => 0,
+        };
+        row.total_segs - got
     }
 
     /// Fold one shard replica into this one (the coordinator folds every
-    /// shard into shard 0, then reports from the result). Entities move
-    /// wholesale to their owner; counters add; the clocks join on the
-    /// latest. Per the ownership partition every moved slot on `self` is
-    /// still in its pristine build state, so the merged `Net` is what a
-    /// serial run would have produced (up to the FEL telemetry caveat on
-    /// [`super::metrics::Metrics::absorb`]).
+    /// shard into shard 0, then reports from the result). Ports and
+    /// balancers move wholesale to their owner; the other replica's open
+    /// endpoints close where they are, as the serial engine's would at the
+    /// end of the run, folding into its counters and ledger; counters add;
+    /// the clocks join on the latest. Per the ownership partition every
+    /// moved entity on `self` is still in its pristine build state, so the
+    /// merged `Net` reports what a serial run would have (up to the FEL
+    /// telemetry caveat on [`super::metrics::Metrics::absorb`]).
     fn absorb_shard(&mut self, mut other: Net<'a>) {
         let octx = other.shard.take().expect("absorbing a serial net");
         let oid = octx.id;
@@ -260,20 +267,7 @@ impl<'a> Net<'a> {
                 std::mem::swap(&mut self.lb_sws[l], &mut other.lb_sws[l]);
             }
         }
-        for i in 0..self.flows.len() {
-            if other.senders[i].is_some() {
-                debug_assert!(self.senders[i].is_none());
-                self.senders[i] = other.senders[i].take();
-            }
-            if other.receivers[i].is_some() {
-                debug_assert!(self.receivers[i].is_none());
-                self.receivers[i] = other.receivers[i].take();
-            }
-            if other.completed[i] {
-                debug_assert!(!self.completed[i]);
-                self.completed[i] = true;
-            }
-        }
+        other.close_open_endpoints();
         self.n_completed += other.n_completed;
         self.events += other.events;
         self.arrive_seen += other.arrive_seen;
@@ -285,6 +279,7 @@ impl<'a> Net<'a> {
         self.m.absorb(other.m);
         self.m.fel_nodes_peak = self.m.fel_nodes_peak.max(other.q.pool_nodes_peak() as u64);
         self.m.wire_pkts_peak += other.arena.peak_live() as u64;
+        self.m.conns_peak += (other.senders.peak() + other.receivers.peak()) as u64;
         self.q
             .absorb_monotonicity_violations(other.q.monotonicity_violations());
         self.q.join_clock(other.q.now());
@@ -318,9 +313,9 @@ impl Watch {
     /// The candidates of `net`'s shard under the per-host arrival bounds `c`.
     fn new(net: &Net, c: &[u32]) -> Watch {
         let ctx = net.shard.as_ref().expect("sharded net without ctx");
-        let candidates = (net.flows.iter().zip(&net.total_segs))
+        let candidates = (net.flows.iter().zip(&net.rows))
             .enumerate()
-            .filter(|(_, (f, &segs))| ctx.owns_host(f.dst.0) && segs > c[f.dst.index()])
+            .filter(|(_, (f, r))| ctx.owns_host(f.dst.0) && r.total_segs > c[f.dst.index()])
             .map(|(i, (f, _))| (i as u32, c[f.dst.index()]))
             .collect();
         Watch {

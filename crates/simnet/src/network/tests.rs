@@ -99,6 +99,47 @@ fn a_long_flow_leaves_no_per_packet_sample() {
     assert!(r.short_qlen.len() as u64 <= r.short.data_sent + r.short.retransmits);
 }
 
+/// Per-packet spraying over degraded uplinks reorders, reordering triggers
+/// spurious retransmissions, and some of those duplicates reach their flow
+/// after it completed — after its receiver closed (29 of them here). Every
+/// class counter reads the values pinned from when endpoints lived to the
+/// end of the run, and every endpoint the run opened was audited.
+#[test]
+fn late_duplicates_count_after_their_receiver_closes() {
+    let mut cfg = crate::SimConfig::basic_paper(Scheme::Rps);
+    cfg.audit = true;
+    (cfg.topo).degrade_link(LeafId(0), SpineId(0), 0.25, SimTime::from_micros(200));
+    (cfg.topo).degrade_link(LeafId(0), SpineId(1), 0.5, SimTime::from_micros(100));
+    let mut mix = tlb_workload::BasicMixConfig::paper_default();
+    mix.n_short = 40;
+    mix.n_long = 3;
+    mix.long_lo = 1_000_000;
+    mix.long_hi = 2_000_000;
+    let flows = tlb_workload::basic_mix(&cfg.topo, &mix, &mut tlb_engine::SimRng::new(7));
+    let r = Simulation::new(cfg, flows).run();
+    assert_eq!(r.completed, r.total_flows);
+    let audit = r.audit.as_ref().expect("the audit is on");
+    assert_eq!(
+        (audit.senders_checked, audit.receivers_checked),
+        (r.total_flows, r.total_flows)
+    );
+    // data_sent, retransmits, timeouts, fast_retransmits, dup_acks,
+    // data_received, out_of_order.
+    let counts = |c: &crate::report::ClassCounters| {
+        [
+            c.data_sent,
+            c.retransmits,
+            c.timeouts,
+            c.fast_retransmits,
+            c.dup_acks,
+            c.data_received,
+            c.out_of_order,
+        ]
+    };
+    assert_eq!(counts(&r.short), [1890, 163, 0, 95, 831, 2053, 764]);
+    assert_eq!(counts(&r.long), [2703, 199, 0, 123, 904, 2902, 807]);
+}
+
 /// The high-BDP shape of `tests/fel_occupancy.rs` — 2 leaves × 4 spines ×
 /// 8 hosts, 10 Gbit/s × 500 µs links, 16 cross-rack 4 MB flows sprayed
 /// over every uplink — cut off at 60 ms with every window still in flight.

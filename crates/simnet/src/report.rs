@@ -199,9 +199,9 @@ pub struct RunReport {
     pub fct_long: FctSummary,
     /// The full recorder, for CDFs (Fig. 3(c)).
     pub fct: FctRecorder,
-    /// Transport counters per class.
+    /// Transport counters per class, over every endpoint the run opened.
     pub short: ClassCounters,
-    /// Transport counters per class.
+    /// Transport counters per class, over every endpoint the run opened.
     pub long: ClassCounters,
     /// Uplink queue length (packets) seen by short-flow data at enqueue,
     /// one sample per LB hop — Fig. 3(a).
@@ -243,6 +243,12 @@ pub struct RunReport {
     /// sharded engine, the sum of the shards' own high-water marks, each
     /// over the links it receives; not part of any digest.
     pub wire_pkts_peak: u64,
+    /// High-water mark of open connections: the connection-slab slots the
+    /// run ever touched, senders plus receivers — how much per-flow
+    /// endpoint state was ever resident, whatever the flow count. Under the
+    /// sharded engine, the sum of the shards' own marks; not part of any
+    /// digest.
+    pub conns_peak: u64,
     /// Instantaneous reorder ratio of short flows over time — Fig. 8(a).
     /// (Long flows' reordering is reported as one ratio,
     /// `long.reorder_ratio()` — Fig. 9(a).)

@@ -21,13 +21,11 @@
 //!   matches the reordering analysis of Fig. 3(b)/Fig. 9(a).
 
 pub mod config;
-pub mod pool;
 #[cfg(test)]
 mod proptests;
 pub mod receiver;
 pub mod sender;
 
 pub use config::{DctcpConfig, TcpConfig};
-pub use pool::OooPool;
 pub use receiver::{ReceiverStats, TcpReceiver};
 pub use sender::{SenderOutput, SenderStats, TcpSender};

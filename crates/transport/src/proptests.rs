@@ -176,6 +176,48 @@ proptest! {
         }
     }
 
+    /// A completed receiver answers every later data segment — necessarily
+    /// a duplicate, whatever its sequence number and CE bit — with exactly
+    /// the reply [`TcpReceiver::closed_reply`] computes without it, and the
+    /// only counter the segment moves is `total_data`: what the simulator
+    /// emits and counts once it has dropped that receiver. A late SYN gets
+    /// the same SYN-ACK either way; a FIN gets nothing.
+    #[test]
+    fn prop_completed_receiver_matches_its_closed_reply(
+        total in 1u32..60,
+        seed in 0u64..1000,
+        late in proptest::collection::vec((0u32..60, any::<bool>()), 1..20),
+    ) {
+        let seg = |seq: u32, ce: bool| {
+            let mut p = Packet::data(FlowId(1), HostId(0), HostId(9), seq, 1460, 40, SimTime::ZERO);
+            if ce {
+                p.mark_ce();
+            }
+            p
+        };
+        let mut order: Vec<u32> = (0..total).collect();
+        SimRng::new(seed).shuffle(&mut order);
+        let mut r = TcpReceiver::new(FlowId(1), HostId(9), HostId(0));
+        for &s in &order {
+            r.on_data(&seg(s, false), SimTime::ZERO);
+        }
+        prop_assert_eq!(r.delivered_segs(), total);
+        let now = SimTime::from_micros(7);
+        for (s, ce) in late {
+            let pkt = seg(s % total, ce);
+            let want = TcpReceiver::closed_reply(&pkt, total, now).expect("data is answered");
+            let before = *r.stats();
+            let got = r.on_data(&pkt, now);
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            prop_assert_eq!(r.stats().total_data, before.total_data + 1);
+            prop_assert_eq!(r.stats().out_of_order, before.out_of_order);
+        }
+        let ctl = |kind| Packet::control(FlowId(1), HostId(0), HostId(9), kind, total, now);
+        let synack = TcpReceiver::closed_reply(&ctl(PktKind::Syn), total, now);
+        prop_assert_eq!(format!("{:?}", r.on_syn(now)), format!("{:?}", synack.unwrap()));
+        prop_assert!(TcpReceiver::closed_reply(&ctl(PktKind::Fin), total, now).is_none());
+    }
+
     /// Loopback with an arbitrary loss pattern always completes, and the
     /// receiver never delivers a byte twice (delivered == total exactly).
     #[test]

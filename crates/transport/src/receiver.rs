@@ -38,8 +38,9 @@ pub struct TcpReceiver {
     /// Buffered out-of-order segments, kept sorted ascending. Bounded by
     /// the sender's window (≤ `rwnd_segs` entries), so a flat sorted Vec
     /// beats a tree: binary-search insert, first-element min, prefix-drain
-    /// on heal — and the backing storage can be pooled and recycled across
-    /// flows (see [`crate::pool::OooPool`]) instead of node-allocating.
+    /// on heal — and the backing storage can be handed from a completed
+    /// flow's receiver to the next one ([`TcpReceiver::take_ooo_buf`],
+    /// [`TcpReceiver::with_ooo_buf`]) instead of node-allocating.
     ooo: Vec<u32>,
     /// High-water mark of `rcv_nxt`, kept separately so the monotone
     /// in-order-delivery invariant is checked against recorded history
@@ -58,8 +59,9 @@ impl TcpReceiver {
     }
 
     /// Like [`TcpReceiver::new`], but adopting `buf` (cleared) as the
-    /// out-of-order buffer — the hook the simulator uses to hand receivers
-    /// pooled, pre-sized storage instead of letting each flow grow its own.
+    /// out-of-order buffer — the hook the simulator uses to hand a new
+    /// receiver a completed one's pre-sized storage instead of letting each
+    /// flow grow its own.
     pub fn with_ooo_buf(
         flow: FlowId,
         host: HostId,
@@ -79,18 +81,32 @@ impl TcpReceiver {
         }
     }
 
-    /// Reclaim the out-of-order buffer for pooling, leaving an empty
-    /// unallocated Vec behind. Called at flow teardown (FIN delivery), by
-    /// which point the buffer is necessarily empty: the cumulative point
-    /// has passed every segment the sender ever emitted. Idempotent — a
-    /// second call returns a capacity-0 Vec, which pools ignore.
+    /// Reclaim the out-of-order buffer for the next receiver, leaving an
+    /// empty unallocated Vec behind. Called on a completed flow's receiver,
+    /// whose buffer is necessarily empty: the cumulative point has passed
+    /// every segment the sender ever emitted. Idempotent — a second call
+    /// returns a capacity-0 Vec.
     pub fn take_ooo_buf(&mut self) -> Vec<u32> {
-        debug_assert!(
-            self.ooo.is_empty(),
-            "ooo buffer non-empty at teardown (rcv_nxt {})",
-            self.rcv_nxt
-        );
+        debug_assert!(self.ooo.is_empty(), "ooo buffer non-empty at close");
         std::mem::take(&mut self.ooo)
+    }
+
+    /// The reply to `pkt` of a receiver that delivered all `total_segs`
+    /// segments of its flow, so that a completed flow's receiver can be
+    /// dropped: [`TcpReceiver::on_syn`] or [`TcpReceiver::on_data`] of the
+    /// one receiver state completion leaves — `rcv_nxt == total_segs`,
+    /// nothing buffered — which is all either reply reads. A late SYN gets
+    /// the SYN-ACK; a late data segment, which can only be a duplicate,
+    /// gets the cumulative ACK `total_segs` echoing its CE mark; a FIN gets
+    /// nothing.
+    pub fn closed_reply(pkt: &Packet, total_segs: u32, now: SimTime) -> Option<Packet> {
+        let mut closed = TcpReceiver::new(pkt.flow, pkt.dst, pkt.src);
+        (closed.rcv_nxt, closed.delivered_watermark) = (total_segs, total_segs);
+        match pkt.kind {
+            PktKind::Syn => Some(closed.on_syn(now)),
+            PktKind::Data => Some(closed.on_data(pkt, now)),
+            _ => None,
+        }
     }
 
     /// Highest in-order segment delivered so far (`rcv_nxt`).
@@ -328,10 +344,10 @@ mod tests {
         r.on_data(&seg(1, false), SimTime::ZERO);
         assert_eq!(r.delivered_segs(), 5);
         assert_eq!(r.buffered(), 0);
-        // …and reclaimed at teardown with its capacity intact.
+        // …and reclaimed at completion with its capacity intact.
         let buf = r.take_ooo_buf();
         assert_eq!(buf.capacity(), cap);
-        // A second take is idempotent: capacity-0, which pools ignore.
+        // A second take is idempotent: capacity-0.
         assert_eq!(r.take_ooo_buf().capacity(), 0);
     }
 

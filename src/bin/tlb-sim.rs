@@ -378,13 +378,16 @@ fn main() {
     };
     // And what the FEL held: sampled depth against the node pool's
     // high-water mark, i.e. how much of it the wheel kept resident. Then
-    // how full the wire got: the most packets crossing links at once.
+    // how full the wire got: the most packets crossing links at once. Then
+    // the most connection endpoints ever open at once.
     eprintln!(
-        "engine: {engine}; fel depth p50 {:.0} max {:.0}, pool peak {} nodes; wire peak {} pkts",
+        "engine: {engine}; fel depth p50 {:.0} max {:.0}, pool peak {} nodes; wire peak {} pkts; \
+         conns peak {}",
         r.fel_depth.quantile(0.5),
         r.fel_depth.max(),
         r.fel_nodes_peak,
-        r.wire_pkts_peak
+        r.wire_pkts_peak,
+        r.conns_peak
     );
     // What the fluid tier cost: timer events are FEL pushes, rate changes
     // only move entries of the seam's completion heap.

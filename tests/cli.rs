@@ -27,6 +27,9 @@ const JOB: &[&str] = &[
     "--json",
 ];
 
+/// Flows in `JOB`: its shorts plus its longs.
+const JOB_FLOWS: u64 = 30 + 2;
+
 fn tlb_sim(args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tlb-sim"))
         .args(args)
@@ -137,9 +140,11 @@ fn the_engine_line_says_which_engine_ran_and_why() {
         // Which engine ran, then what its FEL held — sampled depth and the
         // node pool's high-water mark (the job pushes into the wheel, so
         // the pool cannot have stayed empty) — then how full the wire got
-        // (every packet crosses a link, so never zero either). All three
-        // are per-replica telemetry, summed or maxed over the shards, so
-        // the sharded figures are not the serial ones.
+        // (every packet crosses a link, so never zero either), then how
+        // many connection endpoints were ever open at once (at least one,
+        // at most a sender and a receiver per flow). All four are
+        // per-replica telemetry, summed or maxed over the shards, so the
+        // sharded figures are not the serial ones.
         let (engine, fel) = lines[0]
             .split_once("; fel depth p50 ")
             .unwrap_or_else(|| panic!("no FEL half in {lines:?}"));
@@ -148,11 +153,14 @@ fn the_engine_line_says_which_engine_ran_and_why() {
             .filter(|w| !w.is_empty())
             .map(|w| w.parse().expect("digits"))
             .collect();
-        let [p50, max, pool, wire] = nums[..] else {
-            panic!("want 'N max M, pool peak K nodes; wire peak W pkts', got {fel:?}");
+        let [p50, max, pool, wire, conns] = nums[..] else {
+            panic!(
+                "want 'N max M, pool peak K nodes; wire peak W pkts; conns peak C', got {fel:?}"
+            );
         };
-        assert!(fel.contains(" nodes; wire peak ") && fel.ends_with(" pkts"));
+        assert!(fel.contains(" nodes; wire peak ") && fel.contains(" pkts; conns peak "));
         assert!(p50 <= max && pool > 0 && wire > 0, "{fel:?}");
+        assert!(conns > 0 && conns <= 2 * JOB_FLOWS, "{fel:?}");
         engine.to_string()
     };
     assert_eq!(engine_line(&[]), "engine: serial");
