@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use tlb_engine::{SimRng, SimTime};
 use tlb_net::{FlowId, HostId, LinkProps, Packet, PktKind};
-use tlb_simnet::{LbDispatch, Scheme};
+use tlb_simnet::Scheme;
 use tlb_switch::{LoadBalancer, OutPort, PortView, QueueCfg};
 
 fn make_ports(n: usize) -> Vec<OutPort> {
@@ -64,32 +64,10 @@ fn bench_decisions(c: &mut Criterion) {
     let mut group = c.benchmark_group("lb_decision");
     let schemes = Scheme::extended_set();
     for scheme in schemes {
-        // Both dispatch paths per scheme: the boxed trait object the
-        // simulator used through PR 4, and the enum match-dispatch that
-        // replaced it on the hot path.
-        group.bench_function(format!("dyn/{}", scheme.name()), |b| {
-            b.iter_batched_ref(
-                || (scheme.build(1), SimRng::new(3), SimTime::ZERO),
-                |(lb, rng, now)| {
-                    let mut acc = 0usize;
-                    for pkt in &pkts {
-                        *now += SimTime::from_nanos(500);
-                        acc += lb.choose_uplink(pkt, PortView::new(&ports), *now, rng);
-                    }
-                    acc
-                },
-                BatchSize::SmallInput,
-            )
-        });
+        // The balancer as the simulator calls it: enum match-dispatch.
         group.bench_function(format!("enum/{}", scheme.name()), |b| {
             b.iter_batched_ref(
-                || {
-                    (
-                        scheme.build_dispatch(1, LbDispatch::Enum),
-                        SimRng::new(3),
-                        SimTime::ZERO,
-                    )
-                },
+                || (scheme.build_static(1), SimRng::new(3), SimTime::ZERO),
                 |(lb, rng, now)| {
                     let mut acc = 0usize;
                     for pkt in &pkts {

@@ -12,7 +12,7 @@ use tlb_bench::{basic_scenario, Out, Scale};
 use tlb_engine::{SimRng, SimTime};
 use tlb_net::{FlowId, HostId, LinkProps, Packet, PktKind};
 use tlb_simnet::Scheme;
-use tlb_switch::{OutPort, PortView, QueueCfg};
+use tlb_switch::{LoadBalancer, OutPort, PortView, QueueCfg};
 
 /// Build a 15-uplink view with mixed queue lengths.
 fn make_ports() -> Vec<OutPort> {
@@ -70,7 +70,7 @@ fn measure_decision_ns(scheme: &Scheme) -> f64 {
     let ports = make_ports();
     let mut rng = SimRng::new(7);
     let stream = make_stream(200_000, &mut rng);
-    let mut lb = scheme.build(1);
+    let mut lb = scheme.build_static(1);
     let mut now = SimTime::ZERO;
     // Warm up the flow tables.
     for pkt in &stream[..10_000] {

@@ -37,7 +37,7 @@
 //! 2. **Tier order.** After every promotion pass, each overflow entry's
 //!    slot is `>= slot(now) + nb`, strictly above every wheel entry's slot
 //!    (by 1). So the wheel holds a *prefix* of the schedule and
-//!    [`FelBackend::min_time`] is `active.last()` when the wheel is
+//!    [`CalendarFel::min_time`] is `active.last()` when the wheel is
 //!    non-empty, else the overflow top — O(1).
 //! 3. **Active minimality.** `active` is the occupied bucket with the
 //!    lowest slot; a push below `active_slot` lands in a provably empty
@@ -49,7 +49,7 @@
 //! Together with the unique `(time, key, seq)` key these give the same pop
 //! sequence as any correct min-queue; see the module docs of [`super`].
 
-use super::{Entry, FelBackend};
+use super::Entry;
 use crate::time::SimTime;
 use std::collections::BinaryHeap;
 
@@ -325,8 +325,12 @@ impl<E> Default for CalendarFel<E> {
     }
 }
 
-impl<E> FelBackend<E> for CalendarFel<E> {
-    fn insert(&mut self, entry: Entry<E>, now: SimTime) {
+impl<E> CalendarFel<E> {
+    /// Insert `entry`. `now` is the caller's clock, which the wheel is
+    /// windowed on. An entry with `entry.time < now` (already counted as a
+    /// violation by the caller, panicking in debug builds) still comes back
+    /// in plain `(time, key, seq)` order.
+    pub fn insert(&mut self, entry: Entry<E>, now: SimTime) {
         // Clamp below-`now` times (a caller-counted monotonicity violation
         // that only release builds survive) for bucketing only; the entry
         // keeps its original `(time, key, seq)` sort key.
@@ -364,7 +368,8 @@ impl<E> FelBackend<E> for CalendarFel<E> {
         self.wheel_len += 1;
     }
 
-    fn remove_min(&mut self) -> Option<Entry<E>> {
+    /// Remove and return the `(time, key, seq)`-minimum entry.
+    pub fn remove_min(&mut self) -> Option<Entry<E>> {
         if self.wheel_len == 0 {
             // Tier order: with an empty wheel the overflow top is the
             // global minimum. Promote its same-window successors so the
@@ -388,17 +393,16 @@ impl<E> FelBackend<E> for CalendarFel<E> {
         Some(entry)
     }
 
+    /// Timestamp of the minimum entry, without removing it. O(1).
     #[inline]
-    fn min_time(&self) -> Option<SimTime> {
-        if self.wheel_len > 0 {
-            self.active.last().map(|e| e.time)
-        } else {
-            self.overflow.peek().map(|e| e.time)
-        }
+    pub fn min_time(&self) -> Option<SimTime> {
+        self.min_time_key().map(|(time, _)| time)
     }
 
+    /// `(time, key)` of the minimum entry, without removing it. O(1) — the
+    /// sharded engine's merge loop peeks every shard per step.
     #[inline]
-    fn min_time_key(&self) -> Option<(SimTime, u32)> {
+    pub fn min_time_key(&self) -> Option<(SimTime, u32)> {
         if self.wheel_len > 0 {
             self.active.last().map(|e| (e.time, e.key))
         } else {
@@ -406,8 +410,15 @@ impl<E> FelBackend<E> for CalendarFel<E> {
         }
     }
 
+    /// Number of pending entries.
     #[inline]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
+    }
+
+    /// True when no entries are pending.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }

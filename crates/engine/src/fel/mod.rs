@@ -1,24 +1,21 @@
-//! Future-event-list (FEL) backends.
+//! The future-event list (FEL): a two-tier calendar queue.
 //!
-//! The simulator's hot loop is push/pop on the FEL, so the backend is
-//! swappable: the default [`CalendarFel`] is a two-tier calendar queue
-//! (timing-wheel buckets over the near future, a sorted overflow tier for
-//! far-future timers), and [`HeapFel`] keeps the original binary heap alive
-//! as a differential reference. Both implement [`FelBackend`] and both must
-//! yield the exact same pop order — a total order over `(time, key, seq)` —
-//! so every simulation digest is bit-identical regardless of backend. The
-//! backend is selected per-queue via [`FelKind`]; see
-//! [`crate::EventQueue::with_capacity_and_kind`].
+//! The simulator's hot loop is push/pop on the FEL. [`CalendarFel`] keeps
+//! timing-wheel buckets over the near future and a sorted overflow tier
+//! for far-future timers; [`crate::EventQueue`] wraps it with the clock,
+//! the sequence counter and the monotonicity accounting. A binary heap
+//! over the same [`Entry`] order is the calendar's differential oracle in
+//! the engine's tests, not a shipped backend.
 //!
 //! Determinism argument: [`Entry`]'s ordering key is `(time, key, seq)`
 //! where `key` is a caller-chosen u32 rank (0 for every plain
 //! [`crate::EventQueue::push`], so key-oblivious callers keep pure FIFO tie
 //! order) and `seq` is the queue's monotone insertion counter. That triple
 //! is unique per entry (no two entries share a `seq`), so "pop the minimum"
-//! has exactly one correct answer at every step and any correct backend
+//! has exactly one correct answer at every step and any correct min-queue
 //! produces the same event schedule — key-ranked then FIFO within a
-//! timestamp, non-decreasing across timestamps. Backends therefore never
-//! need to agree on internal layout, only on the key.
+//! timestamp, non-decreasing across timestamps. The calendar's internal
+//! layout is free; only the key is the contract.
 //!
 //! The `key` dimension exists for the sharded engine: when one simulation
 //! is split across per-shard queues, same-timestamp events in *different*
@@ -32,10 +29,10 @@
 //! copies decides nothing.)
 
 pub mod calendar;
-pub mod heap;
+#[cfg(test)]
+pub(crate) mod heap;
 
 pub use calendar::CalendarFel;
-pub use heap::HeapFel;
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -76,40 +73,12 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Which FEL backend an [`crate::EventQueue`] uses.
+/// Which FEL an [`crate::EventQueue`] uses. Vestigial: the calendar queue
+/// is the only one and nothing reads this value. It stays only because
+/// the benchmark harness still names it
+/// ([`crate::EventQueue::with_capacity_and_kind`], `SimConfig::fel`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FelKind {
-    /// Two-tier calendar queue (timing wheel + overflow) — the default.
+    /// Two-tier calendar queue (timing wheel + overflow).
     Calendar,
-    /// The original binary heap, kept as a differential reference.
-    Heap,
-}
-
-/// The operations a FEL backend provides. [`crate::EventQueue`] owns the
-/// clock, the sequence counter and the monotonicity accounting; backends
-/// only order entries by `(time, key, seq)`.
-pub trait FelBackend<E> {
-    /// Insert `entry`. `now` is the caller's clock: the calendar backend
-    /// windows its wheel on it. An entry with `entry.time < now` (already
-    /// counted as a violation by the caller, panicking in debug builds)
-    /// must still come back in plain `(time, key, seq)` order.
-    fn insert(&mut self, entry: Entry<E>, now: SimTime);
-
-    /// Remove and return the `(time, key, seq)`-minimum entry.
-    fn remove_min(&mut self) -> Option<Entry<E>>;
-
-    /// Timestamp of the minimum entry, without removing it. Must be O(1).
-    fn min_time(&self) -> Option<SimTime>;
-
-    /// `(time, key)` of the minimum entry, without removing it. Must be
-    /// O(1) — the sharded engine's merge loop peeks every shard per step.
-    fn min_time_key(&self) -> Option<(SimTime, u32)>;
-
-    /// Number of pending entries.
-    fn len(&self) -> usize;
-
-    /// True when no entries are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }

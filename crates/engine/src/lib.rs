@@ -10,10 +10,8 @@
 //!   floating-point clock, so runs are bit-reproducible across platforms.
 //! * The [`EventQueue`] breaks timestamp ties by insertion order (FIFO), so
 //!   event execution order is a pure function of the schedule, never of
-//!   storage internals. It runs on a swappable FEL backend ([`fel`]): a
-//!   two-tier calendar queue by default, with the original binary heap kept
-//!   as a differential reference ([`FelKind::Heap`]) — both produce
-//!   bit-identical schedules.
+//!   storage internals. It stores events in a two-tier calendar queue
+//!   ([`fel`]), held to a binary-heap oracle by the engine's proptests.
 //! * Randomness comes from [`SimRng`], a self-contained xoshiro256++ generator
 //!   seeded via SplitMix64. No external RNG crate is used at runtime, which
 //!   pins the random stream independent of dependency versions.

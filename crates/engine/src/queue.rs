@@ -1,67 +1,17 @@
 //! Deterministic future-event list.
 
-use crate::fel::{CalendarFel, Entry, FelBackend, FelKind, HeapFel};
+use crate::fel::{CalendarFel, Entry, FelKind};
 use crate::time::SimTime;
-
-/// The selected backend, dispatched statically (an enum, not a trait
-/// object: push/pop are the simulator's hottest calls).
-enum Backend<E> {
-    Calendar(CalendarFel<E>),
-    Heap(HeapFel<E>),
-}
-
-impl<E> FelBackend<E> for Backend<E> {
-    #[inline]
-    fn insert(&mut self, entry: Entry<E>, now: SimTime) {
-        match self {
-            Backend::Calendar(b) => b.insert(entry, now),
-            Backend::Heap(b) => b.insert(entry, now),
-        }
-    }
-
-    #[inline]
-    fn remove_min(&mut self) -> Option<Entry<E>> {
-        match self {
-            Backend::Calendar(b) => b.remove_min(),
-            Backend::Heap(b) => b.remove_min(),
-        }
-    }
-
-    #[inline]
-    fn min_time(&self) -> Option<SimTime> {
-        match self {
-            Backend::Calendar(b) => b.min_time(),
-            Backend::Heap(b) => b.min_time(),
-        }
-    }
-
-    #[inline]
-    fn min_time_key(&self) -> Option<(SimTime, u32)> {
-        match self {
-            Backend::Calendar(b) => b.min_time_key(),
-            Backend::Heap(b) => b.min_time_key(),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            Backend::Calendar(b) => b.len(),
-            Backend::Heap(b) => b.len(),
-        }
-    }
-}
 
 /// A future-event list with deterministic tie-breaking.
 ///
 /// Events scheduled for the same timestamp are executed in the order they
 /// were pushed (plain [`EventQueue::push`] uses ordering key 0 for every
 /// entry, so ties are pure FIFO), making simulation traces reproducible
-/// regardless of the storage backend: the pop order is the total order over
-/// `(time, key, insertion seq)`, which both the default calendar queue and
-/// the reference binary heap ([`FelKind`]) realize identically. Callers
-/// that need a cross-queue merge order (the sharded engine) rank ties
-/// explicitly via [`EventQueue::push_keyed`].
+/// whatever the calendar's internal layout: the pop order is the total
+/// order over `(time, key, insertion seq)`. Callers that need a
+/// cross-queue merge order (the sharded engine) rank ties explicitly via
+/// [`EventQueue::push_keyed`].
 ///
 /// ```
 /// use tlb_engine::{EventQueue, SimTime};
@@ -77,7 +27,7 @@ impl<E> FelBackend<E> for Backend<E> {
 /// `now()` to the popped event's timestamp. Scheduling strictly in the past
 /// is a logic error and panics in debug builds.
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    fel: CalendarFel<E>,
     seq: u64,
     now: SimTime,
     monotonicity_violations: u64,
@@ -90,31 +40,26 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue with the clock at zero, on the calendar backend.
+    /// An empty queue with the clock at zero.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
-    /// An empty calendar-backed queue with pre-allocated capacity for
-    /// `cap` events.
+    /// An empty queue that holds `cap` pending events without
+    /// reallocating, wherever they sit (see [`CalendarFel::with_capacity`]).
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacity_and_kind(cap, FelKind::Calendar)
+        Self::on(CalendarFel::with_capacity(cap))
     }
 
-    /// Explicit backend and capacity: either backend holds `cap` pending
-    /// events without reallocating, wherever they sit (for the calendar,
-    /// see [`CalendarFel::with_capacity`]); differential tests pin the
-    /// heap reference this way.
-    pub fn with_capacity_and_kind(cap: usize, kind: FelKind) -> Self {
-        Self::on(match kind {
-            FelKind::Calendar => Backend::Calendar(CalendarFel::with_capacity(cap)),
-            FelKind::Heap => Backend::Heap(HeapFel::with_capacity(cap)),
-        })
+    /// [`EventQueue::with_capacity`]: [`FelKind`] has one variant. Kept
+    /// only for the benchmark harness, which still names it.
+    pub fn with_capacity_and_kind(cap: usize, _kind: FelKind) -> Self {
+        Self::with_capacity(cap)
     }
 
-    fn on(backend: Backend<E>) -> Self {
+    fn on(fel: CalendarFel<E>) -> Self {
         EventQueue {
-            backend,
+            fel,
             seq: 0,
             now: SimTime::ZERO,
             monotonicity_violations: 0,
@@ -156,7 +101,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.backend.insert(
+        self.fel.insert(
             Entry {
                 time,
                 key,
@@ -171,7 +116,7 @@ impl<E> EventQueue<E> {
     /// timestamp. Returns `None` when the queue is exhausted.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.backend.remove_min()?;
+        let entry = self.fel.remove_min()?;
         if entry.time < self.now {
             self.monotonicity_violations += 1;
         }
@@ -183,7 +128,7 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.backend.min_time()
+        self.fel.min_time()
     }
 
     /// `(time, key)` of the earliest pending event, if any. The sharded
@@ -191,7 +136,7 @@ impl<E> EventQueue<E> {
     /// (per-shard `seq` counters are not comparable across queues).
     #[inline]
     pub fn peek_time_key(&self) -> Option<(SimTime, u32)> {
-        self.backend.min_time_key()
+        self.fel.min_time_key()
     }
 
     /// Advance the clock to `max(now, t)` without popping. The sharded
@@ -215,24 +160,20 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.backend.len()
+        self.fel.len()
     }
 
     /// True when no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.backend.is_empty()
+        self.fel.is_empty()
     }
 
-    /// High-water mark of the calendar backend's node pool — the most
-    /// events that ever waited in non-active wheel buckets at once, which
-    /// is the FEL's resident working set (diagnostics; 0 on the heap
-    /// backend, which has no pool).
+    /// High-water mark of the calendar's node pool — the most events that
+    /// ever waited in non-active wheel buckets at once, which is the FEL's
+    /// resident working set (diagnostics).
     pub fn pool_nodes_peak(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(b) => b.pool_nodes_peak(),
-            Backend::Heap(_) => 0,
-        }
+        self.fel.pool_nodes_peak()
     }
 
     /// How many times the clock invariant was broken: an event scheduled
@@ -248,31 +189,25 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fel::heap::HeapFel;
     use proptest::prelude::*;
 
-    /// Every queue shape a test should pass on: both production backends
-    /// plus a deliberately tiny calendar wheel (16 ns × 64 buckets ≈ 1 µs
-    /// window) that forces overflow, promotion and wrap-around on the same
-    /// nanosecond-scale schedules the other tests use.
+    /// Every queue shape a test should pass on: the default wheel plus a
+    /// deliberately tiny one (16 ns × 64 buckets ≈ 1 µs window) that forces
+    /// overflow, promotion and wrap-around on the same nanosecond-scale
+    /// schedules the other tests use.
     fn all_queues<E>() -> Vec<(&'static str, EventQueue<E>)> {
         vec![
             ("calendar", EventQueue::new()),
-            ("heap", heap_queue()),
             ("calendar-tiny", with_calendar_geometry(4, 64)),
         ]
     }
 
-    /// The heap reference backend.
-    fn heap_queue<E>() -> EventQueue<E> {
-        EventQueue::with_capacity_and_kind(0, FelKind::Heap)
-    }
-
-    /// A calendar-backed queue with explicit wheel geometry
-    /// (`2^shift`-ns buckets, `nb` of them). Tiny wheels force heavy
-    /// overflow/promotion churn, exercising paths the default ~2 ms window
-    /// rarely hits.
+    /// A queue with explicit wheel geometry (`2^shift`-ns buckets, `nb` of
+    /// them). Tiny wheels force heavy overflow/promotion churn, exercising
+    /// paths the default ~2 ms window rarely hits.
     fn with_calendar_geometry<E>(shift: u32, nb: usize) -> EventQueue<E> {
-        EventQueue::on(Backend::Calendar(CalendarFel::with_geometry(shift, nb)))
+        EventQueue::on(CalendarFel::with_geometry(shift, nb))
     }
 
     /// The calendar geometries the differential proptests sweep.
@@ -330,15 +265,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scheduling into the past")]
-    fn rejects_past_scheduling_on_heap_too() {
-        let mut q = heap_queue();
-        q.push(SimTime::from_nanos(100), ());
-        q.pop();
-        q.push(SimTime::from_nanos(99), ());
-    }
-
-    #[test]
     fn interleaved_push_pop_keeps_order() {
         for (name, mut q) in all_queues() {
             q.push(SimTime::from_nanos(10), 1);
@@ -354,15 +280,13 @@ mod tests {
 
     #[test]
     fn counts_are_consistent() {
-        for kind in [FelKind::Calendar, FelKind::Heap] {
-            let mut q = EventQueue::with_capacity_and_kind(8, kind);
-            assert!(q.is_empty());
-            q.push(SimTime::from_nanos(1), ());
-            q.push(SimTime::from_nanos(2), ());
-            assert_eq!(q.len(), 2);
-            q.pop();
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::with_capacity(8);
+        assert!(q.is_empty());
+        q.push(SimTime::from_nanos(1), ());
+        q.push(SimTime::from_nanos(2), ());
+        assert_eq!(q.len(), 2);
+        q.pop();
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -495,18 +419,51 @@ mod tests {
     /// and the queue length.
     type StepLog = Vec<(Option<(SimTime, u32)>, Option<SimTime>, usize)>;
 
+    /// What a differential script drives: the calendar-backed queue and
+    /// its heap oracle.
+    trait Script {
+        fn now(&self) -> SimTime;
+        fn push(&mut self, time: SimTime, event: u32);
+        fn pop(&mut self) -> Option<(SimTime, u32)>;
+        fn peek_time(&self) -> Option<SimTime>;
+        fn len(&self) -> usize;
+    }
+
+    macro_rules! script_for {
+        ($($q:ty),*) => {$(
+            impl Script for $q {
+                fn now(&self) -> SimTime {
+                    <$q>::now(self)
+                }
+                fn push(&mut self, time: SimTime, event: u32) {
+                    <$q>::push(self, time, event)
+                }
+                fn pop(&mut self) -> Option<(SimTime, u32)> {
+                    <$q>::pop(self)
+                }
+                fn peek_time(&self) -> Option<SimTime> {
+                    <$q>::peek_time(self)
+                }
+                fn len(&self) -> usize {
+                    <$q>::len(self)
+                }
+            }
+        )*};
+    }
+    script_for!(EventQueue<u32>, HeapFel<u32>);
+
     /// One differential step script: interleaved pushes (with heavy
-    /// timestamp ties) and pops, replayed on every backend; all observable
-    /// outputs must match the heap reference exactly.
-    fn run_script(q: &mut EventQueue<u32>, ops: &[(u8, u16)]) -> StepLog {
+    /// timestamp ties) and pops, replayed on every calendar geometry; all
+    /// observable outputs must match the heap oracle exactly.
+    fn run_script(q: &mut impl Script, ops: &[(u8, u16)]) -> StepLog {
         run_script_with(q, ops, |_| {})
     }
 
     /// [`run_script`], calling `after_op` on the queue after every step.
-    fn run_script_with(
-        q: &mut EventQueue<u32>,
+    fn run_script_with<Q: Script>(
+        q: &mut Q,
         ops: &[(u8, u16)],
-        mut after_op: impl FnMut(&EventQueue<u32>),
+        mut after_op: impl FnMut(&Q),
     ) -> StepLog {
         let mut log = Vec::with_capacity(ops.len());
         for (i, &(sel, raw)) in ops.iter().enumerate() {
@@ -547,7 +504,7 @@ mod tests {
 
     proptest! {
         /// Popping must yield non-decreasing timestamps and, within a
-        /// timestamp, ascending insertion order — on every backend.
+        /// timestamp, ascending insertion order — on every geometry.
         #[test]
         fn prop_pop_order(times in proptest::collection::vec(0u64..1000, 1..200)) {
             for (name, mut q) in all_queues() {
@@ -567,7 +524,7 @@ mod tests {
             }
         }
 
-        /// All pushed events come back out exactly once — on every backend.
+        /// All pushed events come back out exactly once — on every geometry.
         #[test]
         fn prop_conservation(times in proptest::collection::vec(0u64..100, 0..100)) {
             for (name, mut q) in all_queues() {
@@ -594,11 +551,8 @@ mod tests {
             for (name, mut q) in calendar_queues() {
                 let mut deepest = 0;
                 run_script_with(&mut q, &ops, |q| {
-                    let Backend::Calendar(cal) = &q.backend else {
-                        unreachable!("calendar geometries only");
-                    };
                     deepest = deepest.max(q.len());
-                    let (listed, free, pool) = cal.pool_census();
+                    let (listed, free, pool) = q.fel.pool_census();
                     assert_eq!(listed + free, pool, "{name}: a node is on no list");
                     assert!(pool <= deepest, "{name}: {pool} nodes for depth {deepest}");
                     assert_eq!(pool, q.pool_nodes_peak(), "{name}");
@@ -608,13 +562,13 @@ mod tests {
 
         /// Differential: random interleaved push/pop scripts with heavy
         /// timestamp ties must produce identical pop results, peeks,
-        /// lengths and counters on the calendar backends vs the heap
-        /// reference.
+        /// lengths and counters on every calendar geometry as on the heap
+        /// oracle.
         #[test]
         fn prop_backends_are_indistinguishable(
             ops in proptest::collection::vec((0u8..4, 0u16..u16::MAX), 1..300)
         ) {
-            let mut reference = heap_queue();
+            let mut reference = HeapFel::new();
             let ref_log = run_script(&mut reference, &ops);
             for (name, mut q) in calendar_queues() {
                 let log = run_script(&mut q, &ops);

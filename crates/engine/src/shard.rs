@@ -7,10 +7,8 @@
 //! that are simulator-agnostic.
 
 /// Which execution engine drives a run: the serial reference event loop, or
-/// the conservatively synchronized multi-core sharded engine. Mirrors the
-/// [`crate::FelKind`] / `LbDispatch` / `DeliveryKind` pattern: the serial
-/// engine stays alive as the differential reference, and both engines must
-/// produce bit-identical event/FCT/audit digests.
+/// the conservatively synchronized multi-core sharded engine. Both engines
+/// ship, and both must produce bit-identical event/FCT/audit digests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// The single-threaded reference event loop.

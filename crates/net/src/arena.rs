@@ -199,13 +199,6 @@ impl PacketArena {
         (!list.is_empty()).then(|| &self.slots[list.head as usize])
     }
 
-    /// The handle of `list`'s oldest packet.
-    #[inline]
-    pub fn front(&self, list: &PacketFifo) -> Option<PacketSlot> {
-        let slot = self.head_slot(list)?;
-        Some(PacketSlot::new(list.head, slot.generation))
-    }
-
     /// When `list`'s oldest packet arrives.
     #[inline]
     pub fn front_at(&self, list: &PacketFifo) -> Option<SimTime> {
@@ -360,11 +353,11 @@ mod tests {
         let mut wire = PacketFifo::default();
         assert!(wire.is_empty() && a.front_at(&wire).is_none());
         assert!(a.pop_front(&mut wire).is_none());
-        let first = a.push_back(&mut wire, SimTime::from_nanos(10), pkt(1));
+        a.push_back(&mut wire, SimTime::from_nanos(10), pkt(1));
         a.push_back(&mut wire, SimTime::from_nanos(10), pkt(2));
         a.push_back(&mut wire, SimTime::from_nanos(30), pkt(3));
         assert_eq!(a.live(), 3);
-        assert_eq!(a.front(&wire), Some(first));
+        assert_eq!(a.front_at(&wire), Some(SimTime::from_nanos(10)));
         let popped: Vec<_> = a
             .drain(&mut wire)
             .map(|(at, p)| (at.as_nanos(), p.seq))
@@ -435,7 +428,6 @@ mod tests {
                 for (list, m) in lists.iter().zip(&model) {
                     prop_assert_eq!(list.is_empty(), m.is_empty());
                     prop_assert_eq!(a.front_at(list), m.front().map(|e| e.0));
-                    prop_assert_eq!(a.front(list), m.front().map(|e| e.2));
                 }
                 let parked = model.iter().map(VecDeque::len).sum::<usize>() + loose.len();
                 prop_assert_eq!(a.live(), parked);

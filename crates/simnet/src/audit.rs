@@ -87,8 +87,8 @@ pub struct KindCounts {
     pub queued_at_end: u64,
     /// End of run: packets being serialized (pending `TxDone` events).
     pub in_service_at_end: u64,
-    /// End of run: packets propagating on a link (pending `Arrive`
-    /// events).
+    /// End of run: packets propagating on a link (parked in a delivery
+    /// pipe).
     pub propagating_at_end: u64,
 }
 
@@ -293,7 +293,7 @@ impl AuditLedger {
         }
     }
 
-    /// End of run: `pkt` was propagating (its `Arrive` was pending).
+    /// End of run: `pkt` was propagating (parked in a delivery pipe).
     #[inline]
     pub fn residual_propagating(&mut self, pkt: &Packet) {
         if self.enabled {

@@ -126,25 +126,22 @@ pub struct SimConfig {
     /// audit tests) disables it.
     #[doc(hidden)]
     pub fault_drop_nth: Option<u64>,
-    /// Future-event-list backend for the run. Presets use the calendar
-    /// queue; differential tests set [`FelKind::Heap`] as the reference.
-    /// Both backends are bit-identical in results — this only selects the
-    /// data structure.
+    /// Vestigial: the future-event list is always the calendar queue and
+    /// nothing reads this field. It stays only because the benchmark
+    /// harness still assigns it; it goes with that assignment.
     pub fel: FelKind,
-    /// Load-balancer dispatch path. Presets use static enum dispatch;
-    /// differential tests set [`LbDispatch::Dyn`] as the reference. Both
-    /// paths are bit-identical in results — this only selects the call
-    /// mechanism.
+    /// Vestigial: load balancers are always statically dispatched
+    /// ([`crate::AnyLb`]) and nothing reads this field. It stays only
+    /// because the benchmark harness still assigns it; it goes with that
+    /// assignment.
     pub lb_dispatch: LbDispatch,
-    /// Packet-delivery scheduling. Presets use per-link pipelines;
-    /// differential tests set [`DeliveryKind::PerPacket`] as the
-    /// reference. Both modes are bit-identical in results — this only
-    /// selects how arrivals sit in the future-event list.
+    /// Vestigial: arrivals always ride the per-link delivery pipes and
+    /// nothing reads this field. It stays only because the benchmark
+    /// harness still assigns it; it goes with that assignment.
     pub delivery: DeliveryKind,
     /// Simulation fidelity. Presets use full packet fidelity (`tlb-sim
-    /// --fidelity hybrid` selects the other). Unlike the differential
-    /// fields above, [`FidelityKind::Hybrid`] is a *modeling*
-    /// change: long-flow tails ride a fluid fair-share rate model, so
+    /// --fidelity hybrid` selects the other). [`FidelityKind::Hybrid`] is
+    /// a *modeling* change: long-flow tails ride a fluid fair-share rate model, so
     /// results agree with [`FidelityKind::Packet`] within tolerance bands
     /// (`tests/fidelity.rs`) rather than bit-for-bit.
     pub fidelity: FidelityKind,
@@ -169,17 +166,14 @@ pub struct SimConfig {
     pub engine: EngineKind,
 }
 
-/// How in-flight packets are scheduled for arrival.
+/// How in-flight packets are scheduled for arrival. Vestigial, like
+/// [`SimConfig::delivery`]: one variant, read by nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeliveryKind {
     /// One FIFO pipe per link (a list through the packet arena) with a
     /// single chained delivery event: FEL occupancy stays
-    /// O(ports + links + timers) regardless of packets in flight — the
-    /// default production path.
+    /// O(ports + links + timers) regardless of packets in flight.
     Pipelined,
-    /// The same pipes, one FEL entry per in-flight packet: kept as the
-    /// differential reference.
-    PerPacket,
 }
 
 /// Which traffic runs at packet-level fidelity.
@@ -202,7 +196,7 @@ pub enum FidelityKind {
 impl SimConfig {
     /// What the three presets share: the paper's queue sizes and ECN
     /// threshold, no scheduled events or tracing, the audit in debug
-    /// builds, and the production implementation of every mode field.
+    /// builds, packet fidelity on the serial engine.
     fn preset(
         topo: Fabric,
         tcp: TcpConfig,

@@ -1,17 +1,10 @@
-//! Static load-balancer dispatch: the hot-path alternative to
-//! `Box<dyn LoadBalancer>`.
-//!
-//! A `Box<dyn LoadBalancer>` ([`Scheme::build`]) costs a virtual call on
-//! **every** forwarded packet. [`AnyLb`] is a closed enum over the same
-//! concrete schemes whose trait methods dispatch by `match` — the compiler
+//! Static load-balancer dispatch: [`AnyLb`], a closed enum over the
+//! concrete schemes whose trait methods dispatch by `match`. The compiler
 //! sees through the variant and can inline the scheme's decision logic
-//! into the forwarding loop.
-//!
-//! The `dyn` path stays alive as a differential reference (mirroring the
-//! FEL's heap-vs-calendar pattern): [`AnyLb::Dyn`] wraps the trait object
-//! and [`LbDispatch`] selects which path a run uses. Both paths must be
-//! observably identical — digest tests in `tests/determinism.rs` hold them
-//! to bit-for-bit equality.
+//! into the forwarding loop, where a `Box<dyn LoadBalancer>` would cost a
+//! virtual call on every forwarded packet. The [`LoadBalancer`] trait stays
+//! the schemes' contract; this module's tests hold the enum to calling
+//! each concrete balancer exactly as a trait object would.
 
 use crate::Scheme;
 use tlb_core::Tlb;
@@ -22,20 +15,16 @@ use tlb_lb::{
 use tlb_net::Packet;
 use tlb_switch::{LoadBalancer, PortView};
 
-/// Which load-balancer dispatch path a run uses.
+/// Which load-balancer dispatch a run uses. Vestigial: [`AnyLb`] is the
+/// only one and nothing reads this value. It stays only because the
+/// benchmark harness still names it (`SimConfig::lb_dispatch`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LbDispatch {
-    /// Static enum dispatch ([`AnyLb`]'s concrete variants) — the default
-    /// production path.
+    /// Static enum dispatch ([`AnyLb`]).
     Enum,
-    /// The original `Box<dyn LoadBalancer>` virtual-call path, kept as a
-    /// differential reference.
-    Dyn,
 }
 
-/// A load balancer with static dispatch: one variant per concrete scheme,
-/// plus [`AnyLb::Dyn`] wrapping the boxed trait object as the
-/// differential reference path.
+/// A load balancer with static dispatch: one variant per concrete scheme.
 pub enum AnyLb {
     /// Flow-level hashing.
     Ecmp(Ecmp),
@@ -59,14 +48,12 @@ pub enum AnyLb {
     DiffFlow(DiffFlow),
     /// The paper's scheme: traffic-aware adaptive granularity.
     Tlb(Box<Tlb>),
-    /// Virtual-call reference path ([`LbDispatch::Dyn`]).
-    Dyn(Box<dyn LoadBalancer>),
 }
 
 /// Forward one expression to every variant's payload. `Box<T>` payloads
 /// auto-deref in method calls, so one arm body serves concrete and boxed
-/// variants alike; the two-body form gives the boxed variants (`Tlb`,
-/// `Dyn`) their own expression where auto-deref is not enough.
+/// variants alike; the two-body form gives the boxed `Tlb` its own
+/// expression where auto-deref is not enough.
 macro_rules! dispatch {
     ($self:expr, $lb:ident => $body:expr) => {
         dispatch!($self, $lb => $body, $lb => $body)
@@ -84,17 +71,8 @@ macro_rules! dispatch {
             AnyLb::Wcmp($lb) => $body,
             AnyLb::DiffFlow($lb) => $body,
             AnyLb::Tlb($boxed) => $boxed_body,
-            AnyLb::Dyn($boxed) => $boxed_body,
         }
     };
-}
-
-impl AnyLb {
-    /// The concrete balancer behind this value as a trait object — what
-    /// [`LbDispatch::Dyn`] runs (never an `AnyLb` inside the box).
-    pub(crate) fn into_dyn(self) -> Box<dyn LoadBalancer> {
-        dispatch!(self, lb => Box::new(lb) as Box<dyn LoadBalancer>, boxed => boxed)
-    }
 }
 
 impl LoadBalancer for AnyLb {
@@ -153,9 +131,9 @@ impl LoadBalancer for AnyLb {
 }
 
 impl Scheme {
-    /// Build this scheme as a statically dispatched [`AnyLb`] — the one
-    /// constructor table ([`Scheme::build`] boxes what this builds).
-    /// `salt` decorrelates hash-based schemes across switches.
+    /// Build this scheme's balancer for one LB switch — the one
+    /// constructor table. `salt` decorrelates hash-based schemes across
+    /// switches.
     pub fn build_static(&self, salt: u64) -> AnyLb {
         match self {
             Scheme::Ecmp => AnyLb::Ecmp(Ecmp::new(salt)),
@@ -189,25 +167,25 @@ impl Scheme {
             Scheme::Tlb(cfg) => AnyLb::Tlb(Box::new(Tlb::new(*cfg))),
         }
     }
-
-    /// Build this scheme on the requested dispatch path. Both paths
-    /// construct the identical concrete balancer from the identical salt —
-    /// only the call mechanism differs.
-    pub fn build_dispatch(&self, salt: u64, dispatch: LbDispatch) -> AnyLb {
-        match dispatch {
-            LbDispatch::Enum => self.build_static(salt),
-            LbDispatch::Dyn => AnyLb::Dyn(self.build(salt)),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every scheme: the enum path and the dyn path must expose identical
-    /// trait-level metadata and make identical decisions on a packet
-    /// stream (same salt, same RNG stream).
+    /// The concrete balancer behind `lb` as a trait object: the plain
+    /// virtual-call path that `dispatch!` must be indistinguishable from.
+    fn into_dyn(lb: AnyLb) -> Box<dyn LoadBalancer> {
+        dispatch!(lb,
+            lb => Box::new(lb) as Box<dyn LoadBalancer>,
+            boxed => boxed as Box<dyn LoadBalancer>)
+    }
+
+    /// Every scheme: [`AnyLb`] and the trait object of the same concrete
+    /// balancer must expose identical trait-level metadata and make
+    /// identical decisions on a packet stream (same salt, same RNG
+    /// stream) — `dispatch!` forwards every method, including the
+    /// hand-written `long_reroutes` / `forced_reroutes` arms.
     #[test]
     fn enum_and_dyn_paths_agree_per_scheme() {
         use tlb_net::{FlowId, HostId, LinkProps, PktKind};
@@ -240,8 +218,8 @@ mod tests {
             .collect();
 
         for scheme in Scheme::extended_set() {
-            let mut fast = scheme.build_dispatch(7, LbDispatch::Enum);
-            let mut slow = scheme.build_dispatch(7, LbDispatch::Dyn);
+            let mut fast = scheme.build_static(7);
+            let mut slow = into_dyn(scheme.build_static(7));
             assert_eq!(fast.name(), slow.name());
             assert_eq!(fast.tick_interval(), slow.tick_interval());
             assert_eq!(fast.state_bytes(), slow.state_bytes());

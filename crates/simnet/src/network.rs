@@ -41,15 +41,15 @@
 //! is the same set as "live in the arena" (`Net::schedule_arrival` is the
 //! one way in). Instead of one FEL entry per in-flight packet, a pipe
 //! keeps at most one chained `Deliver` event in the FEL; popping it
-//! delivers the head and re-arms the chain. That one live `Deliver` is
-//! the only event under its port's arrival key, so the FEL's
-//! `(time, key, seq)` pop order — and therefore every observable result —
-//! is bit-identical to the per-packet reference
-//! ([`crate::DeliveryKind::PerPacket`]), which pushes one `Arrive` per
-//! packet instead; same-key arrivals pop in push order, the pipe's order.
-//! The payoff is FEL occupancy bounded by O(ports + links + pending
-//! timers/starts) instead of O(packets in flight); every engine's run loop
-//! enforces that bound whenever the audit is on.
+//! delivers the head and re-arms the chain. That is exact, not an
+//! approximation: the one live `Deliver` is the only event under its
+//! port's arrival key, so the FEL's `(time, key, seq)` order places it
+//! where the link's next arrival belongs among every other event, and
+//! packets that reach the far end at the same instant leave the pipe in
+//! the order they entered the wire. FEL occupancy is bounded by
+//! O(ports + links + pending timers/starts) instead of O(packets in
+//! flight); every engine's run loop enforces that bound whenever the
+//! audit is on.
 
 mod admin;
 mod events;
@@ -66,7 +66,7 @@ mod slab;
 mod tests;
 
 use crate::audit::AuditLedger;
-use crate::config::{ConfigError, DeliveryKind, FidelityKind, SimConfig};
+use crate::config::{ConfigError, FidelityKind, SimConfig};
 use crate::dispatch::AnyLb;
 use crate::report::{AllocAudit, RunReport};
 use events::{push_ev, Event, KEY_ENTITY_BITS};
@@ -282,8 +282,7 @@ struct Net<'a> {
     /// each link. A mid-run propagation-delay *decrease* would otherwise
     /// let later packets overtake earlier ones on the same wire — links
     /// are FIFO, so arrivals clamp to this floor (a no-op whenever a
-    /// link's delay never shrinks, which keeps legacy runs bit-identical
-    /// in both delivery modes).
+    /// link's delay never shrinks, which keeps legacy runs bit-identical).
     link_fifo: Vec<SimTime>,
     /// One row per flow of the job.
     rows: Vec<FlowRow>,
@@ -295,9 +294,9 @@ struct Net<'a> {
     n_completed: usize,
     q: EventQueue<Event>,
     /// Where every packet is between leaving a port's serializer and
-    /// arriving, in both delivery modes: one slab for the whole fabric,
-    /// reserved once at build for the sum of the links' in-flight bounds
-    /// and touched only as deep as the wire ever got.
+    /// arriving: one slab for the whole fabric, reserved once at build for
+    /// the sum of the links' in-flight bounds and touched only as deep as
+    /// the wire ever got.
     arena: PacketArena,
     out_buf: Vec<SenderOutput>,
     /// Event count at which to capture the allocation-audit baseline
@@ -308,7 +307,7 @@ struct Net<'a> {
     alloc_at_warmup: Option<alloc_audit::AllocCounters>,
     /// Steady-state allocation report, filled at run-loop exit.
     alloc_report: Option<AllocAudit>,
-    // FEL-occupancy bound bookkeeping (mode-independent counters).
+    // FEL-occupancy bound bookkeeping.
     /// `FlowStart` events pending in the FEL.
     starts_pending: u64,
     /// `Timer` events pending in the FEL.
@@ -368,16 +367,14 @@ impl<'a> Net<'a> {
         let wire_cap = link::wire_bound(cfg, &pmap);
 
         let n = flows.len();
-        // Size the FEL so steady state never reallocates. In pipelined
-        // delivery the occupancy is bounded by the fabric (one `TxDone`
-        // plus one `Deliver` per port) plus pending timers/starts; the
-        // per-packet reference mode can additionally hold one `Arrive` per
-        // packet in flight — `wire_cap` (≥ 2 per port) covers those.
-        // (The calendar backend reserves it once per tier — the overflow
-        // heap, where the build-time bulk of not-yet-started flows lands,
-        // the wheel's node pool and the active bucket — and touches only
-        // as much of each as the run's depth reaches.)
-        let fel_cap = 2 * n + 2 * n_ports + wire_cap + 64;
+        // Size the FEL so steady state never reallocates: the occupancy is
+        // bounded by the fabric (one `TxDone` plus one `Deliver` per port)
+        // plus pending timers/starts. (The calendar reserves it once per
+        // tier — the overflow heap, where the build-time bulk of
+        // not-yet-started flows lands, the wheel's node pool and the
+        // active bucket — and touches only as much of each as the run's
+        // depth reaches.)
+        let fel_cap = 2 * n + 2 * n_ports + 64;
         let rows: Vec<FlowRow> = flows
             .iter()
             .map(|f| FlowRow {
@@ -404,7 +401,7 @@ impl<'a> Net<'a> {
             reach: vec![0u64; reach_len],
             lb_sws: (0..pmap.n_lb as u64)
                 .map(|l| LbSw {
-                    lb: cfg.scheme.build_dispatch(l + 1, cfg.lb_dispatch),
+                    lb: cfg.scheme.build_static(l + 1),
                     rng: master_rng.fork(l),
                 })
                 .collect(),
@@ -415,7 +412,7 @@ impl<'a> Net<'a> {
             pipes: vec![PacketFifo::default(); n_ports],
             next_flow,
             n_completed: 0,
-            q: EventQueue::with_capacity_and_kind(fel_cap, cfg.fel),
+            q: EventQueue::with_capacity(fel_cap),
             arena: PacketArena::with_capacity(wire_cap),
             // The sender state machine bounds its per-call output (see
             // `TcpConfig::max_outputs_per_call`); the allocation audit
@@ -498,16 +495,14 @@ impl<'a> Net<'a> {
 
     /// Sample FEL occupancy once per this many processed events. The
     /// sample schedule depends only on the event count, which is identical
-    /// across FEL backends and thread counts, so the samples are part of
-    /// the deterministic digest.
+    /// across thread counts, so the samples are deterministic.
     const FEL_DEPTH_SAMPLE_EVERY: u64 = 4096;
 
-    /// The pipelined-delivery FEL occupancy bound: at most one `TxDone`
-    /// and one `Deliver` per port, plus every pending flow start, timer and
-    /// housekeeping event, plus the fluid tier's completion timers (one
-    /// live and rarely a few superseded ones — not one per rate change).
-    /// Computed from counters that are identical across delivery modes, so
-    /// its peak is digest-stable.
+    /// The FEL occupancy bound: at most one `TxDone` and one `Deliver` per
+    /// port, plus every pending flow start, timer and housekeeping event,
+    /// plus the fluid tier's completion timers (one live and rarely a few
+    /// superseded ones — not one per rate change). Computed from counters
+    /// the schedule alone decides, so its peak is deterministic.
     #[inline]
     fn fel_bound(&self) -> u64 {
         2 * self.ports.len() as u64
@@ -545,10 +540,9 @@ impl<'a> Net<'a> {
             self.m.fel_depth.push(self.q.len() as f64);
             let bound = self.fel_bound();
             self.m.fel_bound_peak = self.m.fel_bound_peak.max(bound);
-            // The occupancy oracle: pipelined delivery must keep the
-            // FEL within the fabric-sized bound, on the serial engine and
-            // on every shard replica alike.
-            if self.cfg.audit && self.cfg.delivery == DeliveryKind::Pipelined {
+            // The occupancy oracle: the FEL stays within the fabric-sized
+            // bound, on the serial engine and on every shard replica alike.
+            if self.cfg.audit {
                 assert!(
                     self.q.len() as u64 <= bound,
                     "FEL occupancy {} exceeds the pipelined bound {bound}",
@@ -567,16 +561,6 @@ impl<'a> Net<'a> {
             }
             Event::TxDone(p) => self.on_tx_done(p, now),
             Event::Deliver(p) => self.on_deliver(p, now),
-            Event::Arrive { port, slot } => {
-                // Same-port `Arrive`s pop in push order, the pipe's order.
-                assert_eq!(
-                    self.arena.front(&self.pipes[port as usize]),
-                    Some(slot),
-                    "Arrive does not name the head of its link's pipe"
-                );
-                let pkt = self.pop_pipe(port, now);
-                self.on_arrive(port, pkt, now);
-            }
             Event::Timer { flow } => {
                 self.timers_live -= 1;
                 self.on_timer(flow, now);

@@ -4,7 +4,6 @@
 
 use super::portmap::PortId;
 use tlb_engine::{EventQueue, SimTime};
-use tlb_net::PacketSlot;
 
 #[derive(Debug)]
 pub(super) enum Event {
@@ -12,13 +11,10 @@ pub(super) enum Event {
     FlowStart(u32),
     /// The packet in service on `port` finished serializing.
     TxDone(PortId),
-    /// The head of `port`'s delivery pipe arrives now (pipelined mode).
+    /// The head of `port`'s delivery pipe arrives now. The packet itself
+    /// parks in the [`tlb_net::PacketArena`]; at most one `Deliver` per
+    /// port is live.
     Deliver(PortId),
-    /// A packet arrives after crossing `port`'s link (per-packet reference
-    /// mode). The packet itself parks in the [`tlb_net::PacketArena`]; the
-    /// event carries its 4-byte generation-checked handle, so the hot enum
-    /// stays one word of payload with no heap round-trip per packet.
-    Arrive { port: PortId, slot: PacketSlot },
     /// A sender's retransmission timer fires.
     Timer { flow: u32 },
     /// An LB switch balancer's periodic tick.
@@ -45,10 +41,8 @@ pub(super) const KEY_ENTITY_BITS: u32 = 27;
 pub(super) mod class {
     pub const FLOW_START: u32 = 0;
     pub const TIMER: u32 = 1;
-    /// `Arrive` and `Deliver` share a class on the transmitting port: they
-    /// are the same arrival in the two delivery modes. At most one
-    /// `Deliver` per port is live and same-port `Arrive`s pop in push
-    /// order, so the key alone keeps the two schedules aligned.
+    /// `Deliver`, on the transmitting port. At most one is live per port,
+    /// so the key alone places each link's next arrival.
     pub const ARRIVAL: u32 = 2;
     pub const TX_DONE: u32 = 3;
     pub const LB_TICK: u32 = 4;
@@ -81,7 +75,6 @@ pub(super) fn event_key(ev: &Event) -> u32 {
     match *ev {
         Event::FlowStart(f) => key_of(class::FLOW_START, f),
         Event::Timer { flow } => key_of(class::TIMER, flow),
-        Event::Arrive { port, .. } => key_of(class::ARRIVAL, port),
         Event::Deliver(p) => key_of(class::ARRIVAL, p),
         Event::TxDone(p) => key_of(class::TX_DONE, p),
         Event::LbTick { sw } => key_of(class::LB_TICK, sw as u32),
@@ -108,9 +101,9 @@ mod tests {
     #[test]
     fn event_payload_stays_compact() {
         // The hot enum is copied in and out of the FEL millions of times per
-        // run; `Arrive` carries a 4-byte arena handle, not a boxed packet. If
-        // a new variant grows the enum past two words, that is a perf
-        // regression worth a deliberate decision.
+        // run; packets stay in the arena, not in the event. If a new variant
+        // grows the enum past two words, that is a perf regression worth a
+        // deliberate decision.
         assert!(
             std::mem::size_of::<Event>() <= 16,
             "Event grew to {} bytes",

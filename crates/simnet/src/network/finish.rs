@@ -5,8 +5,8 @@ use crate::audit::{AuditLedger, AuditReport, PortAudit};
 
 impl Net<'_> {
     /// Hand `ledger` every packet still crossing a link — in flight on a
-    /// wire is live in the arena, in both delivery modes — and leave the
-    /// pipes and the arena empty.
+    /// wire is live in the arena — and leave the pipes and the arena
+    /// empty.
     pub(super) fn drain_pipes(&mut self, ledger: &mut AuditLedger) {
         for pipe in &mut self.pipes {
             for (_, pkt) in self.arena.drain(pipe) {
@@ -36,7 +36,7 @@ impl Net<'_> {
             for pkt in p.iter_queued() {
                 ledger.residual_queued(pkt);
             }
-            // Both delivery modes park the serializing packet in the port.
+            // The serializing packet is still parked in the port.
             if let Some(pkt) = p.in_service_pkt() {
                 ledger.residual_in_service(pkt);
             }

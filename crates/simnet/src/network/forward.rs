@@ -8,7 +8,6 @@ use super::events::{push_ev, Event};
 use super::portmap::{NextHop, NodeRef, PortId};
 use super::sharded::XMsg;
 use super::Net;
-use crate::config::DeliveryKind;
 use crate::report::{Hop, TraceEvent};
 use tlb_engine::SimTime;
 use tlb_net::{Packet, PktKind};
@@ -94,23 +93,18 @@ impl Net<'_> {
     /// shard's for a cross-shard handoff — with `at` non-decreasing per
     /// port (`link_fifo`).
     ///
-    /// Either way the packet parks in the arena at the back of
-    /// `pipes[p]`; the delivery modes differ in what they push. Pipelined,
-    /// only an empty pipe arms `Deliver(p)` and successors chain when it
-    /// pops. At most one `Deliver(p)` is ever live and nothing else
-    /// carries port `p`'s arrival key, so `(time, key)` alone places it
-    /// where the per-packet reference — one `Arrive` per packet,
-    /// same-instant ties in push order, which is the pipe's FIFO order —
-    /// pops the same packet.
+    /// The packet parks in the arena at the back of `pipes[p]`. Only an
+    /// empty pipe arms `Deliver(p)`; successors chain when it pops. At most
+    /// one `Deliver(p)` is ever live and nothing else carries port `p`'s
+    /// arrival key, so `(time, key)` alone places each arrival, and
+    /// same-instant arrivals leave in the pipe's FIFO order.
     #[inline]
     pub(super) fn schedule_arrival(&mut self, p: PortId, at: SimTime, pkt: Packet) {
         let pipe = &mut self.pipes[p as usize];
         let was_empty = pipe.is_empty();
-        let slot = self.arena.push_back(pipe, at, pkt);
-        match self.cfg.delivery {
-            DeliveryKind::Pipelined if was_empty => push_ev(&mut self.q, at, Event::Deliver(p)),
-            DeliveryKind::Pipelined => {}
-            DeliveryKind::PerPacket => push_ev(&mut self.q, at, Event::Arrive { port: p, slot }),
+        self.arena.push_back(pipe, at, pkt);
+        if was_empty {
+            push_ev(&mut self.q, at, Event::Deliver(p));
         }
     }
 
@@ -125,9 +119,8 @@ impl Net<'_> {
         pkt
     }
 
-    /// Pipelined delivery: the head of `p`'s pipe arrives now. Re-arm the
-    /// chain for the next in-flight packet, then hand the packet to the
-    /// arrival logic.
+    /// The head of `p`'s pipe arrives now. Re-arm the chain for the next
+    /// in-flight packet, then hand the packet to the arrival logic.
     pub(super) fn on_deliver(&mut self, p: PortId, now: SimTime) {
         let pkt = self.pop_pipe(p, now);
         if let Some(at) = self.arena.front_at(&self.pipes[p as usize]) {
@@ -268,31 +261,24 @@ mod tests {
     use crate::Scheme;
 
     #[test]
-    fn per_packet_arena_drains_and_recycles() {
+    fn arena_drains_and_recycles() {
         // Every in-flight packet parks in the arena, and the slab must
         // stabilize at the peak in-flight population rather than growing
-        // with the total packet count. In per-packet delivery each residual
-        // slot at loop exit has its own still-queued `Arrive` event;
-        // `finish_audit` drains the pipes and debug-asserts the arena
-        // empties (exercised via `into_report` below, since the basic
-        // preset audits in debug builds).
-        let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
-        cfg.delivery = DeliveryKind::PerPacket;
+        // with the total packet count. `finish_audit` drains the pipes and
+        // debug-asserts the arena empties (exercised via `into_report`
+        // below, since the basic preset audits in debug builds).
+        let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
         let flows = one_flow(500 * 1460);
         let mut net = Net::build(&cfg, &flows, vec![None; 1], None);
         net.run_loop();
         assert_eq!(net.n_completed, 1);
         let slots = net.arena.slots_allocated();
-        assert!(slots > 0, "per-packet mode must actually use the arena");
+        assert!(slots > 0, "the wire must actually use the arena");
         assert!(
             slots < 500,
             "slab grew to {slots} slots for a 500-segment flow — recycling broke"
         );
         assert_eq!(net.arena.peak_live(), slots);
-        assert!(
-            net.arena.live() as usize <= net.q.len(),
-            "live slots must be exactly the still-queued arrivals"
-        );
         let r = net.into_report(std::time::Duration::ZERO);
         assert_eq!(r.completed, 1);
     }

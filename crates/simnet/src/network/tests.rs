@@ -168,11 +168,11 @@ fn high_bdp_job(link_events: Vec<crate::config::LinkEvent>) -> (crate::SimConfig
 #[test]
 fn the_wire_follows_what_is_live() {
     // A packet between a serializer and its arrival is in the arena and
-    // nowhere else, in both delivery modes: the slab never outgrows the
-    // one reservation made at build, the modes park the same packets, and
-    // closing the audit leaves every pipe and the arena empty. The second
-    // schedule stretches a busy uplink's delay fivefold mid-run — its
-    // in-flight ceiling rises under packets already on the wire.
+    // nowhere else: the slab never outgrows the one reservation made at
+    // build, and closing the audit counts every parked packet once and
+    // leaves every pipe and the arena empty. The second schedule stretches
+    // a busy uplink's delay fivefold mid-run — its in-flight ceiling rises
+    // under packets already on the wire.
     let stretch = crate::config::LinkEvent {
         at: SimTime::from_millis(30),
         leaf: LeafId(0),
@@ -182,31 +182,22 @@ fn the_wire_follows_what_is_live() {
         extra_delay: SimTime::ZERO,
     };
     for link_events in [vec![], vec![stretch]] {
-        let (mut cfg, flows) = high_bdp_job(link_events);
-        let mut seen = Vec::new();
-        for delivery in [DeliveryKind::Pipelined, DeliveryKind::PerPacket] {
-            cfg.delivery = delivery;
-            let mut net = Net::build(&cfg, &flows, vec![None; flows.len()], None);
-            let reserved = link::wire_bound(&cfg, &net.pmap);
-            net.run_loop();
-            let (peak, residual) = (net.arena.peak_live(), net.arena.live());
-            assert!(residual > 0, "{delivery:?}: the horizon cut nothing off");
-            assert!(
-                net.arena.slots_allocated() <= reserved,
-                "{delivery:?}: {} arena slots against {reserved} reserved",
-                net.arena.slots_allocated()
-            );
-            let audit = net.finish_audit().expect("the audit is on");
-            let propagating: u64 = audit.kinds.iter().map(|k| k.propagating_at_end).sum();
-            assert_eq!(propagating, residual as u64, "{delivery:?}");
-            assert!(net.pipes.iter().all(|pipe| pipe.is_empty()), "{delivery:?}");
-            assert!(net.arena.is_empty(), "{delivery:?}");
-            seen.push((peak, residual, audit));
-        }
-        assert_eq!(
-            seen[0], seen[1],
-            "the delivery modes parked different packets"
+        let (cfg, flows) = high_bdp_job(link_events);
+        let mut net = Net::build(&cfg, &flows, vec![None; flows.len()], None);
+        let reserved = link::wire_bound(&cfg, &net.pmap);
+        net.run_loop();
+        let residual = net.arena.live();
+        assert!(residual > 0, "the horizon cut nothing off");
+        assert!(
+            net.arena.slots_allocated() <= reserved,
+            "{} arena slots against {reserved} reserved",
+            net.arena.slots_allocated()
         );
+        let audit = net.finish_audit().expect("the audit is on");
+        let propagating: u64 = audit.kinds.iter().map(|k| k.propagating_at_end).sum();
+        assert_eq!(propagating, residual as u64);
+        assert!(net.pipes.iter().all(|pipe| pipe.is_empty()));
+        assert!(net.arena.is_empty());
     }
 }
 

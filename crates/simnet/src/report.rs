@@ -219,14 +219,14 @@ pub struct RunReport {
     /// Pending-event count of the engine's future-event list, sampled once
     /// every 4096 processed events. The sampling schedule is a pure
     /// function of the event count, so the samples are bit-identical
-    /// across FEL backends and thread counts; the benchmark reads its
+    /// across thread counts; the benchmark reads its
     /// queue-depth percentiles (`engine.fel.depth_p50/p99`) from here.
     pub fel_depth: SampleSet,
-    /// Peak of the pipelined-delivery FEL occupancy bound
+    /// Peak of the FEL occupancy bound
     /// `2·ports + pending starts/timers/housekeeping` over the same sample
-    /// schedule. Computed from mode-independent counters, so it is
-    /// digest-stable; in pipelined delivery every `fel_depth` sample is
-    /// asserted ≤ the bound whenever the audit is on, on the serial engine
+    /// schedule. Computed from counters the schedule alone decides, so it
+    /// is deterministic; every `fel_depth` sample is asserted ≤ the bound
+    /// whenever the audit is on, on the serial engine
     /// and on every shard replica (where both are per-replica: the largest
     /// replica's bound, the union of the replicas' depth samples).
     pub fel_bound_peak: u64,
@@ -234,8 +234,7 @@ pub struct RunReport {
     /// ([`tlb_engine::EventQueue::pool_nodes_peak`]): the most events that
     /// ever waited in the wheel outside its active bucket — the FEL's
     /// resident working set, whatever capacity was reserved. The largest
-    /// shard's under the sharded engine, 0 on the heap backend; not part
-    /// of any digest.
+    /// shard's under the sharded engine; not part of any digest.
     pub fel_nodes_peak: u64,
     /// High-water mark of packets crossing links at once
     /// ([`tlb_net::PacketArena::peak_live`]): how full the wire got, and
@@ -402,9 +401,9 @@ impl RunReport {
 
     /// Determinism digest: `events|short afct|long goodput|drops|marks|
     /// completed`, floats to 12 decimals. Two runs of the same job must
-    /// agree on it whatever the FEL backend, dispatch path, delivery mode,
-    /// engine or thread count; `benchmark/expected_digests.json` pins it
-    /// per workload.
+    /// agree on it whatever engine or thread count ran them;
+    /// `benchmark/expected_digests.json` pins it per workload, and the
+    /// tier-1 tests pin it per job.
     pub fn digest(&self) -> String {
         format!(
             "{}|{:.12}|{:.12}|{}|{}|{}",

@@ -3,7 +3,6 @@
 use tlb_core::TlbConfig;
 use tlb_engine::SimTime;
 use tlb_lb::DiffFlow;
-use tlb_switch::LoadBalancer;
 
 /// A load-balancing scheme plus its parameters. One balancer instance is
 /// built per leaf switch.
@@ -194,12 +193,6 @@ impl Scheme {
             Scheme::Tlb(cfg) => cfg.validate().map_err(|why| format!("TLB: {why}")),
         }
     }
-
-    /// Instantiate a balancer for one leaf switch as a trait object: the
-    /// concrete balancer [`Scheme::build_static`] constructs, boxed.
-    pub fn build(&self, salt: u64) -> Box<dyn LoadBalancer> {
-        self.build_static(salt).into_dyn()
-    }
 }
 
 #[cfg(test)]
@@ -208,6 +201,7 @@ mod proptests;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlb_switch::LoadBalancer;
 
     #[test]
     fn names_match_paper_legends() {
@@ -228,19 +222,22 @@ mod tests {
     #[test]
     fn build_produces_named_balancers() {
         for scheme in Scheme::paper_set() {
-            let lb = scheme.build(7);
+            let lb = scheme.build_static(7);
             assert_eq!(lb.name(), scheme.name());
         }
-        assert_eq!(Scheme::Drill { d: 2, m: 1 }.build(0).name(), "DRILL");
+        assert_eq!(Scheme::Drill { d: 2, m: 1 }.build_static(0).name(), "DRILL");
         assert_eq!(
             Scheme::CongaLite {
                 timeout: SimTime::from_micros(500)
             }
-            .build(0)
+            .build_static(0)
             .name(),
             "CONGA-lite"
         );
-        assert_eq!(Scheme::flowbender_default().build(0).name(), "FlowBender");
+        assert_eq!(
+            Scheme::flowbender_default().build_static(0).name(),
+            "FlowBender"
+        );
     }
 
     /// `validate` refuses exactly what a constructor would panic on.

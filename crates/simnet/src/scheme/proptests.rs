@@ -5,7 +5,7 @@ use super::Scheme;
 use proptest::prelude::*;
 use tlb_engine::{SimRng, SimTime};
 use tlb_net::{FlowId, HostId, LinkProps, Packet, PktKind};
-use tlb_switch::{OutPort, PortView, QueueCfg};
+use tlb_switch::{LoadBalancer, OutPort, PortView, QueueCfg};
 
 fn ports(lens: &[u8]) -> Vec<OutPort> {
     let link = LinkProps::gbps(1.0, SimTime::ZERO);
@@ -63,7 +63,7 @@ proptest! {
         let ps = ports(&lens);
         let n = ps.len();
         for scheme in Scheme::extended_set() {
-            let mut lb = scheme.build(seed);
+            let mut lb = scheme.build_static(seed);
             let mut rng = SimRng::new(seed);
             let mut now = SimTime::ZERO;
             let mut since_tick = SimTime::ZERO;

@@ -2,7 +2,7 @@
 //! two uplinks' capacity while traffic is in flight; adaptive schemes must
 //! keep delivering.
 
-use tlb::engine::{EngineKind, FelKind};
+use tlb::engine::EngineKind;
 use tlb::prelude::*;
 use tlb::simnet::config::LinkEvent;
 use tlb::simnet::Hop;
@@ -79,8 +79,7 @@ fn link_event_validation() {
     cfg.validate().unwrap();
 }
 
-/// Delivery-mode-safe run fingerprint (excludes `fel_depth`, whose values
-/// legitimately differ between pipelined and per-packet delivery).
+/// TLB held at `q_th = ∞`: it never reroutes a long flow voluntarily.
 fn pinned_tlb() -> Scheme {
     let mut t = TlbConfig::paper_default();
     t.threshold_mode = ThresholdMode::Fixed(u64::MAX);
@@ -92,15 +91,14 @@ fn pinned_tlb() -> Scheme {
 /// completes, the packet-conservation ledger balances (drops at the dead
 /// port are accounted, not leaked), a TLB pinned at `q_th = ∞` performs
 /// zero *voluntary* long-flow reroutes (forced evacuations off the dead
-/// uplink are tallied separately), and the whole run is bit-identical
-/// across both FEL backends and both delivery modes.
+/// uplink are tallied separately) — and the run reproduces its pinned
+/// digest, on a rerun too.
 #[test]
 fn flap_and_repair_reconverge_cleanly() {
-    let run = |fel: FelKind, delivery: DeliveryKind| {
+    const PINNED: &str = "229701|0.001427352100|115883260.809832736850|0|3361|53";
+    let run = || {
         let mut cfg = SimConfig::basic_paper(pinned_tlb());
         cfg.audit = true;
-        cfg.fel = fel;
-        cfg.delivery = delivery;
         for (at_ms, action) in [(5, FailureAction::Down), (12, FailureAction::Up)] {
             cfg.failure_events.push(FailureEvent {
                 at: SimTime::from_millis(at_ms),
@@ -115,7 +113,7 @@ fn flap_and_repair_reconverge_cleanly() {
         Simulation::new(cfg, flows).run()
     };
 
-    let base = run(FelKind::Calendar, DeliveryKind::Pipelined);
+    let base = run();
     assert_eq!(
         base.completed, base.total_flows,
         "flows stranded by the flap/repair cycle"
@@ -130,35 +128,23 @@ fn flap_and_repair_reconverge_cleanly() {
         base.forced_reroutes.is_some(),
         "failure schedule present but forced-reroute accounting missing"
     );
-
-    for fel in [FelKind::Calendar, FelKind::Heap] {
-        for delivery in [DeliveryKind::Pipelined, DeliveryKind::PerPacket] {
-            let r = run(fel, delivery);
-            assert_eq!(
-                r.digest(),
-                base.digest(),
-                "{fel:?}/{delivery:?} diverged from Calendar/Pipelined"
-            );
-        }
-    }
+    assert_eq!(base.digest(), PINNED, "the flap run moved off its pin");
+    assert_eq!(run().digest(), PINNED, "the rerun diverged");
 }
 
-/// Acceptance matrix: a k=8 fat tree (128 hosts, 80 switches) with a
-/// mid-run edge-uplink flap completes with the conservation audit on and
-/// produces bit-identical digests across FelKind x LbDispatch x
-/// DeliveryKind.
+/// Acceptance run: a k=8 fat tree (128 hosts, 80 switches) with a mid-run
+/// edge-uplink flap completes with the conservation audit on and
+/// reproduces its pinned digest, on a rerun too.
 #[test]
-fn fat_tree_k8_flap_matrix_is_bit_identical() {
-    let run = |fel: FelKind, dispatch: LbDispatch, delivery: DeliveryKind| {
+fn fat_tree_k8_flap_matrix_is_pinned() {
+    const PINNED: &str = "96293|0.002202837325|89494925.066918015480|2|1720|42";
+    let run = || {
         let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
         cfg.topo = FatTreeBuilder::new(8)
             .link_gbps(1.0)
             .target_rtt(SimTime::from_micros(100))
             .build();
         cfg.audit = true;
-        cfg.fel = fel;
-        cfg.lb_dispatch = dispatch;
-        cfg.delivery = delivery;
         for (at_ms, action) in [(2, FailureAction::Down), (6, FailureAction::Up)] {
             cfg.failure_events.push(FailureEvent {
                 at: SimTime::from_millis(at_ms),
@@ -178,45 +164,34 @@ fn fat_tree_k8_flap_matrix_is_bit_identical() {
         Simulation::new(cfg, flows).run()
     };
 
-    let base = run(FelKind::Calendar, LbDispatch::Enum, DeliveryKind::Pipelined);
+    let base = run();
     assert_eq!(
         base.completed, base.total_flows,
         "fat-tree flap stranded flows"
     );
     assert!(base.audit.is_some(), "conservation audit did not run");
-
-    for fel in [FelKind::Calendar, FelKind::Heap] {
-        for dispatch in [LbDispatch::Enum, LbDispatch::Dyn] {
-            for delivery in [DeliveryKind::Pipelined, DeliveryKind::PerPacket] {
-                let r = run(fel, dispatch, delivery);
-                assert_eq!(
-                    r.digest(),
-                    base.digest(),
-                    "{fel:?}/{dispatch:?}/{delivery:?} diverged"
-                );
-            }
-        }
-    }
+    assert_eq!(base.digest(), PINNED, "the k=8 flap moved off its pin");
+    assert_eq!(run().digest(), PINNED, "the rerun diverged");
 }
 
 /// The tie the arrival key has to settle by itself: a mid-run `LinkEvent`
 /// shortens both of leaf 0's busy uplinks from 50 µs to 5 µs, so every
 /// packet sent in the next ~45 µs clamps to the wire's FIFO floor and
-/// several cross one link at the *same* instant. Pipelined delivery has one
-/// chained `Deliver` per port and the per-packet reference one `Arrive` per
-/// packet; both must pop those packets in the order they entered the
-/// link, on the serial engine and across shards — same digest, same audit
-/// ledger, same per-hop trace.
+/// several cross one link at the *same* instant. The link's one chained
+/// `Deliver` must hand those packets on in the order they entered the
+/// link — read off the trace: each same-instant pair entering a spine
+/// downlink entered leaf 0's uplink in that order — and the sharded engine
+/// must reproduce the serial run: same digest, same audit ledger, same
+/// per-hop trace.
 #[test]
-fn same_instant_arrivals_on_one_link_keep_fifo_order_in_every_mode() {
-    let run = |delivery: DeliveryKind, engine: EngineKind| {
+fn same_instant_arrivals_on_one_link_keep_fifo_order_in_every_engine() {
+    let run = |engine: EngineKind| {
         let mut cfg = SimConfig::basic_paper(Scheme::Rps);
         cfg.topo = LeafSpineBuilder::new(2, 2, 4)
             .link_gbps(1.0)
             .prop_per_link(SimTime::from_micros(50))
             .build();
         cfg.audit = true;
-        cfg.delivery = delivery;
         cfg.engine = engine;
         for spine in 0..2 {
             cfg.link_events.push(LinkEvent {
@@ -243,38 +218,56 @@ fn same_instant_arrivals_on_one_link_keep_fifo_order_in_every_mode() {
     };
     let rows = |r: &RunReport| -> Vec<_> {
         (r.traces.iter())
-            .map(|t| (t.at, t.hop, t.flow, t.seq))
+            .map(|t| (t.at, t.hop, t.flow, t.kind, t.seq))
             .collect()
     };
 
-    let base = run(DeliveryKind::Pipelined, EngineKind::Serial);
+    let base = run(EngineKind::Serial);
     assert_eq!(base.completed, base.total_flows);
     assert!(base.audit.is_some(), "conservation audit did not run");
-    // The scenario must actually produce the tie, or the comparison below
-    // proves nothing about it.
     let base_rows = rows(&base);
-    let tied = (base_rows.windows(2))
-        .filter(|w| matches!(w[0].1, Hop::SpineDownlink { .. }))
-        .filter(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
-        .count();
+    // Row index at which the packet of row `i` last entered leaf 0's
+    // uplink toward spine `spine` before row `i` (a retransmission enters
+    // again; the copy on the wire is the latest).
+    let entered_uplink = |i: usize, spine: u16| {
+        let (_, _, flow, kind, seq) = base_rows[i];
+        (0..i)
+            .rev()
+            .find(|&j| {
+                let (_, hop, f, k, s) = base_rows[j];
+                (hop, f, k, s) == (Hop::LeafUplink { leaf: 0, spine }, flow, kind, seq)
+            })
+            .expect("a spine downlink row without its uplink row")
+    };
+    let mut tied = 0;
+    for i in 1..base_rows.len() {
+        let (at, hop, ..) = base_rows[i];
+        let Hop::SpineDownlink { spine, leaf: 1 } = hop else {
+            continue;
+        };
+        if (base_rows[i - 1].0, base_rows[i - 1].1) != (at, hop) {
+            continue;
+        }
+        tied += 1;
+        assert!(
+            entered_uplink(i - 1, spine) < entered_uplink(i, spine),
+            "rows {} and {i}: same-instant arrivals at spine {spine} left its \
+             wire out of the order they entered it",
+            i - 1
+        );
+    }
+    // The scenario must actually produce the tie, or the check above
+    // proves nothing about it.
     assert!(
         tied > 0,
         "no two traced packets entered one spine downlink at the same instant"
     );
 
-    let sharded = EngineKind::Sharded { workers: Some(2) };
-    for delivery in [DeliveryKind::Pipelined, DeliveryKind::PerPacket] {
-        for engine in [EngineKind::Serial, sharded] {
-            let r = run(delivery, engine);
-            let label = format!("{delivery:?}/{engine:?}");
-            if engine == sharded {
-                assert_eq!(r.engine_workers, Some(2), "{label}: engine refused");
-            }
-            assert_eq!(r.digest(), base.digest(), "{label}: digest diverged");
-            assert_eq!(r.audit, base.audit, "{label}: audit diverged");
-            assert_eq!(rows(&r), base_rows, "{label}: trace diverged");
-        }
-    }
+    let r = run(EngineKind::Sharded { workers: Some(2) });
+    assert_eq!(r.engine_workers, Some(2), "engine refused");
+    assert_eq!(r.digest(), base.digest(), "sharded digest diverged");
+    assert_eq!(r.audit, base.audit, "sharded audit diverged");
+    assert_eq!(rows(&r), base_rows, "sharded trace diverged");
 }
 
 #[test]
@@ -322,7 +315,7 @@ fn degradation_actually_bites() {
 /// deterministic no-op. Downing a dead link again, or downing a port of a
 /// switch that already went dark, must change nothing except the one extra
 /// FEL pop the event itself costs — identical FCTs, drops, marks, traces,
-/// audit ledger and forced-reroute tally, in both delivery modes.
+/// audit ledger and forced-reroute tally.
 #[test]
 fn refailing_dead_targets_is_a_deterministic_noop() {
     let link = |at_ms: u64, action: FailureAction| FailureEvent {
@@ -333,10 +326,9 @@ fn refailing_dead_targets_is_a_deterministic_noop() {
         },
         action,
     };
-    let run = |extra: &[FailureEvent], base: &[FailureEvent], delivery: DeliveryKind| {
+    let run = |extra: &[FailureEvent], base: &[FailureEvent]| {
         let mut cfg = SimConfig::basic_paper(pinned_tlb());
         cfg.audit = true;
-        cfg.delivery = delivery;
         cfg.failure_events.extend_from_slice(base);
         cfg.failure_events.extend_from_slice(extra);
         let flows = basic_mix(&cfg.topo, &mix(), &mut SimRng::new(11));
@@ -370,31 +362,26 @@ fn refailing_dead_targets_is_a_deterministic_noop() {
         ),
     ];
     for (case, (base_ev, extra)) in cases.iter().enumerate() {
-        for delivery in [DeliveryKind::Pipelined, DeliveryKind::PerPacket] {
-            let base = run(&[], base_ev, delivery);
-            let dup = run(extra, base_ev, delivery);
-            assert_eq!(
-                base.completed, base.total_flows,
-                "case {case}/{delivery:?}: baseline stranded flows"
-            );
-            assert_eq!(
-                noev(&dup),
-                noev(&base),
-                "case {case}/{delivery:?}: re-failing a dead target changed the run"
-            );
-            assert_eq!(
-                dup.events,
-                base.events + extra.len() as u64,
-                "case {case}/{delivery:?}: no-op events must cost exactly one pop each"
-            );
-            assert_eq!(
-                dup.audit, base.audit,
-                "case {case}/{delivery:?}: audit ledger diverged"
-            );
-            assert_eq!(
-                dup.forced_reroutes, base.forced_reroutes,
-                "case {case}/{delivery:?}: forced-reroute tally diverged"
-            );
-        }
+        let base = run(&[], base_ev);
+        let dup = run(extra, base_ev);
+        assert_eq!(
+            base.completed, base.total_flows,
+            "case {case}: baseline stranded flows"
+        );
+        assert_eq!(
+            noev(&dup),
+            noev(&base),
+            "case {case}: re-failing a dead target changed the run"
+        );
+        assert_eq!(
+            dup.events,
+            base.events + extra.len() as u64,
+            "case {case}: no-op events must cost exactly one pop each"
+        );
+        assert_eq!(dup.audit, base.audit, "case {case}: audit ledger diverged");
+        assert_eq!(
+            dup.forced_reroutes, base.forced_reroutes,
+            "case {case}: forced-reroute tally diverged"
+        );
     }
 }

@@ -4,9 +4,8 @@
 //! Under [`FidelityKind::Hybrid`], flows that cross the 100 KB
 //! short/long boundary hand their unsent tail to a per-link fair-share
 //! rate model; short flows, handshakes and all queue/ECN dynamics stay
-//! packet-level. That is a *modeling* change, so — unlike the
-//! FelKind/LbDispatch/DeliveryKind knobs — hybrid results agree with
-//! packet results within **tolerance bands**, not bit-for-bit:
+//! packet-level. That is a *modeling* change, so hybrid results agree
+//! with packet results within **tolerance bands**, not bit-for-bit:
 //!
 //! * **Exact across fidelities**: completion counts, conservation-audit
 //!   cleanliness, and a pinned TLB's *zero voluntary reroutes* (the
