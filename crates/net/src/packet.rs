@@ -95,7 +95,7 @@ bitflags_lite! {
 }
 
 /// One packet in flight. `Copy` and small (fits in a cache line) because the
-/// simulator moves millions of these through `VecDeque`s.
+/// simulator parks millions of these, one [`crate::PacketArena`] slot each.
 #[derive(Clone, Copy, Debug)]
 pub struct Packet {
     /// Flow this packet belongs to (same id for both directions).

@@ -436,8 +436,12 @@ pub struct PortAudit {
 }
 
 impl PortAudit {
-    /// Snapshot a port.
-    pub fn of(label: String, port: &tlb_switch::OutPort) -> PortAudit {
+    /// Snapshot a port whose packets are parked in `arena`.
+    pub fn of(
+        label: String,
+        port: &tlb_switch::OutPort,
+        arena: &tlb_net::PacketArena,
+    ) -> PortAudit {
         PortAudit {
             label,
             enqueued: port.stats().enqueued,
@@ -446,7 +450,7 @@ impl PortAudit {
             queued_now: port.len_pkts() as u64,
             in_service: port.in_service(),
             queued_bytes_stat: port.len_bytes(),
-            queued_bytes_actual: port.iter_queued().map(|p| p.wire_bytes as u64).sum(),
+            queued_bytes_actual: port.queued_in(arena).map(|p| p.wire_bytes as u64).sum(),
         }
     }
 }

@@ -34,12 +34,15 @@
 //! ## Delivery pipes
 //!
 //! A link's port serializes packets one at a time and its wire is FIFO,
-//! so arrival times per link are non-decreasing. A packet that has left
-//! its port's serializer and not yet arrived is parked in `Net::arena`,
-//! linked behind its link's tail: a link's pipe is a
-//! [`tlb_net::PacketFifo`] — two slot indices — and "in flight on a wire"
-//! is the same set as "live in the arena" (`Net::schedule_arrival` is the
-//! one way in). Instead of one FEL entry per in-flight packet, a pipe
+//! so arrival times per link are non-decreasing. Every packet occupies one
+//! slot of `Net::arena` from its host's emission to its delivery or drop,
+//! on one list at a time: its port's queue, that port's service slot, the
+//! link's pipe, the next port's queue, and so on — moving on relinks the
+//! slot and never copies the packet. A link's pipe is a
+//! [`tlb_net::PacketFifo`] — two slot indices — holding the packets that
+//! have left its port's serializer and not yet arrived
+//! (`Net::schedule_arrival` is the one way on; `Net::wire_pkts` counts
+//! them). Instead of one FEL entry per in-flight packet, a pipe
 //! keeps at most one chained `Deliver` event in the FEL; popping it
 //! delivers the head and re-arms the chain. That is exact, not an
 //! approximation: the one live `Deliver` is the only event under its
@@ -293,11 +296,16 @@ struct Net<'a> {
     next_flow: Vec<Option<u32>>,
     n_completed: usize,
     q: EventQueue<Event>,
-    /// Where every packet is between leaving a port's serializer and
-    /// arriving: one slab for the whole fabric, reserved once at build for
-    /// the sum of the links' in-flight bounds and touched only as deep as
-    /// the wire ever got.
+    /// Where every packet is from its host's emission to its delivery or
+    /// drop — queued at a port, serializing, or crossing a link: one slab
+    /// for the whole fabric, reserved once at build for
+    /// [`link::packet_bound`] and touched only as deep as the fabric ever
+    /// filled.
     arena: PacketArena,
+    /// Packets on the pipes now (crossing links), and the most there ever
+    /// were: [`RunReport::wire_pkts_peak`].
+    wire_pkts: usize,
+    wire_pkts_peak: usize,
     out_buf: Vec<SenderOutput>,
     /// Event count at which to capture the allocation-audit baseline
     /// (`u64::MAX` = off; sharded replicas never arm it).
@@ -351,7 +359,7 @@ impl<'a> Net<'a> {
                 };
                 // A replica never enqueues on a port another shard owns:
                 // it keeps the link props and the admin flag every
-                // replica's `recompute_reach` reads, and no ring.
+                // replica's `recompute_reach` reads, and no queue.
                 let qcfg = match &shard {
                     Some(ctx) if ctx.map.port_owner[p as usize] != ctx.id => QueueCfg {
                         capacity_pkts: 0,
@@ -359,12 +367,12 @@ impl<'a> Net<'a> {
                     },
                     _ => qcfg,
                 };
-                OutPort::new(link::base_props(&cfg.topo, &pmap, p), qcfg)
+                OutPort::shared(link::base_props(&cfg.topo, &pmap, p), qcfg)
             })
             .collect();
-        // The wire's one reservation, which is what keeps the arena's
-        // slab out of the steady-state allocation gate.
-        let wire_cap = link::wire_bound(cfg, &pmap);
+        // The arena's one reservation, which is what keeps its slab out of
+        // the steady-state allocation gate.
+        let arena_cap = link::packet_bound(cfg, &pmap, &ports);
 
         let n = flows.len();
         // Size the FEL so steady state never reallocates: the occupancy is
@@ -413,7 +421,9 @@ impl<'a> Net<'a> {
             next_flow,
             n_completed: 0,
             q: EventQueue::with_capacity(fel_cap),
-            arena: PacketArena::with_capacity(wire_cap),
+            arena: PacketArena::with_capacity(arena_cap),
+            wire_pkts: 0,
+            wire_pkts_peak: 0,
             // The sender state machine bounds its per-call output (see
             // `TcpConfig::max_outputs_per_call`); the allocation audit
             // asserts this buffer never regrows.

@@ -1,8 +1,9 @@
 //! The per-packet switch path: admission, serialization, link crossing
 //! (per-link delivery pipes through the packet arena), the routing walk and
 //! the balancer decision, plus the balancers' periodic tick and the
-//! leaf-0 queue sampler. Everything here runs per packet-hop and performs
-//! no steady-state allocation.
+//! leaf-0 queue sampler. A packet travels this path as its arena slot,
+//! read and marked in place. Everything here runs per packet-hop and
+//! performs no steady-state allocation.
 
 use super::events::{push_ev, Event};
 use super::portmap::{NextHop, NodeRef, PortId};
@@ -10,7 +11,7 @@ use super::sharded::XMsg;
 use super::Net;
 use crate::report::{Hop, TraceEvent};
 use tlb_engine::SimTime;
-use tlb_net::{Packet, PktKind};
+use tlb_net::{Packet, PacketSlot, PktKind};
 use tlb_switch::{Enqueued, LoadBalancer, OutPort, PortView};
 
 /// The balancer's view of an uplink slice under a liveness `mask`. With no
@@ -24,15 +25,26 @@ fn live_view(uplinks: &[OutPort], mask: u64) -> PortView<'_> {
     }
 }
 
+/// The packet a balancer decision reads: one crossing the fabric, in its
+/// arena slot, or a stand-in the caller holds (a fluid tail's route).
+pub(super) enum Probe<'p> {
+    Parked(PacketSlot),
+    Held(&'p Packet),
+}
+
 impl Net<'_> {
-    pub(super) fn enqueue(&mut self, p: PortId, pkt: Packet, now: SimTime) {
-        if self.rows[pkt.flow.index()].traced {
-            self.trace(self.pmap.hop(p), &pkt, now);
+    /// Offer the packet in slot `pkt` — parked in the arena on no list —
+    /// to port `p`: it joins the queue (and starts serializing if the port
+    /// was idle) or is dropped, which frees its slot.
+    pub(super) fn enqueue(&mut self, p: PortId, pkt: PacketSlot, now: SimTime) {
+        if self.rows[self.arena.get(pkt).flow.index()].traced {
+            let traced = *self.arena.get(pkt);
+            self.trace(self.pmap.hop(p), &traced, now);
         }
-        self.audit.enqueue_attempt(&pkt);
-        match self.ports[p as usize].enqueue(pkt, now) {
+        self.audit.enqueue_attempt(self.arena.get(pkt));
+        match self.ports[p as usize].offer_in(&mut self.arena, pkt, now) {
             Enqueued::Queued { was_idle, .. } => {
-                self.audit.enqueued(&pkt);
+                self.audit.enqueued(self.arena.get(pkt));
                 if was_idle {
                     self.start_tx(p, now);
                 }
@@ -40,6 +52,7 @@ impl Net<'_> {
             Enqueued::Dropped => {
                 // Loss is recovered by the transport; counters live in the
                 // port stats.
+                let pkt = self.arena.take(pkt);
                 self.audit.dropped(&pkt);
             }
         }
@@ -47,12 +60,13 @@ impl Net<'_> {
 
     fn start_tx(&mut self, p: PortId, now: SimTime) {
         let pi = p as usize;
-        let pkt = *self.ports[pi]
-            .start_service()
+        let slot = self.ports[pi]
+            .start_in(&mut self.arena)
             .expect("start_tx on an empty port");
         // The port memoized this packet's serialization time when service
         // started — one division per packet-hop instead of three.
         let tx_time = self.ports[pi].service_tx_time();
+        let pkt = self.arena.get(slot);
         // Leaf-uplink queueing delay of short-flow data (Fig. 8(b)) — the
         // queues the load balancer controls; NIC and downlink waits are the
         // same for every scheme and would only dilute the comparison.
@@ -60,14 +74,14 @@ impl Net<'_> {
             let w = now.saturating_sub(pkt.enqueued_at).as_secs_f64();
             self.m.short_qdelay.push(w);
         }
-        self.audit.tx_started(&pkt);
+        self.audit.tx_started(pkt);
         push_ev(&mut self.q, now + tx_time, Event::TxDone(p));
     }
 
     pub(super) fn on_tx_done(&mut self, p: PortId, now: SimTime) {
         let pi = p as usize;
-        let (pkt, more) = self.ports[pi].finish_service();
-        self.audit.tx_done(&pkt);
+        let (pkt, more) = self.ports[pi].finish_in(&self.arena);
+        self.audit.tx_done(self.arena.get(pkt));
         let prop = self.ports[pi].link().prop_delay;
         if more {
             self.start_tx(p, now);
@@ -77,32 +91,36 @@ impl Net<'_> {
         let at = (now + prop).max(self.link_fifo[pi]);
         self.link_fifo[pi] = at;
         match self.shard.as_mut() {
-            // The next hop lives in another shard: hand the packet off;
-            // the owner runs the same `schedule_arrival` when it ingests
-            // the message.
+            // The next hop lives in another shard: hand the packet off,
+            // out of this replica's arena; the owner parks it in its own
+            // and runs the same `schedule_arrival` when it ingests the
+            // message.
             Some(ctx) if ctx.map.arrive_owner[pi] != ctx.id => {
+                let pkt = self.arena.take(pkt);
                 ctx.outbox.push(XMsg { port: p, at, pkt });
             }
             _ => self.schedule_arrival(p, at, pkt),
         }
     }
 
-    /// The one place an arrival meets the FEL: `pkt` finishes crossing
-    /// port `p`'s link at `at`. Runs on the engine that owns the link's far
-    /// end — the transmitting port's own in a serial run, the receiving
-    /// shard's for a cross-shard handoff — with `at` non-decreasing per
-    /// port (`link_fifo`).
+    /// The one place an arrival meets the FEL: the packet in slot `pkt`
+    /// finishes crossing port `p`'s link at `at`. Runs on the engine that
+    /// owns the link's far end — the transmitting port's own in a serial
+    /// run, the receiving shard's for a cross-shard handoff — with `at`
+    /// non-decreasing per port (`link_fifo`).
     ///
-    /// The packet parks in the arena at the back of `pipes[p]`. Only an
-    /// empty pipe arms `Deliver(p)`; successors chain when it pops. At most
-    /// one `Deliver(p)` is ever live and nothing else carries port `p`'s
+    /// The slot is linked at the back of `pipes[p]`. Only an empty pipe
+    /// arms `Deliver(p)`; successors chain when it pops. At most one
+    /// `Deliver(p)` is ever live and nothing else carries port `p`'s
     /// arrival key, so `(time, key)` alone places each arrival, and
     /// same-instant arrivals leave in the pipe's FIFO order.
     #[inline]
-    pub(super) fn schedule_arrival(&mut self, p: PortId, at: SimTime, pkt: Packet) {
+    pub(super) fn schedule_arrival(&mut self, p: PortId, at: SimTime, pkt: PacketSlot) {
         let pipe = &mut self.pipes[p as usize];
         let was_empty = pipe.is_empty();
-        self.arena.push_back(pipe, at, pkt);
+        self.arena.link_back(pipe, pkt, at);
+        self.wire_pkts += 1;
+        self.wire_pkts_peak = self.wire_pkts_peak.max(self.wire_pkts);
         if was_empty {
             push_ev(&mut self.q, at, Event::Deliver(p));
         }
@@ -110,12 +128,15 @@ impl Net<'_> {
 
     /// The head of `p`'s pipe arrives now: take it off the wire.
     #[inline]
-    pub(super) fn pop_pipe(&mut self, p: PortId, now: SimTime) -> Packet {
-        let (at, pkt) = self
-            .arena
-            .pop_front(&mut self.pipes[p as usize])
-            .expect("arrival on an empty pipe");
-        debug_assert_eq!(at, now, "pipe head out of FIFO order");
+    pub(super) fn pop_pipe(&mut self, p: PortId, now: SimTime) -> PacketSlot {
+        let pipe = &mut self.pipes[p as usize];
+        debug_assert_eq!(
+            self.arena.front_at(pipe),
+            Some(now),
+            "pipe head out of FIFO order"
+        );
+        let pkt = (self.arena.unlink_front(pipe)).expect("arrival on an empty pipe");
+        self.wire_pkts -= 1;
         pkt
     }
 
@@ -129,37 +150,47 @@ impl Net<'_> {
         self.on_arrive(p, pkt, now);
     }
 
-    /// A packet finished crossing port `p`'s link.
-    pub(super) fn on_arrive(&mut self, p: PortId, pkt: Packet, now: SimTime) {
+    /// The packet in slot `pkt` finished crossing port `p`'s link.
+    pub(super) fn on_arrive(&mut self, p: PortId, pkt: PacketSlot, now: SimTime) {
         self.arrive_seen += 1;
         if self.cfg.fault_drop_nth == Some(self.arrive_seen) {
             // Injected driver bug (audit tests only): the packet vanishes
             // without any accounting layer hearing of it.
+            self.arena.take(pkt);
             return;
         }
-        self.audit.arrived(&pkt);
+        self.audit.arrived(self.arena.get(pkt));
         match self.pmap.next_node(p) {
-            NodeRef::Host(h) => self.deliver_to_host(h, pkt, now),
+            NodeRef::Host(h) => {
+                let pkt = self.arena.take(pkt);
+                self.deliver_to_host(h, pkt, now);
+            }
             NodeRef::Switch(sw) => self.forward_at_switch(sw, pkt, now),
         }
     }
 
-    /// Route `pkt` at switch `sw`: descend when the destination sits below
-    /// this switch, otherwise hand the choice to the switch's balancer.
-    fn forward_at_switch(&mut self, sw: u16, pkt: Packet, now: SimTime) {
-        match self.pmap.next_hop(sw as u32, pkt.dst.0) {
+    /// Route the packet in slot `pkt` at switch `sw`: descend when the
+    /// destination sits below this switch, otherwise hand the choice to
+    /// the switch's balancer.
+    fn forward_at_switch(&mut self, sw: u16, pkt: PacketSlot, now: SimTime) {
+        match self.pmap.next_hop(sw as u32, self.arena.get(pkt).dst.0) {
             NextHop::Down(p) => self.enqueue(p, pkt, now),
             NextHop::Up { group } => self.lb_forward(sw, group, pkt, now),
         }
     }
 
     /// One balancer decision at LB switch `sw` toward destination group
-    /// (leaf/edge) `group`: build the (failure-aware) port view and ask
-    /// the switch's balancer. Factored out of [`Net::lb_forward`] so
-    /// hybrid migration routes fluid tails through the exact same hooks —
-    /// TLB/DiffFlow see a migrated flow like any other.
-    pub(super) fn choose_up(&mut self, sw: u16, group: u32, pkt: &Packet, now: SimTime) -> u32 {
+    /// (leaf/edge) `group`: build the (failure-aware) port view and ask the
+    /// switch's balancer, which reads `pkt` where it lies. Factored out of
+    /// [`Net::lb_forward`] so hybrid migration routes fluid tails through
+    /// the exact same hooks — TLB/DiffFlow see a migrated flow like any
+    /// other.
+    pub(super) fn choose_up(&mut self, sw: u16, group: u32, pkt: Probe<'_>, now: SimTime) -> u32 {
         self.m.lb_decisions += 1;
+        let pkt = match pkt {
+            Probe::Parked(slot) => self.arena.get(slot),
+            Probe::Held(pkt) => pkt,
+        };
         let uplinks = &self.ports[self.pmap.up_range(sw as usize)];
         let view = if self.has_failures {
             let row = sw as usize * self.pmap.n_groups();
@@ -173,14 +204,15 @@ impl Net<'_> {
 
     /// LB switch `sw`'s balancer picks among its uplinks toward
     /// destination group (leaf/edge) `group`.
-    fn lb_forward(&mut self, sw: u16, group: u32, pkt: Packet, now: SimTime) {
-        let up = self.choose_up(sw, group, &pkt, now);
+    fn lb_forward(&mut self, sw: u16, group: u32, pkt: PacketSlot, now: SimTime) {
+        let up = self.choose_up(sw, group, Probe::Parked(pkt), now);
         let p = self.pmap.sw_up(sw as u32, up);
         debug_assert!(self.pmap.up_range(sw as usize).contains(&(p as usize)));
         // Fig. 3(a): queue length a short flow's data packet meets at
         // enqueue. Long-flow packets are not sampled — the paper plots no
         // such curve and a per-packet log would grow with bytes carried.
-        if pkt.kind == PktKind::Data && self.rows[pkt.flow.index()].short {
+        let head = self.arena.get(pkt);
+        if head.kind == PktKind::Data && self.rows[head.flow.index()].short {
             let qlen = self.ports[p as usize].len_pkts() as f64;
             self.m.short_qlen.push(qlen);
         }
@@ -262,10 +294,11 @@ mod tests {
 
     #[test]
     fn arena_drains_and_recycles() {
-        // Every in-flight packet parks in the arena, and the slab must
-        // stabilize at the peak in-flight population rather than growing
-        // with the total packet count. `finish_audit` drains the pipes and
-        // debug-asserts the arena empties (exercised via `into_report`
+        // Every packet parks in the arena from emission to delivery, and
+        // the slab must stabilize at the peak population rather than
+        // growing with the total packet count. `finish_audit` releases the
+        // ports, drains the pipes and debug-asserts the arena empties
+        // (exercised via `into_report`
         // below, since the basic preset audits in debug builds).
         let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
         let flows = one_flow(500 * 1460);

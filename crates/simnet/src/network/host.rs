@@ -3,6 +3,7 @@
 //! of each endpoint — where its counters leave the connection slabs.
 
 use super::events::{push_ev, Event};
+use super::portmap::PortId;
 use super::Net;
 use crate::report::Hop;
 use tlb_engine::SimTime;
@@ -40,10 +41,7 @@ impl Net<'_> {
         let (flow, nic) = (fi as u32, self.pmap.host_nic(self.flows[fi].src.0));
         for o in out.drain(..) {
             match o {
-                SenderOutput::Send(pkt) => {
-                    self.audit.emitted(&pkt);
-                    self.enqueue(nic, pkt, now);
-                }
+                SenderOutput::Send(pkt) => self.emit(nic, pkt, now),
                 SenderOutput::ArmTimer { deadline } => {
                     push_ev(&mut self.q, deadline.max(now), Event::Timer { flow });
                     self.timers_live += 1;
@@ -57,6 +55,17 @@ impl Net<'_> {
         self.out_buf = out;
     }
 
+    /// A host hands `pkt` to the fabric through its NIC port `nic`: the
+    /// packet takes the arena slot it keeps until it is delivered or
+    /// dropped.
+    fn emit(&mut self, nic: PortId, pkt: Packet, now: SimTime) {
+        self.audit.emitted(&pkt);
+        let slot = self.arena.insert(pkt);
+        self.enqueue(nic, slot, now);
+    }
+
+    /// `pkt` reached host `h`, out of the arena: its slot was freed on
+    /// arrival.
     pub(super) fn deliver_to_host(&mut self, h: u32, pkt: Packet, now: SimTime) {
         debug_assert_eq!(pkt.dst.0, h, "packet delivered to the wrong host");
         self.audit.delivered(&pkt);
@@ -75,8 +84,7 @@ impl Net<'_> {
                     let slot = row.receiver.unwrap_or_else(|| self.open_receiver(fi, &pkt));
                     self.receivers[slot].on_syn(now)
                 };
-                self.audit.emitted(&synack);
-                self.enqueue(self.pmap.host_nic(h), synack, now);
+                self.emit(self.pmap.host_nic(h), synack, now);
             }
             PktKind::Data => {
                 let (ack, was_ooo, before, after) = if let Some(slot) = row.receiver {
@@ -119,8 +127,7 @@ impl Net<'_> {
                 {
                     self.complete(fi, now);
                 }
-                self.audit.emitted(&ack);
-                self.enqueue(self.pmap.host_nic(h), ack, now);
+                self.emit(self.pmap.host_nic(h), ack, now);
             }
             PktKind::SynAck | PktKind::Ack => {
                 self.drive_sender(fi, now, |s, out| s.on_packet(&pkt, now, out));

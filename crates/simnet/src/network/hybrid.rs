@@ -16,6 +16,7 @@
 //! the schedule every other event sees is unchanged.
 
 use super::events::{push_ev, Event};
+use super::forward::Probe;
 use super::link;
 use super::portmap::{NextHop, NodeRef, PortId};
 use super::Net;
@@ -211,7 +212,7 @@ impl Net<'_> {
             port = match self.pmap.next_hop(sw as u32, spec.dst.0) {
                 NextHop::Down(p) => p,
                 NextHop::Up { group } => {
-                    let up = self.choose_up(sw, group, &probe, now);
+                    let up = self.choose_up(sw, group, Probe::Held(&probe), now);
                     self.pmap.sw_up(sw as u32, up)
                 }
             };

@@ -1,11 +1,13 @@
 //! Link physics, stated once: which [`LinkProps`] a port starts with, what
 //! a [`LinkEvent`] does to them, every state a link reaches over the
 //! configured schedule, and the quantities derived from a link's state
-//! (its in-flight packet bound, the fabric-wide sum, its payload goodput).
+//! (its in-flight packet bound, the fabric-wide sum, the arena's
+//! reservation, its payload goodput).
 
 use super::portmap::{PortId, PortMap, PortRef};
 use crate::config::{LinkEvent, SimConfig};
 use tlb_net::{Fabric, HostId, LinkProps};
+use tlb_switch::OutPort;
 use tlb_transport::TcpConfig;
 
 /// The build-time physics of port `p`'s link. Every directed port takes
@@ -85,6 +87,19 @@ pub(super) fn wire_bound(cfg: &SimConfig, pmap: &PortMap) -> usize {
     let mut total = 0;
     for_each_link_state(cfg, pmap, |_, l| total += in_flight_bound(&cfg.tcp, l));
     total
+}
+
+/// Most packets a `Net` ever parks at once, its arena's one reservation:
+/// the [`wire_bound`] plus, for every port in its table, a full queue and
+/// the packet in service (`capacity_pkts + 1`), plus one — the packet a
+/// host has just emitted, parked before its NIC admits or drops it. (A
+/// packet between two lists otherwise holds a place it just left: the
+/// service slot on its way to the wire, the wire on its way to a queue.)
+/// A shard replica's stub of a port it does not own has capacity 0 and
+/// adds its 1.
+pub(super) fn packet_bound(cfg: &SimConfig, pmap: &PortMap, ports: &[OutPort]) -> usize {
+    let queues: usize = ports.iter().map(|p| p.capacity_pkts() + 1).sum();
+    wire_bound(cfg, pmap) + queues + 1
 }
 
 /// The fluid tier's capacity of a link in state `l`: its payload goodput,

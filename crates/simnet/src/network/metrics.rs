@@ -30,9 +30,9 @@ pub(super) struct Metrics {
     /// FEL pool high-water of the shards folded in so far (the hosting
     /// replica's own queue is read at report time); 0 in a serial run.
     pub fel_nodes_peak: u64,
-    /// Arena high-water marks of the shards folded in so far, summed (the
-    /// hosting replica's own arena is read at report time); 0 in a serial
-    /// run.
+    /// Wire high-water marks (`Net::wire_pkts_peak`) of the shards folded
+    /// in so far, summed (the hosting replica's own is read at report
+    /// time); 0 in a serial run.
     pub wire_pkts_peak: u64,
     /// Connection-slab high-water marks of the shards folded in so far,
     /// senders plus receivers (the hosting replica's own slabs are read at
@@ -242,7 +242,7 @@ impl Net<'_> {
             fel_depth: m.fel_depth,
             fel_bound_peak: m.fel_bound_peak,
             fel_nodes_peak: m.fel_nodes_peak.max(self.q.pool_nodes_peak() as u64),
-            wire_pkts_peak: m.wire_pkts_peak + self.arena.peak_live() as u64,
+            wire_pkts_peak: m.wire_pkts_peak + self.wire_pkts_peak as u64,
             conns_peak: m.conns_peak + (self.senders.peak() + self.receivers.peak()) as u64,
             short_reorder_series: m.short_reorder.means(),
             long_goodput_series: m.long_goodput.rates(),

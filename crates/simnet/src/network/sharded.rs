@@ -5,10 +5,11 @@
 //! per-leaf for leaf-spine fabrics, hosts colocated with their edge/leaf
 //! switch — each a replica of the [`super::Net`] state that touches only
 //! its own entities: its switches' ports, its hosts' senders/receivers,
-//! the links it receives, its slice of the FEL. A replica builds queue
-//! rings only for the ports it owns (the others keep their link props and
-//! admin flag, which every replica's `recompute_reach` reads), its arena
-//! pages in only the packets on its own links, and its connection slabs
+//! the links it receives, its slice of the FEL. A replica reserves arena
+//! slots for the queues of the ports it owns only (the others keep their
+//! link props and admin flag, which every replica's `recompute_reach`
+//! reads, and a capacity of 0), its arena pages in only the packets queued
+//! at its own ports and crossing its own links, and its connection slabs
 //! hold only the endpoints of the flows it hosts while they are open;
 //! what it still duplicates per shard is one `FlowRow` and one FCT record
 //! per flow of the job, the FEL reservation and the metric collectors.
@@ -220,13 +221,14 @@ impl<'a> Net<'a> {
         }
     }
 
-    /// Receive a cross-shard handoff: the packet rides this replica's
-    /// `pipes[port]`, parked in this replica's arena, exactly as
-    /// it would have on a serial engine — the sender owns the port, the
-    /// receiver owns the link's far end and everything scheduled on it.
+    /// Receive a cross-shard handoff: the packet parks in this replica's
+    /// arena and rides its `pipes[port]`, exactly as it would have on a
+    /// serial engine — the sender owns the port, the receiver owns the
+    /// link's far end and everything scheduled on it.
     fn inject_arrival(&mut self, XMsg { port, at, pkt }: XMsg) {
         debug_assert!(self.shard.is_some());
-        self.schedule_arrival(port, at, pkt);
+        let slot = self.arena.insert(pkt);
+        self.schedule_arrival(port, at, slot);
     }
 
     /// Distinct segments of flow `fi` that have not reached its receiver
@@ -244,7 +246,9 @@ impl<'a> Net<'a> {
 
     /// Fold one shard replica into this one (the coordinator folds every
     /// shard into shard 0, then reports from the result). Ports and
-    /// balancers move wholesale to their owner; the other replica's open
+    /// balancers move wholesale to their owner, a port's queued and
+    /// in-service packets re-parked in this replica's arena; the other
+    /// replica's open
     /// endpoints close where they are, as the serial engine's would at the
     /// end of the run, folding into its counters and ledger; counters add;
     /// the clocks join on the latest. Per the ownership partition every
@@ -258,6 +262,7 @@ impl<'a> Net<'a> {
         debug_assert!(octx.outbox.is_empty(), "unrouted cross-shard messages");
         for pi in 0..self.ports.len() {
             if map.port_owner[pi] == oid {
+                other.ports[pi].rehome(&mut other.arena, &mut self.arena);
                 std::mem::swap(&mut self.ports[pi], &mut other.ports[pi]);
                 self.link_fifo[pi] = other.link_fifo[pi];
             }
@@ -273,12 +278,13 @@ impl<'a> Net<'a> {
         self.arrive_seen += other.arrive_seen;
         self.audit.absorb(&other.audit);
         // What is still crossing the links the other shard receives feeds
-        // the merged ledger here; queued/in-service residuals ride the
-        // moved ports, scanned later by `finish_audit`.
+        // the merged ledger here — all its arena still holds; queued and
+        // in-service residuals rode the moved ports into this one's,
+        // scanned later by `finish_audit`.
         other.drain_pipes(&mut self.audit);
         self.m.absorb(other.m);
         self.m.fel_nodes_peak = self.m.fel_nodes_peak.max(other.q.pool_nodes_peak() as u64);
-        self.m.wire_pkts_peak += other.arena.peak_live() as u64;
+        self.m.wire_pkts_peak += other.wire_pkts_peak as u64;
         self.m.conns_peak += (other.senders.peak() + other.receivers.peak()) as u64;
         self.q
             .absorb_monotonicity_violations(other.q.monotonicity_violations());
@@ -878,6 +884,49 @@ mod tests {
                 .map(|n| Watch::new(&n.lock().unwrap(), &arrivals).candidates.len())
                 .sum();
             assert_eq!(n, watched, "c + {extra} segments");
+        }
+    }
+
+    /// The arena's reservation is the wire bound plus a full queue and a
+    /// packet in service for every port a `Net` holds — NICs at the host
+    /// queue's capacity, switch ports at the switch queue's, and, on a
+    /// shard replica, 1 for each stub of a port another shard owns — plus
+    /// the one packet a host holds before its NIC admits it.
+    #[test]
+    fn the_arena_reserves_the_wire_and_every_owned_queue() {
+        let leaf_spine = SimConfig::basic_paper(Scheme::Ecmp);
+        let mut fat_tree = SimConfig::basic_paper(Scheme::Ecmp);
+        fat_tree.topo = tlb_net::FatTreeBuilder::new(4).build();
+        for cfg in [leaf_spine, fat_tree] {
+            let flows = one_flow(&cfg, 1);
+            let pmap = PortMap::new(&cfg.topo);
+            let queue = |p: u32| match pmap.decode(p) {
+                super::super::portmap::PortRef::HostNic(_) => cfg.host_queue.capacity_pkts,
+                _ => cfg.queue.capacity_pkts,
+            };
+            let ports = || 0..pmap.n_ports() as u32;
+            let wire = link::wire_bound(&cfg, &pmap);
+            let serial = Net::build(&cfg, &flows, vec![None], None);
+            let every: usize = ports().map(|p| queue(p) + 1).sum();
+            assert_eq!(
+                link::packet_bound(&cfg, &pmap, &serial.ports),
+                wire + every + 1
+            );
+
+            let map = Arc::new(ShardMap::new(&pmap));
+            let nets = build_replicas(&cfg, &flows, &[None], map.clone());
+            assert!(nets.len() > 1);
+            for (id, net) in nets.iter().enumerate() {
+                let owned = |p: &u32| map.port_owner[*p as usize] == id as u16;
+                let own: usize = ports().filter(owned).map(|p| queue(p) + 1).sum();
+                let stubs = ports().filter(|p| !owned(p)).count();
+                let net = net.lock().unwrap();
+                assert_eq!(
+                    link::packet_bound(&cfg, &pmap, &net.ports),
+                    wire + own + stubs + 1,
+                    "shard {id}"
+                );
+            }
         }
     }
 

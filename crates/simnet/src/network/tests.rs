@@ -167,12 +167,14 @@ fn high_bdp_job(link_events: Vec<crate::config::LinkEvent>) -> (crate::SimConfig
 
 #[test]
 fn the_wire_follows_what_is_live() {
-    // A packet between a serializer and its arrival is in the arena and
-    // nowhere else: the slab never outgrows the one reservation made at
-    // build, and closing the audit counts every parked packet once and
-    // leaves every pipe and the arena empty. The second schedule stretches
-    // a busy uplink's delay fivefold mid-run — its in-flight ceiling rises
-    // under packets already on the wire.
+    // A packet is in the arena from emission to delivery — queued,
+    // serializing or crossing a link — and on a link's pipe exactly while
+    // it crosses: the slab never outgrows the one reservation made at
+    // build, `wire_pkts_peak` counts the pipes only, and closing the audit
+    // counts every parked packet once and leaves the ports, every pipe and
+    // the arena empty. The second schedule stretches a busy uplink's delay
+    // fivefold mid-run — its in-flight ceiling rises under packets already
+    // on the wire.
     let stretch = crate::config::LinkEvent {
         at: SimTime::from_millis(30),
         leaf: LeafId(0),
@@ -184,19 +186,33 @@ fn the_wire_follows_what_is_live() {
     for link_events in [vec![], vec![stretch]] {
         let (cfg, flows) = high_bdp_job(link_events);
         let mut net = Net::build(&cfg, &flows, vec![None; flows.len()], None);
-        let reserved = link::wire_bound(&cfg, &net.pmap);
+        let reserved = link::packet_bound(&cfg, &net.pmap, &net.ports);
         net.run_loop();
-        let residual = net.arena.live();
-        assert!(residual > 0, "the horizon cut nothing off");
+        let on_wire = net.wire_pkts;
+        assert!(on_wire > 0, "the horizon cut nothing off");
+        let queued: usize = (net.ports.iter())
+            .map(|p| p.len_pkts() + p.in_service() as usize)
+            .sum();
+        assert_eq!(net.arena.live(), on_wire + queued);
         assert!(
             net.arena.slots_allocated() <= reserved,
             "{} arena slots against {reserved} reserved",
             net.arena.slots_allocated()
         );
+        // The wire's high-water mark is the pipes', within the wire's own
+        // bound; the arena's also counts what waited at the ports.
+        assert!(net.wire_pkts_peak >= on_wire);
+        assert!(net.wire_pkts_peak <= link::wire_bound(&cfg, &net.pmap));
+        assert!(net.arena.peak_live() > net.wire_pkts_peak);
         let audit = net.finish_audit().expect("the audit is on");
         let propagating: u64 = audit.kinds.iter().map(|k| k.propagating_at_end).sum();
-        assert_eq!(propagating, residual as u64);
+        assert_eq!(propagating, on_wire as u64);
+        let held: u64 = (audit.kinds.iter())
+            .map(|k| k.queued_at_end + k.in_service_at_end)
+            .sum();
+        assert_eq!(held, queued as u64);
         assert!(net.pipes.iter().all(|pipe| pipe.is_empty()));
+        assert!(net.ports.iter().all(|p| p.is_idle()));
         assert!(net.arena.is_empty());
     }
 }

@@ -236,11 +236,11 @@ pub struct RunReport {
     /// resident working set, whatever capacity was reserved. The largest
     /// shard's under the sharded engine; not part of any digest.
     pub fel_nodes_peak: u64,
-    /// High-water mark of packets crossing links at once
-    /// ([`tlb_net::PacketArena::peak_live`]): how full the wire got, and
-    /// how much of the arena's reservation the run ever touched. Under the
-    /// sharded engine, the sum of the shards' own high-water marks, each
-    /// over the links it receives; not part of any digest.
+    /// High-water mark of packets crossing links at once, counted on the
+    /// link pipes: how full the wire got. (The packet arena also holds what
+    /// waits at the ports, so its own high-water mark is at least this.)
+    /// Under the sharded engine, the sum of the shards' own high-water
+    /// marks, each over the links it receives; not part of any digest.
     pub wire_pkts_peak: u64,
     /// High-water mark of open connections: the connection-slab slots the
     /// run ever touched, senders plus receivers — how much per-flow

@@ -72,12 +72,13 @@ fn k16_hybrid_smoke_migrates_and_completes() {
 }
 
 /// Resident memory follows what is live, not what is reserved (Linux only:
-/// it reads `VmHWM`). The k=16 fabric reserves ≈ 130 MB of port rings
-/// (5,120 switch ports × 256 packets, 1,024 NICs × 2,048) and one arena
-/// slab for the sum of its 6,144 links' in-flight bounds; a run may page
-/// in only the ring slots a backlog actually reached, as many arena slots
-/// as packets were ever on the wire at once, and an FEL pool as deep as
-/// the wheel ever got. Links own no storage, so an idle one costs nothing.
+/// it reads `VmHWM`). The k=16 fabric reserves one packet arena for the
+/// sum of its 6,144 links' in-flight bounds and a full queue plus the
+/// packet in service at each of its ports (5,120 switch ports × 257,
+/// 1,024 NICs × 2,049: ≈ 3.4 M slots, 218 MB of address space); a run may
+/// page in only as many 64-byte slots as packets were ever queued or on
+/// the wire at once, and an FEL pool as deep as the wheel ever got. Ports
+/// and links own no packet storage, so an idle one costs nothing.
 #[cfg(target_os = "linux")]
 mod resident_memory {
     use super::*;
@@ -94,6 +95,7 @@ mod resident_memory {
     }
 
     const PROBE_TAG: &str = "VmHWM growth KiB:";
+    const DIGEST_TAG: &str = "digest:";
 
     /// Build and run one job with the audit off (its ledger is test
     /// bookkeeping; the gates are about the production path) and print how
@@ -107,6 +109,7 @@ mod resident_memory {
         let r = Simulation::new(cfg, flows).run();
         assert_eq!(r.completed, r.total_flows, "{name} stranded flows");
         println!("{name} {PROBE_TAG} {}", vm_hwm_kib() - before);
+        println!("{name} {DIGEST_TAG} {}", r.digest());
     }
 
     /// [`probe_run`] on one web-search job under `cfg`'s scheme.
@@ -127,8 +130,8 @@ mod resident_memory {
     }
 
     /// Run `resident_memory::<probe>` in a process of its own and read the
-    /// growth it printed.
-    fn growth_kib(probe: &str) -> u64 {
+    /// growth and the run digest it printed.
+    fn run_probe(probe: &str) -> (u64, String) {
         let out = Command::new(std::env::current_exe().expect("test binary path"))
             .args([
                 "--exact",
@@ -140,13 +143,21 @@ mod resident_memory {
             .expect("probe spawns");
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(out.status.success(), "{probe} failed: {text}");
-        text.lines()
-            .find_map(|l| l.split_once(PROBE_TAG))
-            .unwrap_or_else(|| panic!("no probe line in {text}"))
-            .1
-            .trim()
-            .parse()
-            .expect("a KiB count")
+        let field = |tag: &str| {
+            text.lines()
+                .find_map(|l| l.split_once(tag))
+                .unwrap_or_else(|| panic!("no {tag} line in {text}"))
+                .1
+                .trim()
+                .to_string()
+        };
+        let growth = field(PROBE_TAG).parse().expect("a KiB count");
+        (growth, field(DIGEST_TAG))
+    }
+
+    /// [`run_probe`]'s growth alone.
+    fn growth_kib(probe: &str) -> u64 {
+        run_probe(probe).0
     }
 
     /// The k=16 job: load 0.5, 5 ms of arrivals — 294 flows, 5.2 M events,
@@ -157,13 +168,15 @@ mod resident_memory {
         probe_job("k16", k16_cfg(Scheme::tlb_default()), 0.5, 5, 16);
     }
 
-    /// 1.25 × the 32,712 KiB this job grows by now that a flow's endpoints
-    /// exist only while its connection is open. With a sender and a
-    /// receiver slot for every flow of the job it grew by 33,116 KiB;
-    /// with a per-packet log of long-flow data, by 36,884 KiB; with a ring
-    /// per link, by 46,356 KiB (one touched page per ring, 6,144 of them);
-    /// before rings re-based on drain, by 104,256 KiB.
-    const CEILING_KIB: u64 = 40_890;
+    /// 1.25 × the 2,228 KiB this job grows by (the highest of five
+    /// readings, 1,996–2,228) now that a packet takes one arena slot from
+    /// its host's NIC to the receiving host. With a ring per port it grew
+    /// by 32,712 KiB (at least one touched page per ring, 6,144 of them);
+    /// with a sender and a receiver slot for every flow of the job as
+    /// well, by 33,116 KiB; with a per-packet log of long-flow data, by
+    /// 36,884 KiB; with a ring per link too, by 46,356 KiB; before rings
+    /// re-based on drain, by 104,256 KiB.
+    const CEILING_KIB: u64 = 2_785;
 
     #[test]
     fn k16_resident_memory_stays_under_its_ceiling() {
@@ -183,7 +196,8 @@ mod resident_memory {
     }
 
     #[test]
-    #[ignore = "run by sharded_replicas_stay_near_serial, in a process of its own"]
+    #[ignore = "run by sharded_replicas_stay_near_serial and growth_does_not_follow_queue_capacity, \
+                in a process of its own"]
     fn leafspine_serial_probe() {
         leafspine_probe("leaf-spine serial", EngineKind::Serial);
     }
@@ -197,18 +211,21 @@ mod resident_memory {
         );
     }
 
-    /// 1.25 × the 9,023 KiB the serial leaf-spine job grows by (9,996
-    /// KiB while every flow kept its endpoint slots to the end of the run).
-    const LEAFSPINE_SERIAL_CEILING_KIB: u64 = 11_279;
-    /// 1.25 × the 3,896 KiB two workers' eight replicas add to that. It
-    /// read 13,760 KiB while every replica built a sender and a receiver
-    /// slot for each of the job's 3,125 flows (≈ 11 MB of it).
+    /// 1.25 × the 2,536 KiB the serial leaf-spine job grows by (the
+    /// highest of five readings, 2,312–2,536; 9,023 KiB while every port
+    /// kept a ring of its own; 9,996 KiB while every flow also kept its
+    /// endpoint slots to the end of the run).
+    const LEAFSPINE_SERIAL_CEILING_KIB: u64 = 3_170;
+    /// 1.25 × the 3,896 KiB two workers' eight replicas added to that when
+    /// this ceiling was cut (3,940–3,980 KiB now). It read 13,760 KiB while
+    /// every replica built a sender and a receiver slot for each of the
+    /// job's 3,125 flows (≈ 11 MB of it).
     const REPLICA_OVERHEAD_CEILING_KIB: u64 = 4_870;
 
-    /// Eight shard replicas may not cost eight fabrics: a replica builds
-    /// rings only for the ports it owns, parks only the packets on the
-    /// links it receives, and holds endpoints only for the connections it
-    /// hosts while they are open. What it still duplicates is the overhead
+    /// Eight shard replicas may not cost eight fabrics: a replica reserves
+    /// queue slots only for the ports it owns, parks only the packets
+    /// queued there and crossing the links it receives, and holds
+    /// endpoints only for the connections it hosts while they are open. What it still duplicates is the overhead
     /// gated here, `sharded − serial`: each replica's per-flow FCT records
     /// (≈ 56 B × 3,125, once a flow starts or completes there) and 16-byte
     /// flow rows, then the FEL and metric-collector reservations each
@@ -230,6 +247,33 @@ mod resident_memory {
              {LEAFSPINE_SERIAL_CEILING_KIB}) and by {sharded} KiB on the sharded one: {:.2} × \
              serial, replica overhead {overhead} KiB (ceiling {REPLICA_OVERHEAD_CEILING_KIB})",
             sharded as f64 / serial as f64
+        );
+    }
+
+    #[test]
+    #[ignore = "run by growth_does_not_follow_queue_capacity, in a process of its own"]
+    fn queue_8x_probe() {
+        let mut cfg = SimConfig::large_scale(Scheme::tlb_default(), 32);
+        cfg.engine = EngineKind::Serial;
+        cfg.queue.capacity_pkts *= 8;
+        cfg.host_queue.capacity_pkts *= 8;
+        probe_job("leaf-spine, 8x queues", cfg, 0.7, 150, 1);
+    }
+
+    /// Memory follows the packets a fabric holds, not the queue room it
+    /// was configured with: the serial leaf-spine job with every switch
+    /// and NIC queue eight times deeper (2,048 and 16,384 packets) never
+    /// fills the extra room — the digest is the same — and may move peak
+    /// RSS only by noise. Queue room is address space, not pages; with a
+    /// ring per port the 8× job grew by 22,020 KiB against 9,092.
+    #[test]
+    fn growth_does_not_follow_queue_capacity() {
+        let (small, d1) = run_probe("leafspine_serial_probe");
+        let (large, d8) = run_probe("queue_8x_probe");
+        assert_eq!(d1, d8, "eight times the queue room changed the run");
+        assert!(
+            large.abs_diff(small) <= 512,
+            "8× queues grew peak RSS by {large} KiB, 1× by {small}"
         );
     }
 
@@ -331,7 +375,7 @@ mod resident_memory {
     /// What a run records is bounded by flows, fabric and horizon ÷ bucket,
     /// never by bytes carried: five times the bytes over the same flows
     /// may move peak RSS only by noise (a deeper FEL sample log at 8 B per
-    /// 4,096 events, a few more touched ring pages). One `f64` logged per
+    /// 4,096 events, a few more touched arena slots). One `f64` logged per
     /// long-flow packet — what `long_qlen` was — is 1.75 MB here.
     #[test]
     fn growth_does_not_follow_bytes_carried() {
