@@ -127,7 +127,7 @@ pub fn run_scenario_checked_hybrid(raw: RawScenario) -> Result<(), String> {
 
     let mut cfg = built.cfg.clone();
     cfg.fidelity = tlb_simnet::FidelityKind::Hybrid;
-    let hybrid = tlb_simnet::run_one(cfg, built.flows.clone());
+    let hybrid = tlb_simnet::run_one_ref(&cfg, &built.flows);
     check_report_with(&built, &hybrid, OracleSet::for_hybrid())?;
 
     let mut violations: Vec<String> = Vec::new();

@@ -185,7 +185,7 @@ mod tests {
 
     fn run(raw: crate::RawScenario) -> (BuiltScenario, RunReport) {
         let b = Scenario::from_raw(raw).build();
-        let r = tlb_simnet::run_one(b.cfg.clone(), b.flows.clone());
+        let r = tlb_simnet::run_one_ref(&b.cfg, &b.flows);
         (b, r)
     }
 
@@ -270,7 +270,7 @@ mod tests {
         b.cfg.trace_flows = vec![FlowId(0)];
         b.bound = crate::scenario::bound_fabric(&b.pristine, &b.cfg.link_events);
 
-        let r = tlb_simnet::run_one(b.cfg.clone(), b.flows.clone());
+        let r = tlb_simnet::run_one_ref(&b.cfg, &b.flows);
         // With the schedule-aware bound the run is clean...
         check_report(&b, &r).unwrap();
         // ...but the old pristine-fabric bound (the pre-fix behavior)

@@ -268,6 +268,13 @@ impl PacketArena {
         (!list.is_empty()).then(|| self.slots[list.head as usize].at)
     }
 
+    /// The time `list` attached to its newest packet (a wire's: the latest
+    /// arrival already scheduled on it).
+    #[inline]
+    pub fn back_at(&self, list: &PacketFifo) -> Option<SimTime> {
+        (!list.is_empty()).then(|| self.slots[list.tail as usize].at)
+    }
+
     /// Take `list`'s oldest packet and its time, freeing the slot.
     #[inline]
     pub fn pop_front(&mut self, list: &mut PacketFifo) -> Option<(SimTime, Packet)> {
@@ -492,8 +499,9 @@ mod tests {
         /// Random `insert`+`link_back` / `pop_front` / `drain` over 1–8
         /// FIFOs sharing one arena, interleaved with plain `insert` /
         /// `take`, against a `VecDeque` per FIFO: same pop streams, same
-        /// heads, `live()` is the model's size, the slab never outgrows peak
-        /// occupancy, and a handle kept past its `pop_front` is stale.
+        /// head and tail times, `live()` is the model's size, the slab
+        /// never outgrows peak occupancy, and a handle kept past its
+        /// `pop_front` is stale.
         #[test]
         fn prop_fifos_match_vecdeque_model(
             n_lists in 1usize..9,
@@ -537,6 +545,7 @@ mod tests {
                 for (list, m) in lists.iter().zip(&model) {
                     prop_assert_eq!(list.is_empty(), m.is_empty());
                     prop_assert_eq!(a.front_at(list), m.front().map(|e| e.0));
+                    prop_assert_eq!(a.back_at(list), m.back().map(|e| e.0));
                 }
                 let parked = model.iter().map(VecDeque::len).sum::<usize>() + loose.len();
                 prop_assert_eq!(a.live(), parked);
@@ -606,6 +615,7 @@ mod tests {
                     let want: Vec<u32> = m.iter().map(|e| e.1).collect();
                     prop_assert_eq!(got, want);
                     prop_assert_eq!(a.front_at(list), m.front().map(|e| e.0));
+                    prop_assert_eq!(a.back_at(list), m.back().map(|e| e.0));
                 }
                 prop_assert_eq!(a.live(), model.iter().map(VecDeque::len).sum::<usize>());
             }

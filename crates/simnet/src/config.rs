@@ -120,12 +120,6 @@ pub struct SimConfig {
     /// (therefore in `cargo test` and every tier-1 run) and disable it in
     /// release figure runs so benchmarks are unaffected.
     pub audit: bool,
-    /// Fault injection for audit tests: silently discard the Nth arrival
-    /// event (1-based) *without* telling any accounting layer — the kind
-    /// of driver bug the audit exists to catch. `None` (always, outside
-    /// audit tests) disables it.
-    #[doc(hidden)]
-    pub fault_drop_nth: Option<u64>,
     /// Vestigial: the future-event list is always the calendar queue and
     /// nothing reads this field. It stays only because the benchmark
     /// harness still assigns it; it goes with that assignment.
@@ -225,7 +219,6 @@ impl SimConfig {
             trace_flows: Vec::new(),
             sample_queues: false,
             audit: cfg!(debug_assertions),
-            fault_drop_nth: None,
             fel: FelKind::Calendar,
             lb_dispatch: LbDispatch::Enum,
             delivery: DeliveryKind::Pipelined,

@@ -13,13 +13,13 @@
 //! | `portmap` | the port layout over the fabric's `tlb_net::Shape` (which owns the wiring and the climb-then-descend rule): port ids, `next_hop` in port ids, reach masks, port labels/hops, the shard partition | every module; none of them knows which fabric it is |
 //! | `events` | the event vocabulary and its `(class, entity)` FEL ordering key | every module that pushes or pops the FEL |
 //! | `link` | link physics: a port's props, what a `LinkEvent` does to them, every state a link reaches, the in-flight bound, payload capacity | build, `admin`, `hybrid`, `sharded` |
-//! | `forward` | the per-packet switch path: admission, serialization, delivery pipes, the balancer decision, LB ticks | the event loop, `host`, `hybrid` (`choose_up`) |
+//! | `forward` | the per-packet switch path: admission, serialization, delivery pipes and their FIFO floor (the pipe's tail), the balancer decision, LB ticks | the event loop, `host`, `hybrid` (`choose_up`), `sharded` (`schedule_arrival`) |
 //! | `host` | the endpoints: flow start, timers, sender outputs, receiver delivery, completion | the event loop, `forward`, `hybrid` |
 //! | `admin` | scheduled link changes and failures, routing reconvergence | the event loop, on the serial engine and on every shard replica alike |
 //! | `hybrid` | the fluid seam: migration, the completion heap and its one `FluidDone` timer, demotion — `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
 //! | `metrics` | the metric collectors, their build-time sizing, the shard fold and [`crate::RunReport`] assembly | the packet path writes them; `run_with`/`sharded` finish them |
 //! | `finish` | closing the conservation audit, counting what is still on the wire | `metrics` (`into_report`), `sharded` (the fold) |
-//! | `sharded` | the conservative multi-core engine over `Net` replicas | `run_with` |
+//! | `sharded` | the conservative multi-core engine over `Net` replicas: the partition, each replica's `ShardCtx` (its outbox and blocker watch), the window protocol and its four refusals | `run_with` |
 //!
 //! ## Failures
 //!
@@ -75,7 +75,7 @@ use crate::report::{AllocAudit, RunReport};
 use events::{push_ev, Event, KEY_ENTITY_BITS};
 use portmap::{PortMap, PortRef};
 use slab::{Slab, SlabSlot};
-use tlb_engine::{alloc_audit, EventQueue, SimRng, SimTime};
+use tlb_engine::{alloc_audit, EventQueue, SimRng};
 use tlb_net::{PacketArena, PacketFifo};
 use tlb_switch::{LoadBalancer, OutPort, QueueCfg};
 use tlb_transport::{SenderOutput, TcpReceiver, TcpSender};
@@ -281,12 +281,6 @@ struct Net<'a> {
     /// Per-(LB switch, destination group) usable-uplink masks, indexed
     /// `sw * pmap.n_groups() + group`. Empty unless `has_failures`.
     reach: Vec<u64>,
-    /// Per-port FIFO floor: the latest arrival time already scheduled on
-    /// each link. A mid-run propagation-delay *decrease* would otherwise
-    /// let later packets overtake earlier ones on the same wire — links
-    /// are FIFO, so arrivals clamp to this floor (a no-op whenever a
-    /// link's delay never shrinks, which keeps legacy runs bit-identical).
-    link_fifo: Vec<SimTime>,
     /// One row per flow of the job.
     rows: Vec<FlowRow>,
     /// The open connections' endpoints, each slab reserved at build for the
@@ -324,8 +318,11 @@ struct Net<'a> {
     /// FEL.
     misc_pending: u64,
     events: u64,
-    /// Arrival events seen, for [`SimConfig::fault_drop_nth`].
-    arrive_seen: u64,
+    /// Unit-test fault injection: the arrival this many arrivals from now
+    /// vanishes without any accounting layer hearing of it — the
+    /// simulator bug the conservation audit exists to catch.
+    #[cfg(test)]
+    lose_arrival: Option<u64>,
     /// Ordering key of the event currently dispatching (trace tagging).
     cur_key: u32,
     /// Everything the run measures (see [`metrics`]).
@@ -440,9 +437,9 @@ impl<'a> Net<'a> {
             timers_live: 0,
             misc_pending: 0,
             events: 0,
-            link_fifo: vec![SimTime::ZERO; n_ports],
             audit: AuditLedger::new(cfg.audit),
-            arrive_seen: 0,
+            #[cfg(test)]
+            lose_arrival: None,
             cur_key: 0,
             shard,
             cfg,

@@ -86,10 +86,7 @@ impl Net<'_> {
         if more {
             self.start_tx(p, now);
         }
-        // FIFO wire: never arrive before a packet that entered the link
-        // earlier (matters only after a prop-delay-shrinking LinkEvent).
-        let at = (now + prop).max(self.link_fifo[pi]);
-        self.link_fifo[pi] = at;
+        let at = now + prop;
         match self.shard.as_mut() {
             // The next hop lives in another shard: hand the packet off,
             // out of this replica's arena; the owner parks it in its own
@@ -106,8 +103,14 @@ impl Net<'_> {
     /// The one place an arrival meets the FEL: the packet in slot `pkt`
     /// finishes crossing port `p`'s link at `at`. Runs on the engine that
     /// owns the link's far end — the transmitting port's own in a serial
-    /// run, the receiving shard's for a cross-shard handoff — with `at`
-    /// non-decreasing per port (`link_fifo`).
+    /// run, the receiving shard's for a cross-shard handoff or a tail
+    /// merge.
+    ///
+    /// The wire is FIFO: `at` clamps to the arrival at the back of
+    /// `pipes[p]`, so a packet never arrives before one that entered the
+    /// link earlier (that matters only after a `LinkEvent` shrank the
+    /// link's delay). An empty pipe's last arrival already happened, at or
+    /// before now, so there is nothing to clamp to.
     ///
     /// The slot is linked at the back of `pipes[p]`. Only an empty pipe
     /// arms `Deliver(p)`; successors chain when it pops. At most one
@@ -118,6 +121,7 @@ impl Net<'_> {
     pub(super) fn schedule_arrival(&mut self, p: PortId, at: SimTime, pkt: PacketSlot) {
         let pipe = &mut self.pipes[p as usize];
         let was_empty = pipe.is_empty();
+        let at = self.arena.back_at(pipe).map_or(at, |back| at.max(back));
         self.arena.link_back(pipe, pkt, at);
         self.wire_pkts += 1;
         self.wire_pkts_peak = self.wire_pkts_peak.max(self.wire_pkts);
@@ -152,12 +156,14 @@ impl Net<'_> {
 
     /// The packet in slot `pkt` finished crossing port `p`'s link.
     pub(super) fn on_arrive(&mut self, p: PortId, pkt: PacketSlot, now: SimTime) {
-        self.arrive_seen += 1;
-        if self.cfg.fault_drop_nth == Some(self.arrive_seen) {
-            // Injected driver bug (audit tests only): the packet vanishes
-            // without any accounting layer hearing of it.
-            self.arena.take(pkt);
-            return;
+        #[cfg(test)]
+        if let Some(n) = &mut self.lose_arrival {
+            *n -= 1;
+            if *n == 0 {
+                self.lose_arrival = None;
+                self.arena.take(pkt);
+                return;
+            }
         }
         self.audit.arrived(self.arena.get(pkt));
         match self.pmap.next_node(p) {

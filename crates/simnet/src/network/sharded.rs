@@ -20,10 +20,11 @@
 //! executes at time `t` can only influence another shard at `t + Δ` or
 //! later, so every shard may freely run `[T, T + Δ)` where `T` is the
 //! global minimum pending timestamp. Cross-shard packets travel as
-//! [`XMsg`] handoffs through per-shard inboxes; each inbox also carries
-//! its earliest pending timestamp, which the coordinator folds into `T`
-//! (the null-message horizon update of classic conservative PDES, carried
-//! on the data path).
+//! [`XMsg`] handoffs through per-shard inboxes; between windows the
+//! coordinator folds the earliest within-horizon arrival parked in each
+//! inbox into `T` (the null-message horizon update of classic
+//! conservative PDES, carried on the data path), reading the messages
+//! themselves under the inbox's lock.
 //!
 //! ## Why the merged schedule is bit-identical to the serial engine
 //!
@@ -98,7 +99,8 @@
 //! per new distinct segment), so "is a blocker" is monotone: a flow that
 //! stops being one never becomes one again, which is what lets each shard
 //! keep a cursor over its candidates instead of rescanning (see
-//! [`Watch`]).
+//! [`Watch`], which each replica keeps in its [`ShardCtx`] and advances
+//! only while it holds its own `Net`).
 //!
 //! Each shard publishes its blocker bit with its next timestamp and
 //! completion count after every window: the bit describes the state at
@@ -115,25 +117,26 @@
 //!
 //! ## What the sharded engine refuses (and falls back to serial on)
 //!
-//! Each precondition of the partition is a
+//! Each of the four preconditions of the partition is a
 //! [`crate::report::FallbackReason`]: hybrid fidelity (a fluid flow's
 //! rate reads links in several shards), closed-loop chains (a completion
 //! on one shard would have to start a flow on another at the same
-//! instant), `fault_drop_nth` (a fabric-wide arrival counter),
-//! single-shard topologies and zero lookahead. [`try_run`] returns the
-//! reason, [`super::run_with`] runs the serial engine — the digest
-//! reference anyway — and records it in
+//! instant), single-shard topologies and zero lookahead. [`try_run`]
+//! returns the reason, [`super::run_with`] runs the serial engine — the
+//! digest reference anyway — and records it in
 //! [`crate::report::RunReport::engine_fallback`], which `tlb-sim` prints.
 
 use super::link;
 use super::portmap::{NodeRef, PortId, PortMap};
-use super::Net;
+use super::slab::Slab;
+use super::{FlowRow, Net};
 use crate::config::{FidelityKind, SimConfig};
 use crate::report::FallbackReason;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tlb_engine::{SimTime, SpinBarrier};
 use tlb_net::Packet;
+use tlb_transport::TcpReceiver;
 use tlb_workload::FlowSpec;
 
 /// Which shard owns each entity, plus the derived per-port tables. Built
@@ -189,6 +192,8 @@ pub(crate) struct ShardCtx {
     /// Cross-shard handoffs produced by this shard's events, drained and
     /// routed after every window (or every tail event).
     pub outbox: Vec<XMsg>,
+    /// This shard's side of conjunct 3 of the tail rule.
+    watch: Watch,
 }
 
 impl ShardCtx {
@@ -231,17 +236,24 @@ impl<'a> Net<'a> {
         self.schedule_arrival(port, at, slot);
     }
 
-    /// Distinct segments of flow `fi` that have not reached its receiver
-    /// yet: all of them before its receiver opens, none once the flow
-    /// completed (and the receiver closed).
-    fn missing_segs(&self, fi: usize) -> u32 {
-        let row = &self.rows[fi];
-        let got = match row.receiver {
-            Some(r) => self.receivers[r].delivered_segs() + self.receivers[r].buffered() as u32,
-            None if row.completed => row.total_segs,
-            None => 0,
-        };
-        row.total_segs - got
+    /// Whether some flow received on this shard cannot complete within
+    /// one window from the current state. O(1) while the watch's cached
+    /// witness still blocks; when it drains the cursor moves on and —
+    /// blockers being monotone — never returns, so a whole run scans each
+    /// candidate once.
+    fn has_blocker(&mut self) -> bool {
+        let Net {
+            shard,
+            rows,
+            receivers,
+            ..
+        } = self;
+        let w = &mut shard.as_mut().expect("sharded net without ctx").watch;
+        w.witness += w.candidates[w.witness..]
+            .iter()
+            .take_while(|&&(flow, c)| missing_segs(&rows[flow as usize], receivers) <= c)
+            .count();
+        w.witness < w.candidates.len()
     }
 
     /// Fold one shard replica into this one (the coordinator folds every
@@ -264,7 +276,6 @@ impl<'a> Net<'a> {
             if map.port_owner[pi] == oid {
                 other.ports[pi].rehome(&mut other.arena, &mut self.arena);
                 std::mem::swap(&mut self.ports[pi], &mut other.ports[pi]);
-                self.link_fifo[pi] = other.link_fifo[pi];
             }
         }
         for l in 0..self.lb_sws.len() {
@@ -275,7 +286,6 @@ impl<'a> Net<'a> {
         other.close_open_endpoints();
         self.n_completed += other.n_completed;
         self.events += other.events;
-        self.arrive_seen += other.arrive_seen;
         self.audit.absorb(&other.audit);
         // What is still crossing the links the other shard receives feeds
         // the merged ledger here — all its arena still holds; queued and
@@ -292,18 +302,26 @@ impl<'a> Net<'a> {
     }
 }
 
-/// A shard's mailbox: messages other shards routed to it, plus the
-/// earliest pending within-horizon timestamp (`u64::MAX` when none) —
-/// folded into the coordinator's global minimum so in-flight handoffs
-/// keep the clock honest (the null-message role).
-struct Inbox {
-    msgs: Vec<XMsg>,
-    min_at: u64,
+/// Distinct segments of the flow in `row` that have not reached its
+/// receiver yet: all of them before its receiver opens, none once the
+/// flow completed (and the receiver closed).
+fn missing_segs(row: &FlowRow, receivers: &Slab<TcpReceiver>) -> u32 {
+    let got = match row.receiver {
+        Some(r) => receivers[r].delivered_segs() + receivers[r].buffered() as u32,
+        None if row.completed => row.total_segs,
+        None => 0,
+    };
+    row.total_segs - got
 }
+
+/// A shard's mailbox: the handoffs other shards routed to it, in each
+/// port's send order.
+type Inbox = Mutex<Vec<XMsg>>;
 
 /// One shard's side of conjunct 3 of the tail rule (module docs): the
 /// flows it receives that could block the tail, and which of them still
 /// does.
+#[derive(Default)]
 struct Watch {
     /// `(flow, c_dst)` for every flow whose receiving host the shard owns
     /// and whose segment count exceeds that host's per-window arrival
@@ -328,19 +346,6 @@ impl Watch {
             candidates,
             witness: 0,
         }
-    }
-
-    /// Whether some flow received on `net`'s shard cannot complete within
-    /// one window from the current state. O(1) while the cached witness
-    /// still blocks; when it drains the cursor moves on and — blockers
-    /// being monotone — never returns, so a whole run scans each candidate
-    /// once.
-    fn has_blocker(&mut self, net: &Net) -> bool {
-        self.witness += self.candidates[self.witness..]
-            .iter()
-            .take_while(|&&(flow, c)| net.missing_segs(flow as usize) <= c)
-            .count();
-        self.witness < self.candidates.len()
     }
 }
 
@@ -371,9 +376,6 @@ pub(crate) fn try_run(
     if next_flow.iter().any(|n| n.is_some()) {
         return Err(FallbackReason::ChainedFlows);
     }
-    if cfg.fault_drop_nth.is_some() {
-        return Err(FallbackReason::FaultDropNth);
-    }
     let pmap = PortMap::new(&cfg.topo);
     let map = ShardMap::new(&pmap);
     if map.n_shards < 2 {
@@ -392,7 +394,7 @@ pub(crate) fn try_run(
         })
         .clamp(1, map.n_shards as usize);
     let arrivals = host_arrival_bounds(cfg, lookahead);
-    let nets = build_replicas(cfg, flows, next_flow, Arc::new(map));
+    let nets = build_replicas(cfg, flows, next_flow, Arc::new(map), &arrivals);
     let run = Run::new(cfg, flows, &nets, lookahead, &arrivals, n_workers);
 
     std::thread::scope(|sc| {
@@ -425,12 +427,14 @@ pub(crate) fn try_run(
 }
 
 /// One full replica per shard (built in parallel — builds are
-/// independent).
+/// independent), each watching its candidate blockers under the per-host
+/// arrival bounds `arrivals`.
 fn build_replicas<'a>(
     cfg: &'a SimConfig,
     flows: &'a [FlowSpec],
     next_flow: &[Option<u32>],
     map: Arc<ShardMap>,
+    arrivals: &[u32],
 ) -> Vec<Mutex<Net<'a>>> {
     let mut slots: Vec<Option<Net>> = (0..map.n_shards).map(|_| None).collect();
     std::thread::scope(|sc| {
@@ -439,9 +443,13 @@ fn build_replicas<'a>(
                 id: sid as u16,
                 map: map.clone(),
                 outbox: Vec::new(),
+                watch: Watch::default(),
             };
             sc.spawn(move || {
-                *slot = Some(Net::build(cfg, flows, next_flow.to_vec(), Some(ctx)));
+                let mut net = Net::build(cfg, flows, next_flow.to_vec(), Some(ctx));
+                let watch = Watch::new(&net, arrivals);
+                net.shard.as_mut().expect("sharded net without ctx").watch = watch;
+                *slot = Some(net);
             });
         }
     });
@@ -490,16 +498,12 @@ fn host_arrival_bounds(cfg: &SimConfig, lookahead: SimTime) -> Vec<u32> {
 /// Everything the window protocol shares across worker threads.
 struct Run<'n, 'a> {
     nets: &'n [Mutex<Net<'a>>],
-    inboxes: Vec<Mutex<Inbox>>,
+    inboxes: Vec<Inbox>,
     next_time: Vec<AtomicU64>,
     done_flows: Vec<AtomicUsize>,
     /// Per shard: it receives a flow that cannot complete within one
     /// window (conjunct 3 of the tail rule), as of its last `publish`.
     blocked: Vec<AtomicBool>,
-    /// Per shard: the state behind `blocked`. Locked only by whoever holds
-    /// the shard's `Net` (its worker in a window, the coordinator between
-    /// windows), so never contended.
-    watch: Vec<Mutex<Watch>>,
     ctl: Ctl,
     barrier: SpinBarrier,
     horizon: SimTime,
@@ -531,20 +535,10 @@ impl<'n, 'a> Run<'n, 'a> {
         let n_shards = nets.len();
         let run = Run {
             nets,
-            inboxes: (0..n_shards)
-                .map(|_| {
-                    Mutex::new(Inbox {
-                        msgs: Vec::new(),
-                        min_at: u64::MAX,
-                    })
-                })
-                .collect(),
+            inboxes: (0..n_shards).map(|_| Mutex::new(Vec::new())).collect(),
             next_time: (0..n_shards).map(|_| AtomicU64::new(0)).collect(),
             done_flows: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
             blocked: (0..n_shards).map(|_| AtomicBool::new(false)).collect(),
-            watch: (nets.iter())
-                .map(|n| Mutex::new(Watch::new(&n.lock().expect(POISONED), arrivals)))
-                .collect(),
             ctl: Ctl {
                 state: AtomicU8::new(STATE_RUN),
                 window_end: AtomicU64::new(0),
@@ -562,22 +556,21 @@ impl<'n, 'a> Run<'n, 'a> {
         // Seed the published per-shard state so the coordinator's first
         // decision sees the real schedule.
         for (s, net) in nets.iter().enumerate() {
-            run.publish(s, &net.lock().expect(POISONED));
+            run.publish(s, &mut net.lock().expect(POISONED));
         }
         run
     }
 
     /// Publish shard `s`'s next within-horizon timestamp, completion count
     /// and blocker bit (read by the coordinator after the barrier).
-    fn publish(&self, s: usize, net: &Net) {
+    fn publish(&self, s: usize, net: &mut Net) {
         let t = match net.q.peek_time() {
             Some(t) if t <= self.horizon => t.as_nanos(),
             _ => u64::MAX,
         };
         self.next_time[s].store(t, Ordering::Release);
         self.done_flows[s].store(net.n_completed, Ordering::Release);
-        let blocked = self.watch[s].lock().expect(POISONED).has_blocker(net);
-        self.blocked[s].store(blocked, Ordering::Release);
+        self.blocked[s].store(net.has_blocker(), Ordering::Release);
     }
 
     /// The window protocol, from every worker's point of view. Worker 0
@@ -611,17 +604,13 @@ impl<'n, 'a> Run<'n, 'a> {
     /// the new local minimum.
     fn phase_a(&self, s: usize, end: SimTime, scratch: &mut [Vec<XMsg>]) {
         let mut net = self.nets[s].lock().unwrap();
-        let msgs = {
-            let mut ib = self.inboxes[s].lock().unwrap();
-            ib.min_at = u64::MAX;
-            std::mem::take(&mut ib.msgs)
-        };
+        let msgs = std::mem::take(&mut *self.inboxes[s].lock().unwrap());
         for m in msgs {
             net.inject_arrival(m);
         }
         net.run_window(end, self.horizon);
         self.route_outbox(&mut net, scratch);
-        self.publish(s, &net);
+        self.publish(s, &mut net);
     }
 
     /// Drain a shard's outbox into the target shards' inboxes, batched
@@ -637,28 +626,27 @@ impl<'n, 'a> Run<'n, 'a> {
             scratch[map.arrive_owner[m.port as usize] as usize].push(m);
         }
         for (t, batch) in scratch.iter_mut().enumerate() {
-            if batch.is_empty() {
-                continue;
+            if !batch.is_empty() {
+                self.inboxes[t].lock().unwrap().append(batch);
             }
-            let bmin = batch
-                .iter()
-                .map(|m| m.at)
-                .filter(|&at| at <= self.horizon)
-                .min()
-                .map(|t| t.as_nanos());
-            let mut ib = self.inboxes[t].lock().unwrap();
-            if let Some(bmin) = bmin {
-                ib.min_at = ib.min_at.min(bmin);
-            }
-            ib.msgs.append(batch);
         }
     }
 
     /// The earliest pending within-horizon timestamp over every shard's
     /// FEL (as last published) and inbox; `u64::MAX` when there is none.
+    /// Reads the parked handoffs themselves: only the coordinator calls
+    /// it, between barriers, when no worker touches an inbox.
     fn global_min(&self) -> u64 {
-        (self.next_time.iter().zip(&self.inboxes))
-            .map(|(t, ib)| t.load(Ordering::Acquire).min(ib.lock().unwrap().min_at))
+        let parked = (self.inboxes.iter()).flat_map(|ib| {
+            let msgs = ib.lock().unwrap();
+            (msgs.iter().map(|m| m.at))
+                .filter(|&at| at <= self.horizon)
+                .min()
+                .map(SimTime::as_nanos)
+        });
+        (self.next_time.iter())
+            .map(|t| t.load(Ordering::Acquire))
+            .chain(parked)
             .min()
             .unwrap_or(u64::MAX)
     }
@@ -705,12 +693,11 @@ impl<'n, 'a> Run<'n, 'a> {
     fn flush_inboxes(&self) {
         for (s, ib) in self.inboxes.iter().enumerate() {
             let mut ib = ib.lock().unwrap();
-            if ib.msgs.is_empty() {
+            if ib.is_empty() {
                 continue;
             }
-            ib.min_at = u64::MAX;
             let mut net = self.nets[s].lock().unwrap();
-            for m in ib.msgs.drain(..) {
+            for m in ib.drain(..) {
                 net.inject_arrival(m);
             }
         }
@@ -841,7 +828,7 @@ mod tests {
         let flows = one_flow(&cfg, arrivals[0] + 3);
         let dst = flows[0].dst.index();
         let (c, rx) = (arrivals[dst], map.host_owner[dst] as usize);
-        let nets = build_replicas(&cfg, &flows, &[None], Arc::new(map));
+        let nets = build_replicas(&cfg, &flows, &[None], Arc::new(map), &arrivals);
         let run = Run::new(&cfg, &flows, &nets, la, &arrivals, 1);
         let blocked = |s: usize| run.blocked[s].load(Ordering::Acquire);
         assert!(blocked(rx), "an unstarted flow of c + 3 segments blocks");
@@ -855,7 +842,7 @@ mod tests {
                 run.phase_a(s, SimTime::from_nanos(t + 1), &mut scratch);
             }
             let net = nets[rx].lock().unwrap();
-            let missing = net.missing_segs(0);
+            let missing = missing_segs(&net.rows[0], &net.receivers);
             assert_eq!(blocked(rx), missing > c, "stale bit after t = {t}");
             if was && !blocked(rx) {
                 assert_eq!(missing, c, "cleared by the delivery that reached c");
@@ -879,9 +866,18 @@ mod tests {
         let arrivals = host_arrival_bounds(&cfg, lookahead(&cfg, &pmap, &map));
         for (extra, watched) in [(0, 0), (1, 1)] {
             let flows = one_flow(&cfg, arrivals[0] + extra);
-            let nets = build_replicas(&cfg, &flows, &[None], map.clone());
+            let nets = build_replicas(&cfg, &flows, &[None], map.clone(), &arrivals);
             let n: usize = (nets.iter())
-                .map(|n| Watch::new(&n.lock().unwrap(), &arrivals).candidates.len())
+                .map(|n| {
+                    n.lock()
+                        .unwrap()
+                        .shard
+                        .as_ref()
+                        .unwrap()
+                        .watch
+                        .candidates
+                        .len()
+                })
                 .sum();
             assert_eq!(n, watched, "c + {extra} segments");
         }
@@ -914,7 +910,8 @@ mod tests {
             );
 
             let map = Arc::new(ShardMap::new(&pmap));
-            let nets = build_replicas(&cfg, &flows, &[None], map.clone());
+            let arrivals = host_arrival_bounds(&cfg, lookahead(&cfg, &pmap, &map));
+            let nets = build_replicas(&cfg, &flows, &[None], map.clone(), &arrivals);
             assert!(nets.len() > 1);
             for (id, net) in nets.iter().enumerate() {
                 let owned = |p: &u32| map.port_owner[*p as usize] == id as u16;
@@ -954,10 +951,6 @@ mod tests {
         assert_eq!(
             try_with(&|_| {}, &[Some(1), None]),
             Err(FallbackReason::ChainedFlows)
-        );
-        assert_eq!(
-            try_with(&|c| c.fault_drop_nth = Some(7), &flat),
-            Err(FallbackReason::FaultDropNth)
         );
         let one_leaf = |c: &mut SimConfig| {
             c.topo = tlb_net::LeafSpineBuilder::new(1, 2, 32).build();

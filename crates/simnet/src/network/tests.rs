@@ -3,6 +3,7 @@
 
 use super::*;
 use crate::scheme::Scheme;
+use tlb_engine::SimTime;
 use tlb_net::{FlowId, HostId, LeafId, SpineId};
 use tlb_workload::FlowSpec;
 
@@ -65,6 +66,25 @@ fn conservation_sent_equals_received_plus_losses() {
     assert_eq!(c.data_sent, c.data_received);
     assert_eq!(c.retransmits, 0);
     assert_eq!(c.out_of_order, 0, "single path cannot reorder");
+}
+
+#[test]
+#[should_panic(expected = "audit")]
+fn audit_catches_a_packet_dropped_outside_port_accounting() {
+    // The 5th arrival vanishes between a port's TxDone and the next node,
+    // exactly the class of simulator bug no per-port counter can see. The
+    // transport recovers the loss, so the flow still finishes, and the
+    // audit must panic at report time. A short horizon keeps the doomed
+    // run cheap.
+    let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
+    cfg.audit = true;
+    cfg.horizon = SimTime::from_millis(500);
+    let flows = one_flow(50_000);
+    let mut net = Net::build(&cfg, &flows, vec![None], None);
+    net.lose_arrival = Some(5);
+    net.run_loop();
+    // Unreachable: into_report must have panicked.
+    let _ = net.into_report(std::time::Duration::ZERO);
 }
 
 /// The measurement layer's rule: what a run records is bounded by flows,

@@ -345,8 +345,6 @@ pub enum FallbackReason {
     /// Closed-loop chains: a completion on one shard would have to start
     /// the successor flow on another at the same instant.
     ChainedFlows,
-    /// `fault_drop_nth` counts arrivals fabric-wide.
-    FaultDropNth,
     /// The fabric partitions into fewer than two shards.
     SingleShard,
     /// Some cross-shard link has zero propagation delay at some point of
@@ -361,7 +359,6 @@ impl std::fmt::Display for FallbackReason {
             FallbackReason::ChainedFlows => {
                 "chained flows (completions start flows on other shards)"
             }
-            FallbackReason::FaultDropNth => "fault_drop_nth (a fabric-wide arrival counter)",
             FallbackReason::SingleShard => "the fabric has a single shard",
             FallbackReason::ZeroLookahead => "a cross-shard link with zero propagation delay",
         })

@@ -24,14 +24,9 @@ use crate::report::RunReport;
 use rayon::prelude::*;
 use tlb_workload::FlowSpec;
 
-/// Run one simulation.
-pub fn run_one(cfg: SimConfig, flows: Vec<FlowSpec>) -> RunReport {
-    Simulation::new(cfg, flows).run()
-}
-
 /// Run one simulation over borrowed inputs — the clone-free twin of
-/// [`run_one`] for harnesses that replay the same `(config, flows)` job
-/// across repetitions (benchmarks, fuzz shrinking).
+/// [`Simulation::new`]`(..).run()` for harnesses that replay the same
+/// `(config, flows)` job across repetitions (fuzz oracles and shrinking).
 pub fn run_one_ref(cfg: &SimConfig, flows: &[FlowSpec]) -> RunReport {
     let next = vec![None; flows.len()];
     crate::network::or_panic(crate::network::check_job(cfg, flows, &next));
@@ -44,16 +39,7 @@ pub fn run_one_ref(cfg: &SimConfig, flows: &[FlowSpec]) -> RunReport {
 /// batch size.
 pub fn run_all(jobs: Vec<(SimConfig, Vec<FlowSpec>)>) -> Vec<RunReport> {
     jobs.into_par_iter()
-        .map(|(cfg, flows)| run_one(cfg, flows))
-        .collect()
-}
-
-/// The borrowed twin of [`run_all`]: fan a batch out without consuming it,
-/// so repeated legs (benchmark reps, A/B sweeps) reuse one job vector
-/// instead of cloning every config and flow list per leg.
-pub fn run_all_ref(jobs: &[(SimConfig, Vec<FlowSpec>)]) -> Vec<RunReport> {
-    jobs.par_iter()
-        .map(|(cfg, flows)| run_one_ref(cfg, flows))
+        .map(|(cfg, flows)| Simulation::new(cfg, flows).run())
         .collect()
 }
 
@@ -125,11 +111,12 @@ mod tests {
     #[test]
     fn parallel_equals_serial() {
         let _probe = pool_probe();
-        // Serial baseline two ways: run_one in a loop, and run_all pinned
-        // to one thread (which must collapse to in-line execution).
+        // Serial baseline two ways: one simulation at a time in a loop, and
+        // run_all pinned to one thread (which must collapse to in-line
+        // execution).
         let by_one: Vec<RunReport> = batch()
             .into_iter()
-            .map(|(cfg, flows)| run_one(cfg, flows))
+            .map(|(cfg, flows)| Simulation::new(cfg, flows).run())
             .collect();
         // The pinned leg must take the pool's in-line bypass: no workers
         // spawn, yet the digests below still match bit-for-bit.

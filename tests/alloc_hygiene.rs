@@ -51,14 +51,14 @@ fn fig10_job() -> (SimConfig, Vec<FlowSpec>) {
 fn audited(mut cfg: SimConfig, flows: Vec<FlowSpec>, warmup: u64) -> RunReport {
     cfg.audit = false;
     cfg.alloc_warmup_events = Some(warmup.max(1));
-    run_one(cfg, flows)
+    Simulation::new(cfg, flows).run()
 }
 
 /// Total events of `(cfg, flows)` without auditing (the learning pass).
 fn learn_events(mut cfg: SimConfig, flows: Vec<FlowSpec>) -> u64 {
     cfg.audit = false;
     cfg.alloc_warmup_events = None;
-    run_one(cfg, flows).events
+    Simulation::new(cfg, flows).run().events
 }
 
 fn assert_zero_alloc(r: &RunReport, label: &str) {

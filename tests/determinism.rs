@@ -70,7 +70,7 @@ fn serial_vs_three_threads(jobs: Vec<Job>) -> Vec<(RunReport, RunReport)> {
     let serial: Vec<_> = jobs
         .iter()
         .cloned()
-        .map(|(cfg, flows)| run_one(cfg, flows))
+        .map(|(cfg, flows)| Simulation::new(cfg, flows).run())
         .collect();
     let before = rayon::workers_observed();
     let threaded = rayon::with_threads(3, || run_all(jobs));
@@ -116,9 +116,10 @@ fn all_schemes_are_bit_deterministic() {
 #[test]
 fn parallel_execution_matches_serial() {
     // The pool fan-out must not perturb per-run results: run the same
-    // 8-job batch serially (run_one) and on a 4-thread pool, and require
-    // bit-identical digests. The thread probe keeps the test load-bearing —
-    // it fails if the "parallel" path silently degrades to sequential.
+    // 8-job batch serially (one `Simulation` at a time) and on a 4-thread
+    // pool, and require bit-identical digests. The thread probe keeps the
+    // test load-bearing — it fails if the "parallel" path silently
+    // degrades to sequential.
     let mk_job = |seed| {
         let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
         cfg.seed = seed;
@@ -130,7 +131,9 @@ fn parallel_execution_matches_serial() {
         let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(seed));
         (cfg, flows)
     };
-    let serial: Vec<_> = (0..8).map(|s| run_one(mk_job(s).0, mk_job(s).1)).collect();
+    let serial: Vec<_> = (0..8)
+        .map(|s| Simulation::new(mk_job(s).0, mk_job(s).1).run())
+        .collect();
     let before = rayon::workers_observed();
     let parallel = rayon::with_threads(4, || run_all((0..8).map(mk_job).collect()));
     assert!(
