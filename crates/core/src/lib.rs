@@ -82,12 +82,6 @@ pub struct Tlb {
     /// q_th-triggered moves the Fig. 9 accounting (and the fuzzer's
     /// pinned-TLB zero-reroute oracle) reason about.
     forced_reroutes: u64,
-    /// Seeded bug for the fuzzer's mutation self-check: when set, the
-    /// granularity update with this index skips its threshold recompute
-    /// (a stale-`q_th` interval). Only exists under `fault-inject`; never
-    /// armed unless a test calls [`Tlb::fault_skip_recompute_at`].
-    #[cfg(feature = "fault-inject")]
-    fault_skip_recompute_at: Option<u64>,
 }
 
 impl Tlb {
@@ -110,19 +104,7 @@ impl Tlb {
             updates: 0,
             long_reroutes: 0,
             forced_reroutes: 0,
-            #[cfg(feature = "fault-inject")]
-            fault_skip_recompute_at: None,
         }
-    }
-
-    /// Arm the seeded bug: the granularity update with index `update_idx`
-    /// (0-based, compare [`Tlb::updates`]) skips its threshold recompute,
-    /// leaving `q_th` stale for one interval. The scenario fuzzer's
-    /// conformance oracle must flag the divergence — this is the mutation
-    /// self-check proving the oracles have teeth.
-    #[cfg(feature = "fault-inject")]
-    pub fn fault_skip_recompute_at(&mut self, update_idx: u64) {
-        self.fault_skip_recompute_at = Some(update_idx);
     }
 
     /// A TLB instance with the paper's default parameters.
@@ -368,11 +350,7 @@ impl LoadBalancer for Tlb {
         // re-estimate the load strength, update q_th.
         self.flows.purge_idle(now, self.cfg.idle_timeout);
         self.recount();
-        #[cfg(feature = "fault-inject")]
-        let fault_skips = self.fault_skip_recompute_at == Some(self.updates);
-        #[cfg(not(feature = "fault-inject"))]
-        let fault_skips = false;
-        if !fault_skips && matches!(self.cfg.threshold_mode, ThresholdMode::Adaptive) {
+        if matches!(self.cfg.threshold_mode, ThresholdMode::Adaptive) {
             self.recompute_threshold(view);
         }
         self.updates += 1;

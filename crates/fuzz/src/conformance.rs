@@ -15,10 +15,11 @@
 //! * after every granularity update, `Tlb::q_th_bytes()` equals
 //!   [`expected_q_th`] recomputed from first principles.
 //!
-//! The `fault-inject` mutation self-check arms a seeded bug (one skipped
-//! threshold recompute) and asserts this oracle catches it *and* that the
-//! failure shrinks into a replayable regression file — the end-to-end
-//! proof that the fuzzing pipeline has teeth.
+//! The mutation self-check arms a seeded divergence in this harness (one
+//! granularity update ticked over a view the reference does not use) and
+//! asserts this oracle catches it *and* that the failure shrinks into a
+//! replayable regression file — the end-to-end proof that the fuzzing
+//! pipeline has teeth.
 
 use tlb_core::{ThresholdMode, Tlb, TlbConfig};
 use tlb_engine::{SimRng, SimTime};
@@ -106,10 +107,11 @@ fn ports_with_lens(lens: &[usize]) -> Vec<OutPort> {
         .collect()
 }
 
-/// Run one scripted conformance session. `fault` arms
-/// `Tlb::fault_skip_recompute_at` (which only exists under the
-/// `fault-inject` feature; passing `Some` without it is a caller bug). Returns the first observed
-/// divergence between the real TLB and the reference mirror.
+/// Run one scripted conformance session. `fault` seeds a divergence: the
+/// granularity update with that index (0-based, compare [`Tlb::updates`])
+/// ticks TLB over all uplinks but the last, while the Eq. 9 reference
+/// recomputes over all of them. Returns the first observed divergence
+/// between the real TLB and the reference mirror.
 pub fn run_conformance(
     n_ports: usize,
     ops: &[ConformanceOp],
@@ -118,15 +120,6 @@ pub fn run_conformance(
     assert!(n_ports >= 2, "need at least two uplinks");
     let cfg = TlbConfig::paper_default();
     let mut tlb = Tlb::new(cfg);
-    #[cfg(feature = "fault-inject")]
-    if let Some(idx) = fault {
-        tlb.fault_skip_recompute_at(idx);
-    }
-    #[cfg(not(feature = "fault-inject"))]
-    assert!(
-        fault.is_none(),
-        "fault injection requires the fault-inject feature"
-    );
 
     let mut rng = SimRng::new(7);
     let mut now = SimTime::ZERO;
@@ -152,7 +145,11 @@ pub fn run_conformance(
         if kind % 8 == 7 {
             // Granularity tick: purge, recount, recompute.
             now += cfg.update_interval;
-            tlb.on_tick(PortView::new(&ports), now);
+            let seen = match fault {
+                Some(idx) if idx == tlb.updates() => &ports[..n_ports - 1],
+                _ => &ports[..],
+            };
+            tlb.on_tick(PortView::new(seen), now);
             let cutoff = now.saturating_sub(cfg.idle_timeout);
             mirror.retain(|_, f| f.last_seen >= cutoff);
             m_short = mirror.values().filter(|f| f.counted && !f.long).count();
@@ -370,15 +367,14 @@ mod tests {
         run_conformance(4, &ops, None).unwrap();
     }
 
-    /// Mutation self-check: arm the seeded bug (granularity update 1 skips
-    /// its recompute) and require that (a) the conformance oracle catches
-    /// it within the budgeted cases, (b) the failure shrinks and persists
-    /// to a regression file, and (c) replaying that file alone reproduces
-    /// the failure. This is the proof the fuzzing pipeline detects a real
-    /// control-law bug end to end.
-    #[cfg(feature = "fault-inject")]
+    /// Mutation self-check: arm the seeded divergence (granularity update
+    /// 1 recomputes over one uplink too few) and require that (a) the
+    /// conformance oracle catches it within the budgeted cases, (b) the
+    /// failure shrinks and persists to a regression file, and (c)
+    /// replaying that file alone reproduces the failure. This is the proof
+    /// the fuzzing pipeline detects a real control-law bug end to end.
     #[test]
-    fn mutation_self_check_catches_skipped_recompute() {
+    fn mutation_self_check_catches_a_tick_over_the_wrong_view() {
         use proptest::TestCaseError;
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -405,7 +401,7 @@ mod tests {
         let first = run(64);
         assert!(
             first.is_err(),
-            "seeded recompute-skip went undetected by the conformance oracle"
+            "the seeded wrong-view tick went undetected by the conformance oracle"
         );
 
         // (b) The failure must have shrunk and persisted.

@@ -27,10 +27,10 @@
 //! [`conformance`] adds a unit-level differential oracle: a reference
 //! re-derivation of TLB's control law (threshold from the public
 //! Eq. 9 API, flow counting, long-flow stickiness) driven in lock-step
-//! with the real [`tlb_core::Tlb`]. Its mutation self-check (feature
-//! `fault-inject`) arms a seeded bug — one skipped threshold recompute —
-//! and asserts the oracle catches it *and* that the failure shrinks to a
-//! replayable `fuzz/regressions/` entry.
+//! with the real [`tlb_core::Tlb`]. Its mutation self-check seeds a
+//! divergence in the harness — one granularity update ticked over all
+//! uplinks but the last — and asserts the oracle catches it *and* that the
+//! failure shrinks to a replayable `fuzz/regressions/` entry.
 //!
 //! Reproducibility: scenarios are pure functions of their sampled
 //! parameters; the proptest driver honors `TLB_PROPTEST_SEED` /

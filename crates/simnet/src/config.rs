@@ -400,6 +400,22 @@ pub enum ConfigError {
         /// How many hosts the fabric has.
         n_hosts: usize,
     },
+    /// `flows[index]` carries no payload: a connection has at least one
+    /// segment.
+    ZeroSizeFlow {
+        /// Position in the flow list.
+        index: usize,
+    },
+    /// `flows[index]` carries `size_bytes`, more segments of `mss` than
+    /// the transport's 32-bit segment numbers count.
+    FlowTooLarge {
+        /// Position in the flow list.
+        index: usize,
+        /// Its size.
+        size_bytes: u64,
+        /// The segment size.
+        mss: u64,
+    },
     /// `flows[index]` exists: the flow index is the entity of an event
     /// ordering key, which has `key_bits` bits for it.
     FlowIndexOverflowsKey {
@@ -464,6 +480,16 @@ impl std::fmt::Display for ConfigError {
                 host,
                 n_hosts,
             } => write!(f, "flow {index}: {field} is host {host} of {n_hosts}"),
+            E::ZeroSizeFlow { index } => write!(f, "flow {index}: size is 0 bytes"),
+            E::FlowTooLarge {
+                index,
+                size_bytes,
+                mss,
+            } => write!(
+                f,
+                "flow {index}: {size_bytes} bytes exceed {} segments of {mss} bytes",
+                u32::MAX
+            ),
             E::FlowIndexOverflowsKey { index, key_bits } => write!(
                 f,
                 "flow {index}: index overflows the {key_bits}-bit event key (at most {} flows)",

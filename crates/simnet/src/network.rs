@@ -19,7 +19,7 @@
 //! | `hybrid` | the fluid seam: migration, the completion heap and its one `FluidDone` timer, demotion — `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
 //! | `metrics` | the metric collectors, their build-time sizing, the shard fold and [`crate::RunReport`] assembly | the packet path writes them; `run_with`/`sharded` finish them |
 //! | `finish` | closing the conservation audit, counting what is still on the wire | `metrics` (`into_report`), `sharded` (the fold) |
-//! | `sharded` | the conservative multi-core engine over `Net` replicas: the partition, each replica's `ShardCtx` (its outbox and blocker watch), the window protocol and its four refusals | `run_with` |
+//! | `sharded` | the conservative multi-core engine over `Net` replicas: the partition, each replica's `ShardCtx` (its handoff buckets and blocker watch), the window protocol with its leader, and its four refusals | `run_with` |
 //!
 //! ## Failures
 //!
@@ -174,8 +174,10 @@ pub(crate) fn or_panic<T>(checked: Result<T, ConfigError>) -> T {
 /// What the driver indexes by without looking: flow `i` must carry id `i`
 /// (the per-flow rows and the FCT recorder are dense tables), fit the
 /// event key's entity bits, and name hosts the fabric has (`host_nic` is
-/// the identity, so an out-of-range host would alias a switch port).
-fn check_flow(i: usize, f: &FlowSpec, n_hosts: usize) -> Result<(), ConfigError> {
+/// the identity, so an out-of-range host would alias a switch port). Its
+/// size must be 1 to `u32::MAX` segments of `mss`: the sender and the
+/// flow row count segments in a `u32`.
+fn check_flow(i: usize, f: &FlowSpec, n_hosts: usize, mss: u64) -> Result<(), ConfigError> {
     if i >= 1 << KEY_ENTITY_BITS {
         return Err(ConfigError::FlowIndexOverflowsKey {
             index: i,
@@ -186,6 +188,16 @@ fn check_flow(i: usize, f: &FlowSpec, n_hosts: usize) -> Result<(), ConfigError>
         return Err(ConfigError::FlowIdNotDense {
             index: i,
             id: f.id.0,
+        });
+    }
+    if f.size_bytes == 0 {
+        return Err(ConfigError::ZeroSizeFlow { index: i });
+    }
+    if f.size_bytes > u64::from(u32::MAX) * mss {
+        return Err(ConfigError::FlowTooLarge {
+            index: i,
+            size_bytes: f.size_bytes,
+            mss,
         });
     }
     for (field, h) in [("src", f.src), ("dst", f.dst)] {
@@ -213,7 +225,7 @@ pub(crate) fn check_job(
     cfg.validate()?;
     let n_hosts = cfg.topo.n_hosts();
     for (i, f) in flows.iter().enumerate() {
-        check_flow(i, f, n_hosts)?;
+        check_flow(i, f, n_hosts, cfg.tcp.mss as u64)?;
     }
     if next.len() != flows.len() {
         return Err(ConfigError::ChainLength {
@@ -323,6 +335,10 @@ struct Net<'a> {
     /// simulator bug the conservation audit exists to catch.
     #[cfg(test)]
     lose_arrival: Option<u64>,
+    /// Unit-test fault injection: the event with this count panics, as a
+    /// bug inside one shard replica's window would.
+    #[cfg(test)]
+    panic_at_event: Option<u64>,
     /// Ordering key of the event currently dispatching (trace tagging).
     cur_key: u32,
     /// Everything the run measures (see [`metrics`]).
@@ -335,7 +351,7 @@ struct Net<'a> {
     /// Sharded-engine context: `Some` iff this `Net` is one shard's
     /// replica of the fabric (see [`sharded`]). Serial runs never set it
     /// and every sharded hook is gated on it.
-    shard: Option<sharded::ShardCtx>,
+    shard: Option<sharded::ShardCtx<'a>>,
 }
 
 impl<'a> Net<'a> {
@@ -343,7 +359,7 @@ impl<'a> Net<'a> {
         cfg: &'a SimConfig,
         flows: &'a [FlowSpec],
         next_flow: Vec<Option<u32>>,
-        shard: Option<sharded::ShardCtx>,
+        shard: Option<sharded::ShardCtx<'a>>,
     ) -> Net<'a> {
         let mut master_rng = SimRng::new(cfg.seed);
         let pmap = PortMap::new(&cfg.topo);
@@ -426,7 +442,7 @@ impl<'a> Net<'a> {
             // asserts this buffer never regrows.
             out_buf: Vec::with_capacity(cfg.tcp.max_outputs_per_call()),
             // The allocation audit is a serial-engine gate; replica
-            // plumbing (inboxes, handoffs) is outside its contract.
+            // plumbing (handoff buckets) is outside its contract.
             warmup_at: match (&shard, cfg.alloc_warmup_events) {
                 (None, Some(w)) => w,
                 _ => u64::MAX,
@@ -440,6 +456,8 @@ impl<'a> Net<'a> {
             audit: AuditLedger::new(cfg.audit),
             #[cfg(test)]
             lose_arrival: None,
+            #[cfg(test)]
+            panic_at_event: None,
             cur_key: 0,
             shard,
             cfg,
@@ -536,10 +554,12 @@ impl<'a> Net<'a> {
     }
 
     /// Pop and dispatch one event — the shared body of the serial loop,
-    /// the sharded window loop, and the coordinator's tail.
+    /// the sharded window loop, and the window leader's tail.
     fn step(&mut self) {
         let (now, ev) = self.q.pop().expect("peeked event vanished");
         self.events += 1;
+        #[cfg(test)]
+        assert_ne!(self.panic_at_event, Some(self.events), "injected fault");
         if self.events == self.warmup_at {
             self.alloc_at_warmup = Some(alloc_audit::counters());
         }

@@ -94,7 +94,8 @@ impl Net<'_> {
             // message.
             Some(ctx) if ctx.map.arrive_owner[pi] != ctx.id => {
                 let pkt = self.arena.take(pkt);
-                ctx.outbox.push(XMsg { port: p, at, pkt });
+                let dst = ctx.map.arrive_owner[pi] as usize;
+                ctx.outbox[dst].push(XMsg { port: p, at, pkt });
             }
             _ => self.schedule_arrival(p, at, pkt),
         }

@@ -19,12 +19,31 @@
 //! over the whole [`crate::config::LinkEvent`] schedule): an event a shard
 //! executes at time `t` can only influence another shard at `t + Δ` or
 //! later, so every shard may freely run `[T, T + Δ)` where `T` is the
-//! global minimum pending timestamp. Cross-shard packets travel as
-//! [`XMsg`] handoffs through per-shard inboxes; between windows the
-//! coordinator folds the earliest within-horizon arrival parked in each
-//! inbox into `T` (the null-message horizon update of classic
-//! conservative PDES, carried on the data path), reading the messages
-//! themselves under the inbox's lock.
+//! global minimum pending timestamp.
+//!
+//! ## One barrier per window, and its leader
+//!
+//! The workers share three things: the replicas (one `Mutex` each), one
+//! control word ([`Ctl`]) and one [`SpinBarrier`], crossed once per
+//! window. Whichever worker arrives last is the **leader** for that
+//! crossing: it holds every replica (locking each once, in index order,
+//! while the others are parked), decides, and only then releases them
+//! into the next window; no worker is special, and the first crossing
+//! decides on the freshly built replicas. Cross-shard packets travel as
+//! [`XMsg`] handoffs and move by ownership, never under a lock of their
+//! own: a replica's events push them into its `ShardCtx::outbox`, one
+//! bucket per destination shard; the leader swaps each non-empty bucket
+//! with the destination's empty inbox bucket for that source (O(1), and
+//! the capacity goes back to the sender), and each replica drains its
+//! own inbox at the start of its next window, in parallel. Every port has
+//! one source shard, so its handoffs keep their send order. The leader
+//! reads what it decides on from the replicas themselves — each FEL's
+//! next timestamp, each completion count, each blocker watch — and folds
+//! the earliest within-horizon arrival parked in any inbox into `T`
+//! (the null-message horizon update of classic conservative PDES,
+//! carried on the data path). A worker that panics poisons the barrier
+//! on its way out, so the others panic instead of spinning and the run
+//! ends with the panic, as a serial run would.
 //!
 //! ## Why the merged schedule is bit-identical to the serial engine
 //!
@@ -57,7 +76,7 @@
 //! events read its own replica only, and whatever another shard does at
 //! `t` reaches it no earlier than `t + Δ`, as a handoff carrying its own
 //! arrival time. Windows span admin timestamps like any other and the
-//! coordinator never looks at them. Admin keys are the one exception to
+//! leader never looks at them. Admin keys are the one exception to
 //! single-origin keys: each is pushed by every shard, one copy each, and
 //! a copy touches only its own replica, so the order among same-`(time,
 //! key)` copies (the tail's merge breaks it by shard index) is immaterial.
@@ -67,7 +86,7 @@
 //! The serial engine stops at the instant the last flow completes,
 //! possibly mid-window. To reproduce that exactly, a parallel window
 //! `[T, E)` (`E ≤ T + Δ`) is opened only when the run provably cannot end
-//! inside it. One rule decides, with three conjuncts; the coordinator
+//! inside it. One rule decides, with three conjuncts; the leader
 //! leaves the windows for the **serialized tail** — a global `(time, key)`
 //! merge across the shard FELs with the serial loop's exact termination
 //! conditions — only when all three hold:
@@ -102,9 +121,10 @@
 //! [`Watch`], which each replica keeps in its [`ShardCtx`] and advances
 //! only while it holds its own `Net`).
 //!
-//! Each shard publishes its blocker bit with its next timestamp and
-//! completion count after every window: the bit describes the state at
-//! the start of the next candidate window.
+//! The leader asks each replica's watch between windows, and only once
+//! conjuncts 1 and 2 hold: the answer describes the state at the start of
+//! the next candidate window, and — blockers being monotone — asking only
+//! then gives the answer asking after every window would.
 //!
 //! Conjunct (2) alone is loose — on the 8×8 web-search job `Σ_h c_h`
 //! exceeds the flow count, so it holds from the first event — and (1)
@@ -132,15 +152,16 @@ use super::slab::Slab;
 use super::{FlowRow, Net};
 use crate::config::{FidelityKind, SimConfig};
 use crate::report::FallbackReason;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use tlb_engine::shard::POISONED;
 use tlb_engine::{SimTime, SpinBarrier};
 use tlb_net::Packet;
 use tlb_transport::TcpReceiver;
 use tlb_workload::FlowSpec;
 
 /// Which shard owns each entity, plus the derived per-port tables. Built
-/// once per run and shared by every replica.
+/// once per run and borrowed by every replica.
 pub(crate) struct ShardMap {
     pub n_shards: u16,
     /// Per switch id (LB switches first, like [`PortMap::sw`]).
@@ -186,17 +207,22 @@ impl ShardMap {
 }
 
 /// One replica's runtime handle on the partition.
-pub(crate) struct ShardCtx {
+pub(crate) struct ShardCtx<'a> {
     pub id: u16,
-    pub map: Arc<ShardMap>,
-    /// Cross-shard handoffs produced by this shard's events, drained and
-    /// routed after every window (or every tail event).
-    pub outbox: Vec<XMsg>,
+    pub map: &'a ShardMap,
+    /// Cross-shard handoffs produced by this shard's events, one bucket
+    /// per destination shard, each in send order. The leader moves them
+    /// to their destinations between windows (the tail, after every
+    /// event).
+    pub outbox: Vec<Vec<XMsg>>,
+    /// Handoffs moved here, one bucket per source shard; drained at the
+    /// start of this shard's next window.
+    inbox: Vec<Vec<XMsg>>,
     /// This shard's side of conjunct 3 of the tail rule.
     watch: Watch,
 }
 
-impl ShardCtx {
+impl ShardCtx<'_> {
     pub fn owns_host(&self, h: u32) -> bool {
         self.map.host_owner[h as usize] == self.id
     }
@@ -216,24 +242,37 @@ pub(crate) struct XMsg {
 }
 
 impl<'a> Net<'a> {
-    /// Run every local event strictly before `end` (and at or before
-    /// `horizon`). The global completion gate lives with the coordinator —
-    /// the window protocol switches to a serialized tail before the run
-    /// could possibly finish mid-window.
+    fn ctx(&mut self) -> &mut ShardCtx<'a> {
+        self.shard.as_mut().expect("sharded net without ctx")
+    }
+
+    /// One shard's share of a parallel window: take in the handoffs moved
+    /// here since the last one, then run every local event strictly before
+    /// `end` (and at or before `horizon`). The global completion gate lives
+    /// with the leader — the window protocol switches to a serialized tail
+    /// before the run could possibly finish mid-window.
     fn run_window(&mut self, end: SimTime, horizon: SimTime) {
+        self.ingest();
         while self.q.peek_time().is_some_and(|t| t < end && t <= horizon) {
             self.step();
         }
     }
 
-    /// Receive a cross-shard handoff: the packet parks in this replica's
-    /// arena and rides its `pipes[port]`, exactly as it would have on a
-    /// serial engine — the sender owns the port, the receiver owns the
-    /// link's far end and everything scheduled on it.
-    fn inject_arrival(&mut self, XMsg { port, at, pkt }: XMsg) {
-        debug_assert!(self.shard.is_some());
-        let slot = self.arena.insert(pkt);
-        self.schedule_arrival(port, at, slot);
+    /// Receive the cross-shard handoffs in this replica's inbox: each
+    /// packet parks in this replica's arena and rides its `pipes[port]`,
+    /// exactly as it would have on a serial engine — the sender owns the
+    /// port, the receiver owns the link's far end and everything scheduled
+    /// on it. A port has one source shard, so its handoffs arrive in send
+    /// order; the drained buckets keep their capacity.
+    fn ingest(&mut self) {
+        for src in 0..self.ctx().inbox.len() {
+            let mut msgs = std::mem::take(&mut self.ctx().inbox[src]);
+            for XMsg { port, at, pkt } in msgs.drain(..) {
+                let slot = self.arena.insert(pkt);
+                self.schedule_arrival(port, at, slot);
+            }
+            self.ctx().inbox[src] = msgs;
+        }
     }
 
     /// Whether some flow received on this shard cannot complete within
@@ -256,8 +295,8 @@ impl<'a> Net<'a> {
         w.witness < w.candidates.len()
     }
 
-    /// Fold one shard replica into this one (the coordinator folds every
-    /// shard into shard 0, then reports from the result). Ports and
+    /// Fold one shard replica into this one (the run folds every shard
+    /// into shard 0, then reports from the result). Ports and
     /// balancers move wholesale to their owner, a port's queued and
     /// in-service packets re-parked in this replica's arena; the other
     /// replica's open
@@ -269,9 +308,11 @@ impl<'a> Net<'a> {
     /// telemetry caveat on [`super::metrics::Metrics::absorb`]).
     fn absorb_shard(&mut self, mut other: Net<'a>) {
         let octx = other.shard.take().expect("absorbing a serial net");
-        let oid = octx.id;
-        let map = &octx.map;
-        debug_assert!(octx.outbox.is_empty(), "unrouted cross-shard messages");
+        let (oid, map) = (octx.id, octx.map);
+        debug_assert!(
+            (octx.outbox.iter().chain(&octx.inbox)).all(Vec::is_empty),
+            "undelivered cross-shard messages"
+        );
         for pi in 0..self.ports.len() {
             if map.port_owner[pi] == oid {
                 other.ports[pi].rehome(&mut other.arena, &mut self.arena);
@@ -314,10 +355,6 @@ fn missing_segs(row: &FlowRow, receivers: &Slab<TcpReceiver>) -> u32 {
     row.total_segs - got
 }
 
-/// A shard's mailbox: the handoffs other shards routed to it, in each
-/// port's send order.
-type Inbox = Mutex<Vec<XMsg>>;
-
 /// One shard's side of conjunct 3 of the tail rule (module docs): the
 /// flows it receives that could block the tail, and which of them still
 /// does.
@@ -349,13 +386,44 @@ impl Watch {
     }
 }
 
-/// The only way a lock here fails: its last holder panicked.
-const POISONED: &str = "a shard worker panicked";
+/// Move every non-empty outbox bucket to its destination: an O(1) swap
+/// with the destination's inbox bucket for that source, which is empty
+/// (every replica drained its inbox at the start of the window) and so
+/// hands its capacity back.
+fn move_handoffs(nets: &mut [MutexGuard<Net>]) {
+    for src in 0..nets.len() {
+        for dst in 0..nets.len() {
+            if nets[src].ctx().outbox[dst].is_empty() {
+                continue;
+            }
+            let msgs = std::mem::take(&mut nets[src].ctx().outbox[dst]);
+            let spare = std::mem::replace(&mut nets[dst].ctx().inbox[src], msgs);
+            debug_assert!(spare.is_empty(), "an inbox outlived its window");
+            nets[src].ctx().outbox[dst] = spare;
+        }
+    }
+}
+
+/// The earliest pending within-horizon timestamp over every replica's FEL
+/// and parked handoffs (the null-message horizon update of classic
+/// conservative PDES, carried on the data path); `None` when there is
+/// none.
+fn global_min(nets: &[MutexGuard<Net>], horizon: SimTime) -> Option<SimTime> {
+    (nets.iter())
+        .flat_map(|n| {
+            let ctx = n.shard.as_ref().expect("sharded net without ctx");
+            let parked = ctx.inbox.iter().flatten().map(|m| m.at);
+            n.q.peek_time().into_iter().chain(parked)
+        })
+        .filter(|&t| t <= horizon)
+        .min()
+}
 
 const STATE_RUN: u8 = 0;
 const STATE_DONE: u8 = 1;
 
-/// Coordinator → workers control block, published between barriers.
+/// Leader → workers control block, written by the leader inside the
+/// barrier (which orders it before every worker's read).
 struct Ctl {
     state: AtomicU8,
     window_end: AtomicU64,
@@ -394,19 +462,14 @@ pub(crate) fn try_run(
         })
         .clamp(1, map.n_shards as usize);
     let arrivals = host_arrival_bounds(cfg, lookahead);
-    let nets = build_replicas(cfg, flows, next_flow, Arc::new(map), &arrivals);
+    let nets = build_replicas(cfg, flows, next_flow, &map, &arrivals);
     let run = Run::new(cfg, flows, &nets, lookahead, &arrivals, n_workers);
-
-    std::thread::scope(|sc| {
-        for w in 1..n_workers {
-            let run = &run;
-            sc.spawn(move || run.worker_loop(w));
-        }
-        run.worker_loop(0);
-    });
-    let windows = run.windows.load(Ordering::Relaxed);
-    let tail_events = run.tail_events.load(Ordering::Relaxed);
-    drop(run);
+    run.drive();
+    let Run {
+        windows,
+        tail_events,
+        ..
+    } = run;
 
     // Fold every replica into shard 0 and report from the merged state.
     let mut nets: Vec<Net> = nets
@@ -421,8 +484,8 @@ pub(crate) fn try_run(
     base.shard = None;
     let mut report = base.into_report(wall_start.elapsed());
     report.engine_workers = Some(n_workers as u32);
-    report.sharded_windows = windows;
-    report.sharded_tail_events = tail_events;
+    report.sharded_windows = windows.into_inner();
+    report.sharded_tail_events = tail_events.into_inner();
     Ok(report)
 }
 
@@ -433,22 +496,23 @@ fn build_replicas<'a>(
     cfg: &'a SimConfig,
     flows: &'a [FlowSpec],
     next_flow: &[Option<u32>],
-    map: Arc<ShardMap>,
+    map: &'a ShardMap,
     arrivals: &[u32],
 ) -> Vec<Mutex<Net<'a>>> {
-    let mut slots: Vec<Option<Net>> = (0..map.n_shards).map(|_| None).collect();
+    let n = map.n_shards as usize;
+    let mut slots: Vec<Option<Net>> = (0..n).map(|_| None).collect();
     std::thread::scope(|sc| {
         for (sid, slot) in slots.iter_mut().enumerate() {
             let ctx = ShardCtx {
                 id: sid as u16,
-                map: map.clone(),
-                outbox: Vec::new(),
+                map,
+                outbox: (0..n).map(|_| Vec::new()).collect(),
+                inbox: (0..n).map(|_| Vec::new()).collect(),
                 watch: Watch::default(),
             };
             sc.spawn(move || {
                 let mut net = Net::build(cfg, flows, next_flow.to_vec(), Some(ctx));
-                let watch = Watch::new(&net, arrivals);
-                net.shard.as_mut().expect("sharded net without ctx").watch = watch;
+                net.ctx().watch = Watch::new(&net, arrivals);
                 *slot = Some(net);
             });
         }
@@ -495,15 +559,10 @@ fn host_arrival_bounds(cfg: &SimConfig, lookahead: SimTime) -> Vec<u32> {
         .collect()
 }
 
-/// Everything the window protocol shares across worker threads.
+/// Everything the window protocol shares across worker threads: the
+/// replicas, the control block and the barrier. The rest is constant.
 struct Run<'n, 'a> {
     nets: &'n [Mutex<Net<'a>>],
-    inboxes: Vec<Inbox>,
-    next_time: Vec<AtomicU64>,
-    done_flows: Vec<AtomicUsize>,
-    /// Per shard: it receives a flow that cannot complete within one
-    /// window (conjunct 3 of the tail rule), as of its last `publish`.
-    blocked: Vec<AtomicBool>,
     ctl: Ctl,
     barrier: SpinBarrier,
     horizon: SimTime,
@@ -532,13 +591,8 @@ impl<'n, 'a> Run<'n, 'a> {
         arrivals: &[u32],
         n_workers: usize,
     ) -> Run<'n, 'a> {
-        let n_shards = nets.len();
-        let run = Run {
+        Run {
             nets,
-            inboxes: (0..n_shards).map(|_| Mutex::new(Vec::new())).collect(),
-            next_time: (0..n_shards).map(|_| AtomicU64::new(0)).collect(),
-            done_flows: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
-            blocked: (0..n_shards).map(|_| AtomicBool::new(false)).collect(),
             ctl: Ctl {
                 state: AtomicU8::new(STATE_RUN),
                 window_end: AtomicU64::new(0),
@@ -552,201 +606,112 @@ impl<'n, 'a> Run<'n, 'a> {
             n_workers,
             windows: AtomicU64::new(0),
             tail_events: AtomicU64::new(0),
-        };
-        // Seed the published per-shard state so the coordinator's first
-        // decision sees the real schedule.
-        for (s, net) in nets.iter().enumerate() {
-            run.publish(s, &mut net.lock().expect(POISONED));
         }
-        run
     }
 
-    /// Publish shard `s`'s next within-horizon timestamp, completion count
-    /// and blocker bit (read by the coordinator after the barrier).
-    fn publish(&self, s: usize, net: &mut Net) {
-        let t = match net.q.peek_time() {
-            Some(t) if t <= self.horizon => t.as_nanos(),
-            _ => u64::MAX,
-        };
-        self.next_time[s].store(t, Ordering::Release);
-        self.done_flows[s].store(net.n_completed, Ordering::Release);
-        self.blocked[s].store(net.has_blocker(), Ordering::Release);
-    }
-
-    /// The window protocol, from every worker's point of view. Worker 0
-    /// doubles as the coordinator: it decides each window (running the
-    /// serialized tail itself, while the other workers are parked at the
-    /// barrier), publishes the decision, and then works its own shards
-    /// like everyone else.
-    fn worker_loop(&self, w: usize) {
-        let n_shards = self.nets.len();
-        let mut scratch: Vec<Vec<XMsg>> = (0..n_shards).map(|_| Vec::new()).collect();
-        loop {
-            if w == 0 {
-                self.decide();
+    /// Work the replicas on `n_workers` threads, this one included, until
+    /// the run is done. A worker that panics poisons the barrier, so the
+    /// others panic too and the panic leaves through the scope.
+    fn drive(&self) {
+        std::thread::scope(|sc| {
+            for w in 1..self.n_workers {
+                sc.spawn(move || self.worker_loop(w));
             }
-            self.barrier.wait();
-            if self.ctl.state.load(Ordering::Acquire) == STATE_DONE {
-                break;
-            }
-            let end = SimTime::from_nanos(self.ctl.window_end.load(Ordering::Acquire));
-            let mut s = w;
-            while s < n_shards {
-                self.phase_a(s, end, &mut scratch);
-                s += self.n_workers;
-            }
-            self.barrier.wait();
-        }
-    }
-
-    /// One shard's share of a parallel window: ingest handoffs, run every
-    /// local event strictly before `end`, route produced handoffs, publish
-    /// the new local minimum.
-    fn phase_a(&self, s: usize, end: SimTime, scratch: &mut [Vec<XMsg>]) {
-        let mut net = self.nets[s].lock().unwrap();
-        let msgs = std::mem::take(&mut *self.inboxes[s].lock().unwrap());
-        for m in msgs {
-            net.inject_arrival(m);
-        }
-        net.run_window(end, self.horizon);
-        self.route_outbox(&mut net, scratch);
-        self.publish(s, &mut net);
-    }
-
-    /// Drain a shard's outbox into the target shards' inboxes, batched
-    /// per target (one lock per destination; per-port message order — the
-    /// only order that matters — is preserved).
-    fn route_outbox(&self, net: &mut Net, scratch: &mut [Vec<XMsg>]) {
-        let ctx = net.shard.as_mut().expect("sharded net without ctx");
-        let ShardCtx { map, outbox, .. } = ctx;
-        if outbox.is_empty() {
-            return;
-        }
-        for m in outbox.drain(..) {
-            scratch[map.arrive_owner[m.port as usize] as usize].push(m);
-        }
-        for (t, batch) in scratch.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                self.inboxes[t].lock().unwrap().append(batch);
-            }
-        }
-    }
-
-    /// The earliest pending within-horizon timestamp over every shard's
-    /// FEL (as last published) and inbox; `u64::MAX` when there is none.
-    /// Reads the parked handoffs themselves: only the coordinator calls
-    /// it, between barriers, when no worker touches an inbox.
-    fn global_min(&self) -> u64 {
-        let parked = (self.inboxes.iter()).flat_map(|ib| {
-            let msgs = ib.lock().unwrap();
-            (msgs.iter().map(|m| m.at))
-                .filter(|&at| at <= self.horizon)
-                .min()
-                .map(SimTime::as_nanos)
+            self.worker_loop(0);
         });
-        (self.next_time.iter())
-            .map(|t| t.load(Ordering::Acquire))
-            .chain(parked)
-            .min()
-            .unwrap_or(u64::MAX)
     }
 
-    /// The coordinator's between-windows step: find the global minimum,
-    /// then declare the run done, finish serially (completion tail), or
-    /// open the next parallel window. Runs with every other worker parked
-    /// at the barrier, so the tail's locking all shards is deadlock-free.
-    fn decide(&self) {
-        let done: usize = (self.done_flows.iter())
-            .map(|d| d.load(Ordering::Acquire))
-            .sum();
-        let t_min = self.global_min();
-        if done >= self.total_flows || t_min == u64::MAX {
-            self.finish();
-            return;
+    /// The window protocol, from every worker's point of view: one barrier
+    /// crossing per window, whose last arriver decides (running the
+    /// serialized tail itself, while the others are parked), then every
+    /// worker runs its statically strided shards.
+    fn worker_loop(&self, w: usize) {
+        let _party = self.barrier.party();
+        loop {
+            self.barrier.wait_then(|| self.decide());
+            if self.ctl.state.load(Ordering::Relaxed) == STATE_DONE {
+                return;
+            }
+            let end = SimTime::from_nanos(self.ctl.window_end.load(Ordering::Relaxed));
+            for net in self.nets.iter().skip(w).step_by(self.n_workers) {
+                net.lock().expect(POISONED).run_window(end, self.horizon);
+            }
         }
-        let end = t_min.saturating_add(self.lookahead.as_nanos());
+    }
+
+    /// The leader's between-windows step, holding every replica (locked
+    /// once, in index order): move the handoffs, find the global minimum,
+    /// then declare the run done, finish serially (completion tail), or
+    /// open the next parallel window.
+    fn decide(&self) {
+        let mut nets: Vec<_> = (self.nets.iter())
+            .map(|m| m.lock().expect(POISONED))
+            .collect();
+        move_handoffs(&mut nets);
+        let done: usize = nets.iter().map(|n| n.n_completed).sum();
+        let t_min = match global_min(&nets, self.horizon) {
+            Some(t) if done < self.total_flows => t,
+            _ => return self.finish(&mut nets),
+        };
+        let end = t_min.as_nanos().saturating_add(self.lookahead.as_nanos());
         // The run can end inside the candidate window only if every flow
         // starts before its end, the remaining completions fit in one
         // window, and no flow is more than one window's worth of segments
-        // short (module docs). Only then go serial.
+        // short (module docs). Only then go serial. A blocker never comes
+        // back, so asking only now gives the answer asking after every
+        // window would.
         if self.last_start < end
             && (self.total_flows - done) as u64 <= self.bound
-            && !self.blocked.iter().any(|b| b.load(Ordering::Acquire))
+            && !nets.iter_mut().any(|n| n.has_blocker())
         {
-            self.tail();
-            self.finish();
-            return;
+            self.tail(&mut nets);
+            return self.finish(&mut nets);
         }
         self.windows.fetch_add(1, Ordering::Relaxed);
-        self.ctl.window_end.store(end, Ordering::Release);
-        self.ctl.state.store(STATE_RUN, Ordering::Release);
+        self.ctl.window_end.store(end, Ordering::Relaxed);
     }
 
-    fn finish(&self) {
-        // Flush still-parked handoffs onto their owners' links so the
-        // end-of-run audit counts them as propagating residuals, exactly
-        // like the serial engine's leftover in-flight packets.
-        self.flush_inboxes();
-        self.ctl.state.store(STATE_DONE, Ordering::Release);
-    }
-
-    fn flush_inboxes(&self) {
-        for (s, ib) in self.inboxes.iter().enumerate() {
-            let mut ib = ib.lock().unwrap();
-            if ib.is_empty() {
-                continue;
-            }
-            let mut net = self.nets[s].lock().unwrap();
-            for m in ib.drain(..) {
-                net.inject_arrival(m);
-            }
+    /// End the run. Still-parked handoffs go onto their owners' links so
+    /// the end-of-run audit counts them as propagating residuals, exactly
+    /// like the serial engine's leftover in-flight packets.
+    fn finish(&self, nets: &mut [MutexGuard<Net>]) {
+        for net in nets.iter_mut() {
+            net.ingest();
         }
+        self.ctl.state.store(STATE_DONE, Ordering::Relaxed);
     }
 
     /// The completion tail: the cross-shard merge, with the serial loop's
     /// exact termination conditions (stop the instant the last flow
     /// completes; never pop past the horizon). Repeatedly pop the
     /// `(time, key)`-minimum event over all shard FELs and dispatch it on
-    /// its shard, routing handoffs immediately.
+    /// its shard, delivering its handoffs immediately.
     ///
     /// Single-origin-per-key makes the tie order exact: a `(time, key)`
     /// collision across two shards is impossible — except among the
     /// copies of an admin event, whose order does not matter (module
     /// docs) — and within a shard the FEL's own `(time, key, seq)` order
     /// applies.
-    fn tail(&self) {
-        self.flush_inboxes();
-        let mut guards: Vec<_> = self.nets.iter().map(|m| m.lock().unwrap()).collect();
-        let map = guards[0]
-            .shard
-            .as_ref()
-            .expect("sharded net without ctx")
-            .map
-            .clone();
-        let mut done: usize = guards.iter().map(|g| g.n_completed).sum();
-        let mut outbox = Vec::new();
+    fn tail(&self, nets: &mut [MutexGuard<Net>]) {
+        let mut done: usize = nets.iter().map(|g| g.n_completed).sum();
         let mut steps = 0u64;
         while done < self.total_flows {
-            let best = guards
-                .iter()
-                .enumerate()
+            for net in nets.iter_mut() {
+                net.ingest();
+            }
+            let best = (nets.iter().enumerate())
                 .filter_map(|(s, g)| g.q.peek_time_key().map(|(t, k)| (t, k, s)))
                 .min();
             let Some((t, _, s)) = best else { break };
             if t > self.horizon {
                 break;
             }
-            let before = guards[s].n_completed;
-            guards[s].step();
+            let before = nets[s].n_completed;
+            nets[s].step();
             steps += 1;
-            done += guards[s].n_completed - before;
-            // Route this event's handoffs immediately — the merge may
-            // reach their timestamps before the next barrier.
-            let ctx = guards[s].shard.as_mut().expect("sharded net without ctx");
-            outbox.append(&mut ctx.outbox);
-            for m in outbox.drain(..) {
-                guards[map.arrive_owner[m.port as usize] as usize].inject_arrival(m);
-            }
+            done += nets[s].n_completed - before;
+            // The merge may reach this event's handoffs before any barrier.
+            move_handoffs(nets);
         }
         self.tail_events.fetch_add(steps, Ordering::Relaxed);
     }
@@ -814,12 +779,13 @@ mod tests {
     }
 
     #[test]
-    fn blocker_bit_is_recomputed_after_every_window() {
-        // Drive a whole one-flow run through the window protocol, one
-        // timestamp per window: after every window the published bit must
-        // be the definition evaluated on the receiver's state *now* — in
-        // particular right after the window whose delivery takes the flow
-        // from `c_dst + 1` missing segments to `c_dst`.
+    fn has_blocker_tracks_missing_segments_after_every_window() {
+        // Drive a whole one-flow run window by window, one timestamp per
+        // window, moving the handoffs between windows as the leader does:
+        // after every window `has_blocker` on the receiving replica must be
+        // the definition evaluated on its state *now* — in particular
+        // right after the window whose delivery takes the flow from
+        // `c_dst + 1` missing segments to `c_dst`.
         let cfg = SimConfig::basic_paper(Scheme::Ecmp);
         let pmap = PortMap::new(&cfg.topo);
         let map = ShardMap::new(&pmap);
@@ -828,33 +794,58 @@ mod tests {
         let flows = one_flow(&cfg, arrivals[0] + 3);
         let dst = flows[0].dst.index();
         let (c, rx) = (arrivals[dst], map.host_owner[dst] as usize);
-        let nets = build_replicas(&cfg, &flows, &[None], Arc::new(map), &arrivals);
-        let run = Run::new(&cfg, &flows, &nets, la, &arrivals, 1);
-        let blocked = |s: usize| run.blocked[s].load(Ordering::Acquire);
-        assert!(blocked(rx), "an unstarted flow of c + 3 segments blocks");
+        let replicas = build_replicas(&cfg, &flows, &[None], &map, &arrivals);
+        let mut nets: Vec<_> = replicas.iter().map(|m| m.lock().unwrap()).collect();
+        assert!(
+            nets[rx].has_blocker(),
+            "an unstarted flow of c + 3 segments blocks"
+        );
 
-        let mut scratch: Vec<Vec<XMsg>> = nets.iter().map(|_| Vec::new()).collect();
         let mut cleared_at = None;
-        loop {
-            let t = run.global_min();
-            let was = blocked(rx);
-            for s in 0..nets.len() {
-                run.phase_a(s, SimTime::from_nanos(t + 1), &mut scratch);
+        while nets[rx].n_completed == 0 {
+            move_handoffs(&mut nets);
+            let t = global_min(&nets, cfg.horizon).expect("the flow is still running");
+            let was = nets[rx].has_blocker();
+            for net in nets.iter_mut() {
+                net.run_window(t + SimTime::from_nanos(1), cfg.horizon);
             }
-            let net = nets[rx].lock().unwrap();
-            let missing = missing_segs(&net.rows[0], &net.receivers);
-            assert_eq!(blocked(rx), missing > c, "stale bit after t = {t}");
-            if was && !blocked(rx) {
+            let missing = missing_segs(&nets[rx].rows[0], &nets[rx].receivers);
+            let blocked = nets[rx].has_blocker();
+            assert_eq!(blocked, missing > c, "stale answer after t = {t}");
+            if was && !blocked {
                 assert_eq!(missing, c, "cleared by the delivery that reached c");
                 assert!(cleared_at.replace(t).is_none(), "blockers are monotone");
-            }
-            if net.n_completed == 1 {
-                break;
             }
         }
         assert!(cleared_at.is_some());
         for s in (0..nets.len()).filter(|&s| s != rx) {
-            assert!(!blocked(s), "shard {s} receives nothing");
+            assert!(!nets[s].has_blocker(), "shard {s} receives nothing");
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_ends_the_run_instead_of_hanging_it() {
+        // One replica panics mid-window, on the worker that also leads
+        // (shard 0) or on the other one. Either way the other worker must
+        // leave the barrier with a panic instead of spinning for good.
+        for faulty in [0, 1] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let cfg = SimConfig::basic_paper(Scheme::Ecmp);
+                let flows = one_flow(&cfg, 200);
+                let pmap = PortMap::new(&cfg.topo);
+                let map = ShardMap::new(&pmap);
+                let la = lookahead(&cfg, &pmap, &map);
+                let arrivals = host_arrival_bounds(&cfg, la);
+                let nets = build_replicas(&cfg, &flows, &[None], &map, &arrivals);
+                nets[faulty].lock().unwrap().panic_at_event = Some(50);
+                let run = Run::new(&cfg, &flows, &nets, la, &arrivals, 2);
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.drive()));
+                tx.send(outcome.is_err()).unwrap();
+            });
+            let reported = rx.recv_timeout(std::time::Duration::from_secs(60));
+            assert_eq!(reported, Ok(true), "replica {faulty}'s panic hung the run");
         }
     }
 
@@ -862,11 +853,11 @@ mod tests {
     fn a_flow_of_exactly_c_segments_is_never_watched() {
         let cfg = SimConfig::basic_paper(Scheme::Ecmp);
         let pmap = PortMap::new(&cfg.topo);
-        let map = Arc::new(ShardMap::new(&pmap));
+        let map = ShardMap::new(&pmap);
         let arrivals = host_arrival_bounds(&cfg, lookahead(&cfg, &pmap, &map));
         for (extra, watched) in [(0, 0), (1, 1)] {
             let flows = one_flow(&cfg, arrivals[0] + extra);
-            let nets = build_replicas(&cfg, &flows, &[None], map.clone(), &arrivals);
+            let nets = build_replicas(&cfg, &flows, &[None], &map, &arrivals);
             let n: usize = (nets.iter())
                 .map(|n| {
                     n.lock()
@@ -909,9 +900,9 @@ mod tests {
                 wire + every + 1
             );
 
-            let map = Arc::new(ShardMap::new(&pmap));
+            let map = ShardMap::new(&pmap);
             let arrivals = host_arrival_bounds(&cfg, lookahead(&cfg, &pmap, &map));
-            let nets = build_replicas(&cfg, &flows, &[None], map.clone(), &arrivals);
+            let nets = build_replicas(&cfg, &flows, &[None], &map, &arrivals);
             assert!(nets.len() > 1);
             for (id, net) in nets.iter().enumerate() {
                 let owned = |p: &u32| map.port_owner[*p as usize] == id as u16;

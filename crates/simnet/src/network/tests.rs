@@ -641,12 +641,41 @@ fn flow_count_is_bounded_by_the_event_key() {
     // Through the per-flow check with a synthetic index — not a
     // 134M-element vector.
     let n = 1usize << KEY_ENTITY_BITS;
-    assert!(check_flow(n - 1, &flow(n as u32 - 1, 0, 16), 48).is_ok());
+    assert!(check_flow(n - 1, &flow(n as u32 - 1, 0, 16), 48, 1460).is_ok());
     assert_eq!(
-        check_flow(n, &flow(n as u32, 0, 16), 48),
+        check_flow(n, &flow(n as u32, 0, 16), 48, 1460),
         Err(ConfigError::FlowIndexOverflowsKey {
             index: n,
             key_bits: KEY_ENTITY_BITS
+        })
+    );
+}
+
+#[test]
+fn flow_sizes_the_transport_cannot_count_are_rejected() {
+    // A 0-byte flow used to pass the check and panic in `TcpSender::new`
+    // on whichever thread started it; one of more than `u32::MAX` segments
+    // used to truncate its segment count silently.
+    let sized = |size_bytes| {
+        vec![FlowSpec {
+            size_bytes,
+            ..flow(0, 0, 16)
+        }]
+    };
+    all_entry_points_reject(sized(0), &["flow 0", "0 bytes"]);
+    assert_eq!(
+        refusal(sized(0), vec![None]),
+        Some(ConfigError::ZeroSizeFlow { index: 0 })
+    );
+    let mss = crate::SimConfig::basic_paper(Scheme::Ecmp).tcp.mss as u64;
+    let most = u64::from(u32::MAX) * mss;
+    assert_eq!(refusal(sized(most), vec![None]), None);
+    assert_eq!(
+        refusal(sized(most + 1), vec![None]),
+        Some(ConfigError::FlowTooLarge {
+            index: 0,
+            size_bytes: most + 1,
+            mss
         })
     );
 }

@@ -328,7 +328,7 @@ pub struct RunReport {
     /// Tests use this to prove a job actually exercised
     /// barrier-synchronized parallel execution.
     pub sharded_windows: u64,
-    /// Events the sharded coordinator executed single-threaded: the
+    /// Events the sharded engine executed single-threaded: the
     /// serialized completion tail (0 for serial runs; a replica's own copy
     /// of an admin event popped there counts). The rest ran inside
     /// windows.

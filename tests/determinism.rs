@@ -348,12 +348,26 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
         assert!(flows.iter().any(|f| f.size_bytes >= cfg.short_threshold));
     }
     let serial = run_all(differential_batch());
+    // The per-replica telemetry is worker-count independent too: a replica
+    // takes in its handoffs only at the start of a window, so what it
+    // holds at each of its events does not depend on when its neighbours'
+    // workers ran.
+    let telemetry = |r: &RunReport| {
+        let depth = r.fel_depth.samples().to_vec();
+        (depth, r.fel_nodes_peak, r.wire_pkts_peak, r.conns_peak)
+    };
+    let mut at_one_worker = None;
     for workers in [1u32, 2, 4, 8] {
         let sharded = run_all(with_mode(differential_batch(), |c| {
             c.engine = EngineKind::Sharded {
                 workers: Some(workers),
             }
         }));
+        let seen: Vec<_> = sharded.iter().map(telemetry).collect();
+        assert!(
+            *at_one_worker.get_or_insert_with(|| seen.clone()) == seen,
+            "per-replica telemetry moved at {workers} workers"
+        );
         assert_eq!(serial.len(), sharded.len());
         for (a, b) in serial.iter().zip(&sharded) {
             assert!(
