@@ -5,8 +5,9 @@
 //! events that almost always fire. A projection that is *revised* far more
 //! often than it comes true — a fluid flow's completion time moves at every
 //! join and leave of every sharer — wants the opposite: one live entry per
-//! id, updated where it sits. The owner then keeps a single FEL timer at
-//! [`IndexedMinHeap::peek`] instead of one superseded event per revision.
+//! id, updated where it sits. The owner reads [`IndexedMinHeap::peek`] as
+//! a second event source beside the FEL instead of pushing one superseded
+//! event per revision.
 //!
 //! Entries order by `(prio, id)`, so the minimum is unique and the pop
 //! order is a pure function of the contents, never of the update history.

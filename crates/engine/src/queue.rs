@@ -139,17 +139,6 @@ impl<E> EventQueue<E> {
         self.fel.min_time_key()
     }
 
-    /// Advance the clock to `max(now, t)` without popping. The sharded
-    /// engine uses this when merging shard replicas back into one report:
-    /// the merged queue's clock must read the *global* end time, and any
-    /// replica — including the one hosting the merge — may have stopped
-    /// earlier than its peers, so joins in either direction are no-ops or
-    /// forward moves, never rewinds.
-    #[inline]
-    pub fn join_clock(&mut self, t: SimTime) {
-        self.now = self.now.max(t);
-    }
-
     /// Fold another queue's monotonicity-violation count into this one
     /// (report merging across shard replicas).
     #[inline]

@@ -102,12 +102,6 @@ impl SimRng {
         lo + (hi - lo) * self.f64()
     }
 
-    /// Bernoulli trial with probability `p`.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.f64() < p
-    }
-
     /// Exponentially distributed sample with the given mean (for Poisson
     /// inter-arrival times). Uses inverse-transform sampling; the uniform is
     /// nudged away from zero to keep `ln` finite.
@@ -220,13 +214,6 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| r.exp(3.0)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut r = SimRng::new(6);
-        assert!(!(0..100).any(|_| r.chance(0.0)));
-        assert!((0..100).all(|_| r.chance(1.0)));
     }
 
     #[test]

@@ -84,19 +84,6 @@ impl SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition.
-    #[inline]
-    pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
-        self.0.checked_add(rhs.0).map(SimTime)
-    }
-
-    /// `self * num / den`, useful for proportional scaling without floats.
-    #[inline]
-    pub fn mul_ratio(self, num: u64, den: u64) -> SimTime {
-        debug_assert!(den > 0);
-        SimTime((self.0 as u128 * num as u128 / den as u128) as u64)
-    }
-
     /// The larger of two times.
     #[inline]
     pub fn max(self, rhs: SimTime) -> SimTime {
@@ -238,12 +225,6 @@ mod tests {
         let b = SimTime::from_nanos(9);
         assert_eq!(a.saturating_sub(b), SimTime::ZERO);
         assert_eq!(b.saturating_sub(a), SimTime::from_nanos(4));
-    }
-
-    #[test]
-    fn mul_ratio_avoids_overflow() {
-        let big = SimTime::from_secs(1_000_000);
-        assert_eq!(big.mul_ratio(3, 2), SimTime::from_secs(1_500_000));
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! | module | the one decision it owns | called from |
 //! |---|---|---|
 //! | `portmap` | the port layout over the fabric's `tlb_net::Shape` (which owns the wiring and the climb-then-descend rule): port ids, `next_hop` in port ids, reach masks, port labels/hops, the shard partition | every module; none of them knows which fabric it is |
-//! | `events` | the event vocabulary and its `(class, entity)` FEL ordering key | every module that pushes or pops the FEL |
+//! | `events` | the event vocabulary and its `(class, entity)` ordering key, shared by the FEL and the completion heap | every module that pushes or pops the FEL |
 //! | `link` | link physics: a port's props, what a `LinkEvent` does to them, every state a link reaches, the in-flight bound, payload capacity | build, `admin`, `hybrid`, `sharded` |
 //! | `forward` | the per-packet switch path: admission, serialization, delivery pipes and their FIFO floor (the pipe's tail), the balancer decision, LB ticks | the event loop, `host`, `hybrid` (`choose_up`), `sharded` (`schedule_arrival`) |
 //! | `host` | the endpoints: flow start, timers, sender outputs, receiver delivery, completion | the event loop, `forward`, `hybrid` |
 //! | `admin` | scheduled link changes and failures, routing reconvergence | the event loop, on the serial engine and on every shard replica alike |
-//! | `hybrid` | the fluid seam: migration, the completion heap and its one `FluidDone` timer, demotion — `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
+//! | `hybrid` | the fluid seam: migration, the completion heap — the run's second event source, merged with the FEL head by `Net::peek` — and demotion; `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
 //! | `metrics` | the metric collectors, their build-time sizing, the shard fold and [`crate::RunReport`] assembly | the packet path writes them; `run_with`/`sharded` finish them |
 //! | `finish` | closing the conservation audit, counting what is still on the wire | `metrics` (`into_report`), `sharded` (the fold) |
 //! | `sharded` | the conservative multi-core engine over `Net` replicas: the partition, each replica's `ShardCtx` (its handoff buckets and blocker watch), the window protocol with its leader, and its four refusals | `run_with` |
@@ -75,7 +75,7 @@ use crate::report::{AllocAudit, RunReport};
 use events::{push_ev, Event, KEY_ENTITY_BITS};
 use portmap::{PortMap, PortRef};
 use slab::{Slab, SlabSlot};
-use tlb_engine::{alloc_audit, EventQueue, SimRng};
+use tlb_engine::{alloc_audit, EventQueue, SimRng, SimTime};
 use tlb_net::{PacketArena, PacketFifo};
 use tlb_switch::{LoadBalancer, OutPort, QueueCfg};
 use tlb_transport::{SenderOutput, TcpReceiver, TcpSender};
@@ -321,14 +321,14 @@ struct Net<'a> {
     alloc_at_warmup: Option<alloc_audit::AllocCounters>,
     /// Steady-state allocation report, filled at run-loop exit.
     alloc_report: Option<AllocAudit>,
-    // FEL-occupancy bound bookkeeping.
-    /// `FlowStart` events pending in the FEL.
-    starts_pending: u64,
-    /// `Timer` events pending in the FEL.
-    timers_live: u64,
-    /// `LbTick`/`LinkChange`/`Failure`/`QueueSample` events pending in the
-    /// FEL.
-    misc_pending: u64,
+    /// Events pending in the FEL that are not port events (`TxDone`,
+    /// `Deliver`): flow starts, timers, LB ticks, admin events and queue
+    /// samples — the schedule-decided term of [`Net::fel_bound`].
+    other_pending: u64,
+    /// The run's clock: the time of the last event from either source
+    /// ([`Net::peek`]). A tail completion leaves the FEL's own clock
+    /// where it was, so this, not `q.now()`, is when the run stopped.
+    now: SimTime,
     events: u64,
     /// Unit-test fault injection: the arrival this many arrivals from now
     /// vanishes without any accounting layer hearing of it — the
@@ -449,9 +449,8 @@ impl<'a> Net<'a> {
             },
             alloc_at_warmup: None,
             alloc_report: None,
-            starts_pending: 0,
-            timers_live: 0,
-            misc_pending: 0,
+            other_pending: 0,
+            now: SimTime::ZERO,
             events: 0,
             audit: AuditLedger::new(cfg.audit),
             #[cfg(test)]
@@ -490,7 +489,7 @@ impl<'a> Net<'a> {
         for (i, f) in self.flows.iter().enumerate() {
             if !is_chained[i] && shard.is_none_or(|c| c.owns_host(f.src.0)) {
                 push_ev(&mut self.q, f.start, Event::FlowStart(i as u32));
-                self.starts_pending += 1;
+                self.other_pending += 1;
             }
         }
         for (l, sw) in self.lb_sws.iter().enumerate() {
@@ -499,7 +498,7 @@ impl<'a> Net<'a> {
             };
             if shard.is_none_or(|c| c.owns_sw(l)) {
                 push_ev(&mut self.q, iv, Event::LbTick { sw: l as u16 });
-                self.misc_pending += 1;
+                self.other_pending += 1;
                 if l == 0 {
                     self.m.reserve_qth(cfg, iv);
                 }
@@ -511,10 +510,10 @@ impl<'a> Net<'a> {
         for (i, ev) in cfg.failure_events.iter().enumerate() {
             push_ev(&mut self.q, ev.at, Event::Failure(i as u32));
         }
-        self.misc_pending += (cfg.link_events.len() + cfg.failure_events.len()) as u64;
+        self.other_pending += (cfg.link_events.len() + cfg.failure_events.len()) as u64;
         if cfg.sample_queues && shard.is_none_or(|c| c.id == 0) {
             push_ev(&mut self.q, cfg.series_bucket, Event::QueueSample);
-            self.misc_pending += 1;
+            self.other_pending += 1;
         }
     }
 
@@ -524,39 +523,59 @@ impl<'a> Net<'a> {
     const FEL_DEPTH_SAMPLE_EVERY: u64 = 4096;
 
     /// The FEL occupancy bound: at most one `TxDone` and one `Deliver` per
-    /// port, plus every pending flow start, timer and housekeeping event,
-    /// plus the fluid tier's completion timers (one live and rarely a few
-    /// superseded ones — not one per rate change). Computed from counters
-    /// the schedule alone decides, so its peak is deterministic.
+    /// port, plus every pending flow start, timer and housekeeping event.
+    /// Computed from a counter the schedule alone decides, so its peak is
+    /// deterministic.
     #[inline]
     fn fel_bound(&self) -> u64 {
-        2 * self.ports.len() as u64
-            + self.starts_pending
-            + self.timers_live
-            + self.misc_pending
-            + self.hybrid.as_ref().map_or(0, |h| h.events_pending)
+        2 * self.ports.len() as u64 + self.other_pending
+    }
+
+    /// `(time, key)` of the run's next event, over its two sources: the
+    /// FEL head and, under hybrid fidelity, the earliest projected tail
+    /// completion in the seam's heap ([`hybrid::Hybrid::next_done`]). No
+    /// `(time, key)` is held by both — completions have a class of their
+    /// own, the highest, so a tail loses every same-instant tie with an
+    /// FEL event.
+    #[inline]
+    fn peek(&self) -> Option<(SimTime, u32)> {
+        let fel = self.q.peek_time_key();
+        match self.hybrid.as_ref().and_then(hybrid::Hybrid::next_done) {
+            Some(tail) => Some(fel.map_or(tail, |f| f.min(tail))),
+            None => fel,
+        }
     }
 
     fn run_loop(&mut self) {
         let horizon = self.cfg.horizon;
         while self.n_completed < self.flows.len() {
-            // Peek before popping: an event past the horizon must stay in
-            // the queue (end-of-run accounting counts it as in flight) and
+            // Peek before popping: an event past the horizon must stay
+            // pending (end-of-run accounting counts it as in flight) and
             // must not advance the clock past the horizon (it would inflate
             // `sim_end` and every rate derived from it).
-            match self.q.peek_time() {
-                Some(t) if t <= horizon => {}
-                _ => break, // queue empty, or nothing left before the horizon
+            match self.peek() {
+                Some(next) if next.0 <= horizon => self.step(next),
+                _ => break, // nothing pending, or nothing left before the horizon
             }
-            self.step();
         }
         self.close_alloc_window();
     }
 
-    /// Pop and dispatch one event — the shared body of the serial loop,
-    /// the sharded window loop, and the window leader's tail.
-    fn step(&mut self) {
-        let (now, ev) = self.q.pop().expect("peeked event vanished");
+    /// Take `next`, the [`Net::peek`] minimum the caller has just read,
+    /// from its source and dispatch it — the shared body of the serial
+    /// loop, the sharded window loop, and the window leader's tail. A tail
+    /// completion comes off the seam's heap and leaves the FEL's clock
+    /// alone: the calendar windows every insert on that clock and promotes
+    /// only as it pops, so only FEL pops may move it.
+    fn step(&mut self, next: (SimTime, u32)) {
+        debug_assert_eq!(self.peek(), Some(next), "step on an event that is not next");
+        let (now, key) = next;
+        let ev = if events::class_of(key) == events::class::FLUID_DONE {
+            None
+        } else {
+            Some(self.q.pop().expect("peeked event vanished").1)
+        };
+        self.now = now;
         self.events += 1;
         #[cfg(test)]
         assert_ne!(self.panic_at_event, Some(self.events), "injected fault");
@@ -577,25 +596,22 @@ impl<'a> Net<'a> {
                 );
             }
             if let Some(hy) = self.hybrid.as_ref().filter(|_| self.cfg.audit) {
-                hy.check_timer();
+                hy.check_residents();
             }
         }
-        self.cur_key = events::event_key(&ev);
+        self.cur_key = key;
+        let Some(ev) = ev else {
+            return self.on_fluid_done(now);
+        };
+        if !matches!(ev, Event::TxDone(_) | Event::Deliver(_)) {
+            self.other_pending -= 1;
+        }
         match ev {
-            Event::FlowStart(i) => {
-                self.starts_pending -= 1;
-                self.on_flow_start(i, now);
-            }
+            Event::FlowStart(i) => self.on_flow_start(i, now),
             Event::TxDone(p) => self.on_tx_done(p, now),
             Event::Deliver(p) => self.on_deliver(p, now),
-            Event::Timer { flow } => {
-                self.timers_live -= 1;
-                self.on_timer(flow, now);
-            }
-            Event::LbTick { sw } => {
-                self.misc_pending -= 1;
-                self.on_lb_tick(sw, now);
-            }
+            Event::Timer { flow } => self.on_timer(flow, now),
+            Event::LbTick { sw } => self.on_lb_tick(sw, now),
             Event::LinkChange(i) => {
                 self.admin_event_popped();
                 self.on_link_change(i as usize, now);
@@ -604,11 +620,7 @@ impl<'a> Net<'a> {
                 self.admin_event_popped();
                 self.on_failure(i as usize, now);
             }
-            Event::QueueSample => {
-                self.misc_pending -= 1;
-                self.on_queue_sample(now);
-            }
-            Event::FluidDone { flow, gen } => self.on_fluid_done(flow, gen, now),
+            Event::QueueSample => self.on_queue_sample(now),
         }
     }
 
@@ -616,7 +628,6 @@ impl<'a> Net<'a> {
     /// shard replica pops its own copy of an admin event; the run counts
     /// it once, on shard 0, so `events` is the serial engine's.
     fn admin_event_popped(&mut self) {
-        self.misc_pending -= 1;
         if self.shard.as_ref().is_some_and(|c| c.id != 0) {
             self.events -= 1;
         }

@@ -1,6 +1,9 @@
-//! The event vocabulary and its FEL ordering key. Both engines order
+//! The event vocabulary and its ordering key. Both engines order
 //! same-timestamp events by [`event_key`] before per-queue FIFO; the
-//! class ranks below are that order, named once.
+//! class ranks below are that order, named once. One class has no
+//! [`Event`]: a fluid tail's completion is an entry of the hybrid seam's
+//! heap, which the run loop merges with the FEL head under the same key
+//! (see [`super::hybrid`]), so no fluid event ever enters the FEL.
 
 use super::portmap::PortId;
 use tlb_engine::{EventQueue, SimTime};
@@ -25,12 +28,6 @@ pub(super) enum Event {
     Failure(u32),
     /// Sample leaf-0's uplink queues (Fig. 5 visualization).
     QueueSample,
-    /// The fluid tier's completion timer (hybrid fidelity only): `flow` was
-    /// the earliest projected completion when it was armed. Projections
-    /// live in the seam's indexed heap, not here — the FEL holds one live
-    /// timer, and `gen` tells it from the few armed before the minimum
-    /// moved earlier (see [`super::hybrid`]).
-    FluidDone { flow: u32, gen: u32 },
 }
 
 /// Bits of an event-ordering key reserved for the entity index; the top
@@ -49,6 +46,9 @@ pub(super) mod class {
     pub const QUEUE_SAMPLE: u32 = 5;
     pub const LINK_CHANGE: u32 = 6;
     pub const FAILURE: u32 = 7;
+    /// A fluid tail's completion, on its flow: the seam's heap, never the
+    /// FEL, holds these. The highest class, so a completion runs after
+    /// every FEL event of its instant.
     pub const FLUID_DONE: u32 = 8;
 }
 
@@ -57,6 +57,12 @@ pub(super) fn key_of(class: u32, entity: u32) -> u32 {
     debug_assert!(class < 32);
     debug_assert!(entity < (1 << KEY_ENTITY_BITS), "entity overflows its key");
     (class << KEY_ENTITY_BITS) | entity
+}
+
+/// The class rank of an ordering key.
+#[inline]
+pub(super) fn class_of(key: u32) -> u32 {
+    key >> KEY_ENTITY_BITS
 }
 
 /// The FEL ordering key of an event: `(class rank << 27) | entity`. Both
@@ -81,7 +87,6 @@ pub(super) fn event_key(ev: &Event) -> u32 {
         Event::QueueSample => key_of(class::QUEUE_SAMPLE, 0),
         Event::LinkChange(i) => key_of(class::LINK_CHANGE, i),
         Event::Failure(i) => key_of(class::FAILURE, i),
-        Event::FluidDone { flow, .. } => key_of(class::FLUID_DONE, flow),
     }
 }
 

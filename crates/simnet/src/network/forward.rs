@@ -259,7 +259,7 @@ impl Net<'_> {
             let next = now + iv;
             if next <= self.cfg.horizon {
                 push_ev(&mut self.q, next, Event::LbTick { sw });
-                self.misc_pending += 1;
+                self.other_pending += 1;
             }
         }
     }
@@ -274,7 +274,7 @@ impl Net<'_> {
         let next = now + self.cfg.series_bucket;
         if next <= self.cfg.horizon {
             push_ev(&mut self.q, next, Event::QueueSample);
-            self.misc_pending += 1;
+            self.other_pending += 1;
         }
     }
 

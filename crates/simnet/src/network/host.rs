@@ -44,7 +44,7 @@ impl Net<'_> {
                 SenderOutput::Send(pkt) => self.emit(nic, pkt, now),
                 SenderOutput::ArmTimer { deadline } => {
                     push_ev(&mut self.q, deadline.max(now), Event::Timer { flow });
-                    self.timers_live += 1;
+                    self.other_pending += 1;
                 }
                 // The FIN is out. A closed sender ignores every later ACK
                 // and timer, so dropping it changes nothing; the FCT is
@@ -120,11 +120,10 @@ impl Net<'_> {
 
                 // Completion: every packet-path segment delivered in
                 // order and — under hybrid fidelity — no fluid tail still
-                // in flight.
-                if after >= row.total_segs
-                    && !row.completed
-                    && !self.hybrid.as_ref().is_some_and(|h| h.pend[fi])
-                {
+                // in flight. A fluid tail defers its sender's FIN, so the
+                // sender is open for the whole residency.
+                let in_fluid = || row.sender.is_some_and(|s| self.senders[s].in_fluid());
+                if after >= row.total_segs && !row.completed && !in_fluid() {
                     self.complete(fi, now);
                 }
                 self.emit(self.pmap.host_nic(h), ack, now);
@@ -168,7 +167,7 @@ impl Net<'_> {
         // Closed-loop chain: launch the successor back-to-back.
         if let Some(nf) = self.next_flow[fi] {
             push_ev(&mut self.q, now, Event::FlowStart(nf));
-            self.starts_pending += 1;
+            self.other_pending += 1;
         }
     }
 
@@ -193,10 +192,10 @@ impl Net<'_> {
         c.dup_acks += st.dup_acks;
         self.audit.sender_closed(fi, sender.invariant_violation());
         // Both counts are final once the FIN is out or the flow completed:
-        // neither a migration nor a demotion can follow.
+        // neither a migration nor a demotion can follow. A flow that never
+        // migrated checks with a credit of 0.
         let settled = sender.is_finished() || self.rows[fi].completed;
-        let hy = self.hybrid.as_ref().filter(|h| h.migrated[fi]);
-        if let Some(hy) = hy.filter(|_| self.cfg.audit && settled) {
+        if let Some(hy) = self.hybrid.as_ref().filter(|_| self.cfg.audit && settled) {
             assert_eq!(
                 sender.payload_bytes_total() + hy.credit[fi],
                 self.flows[fi].size_bytes,
@@ -272,7 +271,7 @@ mod tests {
                 .collect()
         };
         while net.n_completed < 4 {
-            net.step();
+            net.step(net.peek().expect("an event pending"));
         }
         assert_eq!((net.senders.peak(), net.receivers.peak()), (4, 4));
         let first = buffers(&mut net);

@@ -9,13 +9,14 @@
 //! on the web-search workload), and each re-rate moves that flow's
 //! projected completion time; fewer than 1 % of the projections ever come
 //! true. So the projections live in an [`IndexedMinHeap`] keyed by flow —
-//! one entry per resident, updated in place — and the FEL holds a single
-//! live `FluidDone` timer at the heap's minimum ([`Net::arm_fluid_timer`]).
-//! Completions are still one FEL event each, at the same `(time,
-//! FLUID_DONE, flow)` position a per-projection event would have had, so
-//! the schedule every other event sees is unchanged.
+//! one entry per resident, updated in place — and that heap is the run's
+//! second event source: [`Net::peek`] merges its minimum, at key
+//! `(FLUID_DONE, flow)`, with the FEL head, and [`Net::on_fluid_done`]
+//! completes the tail it names. Each completion runs at the `(time,
+//! FLUID_DONE, flow)` position a per-projection FEL event would have had,
+//! so the schedule every other event sees is unchanged.
 
-use super::events::{push_ev, Event};
+use super::events::{class, key_of};
 use super::forward::Probe;
 use super::link;
 use super::portmap::{NextHop, NodeRef, PortId};
@@ -31,18 +32,6 @@ pub(super) struct Hybrid {
     /// Every resident's projected completion `(at_ns, flow)`: upserted at
     /// each rate change, removed when the flow leaves the tier.
     done: IndexedMinHeap,
-    /// `(at_ns, flow)` of the live `FluidDone` timer, `None` when none is
-    /// pending. Never later than `done`'s minimum between events.
-    armed: Option<(u64, u32)>,
-    /// Generation of the live timer. Arming bumps it, so a timer armed
-    /// before the minimum moved earlier is recognised at its pop.
-    timer_gen: u32,
-    /// Per-flow: has ever migrated packet→fluid (audit bookkeeping). A
-    /// flow demoted by a failure reroutes at packet fidelity, then may
-    /// migrate *again* once it re-qualifies over a healthy path.
-    pub migrated: Vec<bool>,
-    /// Per-flow: fluid tail still in flight (completion waits for it).
-    pub pend: Vec<bool>,
     /// Per-flow payload bytes handed to the fluid tier at the *latest*
     /// migration.
     tail_bytes: Vec<u64>,
@@ -50,16 +39,11 @@ pub(super) struct Hybrid {
     /// over every residency — equal to the tail sizes handed over unless
     /// a demotion returned a remainder mid-tail.
     pub credit: Vec<u64>,
-    /// `FluidDone` timers pending in the FEL, superseded ones included
-    /// (part of the FEL occupancy bound; a handful at most).
-    pub events_pending: u64,
     pub migrations: u64,
     pub demotions: u64,
     pub bytes: u64,
     /// Rate changes drained from the fluid model.
     pub rate_changes_seen: u64,
-    /// `FluidDone` timers pushed into the FEL.
-    pub timer_events: u64,
     /// Scratch for draining [`FluidNet::take_changes`].
     rate_changes: Vec<RateChange>,
     /// Scratch for collecting failure-demoted fluid flows.
@@ -75,18 +59,12 @@ impl Hybrid {
         Hybrid {
             fluid,
             done: IndexedMinHeap::new(n_flows),
-            armed: None,
-            timer_gen: 0,
-            migrated: vec![false; n_flows],
-            pend: vec![false; n_flows],
             tail_bytes: vec![0; n_flows],
             credit: vec![0; n_flows],
-            events_pending: 0,
             migrations: 0,
             demotions: 0,
             bytes: 0,
             rate_changes_seen: 0,
-            timer_events: 0,
             rate_changes: Vec::with_capacity(64),
             demote_scratch: Vec::with_capacity(64),
         }
@@ -107,22 +85,24 @@ impl Hybrid {
         }
     }
 
+    /// `(time, key)` of the earliest projected completion: what
+    /// [`Net::peek`] merges with the FEL head. Heap order `(at_ns, flow)`
+    /// is key order, so same-nanosecond tails complete in ascending flow id.
+    #[inline]
+    pub fn next_done(&self) -> Option<(SimTime, u32)> {
+        self.done
+            .peek()
+            .map(|(at, flow)| (SimTime::from_nanos(at), key_of(class::FLUID_DONE, flow)))
+    }
+
     /// The audit's view of the completion heap, checked between events:
-    /// it holds exactly the fluid model's residents, and whenever it is
-    /// non-empty a live timer is armed no later than its minimum.
-    pub fn check_timer(&self) {
+    /// it holds exactly the fluid model's residents.
+    pub fn check_residents(&self) {
         assert_eq!(
             self.done.len(),
             self.fluid.active_flows(),
             "completion heap and fluid residents disagree"
         );
-        if let Some(min) = self.done.peek() {
-            assert!(
-                self.armed.is_some_and(|a| a <= min),
-                "fluid timer {:?} armed after the earliest completion {min:?}",
-                self.armed
-            );
-        }
     }
 }
 
@@ -169,14 +149,12 @@ impl Net<'_> {
         let sender = &mut self.senders[slot];
         let tail = sender.hybrid_truncate();
         self.rows[fi].total_segs = sender.total_segs();
-        hy.migrated[fi] = true;
-        hy.pend[fi] = true;
         hy.tail_bytes[fi] = tail;
         hy.migrations += 1;
         hy.bytes += tail;
         hy.fluid
             .join(fi as u32, &path[..len], tail as f64, now.as_secs_f64());
-        self.flush_fluid_changes(now);
+        hy.absorb_changes(now);
     }
 
     /// The directed links flow `fi`'s fluid tail would occupy: the packet
@@ -231,80 +209,37 @@ impl Net<'_> {
             hy.fluid.set_capacity(p, cap);
             hy.fluid.touch_link(p, now.as_secs_f64());
         }
-        self.flush_fluid_changes(now);
-    }
-
-    /// Drain the fluid model's rate changes into the completion heap
-    /// ([`Hybrid::absorb_changes`]), then make sure the one FEL timer still
-    /// covers the minimum.
-    fn flush_fluid_changes(&mut self, now: SimTime) {
-        let Some(hy) = self.hybrid.as_mut() else {
-            return;
-        };
         hy.absorb_changes(now);
-        self.arm_fluid_timer();
     }
 
-    /// Keep one live `FluidDone` timer at or before the earliest projected
-    /// completion: push a new one only when none is pending or the minimum
-    /// became strictly earlier than the armed `(time, flow)`. A minimum
-    /// that moved *later* costs nothing now — the armed timer fires early
-    /// and re-arms from [`Net::on_fluid_done`].
-    fn arm_fluid_timer(&mut self) {
-        let Some(hy) = self.hybrid.as_mut() else {
-            return;
-        };
-        let Some(min) = hy.done.peek() else {
-            return;
-        };
-        if hy.armed.is_some_and(|armed| armed <= min) {
-            return;
-        }
-        hy.timer_gen = hy.timer_gen.wrapping_add(1);
-        hy.armed = Some(min);
-        hy.events_pending += 1;
-        hy.timer_events += 1;
-        push_ev(
-            &mut self.q,
-            SimTime::from_nanos(min.0),
-            Event::FluidDone {
-                flow: min.1,
-                gen: hy.timer_gen,
-            },
-        );
-    }
-
-    /// The fluid timer fired. It completes `flow` iff it is the live timer
-    /// (`gen`) and `(now, flow)` is still the earliest projected
-    /// completion; a superseded timer is dropped, and a live one that
-    /// fired early (its flow was re-rated later, or demoted) only re-arms.
-    /// Exactly one tail completes per event and the next timer goes
-    /// through the FEL, so same-nanosecond completions run in ascending
-    /// flow id with every lower event class — a chained successor's
+    /// The earliest projected completion came due ([`Net::step`] took it
+    /// off the heap's top): complete that tail. Exactly one tail completes
+    /// per step, so same-nanosecond completions run in ascending flow id
+    /// with every FEL event of that instant — a chained successor's
     /// `FlowStart` pushed at `now` included — dispatched in between.
-    pub(super) fn on_fluid_done(&mut self, flow: u32, gen: u32, now: SimTime) {
-        let Some(hy) = self.hybrid.as_mut() else {
-            return;
-        };
-        hy.events_pending -= 1;
-        if gen != hy.timer_gen {
-            return;
-        }
-        hy.armed = None;
-        if hy.done.peek() != Some((now.as_nanos(), flow)) {
-            self.arm_fluid_timer();
-            return;
-        }
+    ///
+    /// Out of line and cold: one completion per residency against
+    /// thousands of packet events, and inlined into [`Net::step`] it slowed
+    /// the packet path of every run by ≈ 5 % (the benchmark's
+    /// `highbdp_bulk`).
+    #[cold]
+    #[inline(never)]
+    pub(super) fn on_fluid_done(&mut self, now: SimTime) {
+        let hy = self
+            .hybrid
+            .as_mut()
+            .expect("a tail completion without a fluid tier");
+        let (at, flow) = hy.done.peek().expect("a tail completion with no resident");
+        debug_assert_eq!(at, now.as_nanos());
         hy.done.remove(flow);
         let fi = flow as usize;
         let rem = hy.fluid.leave(flow, now.as_secs_f64());
-        // The event time was ceiled past the projected instant, so at most
-        // one rate·nanosecond of bytes can remain; with caps ≤ 100 Gb/s
+        // The completion time was ceiled past the projected instant, so at
+        // most one rate·nanosecond of bytes can remain; with caps ≤ 100 Gb/s
         // that is well under a byte.
-        debug_assert!(rem < 16.0, "FluidDone fired with {rem} bytes left");
-        hy.pend[fi] = false;
+        debug_assert!(rem < 16.0, "tail completed with {rem} bytes left");
         hy.credit[fi] += hy.tail_bytes[fi];
-        self.flush_fluid_changes(now);
+        hy.absorb_changes(now);
         self.drive_sender(fi, now, |s, out| s.fluid_done(now, out));
         // If the receiver already delivered the whole packet prefix, the
         // tail was the last outstanding byte range — complete here (no
@@ -325,8 +260,7 @@ impl Net<'_> {
     /// (re)transmission — the reroute happens at packet fidelity, exactly
     /// like a never-migrated flow. Once a later ACK re-qualifies the flow
     /// over a healthy path, [`Net::maybe_migrate`] moves the tail back to
-    /// the fluid tier. A timer armed for a demoted tail fires early and
-    /// re-arms.
+    /// the fluid tier.
     pub(super) fn demote_failed(&mut self, now: SimTime) {
         // Lift the tier out while the demoted senders emit:
         // `process_outputs` needs the whole `Net`.
@@ -352,7 +286,6 @@ impl Net<'_> {
             // path; the clamp guards the f64 bookkeeping's edges (a tail
             // is ≥ 1 byte by construction).
             let rem_bytes = (rem.ceil() as u64).clamp(1, hy.tail_bytes[fi]);
-            hy.pend[fi] = false;
             hy.credit[fi] += hy.tail_bytes[fi] - rem_bytes;
             hy.demotions += 1;
             // A fluid tail defers its sender's FIN, so the sender is open.
@@ -362,7 +295,6 @@ impl Net<'_> {
         }
         hy.demote_scratch = victims;
         self.hybrid = Some(hy);
-        self.arm_fluid_timer();
     }
 }
 
@@ -380,8 +312,8 @@ mod tests {
         // migrate at the same instant and both are projected to finish in
         // the same nanosecond. Flow 2 is chained behind flow 0. At that
         // nanosecond the order is: tail 0 completes and pushes flow 2's
-        // `FlowStart` at `now`; the start (a lower event class) runs; only
-        // then does the re-armed timer complete tail 1.
+        // `FlowStart` at `now`; the start (an FEL event, so a lower class)
+        // runs; only then does tail 1 complete.
         let mut cfg = SimConfig::large_scale(Scheme::Ecmp, 4);
         cfg.fidelity = FidelityKind::Hybrid;
         cfg.audit = true;
@@ -403,7 +335,7 @@ mod tests {
         let mut log = Vec::new();
         let mut seen = [false; 3]; // tail 0 done, flow 2 started, tail 1 done
         while net.n_completed < flows.len() {
-            net.step();
+            net.step(net.peek().expect("an event pending"));
             let rows = &net.rows;
             let state = [
                 rows[0].completed,
@@ -416,7 +348,7 @@ mod tests {
             {
                 if state[i] && !seen[i] {
                     seen[i] = true;
-                    log.push((net.q.now(), what));
+                    log.push((net.now, what));
                 }
             }
         }
@@ -432,8 +364,5 @@ mod tests {
                 (at, "tail 1 done")
             ]
         );
-        // One timer per completion: the join of tail 1 never moved the
-        // minimum strictly earlier than tail 0's armed `(time, flow)`.
-        assert_eq!(hy.timer_events, 2);
     }
 }

@@ -190,7 +190,7 @@ impl Net<'_> {
         // The clock can only pass the horizon through a bug (the run loop
         // stops *before* popping any later event); clamp as a backstop so a
         // regression can't inflate every duration-derived rate.
-        let sim_end = self.q.now().min(self.cfg.horizon);
+        let sim_end = self.now.min(self.cfg.horizon);
         let dur = sim_end.as_secs_f64().max(1e-9);
 
         // The reusable sender-output buffer was sized from the state
@@ -258,7 +258,6 @@ impl Net<'_> {
             fluid_demotions: fluid(|h| h.demotions),
             fluid_bytes: fluid(|h| h.bytes),
             fluid_rate_changes: fluid(|h| h.rate_changes_seen),
-            fluid_timer_events: fluid(|h| h.timer_events),
             // Voluntary long-flow reroutes (TLB) and failure-forced ones
             // are tallied separately.
             tlb_long_reroutes: sum_reported(|lb| lb.long_reroutes()),

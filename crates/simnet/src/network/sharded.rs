@@ -37,8 +37,9 @@
 //! the capacity goes back to the sender), and each replica drains its
 //! own inbox at the start of its next window, in parallel. Every port has
 //! one source shard, so its handoffs keep their send order. The leader
-//! reads what it decides on from the replicas themselves — each FEL's
-//! next timestamp, each completion count, each blocker watch — and folds
+//! reads what it decides on from the replicas themselves — each replica's
+//! next timestamp ([`Net::peek`]: the FEL head, since hybrid runs are
+//! refused), each completion count, each blocker watch — and folds
 //! the earliest within-horizon arrival parked in any inbox into `T`
 //! (the null-message horizon update of classic conservative PDES,
 //! carried on the data path). A worker that panics poisons the barrier
@@ -253,8 +254,8 @@ impl<'a> Net<'a> {
     /// before the run could possibly finish mid-window.
     fn run_window(&mut self, end: SimTime, horizon: SimTime) {
         self.ingest();
-        while self.q.peek_time().is_some_and(|t| t < end && t <= horizon) {
-            self.step();
+        while let Some(next) = self.peek().filter(|&(t, _)| t < end && t <= horizon) {
+            self.step(next);
         }
     }
 
@@ -339,7 +340,7 @@ impl<'a> Net<'a> {
         self.m.conns_peak += (other.senders.peak() + other.receivers.peak()) as u64;
         self.q
             .absorb_monotonicity_violations(other.q.monotonicity_violations());
-        self.q.join_clock(other.q.now());
+        self.now = self.now.max(other.now);
     }
 }
 
@@ -413,7 +414,7 @@ fn global_min(nets: &[MutexGuard<Net>], horizon: SimTime) -> Option<SimTime> {
         .flat_map(|n| {
             let ctx = n.shard.as_ref().expect("sharded net without ctx");
             let parked = ctx.inbox.iter().flatten().map(|m| m.at);
-            n.q.peek_time().into_iter().chain(parked)
+            n.peek().map(|(t, _)| t).into_iter().chain(parked)
         })
         .filter(|&t| t <= horizon)
         .min()
@@ -700,14 +701,14 @@ impl<'n, 'a> Run<'n, 'a> {
                 net.ingest();
             }
             let best = (nets.iter().enumerate())
-                .filter_map(|(s, g)| g.q.peek_time_key().map(|(t, k)| (t, k, s)))
+                .filter_map(|(s, g)| g.peek().map(|(t, k)| (t, k, s)))
                 .min();
-            let Some((t, _, s)) = best else { break };
+            let Some((t, k, s)) = best else { break };
             if t > self.horizon {
                 break;
             }
             let before = nets[s].n_completed;
-            nets[s].step();
+            nets[s].step((t, k));
             steps += 1;
             done += nets[s].n_completed - before;
             // The merge may reach this event's handoffs before any barrier.

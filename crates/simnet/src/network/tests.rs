@@ -705,3 +705,29 @@ fn double_chaining_rejected() {
         Some(ConfigError::ChainedTwice { flow: 2 })
     );
 }
+
+#[test]
+fn a_run_that_ends_on_a_tail_completion_ends_at_its_instant() {
+    // One long cross-rack flow under hybrid fidelity: its packet prefix is
+    // delivered long before its fluid tail drains, so the run's last event
+    // is the tail completion — taken off the seam's heap, which leaves the
+    // FEL's clock at its own last pop. `sim_end` is the run's clock.
+    let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
+    cfg.fidelity = FidelityKind::Hybrid;
+    let flows = one_flow(4_000_000);
+    let mut net = Net::build(&cfg, &flows, vec![None], None);
+    net.run_loop();
+    let hy = net.hybrid.as_ref().expect("hybrid run");
+    assert_eq!((hy.migrations, hy.demotions), (1, 0));
+    assert_eq!(
+        events::class_of(net.cur_key),
+        events::class::FLUID_DONE,
+        "the last event was not the tail completion"
+    );
+    let done_at = net.now;
+    assert!(net.q.now() < done_at, "the FEL's clock moved on a heap pop");
+    let r = net.into_report(std::time::Duration::ZERO);
+    assert_eq!(r.completed, 1);
+    assert_eq!(r.sim_end, done_at);
+    assert_eq!(r.fct.fct_of(FlowId(0)), Some(done_at.as_secs_f64()));
+}

@@ -15,10 +15,10 @@ use tlb_net::Packet;
 ///
 /// The `mask` (bit `i` set ⇔ uplink `i` is *live*) reflects route
 /// reconvergence after failures: a dead uplink stays addressable (indices
-/// are stable) but every `shortest_*` helper skips it, and schemes consult
-/// [`PortView::is_live`] before sticking to a cached port. With all bits
-/// set — the only state a failure-free run ever sees — each helper visits
-/// ports in exactly the historical order, so masked and unmasked fabrics
+/// are stable) but [`PortView::shortest_bytes_rand`] skips it, and schemes
+/// consult [`PortView::is_live`] before sticking to a cached port. With all
+/// bits set — the only state a failure-free run ever sees — the helper
+/// visits ports in exactly the historical order, so masked and unmasked fabrics
 /// produce bit-identical decisions and RNG consumption.
 #[derive(Clone, Copy)]
 pub struct PortView<'a> {
@@ -117,30 +117,6 @@ impl<'a> PortView<'a> {
         self.ports[i].link().bytes_per_sec
     }
 
-    /// The uplink with the fewest queued bytes (lowest index on ties) —
-    /// the "shortest queue" both TLB rules route to.
-    pub fn shortest_bytes(&self) -> usize {
-        assert!(
-            !self.ports.is_empty(),
-            "PortView::shortest_bytes on a leaf with no uplink ports \
-             (build the topology with at least one spine)"
-        );
-        let first = self.nth_live(0);
-        let mut best = first;
-        let mut best_bytes = self.ports[first].len_bytes();
-        for (i, p) in self.ports.iter().enumerate().skip(first + 1) {
-            if !self.is_live(i) {
-                continue;
-            }
-            let b = p.len_bytes();
-            if b < best_bytes {
-                best = i;
-                best_bytes = b;
-            }
-        }
-        best
-    }
-
     /// The uplink with the fewest queued bytes, breaking ties uniformly at
     /// random. Deterministic tie-breaking would herd every decision onto
     /// the lowest-indexed port whenever queues equalize (the common case
@@ -171,29 +147,6 @@ impl<'a> PortView<'a> {
                 if rng.gen_range(ties) == 0 {
                     best = i;
                 }
-            }
-        }
-        best
-    }
-
-    /// The uplink with the fewest queued packets (lowest index on ties).
-    pub fn shortest_pkts(&self) -> usize {
-        assert!(
-            !self.ports.is_empty(),
-            "PortView::shortest_pkts on a leaf with no uplink ports \
-             (build the topology with at least one spine)"
-        );
-        let first = self.nth_live(0);
-        let mut best = first;
-        let mut best_len = self.ports[first].len_pkts();
-        for (i, p) in self.ports.iter().enumerate().skip(first + 1) {
-            if !self.is_live(i) {
-                continue;
-            }
-            let l = p.len_pkts();
-            if l < best_len {
-                best = i;
-                best_len = l;
             }
         }
         best
@@ -310,33 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn shortest_picks_min() {
-        let ps = ports(&[3, 1, 2]);
-        let v = PortView::new(&ps);
-        assert_eq!(v.shortest_bytes(), 1);
-        assert_eq!(v.shortest_pkts(), 1);
-    }
-
-    #[test]
-    fn shortest_breaks_ties_low_index() {
-        let ps = ports(&[2, 1, 1]);
-        let v = PortView::new(&ps);
-        assert_eq!(v.shortest_bytes(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "no uplink ports")]
-    fn shortest_bytes_rejects_empty_view() {
-        PortView::new(&[]).shortest_bytes();
-    }
-
-    #[test]
-    #[should_panic(expected = "no uplink ports")]
-    fn shortest_pkts_rejects_empty_view() {
-        PortView::new(&[]).shortest_pkts();
-    }
-
-    #[test]
     #[should_panic(expected = "no uplink ports")]
     fn shortest_bytes_rand_rejects_empty_view() {
         let mut rng = tlb_engine::SimRng::new(1);
@@ -352,14 +278,12 @@ mod tests {
         assert!(v.is_live(0) && !v.is_live(1) && v.is_live(2) && !v.is_live(3));
         assert_eq!(v.nth_live(0), 0);
         assert_eq!(v.nth_live(1), 2);
-        assert_eq!(v.shortest_bytes(), 2);
-        assert_eq!(v.shortest_pkts(), 2);
         let mut rng = tlb_engine::SimRng::new(7);
         assert_eq!(v.shortest_bytes_rand(&mut rng), 2);
         // Dead port 0: the first-live seed moves off index 0 and the
         // empty live port 3 wins.
         let w = PortView::with_mask(&ps, 0b1010);
-        assert_eq!(w.shortest_bytes(), 3);
+        assert_eq!(w.shortest_bytes_rand(&mut rng), 3);
     }
 
     #[test]
@@ -368,7 +292,6 @@ mod tests {
         let a = PortView::new(&ps);
         let b = PortView::with_mask(&ps, PortView::full_mask(ps.len()));
         assert_eq!(a.mask(), b.mask());
-        assert_eq!(a.shortest_bytes(), b.shortest_bytes());
         // Identical RNG consumption on the randomized tie-break.
         let mut r1 = tlb_engine::SimRng::new(9);
         let mut r2 = tlb_engine::SimRng::new(9);

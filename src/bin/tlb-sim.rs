@@ -389,12 +389,12 @@ fn main() {
         r.wire_pkts_peak,
         r.conns_peak
     );
-    // What the fluid tier cost: timer events are FEL pushes, rate changes
-    // only move entries of the seam's completion heap.
+    // What the fluid tier did: rate changes only move entries of the
+    // seam's completion heap, never FEL events.
     if hybrid {
         eprintln!(
-            "fluid: {} migrations, {} demotions, {} rate changes, {} timer events",
-            r.fluid_migrations, r.fluid_demotions, r.fluid_rate_changes, r.fluid_timer_events
+            "fluid: {} migrations, {} demotions, {} rate changes",
+            r.fluid_migrations, r.fluid_demotions, r.fluid_rate_changes
         );
     }
 

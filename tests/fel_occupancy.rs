@@ -118,7 +118,7 @@ fn sharded_shards_stay_within_the_pipelined_bound() {
 /// tails overlap and every join or leave re-rates a crowd of sharers.
 fn websearch_job(fidelity: FidelityKind) -> RunReport {
     let mut cfg = SimConfig::large_scale(Scheme::tlb_default(), 32);
-    cfg.audit = true; // arm the in-loop occupancy and fluid-timer oracles
+    cfg.audit = true; // arm the in-loop occupancy and fluid-resident oracles
     cfg.fidelity = fidelity;
     let dist = web_search();
     let wl = PoissonWorkload {
@@ -136,10 +136,10 @@ fn websearch_job(fidelity: FidelityKind) -> RunReport {
 
 /// The fluid tier must not use the FEL as its priority queue: every join
 /// and leave re-rates all sharers, and if each re-rate were an FEL event
-/// the superseded ones would sit there until their time came. With the
-/// projections in the seam's indexed heap, a hybrid run's FEL is no deeper
-/// than its packet twin's and holds one timer push per completion, give or
-/// take the few that are superseded or fire early.
+/// the superseded ones would sit there until their time came. The
+/// projections live in the seam's indexed heap, which the run loop reads
+/// as a second event source — no fluid event enters the FEL at all — so a
+/// hybrid run's FEL is no deeper than its packet twin's.
 #[test]
 fn fluid_completions_stay_out_of_the_fel() {
     let packet = websearch_job(FidelityKind::Packet);
@@ -151,11 +151,6 @@ fn fluid_completions_stay_out_of_the_fel() {
         hybrid.fluid_rate_changes > 10 * residencies,
         "scenario has too little sharing to tell: {} rate changes for {residencies} residencies",
         hybrid.fluid_rate_changes
-    );
-    assert!(
-        hybrid.fluid_timer_events <= 4 * residencies + 16,
-        "{} fluid timer events for {residencies} residencies",
-        hybrid.fluid_timer_events
     );
     assert!(
         hybrid.fel_depth.max() <= packet.fel_depth.max() + 16.0,
