@@ -9,20 +9,10 @@
 //! Each variant runs the sustained §6.1 workload.
 
 use rayon::prelude::*;
-use tlb_bench::{Out, Scale};
+use tlb_bench::{sustained_scenario, Out, Scale};
 use tlb_core::{ThresholdMode, TlbConfig};
-use tlb_engine::{SimRng, SimTime};
-use tlb_simnet::{RunReport, Scheme, SimConfig, Simulation};
-use tlb_workload::{sustained_mix, BasicMixConfig};
-
-fn run_variant(cfg_tlb: TlbConfig, rounds: usize, seed: u64) -> RunReport {
-    let cfg = SimConfig::basic_paper(Scheme::Tlb(cfg_tlb));
-    let mut mix = BasicMixConfig::paper_default();
-    mix.n_short = 100;
-    mix.n_long = 3;
-    let (flows, next) = sustained_mix(&cfg.topo, &mix, rounds, &mut SimRng::new(seed));
-    Simulation::new_chained(cfg, flows, next).run()
-}
+use tlb_engine::SimTime;
+use tlb_simnet::{RunReport, Scheme};
 
 fn main() {
     let scale = Scale::from_env();
@@ -67,7 +57,7 @@ fn main() {
 
     let reports: Vec<RunReport> = variants
         .par_iter()
-        .map(|(_, c)| run_variant(*c, rounds, seed))
+        .map(|(_, c)| sustained_scenario(Scheme::Tlb(*c), 100, 3, rounds, seed))
         .collect();
 
     out.line(&format!(

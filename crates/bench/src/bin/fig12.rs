@@ -2,12 +2,11 @@
 //! percentile of the deadline distribution and sweep the load on the
 //! web-search workload; the same four panels as Fig. 10.
 
-use tlb_bench::{large_scale_jobs, load_sweep, Out, Scale};
+use tlb_bench::{load_sweep_panels, Out};
 use tlb_core::TlbConfig;
-use tlb_simnet::{run_all, RunReport, Scheme};
+use tlb_simnet::Scheme;
 
 fn main() {
-    let scale = Scale::from_env();
     let mut out = Out::new("fig12");
     out.line("Fig. 12 — deadline-agnostic TLB (percentile variants)");
     out.line("  true deadlines U[5ms, 25ms]; TLB protects a fixed percentile");
@@ -29,53 +28,14 @@ fn main() {
 
     let schemes: Vec<Scheme> = variants.iter().map(|(_, s)| s.clone()).collect();
     let names: Vec<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
-    let dist = tlb_workload::web_search();
-    let loads = load_sweep(scale);
-    let mut jobs = Vec::new();
-    for &load in &loads {
-        jobs.extend(large_scale_jobs(&schemes, &dist, load, scale));
-    }
-    let reports = run_all(jobs);
-    let cell = |li: usize, si: usize| &reports[li * schemes.len() + si];
-
-    let header = {
-        let mut h = format!("{:<6}", "load");
-        for n in &names {
-            h.push_str(&format!(" {n:>10}"));
-        }
-        h
-    };
-    type Panel = (&'static str, Box<dyn Fn(&RunReport) -> f64>);
-    let panels: Vec<Panel> = vec![
-        (
-            "(a) AFCT of short flows (ms)",
-            Box::new(|r: &RunReport| r.fct_short.afct * 1e3),
-        ),
-        (
-            "(b) 99th-pct FCT of short flows (ms)",
-            Box::new(|r: &RunReport| r.fct_short.p99 * 1e3),
-        ),
-        (
-            "(c) missed deadlines (%)",
-            Box::new(|r: &RunReport| r.fct_short.deadline_miss * 100.0),
-        ),
-        (
-            "(d) long-flow throughput (Mbit/s)",
-            Box::new(|r: &RunReport| r.long_throughput() * 8.0 / 1e6),
-        ),
+    let titles = [
+        "(a) AFCT of short flows (ms)",
+        "(b) 99th-pct FCT of short flows (ms)",
+        "(c) missed deadlines (%)",
+        "(d) long-flow throughput (Mbit/s)",
     ];
-    for (panel, f) in &panels {
-        out.line(panel);
-        out.line(&header);
-        for (li, load) in loads.iter().enumerate() {
-            let mut row = format!("{load:<6.1}");
-            for si in 0..schemes.len() {
-                row.push_str(&format!(" {:>10.2}", f(cell(li, si))));
-            }
-            out.line(&row);
-        }
-        out.blank();
-    }
+    let dist = tlb_workload::web_search();
+    load_sweep_panels(&mut out, titles, &schemes, &names, &dist);
     // The load sweep alone can be flat when per-leaf m_S stays small (the
     // Eq. 9 threshold then never binds and every percentile behaves the
     // same). The paper's trade-off appears under heavy sustained short

@@ -2,10 +2,8 @@
 //! of 2 degraded leaf-to-spine links: normalized AFCT and long-flow
 //! throughput.
 
-use rayon::prelude::*;
 use tlb_bench::{asymmetric_scenario, normalized_panels, Out, Scale};
 use tlb_engine::SimTime;
-use tlb_simnet::Scheme;
 
 fn main() {
     let scale = Scale::from_env();
@@ -14,27 +12,16 @@ fn main() {
     out.blank();
 
     let delays_us = scale.pick(vec![0u64, 100, 200, 400], vec![0, 50, 100, 200, 400, 800]);
-    let schemes = Scheme::paper_set();
-    let names: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
+    let xs: Vec<(String, u64)> = delays_us.iter().map(|&d| (format!("{d}us"), d)).collect();
     let seed = tlb_bench::scale::base_seed();
-
-    let mut afct = Vec::new();
-    let mut gput = Vec::new();
-    for &d in &delays_us {
-        let reports: Vec<_> = schemes
-            .par_iter()
-            .map(|s| asymmetric_scenario(s.clone(), 1.0, SimTime::from_micros(d), seed))
-            .collect();
-        afct.push(reports.iter().map(|r| r.fct_short.afct).collect::<Vec<_>>());
-        gput.push(
-            reports
-                .iter()
-                .map(|r| r.long_throughput())
-                .collect::<Vec<_>>(),
-        );
-    }
-    let labels: Vec<String> = delays_us.iter().map(|d| format!("{d}us")).collect();
-    normalized_panels(&mut out, "extra delay", &labels, &names, &afct, &gput);
+    normalized_panels(&mut out, "extra delay", 16, &xs, |s, &d| {
+        vec![asymmetric_scenario(
+            s.clone(),
+            1.0,
+            SimTime::from_micros(d),
+            seed,
+        )]
+    });
     out.line("expected shape (paper): ECMP's tail blows up once hashed onto");
     out.line("bad paths; RPS/Presto degrade with reordering; LetFlow and TLB");
     out.line("stay resilient.");

@@ -1,10 +1,8 @@
 //! Fig. 17 — asymmetric scenario, varying the **bandwidth** of 2 degraded
 //! leaf-to-spine links: normalized AFCT and long-flow throughput.
 
-use rayon::prelude::*;
 use tlb_bench::{asymmetric_scenario, normalized_panels, Out, Scale};
 use tlb_engine::SimTime;
-use tlb_simnet::Scheme;
 
 fn main() {
     let scale = Scale::from_env();
@@ -14,30 +12,14 @@ fn main() {
 
     // Bandwidth factors of the degraded links (1.0 = symmetric).
     let factors = scale.pick(vec![1.0f64, 0.5, 0.25], vec![1.0, 0.75, 0.5, 0.25, 0.1]);
-    let schemes = Scheme::paper_set();
-    let names: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
-    let seed = tlb_bench::scale::base_seed();
-
-    let mut afct = Vec::new();
-    let mut gput = Vec::new();
-    for &f in &factors {
-        let reports: Vec<_> = schemes
-            .par_iter()
-            .map(|s| asymmetric_scenario(s.clone(), f, SimTime::ZERO, seed))
-            .collect();
-        afct.push(reports.iter().map(|r| r.fct_short.afct).collect::<Vec<_>>());
-        gput.push(
-            reports
-                .iter()
-                .map(|r| r.long_throughput())
-                .collect::<Vec<_>>(),
-        );
-    }
-    let labels: Vec<String> = factors
+    let xs: Vec<(String, f64)> = factors
         .iter()
-        .map(|f| format!("{:.0}%bw", f * 100.0))
+        .map(|&f| (format!("{:.0}%bw", f * 100.0), f))
         .collect();
-    normalized_panels(&mut out, "degraded bw", &labels, &names, &afct, &gput);
+    let seed = tlb_bench::scale::base_seed();
+    normalized_panels(&mut out, "degraded bw", 16, &xs, |s, &f| {
+        vec![asymmetric_scenario(s.clone(), f, SimTime::ZERO, seed)]
+    });
     out.line("expected shape (paper): the bigger the bandwidth gap, the worse");
     out.line("the oblivious schemes (ECMP/RPS/Presto) get relative to TLB;");
     out.line("LetFlow stays competitive.");

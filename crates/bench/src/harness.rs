@@ -1,8 +1,12 @@
 //! Shared experiment builders used by the per-figure binaries.
 
 use crate::scale::{base_seed, Scale};
+use crate::Out;
+use std::fmt::Write as _;
 use tlb_engine::{SimRng, SimTime};
+use tlb_net::{FlowId, HostId, LinkProps, Packet, PktKind};
 use tlb_simnet::{RunReport, Scheme, SimConfig, Simulation};
+use tlb_switch::{LoadBalancer, OutPort, PortView, QueueCfg};
 use tlb_workload::{basic_mix, BasicMixConfig, FlowSpec, PoissonWorkload, SizeDist, UniformBytes};
 
 /// The §6.1 basic scenario: the paper's mixed workload on the 15-path
@@ -46,22 +50,24 @@ pub fn granularity_schemes() -> Vec<(&'static str, Scheme)> {
     ]
 }
 
+/// Hosts per leaf of the §6.2 fabric. The paper's 4:1 oversubscription at
+/// both scales (it is what makes the uplinks contend); quick mode shortens
+/// the trace instead.
+const LARGE_SCALE_HOSTS_PER_LEAF: usize = 32;
+
 /// Large-scale (§6.2) jobs: one `(cfg, flows)` pair per scheme at one load.
 /// Shared flow set per load so schemes are compared on identical traffic.
-pub fn large_scale_jobs(
+fn large_scale_jobs(
     schemes: &[Scheme],
     dist: &impl SizeDist,
     load: f64,
     scale: Scale,
 ) -> Vec<(SimConfig, Vec<FlowSpec>)> {
-    // Keep the paper's 4:1 oversubscription at both scales (it is what makes
-    // the uplinks contend); quick mode shortens the trace instead.
-    let hosts_per_leaf = 32;
     let duration = scale.pick(SimTime::from_millis(25), SimTime::from_millis(150));
     schemes
         .iter()
         .map(|scheme| {
-            let cfg = SimConfig::large_scale(scheme.clone(), hosts_per_leaf);
+            let cfg = SimConfig::large_scale(scheme.clone(), LARGE_SCALE_HOSTS_PER_LEAF);
             let wl = PoissonWorkload {
                 load,
                 dist,
@@ -78,7 +84,7 @@ pub fn large_scale_jobs(
 }
 
 /// The load axis of Fig. 10–12.
-pub fn load_sweep(scale: Scale) -> Vec<f64> {
+fn load_sweep(scale: Scale) -> Vec<f64> {
     match scale {
         Scale::Quick => vec![0.2, 0.4, 0.6, 0.8],
         Scale::Full => vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
@@ -134,71 +140,23 @@ pub fn testbed_scenario(scheme: Scheme, n_short: usize, n_long: usize, seed: u64
     Simulation::new(cfg, flows).run()
 }
 
-/// Shared by Fig. 13/14: run all five schemes at each x-value of the
-/// testbed scenario and print short-flow AFCT and long-flow throughput
-/// normalized to TLB (the paper's presentation).
+/// Shared by Fig. 13/14: the testbed scenario at each x-value, with
+/// `params(x)` = `(n_short, n_long)`, in [`normalized_panels`].
 pub fn testbed_normalized_panels(
-    out: &mut crate::Out,
+    out: &mut Out,
     xs: &[usize],
-    params: impl Fn(usize) -> (usize, usize),
+    params: impl Fn(usize) -> (usize, usize) + Sync,
     seed: u64,
 ) {
-    use rayon::prelude::*;
-    // Testbed runs are cheap; average 3 seeds to keep the normalized panels
-    // from jumping with one unlucky hash placement.
-    let seeds: Vec<u64> = (0..3).map(|i| seed + i).collect();
-    let schemes = Scheme::paper_set();
-    let names: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
-    let mut afct: Vec<Vec<f64>> = Vec::new();
-    let mut gput: Vec<Vec<f64>> = Vec::new();
-    for &x in xs {
+    let xs: Vec<(String, usize)> = xs.iter().map(|&x| (x.to_string(), x)).collect();
+    normalized_panels(out, "x", 6, &xs, |s, &x| {
         let (n_short, n_long) = params(x);
-        let cells: Vec<(f64, f64)> = schemes
-            .par_iter()
-            .map(|s| {
-                let runs: Vec<_> = seeds
-                    .iter()
-                    .map(|&sd| testbed_scenario(s.clone(), n_short, n_long, sd))
-                    .collect();
-                let n = runs.len() as f64;
-                (
-                    runs.iter().map(|r| r.fct_short.afct).sum::<f64>() / n,
-                    runs.iter().map(|r| r.long_throughput()).sum::<f64>() / n,
-                )
-            })
-            .collect();
-        afct.push(cells.iter().map(|c| c.0).collect());
-        gput.push(cells.iter().map(|c| c.1).collect());
-    }
-    let tlb = names.iter().position(|n| *n == "TLB").unwrap();
-
-    let header = {
-        let mut h = format!("{:<6}", "x");
-        for n in &names {
-            h.push_str(&format!(" {n:>10}"));
-        }
-        h
-    };
-    out.line("(a) AFCT of short flows, normalized to TLB (>1 = slower than TLB)");
-    out.line(&header);
-    for (i, &x) in xs.iter().enumerate() {
-        let mut row = format!("{x:<6}");
-        for si in 0..names.len() {
-            row.push_str(&format!(" {:>10.2}", afct[i][si] / afct[i][tlb]));
-        }
-        out.line(&row);
-    }
-    out.blank();
-    out.line("(b) long-flow throughput, normalized to TLB (<1 = less than TLB)");
-    out.line(&header);
-    for (i, &x) in xs.iter().enumerate() {
-        let mut row = format!("{x:<6}");
-        for si in 0..names.len() {
-            row.push_str(&format!(" {:>10.2}", gput[i][si] / gput[i][tlb]));
-        }
-        out.line(&row);
-    }
-    out.blank();
+        // Testbed runs are cheap; average 3 seeds to keep the normalized
+        // panels from jumping with one unlucky hash placement.
+        (0..3)
+            .map(|i| testbed_scenario(s.clone(), n_short, n_long, seed + i))
+            .collect()
+    });
 }
 
 /// Asymmetric §7 scenario: degrade 2 leaf-0 uplinks by `bw_factor` and
@@ -231,72 +189,66 @@ pub fn asymmetric_scenario(
     Simulation::new(cfg, flows).run()
 }
 
-/// One labelled panel extractor for the four-panel figures.
-type Panel = (&'static str, Box<dyn Fn(&RunReport) -> f64>);
+/// The four per-load metrics of Fig. 10–12, in panel order: short-flow
+/// AFCT (ms), 99th-pct FCT (ms), deadline miss (%) and long-flow
+/// throughput (Mbit/s). Each figure titles them its own way.
+const LOAD_METRICS: [fn(&RunReport) -> f64; 4] = [
+    |r| r.fct_short.afct * 1e3,
+    |r| r.fct_short.p99 * 1e3,
+    |r| r.fct_short.deadline_miss * 100.0,
+    |r| r.long_throughput() * 8.0 / 1e6,
+];
+
+/// The load sweep of Fig. 10–12: run every (load, scheme) cell on `dist`
+/// as one parallel batch and print the four `LOAD_METRICS` panels under
+/// `titles`, one column per entry of `names`. Returns the loads and the
+/// reports, row-major by load.
+pub fn load_sweep_panels(
+    out: &mut Out,
+    titles: [&str; 4],
+    schemes: &[Scheme],
+    names: &[&str],
+    dist: &impl SizeDist,
+) -> (Vec<f64>, Vec<RunReport>) {
+    let scale = Scale::from_env();
+    let loads = load_sweep(scale);
+    let mut jobs = Vec::new();
+    for &load in &loads {
+        jobs.extend(large_scale_jobs(schemes, dist, load, scale));
+    }
+    let reports = tlb_simnet::run_all(jobs);
+    let labels: Vec<String> = loads.iter().map(|l| format!("{l:.1}")).collect();
+    for (title, metric) in titles.iter().zip(LOAD_METRICS) {
+        panel(out, title, "load", 6, &labels, names, |li, si| {
+            metric(&reports[li * schemes.len() + si])
+        });
+    }
+    (loads, reports)
+}
 
 /// The shared driver of Fig. 10/11: sweep the paper's five schemes over the
 /// load axis on one flow-size distribution and print the four panels
 /// (AFCT, p99 FCT, deadline miss %, long-flow throughput).
 pub fn large_scale_figure(id: &str, title: &str, dist: &impl SizeDist) {
-    let scale = Scale::from_env();
     let schemes = Scheme::paper_set();
-    let loads = load_sweep(scale);
-    // One big parallel batch: every (load, scheme) cell.
-    let mut jobs = Vec::new();
-    for &load in &loads {
-        jobs.extend(large_scale_jobs(&schemes, dist, load, scale));
-    }
-
-    let mut out = crate::Out::new(id);
+    let names: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
+    let mut out = Out::new(id);
     out.line(title);
+    let fabric = SimConfig::large_scale(Scheme::Ecmp, LARGE_SCALE_HOSTS_PER_LEAF);
     out.line(&format!(
         "  topology: 8 ToR x 8 core, {} hosts, 1 Gbit/s, DCTCP",
-        jobs[0].0.topo.n_hosts()
+        fabric.topo.n_hosts()
     ));
     out.blank();
 
-    let reports = tlb_simnet::run_all(jobs);
-    let cell = |li: usize, si: usize| &reports[li * schemes.len() + si];
-
-    let names: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
-    let header = {
-        let mut h = format!("{:<6}", "load");
-        for n in &names {
-            h.push_str(&format!(" {n:>10}"));
-        }
-        h
-    };
-
-    let panels: Vec<Panel> = vec![
-        (
-            "(a) short-flow AFCT (ms)",
-            Box::new(|r: &RunReport| r.fct_short.afct * 1e3),
-        ),
-        (
-            "(b) short-flow 99th-pct FCT (ms)",
-            Box::new(|r: &RunReport| r.fct_short.p99 * 1e3),
-        ),
-        (
-            "(c) short-flow deadline miss (%)",
-            Box::new(|r: &RunReport| r.fct_short.deadline_miss * 100.0),
-        ),
-        (
-            "(d) long-flow throughput (Mbit/s)",
-            Box::new(|r: &RunReport| r.long_throughput() * 8.0 / 1e6),
-        ),
+    let titles = [
+        "(a) short-flow AFCT (ms)",
+        "(b) short-flow 99th-pct FCT (ms)",
+        "(c) short-flow deadline miss (%)",
+        "(d) long-flow throughput (Mbit/s)",
     ];
-    for (panel, f) in &panels {
-        out.line(panel);
-        out.line(&header);
-        for (li, load) in loads.iter().enumerate() {
-            let mut row = format!("{load:<6.1}");
-            for si in 0..schemes.len() {
-                row.push_str(&format!(" {:>10.2}", f(cell(li, si))));
-            }
-            out.line(&row);
-        }
-        out.blank();
-    }
+    let (loads, reports) = load_sweep_panels(&mut out, titles, &schemes, &names, dist);
+    let cell = |li: usize, si: usize| &reports[li * schemes.len() + si];
 
     // Panel (a) as an ASCII chart: AFCT vs load per scheme.
     out.line("short-flow AFCT vs load (ms):");
@@ -340,44 +292,160 @@ pub fn large_scale_figure(id: &str, title: &str, dist: &impl SizeDist) {
     out.save();
 }
 
-/// Print the two TLB-normalized panels shared by Fig. 16/17: AFCT (panel a)
-/// and long-flow throughput (panel b) per x-value per scheme.
-pub fn normalized_panels(
-    out: &mut crate::Out,
+/// The two TLB-normalized panels shared by Fig. 13/14 and 16/17: at each
+/// labelled x-value, `run` the paper's five schemes in parallel and print
+/// short-flow AFCT (panel a) and long-flow throughput (panel b), each the
+/// mean over the reports `run` returns, under an `xlabel` column `width`
+/// wide.
+pub fn normalized_panels<X: Sync>(
+    out: &mut Out,
     xlabel: &str,
-    xs: &[String],
-    names: &[&str],
-    afct: &[Vec<f64>],
-    gput: &[Vec<f64>],
+    width: usize,
+    xs: &[(String, X)],
+    run: impl Fn(&Scheme, &X) -> Vec<RunReport> + Sync,
 ) {
+    use rayon::prelude::*;
+    let schemes = Scheme::paper_set();
+    let names: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
+    let labels: Vec<String> = xs.iter().map(|(l, _)| l.clone()).collect();
+    let cells: Vec<Vec<(f64, f64)>> = xs
+        .iter()
+        .map(|(_, x)| {
+            schemes
+                .par_iter()
+                .map(|s| {
+                    let runs = run(s, x);
+                    let n = runs.len() as f64;
+                    (
+                        runs.iter().map(|r| r.fct_short.afct).sum::<f64>() / n,
+                        runs.iter().map(|r| r.long_throughput()).sum::<f64>() / n,
+                    )
+                })
+                .collect()
+        })
+        .collect();
     let tlb = names.iter().position(|n| *n == "TLB").expect("TLB column");
-    let header = {
-        let mut h = format!("{xlabel:<16}");
-        for n in names {
-            h.push_str(&format!(" {n:>10}"));
+    panel(
+        out,
+        "(a) AFCT of short flows, normalized to TLB (>1 = slower than TLB)",
+        xlabel,
+        width,
+        &labels,
+        &names,
+        |i, si| cells[i][si].0 / cells[i][tlb].0,
+    );
+    panel(
+        out,
+        "(b) long-flow throughput, normalized to TLB (<1 = less than TLB)",
+        xlabel,
+        width,
+        &labels,
+        &names,
+        |i, si| cells[i][si].1 / cells[i][tlb].1,
+    );
+}
+
+/// Print one (x × scheme) panel: `title`, a header of `xlabel` and the
+/// scheme `names`, one row per label holding `cell(row, scheme)` in
+/// 10-wide two-decimal columns, then a blank line. The label column is
+/// `width` wide.
+fn panel(
+    out: &mut Out,
+    title: &str,
+    xlabel: &str,
+    width: usize,
+    labels: &[String],
+    names: &[&str],
+    cell: impl Fn(usize, usize) -> f64,
+) {
+    out.line(title);
+    let mut header = format!("{xlabel:<width$}");
+    for n in names {
+        let _ = write!(header, " {n:>10}");
+    }
+    out.line(&header);
+    for (i, label) in labels.iter().enumerate() {
+        let mut row = format!("{label:<width$}");
+        for si in 0..names.len() {
+            let _ = write!(row, " {:>10.2}", cell(i, si));
         }
-        h
+        out.line(&row);
+    }
+    out.blank();
+}
+
+/// The Fig. 15(a) decision-cost fixture: nanoseconds per
+/// `choose_uplink` call of `scheme`, driven by a packet stream resembling
+/// the basic workload against a loaded 15-uplink view. Wall-clock, so
+/// the cheap schemes' ordering wobbles run to run on a shared host.
+pub fn measure_decision_ns(scheme: &Scheme) -> f64 {
+    const WARMUP: usize = 10_000;
+    let ports = make_ports();
+    let mut rng = SimRng::new(7);
+    let stream = make_stream(200_000, &mut rng);
+    let mut lb = scheme.build_static(1);
+    let mut now = SimTime::ZERO;
+    // Warm up the flow tables.
+    for pkt in &stream[..WARMUP] {
+        now += SimTime::from_nanos(500);
+        std::hint::black_box(lb.choose_uplink(pkt, PortView::new(&ports), now, &mut rng));
+    }
+    let t0 = std::time::Instant::now();
+    for pkt in &stream[WARMUP..] {
+        now += SimTime::from_nanos(500);
+        std::hint::black_box(lb.choose_uplink(pkt, PortView::new(&ports), now, &mut rng));
+    }
+    t0.elapsed().as_nanos() as f64 / (stream.len() - WARMUP) as f64
+}
+
+/// A 15-uplink view with mixed queue lengths.
+fn make_ports() -> Vec<OutPort> {
+    let link = LinkProps::gbps(1.0, SimTime::ZERO);
+    let cfg = QueueCfg {
+        capacity_pkts: 256,
+        ecn_threshold_pkts: Some(20),
     };
-    out.line("(a) AFCT of short flows, normalized to TLB (>1 = slower than TLB)");
-    out.line(&header);
-    for (i, x) in xs.iter().enumerate() {
-        let mut row = format!("{x:<16}");
-        for si in 0..names.len() {
-            row.push_str(&format!(" {:>10.2}", afct[i][si] / afct[i][tlb]));
-        }
-        out.line(&row);
-    }
-    out.blank();
-    out.line("(b) long-flow throughput, normalized to TLB (<1 = less than TLB)");
-    out.line(&header);
-    for (i, x) in xs.iter().enumerate() {
-        let mut row = format!("{x:<16}");
-        for si in 0..names.len() {
-            row.push_str(&format!(" {:>10.2}", gput[i][si] / gput[i][tlb]));
-        }
-        out.line(&row);
-    }
-    out.blank();
+    (0..15)
+        .map(|i| {
+            let mut p = OutPort::new(link, cfg);
+            for s in 0..(i * 3 % 17) {
+                let pkt = Packet::data(
+                    FlowId(9999),
+                    HostId(0),
+                    HostId(1),
+                    s,
+                    1460,
+                    40,
+                    SimTime::ZERO,
+                );
+                p.enqueue(pkt, SimTime::ZERO);
+            }
+            p
+        })
+        .collect()
+}
+
+/// A packet stream resembling the basic workload: 100 flows, mostly data,
+/// occasional SYN/FIN.
+fn make_stream(n: usize, rng: &mut SimRng) -> Vec<Packet> {
+    (0..n)
+        .map(|i| {
+            let flow = FlowId(rng.gen_range(100) as u32);
+            match i % 97 {
+                0 => Packet::control(flow, HostId(0), HostId(20), PktKind::Syn, 0, SimTime::ZERO),
+                1 => Packet::control(flow, HostId(0), HostId(20), PktKind::Fin, 0, SimTime::ZERO),
+                _ => Packet::data(
+                    flow,
+                    HostId(0),
+                    HostId(20),
+                    i as u32,
+                    1460,
+                    40,
+                    SimTime::ZERO,
+                ),
+            }
+        })
+        .collect()
 }
 
 /// Render a `(time, value)` series as a compact text sparkline table:
@@ -421,6 +489,57 @@ mod tests {
         assert!((pct_change(80.0, 100.0) + 20.0).abs() < 1e-9);
         assert!((pct_change(120.0, 100.0) - 20.0).abs() < 1e-9);
         assert_eq!(pct_change(1.0, 0.0), 0.0);
+    }
+
+    /// The lines `panel` prints after the title, for two rows of two schemes.
+    fn panel_lines(xlabel: &str, width: usize, labels: [&str; 2], cells: [[f64; 2]; 2]) -> String {
+        let mut out = Out::new("panel-selftest");
+        let labels = labels.map(String::from);
+        panel(
+            &mut out,
+            "title",
+            xlabel,
+            width,
+            &labels,
+            &["ECMP", "RPS"],
+            |i, si| cells[i][si],
+        );
+        out.buf
+            .split_once("title\n")
+            .expect("title line")
+            .1
+            .to_string()
+    }
+
+    #[test]
+    fn panel_writer_reproduces_the_load_and_normalized_tables() {
+        // results/fig10.txt panel (a), first two schemes and loads.
+        assert_eq!(
+            panel_lines("load", 6, ["0.2", "0.4"], [[0.87, 0.79], [1.64, 0.95]]),
+            "load         ECMP        RPS\n\
+             0.2          0.87       0.79\n\
+             0.4          1.64       0.95\n\n"
+        );
+        // results/fig16.txt panel (a), first two schemes and delays.
+        assert_eq!(
+            panel_lines(
+                "extra delay",
+                16,
+                ["0us", "100us"],
+                [[1.23, 1.04], [1.24, 1.07]]
+            ),
+            "extra delay            ECMP        RPS\n\
+             0us                    1.23       1.04\n\
+             100us                  1.24       1.07\n\n"
+        );
+    }
+
+    #[test]
+    fn decision_fixture_times_every_extended_scheme() {
+        for scheme in Scheme::extended_set() {
+            let ns = measure_decision_ns(&scheme);
+            assert!(ns.is_finite() && ns > 0.0, "{}: {ns} ns", scheme.name());
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 /// Collects everything an experiment prints and saves it under `results/`.
 pub struct Out {
     id: String,
-    buf: String,
+    pub(crate) buf: String,
 }
 
 impl Out {

@@ -486,7 +486,7 @@ mod tests {
         // request is clamped: slots no handle could reach would only waste
         // address space, and the packet that would need a 2^24-th slot
         // panics at `insert` instead. (The clamped reservation is address
-        // space only; no page of it is touched here.)
+        // space only; no page of it is written here.)
         assert_eq!(IDX_SPACE, 16_777_216);
         let small = PacketArena::with_capacity(5);
         assert_eq!((small.slots.capacity(), small.free.capacity()), (5, 5));

@@ -368,7 +368,7 @@ mod tests {
             up.prop_delay,
             SimTime::from_nanos(12_500) + SimTime::from_micros(40)
         );
-        // Other links untouched.
+        // Other links unchanged.
         assert_eq!(t.uplink_props(0, 3).bytes_per_sec, 125_000_000);
         assert_eq!(t.uplink_props(1, 2).bytes_per_sec, 125_000_000);
     }
@@ -441,7 +441,7 @@ mod tests {
                 t.min_one_way_delay(HostId(0), HostId(1)),
                 before_near + extra
             );
-            // A pair not involving host 0 is untouched.
+            // A pair not involving host 0 is unchanged.
             assert_eq!(t.min_one_way_delay(HostId(1), far), before_far);
         }
     }

@@ -64,16 +64,11 @@ pub struct FluidNet {
     caps: Vec<f64>,
     /// Live fluid flows crossing each link.
     n_on: Vec<u32>,
-    /// Flow ids crossing each link (lazily deleted: entries whose flow is
-    /// no longer active are skipped and periodically compacted).
+    /// Flow ids crossing each link, each live flow once per path link.
     on_link: Vec<Vec<u32>>,
-    /// Dead entries per `on_link` list, for compaction scheduling.
-    dead_on: Vec<u32>,
     flows: Vec<FluidFlow>,
-    /// Scratch epoch marks for deduplicating affected-flow scans.
-    touched: Vec<u64>,
-    epoch: u64,
-    /// The flows marked in the current scan, in collection order (sorted by
+    /// The flows collected in the current scan, in collection order and
+    /// once per shared link (sorted and deduplicated by
     /// [`FluidNet::finish_scan`]); scratch, reused across scans.
     scan: Vec<u32>,
     /// Pending rate changes since the last [`FluidNet::take_changes`].
@@ -89,10 +84,7 @@ impl FluidNet {
             caps: vec![0.0; n_links],
             n_on: vec![0; n_links],
             on_link: vec![Vec::new(); n_links],
-            dead_on: vec![0; n_links],
             flows: vec![DEAD; n_flows],
-            touched: vec![0; n_flows],
-            epoch: 0,
             scan: Vec::new(),
             changes: Vec::new(),
             active: 0,
@@ -130,10 +122,9 @@ impl FluidNet {
             path.len()
         );
         assert!(bytes > 0.0, "fluid join with no bytes");
-        // Advance sharers at their old rates before the populations move.
-        self.begin_scan();
+        // The sharers, collected before the joiner enters their lists.
         for &l in path {
-            self.collect_on(l, now_s);
+            self.collect_on(l, None);
         }
         // Populations: the joiner enters every path link.
         for &l in path {
@@ -150,7 +141,8 @@ impl FluidNet {
         f.updated_at = now_s;
         f.rate = 0.0;
         self.active += 1;
-        // New rates for the joiner and everything it displaced.
+        // New rates for the joiner and everything it displaced
+        // (`finish_scan` advances each sharer at its old rate first).
         self.rerate(flow, now_s);
         self.finish_scan(now_s);
     }
@@ -165,31 +157,22 @@ impl FluidNet {
         let remaining = self.flows[fi].remaining;
         let path = self.flows[fi].path;
         let path_len = self.flows[fi].path_len as usize;
-        // Advance sharers before the populations move; the leaver itself is
-        // already advanced and must not be re-rated, so mark it first.
-        self.begin_scan();
-        self.touched[fi] = self.epoch;
+        // The sharers, collected in the same pass that unlinks the leaver
+        // (already advanced, and not to be re-rated).
         for &l in &path[..path_len] {
-            self.collect_on(l, now_s);
-        }
-        for &l in &path[..path_len] {
+            self.collect_on(l, Some(flow));
             self.n_on[l as usize] -= 1;
-            self.dead_on[l as usize] += 1;
         }
         self.flows[fi] = DEAD;
         self.active -= 1;
         self.finish_scan(now_s);
-        for &l in &path[..path_len] {
-            self.maybe_compact(l);
-        }
         remaining
     }
 
     /// A link's capacity changed (degradation/repair): re-rate every flow
     /// crossing it.
     pub fn touch_link(&mut self, link: u32, now_s: f64) {
-        self.begin_scan();
-        self.collect_on(link, now_s);
+        self.collect_on(link, None);
         self.finish_scan(now_s);
     }
 
@@ -204,42 +187,34 @@ impl FluidNet {
 
     // ---- internals -------------------------------------------------------
 
-    fn begin_scan(&mut self) {
-        self.epoch += 1;
-        self.scan.clear();
-    }
-
-    /// Advance every not-yet-touched flow on `link` at its old rate and
-    /// mark it for re-rating in [`FluidNet::finish_scan`].
-    fn collect_on(&mut self, link: u32, now_s: f64) {
-        let li = link as usize;
-        let mut list = std::mem::take(&mut self.on_link[li]);
-        for &f in &list {
-            let fi = f as usize;
-            if !self.flows[fi].active || self.touched[fi] == self.epoch {
-                continue;
+    /// Collect every flow on `link` for [`FluidNet::finish_scan`],
+    /// unlinking `leaver` from the list in the same pass.
+    fn collect_on(&mut self, link: u32, leaver: Option<u32>) {
+        let scan = &mut self.scan;
+        self.on_link[link as usize].retain(|&f| {
+            let stays = Some(f) != leaver;
+            if stays {
+                scan.push(f);
             }
-            self.touched[fi] = self.epoch;
-            self.scan.push(f);
-            self.advance(f, now_s);
-        }
-        std::mem::swap(&mut self.on_link[li], &mut list);
+            stays
+        });
     }
 
-    /// Re-rate every flow collected in this scan (the whole affected set)
-    /// in ascending flow-id order — the order [`FluidNet::take_changes`]
-    /// hands to the driver, so it must not depend on link or insertion
-    /// order. Costs the affected set, not the flow table.
+    /// Advance every flow collected in this scan (the whole affected set)
+    /// at its old rate, then re-rate it — once each, in ascending flow-id
+    /// order, the order [`FluidNet::take_changes`] hands to the driver, so
+    /// it must not depend on link or insertion order. Costs the affected
+    /// set, not the flow table.
     fn finish_scan(&mut self, now_s: f64) {
         let mut scan = std::mem::take(&mut self.scan);
         scan.sort_unstable();
+        scan.dedup();
         for &f in &scan {
-            debug_assert!(
-                self.flows[f as usize].active,
-                "collected flow left mid-scan"
-            );
+            debug_assert!(self.flows[f as usize].active, "collected an inactive flow");
+            self.advance(f, now_s);
             self.rerate(f, now_s);
         }
+        scan.clear();
         self.scan = scan;
     }
 
@@ -275,19 +250,6 @@ impl FluidNet {
             flow,
             done_at_s: now_s + f.remaining / rate,
         });
-    }
-
-    /// Compact `link`'s flow list once most entries are dead, so long runs
-    /// with high flow churn keep the scan cost proportional to the live
-    /// population.
-    fn maybe_compact(&mut self, link: u32) {
-        let li = link as usize;
-        let dead = self.dead_on[li] as usize;
-        if dead > 8 && dead * 2 > self.on_link[li].len() {
-            let flows = &self.flows;
-            self.on_link[li].retain(|&f| flows[f as usize].active);
-            self.dead_on[li] = 0;
-        }
     }
 }
 
@@ -414,7 +376,9 @@ mod tests {
             }
         }
         assert_eq!(net.active_flows(), 1);
-        // The lazy list must have been compacted well below 40 entries.
-        assert!(net.on_link[0].len() < 20, "len {}", net.on_link[0].len());
+        // A leaver is unlinked as it leaves: the list holds the live
+        // sharers and nothing else.
+        assert_eq!(net.on_link[0], vec![39]);
+        assert_eq!(net.on_link[0].len(), net.n_on[0] as usize);
     }
 }

@@ -6,6 +6,7 @@
 
 use super::portmap::{PortId, PortMap, PortRef};
 use crate::config::{LinkEvent, SimConfig};
+use tlb_engine::SimTime;
 use tlb_net::{Fabric, HostId, LinkProps};
 use tlb_switch::OutPort;
 use tlb_transport::TcpConfig;
@@ -68,15 +69,21 @@ pub(super) fn for_each_link_state(
     }
 }
 
-/// Most packets ever in flight on a link in state `l`: one serializer
-/// feeds the wire, every packet costs at least the smallest packet's
-/// serialization time, and each lives exactly one propagation delay.
-pub(super) fn in_flight_bound(tcp: &TcpConfig, l: &LinkProps) -> usize {
+/// Most packets a link at `bytes_per_sec` puts through within `span`: one
+/// serializer, every packet at least the smallest (a bare header, of
+/// `tcp.header_bytes`), plus the two straddling the span's ends.
+pub(super) fn header_pkts_within(tcp: &TcpConfig, bytes_per_sec: u64, span: SimTime) -> u64 {
     let min_wire = tcp.header_bytes.max(1) as u64;
-    let tx = tlb_engine::time::tx_time(min_wire, l.bytes_per_sec)
+    let tx = tlb_engine::time::tx_time(min_wire, bytes_per_sec)
         .as_nanos()
         .max(1);
-    (l.prop_delay.as_nanos() / tx + 2).min(4096) as usize
+    span.as_nanos() / tx + 2
+}
+
+/// Most packets ever in flight on a link in state `l`: each lives exactly
+/// one propagation delay on the wire.
+pub(super) fn in_flight_bound(tcp: &TcpConfig, l: &LinkProps) -> usize {
+    header_pkts_within(tcp, l.bytes_per_sec, l.prop_delay).min(4096) as usize
 }
 
 /// Most packets ever crossing links at once, fabric-wide: the in-flight

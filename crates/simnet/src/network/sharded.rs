@@ -543,19 +543,16 @@ fn lookahead(cfg: &SimConfig, pmap: &PortMap, map: &ShardMap) -> SimTime {
 /// one parallel window. Deliveries to `h` are serialized by its downlink —
 /// whose props no [`crate::config::LinkEvent`] ever rewrites (they target
 /// fabric uplinks) — so a window of length `Δ` delivers at most
-/// `Δ / tx_h(min_wire) + 2` packets there. Both completion conjuncts of
-/// the tail rule read this table (module docs): their sum bounds the
-/// completions per window, and `c_dst` bounds the distinct segments one
-/// flow can gain.
+/// `Δ / tx_h(min_wire) + 2` packets there ([`link::header_pkts_within`]).
+/// Both completion conjuncts of the tail rule read this table (module
+/// docs): their sum bounds the completions per window, and `c_dst` bounds
+/// the distinct segments one flow can gain.
 fn host_arrival_bounds(cfg: &SimConfig, lookahead: SimTime) -> Vec<u32> {
-    let min_wire = cfg.tcp.header_bytes.max(1) as u64;
     (0..cfg.topo.n_hosts())
         .map(|h| {
-            let link = cfg.topo.host_link_of(tlb_net::HostId(h as u32));
-            let tx = tlb_engine::time::tx_time(min_wire, link.bytes_per_sec)
-                .as_nanos()
-                .max(1);
-            u32::try_from(lookahead.as_nanos() / tx + 2).unwrap_or(u32::MAX)
+            let down = cfg.topo.host_link_of(tlb_net::HostId(h as u32));
+            let c = link::header_pkts_within(&cfg.tcp, down.bytes_per_sec, lookahead);
+            u32::try_from(c).unwrap_or(u32::MAX)
         })
         .collect()
 }

@@ -2,7 +2,7 @@
 
 use tlb_core::TlbConfig;
 use tlb_engine::SimTime;
-use tlb_lb::DiffFlow;
+use tlb_lb::{CongaLite, DiffFlow};
 
 /// A load-balancing scheme plus its parameters. One balancer instance is
 /// built per leaf switch.
@@ -96,6 +96,19 @@ impl Scheme {
         }
     }
 
+    /// DRILL with its published power-of-two-choices parameters (d = 2
+    /// random samples, m = 1 remembered best).
+    pub fn drill_default() -> Scheme {
+        Scheme::Drill { d: 2, m: 1 }
+    }
+
+    /// CONGA-lite with CONGA's published 500 µs flowlet timeout.
+    pub fn conga_default() -> Scheme {
+        Scheme::CongaLite {
+            timeout: CongaLite::DEFAULT_TIMEOUT,
+        }
+    }
+
     /// FlowBender with its published parameters (5% trigger, K=20 sensing).
     pub fn flowbender_default() -> Scheme {
         Scheme::FlowBender {
@@ -130,13 +143,8 @@ impl Scheme {
     /// DRILL, CONGA-lite and FlowBender extensions.
     pub fn extended_set() -> Vec<Scheme> {
         let mut s = Scheme::paper_set();
-        s.insert(4, Scheme::Drill { d: 2, m: 1 });
-        s.insert(
-            5,
-            Scheme::CongaLite {
-                timeout: SimTime::from_micros(500),
-            },
-        );
+        s.insert(4, Scheme::drill_default());
+        s.insert(5, Scheme::conga_default());
         s.insert(6, Scheme::flowbender_default());
         s.insert(7, Scheme::hermes_default());
         s.insert(8, Scheme::Wcmp);
@@ -225,15 +233,8 @@ mod tests {
             let lb = scheme.build_static(7);
             assert_eq!(lb.name(), scheme.name());
         }
-        assert_eq!(Scheme::Drill { d: 2, m: 1 }.build_static(0).name(), "DRILL");
-        assert_eq!(
-            Scheme::CongaLite {
-                timeout: SimTime::from_micros(500)
-            }
-            .build_static(0)
-            .name(),
-            "CONGA-lite"
-        );
+        assert_eq!(Scheme::drill_default().build_static(0).name(), "DRILL");
+        assert_eq!(Scheme::conga_default().build_static(0).name(), "CONGA-lite");
         assert_eq!(
             Scheme::flowbender_default().build_static(0).name(),
             "FlowBender"

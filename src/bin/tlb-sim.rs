@@ -197,13 +197,11 @@ fn scheme_from(name: &str) -> Scheme {
         "rps" => Scheme::Rps,
         "presto" => Scheme::presto_default(),
         "letflow" => Scheme::letflow_default(),
-        "drill" => Scheme::Drill { d: 2, m: 1 },
+        "drill" => Scheme::drill_default(),
         "flowbender" => Scheme::flowbender_default(),
         "hermes" => Scheme::hermes_default(),
         "wcmp" => Scheme::Wcmp,
-        "conga" => Scheme::CongaLite {
-            timeout: SimTime::from_micros(500),
-        },
+        "conga" => Scheme::conga_default(),
         "diffflow" => Scheme::diffflow_default(),
         "tlb" => Scheme::tlb_default(),
         other => usage_error(format!(
