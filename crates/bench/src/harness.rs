@@ -4,9 +4,9 @@ use crate::scale::{base_seed, Scale};
 use crate::Out;
 use std::fmt::Write as _;
 use tlb_engine::{SimRng, SimTime};
-use tlb_net::{FlowId, HostId, LinkProps, Packet, PktKind};
+use tlb_net::{FlowId, HostId, Packet, PktKind};
 use tlb_simnet::{RunReport, Scheme, SimConfig, Simulation};
-use tlb_switch::{LoadBalancer, OutPort, PortView, QueueCfg};
+use tlb_switch::{LoadBalancer, OutPort, PortView};
 use tlb_workload::{basic_mix, BasicMixConfig, FlowSpec, PoissonWorkload, SizeDist, UniformBytes};
 
 /// The §6.1 basic scenario: the paper's mixed workload on the 15-path
@@ -380,7 +380,9 @@ fn panel(
 /// the cheap schemes' ordering wobbles run to run on a shared host.
 pub fn measure_decision_ns(scheme: &Scheme) -> f64 {
     const WARMUP: usize = 10_000;
-    let ports = make_ports();
+    // A 15-uplink view with mixed queue lengths.
+    let lens: Vec<usize> = (0..15).map(|i| i * 3 % 17).collect();
+    let ports = OutPort::filled(&lens);
     let mut rng = SimRng::new(7);
     let stream = make_stream(200_000, &mut rng);
     let mut lb = scheme.build_static(1);
@@ -396,33 +398,6 @@ pub fn measure_decision_ns(scheme: &Scheme) -> f64 {
         std::hint::black_box(lb.choose_uplink(pkt, PortView::new(&ports), now, &mut rng));
     }
     t0.elapsed().as_nanos() as f64 / (stream.len() - WARMUP) as f64
-}
-
-/// A 15-uplink view with mixed queue lengths.
-fn make_ports() -> Vec<OutPort> {
-    let link = LinkProps::gbps(1.0, SimTime::ZERO);
-    let cfg = QueueCfg {
-        capacity_pkts: 256,
-        ecn_threshold_pkts: Some(20),
-    };
-    (0..15)
-        .map(|i| {
-            let mut p = OutPort::new(link, cfg);
-            for s in 0..(i * 3 % 17) {
-                let pkt = Packet::data(
-                    FlowId(9999),
-                    HostId(0),
-                    HostId(1),
-                    s,
-                    1460,
-                    40,
-                    SimTime::ZERO,
-                );
-                p.enqueue(pkt, SimTime::ZERO);
-            }
-            p
-        })
-        .collect()
 }
 
 /// A packet stream resembling the basic workload: 100 flows, mostly data,

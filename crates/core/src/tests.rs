@@ -1,36 +1,8 @@
 //! Unit tests for the TLB forwarding manager and granularity calculator.
 
 use super::*;
-use tlb_net::{FlowId, HostId, LinkProps};
-use tlb_switch::{OutPort, QueueCfg};
-
-fn ports_with_lens(lens: &[usize]) -> Vec<OutPort> {
-    let link = LinkProps::gbps(1.0, SimTime::ZERO);
-    let cfg = QueueCfg {
-        capacity_pkts: 4096,
-        ecn_threshold_pkts: None,
-    };
-    lens.iter()
-        .map(|&l| {
-            let mut p = OutPort::new(link, cfg);
-            for s in 0..l {
-                p.enqueue(
-                    Packet::data(
-                        FlowId(999),
-                        HostId(0),
-                        HostId(1),
-                        s as u32,
-                        1460,
-                        40,
-                        SimTime::ZERO,
-                    ),
-                    SimTime::ZERO,
-                );
-            }
-            p
-        })
-        .collect()
-}
+use tlb_net::{FlowId, HostId};
+use tlb_switch::OutPort;
 
 fn syn(flow: u32) -> Packet {
     Packet::control(
@@ -72,7 +44,7 @@ fn us(n: u64) -> SimTime {
 
 #[test]
 fn syn_fin_counting() {
-    let ps = ports_with_lens(&[0, 0, 0]);
+    let ps = OutPort::filled(&[0, 0, 0]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     assert_eq!(tlb.counts(), (0, 0));
@@ -91,7 +63,7 @@ fn syn_fin_counting() {
 
 #[test]
 fn classification_flips_at_100kb() {
-    let ps = ports_with_lens(&[0, 0]);
+    let ps = OutPort::filled(&[0, 0]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     tlb.choose_uplink(&syn(1), PortView::new(&ps), us(0), &mut rng);
@@ -115,7 +87,7 @@ fn classification_flips_at_100kb() {
 
 #[test]
 fn boundary_99kb_stays_short() {
-    let ps = ports_with_lens(&[0, 0]);
+    let ps = OutPort::filled(&[0, 0]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     tlb.choose_uplink(&syn(1), PortView::new(&ps), us(0), &mut rng);
@@ -127,7 +99,7 @@ fn boundary_99kb_stays_short() {
 fn boundary_exactly_100kb_stays_short() {
     // The rule is strictly-greater: `bytes_seen > threshold`. A flow that
     // has sent exactly 100 KB has not *exceeded* 100 KB yet.
-    let ps = ports_with_lens(&[0, 0]);
+    let ps = OutPort::filled(&[0, 0]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     tlb.choose_uplink(&syn(1), PortView::new(&ps), us(0), &mut rng);
@@ -137,7 +109,7 @@ fn boundary_exactly_100kb_stays_short() {
 
 #[test]
 fn boundary_one_mss_past_100kb_is_long() {
-    let ps = ports_with_lens(&[0, 0]);
+    let ps = OutPort::filled(&[0, 0]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     tlb.choose_uplink(&syn(1), PortView::new(&ps), us(0), &mut rng);
@@ -154,7 +126,7 @@ fn boundary_midlife_crossing_switches_forwarding_rule() {
     cfg.threshold_mode = ThresholdMode::Fixed(u64::MAX); // pin long flows
     let mut tlb = Tlb::new(cfg);
     let mut rng = SimRng::new(0);
-    let ps = ports_with_lens(&[4, 0, 2]);
+    let ps = OutPort::filled(&[4, 0, 2]);
     tlb.choose_uplink(&syn(1), PortView::new(&ps), us(0), &mut rng);
     // Still short (exactly 100 KB): the packet takes the shortest queue.
     assert_eq!(
@@ -164,7 +136,7 @@ fn boundary_midlife_crossing_switches_forwarding_rule() {
     );
     // The next packet crosses the boundary, so it is routed as long:
     // stick to port 1 even though port 0 is now strictly shorter.
-    let ps2 = ports_with_lens(&[0, 4, 2]);
+    let ps2 = OutPort::filled(&[0, 4, 2]);
     assert_eq!(
         tlb.choose_uplink(&data(1, 1, 1460), PortView::new(&ps2), us(2), &mut rng),
         1,
@@ -178,14 +150,14 @@ fn boundary_midlife_crossing_switches_forwarding_rule() {
 fn short_flows_take_shortest_queue_per_packet() {
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
-    let ps = ports_with_lens(&[4, 0, 2]);
+    let ps = OutPort::filled(&[4, 0, 2]);
     tlb.choose_uplink(&syn(1), PortView::new(&ps), us(0), &mut rng);
     assert_eq!(
         tlb.choose_uplink(&data(1, 0, 1460), PortView::new(&ps), us(1), &mut rng),
         1
     );
     // Queue state changes -> next packet follows the new shortest.
-    let ps2 = ports_with_lens(&[0, 4, 2]);
+    let ps2 = OutPort::filled(&[0, 4, 2]);
     assert_eq!(
         tlb.choose_uplink(&data(1, 1, 1460), PortView::new(&ps2), us(2), &mut rng),
         0
@@ -207,7 +179,7 @@ fn long_flow_sticks_below_threshold() {
     cfg.threshold_mode = ThresholdMode::Fixed(10_000);
     let mut tlb = Tlb::new(cfg);
     let mut rng = SimRng::new(0);
-    let ps = ports_with_lens(&[0, 0, 0]);
+    let ps = OutPort::filled(&[0, 0, 0]);
     make_long(&mut tlb, &ps, &mut rng);
     // All queues empty: the long flow must stay on its current port even
     // though every port ties as "shortest".
@@ -216,7 +188,7 @@ fn long_flow_sticks_below_threshold() {
     // than q_th on cur and an empty other port.
     let mut lens = [0usize; 3];
     lens[cur] = 5; // 7500 B < 10 kB threshold
-    let ps2 = ports_with_lens(&lens);
+    let ps2 = OutPort::filled(&lens);
     assert_eq!(
         tlb.choose_uplink(&data(1, 101, 1460), PortView::new(&ps2), us(3), &mut rng),
         cur,
@@ -230,13 +202,13 @@ fn long_flow_switches_at_threshold() {
     cfg.threshold_mode = ThresholdMode::Fixed(10_000);
     let mut tlb = Tlb::new(cfg);
     let mut rng = SimRng::new(0);
-    let ps = ports_with_lens(&[0, 0, 0]);
+    let ps = OutPort::filled(&[0, 0, 0]);
     make_long(&mut tlb, &ps, &mut rng);
     let cur = tlb.choose_uplink(&data(1, 100, 1460), PortView::new(&ps), us(2), &mut rng);
     // Pile the current queue past q_th: 8 pkts * 1500 B = 12 kB >= 10 kB.
     let mut lens = [0usize; 3];
     lens[cur] = 8;
-    let ps2 = ports_with_lens(&lens);
+    let ps2 = OutPort::filled(&lens);
     let newp = tlb.choose_uplink(&data(1, 101, 1460), PortView::new(&ps2), us(3), &mut rng);
     assert_ne!(newp, cur, "at q_th the long flow reroutes to the shortest");
     assert_eq!(tlb.long_reroutes(), 1);
@@ -244,7 +216,7 @@ fn long_flow_switches_at_threshold() {
 
 #[test]
 fn adaptive_threshold_reacts_to_load() {
-    let ps = ports_with_lens(&[0; 15]);
+    let ps = OutPort::filled(&[0; 15]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     // The paper's basic setup: 3 long flows, initially no short flows.
@@ -289,7 +261,7 @@ fn adaptive_threshold_reacts_to_load() {
 
 #[test]
 fn idle_flows_are_sampled_out() {
-    let ps = ports_with_lens(&[0, 0]);
+    let ps = OutPort::filled(&[0, 0]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     tlb.choose_uplink(&syn(1), PortView::new(&ps), us(0), &mut rng);
@@ -303,7 +275,7 @@ fn idle_flows_are_sampled_out() {
 
 #[test]
 fn relearned_data_flow_is_counted_again() {
-    let ps = ports_with_lens(&[0, 0]);
+    let ps = OutPort::filled(&[0, 0]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     tlb.choose_uplink(&syn(1), PortView::new(&ps), us(0), &mut rng);
@@ -320,7 +292,7 @@ fn data_after_fin_is_relearned_then_sampled_out() {
     // state for it and re-learns the flow as counted. That transient
     // over-count of m_S must be temporary — the flow never speaks again, so
     // the idle purge has to reclaim the record and recount back to zero.
-    let ps = ports_with_lens(&[0, 0]);
+    let ps = OutPort::filled(&[0, 0]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     tlb.choose_uplink(&syn(1), PortView::new(&ps), us(0), &mut rng);
@@ -345,7 +317,7 @@ fn data_after_fin_is_relearned_then_sampled_out() {
 
 #[test]
 fn ack_streams_are_not_counted() {
-    let ps = ports_with_lens(&[0, 0]);
+    let ps = OutPort::filled(&[0, 0]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     let ack = Packet::control(
@@ -373,7 +345,7 @@ fn ack_streams_are_not_counted() {
 
 #[test]
 fn acks_take_shortest_queue() {
-    let ps = ports_with_lens(&[3, 0, 5]);
+    let ps = OutPort::filled(&[3, 0, 5]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     let ack = Packet::control(
@@ -392,7 +364,7 @@ fn acks_take_shortest_queue() {
 
 #[test]
 fn mean_short_ewma_tracks_completions() {
-    let ps = ports_with_lens(&[0, 0]);
+    let ps = OutPort::filled(&[0, 0]);
     let mut cfg = TlbConfig::paper_default();
     cfg.estimate_mean_short = true;
     cfg.ewma_gain = 0.5;
@@ -412,7 +384,7 @@ fn mean_short_ewma_tracks_completions() {
 
 #[test]
 fn fixed_mode_never_updates_threshold() {
-    let ps = ports_with_lens(&[0; 8]);
+    let ps = OutPort::filled(&[0; 8]);
     let mut cfg = TlbConfig::paper_default();
     cfg.threshold_mode = ThresholdMode::Fixed(12_345);
     let mut tlb = Tlb::new(cfg);
@@ -426,7 +398,7 @@ fn fixed_mode_never_updates_threshold() {
 
 #[test]
 fn no_long_flows_means_free_switching() {
-    let ps = ports_with_lens(&[0; 15]);
+    let ps = OutPort::filled(&[0; 15]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     for f in 0..200 {
@@ -440,7 +412,7 @@ fn no_long_flows_means_free_switching() {
 #[test]
 fn saturated_short_load_pins_long_flows() {
     // So many short flows that n_S_required >= n: q_th must be "infinite".
-    let ps = ports_with_lens(&[0, 0]); // only 2 paths
+    let ps = OutPort::filled(&[0, 0]); // only 2 paths
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     // One long flow.
@@ -456,10 +428,10 @@ fn saturated_short_load_pins_long_flows() {
     let cur_before = {
         let mut lens = [40usize, 0];
         // ensure the long flow's current port is 0 for the check below
-        let ps2 = ports_with_lens(&[0, 0]);
+        let ps2 = OutPort::filled(&[0, 0]);
         let cur = tlb.choose_uplink(&data(1, 501, 1460), PortView::new(&ps2), us(501), &mut rng);
         lens.swap(0, cur); // put the big queue on the long flow's port
-        let ps3 = ports_with_lens(&lens);
+        let ps3 = OutPort::filled(&lens);
         (
             cur,
             tlb.choose_uplink(&data(1, 502, 1460), PortView::new(&ps3), us(502), &mut rng),
@@ -470,7 +442,7 @@ fn saturated_short_load_pins_long_flows() {
 
 #[test]
 fn state_bytes_grow_with_flows() {
-    let ps = ports_with_lens(&[0, 0]);
+    let ps = OutPort::filled(&[0, 0]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
     let empty = tlb.state_bytes();
@@ -489,7 +461,7 @@ fn tick_interval_matches_config() {
 
 #[test]
 fn updates_counter_increments() {
-    let ps = ports_with_lens(&[0, 0]);
+    let ps = OutPort::filled(&[0, 0]);
     let mut tlb = Tlb::paper_default();
     assert_eq!(tlb.updates(), 0);
     tlb.on_tick(PortView::new(&ps), us(500));

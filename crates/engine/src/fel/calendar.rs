@@ -11,9 +11,10 @@
 //! into the wheel as the clock advances. With the default geometry
 //! (512 ns × 4096 ≈ 2.1 ms) the wheel window comfortably covers
 //! link-serialization, propagation and LB-tick horizons, while RTO timers
-//! (≥ 10 ms) and not-yet-started flows ride the overflow tier — senders
-//! keep at most one pending timer each, so overflow traffic is rare and its
-//! `O(log n)` cost immaterial.
+//! (≥ 10 ms) ride the overflow tier — senders keep at most one pending
+//! timer each, so overflow traffic is rare and its `O(log n)` cost
+//! immaterial. (The simulator keeps what it knows at build, such as
+//! not-yet-started flows, out of the FEL altogether.)
 //!
 //! The minimum bucket is held *activated*: its entries live in `active`,
 //! sorted **descending** by `(time, key, seq)` so `Vec::pop` yields the minimum
@@ -156,11 +157,11 @@ impl<E> CalendarFel<E> {
     }
 
     /// An empty queue that holds `cap` entries without reallocating,
-    /// wherever they land: build-time bulk pushes (all flow-start events of
-    /// a run) go to the overflow tier, the wheel's share to the pool, and
-    /// one bucket can hold all of it when activated. Three reservations,
-    /// whatever the wheel size; pages are touched only as entries arrive,
-    /// so resident memory follows the peak depth, not `cap`.
+    /// wherever they land: far-future pushes go to the overflow tier, the
+    /// wheel's share to the pool, and one bucket can hold all of it when
+    /// activated. Three reservations, whatever the wheel size; pages are
+    /// touched only as entries arrive, so resident memory follows the peak
+    /// depth, not `cap`.
     pub fn with_capacity(cap: usize) -> CalendarFel<E> {
         let mut q = Self::new();
         q.overflow.reserve(cap);

@@ -24,8 +24,8 @@
 use tlb_core::{ThresholdMode, Tlb, TlbConfig};
 use tlb_engine::{SimRng, SimTime};
 use tlb_model::{q_th_min, ModelParams};
-use tlb_net::{FlowId, HostId, LinkProps, Packet, PktKind};
-use tlb_switch::{LoadBalancer, OutPort, PortView, QueueCfg};
+use tlb_net::{FlowId, HostId, Packet, PktKind};
+use tlb_switch::{LoadBalancer, OutPort, PortView};
 
 /// One scripted op: `(kind % 8, flow_id, queue_shape_selector)`.
 /// Kinds: 0 = SYN, 6 = FIN, 7 = granularity tick, anything else = DATA
@@ -78,35 +78,6 @@ struct MirrorFlow {
     last_seen: SimTime,
 }
 
-/// Build `n` one-Gbit ports holding `lens[p]` queued 1500-byte packets.
-fn ports_with_lens(lens: &[usize]) -> Vec<OutPort> {
-    let link = LinkProps::gbps(1.0, SimTime::ZERO);
-    let cfg = QueueCfg {
-        capacity_pkts: 4096,
-        ecn_threshold_pkts: None,
-    };
-    lens.iter()
-        .map(|&l| {
-            let mut p = OutPort::new(link, cfg);
-            for s in 0..l {
-                p.enqueue(
-                    Packet::data(
-                        FlowId(u32::MAX),
-                        HostId(0),
-                        HostId(1),
-                        s as u32,
-                        1460,
-                        40,
-                        SimTime::ZERO,
-                    ),
-                    SimTime::ZERO,
-                );
-            }
-            p
-        })
-        .collect()
-}
-
 /// Run one scripted conformance session. `fault` seeds a divergence: the
 /// granularity update with that index (0-based, compare [`Tlb::updates`])
 /// ticks TLB over all uplinks but the last, while the Eq. 9 reference
@@ -140,7 +111,7 @@ pub fn run_conformance(
             .collect();
         let qlen = |p: usize| lens[p] as u64 * 1500;
         let min_bytes = (0..n_ports).map(qlen).min().unwrap();
-        let ports = ports_with_lens(&lens);
+        let ports = OutPort::filled(&lens);
 
         if kind % 8 == 7 {
             // Granularity tick: purge, recount, recompute.

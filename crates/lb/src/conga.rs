@@ -109,36 +109,8 @@ impl LoadBalancer for CongaLite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlb_net::{FlowId, HostId, LinkProps};
-    use tlb_switch::{OutPort, QueueCfg};
-
-    fn ports_with_lens(lens: &[usize]) -> Vec<OutPort> {
-        let link = LinkProps::gbps(1.0, SimTime::ZERO);
-        let cfg = QueueCfg {
-            capacity_pkts: 4096,
-            ecn_threshold_pkts: None,
-        };
-        lens.iter()
-            .map(|&l| {
-                let mut p = OutPort::new(link, cfg);
-                for s in 0..l {
-                    p.enqueue(
-                        Packet::data(
-                            FlowId(0),
-                            HostId(0),
-                            HostId(1),
-                            s as u32,
-                            1460,
-                            40,
-                            SimTime::ZERO,
-                        ),
-                        SimTime::ZERO,
-                    );
-                }
-                p
-            })
-            .collect()
-    }
+    use tlb_net::{FlowId, HostId};
+    use tlb_switch::OutPort;
 
     fn data(flow: u32, seq: u32) -> Packet {
         Packet::data(
@@ -158,7 +130,7 @@ mod tests {
 
     #[test]
     fn new_flow_takes_shortest() {
-        let ps = ports_with_lens(&[5, 2, 9]);
+        let ps = OutPort::filled(&[5, 2, 9]);
         let mut lb = CongaLite::paper_default();
         let mut rng = SimRng::new(1);
         assert_eq!(
@@ -169,23 +141,23 @@ mod tests {
 
     #[test]
     fn sticks_within_flowlet() {
-        let ps = ports_with_lens(&[5, 2, 9]);
+        let ps = OutPort::filled(&[5, 2, 9]);
         let mut lb = CongaLite::paper_default();
         let mut rng = SimRng::new(1);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         // Even though port 0 may become shorter, within the gap we stick.
-        let ps2 = ports_with_lens(&[0, 2, 9]);
+        let ps2 = OutPort::filled(&[0, 2, 9]);
         let p1 = lb.choose_uplink(&data(1, 1), PortView::new(&ps2), us(100), &mut rng);
         assert_eq!(p0, p1);
     }
 
     #[test]
     fn reroutes_to_shortest_after_gap() {
-        let ps = ports_with_lens(&[5, 2, 9]);
+        let ps = OutPort::filled(&[5, 2, 9]);
         let mut lb = CongaLite::paper_default();
         let mut rng = SimRng::new(1);
         lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
-        let ps2 = ports_with_lens(&[0, 2, 9]);
+        let ps2 = OutPort::filled(&[0, 2, 9]);
         let p = lb.choose_uplink(&data(1, 1), PortView::new(&ps2), us(10_000), &mut rng);
         assert_eq!(
             p, 0,

@@ -133,22 +133,8 @@ impl LoadBalancer for DiffFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlb_net::{FlowId, HostId, LinkProps};
-    use tlb_switch::{OutPort, QueueCfg};
-
-    fn ports(n: usize) -> Vec<OutPort> {
-        (0..n)
-            .map(|_| {
-                OutPort::new(
-                    LinkProps::gbps(1.0, SimTime::ZERO),
-                    QueueCfg {
-                        capacity_pkts: 4096,
-                        ecn_threshold_pkts: None,
-                    },
-                )
-            })
-            .collect()
-    }
+    use tlb_net::{FlowId, HostId};
+    use tlb_switch::OutPort;
 
     fn data(flow: u32, seq: u32) -> Packet {
         Packet::data(
@@ -164,7 +150,7 @@ mod tests {
 
     #[test]
     fn short_flows_spray_across_ports() {
-        let ps = ports(8);
+        let ps = OutPort::filled(&[0; 8]);
         let mut lb = DiffFlow::paper_default();
         let mut rng = SimRng::new(1);
         let mut used = [false; 8];
@@ -178,7 +164,7 @@ mod tests {
 
     #[test]
     fn long_flows_pin_after_threshold() {
-        let ps = ports(8);
+        let ps = OutPort::filled(&[0; 8]);
         let mut lb = DiffFlow::paper_default();
         let mut rng = SimRng::new(2);
         // 70 packets push the flow over 100 kB.
@@ -198,7 +184,7 @@ mod tests {
 
     #[test]
     fn fin_uninstalls_the_rule() {
-        let ps = ports(4);
+        let ps = OutPort::filled(&[0; 4]);
         let mut lb = DiffFlow::paper_default();
         let mut rng = SimRng::new(3);
         for seq in 0..80 {
@@ -219,7 +205,7 @@ mod tests {
 
     #[test]
     fn dead_uplink_forces_a_reinstall() {
-        let ps = ports(4);
+        let ps = OutPort::filled(&[0; 4]);
         let mut lb = DiffFlow::paper_default();
         let mut rng = SimRng::new(4);
         let mut pinned = 0;

@@ -18,6 +18,11 @@ pub struct Drill {
 }
 
 impl Drill {
+    /// The published random samples per decision: 2.
+    pub const DEFAULT_D: usize = 2;
+    /// The published remembered best ports: 1.
+    pub const DEFAULT_M: usize = 1;
+
     /// A DRILL instance sampling `d` random ports with `m` remembered ports.
     pub fn new(d: usize, m: usize) -> Drill {
         assert!(d >= 1, "DRILL needs at least one random sample");
@@ -30,7 +35,7 @@ impl Drill {
 
     /// The published default: DRILL(2, 1).
     pub fn default_config() -> Drill {
-        Drill::new(2, 1)
+        Drill::new(Self::DEFAULT_D, Self::DEFAULT_M)
     }
 }
 
@@ -86,36 +91,8 @@ impl LoadBalancer for Drill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlb_net::{FlowId, HostId, LinkProps};
-    use tlb_switch::{OutPort, QueueCfg};
-
-    fn ports_with_lens(lens: &[usize]) -> Vec<OutPort> {
-        let link = LinkProps::gbps(1.0, SimTime::ZERO);
-        let cfg = QueueCfg {
-            capacity_pkts: 4096,
-            ecn_threshold_pkts: None,
-        };
-        lens.iter()
-            .map(|&l| {
-                let mut p = OutPort::new(link, cfg);
-                for s in 0..l {
-                    p.enqueue(
-                        Packet::data(
-                            FlowId(0),
-                            HostId(0),
-                            HostId(1),
-                            s as u32,
-                            1460,
-                            40,
-                            SimTime::ZERO,
-                        ),
-                        SimTime::ZERO,
-                    );
-                }
-                p
-            })
-            .collect()
-    }
+    use tlb_net::{FlowId, HostId};
+    use tlb_switch::OutPort;
 
     fn pkt() -> Packet {
         Packet::data(FlowId(1), HostId(0), HostId(9), 0, 1460, 40, SimTime::ZERO)
@@ -125,7 +102,7 @@ mod tests {
     fn prefers_empty_queue_strongly() {
         // One empty port among 4 loaded ones: DRILL(2,1) converges onto it
         // and keeps choosing it thanks to memory.
-        let ps = ports_with_lens(&[50, 50, 0, 50]);
+        let ps = OutPort::filled(&[50, 50, 0, 50]);
         let mut lb = Drill::default_config();
         let mut rng = SimRng::new(1);
         let mut hits = 0;
@@ -143,7 +120,7 @@ mod tests {
 
     #[test]
     fn never_picks_worse_than_sampled() {
-        let ps = ports_with_lens(&[10, 0]);
+        let ps = OutPort::filled(&[10, 0]);
         let mut lb = Drill::new(2, 0); // d=2 over 2 ports: sees both often
         let mut rng = SimRng::new(2);
         let mut worst_picks = 0;
@@ -161,7 +138,7 @@ mod tests {
 
     #[test]
     fn memory_capacity_respected() {
-        let ps = ports_with_lens(&[1, 1, 1]);
+        let ps = OutPort::filled(&[1, 1, 1]);
         let mut lb = Drill::new(2, 1);
         let mut rng = SimRng::new(3);
         for _ in 0..10 {

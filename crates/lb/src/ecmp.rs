@@ -58,22 +58,8 @@ impl LoadBalancer for Ecmp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlb_net::{FlowId, HostId, LinkProps, PktKind};
-    use tlb_switch::{OutPort, QueueCfg};
-
-    fn ports(n: usize) -> Vec<OutPort> {
-        (0..n)
-            .map(|_| {
-                OutPort::new(
-                    LinkProps::gbps(1.0, SimTime::ZERO),
-                    QueueCfg {
-                        capacity_pkts: 64,
-                        ecn_threshold_pkts: None,
-                    },
-                )
-            })
-            .collect()
-    }
+    use tlb_net::{FlowId, HostId, PktKind};
+    use tlb_switch::OutPort;
 
     fn pkt(flow: u32, seq: u32) -> Packet {
         Packet::data(
@@ -89,7 +75,7 @@ mod tests {
 
     #[test]
     fn same_flow_same_port() {
-        let ps = ports(8);
+        let ps = OutPort::filled(&[0; 8]);
         let mut lb = Ecmp::new(1);
         let mut rng = SimRng::new(0);
         let first = lb.choose_uplink(&pkt(7, 0), PortView::new(&ps), SimTime::ZERO, &mut rng);
@@ -101,7 +87,7 @@ mod tests {
 
     #[test]
     fn spreads_many_flows() {
-        let ps = ports(8);
+        let ps = OutPort::filled(&[0; 8]);
         let mut lb = Ecmp::new(42);
         let mut rng = SimRng::new(0);
         let mut counts = [0usize; 8];
@@ -116,7 +102,7 @@ mod tests {
 
     #[test]
     fn control_packets_follow_the_flow() {
-        let ps = ports(4);
+        let ps = OutPort::filled(&[0; 4]);
         let mut lb = Ecmp::new(3);
         let mut rng = SimRng::new(0);
         let d = lb.choose_uplink(&pkt(11, 0), PortView::new(&ps), SimTime::ZERO, &mut rng);
@@ -136,7 +122,7 @@ mod tests {
 
     #[test]
     fn salts_decorrelate_switches() {
-        let ps = ports(16);
+        let ps = OutPort::filled(&[0; 16]);
         let mut rng = SimRng::new(0);
         let mut a = Ecmp::new(1);
         let mut b = Ecmp::new(2);

@@ -41,6 +41,13 @@ pub struct FlowBender {
 }
 
 impl FlowBender {
+    /// The published sensing threshold: DCTCP's K = 20 packets.
+    pub const DEFAULT_MARK_THRESHOLD_PKTS: usize = 20;
+    /// The published reroute trigger: 5% congested observations.
+    pub const DEFAULT_FRAC_THRESHOLD: f64 = 0.05;
+    /// One-window epochs: 32 packets.
+    pub const DEFAULT_WINDOW_PKTS: u32 = 32;
+
     /// A FlowBender instance with explicit parameters.
     pub fn new(mark_threshold_pkts: usize, frac_threshold: f64, window_pkts: u32) -> FlowBender {
         assert!(window_pkts > 0);
@@ -54,10 +61,13 @@ impl FlowBender {
         }
     }
 
-    /// The published configuration: DCTCP K=20 sensing, 5% trigger,
-    /// one-window (32-packet) epochs.
+    /// The published configuration: the three `DEFAULT_*` values.
     pub fn paper_default() -> FlowBender {
-        FlowBender::new(20, 0.05, 32)
+        FlowBender::new(
+            Self::DEFAULT_MARK_THRESHOLD_PKTS,
+            Self::DEFAULT_FRAC_THRESHOLD,
+            Self::DEFAULT_WINDOW_PKTS,
+        )
     }
 }
 
@@ -130,36 +140,8 @@ impl LoadBalancer for FlowBender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlb_net::{FlowId, HostId, LinkProps};
-    use tlb_switch::{OutPort, QueueCfg};
-
-    fn ports_with_lens(lens: &[usize]) -> Vec<OutPort> {
-        let link = LinkProps::gbps(1.0, SimTime::ZERO);
-        let cfg = QueueCfg {
-            capacity_pkts: 4096,
-            ecn_threshold_pkts: None,
-        };
-        lens.iter()
-            .map(|&l| {
-                let mut p = OutPort::new(link, cfg);
-                for s in 0..l {
-                    p.enqueue(
-                        Packet::data(
-                            FlowId(0),
-                            HostId(0),
-                            HostId(1),
-                            s as u32,
-                            1460,
-                            40,
-                            SimTime::ZERO,
-                        ),
-                        SimTime::ZERO,
-                    );
-                }
-                p
-            })
-            .collect()
-    }
+    use tlb_net::{FlowId, HostId};
+    use tlb_switch::OutPort;
 
     fn data(flow: u32, seq: u32) -> Packet {
         Packet::data(
@@ -179,7 +161,7 @@ mod tests {
 
     #[test]
     fn stays_put_when_uncongested() {
-        let ps = ports_with_lens(&[0, 0, 0, 0]);
+        let ps = OutPort::filled(&[0, 0, 0, 0]);
         let mut lb = FlowBender::paper_default();
         let mut rng = SimRng::new(1);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
@@ -195,13 +177,13 @@ mod tests {
     #[test]
     fn reroutes_when_congested() {
         // Find the initial port, then congest it.
-        let ps = ports_with_lens(&[0, 0, 0, 0]);
+        let ps = OutPort::filled(&[0, 0, 0, 0]);
         let mut lb = FlowBender::paper_default();
         let mut rng = SimRng::new(2);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         let mut lens = [0usize; 4];
         lens[p0] = 50; // far above the K=20 sensing threshold
-        let congested = ports_with_lens(&lens);
+        let congested = OutPort::filled(&lens);
         let mut moved = false;
         for i in 1..100 {
             let p = lb.choose_uplink(
@@ -221,13 +203,13 @@ mod tests {
     #[test]
     fn below_fraction_threshold_does_not_trigger() {
         // One congested observation out of 32 (3%) stays under the 5% bar.
-        let ps = ports_with_lens(&[0, 0]);
+        let ps = OutPort::filled(&[0, 0]);
         let mut lb = FlowBender::paper_default();
         let mut rng = SimRng::new(3);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         let mut lens = [0usize; 2];
         lens[p0] = 50;
-        let congested = ports_with_lens(&lens);
+        let congested = OutPort::filled(&lens);
         // 1 congested observation...
         lb.choose_uplink(&data(1, 1), PortView::new(&congested), us(1), &mut rng);
         // ...then 31 clean ones to finish the window.
@@ -246,7 +228,7 @@ mod tests {
     fn reroute_picks_a_different_port() {
         let mut lb = FlowBender::new(1, 0.0, 1); // hair-trigger
         let mut rng = SimRng::new(4);
-        let ps = ports_with_lens(&[30, 30, 30, 30]);
+        let ps = OutPort::filled(&[30, 30, 30, 30]);
         let mut prev = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         for i in 1..50 {
             let p = lb.choose_uplink(&data(1, i), PortView::new(&ps), us(i as u64), &mut rng);

@@ -42,6 +42,13 @@ pub struct HermesLite {
 }
 
 impl HermesLite {
+    /// The Hermes paper's size gate: 100 KB sent before a reroute.
+    pub const DEFAULT_REROUTE_SIZE_BYTES: u64 = 100_000;
+    /// DCTCP-threshold congestion sensing: 20 packets.
+    pub const DEFAULT_CONGESTED_PKTS: usize = 20;
+    /// A move must halve the queue the flow sees.
+    pub const DEFAULT_BENEFIT_FACTOR: f64 = 2.0;
+
     /// A Hermes-lite instance with explicit parameters.
     pub fn new(reroute_size_bytes: u64, congested_pkts: usize, benefit_factor: f64) -> HermesLite {
         assert!(benefit_factor >= 1.0, "benefit factor must be >= 1");
@@ -54,10 +61,14 @@ impl HermesLite {
         }
     }
 
-    /// Defaults in the spirit of the Hermes paper: 100 KB size gate,
-    /// DCTCP-threshold congestion sensing, 2× benefit requirement.
+    /// Defaults in the spirit of the Hermes paper: the three `DEFAULT_*`
+    /// values.
     pub fn paper_default() -> HermesLite {
-        HermesLite::new(100_000, 20, 2.0)
+        HermesLite::new(
+            Self::DEFAULT_REROUTE_SIZE_BYTES,
+            Self::DEFAULT_CONGESTED_PKTS,
+            Self::DEFAULT_BENEFIT_FACTOR,
+        )
     }
 }
 
@@ -133,36 +144,8 @@ impl LoadBalancer for HermesLite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlb_net::{FlowId, HostId, LinkProps};
-    use tlb_switch::{OutPort, QueueCfg};
-
-    fn ports_with_lens(lens: &[usize]) -> Vec<OutPort> {
-        let link = LinkProps::gbps(1.0, SimTime::ZERO);
-        let cfg = QueueCfg {
-            capacity_pkts: 4096,
-            ecn_threshold_pkts: None,
-        };
-        lens.iter()
-            .map(|&l| {
-                let mut p = OutPort::new(link, cfg);
-                for s in 0..l {
-                    p.enqueue(
-                        Packet::data(
-                            FlowId(0),
-                            HostId(0),
-                            HostId(1),
-                            s as u32,
-                            1460,
-                            40,
-                            SimTime::ZERO,
-                        ),
-                        SimTime::ZERO,
-                    );
-                }
-                p
-            })
-            .collect()
-    }
+    use tlb_net::{FlowId, HostId};
+    use tlb_switch::OutPort;
 
     fn data(flow: u32, seq: u32) -> Packet {
         Packet::data(
@@ -194,11 +177,11 @@ mod tests {
         // Flow under 100 kB stays put even on a congested path.
         let mut lb = HermesLite::paper_default();
         let mut rng = SimRng::new(1);
-        let ps = ports_with_lens(&[0, 0, 0]);
+        let ps = OutPort::filled(&[0, 0, 0]);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         let mut lens = [0usize; 3];
         lens[p0] = 100; // heavily congested
-        let congested = ports_with_lens(&lens);
+        let congested = OutPort::filled(&lens);
         for seq in 1..30 {
             // 30 * 1460 B < 100 kB: still gated.
             assert_eq!(
@@ -217,14 +200,14 @@ mod tests {
     fn mature_flow_moves_only_with_clear_benefit() {
         let mut lb = HermesLite::paper_default();
         let mut rng = SimRng::new(2);
-        let ps = ports_with_lens(&[0, 0, 0]);
+        let ps = OutPort::filled(&[0, 0, 0]);
         let p0 = warm_up(&mut lb, &ps, &mut rng);
 
         // Congested, but the alternative is barely better: stay (cautious).
         let mut lens = [0usize; 3];
         lens.iter_mut().for_each(|l| *l = 22);
         lens[p0] = 25;
-        let marginal = ports_with_lens(&lens);
+        let marginal = OutPort::filled(&lens);
         assert_eq!(
             lb.choose_uplink(&data(1, 100), PortView::new(&marginal), us(1000), &mut rng),
             p0,
@@ -234,7 +217,7 @@ mod tests {
         // Congested with a clearly better path: move.
         let mut lens = [0usize; 3];
         lens[p0] = 30;
-        let clear = ports_with_lens(&lens);
+        let clear = OutPort::filled(&lens);
         let new_port = lb.choose_uplink(&data(1, 101), PortView::new(&clear), us(2000), &mut rng);
         assert_ne!(new_port, p0, "2x-better path must attract the flow");
     }
@@ -243,13 +226,13 @@ mod tests {
     fn uncongested_mature_flow_stays() {
         let mut lb = HermesLite::paper_default();
         let mut rng = SimRng::new(3);
-        let ps = ports_with_lens(&[0, 0, 0]);
+        let ps = OutPort::filled(&[0, 0, 0]);
         let p0 = warm_up(&mut lb, &ps, &mut rng);
         // Below the congestion threshold: no reroute even though others are
         // empty.
         let mut lens = [0usize; 3];
         lens[p0] = 10;
-        let mild = ports_with_lens(&lens);
+        let mild = OutPort::filled(&lens);
         assert_eq!(
             lb.choose_uplink(&data(1, 100), PortView::new(&mild), us(1000), &mut rng),
             p0
@@ -260,7 +243,7 @@ mod tests {
     fn control_packets_do_not_advance_the_gate() {
         let mut lb = HermesLite::paper_default();
         let mut rng = SimRng::new(4);
-        let ps = ports_with_lens(&[0, 0]);
+        let ps = OutPort::filled(&[0, 0]);
         let ack = Packet::control(
             FlowId(2),
             HostId(9),

@@ -113,22 +113,8 @@ impl LoadBalancer for LetFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlb_net::{FlowId, HostId, LinkProps};
-    use tlb_switch::{OutPort, QueueCfg};
-
-    fn ports(n: usize) -> Vec<OutPort> {
-        (0..n)
-            .map(|_| {
-                OutPort::new(
-                    LinkProps::gbps(1.0, SimTime::ZERO),
-                    QueueCfg {
-                        capacity_pkts: 64,
-                        ecn_threshold_pkts: None,
-                    },
-                )
-            })
-            .collect()
-    }
+    use tlb_net::{FlowId, HostId};
+    use tlb_switch::OutPort;
 
     fn data(flow: u32, seq: u32) -> Packet {
         Packet::data(
@@ -148,7 +134,7 @@ mod tests {
 
     #[test]
     fn back_to_back_packets_stick() {
-        let ps = ports(8);
+        let ps = OutPort::filled(&[0; 8]);
         let mut lb = LetFlow::paper_default();
         let mut rng = SimRng::new(1);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
@@ -161,7 +147,7 @@ mod tests {
 
     #[test]
     fn gap_allows_reroute() {
-        let ps = ports(16);
+        let ps = OutPort::filled(&[0; 16]);
         let mut lb = LetFlow::new(us(150));
         let mut rng = SimRng::new(2);
         let mut t = SimTime::ZERO;
@@ -181,7 +167,7 @@ mod tests {
 
     #[test]
     fn gap_exactly_at_timeout_does_not_reroute() {
-        let ps = ports(4);
+        let ps = OutPort::filled(&[0; 4]);
         let mut lb = LetFlow::new(us(150));
         let mut rng = SimRng::new(3);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
@@ -192,7 +178,7 @@ mod tests {
 
     #[test]
     fn flows_are_independent() {
-        let ps = ports(8);
+        let ps = OutPort::filled(&[0; 8]);
         let mut lb = LetFlow::paper_default();
         let mut rng = SimRng::new(4);
         let mut used = std::collections::HashSet::new();
@@ -204,7 +190,7 @@ mod tests {
 
     #[test]
     fn purge_drops_dead_flows() {
-        let ps = ports(2);
+        let ps = OutPort::filled(&[0; 2]);
         let mut lb = LetFlow::paper_default();
         let mut rng = SimRng::new(5);
         lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);

@@ -127,22 +127,8 @@ impl LoadBalancer for Presto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlb_net::{FlowId, HostId, LinkProps};
-    use tlb_switch::{OutPort, QueueCfg};
-
-    fn ports(n: usize) -> Vec<OutPort> {
-        (0..n)
-            .map(|_| {
-                OutPort::new(
-                    LinkProps::gbps(1.0, SimTime::ZERO),
-                    QueueCfg {
-                        capacity_pkts: 64,
-                        ecn_threshold_pkts: None,
-                    },
-                )
-            })
-            .collect()
-    }
+    use tlb_net::{FlowId, HostId};
+    use tlb_switch::OutPort;
 
     fn data(flow: u32, seq: u32) -> Packet {
         Packet::data(
@@ -158,7 +144,7 @@ mod tests {
 
     #[test]
     fn stays_within_cell_then_moves() {
-        let ps = ports(4);
+        let ps = OutPort::filled(&[0; 4]);
         let mut lb = Presto::new(10 * 1460); // 10-packet cells for the test
         let mut rng = SimRng::new(0);
         let mut seen = Vec::new();
@@ -177,7 +163,7 @@ mod tests {
 
     #[test]
     fn cells_advance_round_robin() {
-        let ps = ports(4);
+        let ps = OutPort::filled(&[0; 4]);
         let mut lb = Presto::new(1460);
         let mut rng = SimRng::new(0);
         // One flow, 1-packet cells: ports must cycle 0,1,2,3,0...
@@ -191,7 +177,7 @@ mod tests {
 
     #[test]
     fn flows_start_on_distinct_ports() {
-        let ps = ports(4);
+        let ps = OutPort::filled(&[0; 4]);
         let mut lb = Presto::default_cells();
         let mut rng = SimRng::new(0);
         let mut firsts = Vec::new();
@@ -206,7 +192,7 @@ mod tests {
 
     #[test]
     fn acks_do_not_advance_cells() {
-        let ps = ports(4);
+        let ps = OutPort::filled(&[0; 4]);
         let mut lb = Presto::new(1460);
         let mut rng = SimRng::new(0);
         let ack = Packet::control(
@@ -229,7 +215,7 @@ mod tests {
 
     #[test]
     fn idle_flows_get_purged() {
-        let ps = ports(2);
+        let ps = OutPort::filled(&[0; 2]);
         let mut lb = Presto::default_cells();
         let mut rng = SimRng::new(0);
         lb.choose_uplink(&data(1, 0), PortView::new(&ps), SimTime::ZERO, &mut rng);

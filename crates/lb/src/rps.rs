@@ -42,26 +42,12 @@ impl LoadBalancer for Rps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlb_net::{FlowId, HostId, LinkProps};
-    use tlb_switch::{OutPort, QueueCfg};
-
-    fn ports(n: usize) -> Vec<OutPort> {
-        (0..n)
-            .map(|_| {
-                OutPort::new(
-                    LinkProps::gbps(1.0, SimTime::ZERO),
-                    QueueCfg {
-                        capacity_pkts: 64,
-                        ecn_threshold_pkts: None,
-                    },
-                )
-            })
-            .collect()
-    }
+    use tlb_net::{FlowId, HostId};
+    use tlb_switch::OutPort;
 
     #[test]
     fn covers_all_ports_uniformly() {
-        let ps = ports(5);
+        let ps = OutPort::filled(&[0; 5]);
         let mut lb = Rps::new();
         let mut rng = SimRng::new(7);
         let pkt = Packet::data(FlowId(1), HostId(0), HostId(9), 0, 1460, 40, SimTime::ZERO);
@@ -77,7 +63,7 @@ mod tests {
     #[test]
     fn single_flow_uses_many_ports() {
         // Unlike ECMP, one flow's packets must spread.
-        let ps = ports(8);
+        let ps = OutPort::filled(&[0; 8]);
         let mut lb = Rps::new();
         let mut rng = SimRng::new(3);
         let mut used = [false; 8];

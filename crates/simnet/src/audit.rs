@@ -85,7 +85,7 @@ pub struct KindCounts {
     pub delivered: u64,
     /// End of run: packets still sitting in some port's queue.
     pub queued_at_end: u64,
-    /// End of run: packets being serialized (pending `TxDone` events).
+    /// End of run: packets being serialized (their serialization still pending).
     pub in_service_at_end: u64,
     /// End of run: packets propagating on a link (parked in a delivery
     /// pipe).
@@ -285,7 +285,7 @@ impl AuditLedger {
         }
     }
 
-    /// End of run: `pkt` was mid-serialization (its `TxDone` was pending).
+    /// End of run: `pkt` was mid-serialization (its serialization had not ended).
     #[inline]
     pub fn residual_in_service(&mut self, pkt: &Packet) {
         if self.enabled {

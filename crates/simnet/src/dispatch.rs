@@ -188,34 +188,11 @@ mod tests {
     /// hand-written `long_reroutes` / `forced_reroutes` arms.
     #[test]
     fn enum_and_dyn_paths_agree_per_scheme() {
-        use tlb_net::{FlowId, HostId, LinkProps, PktKind};
-        use tlb_switch::{OutPort, QueueCfg};
+        use tlb_net::{FlowId, HostId, PktKind};
+        use tlb_switch::OutPort;
 
-        let link = LinkProps::gbps(1.0, SimTime::ZERO);
-        let qcfg = QueueCfg {
-            capacity_pkts: 64,
-            ecn_threshold_pkts: Some(8),
-        };
-        let ports: Vec<OutPort> = (0..8)
-            .map(|i| {
-                let mut p = OutPort::new(link, qcfg);
-                for s in 0..(i * 3 % 7) {
-                    p.enqueue(
-                        Packet::data(
-                            FlowId(500),
-                            HostId(0),
-                            HostId(1),
-                            s as u32,
-                            1460,
-                            40,
-                            SimTime::ZERO,
-                        ),
-                        SimTime::ZERO,
-                    );
-                }
-                p
-            })
-            .collect();
+        let lens: Vec<usize> = (0..8).map(|i| i * 3 % 7).collect();
+        let ports = OutPort::filled(&lens);
 
         for scheme in Scheme::extended_set() {
             let mut fast = scheme.build_static(7);

@@ -11,12 +11,12 @@
 //! | module | the one decision it owns | called from |
 //! |---|---|---|
 //! | `portmap` | the port layout over the fabric's `tlb_net::Shape` (which owns the wiring and the climb-then-descend rule): port ids, `next_hop` in port ids, reach masks, port labels/hops, the shard partition | every module; none of them knows which fabric it is |
-//! | `events` | the event vocabulary and its `(class, entity)` ordering key, shared by the FEL and the completion heap | every module that pushes or pops the FEL |
+//! | `events` | the event vocabulary: an event is its `(class, entity)` ordering key, and nothing else, in the FEL, the build-time schedule and the completion heap alike | every module that pushes an event; `Net::step`'s one `match` |
 //! | `link` | link physics: a port's props, what a `LinkEvent` does to them, every state a link reaches, the in-flight bound, payload capacity | build, `admin`, `hybrid`, `sharded` |
 //! | `forward` | the per-packet switch path: admission, serialization, delivery pipes and their FIFO floor (the pipe's tail), the balancer decision, LB ticks | the event loop, `host`, `hybrid` (`choose_up`), `sharded` (`schedule_arrival`) |
 //! | `host` | the endpoints: flow start, timers, sender outputs, receiver delivery, completion | the event loop, `forward`, `hybrid` |
 //! | `admin` | scheduled link changes and failures, routing reconvergence | the event loop, on the serial engine and on every shard replica alike |
-//! | `hybrid` | the fluid seam: migration, the completion heap — the run's second event source, merged with the FEL head by `Net::peek` — and demotion; `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
+//! | `hybrid` | the fluid seam: migration, the completion heap — one of the run's three event sources, merged with the FEL head and the build-time schedule by `Net::peek` — and demotion; `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
 //! | `metrics` | the metric collectors, their build-time sizing, the shard fold and [`crate::RunReport`] assembly | the packet path writes them; `run_with`/`sharded` finish them |
 //! | `finish` | closing the conservation audit, counting what is still on the wire | `metrics` (`into_report`), `sharded` (the fold) |
 //! | `sharded` | the conservative multi-core engine over `Net` replicas: the partition, each replica's `ShardCtx` (its handoff buckets and blocker watch), the window protocol with its leader, and its four refusals | `run_with` |
@@ -43,16 +43,19 @@
 //! have left its port's serializer and not yet arrived
 //! (`Net::schedule_arrival` is the one way on; `Net::wire_pkts` counts
 //! them). Instead of one FEL entry per in-flight packet, a pipe
-//! keeps at most one chained `Deliver` event in the FEL; popping it
+//! keeps at most one chained `ARRIVAL` event in the FEL; popping it
 //! delivers the head and re-arms the chain. That is exact, not an
-//! approximation: the one live `Deliver` is the only event under its
+//! approximation: the one live `ARRIVAL` is the only event under its
 //! port's arrival key, so the FEL's `(time, key, seq)` order places it
 //! where the link's next arrival belongs among every other event, and
 //! packets that reach the far end at the same instant leave the pipe in
 //! the order they entered the wire. FEL occupancy is bounded by
-//! O(ports + links + pending timers/starts) instead of O(packets in
-//! flight); every engine's run loop enforces that bound whenever the
-//! audit is on.
+//! O(ports + links + pending timers and chained starts) instead of
+//! O(packets in flight); every engine's run loop enforces that bound
+//! whenever the audit is on. What is known at build — chain heads'
+//! starts, the admin schedule, first ticks and samples — never enters
+//! the FEL: it waits in `Net::sched`, a sorted list the run loop reads
+//! as a third event source.
 
 mod admin;
 mod events;
@@ -72,7 +75,7 @@ use crate::audit::AuditLedger;
 use crate::config::{ConfigError, FidelityKind, SimConfig};
 use crate::dispatch::AnyLb;
 use crate::report::{AllocAudit, RunReport};
-use events::{push_ev, Event, KEY_ENTITY_BITS};
+use events::{class, key_of, KEY_ENTITY_BITS};
 use portmap::{PortMap, PortRef};
 use slab::{Slab, SlabSlot};
 use tlb_engine::{alloc_audit, EventQueue, SimRng, SimTime};
@@ -301,7 +304,15 @@ struct Net<'a> {
     receivers: Slab<TcpReceiver>,
     next_flow: Vec<Option<u32>>,
     n_completed: usize,
-    q: EventQueue<Event>,
+    /// The future-event list. An entry is its `(time, key)`; the key is
+    /// the whole event (see [`events`]).
+    q: EventQueue<()>,
+    /// The events known at build, sorted descending so the next is last:
+    /// the owned chain heads' starts, the owned balancers' first ticks,
+    /// the whole admin schedule and the first queue sample. The run's
+    /// third event source beside the FEL and the completion heap; it only
+    /// shrinks.
+    sched: Vec<(SimTime, u32)>,
     /// Where every packet is from its host's emission to its delivery or
     /// drop — queued at a port, serializing, or crossing a link: one slab
     /// for the whole fabric, reserved once at build for
@@ -321,9 +332,10 @@ struct Net<'a> {
     alloc_at_warmup: Option<alloc_audit::AllocCounters>,
     /// Steady-state allocation report, filled at run-loop exit.
     alloc_report: Option<AllocAudit>,
-    /// Events pending in the FEL that are not port events (`TxDone`,
-    /// `Deliver`): flow starts, timers, LB ticks, admin events and queue
-    /// samples — the schedule-decided term of [`Net::fel_bound`].
+    /// Events pending in the FEL that are not port events (`TX_DONE`,
+    /// `ARRIVAL`): chained successors' starts, timers, later LB ticks and
+    /// later queue samples — the schedule-decided term of
+    /// [`Net::fel_bound`].
     other_pending: u64,
     /// The run's clock: the time of the last event from either source
     /// ([`Net::peek`]). A tail completion leaves the FEL's own clock
@@ -389,10 +401,10 @@ impl<'a> Net<'a> {
 
         let n = flows.len();
         // Size the FEL so steady state never reallocates: the occupancy is
-        // bounded by the fabric (one `TxDone` plus one `Deliver` per port)
-        // plus pending timers/starts. (The calendar reserves it once per
-        // tier — the overflow heap, where the build-time bulk of
-        // not-yet-started flows lands, the wheel's node pool and the
+        // bounded by the fabric (one `TX_DONE` plus one `ARRIVAL` per port)
+        // plus at most one pending timer and one chained start per flow —
+        // no build-time event enters it. (The calendar reserves it once
+        // per tier — the overflow heap, the wheel's node pool and the
         // active bucket — and touches only as much of each as the run's
         // depth reaches.)
         let fel_cap = 2 * n + 2 * n_ports + 64;
@@ -434,6 +446,7 @@ impl<'a> Net<'a> {
             next_flow,
             n_completed: 0,
             q: EventQueue::with_capacity(fel_cap),
+            sched: Vec::new(),
             arena: PacketArena::with_capacity(arena_cap),
             wire_pkts: 0,
             wire_pkts_peak: 0,
@@ -462,7 +475,7 @@ impl<'a> Net<'a> {
             cfg,
             flows,
         };
-        net.seed_fel();
+        net.seed_sched();
         if net.has_failures {
             // Seed the reachability masks from the (fully live) fabric so
             // an `Up`-leading schedule still sees consistent state.
@@ -471,25 +484,28 @@ impl<'a> Net<'a> {
         net
     }
 
-    /// Push the events known at build: every owned chain head's start,
-    /// the owned balancers' first ticks, the whole admin schedule — on
-    /// every shard replica too: a link change or failure mutates only
-    /// state each replica holds a full copy of, so each applies it to
-    /// itself at the event's own `(time, key)` — and, on the serial engine
-    /// or shard 0, the queue sampler.
-    fn seed_fel(&mut self) {
+    /// Fill [`Net::sched`] with the events known at build: every owned
+    /// chain head's start, the owned balancers' first ticks, the whole
+    /// admin schedule — on every shard replica too: a link change or
+    /// failure mutates only state each replica holds a full copy of, so
+    /// each applies it to itself at the event's own `(time, key)` — and,
+    /// on the serial engine or shard 0, the queue sampler. No two entries
+    /// share a `(time, key)`, so one sort orders any job.
+    fn seed_sched(&mut self) {
         let cfg = self.cfg;
         let shard = self.shard.as_ref();
-        // Only chain heads get their own start event; chained flows are
+        // Only chain heads start from the schedule; chained flows are
         // launched by their predecessor's completion.
         let mut is_chained = vec![false; self.flows.len()];
         for &nf in self.next_flow.iter().flatten() {
             is_chained[nf as usize] = true;
         }
+        let admin = cfg.link_events.len() + cfg.failure_events.len();
+        let sched = &mut self.sched;
+        sched.reserve_exact(self.flows.len() + self.lb_sws.len() + admin + 1);
         for (i, f) in self.flows.iter().enumerate() {
             if !is_chained[i] && shard.is_none_or(|c| c.owns_host(f.src.0)) {
-                push_ev(&mut self.q, f.start, Event::FlowStart(i as u32));
-                self.other_pending += 1;
+                sched.push((f.start, key_of(class::FLOW_START, i as u32)));
             }
         }
         for (l, sw) in self.lb_sws.iter().enumerate() {
@@ -497,24 +513,22 @@ impl<'a> Net<'a> {
                 continue;
             };
             if shard.is_none_or(|c| c.owns_sw(l)) {
-                push_ev(&mut self.q, iv, Event::LbTick { sw: l as u16 });
-                self.other_pending += 1;
+                sched.push((iv, key_of(class::LB_TICK, l as u32)));
                 if l == 0 {
                     self.m.reserve_qth(cfg, iv);
                 }
             }
         }
         for (i, ev) in cfg.link_events.iter().enumerate() {
-            push_ev(&mut self.q, ev.at, Event::LinkChange(i as u32));
+            sched.push((ev.at, key_of(class::LINK_CHANGE, i as u32)));
         }
         for (i, ev) in cfg.failure_events.iter().enumerate() {
-            push_ev(&mut self.q, ev.at, Event::Failure(i as u32));
+            sched.push((ev.at, key_of(class::FAILURE, i as u32)));
         }
-        self.other_pending += (cfg.link_events.len() + cfg.failure_events.len()) as u64;
         if cfg.sample_queues && shard.is_none_or(|c| c.id == 0) {
-            push_ev(&mut self.q, cfg.series_bucket, Event::QueueSample);
-            self.other_pending += 1;
+            sched.push((cfg.series_bucket, key_of(class::QUEUE_SAMPLE, 0)));
         }
+        sched.sort_unstable_by(|a, b| b.cmp(a));
     }
 
     /// Sample FEL occupancy once per this many processed events. The
@@ -522,8 +536,8 @@ impl<'a> Net<'a> {
     /// across thread counts, so the samples are deterministic.
     const FEL_DEPTH_SAMPLE_EVERY: u64 = 4096;
 
-    /// The FEL occupancy bound: at most one `TxDone` and one `Deliver` per
-    /// port, plus every pending flow start, timer and housekeeping event.
+    /// The FEL occupancy bound: at most one `TX_DONE` and one `ARRIVAL` per
+    /// port, plus every other event pending in the FEL.
     /// Computed from a counter the schedule alone decides, so its peak is
     /// deterministic.
     #[inline]
@@ -531,18 +545,19 @@ impl<'a> Net<'a> {
         2 * self.ports.len() as u64 + self.other_pending
     }
 
-    /// `(time, key)` of the run's next event, over its two sources: the
-    /// FEL head and, under hybrid fidelity, the earliest projected tail
-    /// completion in the seam's heap ([`hybrid::Hybrid::next_done`]). No
-    /// `(time, key)` is held by both — completions have a class of their
-    /// own, the highest, so a tail loses every same-instant tie with an
-    /// FEL event.
+    /// `(time, key)` of the run's next event, over its three sources: the
+    /// FEL head, the schedule's next entry and, under hybrid fidelity, the
+    /// earliest projected tail completion in the seam's heap
+    /// ([`hybrid::Hybrid::next_done`]). No `(time, key)` is held by two of
+    /// them: completions have a class of their own, the highest, so a tail
+    /// loses every same-instant tie; a key the schedule holds re-enters
+    /// the FEL, if at all, only at a later time.
     #[inline]
     fn peek(&self) -> Option<(SimTime, u32)> {
-        let fel = self.q.peek_time_key();
-        match self.hybrid.as_ref().and_then(hybrid::Hybrid::next_done) {
-            Some(tail) => Some(fel.map_or(tail, |f| f.min(tail))),
-            None => fel,
+        let next = earlier(self.q.peek_time_key(), self.sched.last().copied());
+        match &self.hybrid {
+            Some(hy) => earlier(next, hy.next_done()),
+            None => next,
         }
     }
 
@@ -563,18 +578,24 @@ impl<'a> Net<'a> {
 
     /// Take `next`, the [`Net::peek`] minimum the caller has just read,
     /// from its source and dispatch it — the shared body of the serial
-    /// loop, the sharded window loop, and the window leader's tail. A tail
-    /// completion comes off the seam's heap and leaves the FEL's clock
-    /// alone: the calendar windows every insert on that clock and promotes
-    /// only as it pops, so only FEL pops may move it.
+    /// loop, the sharded window loop, and the window leader's tail. Only
+    /// FEL pops move the FEL's clock: the calendar windows every insert on
+    /// that clock and promotes only as it pops. A tail completion leaves
+    /// the seam's heap in [`Net::on_fluid_done`].
     fn step(&mut self, next: (SimTime, u32)) {
         debug_assert_eq!(self.peek(), Some(next), "step on an event that is not next");
         let (now, key) = next;
-        let ev = if events::class_of(key) == events::class::FLUID_DONE {
-            None
-        } else {
-            Some(self.q.pop().expect("peeked event vanished").1)
-        };
+        let cls = events::class_of(key);
+        // Port events come from the FEL alone, so the per-packet path
+        // never reads the schedule here.
+        if matches!(cls, class::TX_DONE | class::ARRIVAL) {
+            self.q.pop().expect("peeked event vanished");
+        } else if self.sched.last() == Some(&next) {
+            self.sched.pop();
+        } else if cls != class::FLUID_DONE {
+            self.q.pop().expect("peeked event vanished");
+            self.other_pending -= 1;
+        }
         self.now = now;
         self.events += 1;
         #[cfg(test)]
@@ -600,27 +621,24 @@ impl<'a> Net<'a> {
             }
         }
         self.cur_key = key;
-        let Some(ev) = ev else {
-            return self.on_fluid_done(now);
-        };
-        if !matches!(ev, Event::TxDone(_) | Event::Deliver(_)) {
-            self.other_pending -= 1;
-        }
-        match ev {
-            Event::FlowStart(i) => self.on_flow_start(i, now),
-            Event::TxDone(p) => self.on_tx_done(p, now),
-            Event::Deliver(p) => self.on_deliver(p, now),
-            Event::Timer { flow } => self.on_timer(flow, now),
-            Event::LbTick { sw } => self.on_lb_tick(sw, now),
-            Event::LinkChange(i) => {
+        let entity = events::entity_of(key);
+        match cls {
+            class::FLOW_START => self.on_flow_start(entity, now),
+            class::TIMER => self.on_timer(entity, now),
+            class::ARRIVAL => self.on_deliver(entity, now),
+            class::TX_DONE => self.on_tx_done(entity, now),
+            class::LB_TICK => self.on_lb_tick(entity as u16, now),
+            class::QUEUE_SAMPLE => self.on_queue_sample(now),
+            class::LINK_CHANGE => {
                 self.admin_event_popped();
-                self.on_link_change(i as usize, now);
+                self.on_link_change(entity as usize, now);
             }
-            Event::Failure(i) => {
+            class::FAILURE => {
                 self.admin_event_popped();
-                self.on_failure(i as usize, now);
+                self.on_failure(entity as usize, now);
             }
-            Event::QueueSample => self.on_queue_sample(now),
+            class::FLUID_DONE => self.on_fluid_done(now),
+            _ => unreachable!("no event class {cls}"),
         }
     }
 
@@ -651,5 +669,14 @@ impl<'a> Net<'a> {
                 bytes: d.bytes,
             });
         }
+    }
+}
+
+/// The earlier of two optional `(time, key)` heads.
+#[inline]
+fn earlier(a: Option<(SimTime, u32)>, b: Option<(SimTime, u32)>) -> Option<(SimTime, u32)> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        _ => a.or(b),
     }
 }

@@ -5,7 +5,7 @@
 //! read and marked in place. Everything here runs per packet-hop and
 //! performs no steady-state allocation.
 
-use super::events::{push_ev, Event};
+use super::events::{class, push_ev};
 use super::portmap::{NextHop, NodeRef, PortId};
 use super::sharded::XMsg;
 use super::Net;
@@ -75,7 +75,7 @@ impl Net<'_> {
             self.m.short_qdelay.push(w);
         }
         self.audit.tx_started(pkt);
-        push_ev(&mut self.q, now + tx_time, Event::TxDone(p));
+        push_ev(&mut self.q, now + tx_time, class::TX_DONE, p);
     }
 
     pub(super) fn on_tx_done(&mut self, p: PortId, now: SimTime) {
@@ -114,10 +114,10 @@ impl Net<'_> {
     /// before now, so there is nothing to clamp to.
     ///
     /// The slot is linked at the back of `pipes[p]`. Only an empty pipe
-    /// arms `Deliver(p)`; successors chain when it pops. At most one
-    /// `Deliver(p)` is ever live and nothing else carries port `p`'s
-    /// arrival key, so `(time, key)` alone places each arrival, and
-    /// same-instant arrivals leave in the pipe's FIFO order.
+    /// arms `p`'s `ARRIVAL` event; successors chain when it pops. At most
+    /// one is ever live and nothing else carries port `p`'s arrival key,
+    /// so `(time, key)` alone places each arrival, and same-instant
+    /// arrivals leave in the pipe's FIFO order.
     #[inline]
     pub(super) fn schedule_arrival(&mut self, p: PortId, at: SimTime, pkt: PacketSlot) {
         let pipe = &mut self.pipes[p as usize];
@@ -127,7 +127,7 @@ impl Net<'_> {
         self.wire_pkts += 1;
         self.wire_pkts_peak = self.wire_pkts_peak.max(self.wire_pkts);
         if was_empty {
-            push_ev(&mut self.q, at, Event::Deliver(p));
+            push_ev(&mut self.q, at, class::ARRIVAL, p);
         }
     }
 
@@ -150,7 +150,7 @@ impl Net<'_> {
     pub(super) fn on_deliver(&mut self, p: PortId, now: SimTime) {
         let pkt = self.pop_pipe(p, now);
         if let Some(at) = self.arena.front_at(&self.pipes[p as usize]) {
-            push_ev(&mut self.q, at, Event::Deliver(p));
+            push_ev(&mut self.q, at, class::ARRIVAL, p);
         }
         self.on_arrive(p, pkt, now);
     }
@@ -258,7 +258,7 @@ impl Net<'_> {
         if let Some(iv) = l.lb.tick_interval() {
             let next = now + iv;
             if next <= self.cfg.horizon {
-                push_ev(&mut self.q, next, Event::LbTick { sw });
+                push_ev(&mut self.q, next, class::LB_TICK, sw as u32);
                 self.other_pending += 1;
             }
         }
@@ -273,7 +273,7 @@ impl Net<'_> {
         self.m.queue_series.push((now.as_secs_f64(), lens));
         let next = now + self.cfg.series_bucket;
         if next <= self.cfg.horizon {
-            push_ev(&mut self.q, next, Event::QueueSample);
+            push_ev(&mut self.q, next, class::QUEUE_SAMPLE, 0);
             self.other_pending += 1;
         }
     }

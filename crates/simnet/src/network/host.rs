@@ -2,7 +2,7 @@
 //! the host NIC, receiver-side delivery, flow completion, and the closing
 //! of each endpoint — where its counters leave the connection slabs.
 
-use super::events::{push_ev, Event};
+use super::events::{class, push_ev};
 use super::portmap::PortId;
 use super::Net;
 use crate::report::Hop;
@@ -43,7 +43,7 @@ impl Net<'_> {
             match o {
                 SenderOutput::Send(pkt) => self.emit(nic, pkt, now),
                 SenderOutput::ArmTimer { deadline } => {
-                    push_ev(&mut self.q, deadline.max(now), Event::Timer { flow });
+                    push_ev(&mut self.q, deadline.max(now), class::TIMER, flow);
                     self.other_pending += 1;
                 }
                 // The FIN is out. A closed sender ignores every later ACK
@@ -166,7 +166,7 @@ impl Net<'_> {
         self.close_receiver(fi);
         // Closed-loop chain: launch the successor back-to-back.
         if let Some(nf) = self.next_flow[fi] {
-            push_ev(&mut self.q, now, Event::FlowStart(nf));
+            push_ev(&mut self.q, now, class::FLOW_START, nf);
             self.other_pending += 1;
         }
     }

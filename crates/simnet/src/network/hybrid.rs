@@ -9,9 +9,10 @@
 //! on the web-search workload), and each re-rate moves that flow's
 //! projected completion time; fewer than 1 % of the projections ever come
 //! true. So the projections live in an [`IndexedMinHeap`] keyed by flow —
-//! one entry per resident, updated in place — and that heap is the run's
-//! second event source: [`Net::peek`] merges its minimum, at key
-//! `(FLUID_DONE, flow)`, with the FEL head, and [`Net::on_fluid_done`]
+//! one entry per resident, updated in place — and that heap is one of the
+//! run's event sources: [`Net::peek`] merges its minimum, at key
+//! `(FLUID_DONE, flow)`, with the FEL head and the build-time schedule's
+//! next entry, and [`Net::on_fluid_done`]
 //! completes the tail it names. Each completion runs at the `(time,
 //! FLUID_DONE, flow)` position a per-projection FEL event would have had,
 //! so the schedule every other event sees is unchanged.
@@ -86,7 +87,7 @@ impl Hybrid {
     }
 
     /// `(time, key)` of the earliest projected completion: what
-    /// [`Net::peek`] merges with the FEL head. Heap order `(at_ns, flow)`
+    /// [`Net::peek`] merges with the other sources. Heap order `(at_ns, flow)`
     /// is key order, so same-nanosecond tails complete in ascending flow id.
     #[inline]
     pub fn next_done(&self) -> Option<(SimTime, u32)> {
@@ -212,11 +213,12 @@ impl Net<'_> {
         hy.absorb_changes(now);
     }
 
-    /// The earliest projected completion came due ([`Net::step`] took it
-    /// off the heap's top): complete that tail. Exactly one tail completes
-    /// per step, so same-nanosecond completions run in ascending flow id
-    /// with every FEL event of that instant — a chained successor's
-    /// `FlowStart` pushed at `now` included — dispatched in between.
+    /// The earliest projected completion came due ([`Net::step`] found it
+    /// at the heap's top): take it off and complete that tail. Exactly one
+    /// tail completes per step, so same-nanosecond completions run in
+    /// ascending flow id with every other event of that instant — a
+    /// chained successor's `FLOW_START` pushed at `now` included —
+    /// dispatched in between.
     ///
     /// Out of line and cold: one completion per residency against
     /// thousands of packet events, and inlined into [`Net::step`] it slowed
@@ -312,7 +314,7 @@ mod tests {
         // migrate at the same instant and both are projected to finish in
         // the same nanosecond. Flow 2 is chained behind flow 0. At that
         // nanosecond the order is: tail 0 completes and pushes flow 2's
-        // `FlowStart` at `now`; the start (an FEL event, so a lower class)
+        // `FLOW_START` at `now`; the start (an FEL event, a lower class)
         // runs; only then does tail 1 complete.
         let mut cfg = SimConfig::large_scale(Scheme::Ecmp, 4);
         cfg.fidelity = FidelityKind::Hybrid;

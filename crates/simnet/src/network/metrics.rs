@@ -73,7 +73,7 @@ impl Metrics {
         let short_cap = (short_segs + short_segs / 4 + 64).min(1 << 22);
         // FEL-depth samples — the one collector that follows the event
         // count, at one `f64` per 4096 events: a data segment costs
-        // O(2 hops·(TxDone+Deliver)) events each way, so 24·segs/4096 is a
+        // O(2 hops·(TX_DONE+ARRIVAL)) events each way, so 24·segs/4096 is a
         // generous estimate.
         let depth_cap = (segs(|_| true) * 24 / 4096 + 64).min(1 << 20);
         let mut fct = FctRecorder::new(cfg.short_threshold);

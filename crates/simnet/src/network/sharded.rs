@@ -5,7 +5,7 @@
 //! per-leaf for leaf-spine fabrics, hosts colocated with their edge/leaf
 //! switch — each a replica of the [`super::Net`] state that touches only
 //! its own entities: its switches' ports, its hosts' senders/receivers,
-//! the links it receives, its slice of the FEL. A replica reserves arena
+//! the links it receives, its slice of the events. A replica reserves arena
 //! slots for the queues of the ports it owns only (the others keep their
 //! link props and admin flag, which every replica's `recompute_reach`
 //! reads, and a capacity of 0), its arena pages in only the packets queued
@@ -38,8 +38,9 @@
 //! own inbox at the start of its next window, in parallel. Every port has
 //! one source shard, so its handoffs keep their send order. The leader
 //! reads what it decides on from the replicas themselves — each replica's
-//! next timestamp ([`Net::peek`]: the FEL head, since hybrid runs are
-//! refused), each completion count, each blocker watch — and folds
+//! next timestamp ([`Net::peek`]: the FEL head or the build-time
+//! schedule's next entry, since hybrid runs are refused), each completion
+//! count, each blocker watch — and folds
 //! the earliest within-horizon arrival parked in any inbox into `T`
 //! (the null-message horizon update of classic conservative PDES,
 //! carried on the data path). A worker that panics poisons the barrier
@@ -48,10 +49,10 @@
 //!
 //! ## Why the merged schedule is bit-identical to the serial engine
 //!
-//! Both engines order events by `(time, key, seq)` where
-//! [`super::events::event_key`] encodes `(class, entity)`. Every key but
-//! an admin event's (next section) is pushed by exactly one shard (see
-//! `event_key`'s docs), so:
+//! Both engines order events by `(time, key, seq)` where the key
+//! ([`super::events::key_of`]) encodes `(class, entity)` and is the whole
+//! event. Every key but an admin event's (next section) is pushed or
+//! scheduled by exactly one shard (see the [`super::events`] docs), so:
 //!
 //! * same-`(time, key)` ties are always same-shard, and the shard's local
 //!   FIFO `seq` assigns them exactly the relative order the serial engine
@@ -66,11 +67,13 @@
 //!
 //! ## Global events and the serialized tail
 //!
-//! [`super::events::Event::Failure`] / `LinkChange` mutate fabric state every
+//! Failures and link changes ([`super::events::class::FAILURE`] /
+//! `LINK_CHANGE`) mutate fabric state every
 //! replica reads (`recompute_reach` scans the whole port table) — and only
 //! state every replica holds a full copy of: port props, admin flags,
 //! reach masks. So they are **replica-local**: every replica seeds the
-//! whole admin schedule into its own FEL and applies each event to itself
+//! whole admin schedule into its own build-time schedule (`Net::sched`,
+//! never the FEL) and applies each event to itself
 //! at the event's own `(time, key)`, after its lower-ranked events of that
 //! instant and before the later ones — which is where the serial engine
 //! runs it. No other shard can tell when a replica did so: a shard's
@@ -89,11 +92,11 @@
 //! `[T, E)` (`E ≤ T + Δ`) is opened only when the run provably cannot end
 //! inside it. One rule decides, with three conjuncts; the leader
 //! leaves the windows for the **serialized tail** — a global `(time, key)`
-//! merge across the shard FELs with the serial loop's exact termination
+//! merge across the shards' events with the serial loop's exact termination
 //! conditions — only when all three hold:
 //!
 //! 1. **every flow starts before `E`** (`last_start < E`). Events run
-//!    strictly before `E`, so a `FlowStart` at or after it is not even
+//!    strictly before `E`, so a flow start at or after it is not even
 //!    popped and its flow cannot complete in the window;
 //! 2. **the remaining completions fit in one window**
 //!    (`remaining ≤ Σ_h c_h`). A flow completes only when a delivery pops
@@ -405,8 +408,8 @@ fn move_handoffs(nets: &mut [MutexGuard<Net>]) {
     }
 }
 
-/// The earliest pending within-horizon timestamp over every replica's FEL
-/// and parked handoffs (the null-message horizon update of classic
+/// The earliest pending within-horizon timestamp over every replica's
+/// next event ([`Net::peek`]) and parked handoffs (the null-message horizon update of classic
 /// conservative PDES, carried on the data path); `None` when there is
 /// none.
 fn global_min(nets: &[MutexGuard<Net>], horizon: SimTime) -> Option<SimTime> {
@@ -682,14 +685,14 @@ impl<'n, 'a> Run<'n, 'a> {
     /// The completion tail: the cross-shard merge, with the serial loop's
     /// exact termination conditions (stop the instant the last flow
     /// completes; never pop past the horizon). Repeatedly pop the
-    /// `(time, key)`-minimum event over all shard FELs and dispatch it on
+    /// `(time, key)`-minimum event over all shards and dispatch it on
     /// its shard, delivering its handoffs immediately.
     ///
     /// Single-origin-per-key makes the tie order exact: a `(time, key)`
     /// collision across two shards is impossible — except among the
     /// copies of an admin event, whose order does not matter (module
-    /// docs) — and within a shard the FEL's own `(time, key, seq)` order
-    /// applies.
+    /// docs) — and within a shard [`Net::peek`]'s own `(time, key, seq)`
+    /// order applies.
     fn tail(&self, nets: &mut [MutexGuard<Net>]) {
         let mut done: usize = nets.iter().map(|g| g.n_completed).sum();
         let mut steps = 0u64;

@@ -71,7 +71,7 @@ fn conservation_sent_equals_received_plus_losses() {
 #[test]
 #[should_panic(expected = "audit")]
 fn audit_catches_a_packet_dropped_outside_port_accounting() {
-    // The 5th arrival vanishes between a port's TxDone and the next node,
+    // The 5th arrival vanishes between a port's TX_DONE and the next node,
     // exactly the class of simulator bug no per-port counter can see. The
     // transport recovers the loss, so the flow still finishes, and the
     // audit must panic at report time. A short horizon keeps the doomed
@@ -637,7 +637,7 @@ fn non_dense_flow_ids_are_rejected() {
 }
 
 #[test]
-fn flow_count_is_bounded_by_the_event_key() {
+fn flow_count_is_bounded_by_the_ordering_key() {
     // Through the per-flow check with a synthetic index — not a
     // 134M-element vector.
     let n = 1usize << KEY_ENTITY_BITS;

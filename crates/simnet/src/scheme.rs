@@ -2,7 +2,7 @@
 
 use tlb_core::TlbConfig;
 use tlb_engine::SimTime;
-use tlb_lb::{CongaLite, DiffFlow};
+use tlb_lb::{CongaLite, DiffFlow, Drill, FlowBender, HermesLite, LetFlow, Presto};
 
 /// A load-balancing scheme plus its parameters. One balancer instance is
 /// built per leaf switch.
@@ -85,21 +85,24 @@ impl Scheme {
     /// The paper's default parameterizations.
     pub fn presto_default() -> Scheme {
         Scheme::Presto {
-            cell_bytes: 64 * 1024,
+            cell_bytes: Presto::DEFAULT_CELL_BYTES,
         }
     }
 
     /// LetFlow with the paper's 150 µs flowlet timeout.
     pub fn letflow_default() -> Scheme {
         Scheme::LetFlow {
-            timeout: SimTime::from_micros(150),
+            timeout: LetFlow::DEFAULT_TIMEOUT,
         }
     }
 
     /// DRILL with its published power-of-two-choices parameters (d = 2
     /// random samples, m = 1 remembered best).
     pub fn drill_default() -> Scheme {
-        Scheme::Drill { d: 2, m: 1 }
+        Scheme::Drill {
+            d: Drill::DEFAULT_D,
+            m: Drill::DEFAULT_M,
+        }
     }
 
     /// CONGA-lite with CONGA's published 500 µs flowlet timeout.
@@ -112,18 +115,18 @@ impl Scheme {
     /// FlowBender with its published parameters (5% trigger, K=20 sensing).
     pub fn flowbender_default() -> Scheme {
         Scheme::FlowBender {
-            mark_threshold_pkts: 20,
-            frac_threshold: 0.05,
-            window_pkts: 32,
+            mark_threshold_pkts: FlowBender::DEFAULT_MARK_THRESHOLD_PKTS,
+            frac_threshold: FlowBender::DEFAULT_FRAC_THRESHOLD,
+            window_pkts: FlowBender::DEFAULT_WINDOW_PKTS,
         }
     }
 
     /// Hermes-lite with its defaults (100 kB gate, 2x benefit bar).
     pub fn hermes_default() -> Scheme {
         Scheme::Hermes {
-            reroute_size_bytes: 100_000,
-            congested_pkts: 20,
-            benefit_factor: 2.0,
+            reroute_size_bytes: HermesLite::DEFAULT_REROUTE_SIZE_BYTES,
+            congested_pkts: HermesLite::DEFAULT_CONGESTED_PKTS,
+            benefit_factor: HermesLite::DEFAULT_BENEFIT_FACTOR,
         }
     }
 

@@ -4,36 +4,8 @@
 use super::Scheme;
 use proptest::prelude::*;
 use tlb_engine::{SimRng, SimTime};
-use tlb_net::{FlowId, HostId, LinkProps, Packet, PktKind};
-use tlb_switch::{LoadBalancer, OutPort, PortView, QueueCfg};
-
-fn ports(lens: &[u8]) -> Vec<OutPort> {
-    let link = LinkProps::gbps(1.0, SimTime::ZERO);
-    let cfg = QueueCfg {
-        capacity_pkts: 512,
-        ecn_threshold_pkts: Some(20),
-    };
-    lens.iter()
-        .map(|&n| {
-            let mut p = OutPort::new(link, cfg);
-            for s in 0..n {
-                p.enqueue(
-                    Packet::data(
-                        FlowId(u32::MAX),
-                        HostId(0),
-                        HostId(1),
-                        s as u32,
-                        1460,
-                        40,
-                        SimTime::ZERO,
-                    ),
-                    SimTime::ZERO,
-                );
-            }
-            p
-        })
-        .collect()
-}
+use tlb_net::{FlowId, HostId, Packet, PktKind};
+use tlb_switch::{LoadBalancer, OutPort, PortView};
 
 fn packet(flow: u32, kind_sel: u8, seq: u32, now: SimTime) -> Packet {
     let kind = match kind_sel % 5 {
@@ -56,11 +28,11 @@ proptest! {
     /// range; ticks may fire at any time.
     #[test]
     fn prop_schemes_never_escape_port_range(
-        lens in proptest::collection::vec(0u8..80, 1..24),
+        lens in proptest::collection::vec(0usize..80, 1..24),
         stream in proptest::collection::vec((0u32..32, 0u8..5, 0u32..100, 0u64..5_000), 1..300),
         seed in 0u64..1000,
     ) {
-        let ps = ports(&lens);
+        let ps = OutPort::filled(&lens);
         let n = ps.len();
         for scheme in Scheme::extended_set() {
             let mut lb = scheme.build_static(seed);

@@ -231,36 +231,6 @@ pub trait LoadBalancer: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::port::QueueCfg;
-    use tlb_net::{FlowId, HostId, LinkProps};
-
-    fn ports(lens: &[usize]) -> Vec<OutPort> {
-        let link = LinkProps::gbps(1.0, SimTime::ZERO);
-        let cfg = QueueCfg {
-            capacity_pkts: 1024,
-            ecn_threshold_pkts: None,
-        };
-        lens.iter()
-            .map(|&n| {
-                let mut p = OutPort::new(link, cfg);
-                for s in 0..n {
-                    p.enqueue(
-                        Packet::data(
-                            FlowId(0),
-                            HostId(0),
-                            HostId(1),
-                            s as u32,
-                            1460,
-                            40,
-                            SimTime::ZERO,
-                        ),
-                        SimTime::ZERO,
-                    );
-                }
-                p
-            })
-            .collect()
-    }
 
     #[test]
     #[should_panic(expected = "no uplink ports")]
@@ -271,7 +241,7 @@ mod tests {
 
     #[test]
     fn mask_skips_dead_ports() {
-        let ps = ports(&[3, 1, 2, 0]);
+        let ps = OutPort::filled(&[3, 1, 2, 0]);
         // Ports 1 and 3 dead: shortest must come from {0, 2}.
         let v = PortView::with_mask(&ps, 0b0101);
         assert_eq!(v.n_live(), 2);
@@ -288,7 +258,7 @@ mod tests {
 
     #[test]
     fn full_mask_matches_unmasked() {
-        let ps = ports(&[5, 2, 7, 2, 2]);
+        let ps = OutPort::filled(&[5, 2, 7, 2, 2]);
         let a = PortView::new(&ps);
         let b = PortView::with_mask(&ps, PortView::full_mask(ps.len()));
         assert_eq!(a.mask(), b.mask());
@@ -306,13 +276,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "no live uplink")]
     fn all_dead_mask_rejected() {
-        let ps = ports(&[1, 2]);
+        let ps = OutPort::filled(&[1, 2]);
         PortView::with_mask(&ps, 0b100); // only out-of-range bit set
     }
 
     #[test]
     fn view_reports_lengths() {
-        let ps = ports(&[0, 4]);
+        let ps = OutPort::filled(&[0, 4]);
         let v = PortView::new(&ps);
         assert_eq!(v.n_ports(), 2);
         assert_eq!(v.qlen_pkts(0), 0);
@@ -326,42 +296,13 @@ mod tests {
 #[cfg(test)]
 mod rand_tiebreak_tests {
     use super::*;
-    use crate::port::QueueCfg;
-    use tlb_engine::SimRng;
-    use tlb_net::{FlowId, HostId, LinkProps, Packet};
 
-    fn ports(lens: &[usize]) -> Vec<OutPort> {
-        let link = LinkProps::gbps(1.0, SimTime::ZERO);
-        let cfg = QueueCfg {
-            capacity_pkts: 1024,
-            ecn_threshold_pkts: None,
-        };
-        lens.iter()
-            .map(|&n| {
-                let mut p = OutPort::new(link, cfg);
-                for s in 0..n {
-                    p.enqueue(
-                        Packet::data(
-                            FlowId(0),
-                            HostId(0),
-                            HostId(1),
-                            s as u32,
-                            1460,
-                            40,
-                            SimTime::ZERO,
-                        ),
-                        SimTime::ZERO,
-                    );
-                }
-                p
-            })
-            .collect()
-    }
+    use tlb_engine::SimRng;
 
     #[test]
     fn rand_tiebreak_is_uniform_over_minima() {
         // Ports 1, 3, 4 tie at the minimum: each should win ~1/3 of calls.
-        let ps = ports(&[5, 2, 7, 2, 2]);
+        let ps = OutPort::filled(&[5, 2, 7, 2, 2]);
         let v = PortView::new(&ps);
         let mut rng = SimRng::new(42);
         let mut counts = [0usize; 5];
@@ -382,7 +323,7 @@ mod rand_tiebreak_tests {
 
     #[test]
     fn rand_tiebreak_unique_minimum_is_deterministic() {
-        let ps = ports(&[4, 1, 9]);
+        let ps = OutPort::filled(&[4, 1, 9]);
         let v = PortView::new(&ps);
         let mut rng = SimRng::new(1);
         for _ in 0..100 {
@@ -392,7 +333,7 @@ mod rand_tiebreak_tests {
 
     #[test]
     fn rand_tiebreak_single_port() {
-        let ps = ports(&[3]);
+        let ps = OutPort::filled(&[3]);
         let v = PortView::new(&ps);
         let mut rng = SimRng::new(2);
         assert_eq!(v.shortest_bytes_rand(&mut rng), 0);

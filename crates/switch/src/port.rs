@@ -15,7 +15,7 @@
 //! use.
 
 use tlb_engine::{time::tx_time, SimTime};
-use tlb_net::{LinkProps, Packet, PacketArena, PacketFifo, PacketSlot};
+use tlb_net::{FlowId, HostId, LinkProps, Packet, PacketArena, PacketFifo, PacketSlot};
 
 /// Queue admission/marking configuration for a port.
 #[derive(Clone, Copy, Debug)]
@@ -122,6 +122,43 @@ impl OutPort {
             own: Some(Box::new(PacketArena::with_capacity(slots))),
             ..OutPort::shared(link, cfg)
         }
+    }
+
+    /// One standalone port per entry of `lens`, each on a 1 Gbit/s link and
+    /// holding `lens[i]` queued filler packets: the fixture balancer tests
+    /// and the decision-cost bench build their uplinks from. Balancers
+    /// read queue lengths only, so one link, capacity and filler serve
+    /// them all.
+    pub fn filled(lens: &[usize]) -> Vec<OutPort> {
+        let cfg = QueueCfg {
+            capacity_pkts: 1024,
+            ecn_threshold_pkts: None,
+        };
+        let filler = |seq| {
+            Packet::data(
+                FlowId(0),
+                HostId(0),
+                HostId(1),
+                seq,
+                1460,
+                40,
+                SimTime::ZERO,
+            )
+        };
+        (lens.iter())
+            .map(|&len| {
+                let mut p = OutPort::new(LinkProps::gbps(1.0, SimTime::ZERO), cfg);
+                for seq in 0..len as u32 {
+                    let admitted = p.enqueue(filler(seq), SimTime::ZERO);
+                    assert_ne!(
+                        admitted,
+                        Enqueued::Dropped,
+                        "{len} filler packets overflow the fixture"
+                    );
+                }
+                p
+            })
+            .collect()
     }
 
     /// A fresh, idle port on the given link whose packets live in an arena
@@ -390,7 +427,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::VecDeque;
-    use tlb_net::{FlowId, HostId};
 
     fn link() -> LinkProps {
         LinkProps::gbps(1.0, SimTime::from_micros(10))

@@ -313,10 +313,15 @@ mod resident_memory {
     /// Arrival span of the 1× probe: 366 flows, and 3,658 at 10× (≈ 4 s
     /// in release).
     const SPAN_MS: u64 = 130;
-    /// 1.25 × the 957 B per flow measured (906–972 over six runs). With a
-    /// sender and a receiver slot for every flow of the job — 424 B per
-    /// flow of slots alone — it read 1,362–1,404.
-    const FLOW_SLOPE_CEILING_B: f64 = 1_196.0;
+    /// 1.25 × the 957 B per flow measured when it was set (906–972 over
+    /// six runs), less the 24 B per flow that left with the not-yet-started
+    /// flows' FEL entries: each was a 40-byte entry in the FEL's overflow
+    /// tier and is now a 16-byte entry of the build-time schedule. A 2-core
+    /// host reads 297–346 B per flow with the FEL entries and 300–334
+    /// without, in release and debug alike. With a sender and a receiver
+    /// slot for every flow of the job — 424 B per flow of slots alone — it
+    /// read 1,362–1,404.
+    const FLOW_SLOPE_CEILING_B: f64 = 1_172.0;
 
     /// Memory follows flows outstanding, not flows total: ten times the
     /// arrival span at the same load — the same concurrency, ten times the

@@ -1,13 +1,19 @@
-//! The FEL occupancy bound on a high-BDP fabric.
+//! The FEL occupancy bound, on a high-BDP fabric and over long arrival
+//! spans.
 //!
 //! Long fat links are where an FEL entry per packet in flight would hurt:
 //! occupancy would scale with the bandwidth-delay product. The per-link
-//! delivery pipes keep one chained `Deliver` per link, which caps it at
-//! O(ports + pending timers/starts) regardless of BDP. These tests build a
-//! 10 Gbit/s fabric with 500 µs per-link propagation (≈ 2 ms RTT across
-//! the spine, a multi-megabyte BDP) and check that the FEL stays inside
-//! that bound while the wire holds many times more packets than the bound
-//! allows entries.
+//! delivery pipes keep one chained arrival event per link, which caps it
+//! at O(ports + pending timers and chained starts) regardless of BDP.
+//! These tests build a 10 Gbit/s fabric with 500 µs per-link propagation
+//! (≈ 2 ms RTT across the spine, a multi-megabyte BDP) and check that the
+//! FEL stays inside that bound while the wire holds many times more
+//! packets than the bound allows entries.
+//!
+//! Long arrival spans are where an FEL entry per not-yet-started flow
+//! would hurt: occupancy would scale with the flows of the job. What is
+//! known at build waits in a sorted schedule outside the FEL, so the FEL
+//! follows the connections open at once, not the flows in total.
 
 use tlb::engine::EngineKind;
 use tlb::prelude::*;
@@ -114,9 +120,8 @@ fn sharded_shards_stay_within_the_pipelined_bound() {
 }
 
 /// The fig10 premise (`tests/fidelity.rs`): large-scale web-search at 60 %
-/// load under one fidelity — 100 ms of arrivals, long enough that fluid
-/// tails overlap and every join or leave re-rates a crowd of sharers.
-fn websearch_job(fidelity: FidelityKind) -> RunReport {
+/// load under one fidelity, over `arrivals_ms` of Poisson arrivals.
+fn websearch_job(fidelity: FidelityKind, arrivals_ms: u64) -> RunReport {
     let mut cfg = SimConfig::large_scale(Scheme::tlb_default(), 32);
     cfg.audit = true; // arm the in-loop occupancy and fluid-resident oracles
     cfg.fidelity = fidelity;
@@ -124,7 +129,7 @@ fn websearch_job(fidelity: FidelityKind) -> RunReport {
     let wl = PoissonWorkload {
         load: 0.6,
         dist: &dist,
-        duration: SimTime::from_millis(100),
+        duration: SimTime::from_millis(arrivals_ms),
         deadline_lo: SimTime::from_millis(5),
         deadline_hi: SimTime::from_millis(25),
         short_threshold: 100_000,
@@ -138,12 +143,14 @@ fn websearch_job(fidelity: FidelityKind) -> RunReport {
 /// and leave re-rates all sharers, and if each re-rate were an FEL event
 /// the superseded ones would sit there until their time came. The
 /// projections live in the seam's indexed heap, which the run loop reads
-/// as a second event source — no fluid event enters the FEL at all — so a
-/// hybrid run's FEL is no deeper than its packet twin's.
+/// as an event source of its own — no fluid event enters the FEL at all —
+/// so a hybrid run's FEL is no deeper than its packet twin's. 100 ms of
+/// arrivals is long enough that fluid tails overlap and every join or
+/// leave re-rates a crowd of sharers.
 #[test]
 fn fluid_completions_stay_out_of_the_fel() {
-    let packet = websearch_job(FidelityKind::Packet);
-    let hybrid = websearch_job(FidelityKind::Hybrid);
+    let packet = websearch_job(FidelityKind::Packet, 100);
+    let hybrid = websearch_job(FidelityKind::Hybrid, 100);
     assert_eq!(hybrid.completed, hybrid.total_flows);
     assert!(hybrid.fluid_migrations > 0, "nothing migrated");
     let residencies = hybrid.fluid_migrations + hybrid.fluid_demotions;
@@ -167,4 +174,47 @@ fn fluid_completions_stay_out_of_the_fel() {
             r.fel_bound_peak
         );
     }
+}
+
+/// Arrival span of the 1× run of [`fel_depth_does_not_follow_flows_total`].
+const SPAN_MS: u64 = 10;
+
+/// What the FEL may gain from 1× to 10× the arrival span beyond the
+/// growth of the connection peak.
+const FEL_GROWTH_SLACK: f64 = 64.0;
+
+/// The FEL holds what is live — at most one serialization end and one
+/// arrival per port, one retransmission timer per open sender, a few
+/// ticks and samples — and never a flow that has not started: the
+/// build-time schedule keeps those, outside it. So ten times the arrival
+/// span at the same load — ten times the flows — may deepen the FEL only
+/// as far as the connections open at once grew (one timer each), plus a
+/// constant.
+#[test]
+fn fel_depth_does_not_follow_flows_total() {
+    let short = websearch_job(FidelityKind::Packet, SPAN_MS);
+    let long = websearch_job(FidelityKind::Packet, 10 * SPAN_MS);
+    assert!(
+        long.total_flows >= 8 * short.total_flows,
+        "the spans drew too few flows to tell"
+    );
+    let conns_growth = long.conns_peak as f64 - short.conns_peak as f64;
+    let fel_growth = long.fel_depth.max() - short.fel_depth.max();
+    println!(
+        "FEL max {} over {} flows and {} over {}; conns peak {} and {}",
+        short.fel_depth.max(),
+        short.total_flows,
+        long.fel_depth.max(),
+        long.total_flows,
+        short.conns_peak,
+        long.conns_peak
+    );
+    assert!(
+        fel_growth - conns_growth <= FEL_GROWTH_SLACK,
+        "FEL max grew by {fel_growth} from {} to {} flows, {} beyond the connection \
+         peak's growth of {conns_growth}: something waits in the FEL per flow of the job",
+        short.total_flows,
+        long.total_flows,
+        fel_growth - conns_growth
+    );
 }
