@@ -1,24 +1,26 @@
-//! A fabric the simulator can run on: a [`Shape`] plus the two link tables
-//! that give every wire its physics.
+//! A fabric the simulator can run on: a [`Shape`] plus the links that give
+//! every wire its physics.
 //!
 //! Links are undirected — degradation and failure always hit both
 //! directions — so each is stored once, on the side that climbs: one entry
-//! per host NIC, and one per `(LB switch, uplink)`. A downlink's properties
-//! are those of the uplink it terminates ([`Shape::up_peer`]).
+//! per `(LB switch, uplink)`. A downlink's properties are those of the
+//! uplink it terminates ([`Shape::up_peer`]). Every host has the same NIC
+//! link, as in every fabric the paper runs (§4.2, §6, §7): degradation and
+//! failure hit only the switch tiers, so the host link is stored once.
 
 use crate::ids::{HostId, LeafId, SpineId};
 use crate::topology::{LinkProps, Route, Shape};
 use tlb_engine::SimTime;
 
-/// A leaf-spine or fat-tree fabric with per-link properties.
+/// A leaf-spine or fat-tree fabric with per-uplink properties.
 ///
 /// Every [`Shape`] query (`n_hosts`, `leaf_of`, `n_spines`, …) answers for
 /// the fabric through `Deref`: a fabric *is* its shape, wired.
 #[derive(Clone, Debug)]
 pub struct Fabric {
     shape: Shape,
-    /// `hosts[h]`: host NIC <-> leaf.
-    hosts: Vec<LinkProps>,
+    /// Every host NIC <-> leaf link.
+    host: LinkProps,
     /// `up[sw * n_spines + u]`: LB switch `sw`'s uplink `u`.
     up: Vec<LinkProps>,
 }
@@ -32,30 +34,16 @@ impl std::ops::Deref for Fabric {
     }
 }
 
-fn check_factor(bw_factor: f64) {
-    assert!(
-        bw_factor > 0.0 && bw_factor <= 1.0,
-        "bandwidth factor must be in (0, 1]"
-    );
-}
-
 impl Fabric {
     /// The shape, by value — what a port layout keeps a copy of.
     pub fn shape(&self) -> Shape {
         self.shape
     }
 
-    /// The reference host link (host 0's). Fabrics are built uniform, so
-    /// this is every host's link until [`Fabric::degrade_host_link`]
-    /// touches one; per-host queries go through [`Fabric::host_link_of`].
-    pub fn host_link(&self) -> LinkProps {
-        self.hosts[0]
-    }
-
-    /// A specific host's NIC link.
+    /// Every host's NIC link.
     #[inline]
-    pub fn host_link_of(&self, h: HostId) -> LinkProps {
-        self.hosts[h.index()]
+    pub fn host_link(&self) -> LinkProps {
+        self.host
     }
 
     /// LB switch `sw`'s `up`-th uplink: leaf -> spine, or in a fat tree
@@ -87,18 +75,14 @@ impl Fabric {
     /// add `extra_delay` — how Fig. 16/17's asymmetric scenarios are built.
     /// `(l, s)` is (LB switch, uplink), the historical leaf-spine naming.
     pub fn degrade_link(&mut self, l: LeafId, s: SpineId, bw_factor: f64, extra_delay: SimTime) {
-        check_factor(bw_factor);
+        assert!(
+            bw_factor > 0.0 && bw_factor <= 1.0,
+            "bandwidth factor must be in (0, 1]"
+        );
         let worse = self
             .uplink_props(l.index(), s.index())
             .degraded(bw_factor, extra_delay);
         self.set_uplink(l.index(), s.index(), worse);
-    }
-
-    /// Degrade one host's NIC link, by the same rule.
-    pub fn degrade_host_link(&mut self, h: HostId, bw_factor: f64, extra_delay: SimTime) {
-        check_factor(bw_factor);
-        let link = &mut self.hosts[h.index()];
-        *link = link.degraded(bw_factor, extra_delay);
     }
 
     /// Minimum one-way base propagation delay from `src` to `dst` over all
@@ -107,9 +91,7 @@ impl Fabric {
     /// the fuzzer's FCT lower-bound oracle.
     pub fn min_one_way_delay(&self, src: HostId, dst: HostId) -> SimTime {
         let (a, b) = (self.leaf_of(src).0, self.leaf_of(dst).0);
-        self.host_link_of(src).prop_delay
-            + self.min_climb(a, b, dst.0)
-            + self.host_link_of(dst).prop_delay
+        self.host.prop_delay * 2 + self.min_climb(a, b, dst.0)
     }
 
     /// The cheapest way to join switch `a` to its mirror image `b` on the
@@ -139,15 +121,12 @@ impl Fabric {
         self.min_one_way_delay(src, dst) * 2
     }
 
-    /// True if any link differs from another of its tier: host links,
-    /// leaf uplinks, or (fat tree) aggregation uplinks.
+    /// True if any uplink differs from another of its tier: leaf uplinks,
+    /// or (fat tree) aggregation uplinks.
     pub fn is_asymmetric(&self) -> bool {
-        let differ = |tier: &[LinkProps]| tier.windows(2).any(|w| w[0] != w[1]);
-        differ(&self.hosts)
-            || self
-                .up
-                .chunks(self.n_leaves() * self.n_spines())
-                .any(differ)
+        self.up
+            .chunks(self.n_leaves() * self.n_spines())
+            .any(|tier| tier.windows(2).any(|w| w[0] != w[1]))
     }
 }
 
@@ -255,7 +234,7 @@ impl FabricBuilder {
         let s = self.shape;
         Fabric {
             shape: s,
-            hosts: vec![self.link; s.n_hosts()],
+            host: self.link,
             up: vec![self.link; s.n_lb_switches() * s.n_spines()],
         }
     }
@@ -326,7 +305,7 @@ mod tests {
         }
         let mut best = None;
         walk(f, &below, f.leaf_of(src).0, dst, SimTime::ZERO, &mut best);
-        f.host_link_of(src).prop_delay + best.unwrap() + f.host_link_of(dst).prop_delay
+        f.host_link().prop_delay * 2 + best.unwrap()
     }
 
     #[test]
@@ -412,41 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn host_link_degradation_is_per_host_and_reported() {
-        let mut t = basic();
-        t.degrade_host_link(HostId(5), 0.25, SimTime::from_micros(10));
-        // A fabric whose only asymmetry is a host link still reports it.
-        assert!(t.is_asymmetric(), "host-link asymmetry must be reported");
-        let d = t.host_link_of(HostId(5));
-        assert_eq!(d.bytes_per_sec, 125_000_000 / 4);
-        assert_eq!(
-            d.prop_delay,
-            SimTime::from_nanos(12_500) + SimTime::from_micros(10)
-        );
-        // Rack mates keep pristine links, and so does the reference.
-        assert_eq!(t.host_link_of(HostId(4)).bytes_per_sec, 125_000_000);
-        assert_eq!(t.host_link_of(HostId(6)).bytes_per_sec, 125_000_000);
-        assert_eq!(t.host_link().bytes_per_sec, 125_000_000);
-    }
-
-    #[test]
-    fn host_link_degradation_slows_every_path_of_that_host() {
-        let extra = SimTime::from_micros(50);
-        for (mut t, far) in [(basic(), HostId(20)), (k4(), HostId(15))] {
-            let before_far = t.min_one_way_delay(HostId(0), far);
-            let before_near = t.min_one_way_delay(HostId(0), HostId(1));
-            t.degrade_host_link(HostId(0), 1.0, extra);
-            assert_eq!(t.min_one_way_delay(HostId(0), far), before_far + extra);
-            assert_eq!(
-                t.min_one_way_delay(HostId(0), HostId(1)),
-                before_near + extra
-            );
-            // A pair not involving host 0 is unchanged.
-            assert_eq!(t.min_one_way_delay(HostId(1), far), before_far);
-        }
-    }
-
-    #[test]
     fn set_uplink_can_improve_and_restores_symmetry() {
         let mut t = basic();
         let pristine = t.uplink_props(0, 0);
@@ -469,12 +413,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bandwidth factor")]
-    fn degrade_host_link_rejects_zero_factor() {
-        basic().degrade_host_link(HostId(0), 0.0, SimTime::ZERO);
-    }
-
-    #[test]
     #[should_panic(expected = "no uplink 15 on LB switch 0")]
     fn an_uplink_past_the_last_is_not_the_next_switchs_first() {
         basic().degrade_link(LeafId(0), SpineId(15), 0.5, SimTime::ZERO);
@@ -494,7 +432,6 @@ mod tests {
             kind in 0usize..3,
             dims in (2usize..5, 1usize..5, 1usize..3),
             hits in proptest::collection::vec((0usize..1000, 0usize..1000, 1u64..400), 0..40),
-            nic_hits in proptest::collection::vec((0usize..1000, 1u64..100), 0..4),
         ) {
             let mut f = match kind {
                 0 => LeafSpineBuilder::new(dims.0, dims.1, dims.2).build(),
@@ -504,9 +441,6 @@ mod tests {
             for (sw, up, us) in hits {
                 let (sw, up) = (sw % f.n_lb_switches(), up % f.n_spines());
                 f.degrade_link(LeafId(sw as u32), SpineId(up as u32), 1.0, SimTime::from_micros(us));
-            }
-            for (h, us) in nic_hits {
-                f.degrade_host_link(HostId::from(h % f.n_hosts()), 1.0, SimTime::from_micros(us));
             }
             for src in (0..f.n_hosts()).map(HostId::from) {
                 for dst in (0..f.n_hosts()).map(HostId::from) {

@@ -303,10 +303,8 @@ impl SimConfig {
             return Err(E::TooManySwitches(topo.n_switches()));
         }
         // Serialization time divides by the rate.
-        if let Some(h) = (0..topo.n_hosts())
-            .find(|&h| topo.host_link_of(tlb_net::HostId::from(h)).bytes_per_sec == 0)
-        {
-            return Err(E::ZeroRateHostLink(h));
+        if topo.host_link().bytes_per_sec == 0 {
+            return Err(E::ZeroRateHostLink);
         }
         for sw in 0..n_lb {
             if let Some(up) = (0..n_up).find(|&up| topo.uplink_props(sw, up).bytes_per_sec == 0) {
@@ -356,8 +354,8 @@ pub enum ConfigError {
     TooManyUplinks(usize),
     /// This many switches; switch ids are 16 bits.
     TooManySwitches(usize),
-    /// This host's NIC link carries 0 bytes per second.
-    ZeroRateHostLink(usize),
+    /// The host NIC link carries 0 bytes per second.
+    ZeroRateHostLink,
     /// LB switch `sw`'s uplink `up` carries 0 bytes per second.
     ZeroRateUplink {
         /// The LB switch.
@@ -460,7 +458,7 @@ impl std::fmt::Display for ConfigError {
             E::TooManySwitches(n) => {
                 write!(f, "{n} switches: at most {} are supported", u16::MAX)
             }
-            E::ZeroRateHostLink(h) => write!(f, "host {h}'s link has a zero rate"),
+            E::ZeroRateHostLink => write!(f, "the host link has a zero rate"),
             E::ZeroRateUplink { sw, up } => {
                 write!(f, "LB switch {sw}'s uplink {up} has a zero rate")
             }
@@ -610,7 +608,7 @@ mod tests {
             ),
             (
                 broken(&|c| c.topo = LeafSpineBuilder::new(3, 15, 16).link_gbps(0.0).build()),
-                E::ZeroRateHostLink(0),
+                E::ZeroRateHostLink,
             ),
             (
                 broken(&|c| c.topo.set_uplink(1, 2, dead)),

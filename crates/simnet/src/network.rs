@@ -50,12 +50,14 @@
 //! where the link's next arrival belongs among every other event, and
 //! packets that reach the far end at the same instant leave the pipe in
 //! the order they entered the wire. FEL occupancy is bounded by
-//! O(ports + links + pending timers and chained starts) instead of
-//! O(packets in flight); every engine's run loop enforces that bound
-//! whenever the audit is on. What is known at build — chain heads'
-//! starts, the admin schedule, first ticks and samples — never enters
-//! the FEL: it waits in `Net::sched`, a sorted list the run loop reads
-//! as a third event source.
+//! O(ports + links + pending timers) instead of O(packets in flight);
+//! every engine's run loop enforces that bound whenever the audit is on.
+//! What is known at build — chain heads' starts, the admin schedule,
+//! first ticks and samples — never enters the FEL: it waits in
+//! `Net::sched`, a sorted list the run loop reads as a third event
+//! source. A chained successor's start joins it at its predecessor's
+//! completion, as the run's next event, so no flow start is ever an FEL
+//! event.
 
 mod admin;
 mod events;
@@ -310,8 +312,9 @@ struct Net<'a> {
     /// The events known at build, sorted descending so the next is last:
     /// the owned chain heads' starts, the owned balancers' first ticks,
     /// the whole admin schedule and the first queue sample. The run's
-    /// third event source beside the FEL and the completion heap; it only
-    /// shrinks.
+    /// third event source beside the FEL and the completion heap. Only a
+    /// chained successor's start joins it later, on the end, as the run's
+    /// next event ([`Net::complete`]).
     sched: Vec<(SimTime, u32)>,
     /// Where every packet is from its host's emission to its delivery or
     /// drop — queued at a port, serializing, or crossing a link: one slab
@@ -333,9 +336,8 @@ struct Net<'a> {
     /// Steady-state allocation report, filled at run-loop exit.
     alloc_report: Option<AllocAudit>,
     /// Events pending in the FEL that are not port events (`TX_DONE`,
-    /// `ARRIVAL`): chained successors' starts, timers, later LB ticks and
-    /// later queue samples — the schedule-decided term of
-    /// [`Net::fel_bound`].
+    /// `ARRIVAL`): timers, later LB ticks and later queue samples — the
+    /// schedule-decided term of [`Net::fel_bound`].
     other_pending: u64,
     /// The run's clock: the time of the last event from either source
     /// ([`Net::peek`]). A tail completion leaves the FEL's own clock
@@ -400,14 +402,20 @@ impl<'a> Net<'a> {
         let arena_cap = link::packet_bound(cfg, &pmap, &ports);
 
         let n = flows.len();
-        // Size the FEL so steady state never reallocates: the occupancy is
-        // bounded by the fabric (one `TX_DONE` plus one `ARRIVAL` per port)
-        // plus at most one pending timer and one chained start per flow —
-        // no build-time event enters it. (The calendar reserves it once
-        // per tier — the overflow heap, the wheel's node pool and the
-        // active bucket — and touches only as much of each as the run's
-        // depth reaches.)
-        let fel_cap = 2 * n + 2 * n_ports + 64;
+        let hosts = |h: tlb_net::HostId| shard.as_ref().is_none_or(|c| c.owns_host(h.0));
+        let n_senders = flows.iter().filter(|f| hosts(f.src)).count();
+        let owned_lb = (0..pmap.n_lb as usize)
+            .filter(|&l| shard.as_ref().is_none_or(|c| c.owns_sw(l)))
+            .count();
+        // Size the FEL to the most `fel_bound` can reach, so steady state
+        // never reallocates: one `TX_DONE` and one `ARRIVAL` per port, one
+        // timer per sender this `Net` hosts, one tick per LB switch it
+        // owns, one queue sample. No flow start enters it, so a shard
+        // replica reserves for its own partition. (The calendar reserves
+        // it once per tier — the overflow heap, the wheel's node pool and
+        // the active bucket — and touches only as much of each as the
+        // run's depth reaches.)
+        let fel_cap = 2 * n_ports + n_senders + owned_lb + 1;
         let rows: Vec<FlowRow> = flows
             .iter()
             .map(|f| FlowRow {
@@ -417,7 +425,6 @@ impl<'a> Net<'a> {
                 ..FlowRow::default()
             })
             .collect();
-        let hosts = |h: tlb_net::HostId| shard.as_ref().is_none_or(|c| c.owns_host(h.0));
         let has_failures = !cfg.failure_events.is_empty();
         let reach_len = if has_failures {
             pmap.n_lb as usize * pmap.n_groups()
@@ -427,7 +434,7 @@ impl<'a> Net<'a> {
 
         let mut net = Net {
             m: metrics::Metrics::new(cfg, &rows, shard.is_some()),
-            senders: Slab::with_capacity(flows.iter().filter(|f| hosts(f.src)).count()),
+            senders: Slab::with_capacity(n_senders),
             receivers: Slab::with_capacity(flows.iter().filter(|f| hosts(f.dst)).count()),
             rows,
             has_failures,
@@ -502,6 +509,8 @@ impl<'a> Net<'a> {
         }
         let admin = cfg.link_events.len() + cfg.failure_events.len();
         let sched = &mut self.sched;
+        // Every flow, not just the heads: a chained successor's start
+        // joins later, at most one at a time (`Net::complete`).
         sched.reserve_exact(self.flows.len() + self.lb_sws.len() + admin + 1);
         for (i, f) in self.flows.iter().enumerate() {
             if !is_chained[i] && shard.is_none_or(|c| c.owns_host(f.src.0)) {

@@ -2,9 +2,9 @@
 //! 27) | entity`, and nothing else. Both engines order same-timestamp
 //! events by this key before per-queue FIFO; the class ranks below are
 //! that order, named once. Three sources hold keys, and
-//! [`super::Net::peek`] merges their heads: the FEL, the schedule known at
-//! build (`Net::sched` — chain heads' starts, first ticks and samples, the
-//! admin events) and, under hybrid fidelity, the seam's completion heap
+//! [`super::Net::peek`] merges their heads: the FEL, the schedule
+//! (`Net::sched` — every flow start, first ticks and samples, the admin
+//! events) and, under hybrid fidelity, the seam's completion heap
 //! (see [`super::hybrid`]). [`super::Net::step`] dispatches all of them
 //! through one `match` on [`class_of`].
 //!
@@ -27,9 +27,9 @@ pub(super) const KEY_ENTITY_BITS: u32 = 27;
 /// Class ranks of the ordering key, in same-timestamp dispatch order, each
 /// with the entity its key carries.
 pub(super) mod class {
-    /// A flow's start time arrived, on the flow. Chain heads start from
-    /// the schedule; a chained successor's start enters the FEL when its
-    /// predecessor completes.
+    /// A flow's start time arrived, on the flow. Every start comes from
+    /// the schedule, never the FEL: chain heads' from build, a chained
+    /// successor's pushed on its end when its predecessor completes.
     pub const FLOW_START: u32 = 0;
     /// A sender's retransmission timer fires, on its flow.
     pub const TIMER: u32 = 1;
@@ -75,9 +75,10 @@ pub(super) fn entity_of(key: u32) -> u32 {
 
 /// Push the event `(class, entity)` at `at` (every FEL insertion in this
 /// module tree goes through here, so both engines realize the same
-/// `(time, key, seq)` order).
+/// `(time, key, seq)` order). Flow starts never enter the FEL.
 #[inline]
 pub(super) fn push_ev(q: &mut EventQueue<()>, at: SimTime, class: u32, entity: u32) {
+    debug_assert_ne!(class, class::FLOW_START, "a flow start in the FEL");
     q.push_keyed(at, key_of(class, entity), ());
 }
 

@@ -266,11 +266,8 @@ impl Net<'_> {
 
     /// Record leaf-0's uplink occupancy and re-arm the sampler.
     pub(super) fn on_queue_sample(&mut self, now: SimTime) {
-        let lens: Vec<u32> = self.ports[self.pmap.up_range(0)]
-            .iter()
-            .map(|p| p.len_pkts() as u32)
-            .collect();
-        self.m.queue_series.push((now.as_secs_f64(), lens));
+        let uplinks = &self.ports[self.pmap.up_range(0)];
+        (self.m.queue_lens).extend(uplinks.iter().map(|p| p.len_pkts() as u32));
         let next = now + self.cfg.series_bucket;
         if next <= self.cfg.horizon {
             push_ev(&mut self.q, next, class::QUEUE_SAMPLE, 0);

@@ -2,7 +2,7 @@
 //! the host NIC, receiver-side delivery, flow completion, and the closing
 //! of each endpoint — where its counters leave the connection slabs.
 
-use super::events::{class, push_ev};
+use super::events::{class, key_of, push_ev};
 use super::portmap::PortId;
 use super::Net;
 use crate::report::Hop;
@@ -158,6 +158,11 @@ impl Net<'_> {
     /// A flow delivered its last byte — the packet-path prefix at the
     /// receiver and, under hybrid fidelity, the fluid tail: record the
     /// FCT, close the receiver and launch any chained successor.
+    ///
+    /// The successor's start goes on the end of [`Net::sched`], not into
+    /// the FEL: it is the run's next event. A completion dispatches under a
+    /// class above `FLOW_START`, so every start at `now` has already run,
+    /// and every event still pending at `now` has a larger key.
     pub(super) fn complete(&mut self, fi: usize, now: SimTime) {
         debug_assert!(!self.rows[fi].completed);
         self.rows[fi].completed = true;
@@ -166,8 +171,9 @@ impl Net<'_> {
         self.close_receiver(fi);
         // Closed-loop chain: launch the successor back-to-back.
         if let Some(nf) = self.next_flow[fi] {
-            push_ev(&mut self.q, now, class::FLOW_START, nf);
-            self.other_pending += 1;
+            let start = (now, key_of(class::FLOW_START, nf));
+            debug_assert!(self.peek().is_none_or(|next| start < next));
+            self.sched.push(start);
         }
     }
 

@@ -217,8 +217,8 @@ impl Net<'_> {
     /// at the heap's top): take it off and complete that tail. Exactly one
     /// tail completes per step, so same-nanosecond completions run in
     /// ascending flow id with every other event of that instant — a
-    /// chained successor's `FLOW_START` pushed at `now` included —
-    /// dispatched in between.
+    /// chained successor's `FLOW_START`, pushed at `now` on the end of
+    /// the schedule, included — dispatched in between.
     ///
     /// Out of line and cold: one completion per residency against
     /// thousands of packet events, and inlined into [`Net::step`] it slowed
@@ -314,8 +314,9 @@ mod tests {
         // migrate at the same instant and both are projected to finish in
         // the same nanosecond. Flow 2 is chained behind flow 0. At that
         // nanosecond the order is: tail 0 completes and pushes flow 2's
-        // `FLOW_START` at `now`; the start (an FEL event, a lower class)
-        // runs; only then does tail 1 complete.
+        // `FLOW_START` at `now` on the end of the schedule; the start (a
+        // lower class than every pending event of `now`) runs; only then
+        // does tail 1 complete.
         let mut cfg = SimConfig::large_scale(Scheme::Ecmp, 4);
         cfg.fidelity = FidelityKind::Hybrid;
         cfg.audit = true;

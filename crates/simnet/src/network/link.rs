@@ -7,12 +7,12 @@
 use super::portmap::{PortId, PortMap, PortRef};
 use crate::config::{LinkEvent, SimConfig};
 use tlb_engine::SimTime;
-use tlb_net::{Fabric, HostId, LinkProps};
+use tlb_net::{Fabric, LinkProps};
 use tlb_switch::OutPort;
 use tlb_transport::TcpConfig;
 
 /// The build-time physics of port `p`'s link. Every directed port takes
-/// them from the undirected link it serializes onto: host links for NIC
+/// them from the undirected link it serializes onto: the host link for NIC
 /// pairs, the fabric's uplink table for switch-to-switch pairs (downlinks
 /// read through the reverse-port table).
 pub(super) fn base_props(topo: &Fabric, pmap: &PortMap, p: PortId) -> LinkProps {
@@ -21,7 +21,7 @@ pub(super) fn base_props(topo: &Fabric, pmap: &PortMap, p: PortId) -> LinkProps 
         r => r,
     };
     match uplink_side {
-        PortRef::HostNic(h) => topo.host_link_of(HostId(h)),
+        PortRef::HostNic(_) => topo.host_link(),
         PortRef::Up { sw, up } => topo.uplink_props(sw as usize, up as usize),
         PortRef::Down { .. } => unreachable!("downlink paired with a downlink"),
     }

@@ -50,7 +50,10 @@ pub(super) struct Metrics {
     /// the report merge stable-sorts the concatenated shard traces by
     /// `(at, key)`, which reconstructs the serial emission order.
     pub trace_keys: Vec<u32>,
-    pub queue_series: Vec<(f64, Vec<u32>)>,
+    /// Leaf 0's uplink queue lengths, one row of `n_spines` per queue
+    /// sample, flat; sample `i` is taken at `(i + 1) · series_bucket`.
+    /// [`Net::into_report`] cuts it into [`RunReport::queue_series`].
+    pub queue_lens: Vec<u32>,
     pub lb_state_peak: usize,
     pub lb_decisions: u64,
 }
@@ -89,10 +92,11 @@ impl Metrics {
         } else {
             (traced_segs * 16 + 64).min(1 << 20)
         };
-        // One row per series bucket up to the horizon, capped so a long
-        // horizon with a fine bucket can't pre-allocate unboundedly.
-        let queue_rows = if cfg.sample_queues {
-            Self::rows_until_horizon(cfg, cfg.series_bucket, 1)
+        // One row of uplink lengths per series bucket up to the horizon,
+        // capped so a long horizon with a fine bucket can't pre-allocate
+        // unboundedly.
+        let queue_lens = if cfg.sample_queues {
+            Self::rows_until_horizon(cfg, cfg.series_bucket, 1) * cfg.topo.n_spines()
         } else {
             0
         };
@@ -118,7 +122,7 @@ impl Metrics {
             qth_series: Vec::new(),
             traces: Vec::with_capacity(trace_rows),
             trace_keys: Vec::with_capacity(if sharded { trace_rows } else { 0 }),
-            queue_series: Vec::with_capacity(queue_rows),
+            queue_lens: Vec::with_capacity(queue_lens),
             lb_state_peak: 0,
             lb_decisions: 0,
         }
@@ -165,7 +169,7 @@ impl Metrics {
         // Leaf/edge 0 (and with it the qth/queue samplers) is always
         // shard 0's.
         debug_assert!(other.qth_series.is_empty());
-        debug_assert!(other.queue_series.is_empty());
+        debug_assert!(other.queue_lens.is_empty());
         self.traces.append(&mut other.traces);
         self.trace_keys.append(&mut other.trace_keys);
         self.lb_state_peak = self.lb_state_peak.max(other.lb_state_peak);
@@ -225,6 +229,11 @@ impl Net<'_> {
         };
         let lb_state_final = lbs().map(|lb| lb.state_bytes()).max().unwrap_or(0);
         let fluid = |f: fn(&super::hybrid::Hybrid) -> u64| self.hybrid.as_ref().map_or(0, f);
+        let bucket = self.cfg.series_bucket;
+        let queue_series = (1..)
+            .zip(self.m.queue_lens.chunks(self.pmap.up_range(0).len()))
+            .map(|(k, lens)| ((bucket * k).as_secs_f64(), lens.to_vec()))
+            .collect();
 
         let m = self.m;
         RunReport {
@@ -252,7 +261,7 @@ impl Net<'_> {
             lb_state_bytes_peak: m.lb_state_peak.max(lb_state_final),
             qth_series: m.qth_series,
             traces: m.traces,
-            queue_series: m.queue_series,
+            queue_series,
             lb_decisions: m.lb_decisions,
             fluid_migrations: fluid(|h| h.migrations),
             fluid_demotions: fluid(|h| h.demotions),

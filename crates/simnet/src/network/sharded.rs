@@ -10,10 +10,10 @@
 //! link props and admin flag, which every replica's `recompute_reach`
 //! reads, and a capacity of 0), its arena pages in only the packets queued
 //! at its own ports and crossing its own links, and its connection slabs
-//! hold only the endpoints of the flows it hosts while they are open;
-//! what it still duplicates per shard is one `FlowRow` and one FCT record
-//! per flow of the job, the FEL reservation and the metric collectors.
-//! Shards advance in
+//! hold only the endpoints of the flows it hosts while they are open; its
+//! FEL reserves for the senders it hosts and the balancers it owns. What
+//! it still duplicates per shard is one `FlowRow` and one FCT record per
+//! flow of the job and the metric collectors. Shards advance in
 //! barrier-synchronized **windows** bounded by the conservative lookahead
 //! `Δ` = the minimum propagation delay over any cross-shard link (folded
 //! over the whole [`crate::config::LinkEvent`] schedule): an event a shard
@@ -99,44 +99,43 @@
 //!    strictly before `E`, so a flow start at or after it is not even
 //!    popped and its flow cannot complete in the window;
 //! 2. **the remaining completions fit in one window**
-//!    (`remaining ≤ Σ_h c_h`). A flow completes only when a delivery pops
-//!    at its receiving host, each delivery completes at most one flow, and
-//!    host `h` sees at most `c_h = Δ / tx_h(header_bytes) + 2` packet
-//!    arrivals in any window (see [`host_arrival_bounds`]);
+//!    (`remaining ≤ n_hosts · c`). A flow completes only when a delivery
+//!    pops at its receiving host, each delivery completes at most one
+//!    flow, and a host sees at most `c = Δ / tx(header_bytes) + 2` packet
+//!    arrivals in any window (see [`arrival_bound`]);
 //! 3. **no shard reports a blocker**: a flow whose receiver the shard owns
-//!    and which still misses more than `c_dst` distinct segments
-//!    (`total_segs − delivered_segs() − buffered() > c_dst`).
+//!    and which still misses more than `c` distinct segments
+//!    (`total_segs − delivered_segs() − buffered() > c`).
 //!
 //! Proof sketch for (3). *Distinct missing segments*: the receiver counts
 //! a flow complete when its cumulative point reaches `total_segs`, so
 //! every segment it has neither delivered nor buffered must still arrive
 //! at the host at least once — `m` missing segments need `m` arrivals.
-//! *Serialized host downlink*: every packet for host `h` crosses the one
-//! port that drives `h`'s downlink, which transmits one packet at a time,
-//! so consecutive arrivals at `h` are at least `tx_h(header_bytes)` apart
-//! and a window of length `≤ Δ` holds at most `c_h` of them. *Static host
-//! links*: a [`crate::config::LinkEvent`] rewrites fabric uplinks only,
-//! so `tx_h` — and with it `c_h` — is a constant of the run, computed
-//! once. Hence a flow missing more than `c_dst` segments at `T` is still
-//! incomplete at `E`, and so is the run. The count only ever falls (one
-//! per new distinct segment), so "is a blocker" is monotone: a flow that
-//! stops being one never becomes one again, which is what lets each shard
-//! keep a cursor over its candidates instead of rescanning (see
-//! [`Watch`], which each replica keeps in its [`ShardCtx`] and advances
-//! only while it holds its own `Net`).
+//! *Serialized host downlink*: every packet for a host crosses the one
+//! port that drives its downlink, the fabric's one host link, which a
+//! [`crate::config::LinkEvent`] never rewrites (it targets uplinks) and
+//! which transmits one packet at a time. So consecutive arrivals at a
+//! host are at least `tx(header_bytes)` apart, and a window of length
+//! `≤ Δ` holds at most `c` of them. Hence a flow missing more than `c`
+//! segments at `T` is still incomplete at `E`, and so is the run. The
+//! count only ever falls (one per new distinct segment), so "is a
+//! blocker" is monotone: a flow that stops being one never becomes one
+//! again, which is what lets each shard keep a cursor over its candidates
+//! instead of rescanning (see [`Watch`], which each replica keeps in its
+//! [`ShardCtx`] and advances only while it holds its own `Net`).
 //!
 //! The leader asks each replica's watch between windows, and only once
 //! conjuncts 1 and 2 hold: the answer describes the state at the start of
 //! the next candidate window, and — blockers being monotone — asking only
 //! then gives the answer asking after every window would.
 //!
-//! Conjunct (2) alone is loose — on the 8×8 web-search job `Σ_h c_h`
-//! exceeds the flow count, so it holds from the first event — and (1)
-//! stops holding when arrivals end, long before the drain does. With (3)
-//! the windows stay parallel until every long flow is within one window's
-//! worth of segments of finishing: the tail shrinks from the whole
-//! post-arrival drain to the last few hundred events. A job with no
-//! candidate at all (every flow at most `c_dst` segments) keeps the old
+//! Conjunct (2) alone is loose — on the 8×8 web-search job `n_hosts · c`
+//! (256 × 41) exceeds the flow count, so it holds from the first event —
+//! and (1) stops holding when arrivals end, long before the drain does.
+//! With (3) the windows stay parallel until every long flow is within one
+//! window's worth of segments of finishing: the tail shrinks from the
+//! whole post-arrival drain to the last few hundred events. A job with no
+//! candidate at all (every flow at most `c` segments) keeps the old
 //! behaviour: windows while flows are still starting, then the tail.
 //!
 //! ## What the sharded engine refuses (and falls back to serial on)
@@ -294,7 +293,7 @@ impl<'a> Net<'a> {
         let w = &mut shard.as_mut().expect("sharded net without ctx").watch;
         w.witness += w.candidates[w.witness..]
             .iter()
-            .take_while(|&&(flow, c)| missing_segs(&rows[flow as usize], receivers) <= c)
+            .take_while(|&&flow| missing_segs(&rows[flow as usize], receivers) <= w.c)
             .count();
         w.witness < w.candidates.len()
     }
@@ -364,27 +363,29 @@ fn missing_segs(row: &FlowRow, receivers: &Slab<TcpReceiver>) -> u32 {
 /// does.
 #[derive(Default)]
 struct Watch {
-    /// `(flow, c_dst)` for every flow whose receiving host the shard owns
-    /// and whose segment count exceeds that host's per-window arrival
-    /// bound, in flow order. Entries before `witness` have stopped being
-    /// blockers for good.
-    candidates: Vec<(u32, u32)>,
+    /// Every flow whose receiving host the shard owns and whose segment
+    /// count exceeds `c`, in flow order. Entries before `witness` have
+    /// stopped being blockers for good.
+    candidates: Vec<u32>,
+    /// The per-window arrival bound ([`arrival_bound`]).
+    c: u32,
     /// Index of the cached witness: the first candidate not yet known to
     /// have drained.
     witness: usize,
 }
 
 impl Watch {
-    /// The candidates of `net`'s shard under the per-host arrival bounds `c`.
-    fn new(net: &Net, c: &[u32]) -> Watch {
+    /// The candidates of `net`'s shard under the arrival bound `c`.
+    fn new(net: &Net, c: u32) -> Watch {
         let ctx = net.shard.as_ref().expect("sharded net without ctx");
         let candidates = (net.flows.iter().zip(&net.rows))
             .enumerate()
-            .filter(|(_, (f, r))| ctx.owns_host(f.dst.0) && r.total_segs > c[f.dst.index()])
-            .map(|(i, (f, _))| (i as u32, c[f.dst.index()]))
+            .filter(|(_, (f, r))| ctx.owns_host(f.dst.0) && r.total_segs > c)
+            .map(|(i, _)| i as u32)
             .collect();
         Watch {
             candidates,
+            c,
             witness: 0,
         }
     }
@@ -465,9 +466,9 @@ pub(crate) fn try_run(
                 .unwrap_or(1)
         })
         .clamp(1, map.n_shards as usize);
-    let arrivals = host_arrival_bounds(cfg, lookahead);
-    let nets = build_replicas(cfg, flows, next_flow, &map, &arrivals);
-    let run = Run::new(cfg, flows, &nets, lookahead, &arrivals, n_workers);
+    let c = arrival_bound(cfg, lookahead);
+    let nets = build_replicas(cfg, flows, next_flow, &map, c);
+    let run = Run::new(cfg, flows, &nets, lookahead, c, n_workers);
     run.drive();
     let Run {
         windows,
@@ -494,14 +495,14 @@ pub(crate) fn try_run(
 }
 
 /// One full replica per shard (built in parallel — builds are
-/// independent), each watching its candidate blockers under the per-host
-/// arrival bounds `arrivals`.
+/// independent), each watching its candidate blockers under the arrival
+/// bound `c`.
 fn build_replicas<'a>(
     cfg: &'a SimConfig,
     flows: &'a [FlowSpec],
     next_flow: &[Option<u32>],
     map: &'a ShardMap,
-    arrivals: &[u32],
+    c: u32,
 ) -> Vec<Mutex<Net<'a>>> {
     let n = map.n_shards as usize;
     let mut slots: Vec<Option<Net>> = (0..n).map(|_| None).collect();
@@ -516,7 +517,7 @@ fn build_replicas<'a>(
             };
             sc.spawn(move || {
                 let mut net = Net::build(cfg, flows, next_flow.to_vec(), Some(ctx));
-                net.ctx().watch = Watch::new(&net, arrivals);
+                net.ctx().watch = Watch::new(&net, c);
                 *slot = Some(net);
             });
         }
@@ -542,22 +543,17 @@ fn lookahead(cfg: &SimConfig, pmap: &PortMap, map: &ShardMap) -> SimTime {
     min
 }
 
-/// Per host `h`, `c_h`: an upper bound on packet arrivals at `h` within
-/// one parallel window. Deliveries to `h` are serialized by its downlink —
-/// whose props no [`crate::config::LinkEvent`] ever rewrites (they target
-/// fabric uplinks) — so a window of length `Δ` delivers at most
-/// `Δ / tx_h(min_wire) + 2` packets there ([`link::header_pkts_within`]).
-/// Both completion conjuncts of the tail rule read this table (module
-/// docs): their sum bounds the completions per window, and `c_dst` bounds
-/// the distinct segments one flow can gain.
-fn host_arrival_bounds(cfg: &SimConfig, lookahead: SimTime) -> Vec<u32> {
-    (0..cfg.topo.n_hosts())
-        .map(|h| {
-            let down = cfg.topo.host_link_of(tlb_net::HostId(h as u32));
-            let c = link::header_pkts_within(&cfg.tcp, down.bytes_per_sec, lookahead);
-            u32::try_from(c).unwrap_or(u32::MAX)
-        })
-        .collect()
+/// `c`: an upper bound on packet arrivals at any one host within one
+/// parallel window. Deliveries to a host are serialized by its downlink —
+/// the fabric's one host link, which no [`crate::config::LinkEvent`] ever
+/// rewrites (they target uplinks) — so a window of length `Δ` delivers at
+/// most `Δ / tx(min_wire) + 2` packets there ([`link::header_pkts_within`]).
+/// Both completion conjuncts of the tail rule read it (module docs):
+/// `n_hosts · c` bounds the completions per window, and `c` the distinct
+/// segments one flow can gain.
+fn arrival_bound(cfg: &SimConfig, lookahead: SimTime) -> u32 {
+    let c = link::header_pkts_within(&cfg.tcp, cfg.topo.host_link().bytes_per_sec, lookahead);
+    u32::try_from(c).unwrap_or(u32::MAX)
 }
 
 /// Everything the window protocol shares across worker threads: the
@@ -572,7 +568,7 @@ struct Run<'n, 'a> {
     /// this cannot contain the final completion, whatever `bound` says.
     last_start: u64,
     lookahead: SimTime,
-    /// `Σ_h c_h`: completions one window can hold (conjunct 2).
+    /// `n_hosts · c`: completions one window can hold (conjunct 2).
     bound: u64,
     n_workers: usize,
     /// Parallel windows opened (surfaces in
@@ -589,7 +585,7 @@ impl<'n, 'a> Run<'n, 'a> {
         flows: &[FlowSpec],
         nets: &'n [Mutex<Net<'a>>],
         lookahead: SimTime,
-        arrivals: &[u32],
+        c: u32,
         n_workers: usize,
     ) -> Run<'n, 'a> {
         Run {
@@ -603,7 +599,7 @@ impl<'n, 'a> Run<'n, 'a> {
             total_flows: flows.len(),
             last_start: flows.iter().map(|f| f.start.as_nanos()).max().unwrap_or(0),
             lookahead,
-            bound: arrivals.iter().map(|&c| u64::from(c)).sum(),
+            bound: cfg.topo.n_hosts() as u64 * u64::from(c),
             n_workers,
             windows: AtomicU64::new(0),
             tail_events: AtomicU64::new(0),
@@ -786,16 +782,14 @@ mod tests {
         // after every window `has_blocker` on the receiving replica must be
         // the definition evaluated on its state *now* — in particular
         // right after the window whose delivery takes the flow from
-        // `c_dst + 1` missing segments to `c_dst`.
+        // `c + 1` missing segments to `c`.
         let cfg = SimConfig::basic_paper(Scheme::Ecmp);
         let pmap = PortMap::new(&cfg.topo);
         let map = ShardMap::new(&pmap);
-        let la = lookahead(&cfg, &pmap, &map);
-        let arrivals = host_arrival_bounds(&cfg, la);
-        let flows = one_flow(&cfg, arrivals[0] + 3);
-        let dst = flows[0].dst.index();
-        let (c, rx) = (arrivals[dst], map.host_owner[dst] as usize);
-        let replicas = build_replicas(&cfg, &flows, &[None], &map, &arrivals);
+        let c = arrival_bound(&cfg, lookahead(&cfg, &pmap, &map));
+        let flows = one_flow(&cfg, c + 3);
+        let rx = map.host_owner[flows[0].dst.index()] as usize;
+        let replicas = build_replicas(&cfg, &flows, &[None], &map, c);
         let mut nets: Vec<_> = replicas.iter().map(|m| m.lock().unwrap()).collect();
         assert!(
             nets[rx].has_blocker(),
@@ -837,10 +831,10 @@ mod tests {
                 let pmap = PortMap::new(&cfg.topo);
                 let map = ShardMap::new(&pmap);
                 let la = lookahead(&cfg, &pmap, &map);
-                let arrivals = host_arrival_bounds(&cfg, la);
-                let nets = build_replicas(&cfg, &flows, &[None], &map, &arrivals);
+                let c = arrival_bound(&cfg, la);
+                let nets = build_replicas(&cfg, &flows, &[None], &map, c);
                 nets[faulty].lock().unwrap().panic_at_event = Some(50);
-                let run = Run::new(&cfg, &flows, &nets, la, &arrivals, 2);
+                let run = Run::new(&cfg, &flows, &nets, la, c, 2);
                 let outcome =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.drive()));
                 tx.send(outcome.is_err()).unwrap();
@@ -855,10 +849,10 @@ mod tests {
         let cfg = SimConfig::basic_paper(Scheme::Ecmp);
         let pmap = PortMap::new(&cfg.topo);
         let map = ShardMap::new(&pmap);
-        let arrivals = host_arrival_bounds(&cfg, lookahead(&cfg, &pmap, &map));
+        let c = arrival_bound(&cfg, lookahead(&cfg, &pmap, &map));
         for (extra, watched) in [(0, 0), (1, 1)] {
-            let flows = one_flow(&cfg, arrivals[0] + extra);
-            let nets = build_replicas(&cfg, &flows, &[None], &map, &arrivals);
+            let flows = one_flow(&cfg, c + extra);
+            let nets = build_replicas(&cfg, &flows, &[None], &map, c);
             let n: usize = (nets.iter())
                 .map(|n| {
                     n.lock()
@@ -902,8 +896,8 @@ mod tests {
             );
 
             let map = ShardMap::new(&pmap);
-            let arrivals = host_arrival_bounds(&cfg, lookahead(&cfg, &pmap, &map));
-            let nets = build_replicas(&cfg, &flows, &[None], &map, &arrivals);
+            let c = arrival_bound(&cfg, lookahead(&cfg, &pmap, &map));
+            let nets = build_replicas(&cfg, &flows, &[None], &map, c);
             assert!(nets.len() > 1);
             for (id, net) in nets.iter().enumerate() {
                 let owned = |p: &u32| map.port_owner[*p as usize] == id as u16;

@@ -1,7 +1,8 @@
 //! Allocation hygiene: after warmup, the simulator's per-packet steady
 //! state performs ZERO heap acquisitions — no allocations, no Vec
-//! regrowth — on a fig10-shaped production job, across a mid-run link flap
-//! and on the fuzzer's 16-job differential batch.
+//! regrowth — on a fig10-shaped production job with queue sampling and
+//! packet tracing on, across a mid-run link flap and on the fuzzer's
+//! 16-job differential batch.
 //!
 //! This binary installs [`tlb::engine::CountingAlloc`] as the global
 //! allocator; the simulator snapshots the process-wide counters at the
@@ -28,9 +29,14 @@ static COUNTING: CountingAlloc = CountingAlloc;
 /// The macro job shape: the large-scale fabric under a Poisson
 /// web-search load (what fig10 sweeps), sized to finish quickly in debug
 /// builds while still processing enough events to have a steady state.
+/// It also samples leaf 0's uplink queues (what fig05 reads) and traces
+/// its first 8 flows, so both collectors' build-time reservations are
+/// under the gate.
 fn fig10_job() -> (SimConfig, Vec<FlowSpec>) {
     let dist = web_search();
-    let cfg = SimConfig::large_scale(Scheme::tlb_default(), 8);
+    let mut cfg = SimConfig::large_scale(Scheme::tlb_default(), 8);
+    cfg.sample_queues = true;
+    cfg.trace_flows = (0..8).map(FlowId).collect();
     let wl = PoissonWorkload {
         load: 0.6,
         dist: &dist,
@@ -86,9 +92,10 @@ fn steady_state_is_allocation_free() {
     );
 
     // --- fig10-shaped job ----------------------------------------------
-    // The FEL is reserved at build for the fabric-sized occupancy bound
-    // plus the job's flows; a reservation short of what the run reaches
-    // would grow a tier mid-window.
+    // The FEL is reserved at build for the most its occupancy bound can
+    // reach; a reservation short of what the run reaches would grow a
+    // tier mid-window. A queue sample that collects a fresh row, or a
+    // trace outgrowing its reservation, allocates mid-window too.
     let (cfg, flows) = fig10_job();
     let e = learn_events(cfg.clone(), flows.clone());
     assert!(e > 100_000, "job too small for a steady state: {e} events");

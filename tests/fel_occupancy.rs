@@ -4,16 +4,18 @@
 //! Long fat links are where an FEL entry per packet in flight would hurt:
 //! occupancy would scale with the bandwidth-delay product. The per-link
 //! delivery pipes keep one chained arrival event per link, which caps it
-//! at O(ports + pending timers and chained starts) regardless of BDP.
+//! at O(ports + pending timers) regardless of BDP.
 //! These tests build a 10 Gbit/s fabric with 500 µs per-link propagation
 //! (≈ 2 ms RTT across the spine, a multi-megabyte BDP) and check that the
 //! FEL stays inside that bound while the wire holds many times more
 //! packets than the bound allows entries.
 //!
 //! Long arrival spans are where an FEL entry per not-yet-started flow
-//! would hurt: occupancy would scale with the flows of the job. What is
-//! known at build waits in a sorted schedule outside the FEL, so the FEL
-//! follows the connections open at once, not the flows in total.
+//! would hurt: occupancy would scale with the flows of the job. Every
+//! flow start waits in a sorted schedule outside the FEL — what is known
+//! at build from the start, a chained successor's from its predecessor's
+//! completion — so the FEL follows the connections open at once, not the
+//! flows in total.
 
 use tlb::engine::EngineKind;
 use tlb::prelude::*;
