@@ -17,13 +17,16 @@
 //! timestamp, non-decreasing across timestamps. The calendar's internal
 //! layout is free; only the key is the contract.
 //!
-//! The `key` dimension exists for the sharded engine: when one simulation
-//! is split across per-shard queues, same-timestamp events in *different*
-//! shards have no shared `seq` counter to order them. A key that encodes
-//! (event class, entity) — with each (class, entity) pushed by exactly one
-//! shard — makes the cross-shard merge order `(time, key)` well defined
-//! while leaving same-shard ties on the local FIFO `seq`, which is exactly
-//! the order the serial engine realizes when it uses the same keys. (The
+//! Every `tlb-simnet` engine keys its events — there the key encodes
+//! (event class, entity) and is the whole event — and reads the FEL head
+//! by `(time, key)` ([`crate::EventQueue::peek_time_key`]), merging it
+//! with the run's other event sources. The key is also what lets one
+//! simulation split across per-shard queues: same-timestamp events in
+//! *different* shards have no shared `seq` counter to order them, and with
+//! each (class, entity) pushed by exactly one shard the cross-shard merge
+//! order `(time, key)` is well defined while same-shard ties stay on the
+//! local FIFO `seq`, which is exactly the order the serial engine realizes
+//! with the same keys. (The
 //! one key `tlb-simnet` lets every shard push is an admin event's: each
 //! shard's copy touches only that shard's state, so the order among the
 //! copies decides nothing.)

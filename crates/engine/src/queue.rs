@@ -131,9 +131,11 @@ impl<E> EventQueue<E> {
         self.fel.min_time()
     }
 
-    /// `(time, key)` of the earliest pending event, if any. The sharded
-    /// engine's serialized merge loop compares shard heads by this pair
-    /// (per-shard `seq` counters are not comparable across queues).
+    /// `(time, key)` of the earliest pending event, if any. Every
+    /// `tlb-simnet` engine reads the FEL head through this pair, merging it
+    /// with the run's other event sources (`Net::peek`), and the sharded
+    /// engine's serialized merge compares shard heads by it (per-shard
+    /// `seq` counters are not comparable across queues).
     #[inline]
     pub fn peek_time_key(&self) -> Option<(SimTime, u32)> {
         self.fel.min_time_key()

@@ -61,9 +61,9 @@ impl FctRecorder {
         }
     }
 
-    /// Pre-size the record table for `n_flows` flows so `flow_started`
-    /// never reallocates mid-run (the resize-on-demand path stays as the
-    /// correctness fallback for sparse ids beyond the hint).
+    /// Pre-size the record table for `n_flows` flows, so registering them
+    /// never reallocates (sparse ids beyond the hint still resize on
+    /// demand).
     pub fn reserve(&mut self, n_flows: usize) {
         if n_flows > self.records.len() {
             self.records.reserve(n_flows - self.records.len());
@@ -91,68 +91,19 @@ impl FctRecorder {
         });
     }
 
-    /// Sentinel size for a completion recorded before its start is known —
-    /// a sharded run completes a flow on the destination host's shard while
-    /// the start lives on the source's. [`FctRecorder::absorb`] pairs the
-    /// halves back up; a summary never sees the sentinel.
-    const DETACHED: u64 = u64::MAX;
-
-    /// Mark a flow complete (all bytes delivered to the receiver). If the
-    /// flow was never registered here (its start lives in another shard's
-    /// recorder), a detached end-only record is kept for [`Self::absorb`].
+    /// Mark a flow complete (all bytes delivered to the receiver).
+    ///
+    /// # Panics
+    ///
+    /// If the flow was never started: a completion without a start has no
+    /// size, class or FCT to record.
     pub fn flow_completed(&mut self, flow: FlowId, end: SimTime) {
-        let idx = flow.index();
-        if idx >= self.records.len() {
-            self.records.resize(idx + 1, None);
-        }
-        match self.records[idx].as_mut() {
-            Some(rec) => {
-                debug_assert!(rec.end.is_none(), "flow {flow} completed twice");
-                debug_assert!(rec.size == Self::DETACHED || end >= rec.start);
-                rec.end = Some(end);
-            }
-            None => {
-                self.records[idx] = Some(Record {
-                    size: Self::DETACHED,
-                    start: SimTime::ZERO,
-                    end: Some(end),
-                    deadline: None,
-                });
-            }
-        }
-    }
-
-    /// Merge another recorder's records into this one, index by index. Each
-    /// flow's start and end may live in different recorders (sharded runs
-    /// split them across source and destination shards); the merge pairs a
-    /// start-only record with its detached end so the result is exactly
-    /// what a single serial recorder would hold. Panics on conflicting
-    /// full records for the same flow.
-    pub fn absorb(&mut self, other: FctRecorder) {
-        debug_assert_eq!(self.short_threshold, other.short_threshold);
-        if other.records.len() > self.records.len() {
-            self.records.resize(other.records.len(), None);
-        }
-        for (idx, theirs) in other.records.into_iter().enumerate() {
-            let Some(theirs) = theirs else { continue };
-            match self.records[idx].as_mut() {
-                None => self.records[idx] = Some(theirs),
-                Some(mine) => match (mine.size == Self::DETACHED, theirs.size == Self::DETACHED) {
-                    (true, false) => {
-                        // Ours is the end half, theirs the start half.
-                        debug_assert!(theirs.end.is_none(), "flow {idx} completed twice");
-                        let end = mine.end;
-                        *mine = theirs;
-                        mine.end = end;
-                    }
-                    (false, true) => {
-                        debug_assert!(mine.end.is_none(), "flow {idx} completed twice");
-                        mine.end = theirs.end;
-                    }
-                    _ => panic!("flow {idx} recorded in two shards"),
-                },
-            }
-        }
+        let rec = (self.records.get_mut(flow.index()))
+            .and_then(Option::as_mut)
+            .unwrap_or_else(|| panic!("flow {flow} completed without a start"));
+        debug_assert!(rec.end.is_none(), "flow {flow} completed twice");
+        debug_assert!(end >= rec.start);
+        rec.end = Some(end);
     }
 
     /// The class of a flow by its registered size.
@@ -339,23 +290,13 @@ mod tests {
     }
 
     #[test]
-    fn absorb_pairs_split_starts_and_ends() {
-        // Shard A starts flows 0 and 1 and completes 1 locally; shard B
-        // holds flow 0's detached completion. The merge must reconstruct
-        // exactly what one serial recorder would hold.
-        let mut a = FctRecorder::new(100_000);
-        a.flow_started(FlowId(0), 1_000, ms(0), Some(ms(15)));
-        a.flow_started(FlowId(1), 2_000, ms(1), None);
-        a.flow_completed(FlowId(1), ms(5));
-        let mut b = FctRecorder::new(100_000);
-        b.flow_completed(FlowId(0), ms(10)); // detached: start unknown here
-        a.absorb(b);
-        assert_eq!(a.fct_of(FlowId(0)), Some(0.010));
-        assert_eq!(a.fct_of(FlowId(1)), Some(0.004));
-        let s = a.summary(FlowClass::Short);
-        assert_eq!(s.completed, 2);
-        assert_eq!(s.unfinished, 0);
-        assert!((s.deadline_miss - 0.0).abs() < 1e-12);
+    #[should_panic(expected = "completed without a start")]
+    fn a_completion_without_a_start_is_refused() {
+        // Kept, flow 0 would enter the summaries with no size and no
+        // start: a long flow of unknown bytes, started at 0.
+        let mut r = FctRecorder::new(100_000);
+        r.flow_started(FlowId(1), 1_000, ms(0), None);
+        r.flow_completed(FlowId(0), ms(10));
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl TimeSeries {
     /// each shard's subtotal rather than the serial observation order, so
     /// floating-point results may differ from a serial run in the last bits
     /// — merged series are reporting artifacts, not digest material.
-    pub fn absorb(&mut self, other: &TimeSeries) {
+    pub fn merge(&mut self, other: &TimeSeries) {
         assert_eq!(self.bucket, other.bucket, "bucket widths differ");
         if other.sums.len() > self.sums.len() {
             self.sums.resize(other.sums.len(), 0.0);
@@ -162,14 +162,14 @@ mod tests {
     }
 
     #[test]
-    fn absorb_adds_buckets_pairwise() {
+    fn merge_adds_buckets_pairwise() {
         let mut a = TimeSeries::new(ms(1));
         a.add(ms(0), 1.0);
         a.add(ms(2), 2.0);
         let mut b = TimeSeries::new(ms(1));
         b.add(ms(0), 3.0);
         b.add(ms(4), 5.0);
-        a.absorb(&b);
+        a.merge(&b);
         assert_eq!(a.means(), vec![(0.0, 2.0), (0.002, 2.0), (0.004, 5.0)]);
     }
 

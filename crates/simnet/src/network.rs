@@ -92,9 +92,11 @@ struct LbSw {
     rng: SimRng,
 }
 
-/// What the packet path indexes per flow. The endpoints themselves live
-/// in `Net::senders` / `Net::receivers` only while they are open (DESIGN
-/// §14, "Connection slabs").
+/// What the packet path indexes per flow, and all a flow leaves for the
+/// report: whether it started and when it completed, from which
+/// [`Net::into_report`] builds its FCT record. The endpoints themselves
+/// live in `Net::senders` / `Net::receivers` only while they are open
+/// (DESIGN §14, "Connection slabs").
 #[derive(Clone, Copy, Default)]
 struct FlowRow {
     /// Segments the receiver must deliver in order (the hybrid seam
@@ -106,9 +108,14 @@ struct FlowRow {
     receiver: Option<SlabSlot>,
     /// Short/long classification, fixed at build.
     short: bool,
+    /// Its `FLOW_START` ran: at [`FlowSpec::start`] for a chain head, at
+    /// its predecessor's `end` for a chained successor.
+    started: bool,
     completed: bool,
     /// In [`SimConfig::trace_flows`].
     traced: bool,
+    /// When the flow completed; meaningful iff `completed`.
+    end: SimTime,
 }
 
 /// One configured simulation, ready to run.
@@ -167,7 +174,7 @@ impl Simulation {
 
     /// Run to completion (all flows done or horizon reached) and report.
     pub fn run(self) -> RunReport {
-        run_with(&self.cfg, &self.flows, self.next)
+        run_with(&self.cfg, &self.flows, &self.next)
     }
 }
 
@@ -177,7 +184,7 @@ pub(crate) fn or_panic<T>(checked: Result<T, ConfigError>) -> T {
 }
 
 /// What the driver indexes by without looking: flow `i` must carry id `i`
-/// (the per-flow rows and the FCT recorder are dense tables), fit the
+/// (the per-flow rows and the FCT records are dense tables), fit the
 /// event key's entity bits, and name hosts the fabric has (`host_nic` is
 /// the identity, so an out-of-range host would alias a switch port). Its
 /// size must be 1 to `u32::MAX` segments of `mss`: the sender and the
@@ -260,12 +267,12 @@ pub(crate) fn check_job(
 pub(crate) fn run_with(
     cfg: &SimConfig,
     flows: &[FlowSpec],
-    next_flow: Vec<Option<u32>>,
+    next_flow: &[Option<u32>],
 ) -> RunReport {
     let wall_start = std::time::Instant::now();
     let mut engine_fallback = None;
     if let tlb_engine::EngineKind::Sharded { workers } = cfg.engine {
-        match sharded::try_run(cfg, flows, &next_flow, workers, wall_start) {
+        match sharded::try_run(cfg, flows, next_flow, workers, wall_start) {
             Ok(report) => return report,
             // A precondition is unmet: the serial engine is the sharded
             // engine's own fallback, digest-identical by definition.
@@ -304,7 +311,9 @@ struct Net<'a> {
     /// flows whose src (senders) or dst (receivers) this `Net` hosts.
     senders: Slab<TcpSender>,
     receivers: Slab<TcpReceiver>,
-    next_flow: Vec<Option<u32>>,
+    /// The job's chain table (see [`Simulation::new_chained`]), borrowed:
+    /// every shard replica reads the one the caller holds.
+    next_flow: &'a [Option<u32>],
     n_completed: usize,
     /// The future-event list. An entry is its `(time, key)`; the key is
     /// the whole event (see [`events`]).
@@ -372,7 +381,7 @@ impl<'a> Net<'a> {
     fn build(
         cfg: &'a SimConfig,
         flows: &'a [FlowSpec],
-        next_flow: Vec<Option<u32>>,
+        next_flow: &'a [Option<u32>],
         shard: Option<sharded::ShardCtx<'a>>,
     ) -> Net<'a> {
         let mut master_rng = SimRng::new(cfg.seed);

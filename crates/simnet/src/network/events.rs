@@ -92,4 +92,13 @@ mod tests {
         let node = tlb_engine::fel::CalendarFel::<()>::NODE_BYTES;
         assert!(node <= 32, "FEL node grew to {node} bytes");
     }
+
+    #[test]
+    fn flow_row_stays_compact() {
+        // What every flow of the job keeps for the whole run, on every
+        // shard replica: its segment count, two endpoint slots, four flags
+        // and its end — the FCT records are built from it at report.
+        let row = std::mem::size_of::<super::super::FlowRow>();
+        assert!(row <= 24, "FlowRow grew to {row} bytes");
+    }
 }

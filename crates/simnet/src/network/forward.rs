@@ -306,7 +306,7 @@ mod tests {
         // below, since the basic preset audits in debug builds).
         let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
         let flows = one_flow(500 * 1460);
-        let mut net = Net::build(&cfg, &flows, vec![None; 1], None);
+        let mut net = Net::build(&cfg, &flows, &[None], None);
         net.run_loop();
         assert_eq!(net.n_completed, 1);
         let slots = net.arena.slots_allocated();

@@ -13,11 +13,10 @@ use tlb_transport::{SenderOutput, TcpReceiver, TcpSender};
 impl Net<'_> {
     pub(super) fn on_flow_start(&mut self, i: u32, now: SimTime) {
         let spec = self.flows[i as usize];
-        self.m
-            .fct
-            .flow_started(spec.id, spec.size_bytes, now, spec.deadline);
         let sender = TcpSender::new(self.cfg.tcp, spec.id, spec.src, spec.dst, spec.size_bytes);
-        self.rows[i as usize].sender = Some(self.senders.insert_with(|_| sender));
+        let row = &mut self.rows[i as usize];
+        row.started = true;
+        row.sender = Some(self.senders.insert_with(|_| sender));
         self.drive_sender(i as usize, now, |s, out| s.start(now, out));
     }
 
@@ -156,18 +155,19 @@ impl Net<'_> {
     }
 
     /// A flow delivered its last byte — the packet-path prefix at the
-    /// receiver and, under hybrid fidelity, the fluid tail: record the
-    /// FCT, close the receiver and launch any chained successor.
+    /// receiver and, under hybrid fidelity, the fluid tail: note when in
+    /// its row, close the receiver and launch any chained successor.
     ///
     /// The successor's start goes on the end of [`Net::sched`], not into
     /// the FEL: it is the run's next event. A completion dispatches under a
     /// class above `FLOW_START`, so every start at `now` has already run,
     /// and every event still pending at `now` has a larger key.
     pub(super) fn complete(&mut self, fi: usize, now: SimTime) {
-        debug_assert!(!self.rows[fi].completed);
-        self.rows[fi].completed = true;
+        let row = &mut self.rows[fi];
+        debug_assert!(!row.completed);
+        row.completed = true;
+        row.end = now;
         self.n_completed += 1;
-        self.m.fct.flow_completed(self.flows[fi].id, now);
         self.close_receiver(fi);
         // Closed-loop chain: launch the successor back-to-back.
         if let Some(nf) = self.next_flow[fi] {
@@ -261,7 +261,8 @@ mod tests {
             .map(|i| mk(i, 0))
             .chain((4..8).map(|i| mk(i, 20_000)))
             .collect();
-        let mut net = Net::build(&cfg, &flows, vec![None; flows.len()], None);
+        let next = vec![None; flows.len()];
+        let mut net = Net::build(&cfg, &flows, &next, None);
         // The out-of-order buffers' addresses in receiver slots 1 to 4 — a
         // slot handle is its index plus one. Reading one takes it out of its
         // closed receiver, so put it back the same way.

@@ -333,7 +333,7 @@ mod tests {
             flow(1, 8, 12, 1_000_000),
             flow(2, 16, 20, 20_000),
         ];
-        let mut net = Net::build(&cfg, &flows, vec![Some(2), None, None], None);
+        let mut net = Net::build(&cfg, &flows, &[Some(2), None, None], None);
 
         let mut log = Vec::new();
         let mut seen = [false; 3]; // tail 0 done, flow 2 started, tail 1 done

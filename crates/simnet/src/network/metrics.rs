@@ -9,7 +9,10 @@
 //! by definition (≤ `short_threshold` per flow), so the two per-packet
 //! sample sets are bounded by the flow count; a long flow costs this
 //! layer one `long_goodput` bucket add per in-order delivery and nothing
-//! else. DESIGN.md §14 lists each collector with its reader and bound.
+//! else. A flow's start and end are not a collector: they live in its
+//! [`FlowRow`], and [`Net::into_report`] builds the FCT records from the
+//! rows once. DESIGN.md §14 lists each collector with its reader and
+//! bound.
 
 use super::{FlowRow, Net};
 use crate::config::SimConfig;
@@ -20,7 +23,6 @@ use tlb_switch::LoadBalancer;
 
 /// Every collector the packet path writes into.
 pub(super) struct Metrics {
-    pub fct: FctRecorder,
     pub short_qlen: SampleSet,
     pub short_qdelay: SampleSet,
     /// FEL occupancy sampled every [`Net::FEL_DEPTH_SAMPLE_EVERY`] events.
@@ -66,7 +68,6 @@ impl Metrics {
     /// that); everything else is bounded by flows, fabric or
     /// horizon ÷ bucket.
     pub fn new(cfg: &SimConfig, rows: &[FlowRow], sharded: bool) -> Metrics {
-        let n = rows.len();
         let segs = |of: fn(&FlowRow) -> bool| -> usize {
             (rows.iter().filter(|r| of(r)))
                 .map(|r| r.total_segs as usize)
@@ -79,8 +80,6 @@ impl Metrics {
         // O(2 hops·(TX_DONE+ARRIVAL)) events each way, so 24·segs/4096 is a
         // generous estimate.
         let depth_cap = (segs(|_| true) * 24 / 4096 + 64).min(1 << 20);
-        let mut fct = FctRecorder::new(cfg.short_threshold);
-        fct.reserve(n);
         let traced_segs = segs(|r| r.traced);
         // A traced data segment records ~5 hops each way (NIC, uplink,
         // spine, downlink, delivery; same for its ACK), plus
@@ -108,7 +107,6 @@ impl Metrics {
             s
         };
         Metrics {
-            fct,
             short_qlen: SampleSet::with_capacity(short_cap),
             short_qdelay: SampleSet::with_capacity(short_cap),
             fel_depth: SampleSet::with_capacity(depth_cap),
@@ -150,7 +148,6 @@ impl Metrics {
     /// samples stay within the merged peak but follow per-shard schedules
     /// (deterministically, but not the serial one).
     pub fn absorb(&mut self, mut other: Metrics) {
-        self.fct.absorb(other.fct);
         self.short_qlen.merge(&other.short_qlen);
         self.short_qdelay.merge(&other.short_qdelay);
         self.fel_depth.merge(&other.fel_depth);
@@ -164,8 +161,8 @@ impl Metrics {
             mine.timeouts += theirs.timeouts;
             mine.fast_retransmits += theirs.fast_retransmits;
         }
-        self.short_reorder.absorb(&other.short_reorder);
-        self.long_goodput.absorb(&other.long_goodput);
+        self.short_reorder.merge(&other.short_reorder);
+        self.long_goodput.merge(&other.long_goodput);
         // Leaf/edge 0 (and with it the qth/queue samplers) is always
         // shard 0's.
         debug_assert!(other.qth_series.is_empty());
@@ -190,6 +187,34 @@ impl Metrics {
 }
 
 impl Net<'_> {
+    /// The run's FCT records, built once from the rows, in flow order. A
+    /// flow that started did so at its [`tlb_workload::FlowSpec::start`]
+    /// if it heads a chain, and at its predecessor's `end` if not: that is
+    /// where [`Net::complete`] scheduled it.
+    fn fct_records(&self) -> FctRecorder {
+        let mut starts = Vec::new();
+        if self.next_flow.iter().any(Option::is_some) {
+            starts = self.flows.iter().map(|f| f.start).collect();
+            for (pred, &next) in self.rows.iter().zip(self.next_flow) {
+                if let Some(j) = next {
+                    starts[j as usize] = pred.end;
+                }
+            }
+        }
+        let mut fct = FctRecorder::new(self.cfg.short_threshold);
+        fct.reserve(self.flows.len());
+        for (i, (f, row)) in self.flows.iter().zip(&self.rows).enumerate() {
+            if row.started {
+                let start = starts.get(i).copied().unwrap_or(f.start);
+                fct.flow_started(f.id, f.size_bytes, start, f.deadline);
+            }
+            if row.completed {
+                fct.flow_completed(f.id, row.end);
+            }
+        }
+        fct
+    }
+
     pub(super) fn into_report(mut self, wall: std::time::Duration) -> RunReport {
         // The clock can only pass the horizon through a bug (the run loop
         // stops *before* popping any later event); clamp as a backstop so a
@@ -235,14 +260,15 @@ impl Net<'_> {
             .map(|(k, lens)| ((bucket * k).as_secs_f64(), lens.to_vec()))
             .collect();
 
+        let fct = self.fct_records();
         let m = self.m;
         RunReport {
             scheme: self.cfg.scheme.name().to_string(),
             total_flows: self.flows.len(),
             completed: self.n_completed,
-            fct_short: m.fct.summary(FlowClass::Short),
-            fct_long: m.fct.summary(FlowClass::Long),
-            fct: m.fct,
+            fct_short: fct.summary(FlowClass::Short),
+            fct_long: fct.summary(FlowClass::Long),
+            fct,
             short: m.classes[1],
             long: m.classes[0],
             short_qlen: m.short_qlen,

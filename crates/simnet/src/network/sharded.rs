@@ -11,10 +11,13 @@
 //! reads, and a capacity of 0), its arena pages in only the packets queued
 //! at its own ports and crossing its own links, and its connection slabs
 //! hold only the endpoints of the flows it hosts while they are open; its
-//! FEL reserves for the senders it hosts and the balancers it owns. What
-//! it still duplicates per shard is one `FlowRow` and one FCT record per
-//! flow of the job and the metric collectors. Shards advance in
-//! barrier-synchronized **windows** bounded by the conservative lookahead
+//! FEL reserves for the senders it hosts and the balancers it owns. Every
+//! replica borrows the job's one chain table and keeps no FCT record: a
+//! flow's start and end live in its row, on its source's replica and its
+//! destination's, and the fold ORs the rows together before the report
+//! builds the records once. What it still duplicates per shard is one
+//! `FlowRow` per flow of the job and the metric collectors. Shards advance
+//! in barrier-synchronized **windows** bounded by the conservative lookahead
 //! `Δ` = the minimum propagation delay over any cross-shard link (folded
 //! over the whole [`crate::config::LinkEvent`] schedule): an event a shard
 //! executes at time `t` can only influence another shard at `t + Δ` or
@@ -328,6 +331,15 @@ impl<'a> Net<'a> {
             }
         }
         other.close_open_endpoints();
+        // A flow starts on its source's replica and completes on its
+        // destination's; every other replica's row is still as built, so
+        // OR-ing the two facts in is exact.
+        for (mine, theirs) in self.rows.iter_mut().zip(&other.rows) {
+            mine.started |= theirs.started;
+            if theirs.completed {
+                (mine.completed, mine.end) = (true, theirs.end);
+            }
+        }
         self.n_completed += other.n_completed;
         self.events += other.events;
         self.audit.absorb(&other.audit);
@@ -500,7 +512,7 @@ pub(crate) fn try_run(
 fn build_replicas<'a>(
     cfg: &'a SimConfig,
     flows: &'a [FlowSpec],
-    next_flow: &[Option<u32>],
+    next_flow: &'a [Option<u32>],
     map: &'a ShardMap,
     c: u32,
 ) -> Vec<Mutex<Net<'a>>> {
@@ -516,7 +528,7 @@ fn build_replicas<'a>(
                 watch: Watch::default(),
             };
             sc.spawn(move || {
-                let mut net = Net::build(cfg, flows, next_flow.to_vec(), Some(ctx));
+                let mut net = Net::build(cfg, flows, next_flow, Some(ctx));
                 net.ctx().watch = Watch::new(&net, c);
                 *slot = Some(net);
             });
@@ -888,7 +900,7 @@ mod tests {
             };
             let ports = || 0..pmap.n_ports() as u32;
             let wire = link::wire_bound(&cfg, &pmap);
-            let serial = Net::build(&cfg, &flows, vec![None], None);
+            let serial = Net::build(&cfg, &flows, &[None], None);
             let every: usize = ports().map(|p| queue(p) + 1).sum();
             assert_eq!(
                 link::packet_bound(&cfg, &pmap, &serial.ports),

@@ -80,7 +80,7 @@ fn audit_catches_a_packet_dropped_outside_port_accounting() {
     cfg.audit = true;
     cfg.horizon = SimTime::from_millis(500);
     let flows = one_flow(50_000);
-    let mut net = Net::build(&cfg, &flows, vec![None], None);
+    let mut net = Net::build(&cfg, &flows, &[None], None);
     net.lose_arrival = Some(5);
     net.run_loop();
     // Unreachable: into_report must have panicked.
@@ -205,7 +205,8 @@ fn the_wire_follows_what_is_live() {
     };
     for link_events in [vec![], vec![stretch]] {
         let (cfg, flows) = high_bdp_job(link_events);
-        let mut net = Net::build(&cfg, &flows, vec![None; flows.len()], None);
+        let next = vec![None; flows.len()];
+        let mut net = Net::build(&cfg, &flows, &next, None);
         let reserved = link::packet_bound(&cfg, &net.pmap, &net.ports);
         net.run_loop();
         let on_wire = net.wire_pkts;
@@ -715,7 +716,7 @@ fn a_run_that_ends_on_a_tail_completion_ends_at_its_instant() {
     let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
     cfg.fidelity = FidelityKind::Hybrid;
     let flows = one_flow(4_000_000);
-    let mut net = Net::build(&cfg, &flows, vec![None], None);
+    let mut net = Net::build(&cfg, &flows, &[None], None);
     net.run_loop();
     let hy = net.hybrid.as_ref().expect("hybrid run");
     assert_eq!((hy.migrations, hy.demotions), (1, 0));

@@ -149,7 +149,7 @@ impl AllocAudit {
 pub struct Summary {
     /// Scheme display name.
     pub scheme: String,
-    /// Flows launched / completed.
+    /// Every flow of the job, started or not.
     pub total_flows: usize,
     /// Flows that delivered every byte.
     pub completed: usize,
@@ -189,7 +189,7 @@ pub struct Summary {
 pub struct RunReport {
     /// Scheme display name.
     pub scheme: String,
-    /// Flows that were launched.
+    /// Every flow of the job, started or not.
     pub total_flows: usize,
     /// Flows that delivered every byte.
     pub completed: usize,
@@ -197,7 +197,8 @@ pub struct RunReport {
     pub fct_short: FctSummary,
     /// Long-flow FCT summary.
     pub fct_long: FctSummary,
-    /// The full recorder, for CDFs (Fig. 3(c)).
+    /// Every started flow's FCT record, for CDFs (Fig. 3(c)): built once,
+    /// when the run reports, from the flow rows.
     pub fct: FctRecorder,
     /// Transport counters per class, over every endpoint the run opened.
     pub short: ClassCounters,
@@ -222,13 +223,13 @@ pub struct RunReport {
     /// across thread counts; the benchmark reads its
     /// queue-depth percentiles (`engine.fel.depth_p50/p99`) from here.
     pub fel_depth: SampleSet,
-    /// Peak of the FEL occupancy bound
-    /// `2·ports + pending starts/timers/housekeeping` over the same sample
-    /// schedule. Computed from counters the schedule alone decides, so it
-    /// is deterministic; every `fel_depth` sample is asserted ≤ the bound
-    /// whenever the audit is on, on the serial engine
-    /// and on every shard replica (where both are per-replica: the largest
-    /// replica's bound, the union of the replicas' depth samples).
+    /// Peak of the FEL occupancy bound `2·ports + pending timers, later LB
+    /// ticks and queue samples` over the same sample schedule. Computed
+    /// from counters the schedule alone decides, so it is deterministic;
+    /// every `fel_depth` sample is asserted ≤ the bound whenever the audit
+    /// is on, on the serial engine and on every shard replica (where both
+    /// are per-replica: the largest replica's bound, the union of the
+    /// replicas' depth samples).
     pub fel_bound_peak: u64,
     /// High-water mark of the calendar FEL's node pool
     /// ([`tlb_engine::EventQueue::pool_nodes_peak`]): the most events that

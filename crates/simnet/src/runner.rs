@@ -30,7 +30,7 @@ use tlb_workload::FlowSpec;
 pub fn run_one_ref(cfg: &SimConfig, flows: &[FlowSpec]) -> RunReport {
     let next = vec![None; flows.len()];
     crate::network::or_panic(crate::network::check_job(cfg, flows, &next));
-    crate::network::run_with(cfg, flows, next)
+    crate::network::run_with(cfg, flows, &next)
 }
 
 /// Run a batch of independent simulations in parallel, preserving input

@@ -3,6 +3,7 @@
 //! and every scheme in the registry.
 
 use tlb::engine::EngineKind;
+use tlb::metrics::FctSummary;
 use tlb::prelude::*;
 use tlb::simnet::{FallbackReason, Hop};
 use tlb_fuzz::differential_batch;
@@ -303,16 +304,31 @@ fn workload_generators_are_seed_stable() {
 
 /// Compare everything the sharded merge path must reproduce bit-for-bit
 /// against a serial reference: the scalar digest, the audit ledger, the
-/// end-of-run clock, and every traced hop. `fel_depth` is deliberately
-/// absent — its sampling schedule is a function of each shard's local
-/// event counter, so the sharded samples interleave differently (the
-/// *simulation* is still bit-identical; the probe is engine-local).
+/// end-of-run clock, every traced hop, every flow's FCT and both class
+/// summaries. `fel_depth` is deliberately absent — its sampling schedule
+/// is a function of each shard's local event counter, so the sharded
+/// samples interleave differently (the *simulation* is still
+/// bit-identical; the probe is engine-local).
 fn assert_sharded_matches(serial: &RunReport, sharded: &RunReport, label: &str) {
     assert_same_results(serial, sharded, &format!("{label}: sharded != serial"));
     assert_eq!(serial.sim_end, sharded.sim_end, "{label}: sim_end diverged");
     for (x, y) in serial.traces.iter().zip(&sharded.traces) {
         assert_eq!(x.hop, y.hop, "{label}: trace hop diverged");
         assert_eq!(x.at, y.at, "{label}: trace timing diverged");
+    }
+    for id in (0..serial.total_flows as u32).map(FlowId) {
+        let [a, b] = [serial, sharded].map(|r| r.fct.fct_of(id).map(f64::to_bits));
+        assert_eq!(a, b, "{label}: FCT of flow {id} diverged");
+    }
+    for (class, x, y) in [
+        ("short", &serial.fct_short, &sharded.fct_short),
+        ("long", &serial.fct_long, &sharded.fct_long),
+    ] {
+        let bits = |s: &FctSummary| {
+            let exact = [s.p50, s.p99, s.deadline_miss].map(f64::to_bits);
+            (s.completed, s.unfinished, exact)
+        };
+        assert_eq!(bits(x), bits(y), "{label}: {class}-flow summary diverged");
     }
 }
 
@@ -456,6 +472,41 @@ fn sharded_parallel_windows_match_serial() {
             "job sized for parallel windows ran entirely in the tail"
         );
     }
+}
+
+#[test]
+fn sharded_fcts_match_serial_when_the_horizon_cuts_flows() {
+    // The web-search job cut off mid-arrivals: flows that completed, flows
+    // that started on their source's shard and never completed, and flows
+    // that never started must all fold to the serial engine's records —
+    // the start-only half of the merge included.
+    let mut cfg = SimConfig::large_scale(Scheme::tlb_default(), 32);
+    cfg.audit = true;
+    cfg.horizon = SimTime::from_millis(12);
+    let dist = web_search();
+    let flows = PoissonWorkload {
+        load: 0.7,
+        dist: &dist,
+        duration: SimTime::from_millis(20),
+        deadline_lo: SimTime::from_millis(5),
+        deadline_hi: SimTime::from_millis(25),
+        short_threshold: cfg.short_threshold,
+        inter_leaf_only: true,
+    }
+    .generate(&cfg.topo, &mut SimRng::new(7));
+    let serial = run_one_ref(&cfg, &flows);
+    let started = serial.fct.n_flows();
+    assert!(
+        0 < serial.completed && serial.completed < started && started < flows.len(),
+        "the horizon must leave flows unfinished and unstarted: {} of {started} started \
+         flows completed, {} flows",
+        serial.completed,
+        flows.len()
+    );
+    cfg.engine = EngineKind::Sharded { workers: Some(2) };
+    let sharded = run_one_ref(&cfg, &flows);
+    assert_eq!(sharded.engine_workers, Some(2));
+    assert_sharded_matches(&serial, &sharded, "horizon-cut web-search");
 }
 
 #[test]

@@ -216,20 +216,23 @@ mod resident_memory {
     /// kept a ring of its own; 9,996 KiB while every flow also kept its
     /// endpoint slots to the end of the run).
     const LEAFSPINE_SERIAL_CEILING_KIB: u64 = 3_170;
-    /// 1.25 × the 3,896 KiB two workers' eight replicas added to that when
-    /// this ceiling was cut (3,940–3,980 KiB now). It read 13,760 KiB while
-    /// every replica built a sender and a receiver slot for each of the
-    /// job's 3,125 flows (≈ 11 MB of it).
-    const REPLICA_OVERHEAD_CEILING_KIB: u64 = 4_870;
+    /// 1.2 × the 2,644 KiB two workers' eight replicas added to that when
+    /// this ceiling was cut (the highest of ten readings, 2,212–2,644 on a
+    /// 2-core host), and below every reading, 3,232–3,800 KiB, taken while
+    /// each replica also kept FCT records and a chain table of its own. It
+    /// read 13,760 KiB while every replica built a sender and a receiver
+    /// slot for each of the job's 3,125 flows (≈ 11 MB of it).
+    const REPLICA_OVERHEAD_CEILING_KIB: u64 = 3_170;
 
     /// Eight shard replicas may not cost eight fabrics: a replica reserves
     /// queue slots only for the ports it owns, parks only the packets
-    /// queued there and crossing the links it receives, and holds
-    /// endpoints only for the connections it hosts while they are open. What it still duplicates is the overhead
-    /// gated here, `sharded − serial`: each replica's per-flow FCT records
-    /// (≈ 56 B × 3,125, once a flow starts or completes there) and 16-byte
-    /// flow rows, then the FEL and metric-collector reservations each
-    /// replica sizes for the whole job.
+    /// queued there and crossing the links it receives, holds endpoints
+    /// only for the connections it hosts while they are open, borrows the
+    /// job's chain table and keeps no FCT record (the report builds those
+    /// once, from the merged rows). What it still duplicates is the
+    /// overhead gated here, `sharded − serial`: one 24-byte flow row per
+    /// flow of the job (≈ 73 KiB × 8), then the FEL and metric-collector
+    /// reservations each replica sizes for the whole job.
     ///
     /// Both ceilings are absolute. This gate used to read `sharded ≤ 2 ×
     /// serial` and passed at 1.61 × only because numerator and denominator
@@ -318,15 +321,18 @@ mod resident_memory {
     /// flows' FEL entries: each was a 40-byte entry in the FEL's overflow
     /// tier and is now a 16-byte entry of the build-time schedule. A 2-core
     /// host reads 297–346 B per flow with the FEL entries and 300–334
-    /// without, in release and debug alike. With a sender and a receiver
-    /// slot for every flow of the job — 424 B per flow of slots alone — it
-    /// read 1,362–1,404.
+    /// without, in release and debug alike; in release, 324–365 with a
+    /// flow's start and end in its 24-byte row and 319–363 while a
+    /// recorder kept them beside 16-byte rows for the whole run. With a
+    /// sender and a receiver slot for every flow of the job — 424 B per
+    /// flow of slots alone — it read 1,362–1,404.
     const FLOW_SLOPE_CEILING_B: f64 = 1_172.0;
 
     /// Memory follows flows outstanding, not flows total: ten times the
     /// arrival span at the same load — the same concurrency, ten times the
-    /// flows — may add only what a flow leaves for the report (its FCT
-    /// record, its 16-byte row, its short-flow queue samples) and what a
+    /// flows — may add only what a flow leaves for the report (its 24-byte
+    /// row, which holds its start and end; its FCT record, built from the
+    /// row once the run ends; its short-flow queue samples) and what a
     /// ten times longer run pushes its high-water marks to (queue depths,
     /// the FEL sample log).
     #[test]
