@@ -38,7 +38,7 @@
 //! 2. **Tier order.** After every promotion pass, each overflow entry's
 //!    slot is `>= slot(now) + nb`, strictly above every wheel entry's slot
 //!    (by 1). So the wheel holds a *prefix* of the schedule and
-//!    [`CalendarFel::min_time`] is `active.last()` when the wheel is
+//!    [`CalendarFel::min_time_key`] is `active.last()` when the wheel is
 //!    non-empty, else the overflow top — O(1).
 //! 3. **Active minimality.** `active` is the occupied bucket with the
 //!    lowest slot; a push below `active_slot` lands in a provably empty
@@ -174,7 +174,7 @@ impl<E> CalendarFel<E> {
     /// (`nb` a power of two, ≥ 64). Small wheels force heavy
     /// overflow/promotion churn and exist for stress tests; prefer
     /// [`CalendarFel::new`].
-    pub fn with_geometry(shift: u32, nb: usize) -> CalendarFel<E> {
+    pub(crate) fn with_geometry(shift: u32, nb: usize) -> CalendarFel<E> {
         assert!(
             nb.is_power_of_two() && nb >= 64,
             "wheel size {nb}: want a power of two >= 64"
@@ -394,14 +394,8 @@ impl<E> CalendarFel<E> {
         Some(entry)
     }
 
-    /// Timestamp of the minimum entry, without removing it. O(1).
-    #[inline]
-    pub fn min_time(&self) -> Option<SimTime> {
-        self.min_time_key().map(|(time, _)| time)
-    }
-
     /// `(time, key)` of the minimum entry, without removing it. O(1) — the
-    /// sharded engine's merge loop peeks every shard per step.
+    /// simulator peeks it before every event.
     #[inline]
     pub fn min_time_key(&self) -> Option<(SimTime, u32)> {
         if self.wheel_len > 0 {

@@ -48,8 +48,8 @@ impl<E> HeapFel<E> {
         Some((entry.time, entry.event))
     }
 
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+    pub(crate) fn peek_time_key(&self) -> Option<(SimTime, u32)> {
+        self.heap.peek().map(|e| (e.time, e.key))
     }
 
     pub(crate) fn len(&self) -> usize {

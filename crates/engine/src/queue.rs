@@ -125,17 +125,11 @@ impl<E> EventQueue<E> {
         Some((entry.time, entry.event))
     }
 
-    /// Timestamp of the earliest pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.fel.min_time()
-    }
-
     /// `(time, key)` of the earliest pending event, if any. Every
     /// `tlb-simnet` engine reads the FEL head through this pair, merging it
-    /// with the run's other event sources (`Net::peek`), and the sharded
-    /// engine's serialized merge compares shard heads by it (per-shard
-    /// `seq` counters are not comparable across queues).
+    /// with the run's other event sources (`Net::peek`); the sharded
+    /// engine compares shard heads by it (per-shard `seq` counters are not
+    /// comparable across queues).
     #[inline]
     pub fn peek_time_key(&self) -> Option<(SimTime, u32)> {
         self.fel.min_time_key()
@@ -408,7 +402,7 @@ mod tests {
 
     /// Per-op observation of a differential script: what popped, the peek,
     /// and the queue length.
-    type StepLog = Vec<(Option<(SimTime, u32)>, Option<SimTime>, usize)>;
+    type StepLog = Vec<(Option<(SimTime, u32)>, Option<(SimTime, u32)>, usize)>;
 
     /// What a differential script drives: the calendar-backed queue and
     /// its heap oracle.
@@ -416,7 +410,7 @@ mod tests {
         fn now(&self) -> SimTime;
         fn push(&mut self, time: SimTime, event: u32);
         fn pop(&mut self) -> Option<(SimTime, u32)>;
-        fn peek_time(&self) -> Option<SimTime>;
+        fn peek_time_key(&self) -> Option<(SimTime, u32)>;
         fn len(&self) -> usize;
     }
 
@@ -432,8 +426,8 @@ mod tests {
                 fn pop(&mut self) -> Option<(SimTime, u32)> {
                     <$q>::pop(self)
                 }
-                fn peek_time(&self) -> Option<SimTime> {
-                    <$q>::peek_time(self)
+                fn peek_time_key(&self) -> Option<(SimTime, u32)> {
+                    <$q>::peek_time_key(self)
                 }
                 fn len(&self) -> usize {
                     <$q>::len(self)
@@ -481,13 +475,13 @@ mod tests {
                     None
                 }
             };
-            log.push((popped, q.peek_time(), q.len()));
+            log.push((popped, q.peek_time_key(), q.len()));
             after_op(q);
         }
         // Drain the remainder: full pop order is part of the observable
         // contract.
         while let Some(p) = q.pop() {
-            log.push((Some(p), q.peek_time(), q.len()));
+            log.push((Some(p), q.peek_time_key(), q.len()));
             after_op(q);
         }
         log

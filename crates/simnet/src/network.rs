@@ -19,7 +19,7 @@
 //! | `hybrid` | the fluid seam: migration, the completion heap — one of the run's three event sources, merged with the FEL head and the build-time schedule by `Net::peek` — and demotion; `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
 //! | `metrics` | the metric collectors, their build-time sizing, the shard fold and [`crate::RunReport`] assembly | the packet path writes them; `run_with`/`sharded` finish them |
 //! | `finish` | closing the conservation audit, counting what is still on the wire | `metrics` (`into_report`), `sharded` (the fold) |
-//! | `sharded` | the conservative multi-core engine over `Net` replicas: the partition, each replica's `ShardCtx` (its handoff buckets and blocker watch), the window protocol with its leader, and its four refusals | `run_with` |
+//! | `sharded` | the conservative multi-core engine over `Net` replicas: the partition, each replica's `ShardCtx` (its handoff buckets, the flows it receives and the leader's limit for its next stretch), the window protocol with its leader, which finds the run's last event once a window has run, and its four refusals | `run_with` |
 //!
 //! ## Failures
 //!
@@ -362,7 +362,9 @@ struct Net<'a> {
     /// bug inside one shard replica's window would.
     #[cfg(test)]
     panic_at_event: Option<u64>,
-    /// Ordering key of the event currently dispatching (trace tagging).
+    /// Ordering key of the event currently dispatching (trace tagging);
+    /// with `now`, the last event this `Net` ran, which is how the sharded
+    /// engine's leader finds where the run ends.
     cur_key: u32,
     /// Everything the run measures (see [`metrics`]).
     m: metrics::Metrics,
@@ -596,10 +598,10 @@ impl<'a> Net<'a> {
 
     /// Take `next`, the [`Net::peek`] minimum the caller has just read,
     /// from its source and dispatch it — the shared body of the serial
-    /// loop, the sharded window loop, and the window leader's tail. Only
-    /// FEL pops move the FEL's clock: the calendar windows every insert on
-    /// that clock and promotes only as it pops. A tail completion leaves
-    /// the seam's heap in [`Net::on_fluid_done`].
+    /// loop and the sharded window loop. Only FEL pops move the FEL's
+    /// clock: the calendar windows every insert on that clock and promotes
+    /// only as it pops. A tail completion leaves the seam's heap in
+    /// [`Net::on_fluid_done`].
     fn step(&mut self, next: (SimTime, u32)) {
         debug_assert_eq!(self.peek(), Some(next), "step on an event that is not next");
         let (now, key) = next;

@@ -6,7 +6,6 @@
 
 use super::portmap::{PortId, PortMap, PortRef};
 use crate::config::{LinkEvent, SimConfig};
-use tlb_engine::SimTime;
 use tlb_net::{Fabric, LinkProps};
 use tlb_switch::OutPort;
 use tlb_transport::TcpConfig;
@@ -69,21 +68,17 @@ pub(super) fn for_each_link_state(
     }
 }
 
-/// Most packets a link at `bytes_per_sec` puts through within `span`: one
-/// serializer, every packet at least the smallest (a bare header, of
-/// `tcp.header_bytes`), plus the two straddling the span's ends.
-pub(super) fn header_pkts_within(tcp: &TcpConfig, bytes_per_sec: u64, span: SimTime) -> u64 {
+/// Most packets ever in flight on a link in state `l`: each lives exactly
+/// one propagation delay on the wire, and one serializer puts through at
+/// most `prop_delay / tx(header)` of them in that time — every packet is
+/// at least a bare header, of `tcp.header_bytes` — plus the two straddling
+/// its ends.
+pub(super) fn in_flight_bound(tcp: &TcpConfig, l: &LinkProps) -> usize {
     let min_wire = tcp.header_bytes.max(1) as u64;
-    let tx = tlb_engine::time::tx_time(min_wire, bytes_per_sec)
+    let tx = tlb_engine::time::tx_time(min_wire, l.bytes_per_sec)
         .as_nanos()
         .max(1);
-    span.as_nanos() / tx + 2
-}
-
-/// Most packets ever in flight on a link in state `l`: each lives exactly
-/// one propagation delay on the wire.
-pub(super) fn in_flight_bound(tcp: &TcpConfig, l: &LinkProps) -> usize {
-    header_pkts_within(tcp, l.bytes_per_sec, l.prop_delay).min(4096) as usize
+    (l.prop_delay.as_nanos() / tx + 2).min(4096) as usize
 }
 
 /// Most packets ever crossing links at once, fabric-wide: the in-flight

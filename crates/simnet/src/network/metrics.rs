@@ -305,7 +305,6 @@ impl Net<'_> {
             engine_workers: None,
             engine_fallback: None,
             sharded_windows: 0,
-            sharded_tail_events: 0,
         }
     }
 }

@@ -27,12 +27,14 @@
 //! ## One barrier per window, and its leader
 //!
 //! The workers share three things: the replicas (one `Mutex` each), one
-//! control word ([`Ctl`]) and one [`SpinBarrier`], crossed once per
-//! window. Whichever worker arrives last is the **leader** for that
+//! done flag and one [`SpinBarrier`], crossed once per window. Whichever
+//! worker arrives last is the **leader** for that
 //! crossing: it holds every replica (locking each once, in index order,
 //! while the others are parked), decides, and only then releases them
 //! into the next window; no worker is special, and the first crossing
-//! decides on the freshly built replicas. Cross-shard packets travel as
+//! decides on the freshly built replicas. It writes what it decides into
+//! each replica's `ShardCtx` (its [`Limit`]) and never runs an event
+//! itself. Cross-shard packets travel as
 //! [`XMsg`] handoffs and move by ownership, never under a lock of their
 //! own: a replica's events push them into its `ShardCtx::outbox`, one
 //! bucket per destination shard; the leader swaps each non-empty bucket
@@ -42,8 +44,9 @@
 //! one source shard, so its handoffs keep their send order. The leader
 //! reads what it decides on from the replicas themselves — each replica's
 //! next timestamp ([`Net::peek`]: the FEL head or the build-time
-//! schedule's next entry, since hybrid runs are refused), each completion
-//! count, each blocker watch — and folds
+//! schedule's next entry, since hybrid runs are refused), and, in a
+//! window that could end the run, its completion count and last event —
+//! and folds
 //! the earliest within-horizon arrival parked in any inbox into `T`
 //! (the null-message horizon update of classic conservative PDES,
 //! carried on the data path). A worker that panics poisons the barrier
@@ -68,7 +71,7 @@
 //! the topology, each shard's event stream is deterministic, and message
 //! order per key is the sender's FIFO order regardless of scheduling.
 //!
-//! ## Global events and the serialized tail
+//! ## Global events
 //!
 //! Failures and link changes ([`super::events::class::FAILURE`] /
 //! `LINK_CHANGE`) mutate fabric state every
@@ -86,60 +89,30 @@
 //! leader never looks at them. Admin keys are the one exception to
 //! single-origin keys: each is pushed by every shard, one copy each, and
 //! a copy touches only its own replica, so the order among same-`(time,
-//! key)` copies (the tail's merge breaks it by shard index) is immaterial.
+//! key)` copies is immaterial.
 //! The run counts an admin event once, on shard 0
 //! (`Net::admin_event_popped`), so `events` is the serial engine's.
 //!
-//! The serial engine stops at the instant the last flow completes,
-//! possibly mid-window. To reproduce that exactly, a parallel window
-//! `[T, E)` (`E ≤ T + Δ`) is opened only when the run provably cannot end
-//! inside it. One rule decides, with three conjuncts; the leader
-//! leaves the windows for the **serialized tail** — a global `(time, key)`
-//! merge across the shards' events with the serial loop's exact termination
-//! conditions — only when all three hold:
+//! ## Where the run ends
 //!
-//! 1. **every flow starts before `E`** (`last_start < E`). Events run
-//!    strictly before `E`, so a flow start at or after it is not even
-//!    popped and its flow cannot complete in the window;
-//! 2. **the remaining completions fit in one window**
-//!    (`remaining ≤ n_hosts · c`). A flow completes only when a delivery
-//!    pops at its receiving host, each delivery completes at most one
-//!    flow, and a host sees at most `c = Δ / tx(header_bytes) + 2` packet
-//!    arrivals in any window (see [`arrival_bound`]);
-//! 3. **no shard reports a blocker**: a flow whose receiver the shard owns
-//!    and which still misses more than `c` distinct segments
-//!    (`total_segs − delivered_segs() − buffered() > c`).
+//! The serial engine stops right after the event that completes the last
+//! flow, possibly mid-window. The leader finds that event once the window
+//! has run, from three facts:
 //!
-//! Proof sketch for (3). *Distinct missing segments*: the receiver counts
-//! a flow complete when its cumulative point reaches `total_segs`, so
-//! every segment it has neither delivered nor buffered must still arrive
-//! at the host at least once — `m` missing segments need `m` arrivals.
-//! *Serialized host downlink*: every packet for a host crosses the one
-//! port that drives its downlink, the fabric's one host link, which a
-//! [`crate::config::LinkEvent`] never rewrites (it targets uplinks) and
-//! which transmits one packet at a time. So consecutive arrivals at a
-//! host are at least `tx(header_bytes)` apart, and a window of length
-//! `≤ Δ` holds at most `c` of them. Hence a flow missing more than `c`
-//! segments at `T` is still incomplete at `E`, and so is the run. The
-//! count only ever falls (one per new distinct segment), so "is a
-//! blocker" is monotone: a flow that stops being one never becomes one
-//! again, which is what lets each shard keep a cursor over its candidates
-//! instead of rescanning (see [`Watch`], which each replica keeps in its
-//! [`ShardCtx`] and advances only while it holds its own `Net`).
+//! 1. a flow completes only on the replica that owns its receiving host
+//!    (`Net::complete`), so a shard is **done** once its `n_completed`
+//!    reaches `ShardCtx::local_flows`;
+//! 2. a shard's events inside a window depend only on its own state when
+//!    the window opens, so a shard may stop mid-window and run on later;
+//! 3. the run can end in `[T, E)` only if every flow starts before `E`
+//!    (`last_start < E`). Only in such a window does each shard stop right
+//!    after the step that makes it done; a shard done already runs nothing.
 //!
-//! The leader asks each replica's watch between windows, and only once
-//! conjuncts 1 and 2 hold: the answer describes the state at the start of
-//! the next candidate window, and — blockers being monotone — asking only
-//! then gives the answer asking after every window would.
-//!
-//! Conjunct (2) alone is loose — on the 8×8 web-search job `n_hosts · c`
-//! (256 × 41) exceeds the flow count, so it holds from the first event —
-//! and (1) stops holding when arrivals end, long before the drain does.
-//! With (3) the windows stay parallel until every long flow is within one
-//! window's worth of segments of finishing: the tail shrinks from the
-//! whole post-arrival drain to the last few hundred events. A job with no
-//! candidate at all (every flow at most `c` segments) keeps the old
-//! behaviour: windows while flows are still starting, then the tail.
+//! At the barrier, if every shard is done, the run's last event is the
+//! latest `(now, cur_key)` over the replicas, and every shard runs the
+//! events ordered before it: that key is an arrival whose link only its
+//! own shard receives, and that shard has run it. If only some shards are
+//! done, they run on to `E`; if none is, the window is complete.
 //!
 //! ## What the sharded engine refuses (and falls back to serial on)
 //!
@@ -154,16 +127,14 @@
 
 use super::link;
 use super::portmap::{NodeRef, PortId, PortMap};
-use super::slab::Slab;
-use super::{FlowRow, Net};
+use super::Net;
 use crate::config::{FidelityKind, SimConfig};
 use crate::report::FallbackReason;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use tlb_engine::shard::POISONED;
 use tlb_engine::{SimTime, SpinBarrier};
 use tlb_net::Packet;
-use tlb_transport::TcpReceiver;
 use tlb_workload::FlowSpec;
 
 /// Which shard owns each entity, plus the derived per-port tables. Built
@@ -218,14 +189,18 @@ pub(crate) struct ShardCtx<'a> {
     pub map: &'a ShardMap,
     /// Cross-shard handoffs produced by this shard's events, one bucket
     /// per destination shard, each in send order. The leader moves them
-    /// to their destinations between windows (the tail, after every
-    /// event).
+    /// to their destinations between windows.
     pub outbox: Vec<Vec<XMsg>>,
     /// Handoffs moved here, one bucket per source shard; drained at the
     /// start of this shard's next window.
     inbox: Vec<Vec<XMsg>>,
-    /// This shard's side of conjunct 3 of the tail rule.
-    watch: Watch,
+    /// The flows whose receiving host this shard owns: the only ones that
+    /// complete on its replica, so it is done once `n_completed` reaches
+    /// this.
+    local_flows: usize,
+    /// How far the replica's next [`Net::run_window`] goes, written by
+    /// the leader at the barrier.
+    limit: Limit,
 }
 
 impl ShardCtx<'_> {
@@ -235,6 +210,20 @@ impl ShardCtx<'_> {
     pub fn owns_sw(&self, sw: usize) -> bool {
         self.map.sw_owner[sw] == self.id
     }
+}
+
+/// How far a replica runs between two barrier crossings (module docs,
+/// "Where the run ends").
+#[derive(Clone, Copy)]
+enum Limit {
+    /// Every event before the window's end `E`.
+    Window(SimTime),
+    /// The same, but stop right after the step that completes the last
+    /// flow this shard receives: the run may end in this window.
+    UntilDone(SimTime),
+    /// Every event ordered before the run's last `(time, key)`, which the
+    /// one shard holding that key has already run.
+    Before((SimTime, u32)),
 }
 
 /// A packet crossing a shard boundary: "this packet finishes crossing
@@ -253,15 +242,28 @@ impl<'a> Net<'a> {
     }
 
     /// One shard's share of a parallel window: take in the handoffs moved
-    /// here since the last one, then run every local event strictly before
-    /// `end` (and at or before `horizon`). The global completion gate lives
-    /// with the leader — the window protocol switches to a serialized tail
-    /// before the run could possibly finish mid-window.
-    fn run_window(&mut self, end: SimTime, horizon: SimTime) {
+    /// here since the last one, then run every local event at or before
+    /// `horizon` that the leader's [`Limit`] admits.
+    fn run_window(&mut self, horizon: SimTime) {
         self.ingest();
-        while let Some(next) = self.peek().filter(|&(t, _)| t < end && t <= horizon) {
+        let limit = self.ctx().limit;
+        while let Some(next) = self.peek().filter(|&(t, _)| t <= horizon) {
+            let admitted = match limit {
+                Limit::Window(end) => next.0 < end,
+                Limit::UntilDone(end) => next.0 < end && !self.is_done(),
+                Limit::Before(last) => next < last,
+            };
+            if !admitted {
+                break;
+            }
             self.step(next);
         }
+    }
+
+    /// Every flow this shard receives has completed.
+    fn is_done(&self) -> bool {
+        let ctx = self.shard.as_ref().expect("sharded net without ctx");
+        self.n_completed == ctx.local_flows
     }
 
     /// Receive the cross-shard handoffs in this replica's inbox: each
@@ -279,26 +281,6 @@ impl<'a> Net<'a> {
             }
             self.ctx().inbox[src] = msgs;
         }
-    }
-
-    /// Whether some flow received on this shard cannot complete within
-    /// one window from the current state. O(1) while the watch's cached
-    /// witness still blocks; when it drains the cursor moves on and —
-    /// blockers being monotone — never returns, so a whole run scans each
-    /// candidate once.
-    fn has_blocker(&mut self) -> bool {
-        let Net {
-            shard,
-            rows,
-            receivers,
-            ..
-        } = self;
-        let w = &mut shard.as_mut().expect("sharded net without ctx").watch;
-        w.witness += w.candidates[w.witness..]
-            .iter()
-            .take_while(|&&flow| missing_segs(&rows[flow as usize], receivers) <= w.c)
-            .count();
-        w.witness < w.candidates.len()
     }
 
     /// Fold one shard replica into this one (the run folds every shard
@@ -358,51 +340,6 @@ impl<'a> Net<'a> {
     }
 }
 
-/// Distinct segments of the flow in `row` that have not reached its
-/// receiver yet: all of them before its receiver opens, none once the
-/// flow completed (and the receiver closed).
-fn missing_segs(row: &FlowRow, receivers: &Slab<TcpReceiver>) -> u32 {
-    let got = match row.receiver {
-        Some(r) => receivers[r].delivered_segs() + receivers[r].buffered() as u32,
-        None if row.completed => row.total_segs,
-        None => 0,
-    };
-    row.total_segs - got
-}
-
-/// One shard's side of conjunct 3 of the tail rule (module docs): the
-/// flows it receives that could block the tail, and which of them still
-/// does.
-#[derive(Default)]
-struct Watch {
-    /// Every flow whose receiving host the shard owns and whose segment
-    /// count exceeds `c`, in flow order. Entries before `witness` have
-    /// stopped being blockers for good.
-    candidates: Vec<u32>,
-    /// The per-window arrival bound ([`arrival_bound`]).
-    c: u32,
-    /// Index of the cached witness: the first candidate not yet known to
-    /// have drained.
-    witness: usize,
-}
-
-impl Watch {
-    /// The candidates of `net`'s shard under the arrival bound `c`.
-    fn new(net: &Net, c: u32) -> Watch {
-        let ctx = net.shard.as_ref().expect("sharded net without ctx");
-        let candidates = (net.flows.iter().zip(&net.rows))
-            .enumerate()
-            .filter(|(_, (f, r))| ctx.owns_host(f.dst.0) && r.total_segs > c)
-            .map(|(i, _)| i as u32)
-            .collect();
-        Watch {
-            candidates,
-            c,
-            witness: 0,
-        }
-    }
-}
-
 /// Move every non-empty outbox bucket to its destination: an O(1) swap
 /// with the destination's inbox bucket for that source, which is empty
 /// (every replica drained its inbox at the start of the window) and so
@@ -436,14 +373,11 @@ fn global_min(nets: &[MutexGuard<Net>], horizon: SimTime) -> Option<SimTime> {
         .min()
 }
 
-const STATE_RUN: u8 = 0;
-const STATE_DONE: u8 = 1;
-
-/// Leader → workers control block, written by the leader inside the
-/// barrier (which orders it before every worker's read).
-struct Ctl {
-    state: AtomicU8,
-    window_end: AtomicU64,
+/// Give every replica the same [`Limit`] for its next stretch.
+fn set_limit(nets: &mut [MutexGuard<Net>], limit: Limit) {
+    for net in nets.iter_mut() {
+        net.ctx().limit = limit;
+    }
 }
 
 /// Run `cfg` sharded, or say which precondition fails so the caller runs
@@ -478,15 +412,10 @@ pub(crate) fn try_run(
                 .unwrap_or(1)
         })
         .clamp(1, map.n_shards as usize);
-    let c = arrival_bound(cfg, lookahead);
-    let nets = build_replicas(cfg, flows, next_flow, &map, c);
-    let run = Run::new(cfg, flows, &nets, lookahead, c, n_workers);
+    let nets = build_replicas(cfg, flows, next_flow, &map);
+    let run = Run::new(cfg, flows, &nets, lookahead, n_workers);
     run.drive();
-    let Run {
-        windows,
-        tail_events,
-        ..
-    } = run;
+    let windows = run.windows.into_inner();
 
     // Fold every replica into shard 0 and report from the merged state.
     let mut nets: Vec<Net> = nets
@@ -501,20 +430,17 @@ pub(crate) fn try_run(
     base.shard = None;
     let mut report = base.into_report(wall_start.elapsed());
     report.engine_workers = Some(n_workers as u32);
-    report.sharded_windows = windows.into_inner();
-    report.sharded_tail_events = tail_events.into_inner();
+    report.sharded_windows = windows;
     Ok(report)
 }
 
 /// One full replica per shard (built in parallel — builds are
-/// independent), each watching its candidate blockers under the arrival
-/// bound `c`.
+/// independent), each counting the flows it receives.
 fn build_replicas<'a>(
     cfg: &'a SimConfig,
     flows: &'a [FlowSpec],
     next_flow: &'a [Option<u32>],
     map: &'a ShardMap,
-    c: u32,
 ) -> Vec<Mutex<Net<'a>>> {
     let n = map.n_shards as usize;
     let mut slots: Vec<Option<Net>> = (0..n).map(|_| None).collect();
@@ -525,13 +451,12 @@ fn build_replicas<'a>(
                 map,
                 outbox: (0..n).map(|_| Vec::new()).collect(),
                 inbox: (0..n).map(|_| Vec::new()).collect(),
-                watch: Watch::default(),
+                local_flows: (flows.iter())
+                    .filter(|f| map.host_owner[f.dst.index()] == sid as u16)
+                    .count(),
+                limit: Limit::Window(SimTime::ZERO),
             };
-            sc.spawn(move || {
-                let mut net = Net::build(cfg, flows, next_flow, Some(ctx));
-                net.ctx().watch = Watch::new(&net, c);
-                *slot = Some(net);
-            });
+            sc.spawn(move || *slot = Some(Net::build(cfg, flows, next_flow, Some(ctx))));
         }
     });
     slots
@@ -555,40 +480,23 @@ fn lookahead(cfg: &SimConfig, pmap: &PortMap, map: &ShardMap) -> SimTime {
     min
 }
 
-/// `c`: an upper bound on packet arrivals at any one host within one
-/// parallel window. Deliveries to a host are serialized by its downlink —
-/// the fabric's one host link, which no [`crate::config::LinkEvent`] ever
-/// rewrites (they target uplinks) — so a window of length `Δ` delivers at
-/// most `Δ / tx(min_wire) + 2` packets there ([`link::header_pkts_within`]).
-/// Both completion conjuncts of the tail rule read it (module docs):
-/// `n_hosts · c` bounds the completions per window, and `c` the distinct
-/// segments one flow can gain.
-fn arrival_bound(cfg: &SimConfig, lookahead: SimTime) -> u32 {
-    let c = link::header_pkts_within(&cfg.tcp, cfg.topo.host_link().bytes_per_sec, lookahead);
-    u32::try_from(c).unwrap_or(u32::MAX)
-}
-
 /// Everything the window protocol shares across worker threads: the
-/// replicas, the control block and the barrier. The rest is constant.
+/// replicas, the done flag and the barrier. The rest is constant.
 struct Run<'n, 'a> {
     nets: &'n [Mutex<Net<'a>>],
-    ctl: Ctl,
+    /// Set by the leader when the run is over; the barrier orders the
+    /// write before every worker's read.
+    done: AtomicBool,
     barrier: SpinBarrier,
     horizon: SimTime,
-    total_flows: usize,
-    /// Latest flow start time (ns). A window whose end is at or before
-    /// this cannot contain the final completion, whatever `bound` says.
-    last_start: u64,
+    /// Latest flow start time: only a window that ends after it can hold
+    /// the run's last event.
+    last_start: SimTime,
     lookahead: SimTime,
-    /// `n_hosts · c`: completions one window can hold (conjunct 2).
-    bound: u64,
     n_workers: usize,
     /// Parallel windows opened (surfaces in
     /// [`crate::report::RunReport::sharded_windows`]).
     windows: AtomicU64,
-    /// Events executed by [`Run::tail`] (surfaces in
-    /// [`crate::report::RunReport::sharded_tail_events`]).
-    tail_events: AtomicU64,
 }
 
 impl<'n, 'a> Run<'n, 'a> {
@@ -597,24 +505,17 @@ impl<'n, 'a> Run<'n, 'a> {
         flows: &[FlowSpec],
         nets: &'n [Mutex<Net<'a>>],
         lookahead: SimTime,
-        c: u32,
         n_workers: usize,
     ) -> Run<'n, 'a> {
         Run {
             nets,
-            ctl: Ctl {
-                state: AtomicU8::new(STATE_RUN),
-                window_end: AtomicU64::new(0),
-            },
+            done: AtomicBool::new(false),
             barrier: SpinBarrier::new(n_workers),
             horizon: cfg.horizon,
-            total_flows: flows.len(),
-            last_start: flows.iter().map(|f| f.start.as_nanos()).max().unwrap_or(0),
+            last_start: flows.iter().map(|f| f.start).max().unwrap_or(SimTime::ZERO),
             lookahead,
-            bound: cfg.topo.n_hosts() as u64 * u64::from(c),
             n_workers,
             windows: AtomicU64::new(0),
-            tail_events: AtomicU64::new(0),
         }
     }
 
@@ -631,98 +532,68 @@ impl<'n, 'a> Run<'n, 'a> {
     }
 
     /// The window protocol, from every worker's point of view: one barrier
-    /// crossing per window, whose last arriver decides (running the
-    /// serialized tail itself, while the others are parked), then every
-    /// worker runs its statically strided shards.
+    /// crossing per stretch, whose last arriver decides while the others
+    /// are parked, then every worker runs its statically strided shards.
     fn worker_loop(&self, w: usize) {
         let _party = self.barrier.party();
         loop {
             self.barrier.wait_then(|| self.decide());
-            if self.ctl.state.load(Ordering::Relaxed) == STATE_DONE {
+            if self.done.load(Ordering::Relaxed) {
                 return;
             }
-            let end = SimTime::from_nanos(self.ctl.window_end.load(Ordering::Relaxed));
             for net in self.nets.iter().skip(w).step_by(self.n_workers) {
-                net.lock().expect(POISONED).run_window(end, self.horizon);
+                net.lock().expect(POISONED).run_window(self.horizon);
             }
         }
     }
 
-    /// The leader's between-windows step, holding every replica (locked
-    /// once, in index order): move the handoffs, find the global minimum,
-    /// then declare the run done, finish serially (completion tail), or
-    /// open the next parallel window.
+    /// The leader's step, holding every replica (locked once, in index
+    /// order). After a window that could end the run, settle it (module
+    /// docs, "Where the run ends"): every shard done means the run's last
+    /// event is known, and the shards run up to it; some done means they
+    /// run on to the window's end. Otherwise move the handoffs, find the
+    /// global minimum, and open the next window or end the run.
     fn decide(&self) {
         let mut nets: Vec<_> = (self.nets.iter())
             .map(|m| m.lock().expect(POISONED))
             .collect();
-        move_handoffs(&mut nets);
-        let done: usize = nets.iter().map(|n| n.n_completed).sum();
-        let t_min = match global_min(&nets, self.horizon) {
-            Some(t) if done < self.total_flows => t,
-            _ => return self.finish(&mut nets),
-        };
-        let end = t_min.as_nanos().saturating_add(self.lookahead.as_nanos());
-        // The run can end inside the candidate window only if every flow
-        // starts before its end, the remaining completions fit in one
-        // window, and no flow is more than one window's worth of segments
-        // short (module docs). Only then go serial. A blocker never comes
-        // back, so asking only now gives the answer asking after every
-        // window would.
-        if self.last_start < end
-            && (self.total_flows - done) as u64 <= self.bound
-            && !nets.iter_mut().any(|n| n.has_blocker())
-        {
-            self.tail(&mut nets);
-            return self.finish(&mut nets);
+        match nets[0].ctx().limit {
+            Limit::Before(_) => return self.finish(&mut nets),
+            Limit::UntilDone(end) => {
+                let done = nets.iter().filter(|n| n.is_done()).count();
+                if done == nets.len() {
+                    let last = nets.iter().map(|n| (n.now, n.cur_key)).max();
+                    return set_limit(&mut nets, Limit::Before(last.expect("no replicas")));
+                }
+                if done > 0 {
+                    return set_limit(&mut nets, Limit::Window(end));
+                }
+            }
+            Limit::Window(_) => {}
         }
+        move_handoffs(&mut nets);
+        let Some(t_min) = global_min(&nets, self.horizon) else {
+            return self.finish(&mut nets);
+        };
+        let end = SimTime::from_nanos(t_min.as_nanos().saturating_add(self.lookahead.as_nanos()));
+        let limit = if self.last_start < end {
+            Limit::UntilDone(end)
+        } else {
+            Limit::Window(end)
+        };
+        set_limit(&mut nets, limit);
         self.windows.fetch_add(1, Ordering::Relaxed);
-        self.ctl.window_end.store(end, Ordering::Relaxed);
     }
 
     /// End the run. Still-parked handoffs go onto their owners' links so
     /// the end-of-run audit counts them as propagating residuals, exactly
     /// like the serial engine's leftover in-flight packets.
     fn finish(&self, nets: &mut [MutexGuard<Net>]) {
+        move_handoffs(nets);
         for net in nets.iter_mut() {
             net.ingest();
         }
-        self.ctl.state.store(STATE_DONE, Ordering::Relaxed);
-    }
-
-    /// The completion tail: the cross-shard merge, with the serial loop's
-    /// exact termination conditions (stop the instant the last flow
-    /// completes; never pop past the horizon). Repeatedly pop the
-    /// `(time, key)`-minimum event over all shards and dispatch it on
-    /// its shard, delivering its handoffs immediately.
-    ///
-    /// Single-origin-per-key makes the tie order exact: a `(time, key)`
-    /// collision across two shards is impossible — except among the
-    /// copies of an admin event, whose order does not matter (module
-    /// docs) — and within a shard [`Net::peek`]'s own `(time, key, seq)`
-    /// order applies.
-    fn tail(&self, nets: &mut [MutexGuard<Net>]) {
-        let mut done: usize = nets.iter().map(|g| g.n_completed).sum();
-        let mut steps = 0u64;
-        while done < self.total_flows {
-            for net in nets.iter_mut() {
-                net.ingest();
-            }
-            let best = (nets.iter().enumerate())
-                .filter_map(|(s, g)| g.peek().map(|(t, k)| (t, k, s)))
-                .min();
-            let Some((t, k, s)) = best else { break };
-            if t > self.horizon {
-                break;
-            }
-            let before = nets[s].n_completed;
-            nets[s].step((t, k));
-            steps += 1;
-            done += nets[s].n_completed - before;
-            // The merge may reach this event's handoffs before any barrier.
-            move_handoffs(nets);
-        }
-        self.tail_events.fetch_add(steps, Ordering::Relaxed);
+        self.done.store(true, Ordering::Relaxed);
     }
 }
 
@@ -788,49 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn has_blocker_tracks_missing_segments_after_every_window() {
-        // Drive a whole one-flow run window by window, one timestamp per
-        // window, moving the handoffs between windows as the leader does:
-        // after every window `has_blocker` on the receiving replica must be
-        // the definition evaluated on its state *now* — in particular
-        // right after the window whose delivery takes the flow from
-        // `c + 1` missing segments to `c`.
-        let cfg = SimConfig::basic_paper(Scheme::Ecmp);
-        let pmap = PortMap::new(&cfg.topo);
-        let map = ShardMap::new(&pmap);
-        let c = arrival_bound(&cfg, lookahead(&cfg, &pmap, &map));
-        let flows = one_flow(&cfg, c + 3);
-        let rx = map.host_owner[flows[0].dst.index()] as usize;
-        let replicas = build_replicas(&cfg, &flows, &[None], &map, c);
-        let mut nets: Vec<_> = replicas.iter().map(|m| m.lock().unwrap()).collect();
-        assert!(
-            nets[rx].has_blocker(),
-            "an unstarted flow of c + 3 segments blocks"
-        );
-
-        let mut cleared_at = None;
-        while nets[rx].n_completed == 0 {
-            move_handoffs(&mut nets);
-            let t = global_min(&nets, cfg.horizon).expect("the flow is still running");
-            let was = nets[rx].has_blocker();
-            for net in nets.iter_mut() {
-                net.run_window(t + SimTime::from_nanos(1), cfg.horizon);
-            }
-            let missing = missing_segs(&nets[rx].rows[0], &nets[rx].receivers);
-            let blocked = nets[rx].has_blocker();
-            assert_eq!(blocked, missing > c, "stale answer after t = {t}");
-            if was && !blocked {
-                assert_eq!(missing, c, "cleared by the delivery that reached c");
-                assert!(cleared_at.replace(t).is_none(), "blockers are monotone");
-            }
-        }
-        assert!(cleared_at.is_some());
-        for s in (0..nets.len()).filter(|&s| s != rx) {
-            assert!(!nets[s].has_blocker(), "shard {s} receives nothing");
-        }
-    }
-
-    #[test]
     fn a_worker_panic_ends_the_run_instead_of_hanging_it() {
         // One replica panics mid-window, on the worker that also leads
         // (shard 0) or on the other one. Either way the other worker must
@@ -843,41 +671,15 @@ mod tests {
                 let pmap = PortMap::new(&cfg.topo);
                 let map = ShardMap::new(&pmap);
                 let la = lookahead(&cfg, &pmap, &map);
-                let c = arrival_bound(&cfg, la);
-                let nets = build_replicas(&cfg, &flows, &[None], &map, c);
+                let nets = build_replicas(&cfg, &flows, &[None], &map);
                 nets[faulty].lock().unwrap().panic_at_event = Some(50);
-                let run = Run::new(&cfg, &flows, &nets, la, c, 2);
+                let run = Run::new(&cfg, &flows, &nets, la, 2);
                 let outcome =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.drive()));
                 tx.send(outcome.is_err()).unwrap();
             });
             let reported = rx.recv_timeout(std::time::Duration::from_secs(60));
             assert_eq!(reported, Ok(true), "replica {faulty}'s panic hung the run");
-        }
-    }
-
-    #[test]
-    fn a_flow_of_exactly_c_segments_is_never_watched() {
-        let cfg = SimConfig::basic_paper(Scheme::Ecmp);
-        let pmap = PortMap::new(&cfg.topo);
-        let map = ShardMap::new(&pmap);
-        let c = arrival_bound(&cfg, lookahead(&cfg, &pmap, &map));
-        for (extra, watched) in [(0, 0), (1, 1)] {
-            let flows = one_flow(&cfg, c + extra);
-            let nets = build_replicas(&cfg, &flows, &[None], &map, c);
-            let n: usize = (nets.iter())
-                .map(|n| {
-                    n.lock()
-                        .unwrap()
-                        .shard
-                        .as_ref()
-                        .unwrap()
-                        .watch
-                        .candidates
-                        .len()
-                })
-                .sum();
-            assert_eq!(n, watched, "c + {extra} segments");
         }
     }
 
@@ -908,8 +710,7 @@ mod tests {
             );
 
             let map = ShardMap::new(&pmap);
-            let c = arrival_bound(&cfg, lookahead(&cfg, &pmap, &map));
-            let nets = build_replicas(&cfg, &flows, &[None], &map, c);
+            let nets = build_replicas(&cfg, &flows, &[None], &map);
             assert!(nets.len() > 1);
             for (id, net) in nets.iter().enumerate() {
                 let owned = |p: &u32| map.port_owner[*p as usize] == id as u16;

@@ -321,16 +321,11 @@ pub struct RunReport {
     /// `Some(why)` iff [`tlb_engine::EngineKind::Sharded`] was requested
     /// and the serial engine ran instead.
     pub engine_fallback: Option<FallbackReason>,
-    /// Parallel windows the sharded engine opened (0 for serial runs and
-    /// for sharded runs that could have ended inside their first window).
-    /// Tests use this to prove a job actually exercised
-    /// barrier-synchronized parallel execution.
+    /// Parallel windows the sharded engine opened: 0 for serial runs, at
+    /// least 1 for a sharded run with anything to do, since every event
+    /// of a sharded run executes inside a window. Tests use this to prove
+    /// a job actually exercised barrier-synchronized parallel execution.
     pub sharded_windows: u64,
-    /// Events the sharded engine executed single-threaded: the
-    /// serialized completion tail (0 for serial runs; a replica's own copy
-    /// of an admin event popped there counts). The rest ran inside
-    /// windows.
-    pub sharded_tail_events: u64,
 }
 
 /// Why a run that asked for the sharded engine executed on the serial one:

@@ -367,10 +367,7 @@ fn main() {
     // Which machinery produced the (identical) results goes to stderr: the
     // summary on stdout is compared across engines.
     let engine = match (r.engine_workers, r.engine_fallback) {
-        (Some(workers), _) => format!(
-            "sharded, {workers} workers, {} windows, {} tail events",
-            r.sharded_windows, r.sharded_tail_events
-        ),
+        (Some(workers), _) => format!("sharded, {workers} workers, {} windows", r.sharded_windows),
         (None, Some(why)) => format!("serial, sharded engine refused: {why}"),
         (None, None) => "serial".to_string(),
     };

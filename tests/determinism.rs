@@ -357,9 +357,8 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
     // serial digests for ANY worker count. Same 16-job fuzz batch as the
     // reference differentials (schemes, incast, static + mid-run
     // degradation), serial vs sharded at 1/2/4/8 workers. Every job has a
-    // multi-shard fabric and a long flow, so every job must open parallel
-    // windows: a long flow is a blocker until it is within one window's
-    // worth of segments of finishing.
+    // multi-shard fabric and a long flow, and every event of a sharded run
+    // executes inside a parallel window.
     for (cfg, flows) in differential_batch() {
         assert!(flows.iter().any(|f| f.size_bytes >= cfg.short_threshold));
     }
@@ -393,12 +392,9 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
             );
             assert_sharded_matches(a, b, &format!("{} @ {workers} workers", a.scheme));
             assert!(
-                b.sharded_windows > 0 && b.sharded_tail_events < b.events,
-                "{} @ {workers} workers: {} windows, {} of {} events in the tail",
-                b.scheme,
-                b.sharded_windows,
-                b.sharded_tail_events,
-                b.events
+                b.sharded_windows > 0,
+                "{} @ {workers} workers: no window opened",
+                b.scheme
             );
         }
     }
@@ -435,25 +431,16 @@ fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
     let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(23));
     // `engine_workers == Some(w)` in the helper: k=8 shards into 8 pods.
     for sharded in sharded_vs_serial(&cfg, &flows, &[2, 4, 8]) {
-        // The two long flows block the tail across both failure events:
-        // windows before, between and after them.
+        // Windows before, between and after the two failure events.
         assert!(sharded.sharded_windows > 0, "k8 flap ran without windows");
-        assert!(
-            sharded.sharded_tail_events * 10 < sharded.events,
-            "k8 flap: {} of {} events ran in the tail",
-            sharded.sharded_tail_events,
-            sharded.events
-        );
     }
 }
 
 #[test]
 fn sharded_parallel_windows_match_serial() {
-    // A job shaped so `flows >> completion bound` (tiny lookahead, few
-    // hosts, many short flows): the aggregate conjunct of the tail rule
-    // forces barrier-synchronized parallel windows whatever the long
-    // flows do — asserted via `sharded_windows` — and the digests still
-    // match bit for bit.
+    // A job with a tiny lookahead, few hosts and many short flows: many
+    // barrier-synchronized parallel windows — asserted via
+    // `sharded_windows` — and the digests still match bit for bit.
     let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
     cfg.topo = LeafSpineBuilder::new(2, 2, 2)
         .link_mbps(100.0)
@@ -469,7 +456,7 @@ fn sharded_parallel_windows_match_serial() {
     for sharded in sharded_vs_serial(&cfg, &flows, &[1, 2]) {
         assert!(
             sharded.sharded_windows > 0,
-            "job sized for parallel windows ran entirely in the tail"
+            "job sized for parallel windows opened none"
         );
     }
 }
@@ -541,12 +528,11 @@ fn sharded_engine_delegates_hybrid_fidelity_to_serial() {
 }
 
 #[test]
-fn sharded_websearch_confines_the_tail_to_the_last_window() {
+fn sharded_websearch_quarter_job_matches_serial() {
     // The paper's §6.2 job at a quarter of the benchmark's length (8×8
-    // leaf-spine, 256 hosts, web-search at load 0.7, 40 ms of arrivals).
-    // Arrivals end a fifth of the way into the run; the long flows keep
-    // the windows parallel through the whole drain, so at most 1 % of the
-    // events may run on the coordinator.
+    // leaf-spine, 256 hosts, web-search at load 0.7, 40 ms of arrivals):
+    // every shard receives flows and finishes at its own last completion,
+    // and the run ends at the serial engine's last event.
     let mut cfg = SimConfig::large_scale(Scheme::tlb_default(), 32);
     cfg.audit = false;
     let dist = web_search();
@@ -561,19 +547,13 @@ fn sharded_websearch_confines_the_tail_to_the_last_window() {
     }
     .generate(&cfg.topo, &mut SimRng::new(20190805));
     for r in sharded_vs_serial(&cfg, &flows, &[1, 2, 4]) {
-        assert!(
-            r.sharded_tail_events * 100 <= r.events,
-            "{} of {} events in the tail",
-            r.sharded_tail_events,
-            r.events
-        );
         assert!(r.sharded_windows > 0);
     }
 }
 
 /// A 4-leaf, 1 Gbit/s fabric and `c`, the most packets one of its hosts
-/// can receive in one window (lookahead / header serialization time + 2) —
-/// the tail rule's per-flow threshold, restated from its definition.
+/// can receive in one window (lookahead / header serialization time + 2),
+/// which sizes the flows of some jobs below.
 fn small_fabric() -> (SimConfig, u32) {
     let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
     cfg.topo = LeafSpineBuilder::new(4, 4, 4)
@@ -605,13 +585,12 @@ fn flow_of(
 }
 
 #[test]
-fn sharded_tail_boundary_is_exactly_one_window_of_segments() {
+fn sharded_lone_late_flow_matches_serial() {
     // Twelve 3-segment flows finish within the first millisecond; the
-    // last flow starts at 2 ms. When its start comes into range it is the
-    // only flow left and misses all of its segments: exactly `c` of them
-    // is not a blocker, so the coordinator runs the whole flow in the
-    // tail; `c + 1` is one, so windows stay open until its first data
-    // segment lands. Both must match the serial engine bit for bit.
+    // last flow starts at 2 ms, when every other shard is done. It is
+    // `c` or `c + 1` segments long, one window's worth of arrivals at its
+    // host or one more: windows run it either way, the longer one in more
+    // of them, and both must match the serial engine bit for bit.
     let (cfg, c) = small_fabric();
     let run = |last_segs: u32| {
         let mut flows: Vec<FlowSpec> = (0..12)
@@ -630,23 +609,19 @@ fn sharded_tail_boundary_is_exactly_one_window_of_segments() {
         sharded_vs_serial(&cfg, &flows, &[2]).remove(0)
     };
     let (at, above) = (run(c), run(c + 1));
-    // With `c` segments every event of the last flow — handshake, `c` data
-    // segments, `c` ACKs, each over four hops — is a tail event.
-    assert!(at.sharded_tail_events > 8 * u64::from(c));
     assert!(
         above.sharded_windows > at.sharded_windows,
-        "one more segment must keep windows open: {} vs {}",
+        "one more segment must take more windows: {} vs {}",
         above.sharded_windows,
         at.sharded_windows
     );
-    assert!(above.sharded_tail_events < at.sharded_tail_events);
 }
 
 #[test]
 fn sharded_all_short_job_matches_serial() {
-    // No flow ever exceeds one window of segments, so no shard ever
-    // reports a blocker: windows come from the start-time conjunct alone
-    // (arrivals spread over 3 ms) and the post-arrival drain is the tail.
+    // No flow exceeds one window's worth of arrivals at its host, and
+    // arrivals spread over 3 ms: many shards finish within a window of
+    // the run's last event, which must still be the serial engine's.
     let (cfg, c) = small_fabric();
     let flows: Vec<FlowSpec> = (0..120)
         .map(|i| {
@@ -657,7 +632,48 @@ fn sharded_all_short_job_matches_serial() {
         .collect();
     for r in sharded_vs_serial(&cfg, &flows, &[1, 2, 4]) {
         assert!(r.sharded_windows > 0, "staggered starts must open windows");
-        assert!(r.sharded_tail_events > 0, "nothing blocks the drain");
+    }
+}
+
+#[test]
+fn sharded_last_completions_tie_across_shards() {
+    // Two equal flows on disjoint paths (leaf 0 → 1 and leaf 2 → 3) start
+    // together and complete at the same instant on two shards. The run's
+    // last event is the one of the two completions with the larger key;
+    // the other shard must still run its events that order between them.
+    let (mut cfg, _) = small_fabric();
+    cfg.scheme = Scheme::Ecmp;
+    let flows = [(0, 4), (8, 12)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, pair)| flow_of(&cfg, i as u32, pair, 200, SimTime::ZERO))
+        .collect::<Vec<_>>();
+    let serial = run_one_ref(&cfg, &flows);
+    let [a, b] = [0, 1].map(|i| serial.fct.fct_of(FlowId(i)).map(f64::to_bits));
+    assert!(a.is_some() && a == b, "the two completions must tie");
+    sharded_vs_serial(&cfg, &flows, &[1, 2, 4]);
+    // Eight workers ask for more threads than the four leaves give shards.
+    cfg.engine = EngineKind::Sharded { workers: Some(8) };
+    let sharded = run_one_ref(&cfg, &flows);
+    assert_eq!(sharded.engine_workers, Some(4));
+    assert_sharded_matches(&serial, &sharded, "8 workers");
+}
+
+#[test]
+fn sharded_shards_with_nothing_to_receive_match_serial() {
+    // Incast into one rack: twelve TLB flows from leaves 1–3 into leaf 0,
+    // 5 µs apart. Three of the four shards receive nothing, so they are
+    // done from the start: once every flow has started, they run each
+    // window only after the receiving shard has run it.
+    let (cfg, _) = small_fabric();
+    let flows: Vec<FlowSpec> = (0..12)
+        .map(|i| {
+            let at = SimTime::from_micros(5 * i as u64);
+            flow_of(&cfg, i, (4 + i, i % 4), 120, at)
+        })
+        .collect();
+    for r in sharded_vs_serial(&cfg, &flows, &[1, 2, 4]) {
+        assert!(r.sharded_windows > 0, "an incast must run in windows");
     }
 }
 
@@ -666,8 +682,7 @@ fn sharded_windows_span_admin_events_and_match_serial_traces() {
     // A rate change and a link failure land mid-transfer, 200 µs apart,
     // with tracing on: every replica applies each to itself inside an
     // ordinary parallel window, and the windows go on after them — the
-    // long flows are still far from done — not the tail. Over 90 % of the
-    // run's events come after the first of them.
+    // long flows are still far from done.
     let (mut cfg, _) = small_fabric();
     cfg.trace_flows = vec![FlowId(0), FlowId(5)];
     cfg.link_events.push(LinkEvent {
@@ -700,12 +715,6 @@ fn sharded_windows_span_admin_events_and_match_serial_traces() {
             r.sim_end > SimTime::from_micros(6_000),
             "the repair must land mid-run"
         );
-        assert!(
-            r.sharded_tail_events * 10 < r.events,
-            "{} of {} events on the coordinator: an admin event sent the run into the tail",
-            r.sharded_tail_events,
-            r.events
-        );
     }
 }
 
@@ -714,8 +723,8 @@ fn sharded_admin_schedule_adds_no_coordinator_events() {
     // 2,400 link events that change nothing, 1 µs apart over every uplink,
     // land while eight long flows are mid-transfer. Each is one more event
     // for the serial engine and one more on every replica — popped inside
-    // the window it falls in, so the coordinator opens the windows it
-    // would have opened without them and its tail is no longer.
+    // the window it falls in, so the leader opens the windows it would
+    // have opened without them.
     const K: u64 = 2_400;
     let (cfg, _) = small_fabric();
     let mut noop = cfg.clone();
@@ -746,11 +755,6 @@ fn sharded_admin_schedule_adds_no_coordinator_events() {
         twin.digest()
             .replacen(&twin.events.to_string(), &(twin.events + K).to_string(), 1);
     assert_eq!(sharded.digest(), events_differ_by_k);
-    assert!(
-        sharded.sharded_tail_events < K,
-        "{} coordinator events under {K} admin events",
-        sharded.sharded_tail_events
-    );
     assert!(
         sharded.sharded_windows <= twin.sharded_windows + twin.sharded_windows / 10 + 2,
         "admin events clamped the windows: {} against {} without them",
