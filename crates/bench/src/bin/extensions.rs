@@ -35,7 +35,7 @@ fn main() {
     let rounds = scale.pick(12, 30);
     let seed = tlb_bench::scale::base_seed();
     let mut out = Out::new("extensions");
-    out.line("Extensions — DRILL / CONGA-lite / FlowBender vs the paper set");
+    out.line("Extensions — DRILL / CONGA-lite / FlowBender / Hermes-lite / WCMP / DiffFlow vs the paper set");
     out.blank();
 
     out.line("A. sustained basic workload (100 short + 3 long, 15 paths)");

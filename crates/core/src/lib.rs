@@ -9,11 +9,11 @@
 //! Architecture (paper §3, Fig. 6):
 //!
 //! * **Granularity calculator** — [`Tlb::on_tick`]: every `t` (500 µs),
-//!   purge idle flow records (the §5 sampling rule), recount active
-//!   short/long flows, and recompute `q_th` from Eq. 9.
+//!   purge idle flow records (the §5 sampling rule), then count the
+//!   table's active short/long flows and recompute `q_th` from Eq. 9.
 //! * **Forwarding manager** — [`Tlb::choose_uplink`]: per-packet forwarding
-//!   with flow classification by bytes sent (100 KB threshold, §5) and
-//!   SYN/FIN-driven flow counting.
+//!   with flow classification by bytes sent (100 KB threshold, §5); a SYN
+//!   adds a counted record to the flow table and a FIN removes it.
 
 pub mod config;
 
@@ -34,8 +34,8 @@ struct FlowState {
     /// True once `bytes_seen` exceeded the short/long threshold.
     is_long: bool,
     /// True if the flow is included in the m_S/m_L counts (we saw its SYN,
-    /// or re-learned it after an idle purge). Reverse ACK streams stay
-    /// uncounted — they carry no payload worth modelling.
+    /// or re-learned it from a data packet after an idle purge). Reverse
+    /// ACK streams stay uncounted — they carry no payload worth modelling.
     counted: bool,
 }
 
@@ -63,10 +63,6 @@ struct FlowState {
 pub struct Tlb {
     cfg: TlbConfig,
     flows: FlowMap<FlowState>,
-    /// Active counted short flows (`m_S`).
-    m_short: usize,
-    /// Active counted long flows (`m_L`).
-    m_long: usize,
     /// Current switching threshold in bytes; `u64::MAX` encodes "infinite"
     /// (long flows pinned).
     q_th_bytes: u64,
@@ -98,8 +94,6 @@ impl Tlb {
             mean_short_est: cfg.mean_short_prior,
             cfg,
             flows: FlowMap::new(),
-            m_short: 0,
-            m_long: 0,
             q_th_bytes: q0,
             updates: 0,
             long_reroutes: 0,
@@ -127,9 +121,17 @@ impl Tlb {
     }
 
     /// Currently counted (short, long) active flows — the paper's
-    /// `(m_S, m_L)`.
+    /// `(m_S, m_L)`: the flow table's counted records by class.
     pub fn counts(&self) -> (usize, usize) {
-        (self.m_short, self.m_long)
+        let (mut m_short, mut m_long) = (0, 0);
+        for (_, st) in self.flows.iter().filter(|(_, st)| st.counted) {
+            if st.is_long {
+                m_long += 1;
+            } else {
+                m_short += 1;
+            }
+        }
+        (m_short, m_long)
     }
 
     /// The current mean-short-flow-size estimate `X` in bytes.
@@ -157,29 +159,14 @@ impl Tlb {
         &self.cfg
     }
 
-    fn recount(&mut self) {
-        let mut ms = 0;
-        let mut ml = 0;
-        for (_, st) in self.flows.iter() {
-            if st.counted {
-                if st.is_long {
-                    ml += 1;
-                } else {
-                    ms += 1;
-                }
-            }
-        }
-        self.m_short = ms;
-        self.m_long = ml;
-    }
-
     fn recompute_threshold(&mut self, view: PortView<'_>) {
+        let (m_short, m_long) = self.counts();
         let params = ModelParams {
             // Live paths only: after a failure the model should reason about
             // the fabric that actually exists. Full mask -> n_ports.
             n_paths: view.n_live() as f64,
-            m_short: self.m_short as f64,
-            m_long: self.m_long as f64,
+            m_short: m_short as f64,
+            m_long: m_long as f64,
             capacity: view.mean_capacity(),
             rtt: self.cfg.rtt.as_secs_f64(),
             interval: self.cfg.update_interval.as_secs_f64(),
@@ -188,7 +175,7 @@ impl Tlb {
             mss: self.cfg.mss as f64,
             deadline: self.cfg.deadline().as_secs_f64(),
         };
-        self.q_th_bytes = if self.m_long == 0 {
+        self.q_th_bytes = if m_long == 0 {
             // No long flows: the threshold is moot; keep them free to switch.
             0
         } else {
@@ -198,10 +185,6 @@ impl Tlb {
 }
 
 impl LoadBalancer for Tlb {
-    fn name(&self) -> &'static str {
-        "TLB"
-    }
-
     fn choose_uplink(
         &mut self,
         pkt: &Packet,
@@ -209,123 +192,71 @@ impl LoadBalancer for Tlb {
         now: SimTime,
         rng: &mut SimRng,
     ) -> usize {
-        let n = view.n_ports();
         let shortest = view.shortest_bytes_rand(rng);
-        let threshold = self.cfg.short_threshold_bytes;
-        let q_th = self.q_th_bytes;
+        let fresh = |counted| FlowState {
+            bytes_seen: 0,
+            port: shortest,
+            is_long: false,
+            counted,
+        };
 
         match pkt.kind {
             PktKind::Fin => {
-                // Paper §5: a FIN decrements the active-flow count. The FIN
-                // itself still needs forwarding; as a single control packet
-                // it takes the shortest queue.
+                // Paper §5: a FIN removes the flow from the active count
+                // (its record leaves the table). The FIN itself still needs
+                // forwarding; as a single control packet it takes the
+                // shortest queue.
                 if let Some(st) = self.flows.remove(pkt.flow) {
-                    if st.counted {
-                        if st.is_long {
-                            self.m_long = self.m_long.saturating_sub(1);
-                        } else {
-                            self.m_short = self.m_short.saturating_sub(1);
-                            if self.cfg.estimate_mean_short && st.bytes_seen > 0 {
-                                let g = self.cfg.ewma_gain;
-                                self.mean_short_est =
-                                    (1.0 - g) * self.mean_short_est + g * st.bytes_seen as f64;
-                            }
-                        }
+                    if st.counted
+                        && !st.is_long
+                        && self.cfg.estimate_mean_short
+                        && st.bytes_seen > 0
+                    {
+                        let g = self.cfg.ewma_gain;
+                        self.mean_short_est =
+                            (1.0 - g) * self.mean_short_est + g * st.bytes_seen as f64;
                     }
                 }
                 shortest
             }
             PktKind::Syn => {
-                // Paper §5: a SYN increments the count; all flows start short.
-                let mut newly_counted = false;
-                let st = self.flows.touch_or_insert_with(pkt.flow, now, || {
-                    newly_counted = true;
-                    FlowState {
-                        bytes_seen: 0,
-                        port: shortest,
-                        is_long: false,
-                        counted: true,
-                    }
-                });
-                if !newly_counted && !st.counted {
-                    // Entry pre-existed from an uncounted packet; the SYN
-                    // upgrades it to counted.
-                    st.counted = true;
-                    newly_counted = true;
-                }
-                let is_long = st.is_long;
+                // Paper §5: a SYN adds the flow to the count; all flows
+                // start short. A record learned from an uncounted packet
+                // is counted from its SYN on.
+                let st = self
+                    .flows
+                    .touch_or_insert_with(pkt.flow, now, || fresh(true));
+                st.counted = true;
                 st.port = shortest;
-                if newly_counted {
-                    if is_long {
-                        self.m_long += 1;
-                    } else {
-                        self.m_short += 1;
-                    }
-                }
                 shortest
             }
             PktKind::Data => {
-                let mut became_long = false;
-                let mut relearned = false;
-                let st = self.flows.touch_or_insert_with(pkt.flow, now, || {
-                    // A data packet with no record: the flow was purged as
-                    // idle and resumed (or its SYN predates this switch's
-                    // state). Re-learn it as counted.
-                    relearned = true;
-                    FlowState {
-                        bytes_seen: 0,
-                        port: shortest,
-                        is_long: false,
-                        counted: true,
-                    }
-                });
+                // A data packet with no record: the flow was purged as
+                // idle and resumed (or its SYN predates this switch's
+                // state). Re-learn it as counted.
+                let st = self
+                    .flows
+                    .touch_or_insert_with(pkt.flow, now, || fresh(true));
                 st.bytes_seen += pkt.payload_bytes as u64;
-                if !st.is_long && st.bytes_seen > threshold {
-                    st.is_long = true;
-                    became_long = st.counted;
-                }
-                let mut rerouted_long = false;
-                let mut forced = false;
-                let port = if st.is_long {
-                    // Forwarding manager, long-flow rule: stick to the
-                    // current uplink until its queue reaches q_th, then move
-                    // to the shortest queue. A dead uplink forces the move
-                    // unconditionally (counted separately from the voluntary
-                    // q_th-triggered reroutes).
-                    let cur = st.port % n;
-                    if !view.is_live(cur) {
-                        forced = true;
-                        st.port = shortest;
-                        shortest
-                    } else if view.qlen_bytes(cur) >= q_th {
-                        rerouted_long = cur != shortest;
-                        st.port = shortest;
-                        shortest
-                    } else {
-                        cur
-                    }
-                } else {
-                    // Short-flow rule: every packet to the shortest queue.
+                st.is_long |= st.bytes_seen > self.cfg.short_threshold_bytes;
+                // Forwarding manager. Short-flow rule: every packet to the
+                // shortest queue. Long-flow rule: stick to the current
+                // uplink until its queue reaches q_th, then move to the
+                // shortest queue. A dead uplink forces the move
+                // unconditionally (counted apart from the voluntary
+                // q_th-triggered reroutes).
+                if !st.is_long {
                     st.port = shortest;
-                    shortest
-                };
-                if relearned {
-                    if st.is_long {
-                        self.m_long += 1;
-                    } else {
-                        self.m_short += 1;
-                    }
-                } else if became_long {
-                    self.m_short = self.m_short.saturating_sub(1);
-                    self.m_long += 1;
-                }
-                if rerouted_long {
-                    self.long_reroutes += 1;
-                }
-                if forced {
+                } else if !view.is_live(st.port) {
                     self.forced_reroutes += 1;
+                    st.port = shortest;
+                } else if view.qlen_bytes(st.port) >= self.q_th_bytes {
+                    if st.port != shortest {
+                        self.long_reroutes += 1;
+                    }
+                    st.port = shortest;
                 }
-                port
+                st.port
             }
             // SYN-ACK / ACK streams (reverse direction at this leaf): pure
             // control traffic, routed per packet to the shortest queue, and
@@ -333,12 +264,7 @@ impl LoadBalancer for Tlb {
             PktKind::SynAck | PktKind::Ack => {
                 let st = self
                     .flows
-                    .touch_or_insert_with(pkt.flow, now, || FlowState {
-                        bytes_seen: 0,
-                        port: shortest,
-                        is_long: false,
-                        counted: false,
-                    });
+                    .touch_or_insert_with(pkt.flow, now, || fresh(false));
                 st.port = shortest;
                 shortest
             }
@@ -349,7 +275,6 @@ impl LoadBalancer for Tlb {
         // Granularity calculator (paper §3.1 + §5): sample out idle flows,
         // re-estimate the load strength, update q_th.
         self.flows.purge_idle(now, self.cfg.idle_timeout);
-        self.recount();
         if matches!(self.cfg.threshold_mode, ThresholdMode::Adaptive) {
             self.recompute_threshold(view);
         }

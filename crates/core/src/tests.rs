@@ -291,7 +291,7 @@ fn data_after_fin_is_relearned_then_sampled_out() {
     // raced the teardown) hits the removed-record path: the switch has no
     // state for it and re-learns the flow as counted. That transient
     // over-count of m_S must be temporary — the flow never speaks again, so
-    // the idle purge has to reclaim the record and recount back to zero.
+    // the idle purge has to reclaim the record and count back to zero.
     let ps = OutPort::filled(&[0, 0]);
     let mut tlb = Tlb::paper_default();
     let mut rng = SimRng::new(0);
@@ -456,7 +456,6 @@ fn state_bytes_grow_with_flows() {
 fn tick_interval_matches_config() {
     let tlb = Tlb::paper_default();
     assert_eq!(tlb.tick_interval(), Some(SimTime::from_micros(500)));
-    assert_eq!(tlb.name(), "TLB");
 }
 
 #[test]

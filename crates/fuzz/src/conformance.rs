@@ -10,7 +10,9 @@
 //! * every chosen uplink obeys the forwarding rule for the flow's class
 //!   (shortest-queue membership for short/control packets; stickiness
 //!   below `q_th`, reroute-to-shortest at or above it);
-//! * `Tlb::counts()` tracks the reference `(m_S, m_L)` after every op;
+//! * `Tlb::counts()`, which counts TLB's flow table, tracks the
+//!   reference's incremental `(m_S, m_L)` (SYN/re-learn +1, reclassify,
+//!   FIN −1, purge recount) after every op;
 //! * `Tlb::long_reroutes()` tracks the reference reroute count;
 //! * after every granularity update, `Tlb::q_th_bytes()` equals
 //!   [`expected_q_th`] recomputed from first principles.

@@ -60,10 +60,6 @@ impl DiffFlow {
 }
 
 impl LoadBalancer for DiffFlow {
-    fn name(&self) -> &'static str {
-        "DiffFlow"
-    }
-
     fn choose_uplink(
         &mut self,
         pkt: &Packet,
@@ -71,7 +67,6 @@ impl LoadBalancer for DiffFlow {
         now: SimTime,
         rng: &mut SimRng,
     ) -> usize {
-        let n = view.n_ports();
         match pkt.kind {
             PktKind::Fin => {
                 // Rule uninstall: the flow is over.
@@ -98,9 +93,8 @@ impl LoadBalancer for DiffFlow {
                     st.port = view.shortest_bytes_rand(rng);
                     return st.port;
                 }
-                let cur = st.port % n;
-                if view.is_live(cur) {
-                    cur
+                if view.is_live(st.port) {
+                    st.port
                 } else {
                     // Rule points at a dead uplink: re-install on a live one.
                     st.port = view.shortest_bytes_rand(rng);

@@ -40,10 +40,6 @@ impl Drill {
 }
 
 impl LoadBalancer for Drill {
-    fn name(&self) -> &'static str {
-        "DRILL"
-    }
-
     fn choose_uplink(
         &mut self,
         _pkt: &Packet,

@@ -33,10 +33,6 @@ impl Ecmp {
 }
 
 impl LoadBalancer for Ecmp {
-    fn name(&self) -> &'static str {
-        "ECMP"
-    }
-
     fn choose_uplink(
         &mut self,
         pkt: &Packet,

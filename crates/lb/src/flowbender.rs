@@ -72,10 +72,6 @@ impl FlowBender {
 }
 
 impl LoadBalancer for FlowBender {
-    fn name(&self) -> &'static str {
-        "FlowBender"
-    }
-
     fn choose_uplink(
         &mut self,
         pkt: &Packet,
@@ -83,7 +79,6 @@ impl LoadBalancer for FlowBender {
         now: SimTime,
         rng: &mut SimRng,
     ) -> usize {
-        let n = view.n_ports();
         let initial = view.nth_live(rng.index(view.n_live()));
         let st = self
             .flows
@@ -92,7 +87,7 @@ impl LoadBalancer for FlowBender {
                 marked: 0,
                 total: 0,
             });
-        let mut port = st.port % n;
+        let mut port = st.port;
         if !view.is_live(port) {
             // The cached uplink died: rehash immediately onto a live one and
             // restart the observation window.

@@ -73,10 +73,6 @@ impl HermesLite {
 }
 
 impl LoadBalancer for HermesLite {
-    fn name(&self) -> &'static str {
-        "Hermes-lite"
-    }
-
     fn choose_uplink(
         &mut self,
         pkt: &Packet,
@@ -84,7 +80,6 @@ impl LoadBalancer for HermesLite {
         now: SimTime,
         rng: &mut SimRng,
     ) -> usize {
-        let n = view.n_ports();
         // New flows start ECMP-like: uniform over the live uplinks.
         let initial = view.nth_live(rng.index(view.n_live()));
         let st = self
@@ -93,7 +88,7 @@ impl LoadBalancer for HermesLite {
                 port: initial,
                 sent_bytes: 0,
             });
-        let mut cur = st.port % n;
+        let mut cur = st.port;
         if pkt.kind == PktKind::Data {
             st.sent_bytes += pkt.payload_bytes as u64;
         }

@@ -1,5 +1,15 @@
-//! LetFlow: flowlet switching with random path choice (Vanini et al.,
-//! NSDI 2017).
+//! Flowlet switching: LetFlow (Vanini et al., NSDI 2017), which re-picks a
+//! random path at each flowlet boundary, and CONGA-lite, which re-picks the
+//! least-loaded one.
+//!
+//! CONGA (Alizadeh et al., SIGCOMM 2014) routes flowlets onto the globally
+//! least-congested path using leaf-to-leaf feedback carried in packet
+//! headers. Reproducing the feedback plane is out of scope for a leaf-local
+//! simulator interface, so the "lite" rule substitutes the switch-local
+//! uplink queue lengths for the path-wise congestion metric. On a two-tier
+//! leaf-spine fabric where the leaf uplink is the dominant bottleneck, the
+//! local queue is a good proxy for path congestion; the substitution is
+//! recorded in DESIGN.md.
 
 use tlb_engine::{SimRng, SimTime};
 use tlb_net::Packet;
@@ -12,10 +22,12 @@ struct Flowlet {
     last_pkt: SimTime,
 }
 
-/// LetFlow reroutes a flow only when a *flowlet gap* appears: if the time
-/// since the flow's previous packet exceeds the flowlet timeout, the flow
-/// (all flows — short and long alike, per the paper's critique) picks a new
-/// uniformly random uplink; otherwise it sticks to its current one.
+/// A flowlet balancer reroutes a flow only when a *flowlet gap* appears: if
+/// the time since the flow's previous packet exceeds the flowlet timeout,
+/// the flow (all flows — short and long alike, per the paper's critique)
+/// re-picks its uplink; otherwise it sticks to its current one. LetFlow
+/// re-picks a uniformly random live uplink ([`LetFlow::new`]), CONGA-lite
+/// the shortest live queue ([`LetFlow::conga`]).
 ///
 /// The elegance of LetFlow is that flowlet sizes adapt to congestion
 /// automatically; its weakness (§6.2) is that under low load there are few
@@ -23,6 +35,9 @@ struct Flowlet {
 #[derive(Debug)]
 pub struct LetFlow {
     timeout: SimTime,
+    /// The repick rule: the shortest queue (CONGA-lite) instead of a
+    /// random uplink (LetFlow).
+    to_shortest: bool,
     flows: FlowMap<Flowlet>,
     /// Flowlets moved off a dead uplink before any flowlet gap appeared.
     forced: u64,
@@ -32,12 +47,25 @@ impl LetFlow {
     /// The paper's NS2 flowlet timeout: 150 µs (§2.2, citing Hermes).
     pub const DEFAULT_TIMEOUT: SimTime = SimTime::from_micros(150);
 
+    /// CONGA's published flowlet timeout: 500 µs.
+    pub const CONGA_TIMEOUT: SimTime = SimTime::from_micros(500);
+
     /// A LetFlow balancer with the given flowlet timeout.
     pub fn new(timeout: SimTime) -> LetFlow {
         LetFlow {
             timeout,
+            to_shortest: false,
             flows: FlowMap::new(),
             forced: 0,
+        }
+    }
+
+    /// A CONGA-lite balancer: flowlet switching onto the shortest local
+    /// uplink queue, with the given flowlet timeout.
+    pub fn conga(timeout: SimTime) -> LetFlow {
+        LetFlow {
+            to_shortest: true,
+            ..LetFlow::new(timeout)
         }
     }
 
@@ -53,10 +81,6 @@ impl LetFlow {
 }
 
 impl LoadBalancer for LetFlow {
-    fn name(&self) -> &'static str {
-        "LetFlow"
-    }
-
     fn choose_uplink(
         &mut self,
         pkt: &Packet,
@@ -64,25 +88,28 @@ impl LoadBalancer for LetFlow {
         now: SimTime,
         rng: &mut SimRng,
     ) -> usize {
-        let n = view.n_ports();
         let timeout = self.timeout;
+        // CONGA-lite ranks the queues before every lookup; LetFlow draws
+        // only when it re-picks. Either way the pick is a live uplink.
+        let shortest = self.to_shortest.then(|| view.shortest_bytes_rand(rng));
+        let mut repick = || shortest.unwrap_or_else(|| view.nth_live(rng.index(view.n_live())));
         match self.flows.touch(pkt.flow, now) {
             Some(entry) => {
                 let gap = now.saturating_sub(entry.last_pkt);
-                let dead = !view.is_live(entry.port % n);
+                let dead = !view.is_live(entry.port);
                 if gap > timeout || dead {
                     // A flowlet boundary — natural gap or a dead uplink
-                    // forcing an early one: pick any live path at random.
+                    // forcing an early one.
                     if dead && gap <= timeout {
                         self.forced += 1;
                     }
-                    entry.port = view.nth_live(rng.index(view.n_live()));
+                    entry.port = repick();
                 }
                 entry.last_pkt = now;
-                entry.port % n
+                entry.port
             }
             None => {
-                let port = view.nth_live(rng.index(view.n_live()));
+                let port = repick();
                 self.flows.touch_or_insert_with(pkt.flow, now, || Flowlet {
                     port,
                     last_pkt: now,
@@ -208,5 +235,42 @@ mod tests {
             &mut rng,
         );
         assert_eq!(lb.state_bytes(), resident);
+    }
+
+    #[test]
+    fn new_flow_takes_shortest() {
+        let ps = OutPort::filled(&[5, 2, 9]);
+        let mut lb = LetFlow::conga(LetFlow::CONGA_TIMEOUT);
+        let mut rng = SimRng::new(1);
+        assert_eq!(
+            lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng),
+            1
+        );
+    }
+
+    #[test]
+    fn sticks_within_flowlet() {
+        let ps = OutPort::filled(&[5, 2, 9]);
+        let mut lb = LetFlow::conga(LetFlow::CONGA_TIMEOUT);
+        let mut rng = SimRng::new(1);
+        let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
+        // Even though port 0 may become shorter, within the gap we stick.
+        let ps2 = OutPort::filled(&[0, 2, 9]);
+        let p1 = lb.choose_uplink(&data(1, 1), PortView::new(&ps2), us(100), &mut rng);
+        assert_eq!(p0, p1);
+    }
+
+    #[test]
+    fn reroutes_to_shortest_after_gap() {
+        let ps = OutPort::filled(&[5, 2, 9]);
+        let mut lb = LetFlow::conga(LetFlow::CONGA_TIMEOUT);
+        let mut rng = SimRng::new(1);
+        lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
+        let ps2 = OutPort::filled(&[0, 2, 9]);
+        let p = lb.choose_uplink(&data(1, 1), PortView::new(&ps2), us(10_000), &mut rng);
+        assert_eq!(
+            p, 0,
+            "after a flowlet gap CONGA-lite picks the new shortest"
+        );
     }
 }

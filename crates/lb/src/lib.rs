@@ -7,12 +7,12 @@
 //! * [`Rps`] — packet granularity: uniform-random uplink per packet.
 //! * [`Presto`] — 64 KB flowcell granularity, round-robin across uplinks.
 //! * [`LetFlow`] — flowlet granularity: re-pick a random uplink after an
-//!   inactivity gap.
+//!   inactivity gap. [`LetFlow::conga`] is CONGA-lite, the same flowlets
+//!   re-picking the least-loaded (not a random) uplink: a switch-local
+//!   stand-in for CONGA's leaf-to-leaf feedback (extension; paper §8,
+//!   simplification documented in DESIGN.md).
 //! * [`Drill`] — packet granularity with power-of-two-choices queue sampling
 //!   plus memory (extension; paper §8).
-//! * [`CongaLite`] — flowlet granularity with least-loaded (not random) path
-//!   choice; a switch-local stand-in for CONGA's leaf-to-leaf feedback
-//!   (extension; paper §8, simplification documented in DESIGN.md).
 //! * [`FlowBender`] — flow granularity with congestion-triggered rehashing
 //!   (extension; paper §8).
 //! * [`HermesLite`] — cautious size-gated rerouting (extension; paper §8
@@ -25,7 +25,6 @@
 //! All of them implement [`tlb_switch::LoadBalancer`]; the TLB scheme itself
 //! lives in the `tlb-core` crate.
 
-pub mod conga;
 pub mod diffflow;
 pub mod drill;
 pub mod ecmp;
@@ -36,7 +35,6 @@ pub mod presto;
 pub mod rps;
 pub mod wcmp;
 
-pub use conga::CongaLite;
 pub use diffflow::DiffFlow;
 pub use drill::Drill;
 pub use ecmp::Ecmp;

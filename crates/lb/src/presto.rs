@@ -68,10 +68,6 @@ impl Presto {
 }
 
 impl LoadBalancer for Presto {
-    fn name(&self) -> &'static str {
-        "Presto"
-    }
-
     fn choose_uplink(
         &mut self,
         pkt: &Packet,
@@ -92,7 +88,7 @@ impl LoadBalancer for Presto {
         if inserted {
             // New flow: it consumed the RR cursor for its first cell.
             self.rr_next = (rr0 + 1) % n;
-        } else if entry.cell_bytes >= self.cell_limit || !view.is_live(entry.port % n) {
+        } else if entry.cell_bytes >= self.cell_limit || !view.is_live(entry.port) {
             // Cell boundary — or the cached uplink died mid-cell, which
             // forces an early boundary. Either way move to the next live
             // uplink in round-robin order.
@@ -104,7 +100,7 @@ impl LoadBalancer for Presto {
             self.rr_next = (entry.port + 1) % n;
         }
         entry.cell_bytes += pkt.payload_bytes as u64;
-        entry.port % n
+        entry.port
     }
 
     fn on_tick(&mut self, _view: PortView<'_>, now: SimTime) {

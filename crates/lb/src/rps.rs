@@ -18,10 +18,6 @@ impl Rps {
 }
 
 impl LoadBalancer for Rps {
-    fn name(&self) -> &'static str {
-        "RPS"
-    }
-
     fn choose_uplink(
         &mut self,
         _pkt: &Packet,

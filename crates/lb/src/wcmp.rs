@@ -59,10 +59,6 @@ impl Default for Wcmp {
 }
 
 impl LoadBalancer for Wcmp {
-    fn name(&self) -> &'static str {
-        "WCMP"
-    }
-
     fn choose_uplink(
         &mut self,
         pkt: &Packet,
@@ -70,9 +66,8 @@ impl LoadBalancer for Wcmp {
         now: SimTime,
         rng: &mut SimRng,
     ) -> usize {
-        let n = view.n_ports();
         if let Some(entry) = self.flows.touch(pkt.flow, now) {
-            let pinned = *entry % n;
+            let pinned = *entry;
             if view.is_live(pinned) {
                 return pinned;
             }

@@ -9,9 +9,7 @@
 use crate::Scheme;
 use tlb_core::Tlb;
 use tlb_engine::{SimRng, SimTime};
-use tlb_lb::{
-    CongaLite, DiffFlow, Drill, Ecmp, FlowBender, HermesLite, LetFlow, Presto, Rps, Wcmp,
-};
+use tlb_lb::{DiffFlow, Drill, Ecmp, FlowBender, HermesLite, LetFlow, Presto, Rps, Wcmp};
 use tlb_net::Packet;
 use tlb_switch::{LoadBalancer, PortView};
 
@@ -32,12 +30,11 @@ pub enum AnyLb {
     Rps(Rps),
     /// Fixed-size flowcells, round-robin.
     Presto(Presto),
-    /// Flowlet switching with random rerouting.
+    /// Flowlet switching: LetFlow (random repick) and CONGA-lite
+    /// (shortest-queue repick).
     LetFlow(LetFlow),
     /// Per-packet power-of-two-choices with memory.
     Drill(Drill),
-    /// Flowlet switching onto the least-loaded uplink.
-    CongaLite(CongaLite),
     /// Flow-level congestion-triggered rehashing.
     FlowBender(FlowBender),
     /// Size-aware flowlet/flow hybrid.
@@ -65,7 +62,6 @@ macro_rules! dispatch {
             AnyLb::Presto($lb) => $body,
             AnyLb::LetFlow($lb) => $body,
             AnyLb::Drill($lb) => $body,
-            AnyLb::CongaLite($lb) => $body,
             AnyLb::FlowBender($lb) => $body,
             AnyLb::Hermes($lb) => $body,
             AnyLb::Wcmp($lb) => $body,
@@ -76,11 +72,6 @@ macro_rules! dispatch {
 }
 
 impl LoadBalancer for AnyLb {
-    #[inline]
-    fn name(&self) -> &'static str {
-        dispatch!(self, lb => lb.name())
-    }
-
     #[inline]
     fn choose_uplink(
         &mut self,
@@ -141,7 +132,7 @@ impl Scheme {
             Scheme::Presto { cell_bytes } => AnyLb::Presto(Presto::new(*cell_bytes)),
             Scheme::LetFlow { timeout } => AnyLb::LetFlow(LetFlow::new(*timeout)),
             Scheme::Drill { d, m } => AnyLb::Drill(Drill::new(*d, *m)),
-            Scheme::CongaLite { timeout } => AnyLb::CongaLite(CongaLite::new(*timeout)),
+            Scheme::CongaLite { timeout } => AnyLb::LetFlow(LetFlow::conga(*timeout)),
             Scheme::FlowBender {
                 mark_threshold_pkts,
                 frac_threshold,
@@ -197,7 +188,6 @@ mod tests {
         for scheme in Scheme::extended_set() {
             let mut fast = scheme.build_static(7);
             let mut slow = into_dyn(scheme.build_static(7));
-            assert_eq!(fast.name(), slow.name());
             assert_eq!(fast.tick_interval(), slow.tick_interval());
             assert_eq!(fast.state_bytes(), slow.state_bytes());
             assert_eq!(fast.q_threshold(), slow.q_threshold());

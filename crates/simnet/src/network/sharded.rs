@@ -553,11 +553,17 @@ impl<'n, 'a> Run<'n, 'a> {
     /// event is known, and the shards run up to it; some done means they
     /// run on to the window's end. Otherwise move the handoffs, find the
     /// global minimum, and open the next window or end the run.
+    ///
+    /// The next window opens at or after the last one's end `E`, which
+    /// every replica's [`Limit`] still holds: every event before `E` has
+    /// run, and every handoff lands at or after its send time plus the
+    /// lookahead. A replica that left an event below `E` unrun would
+    /// otherwise have the same window reopened forever.
     fn decide(&self) {
         let mut nets: Vec<_> = (self.nets.iter())
             .map(|m| m.lock().expect(POISONED))
             .collect();
-        match nets[0].ctx().limit {
+        let last_end = match nets[0].ctx().limit {
             Limit::Before(_) => return self.finish(&mut nets),
             Limit::UntilDone(end) => {
                 let done = nets.iter().filter(|n| n.is_done()).count();
@@ -568,13 +574,18 @@ impl<'n, 'a> Run<'n, 'a> {
                 if done > 0 {
                     return set_limit(&mut nets, Limit::Window(end));
                 }
+                end
             }
-            Limit::Window(_) => {}
-        }
+            Limit::Window(end) => end,
+        };
         move_handoffs(&mut nets);
         let Some(t_min) = global_min(&nets, self.horizon) else {
             return self.finish(&mut nets);
         };
+        debug_assert!(
+            t_min >= last_end,
+            "a window would reopen at {t_min:?}, before the last one's end {last_end:?}"
+        );
         let end = SimTime::from_nanos(t_min.as_nanos().saturating_add(self.lookahead.as_nanos()));
         let limit = if self.last_start < end {
             Limit::UntilDone(end)

@@ -2,7 +2,7 @@
 
 use tlb_core::TlbConfig;
 use tlb_engine::SimTime;
-use tlb_lb::{CongaLite, DiffFlow, Drill, FlowBender, HermesLite, LetFlow, Presto};
+use tlb_lb::{DiffFlow, Drill, FlowBender, HermesLite, LetFlow, Presto};
 
 /// A load-balancing scheme plus its parameters. One balancer instance is
 /// built per leaf switch.
@@ -108,7 +108,7 @@ impl Scheme {
     /// CONGA-lite with CONGA's published 500 µs flowlet timeout.
     pub fn conga_default() -> Scheme {
         Scheme::CongaLite {
-            timeout: CongaLite::DEFAULT_TIMEOUT,
+            timeout: LetFlow::CONGA_TIMEOUT,
         }
     }
 
@@ -142,8 +142,9 @@ impl Scheme {
         Scheme::Tlb(TlbConfig::paper_default())
     }
 
-    /// The extended comparison set: the paper's five plus the §8-related
-    /// DRILL, CONGA-lite and FlowBender extensions.
+    /// The extended comparison set: the paper's five plus six extensions —
+    /// the §8-related DRILL, CONGA-lite, FlowBender and Hermes-lite, WCMP
+    /// and DiffFlow.
     pub fn extended_set() -> Vec<Scheme> {
         let mut s = Scheme::paper_set();
         s.insert(4, Scheme::drill_default());
@@ -212,7 +213,6 @@ mod proptests;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlb_switch::LoadBalancer;
 
     #[test]
     fn names_match_paper_legends() {
@@ -228,20 +228,6 @@ mod tests {
         let set = Scheme::paper_set();
         let names: Vec<_> = set.iter().map(|s| s.name()).collect();
         assert_eq!(names, vec!["ECMP", "RPS", "Presto", "LetFlow", "TLB"]);
-    }
-
-    #[test]
-    fn build_produces_named_balancers() {
-        for scheme in Scheme::paper_set() {
-            let lb = scheme.build_static(7);
-            assert_eq!(lb.name(), scheme.name());
-        }
-        assert_eq!(Scheme::drill_default().build_static(0).name(), "DRILL");
-        assert_eq!(Scheme::conga_default().build_static(0).name(), "CONGA-lite");
-        assert_eq!(
-            Scheme::flowbender_default().build_static(0).name(),
-            "FlowBender"
-        );
     }
 
     /// `validate` refuses exactly what a constructor would panic on.
@@ -282,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn extended_set_adds_the_three_extensions() {
+    fn extended_set_adds_the_six_extensions() {
         let names: Vec<_> = Scheme::extended_set().iter().map(|s| s.name()).collect();
         assert_eq!(
             names,

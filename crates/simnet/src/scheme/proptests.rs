@@ -23,7 +23,7 @@ fn packet(flow: u32, kind_sel: u8, seq: u32, now: SimTime) -> Packet {
 }
 
 proptest! {
-    /// All eight schemes, arbitrary queue states and packet streams
+    /// Every scheme of the registry, arbitrary queue states and packet streams
     /// (including SYN/FIN storms and reused flow ids): decisions stay in
     /// range; ticks may fire at any time.
     #[test]
@@ -54,7 +54,7 @@ proptest! {
                 prop_assert!(
                     port < n,
                     "{} returned port {port} of {n}",
-                    lb.name()
+                    scheme.name()
                 );
             }
             // State accounting must never go negative-ish or explode.

@@ -168,12 +168,10 @@ impl<'a> PortView<'a> {
 
 /// A leaf-switch load-balancing scheme.
 ///
-/// Implementations exist for the paper's baselines (`tlb-lb`: ECMP, RPS,
-/// Presto, LetFlow, DRILL, CONGA-lite) and for TLB itself (`tlb-core`).
+/// The baselines and extensions implement it in `tlb-lb`, TLB itself in
+/// `tlb-core`. A balancer has no name of its own: the scheme registry that
+/// builds it (`tlb_simnet::Scheme`) names it.
 pub trait LoadBalancer: Send {
-    /// Human-readable scheme name, used in reports and figures.
-    fn name(&self) -> &'static str;
-
     /// Pick the uplink for an upstream packet. Called for **every** packet a
     /// local host sends through this leaf (data, ACKs of reverse flows, and
     /// SYN/FIN control packets — the latter drive TLB's flow counting).

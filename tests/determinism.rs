@@ -92,11 +92,27 @@ fn serial_vs_three_threads(jobs: Vec<Job>) -> Vec<(RunReport, RunReport)> {
     pairs
 }
 
+/// Every scheme of the registry, in [`Scheme::extended_set`] order, on
+/// one full-feature job: reruns agree hop for hop, and each run holds its
+/// pinned row (see [`assert_pinned`]).
 #[test]
 fn all_schemes_are_bit_deterministic() {
-    let mut schemes = Scheme::extended_set();
-    schemes.push(Scheme::Wcmp);
-    for scheme in schemes {
+    #[rustfmt::skip]
+    const PINS: [Pin; 11] = [
+        ("147649|0.002153481467|96032909.968313246965|0|3045|122", 16485, 482, 0x1f7ad28841434e75), // ECMP
+        ("170652|0.002130334500|53157991.317223161459|0|1399|122", 18987, 485, 0x0ce614fd729ec93f), // RPS
+        ("152845|0.001822437900|94096027.496071636677|0|2604|122", 17396, 494, 0xc86d3286e55e50cf), // Presto
+        ("148054|0.001921879133|102519367.869252175093|0|2429|122", 16485, 493, 0xd7ee728841434e75), // LetFlow
+        ("160160|0.001703534783|61127172.276452556252|0|1662|122", 18475, 492, 0x7f6c29b9ff607e27), // DRILL
+        ("147654|0.001805493025|104734950.258824765682|0|3033|122", 16485, 495, 0x0b86128841434e75), // CONGA-lite
+        ("152854|0.002022821100|95251241.587091520429|0|3124|122", 16835, 495, 0xa0f95286e55e50cf), // FlowBender
+        ("170706|0.002059292375|82202952.124163344502|0|4806|122", 30885, 493, 0x24ca14fd729ec93f), // Hermes-lite
+        ("147661|0.002041224558|96958967.647168025374|0|2528|122", 16466, 492, 0x6040928841434e75), // WCMP
+        ("157629|0.002886902583|92191668.974092945457|0|1680|122", 16466, 478, 0xb23d6a37bf434fbd), // DiffFlow
+        ("162749|0.001710190317|60075767.450164601207|0|1728|122", 18085, 496, 0x9d08d9b9ff607e27), // TLB
+    ];
+    let mut runs = Vec::new();
+    for scheme in Scheme::extended_set() {
         let name = scheme.name();
         let a = full_feature_run(scheme.clone(), 99);
         let b = full_feature_run(scheme, 99);
@@ -111,7 +127,9 @@ fn all_schemes_are_bit_deterministic() {
             assert_eq!(x.hop, y.hop, "{name}: trace diverged");
             assert_eq!(x.at, y.at, "{name}: trace timing diverged");
         }
+        runs.push(a);
     }
+    assert_pinned(&runs, &PINS);
 }
 
 #[test]
