@@ -1,9 +1,9 @@
 //! Beyond the paper: the six §8-related schemes (DRILL, CONGA-lite,
 //! FlowBender, Hermes-lite, WCMP, DiffFlow) head-to-head with the paper's
 //! five, on the sustained basic workload and under bandwidth asymmetry.
-//! The `ns/dec*` column is each scheme's decision cost from the Fig. 15(a)
-//! fixture ([`tlb_bench::measure_decision_ns`]), measured once per run
-//! before any simulation starts.
+//! The `ns/dec*` column is each scheme's median decision cost from the
+//! Fig. 15(a) fixture ([`tlb_bench::measure_decision_ns`]), measured once
+//! per run before any simulation starts; `fig15` prints its range.
 
 use rayon::prelude::*;
 use tlb_bench::{asymmetric_scenario, measure_decision_ns, sustained_scenario, Out, Scale};
@@ -40,7 +40,9 @@ fn main() {
 
     out.line("A. sustained basic workload (100 short + 3 long, 15 paths)");
     let schemes = Scheme::extended_set();
-    let decision_ns: Vec<f64> = schemes.iter().map(measure_decision_ns).collect();
+    let decision_ns: Vec<f64> = (schemes.iter())
+        .map(|s| measure_decision_ns(s).quantile(0.5))
+        .collect();
     let reports: Vec<RunReport> = schemes
         .par_iter()
         .map(|s| sustained_scenario(s.clone(), 100, 3, rounds, seed))

@@ -4,6 +4,7 @@ use crate::scale::{base_seed, Scale};
 use crate::Out;
 use std::fmt::Write as _;
 use tlb_engine::{SimRng, SimTime};
+use tlb_metrics::SampleSet;
 use tlb_net::{FlowId, HostId, Packet, PktKind};
 use tlb_simnet::{RunReport, Scheme, SimConfig, Simulation};
 use tlb_switch::{LoadBalancer, OutPort, PortView};
@@ -374,11 +375,16 @@ fn panel(
     out.blank();
 }
 
+/// Timed passes per scheme in [`measure_decision_ns`]: enough for a
+/// median and a range that shows how far the host moves one reading.
+pub const DECISION_PASSES: usize = 7;
+
 /// The Fig. 15(a) decision-cost fixture: nanoseconds per
 /// `choose_uplink` call of `scheme`, driven by a packet stream resembling
-/// the basic workload against a loaded 15-uplink view. Wall-clock, so
-/// the cheap schemes' ordering wobbles run to run on a shared host.
-pub fn measure_decision_ns(scheme: &Scheme) -> f64 {
+/// the basic workload against a loaded 15-uplink view: one sample per
+/// timed pass of the stream, [`DECISION_PASSES`] of them. Wall-clock, so
+/// a reading moves run to run on a shared host; their range says how far.
+pub fn measure_decision_ns(scheme: &Scheme) -> SampleSet {
     const WARMUP: usize = 10_000;
     // A 15-uplink view with mixed queue lengths.
     let lens: Vec<usize> = (0..15).map(|i| i * 3 % 17).collect();
@@ -392,12 +398,16 @@ pub fn measure_decision_ns(scheme: &Scheme) -> f64 {
         now += SimTime::from_nanos(500);
         std::hint::black_box(lb.choose_uplink(pkt, PortView::new(&ports), now, &mut rng));
     }
-    let t0 = std::time::Instant::now();
-    for pkt in &stream[WARMUP..] {
-        now += SimTime::from_nanos(500);
-        std::hint::black_box(lb.choose_uplink(pkt, PortView::new(&ports), now, &mut rng));
+    let mut passes = SampleSet::with_capacity(DECISION_PASSES);
+    for _ in 0..DECISION_PASSES {
+        let t0 = std::time::Instant::now();
+        for pkt in &stream[WARMUP..] {
+            now += SimTime::from_nanos(500);
+            std::hint::black_box(lb.choose_uplink(pkt, PortView::new(&ports), now, &mut rng));
+        }
+        passes.push(t0.elapsed().as_nanos() as f64 / (stream.len() - WARMUP) as f64);
     }
-    t0.elapsed().as_nanos() as f64 / (stream.len() - WARMUP) as f64
+    passes
 }
 
 /// A packet stream resembling the basic workload: 100 flows, mostly data,
@@ -513,7 +523,12 @@ mod tests {
     fn decision_fixture_times_every_extended_scheme() {
         for scheme in Scheme::extended_set() {
             let ns = measure_decision_ns(&scheme);
-            assert!(ns.is_finite() && ns > 0.0, "{}: {ns} ns", scheme.name());
+            assert_eq!(ns.len(), DECISION_PASSES, "{}", scheme.name());
+            assert!(
+                ns.min() > 0.0 && ns.max().is_finite(),
+                "{}: {ns:?} ns",
+                scheme.name()
+            );
         }
     }
 

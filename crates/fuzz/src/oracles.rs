@@ -156,7 +156,7 @@ pub fn check_report_with(
     // Oracle 6: forced-reroute discipline. Forced moves exist only when a
     // link actually went down; a run with no failure schedule must report
     // zero (schemes that track the counter) or nothing at all.
-    if built.cfg.failure_events.is_empty() {
+    if !built.cfg.has_failures() {
         match r.forced_reroutes {
             None | Some(0) => {}
             Some(n) => violations.push(format!(
@@ -228,7 +228,7 @@ mod tests {
     fn fct_oracle_stays_sound_under_mid_run_improvement() {
         use tlb_engine::SimTime;
         use tlb_net::{FlowId, HostId, LeafId, SpineId};
-        use tlb_simnet::LinkEvent;
+        use tlb_simnet::{AdminEvent, Change, Target};
         use tlb_workload::FlowSpec;
 
         // Hand-built scenario with slow uplinks (5 ms one-way) that all
@@ -248,13 +248,17 @@ mod tests {
                 let mut p = b.pristine.uplink_props(l, s);
                 p.prop_delay = slow;
                 b.pristine.set_uplink(l, s, p);
-                b.cfg.link_events.push(LinkEvent {
+                b.cfg.admin_events.push(AdminEvent {
                     at: SimTime::from_millis(1),
-                    leaf: LeafId(l as u32),
-                    spine: SpineId(s as u32),
-                    bw_factor: 1.0,
-                    new_prop_delay: Some(SimTime::from_micros(10)),
-                    extra_delay: SimTime::ZERO,
+                    target: Target::Link {
+                        sw: LeafId(l as u32),
+                        up: SpineId(s as u32),
+                    },
+                    change: Change::Rate {
+                        bw_factor: 1.0,
+                        new_prop_delay: Some(SimTime::from_micros(10)),
+                        extra_delay: SimTime::ZERO,
+                    },
                 });
             }
         }
@@ -268,7 +272,7 @@ mod tests {
             deadline: None,
         }];
         b.cfg.trace_flows = vec![FlowId(0)];
-        b.bound = crate::scenario::bound_fabric(&b.pristine, &b.cfg.link_events);
+        b.bound = crate::scenario::bound_fabric(&b.pristine, &b.cfg.admin_events);
 
         let r = tlb_simnet::run_one_ref(&b.cfg, &b.flows);
         // With the schedule-aware bound the run is clean...
@@ -293,7 +297,7 @@ mod tests {
             (9, false, 50, 0, false),
             (0, false, 0, 0, false),
         ));
-        assert!(b.cfg.failure_events.is_empty(), "precondition");
+        assert!(!b.cfg.has_failures(), "precondition");
         r.forced_reroutes = Some(2);
         let err = check_report(&b, &r).unwrap_err();
         assert!(err.contains("no failure schedule"), "{err}");

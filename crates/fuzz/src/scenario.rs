@@ -12,7 +12,7 @@ use tlb_engine::{SimRng, SimTime};
 use tlb_net::{
     Fabric, FatTreeBuilder, FlowId, HostId, LeafId, LeafSpineBuilder, LinkProps, SpineId,
 };
-use tlb_simnet::{FailureAction, FailureEvent, FailureTarget, LinkEvent, Scheme, SimConfig};
+use tlb_simnet::{AdminEvent, Change, Scheme, SimConfig, Target};
 use tlb_workload::FlowSpec;
 
 use proptest::Strategy;
@@ -30,7 +30,7 @@ pub type RawFault = (u64, bool, u64, u64, bool);
 /// are ignored; the link speed still applies). `fail` schedules a link
 /// Down at `100 + down_us` µs on a seed-chosen LB uplink, and — when
 /// `up_us > 0` — the matching repair `up_us` µs later. `improve` adds a
-/// mid-run link *upgrade* ([`LinkEvent`] with a shorter propagation
+/// mid-run link *upgrade* (a [`Change::Rate`] with a shorter propagation
 /// delay), the case that makes a pristine-fabric FCT bound unsound.
 pub type RawFailure = (u8, bool, u16, u16, bool);
 
@@ -122,7 +122,7 @@ pub struct Scenario {
     pub bw_pct: u64,
     /// Degraded-link extra one-way delay, µs.
     pub extra_us: u64,
-    /// Degradation arrives mid-run (via [`LinkEvent`]) instead of at t=0.
+    /// Degradation arrives mid-run (via [`Change::Rate`]) instead of at t=0.
     pub mid_run: bool,
     /// Swap the leaf-spine fabric for a k=4 fat tree.
     pub fat_tree: bool,
@@ -156,29 +156,31 @@ pub struct BuiltScenario {
     pub bound: Fabric,
 }
 
-/// Fold a link-event schedule into the best (highest-bandwidth,
+/// Fold an admin schedule's rate changes into the best (highest-bandwidth,
 /// lowest-propagation-delay) state each link ever reaches, starting from
-/// `pristine`. The result upper-bounds every fabric state the run can
-/// visit, so FCT lower bounds computed from it stay sound even when the
-/// schedule contains mid-run improvements. (Binary failures only remove
-/// capacity, so they never enter the bound.)
-pub fn bound_fabric(pristine: &Fabric, events: &[LinkEvent]) -> Fabric {
+/// `pristine`, by the simulator's own rule ([`Change::apply`]). The result
+/// upper-bounds every fabric state the run can visit, so FCT lower bounds
+/// computed from it stay sound even when the schedule contains mid-run
+/// improvements. (Binary failures only remove capacity, so they never
+/// enter the bound.)
+pub fn bound_fabric(pristine: &Fabric, events: &[AdminEvent]) -> Fabric {
     let mut best = pristine.clone();
-    let mut by_link: std::collections::BTreeMap<(usize, usize), Vec<&LinkEvent>> =
+    let mut by_link: std::collections::BTreeMap<(usize, usize), Vec<&AdminEvent>> =
         std::collections::BTreeMap::new();
     for ev in events {
-        by_link
-            .entry((ev.leaf.index(), ev.spine.index()))
-            .or_default()
-            .push(ev);
+        if let (Target::Link { sw, up }, Change::Rate { .. }) = (ev.target, ev.change) {
+            by_link
+                .entry((sw.index(), up.index()))
+                .or_default()
+                .push(ev);
+        }
     }
     for ((sw, up), mut evs) in by_link {
         evs.sort_by_key(|e| e.at);
         let mut cur = pristine.uplink_props(sw, up);
         let (mut best_bw, mut best_prop) = (cur.bytes_per_sec, cur.prop_delay);
         for ev in evs {
-            cur.prop_delay = ev.new_prop_delay.unwrap_or(cur.prop_delay);
-            cur = cur.degraded(ev.bw_factor, ev.extra_delay);
+            cur = ev.change.apply(cur);
             best_bw = best_bw.max(cur.bytes_per_sec);
             best_prop = best_prop.min(cur.prop_delay);
         }
@@ -285,21 +287,22 @@ impl Scenario {
 
         if self.degrade {
             let mut drng = SimRng::new(self.wl_seed ^ 0x9E37_79B9_7F4A_7C15);
-            let leaf = LeafId(drng.index(pristine.n_lb_switches()) as u32);
-            let spine = SpineId(drng.index(pristine.n_spines()) as u32);
+            let sw = LeafId(drng.index(pristine.n_lb_switches()) as u32);
+            let up = SpineId(drng.index(pristine.n_spines()) as u32);
             let bw_factor = self.bw_pct as f64 / 100.0;
-            let extra = SimTime::from_micros(self.extra_us);
+            let extra_delay = SimTime::from_micros(self.extra_us);
             if self.mid_run {
-                cfg.link_events.push(LinkEvent {
+                cfg.admin_events.push(AdminEvent {
                     at: SimTime::from_millis(1),
-                    leaf,
-                    spine,
-                    bw_factor,
-                    new_prop_delay: None,
-                    extra_delay: extra,
+                    target: Target::Link { sw, up },
+                    change: Change::Rate {
+                        bw_factor,
+                        new_prop_delay: None,
+                        extra_delay,
+                    },
                 });
             } else {
-                cfg.topo.degrade_link(leaf, spine, bw_factor, extra);
+                cfg.topo.degrade_link(sw, up, bw_factor, extra_delay);
             }
         }
 
@@ -309,18 +312,17 @@ impl Scenario {
             // 1.5 ms. This is exactly the case where the pristine fabric
             // stops being an upper bound — `bound` picks it up.
             let mut irng = SimRng::new(self.wl_seed ^ 0x2545_F491_4F6C_DD1D);
-            let leaf = LeafId(irng.index(pristine.n_lb_switches()) as u32);
-            let spine = SpineId(irng.index(pristine.n_spines()) as u32);
-            let prop = pristine
-                .uplink_props(leaf.index(), spine.index())
-                .prop_delay;
-            cfg.link_events.push(LinkEvent {
+            let sw = LeafId(irng.index(pristine.n_lb_switches()) as u32);
+            let up = SpineId(irng.index(pristine.n_spines()) as u32);
+            let prop = pristine.uplink_props(sw.index(), up.index()).prop_delay;
+            cfg.admin_events.push(AdminEvent {
                 at: SimTime::from_micros(1500),
-                leaf,
-                spine,
-                bw_factor: 1.25,
-                new_prop_delay: Some(SimTime::from_nanos(prop.as_nanos() / 2)),
-                extra_delay: SimTime::ZERO,
+                target: Target::Link { sw, up },
+                change: Change::Rate {
+                    bw_factor: 1.25,
+                    new_prop_delay: Some(SimTime::from_nanos(prop.as_nanos() / 2)),
+                    extra_delay: SimTime::ZERO,
+                },
             });
         }
 
@@ -332,21 +334,21 @@ impl Scenario {
             let sw = LeafId(frng.index(pristine.n_lb_switches()) as u32);
             let up = SpineId(frng.index(pristine.n_spines()) as u32);
             let down_at = SimTime::from_micros(100 + self.down_us as u64);
-            cfg.failure_events.push(FailureEvent {
+            cfg.admin_events.push(AdminEvent {
                 at: down_at,
-                target: FailureTarget::Link { sw, up },
-                action: FailureAction::Down,
+                target: Target::Link { sw, up },
+                change: Change::Down,
             });
             if self.up_us > 0 {
-                cfg.failure_events.push(FailureEvent {
+                cfg.admin_events.push(AdminEvent {
                     at: down_at + SimTime::from_micros(self.up_us as u64),
-                    target: FailureTarget::Link { sw, up },
-                    action: FailureAction::Up,
+                    target: Target::Link { sw, up },
+                    change: Change::Up,
                 });
             }
         }
 
-        let bound = bound_fabric(&pristine, &cfg.link_events);
+        let bound = bound_fabric(&pristine, &cfg.admin_events);
 
         BuiltScenario {
             scenario: *self,
@@ -486,7 +488,7 @@ mod tests {
         let b = Scenario::from_raw(raw).build();
         assert!(b.cfg.topo.is_asymmetric(), "static degradation applied");
         assert!(!b.pristine.is_asymmetric(), "pristine stays undegraded");
-        assert!(b.cfg.link_events.is_empty());
+        assert!(b.cfg.admin_events.is_empty());
     }
 
     #[test]
@@ -499,10 +501,18 @@ mod tests {
         );
         let b = Scenario::from_raw(raw).build();
         assert!(!b.cfg.topo.is_asymmetric(), "fabric starts symmetric");
-        assert_eq!(b.cfg.link_events.len(), 1);
-        let ev = b.cfg.link_events[0];
+        assert_eq!(b.cfg.admin_events.len(), 1);
+        let ev = b.cfg.admin_events[0];
         assert_eq!(ev.at, SimTime::from_millis(1));
-        assert!((ev.bw_factor - 0.25).abs() < 1e-12);
-        assert_eq!(ev.extra_delay, SimTime::from_micros(30));
+        let Change::Rate {
+            bw_factor,
+            extra_delay,
+            ..
+        } = ev.change
+        else {
+            panic!("not a rate change: {ev:?}")
+        };
+        assert!((bw_factor - 0.25).abs() < 1e-12);
+        assert_eq!(extra_delay, SimTime::from_micros(30));
     }
 }

@@ -15,13 +15,6 @@ use tlb_engine::{SimRng, SimTime};
 use tlb_net::Packet;
 use tlb_switch::{FlowMap, LoadBalancer, PortView};
 
-/// Per-flow flowlet state: current uplink + time of the flow's last packet.
-#[derive(Clone, Copy, Debug)]
-struct Flowlet {
-    port: usize,
-    last_pkt: SimTime,
-}
-
 /// A flowlet balancer reroutes a flow only when a *flowlet gap* appears: if
 /// the time since the flow's previous packet exceeds the flowlet timeout,
 /// the flow (all flows — short and long alike, per the paper's critique)
@@ -38,7 +31,9 @@ pub struct LetFlow {
     /// The repick rule: the shortest queue (CONGA-lite) instead of a
     /// random uplink (LetFlow).
     to_shortest: bool,
-    flows: FlowMap<Flowlet>,
+    /// Each flow's current uplink; the table's own stamp is the time of
+    /// the flow's last packet.
+    flows: FlowMap<usize>,
     /// Flowlets moved off a dead uplink before any flowlet gap appeared.
     forced: u64,
 }
@@ -94,26 +89,22 @@ impl LoadBalancer for LetFlow {
         let shortest = self.to_shortest.then(|| view.shortest_bytes_rand(rng));
         let mut repick = || shortest.unwrap_or_else(|| view.nth_live(rng.index(view.n_live())));
         match self.flows.touch(pkt.flow, now) {
-            Some(entry) => {
-                let gap = now.saturating_sub(entry.last_pkt);
-                let dead = !view.is_live(entry.port);
+            Some((port, last_pkt)) => {
+                let gap = now.saturating_sub(last_pkt);
+                let dead = !view.is_live(*port);
                 if gap > timeout || dead {
                     // A flowlet boundary — natural gap or a dead uplink
                     // forcing an early one.
                     if dead && gap <= timeout {
                         self.forced += 1;
                     }
-                    entry.port = repick();
+                    *port = repick();
                 }
-                entry.last_pkt = now;
-                entry.port
+                *port
             }
             None => {
                 let port = repick();
-                self.flows.touch_or_insert_with(pkt.flow, now, || Flowlet {
-                    port,
-                    last_pkt: now,
-                });
+                self.flows.touch_or_insert_with(pkt.flow, now, || port);
                 port
             }
         }

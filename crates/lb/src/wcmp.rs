@@ -66,7 +66,7 @@ impl LoadBalancer for Wcmp {
         now: SimTime,
         rng: &mut SimRng,
     ) -> usize {
-        if let Some(entry) = self.flows.touch(pkt.flow, now) {
+        if let Some((entry, _)) = self.flows.touch(pkt.flow, now) {
             let pinned = *entry;
             if view.is_live(pinned) {
                 return pinned;

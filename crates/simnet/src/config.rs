@@ -3,50 +3,38 @@
 use crate::dispatch::LbDispatch;
 use crate::scheme::Scheme;
 use tlb_engine::{EngineKind, FelKind, SimTime};
-use tlb_net::{Fabric, LeafId, LeafSpineBuilder, SpineId};
+use tlb_net::{Fabric, LeafId, LeafSpineBuilder, LinkProps, SpineId};
 use tlb_switch::QueueCfg;
 use tlb_transport::TcpConfig;
 
-/// A scheduled mid-run change to one LB-switch uplink and its reverse
-/// direction: at `at`, the link's bandwidth is multiplied by `bw_factor`
-/// (of its *current* value) and its propagation delay becomes
-/// `new_prop_delay.unwrap_or(current) + extra_delay` — in both directions.
-/// Models failures/brownouts (paper §7's asymmetry, but dynamic), and with
-/// `bw_factor > 1` or a shorter `new_prop_delay`, mid-run *improvements*
-/// (repairs).
+/// One scheduled change to the fabric: at `at`, `change` acts on
+/// `target`. Models failures, repairs and brownouts (paper §7's
+/// asymmetry, but dynamic). Events of one instant apply in list order.
 #[derive(Clone, Copy, Debug)]
-pub struct LinkEvent {
+pub struct AdminEvent {
     /// When the change takes effect.
     pub at: SimTime,
-    /// The LB switch owning the uplink (leaf-spine: leaf; fat tree: edges
-    /// then aggs, in global LB-switch order).
-    pub leaf: LeafId,
-    /// The uplink index within that switch.
-    pub spine: SpineId,
-    /// Multiplier on the current bandwidth; must be positive. Values above
-    /// 1 model a repair/upgrade.
-    pub bw_factor: f64,
-    /// Replace the one-way propagation delay with this value (before
-    /// `extra_delay` is added). `None` keeps the current delay.
-    pub new_prop_delay: Option<SimTime>,
-    /// Added one-way propagation delay.
-    pub extra_delay: SimTime,
+    /// What it acts on.
+    pub target: Target,
+    /// What it does.
+    pub change: Change,
 }
 
-/// What a [`FailureEvent`] acts on.
+/// What an [`AdminEvent`] acts on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailureTarget {
+pub enum Target {
     /// One LB-switch uplink and its reverse direction (leaf<->spine,
     /// edge<->agg, or agg<->core).
     Link {
-        /// The LB switch owning the uplink (same indexing as
-        /// [`LinkEvent::leaf`]).
+        /// The LB switch owning the uplink (leaf-spine: leaf; fat tree:
+        /// edges then aggs, in global LB-switch order).
         sw: LeafId,
         /// The uplink index within that switch.
         up: SpineId,
     },
     /// Every port of one switch (and the reverse direction of each), i.e.
-    /// the whole box goes dark.
+    /// the whole box goes dark. Only [`Change::Down`] and [`Change::Up`]
+    /// act on a switch.
     Switch {
         /// Global switch index in `0..topo.n_switches()`: LB switches
         /// first (leaves, or edges then aggs), then spines/cores.
@@ -54,28 +42,48 @@ pub enum FailureTarget {
     },
 }
 
-/// Whether a [`FailureEvent`] takes its target down or brings it back.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailureAction {
+/// What an [`AdminEvent`] does to its target.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Change {
     /// Ports go administratively down: packets already queued or in
     /// service drain normally; new admissions are dropped (and counted as
     /// drops). Routing reconverges around the failure immediately.
     Down,
     /// Ports come back up and routing reconverges to use them again.
     Up,
+    /// The link's bandwidth and delay change in both directions, as
+    /// [`Change::apply`] says, and routing keeps using it. With
+    /// `bw_factor > 1` or a shorter `new_prop_delay`, a mid-run
+    /// *improvement*.
+    Rate {
+        /// Multiplier on the current bandwidth; must be positive.
+        bw_factor: f64,
+        /// Replace the one-way propagation delay with this value (before
+        /// `extra_delay` is added). `None` keeps the current delay.
+        new_prop_delay: Option<SimTime>,
+        /// Added one-way propagation delay.
+        extra_delay: SimTime,
+    },
 }
 
-/// A scheduled binary link/switch failure or repair. Unlike [`LinkEvent`]
-/// (which degrades link *quality*), a failure removes capacity outright
-/// and forces the fabric's reachability masks to be recomputed.
-#[derive(Clone, Copy, Debug)]
-pub struct FailureEvent {
-    /// When the failure/repair takes effect.
-    pub at: SimTime,
-    /// What fails or recovers.
-    pub target: FailureTarget,
-    /// Down or up.
-    pub action: FailureAction,
+impl Change {
+    /// The one rate rule: what this change turns a link in state `l`
+    /// into. A rate change replaces the delay (if it names one), then
+    /// adds `extra_delay` and scales the bandwidth ([`LinkProps::degraded`]);
+    /// `Down` and `Up` leave the props alone.
+    pub fn apply(&self, l: LinkProps) -> LinkProps {
+        match *self {
+            Change::Down | Change::Up => l,
+            Change::Rate {
+                bw_factor,
+                new_prop_delay,
+                extra_delay,
+            } => {
+                let prop_delay = new_prop_delay.unwrap_or(l.prop_delay);
+                LinkProps { prop_delay, ..l }.degraded(bw_factor, extra_delay)
+            }
+        }
+    }
 }
 
 /// Everything needed to run one simulation (besides the flow set).
@@ -100,10 +108,9 @@ pub struct SimConfig {
     pub short_threshold: u64,
     /// Bucket width for "instantaneous" time series.
     pub series_bucket: SimTime,
-    /// Mid-run link degradations (failure injection).
-    pub link_events: Vec<LinkEvent>,
-    /// Mid-run binary link/switch failures and repairs.
-    pub failure_events: Vec<FailureEvent>,
+    /// Mid-run fabric changes: link and switch failures, repairs, and
+    /// link-quality changes, in one schedule.
+    pub admin_events: Vec<AdminEvent>,
     /// Flows whose packets should be path-traced into
     /// [`crate::RunReport::traces`] (diagnostics/tests; keep small — every
     /// hop of every traced packet is recorded).
@@ -214,8 +221,7 @@ impl SimConfig {
             horizon,
             short_threshold: 100_000,
             series_bucket,
-            link_events: Vec::new(),
-            failure_events: Vec::new(),
+            admin_events: Vec::new(),
             trace_flows: Vec::new(),
             sample_queues: false,
             audit: cfg!(debug_assertions),
@@ -279,6 +285,13 @@ impl SimConfig {
         )
     }
 
+    /// Whether the admin schedule takes anything down or up: only then
+    /// does a run keep reach masks and consult them on every decision. A
+    /// schedule of rate changes alone keeps every uplink in the routing.
+    pub fn has_failures(&self) -> bool {
+        (self.admin_events.iter()).any(|e| !matches!(e.change, Change::Rate { .. }))
+    }
+
     /// Check that the configuration can run: everything that would
     /// otherwise surface as a panic somewhere inside the run.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -311,22 +324,20 @@ impl SimConfig {
                 return Err(E::ZeroRateUplink { sw, up });
             }
         }
-        let no_link = |sw: LeafId, up: SpineId| sw.index() >= n_lb || up.index() >= n_up;
-        for (index, ev) in self.link_events.iter().enumerate() {
-            if ev.bw_factor <= 0.0 || ev.bw_factor.is_nan() {
-                return Err(E::LinkEventFactor { index });
+        for (index, ev) in self.admin_events.iter().enumerate() {
+            if let Change::Rate { bw_factor, .. } = ev.change {
+                if bw_factor <= 0.0 || bw_factor.is_nan() {
+                    return Err(E::AdminEventFactor { index });
+                }
             }
-            if no_link(ev.leaf, ev.spine) {
-                return Err(E::LinkEventTarget { index });
-            }
-        }
-        for (index, ev) in self.failure_events.iter().enumerate() {
             let missing = match ev.target {
-                FailureTarget::Link { sw, up } => no_link(sw, up),
-                FailureTarget::Switch { sw } => sw >= topo.n_switches(),
+                Target::Link { sw, up } => sw.index() >= n_lb || up.index() >= n_up,
+                Target::Switch { sw } => {
+                    sw >= topo.n_switches() || matches!(ev.change, Change::Rate { .. })
+                }
             };
             if missing {
-                return Err(E::FailureEventTarget { index });
+                return Err(E::AdminEventTarget { index });
             }
         }
         Ok(())
@@ -363,20 +374,15 @@ pub enum ConfigError {
         /// Its uplink.
         up: usize,
     },
-    /// `link_events[index]` multiplies bandwidth by zero, less, or NaN.
-    LinkEventFactor {
-        /// Position in [`SimConfig::link_events`].
+    /// `admin_events[index]` multiplies bandwidth by zero, less, or NaN.
+    AdminEventFactor {
+        /// Position in [`SimConfig::admin_events`].
         index: usize,
     },
-    /// `link_events[index]` names an uplink the fabric does not have.
-    LinkEventTarget {
-        /// Position in [`SimConfig::link_events`].
-        index: usize,
-    },
-    /// `failure_events[index]` names a link or switch the fabric does not
-    /// have.
-    FailureEventTarget {
-        /// Position in [`SimConfig::failure_events`].
+    /// `admin_events[index]` names a link or switch the fabric does not
+    /// have, or changes the rate of a switch.
+    AdminEventTarget {
+        /// Position in [`SimConfig::admin_events`].
         index: usize,
     },
     /// `flows[index]` carries this id; senders, receivers and the FCT
@@ -462,12 +468,14 @@ impl std::fmt::Display for ConfigError {
             E::ZeroRateUplink { sw, up } => {
                 write!(f, "LB switch {sw}'s uplink {up} has a zero rate")
             }
-            E::LinkEventFactor { index } => {
-                write!(f, "link event {index}: bw_factor must be positive")
+            E::AdminEventFactor { index } => {
+                write!(f, "admin event {index}: bw_factor must be positive")
             }
-            E::LinkEventTarget { index } => write!(f, "link event {index}: link out of range"),
-            E::FailureEventTarget { index } => {
-                write!(f, "failure event {index}: target out of range")
+            E::AdminEventTarget { index } => {
+                write!(
+                    f,
+                    "admin event {index}: no such link, or a rate change on a switch"
+                )
             }
             E::FlowIdNotDense { index, id } => {
                 write!(f, "flow {index}: id is {id}, ids must be dense")
@@ -566,13 +574,18 @@ mod tests {
     #[test]
     fn every_config_error_is_produced_and_stops_simulation_new() {
         use ConfigError as E;
-        let event = |spine, bw_factor| LinkEvent {
+        let rate = |target, bw_factor| AdminEvent {
             at: SimTime::ZERO,
-            leaf: LeafId(0),
-            spine: SpineId(spine),
-            bw_factor,
-            new_prop_delay: None,
-            extra_delay: SimTime::ZERO,
+            target,
+            change: Change::Rate {
+                bw_factor,
+                new_prop_delay: None,
+                extra_delay: SimTime::ZERO,
+            },
+        };
+        let link = |up| Target::Link {
+            sw: LeafId(0),
+            up: SpineId(up),
         };
         let dead = tlb_net::LinkProps::gbps(0.0, SimTime::from_micros(10));
         let broken = |break_it: &dyn Fn(&mut SimConfig)| {
@@ -615,22 +628,26 @@ mod tests {
                 E::ZeroRateUplink { sw: 1, up: 2 },
             ),
             (
-                broken(&|c| c.link_events = vec![event(0, 0.5), event(0, f64::NAN)]),
-                E::LinkEventFactor { index: 1 },
+                broken(&|c| c.admin_events = vec![rate(link(0), 0.5), rate(link(0), f64::NAN)]),
+                E::AdminEventFactor { index: 1 },
             ),
             (
-                broken(&|c| c.link_events = vec![event(15, 0.5)]),
-                E::LinkEventTarget { index: 0 },
+                broken(&|c| c.admin_events = vec![rate(link(15), 0.5)]),
+                E::AdminEventTarget { index: 0 },
             ),
             (
                 broken(&|c| {
-                    c.failure_events = vec![FailureEvent {
+                    c.admin_events = vec![AdminEvent {
                         at: SimTime::ZERO,
-                        target: FailureTarget::Switch { sw: 18 },
-                        action: FailureAction::Down,
+                        target: Target::Switch { sw: 18 },
+                        change: Change::Down,
                     }]
                 }),
-                E::FailureEventTarget { index: 0 },
+                E::AdminEventTarget { index: 0 },
+            ),
+            (
+                broken(&|c| c.admin_events = vec![rate(Target::Switch { sw: 0 }, 0.5)]),
+                E::AdminEventTarget { index: 0 },
             ),
         ];
         for (c, want) in cases {
@@ -645,5 +662,30 @@ mod tests {
                 "{want:?}"
             );
         }
+    }
+
+    #[test]
+    fn change_apply_is_the_one_rate_rule() {
+        let l = LinkProps {
+            bytes_per_sec: 1_000,
+            prop_delay: SimTime::from_micros(10),
+        };
+        assert_eq!(Change::Down.apply(l), l);
+        assert_eq!(Change::Up.apply(l), l);
+        let rate = |bw_factor, new_prop_delay, extra_delay| Change::Rate {
+            bw_factor,
+            new_prop_delay,
+            extra_delay,
+        };
+        // The new delay replaces the old, then the extra delay adds to it.
+        let us = SimTime::from_micros;
+        let half = rate(0.5, Some(us(4)), us(3)).apply(l);
+        assert_eq!(half.prop_delay, us(7));
+        assert_eq!(half.bytes_per_sec, 500);
+        // No new delay keeps the old one; a factor above 1 is an upgrade.
+        let up = rate(2.0, None, us(1)).apply(l);
+        assert_eq!((up.bytes_per_sec, up.prop_delay), (2_000, us(11)));
+        // The bandwidth never drops below one byte per second.
+        assert_eq!(rate(1e-9, None, SimTime::ZERO).apply(l).bytes_per_sec, 1);
     }
 }

@@ -33,10 +33,7 @@ pub mod runner;
 pub mod scheme;
 
 pub use audit::{AuditReport, KindCounts};
-pub use config::{
-    ConfigError, DeliveryKind, FailureAction, FailureEvent, FailureTarget, FidelityKind, LinkEvent,
-    SimConfig,
-};
+pub use config::{AdminEvent, Change, ConfigError, DeliveryKind, FidelityKind, SimConfig, Target};
 pub use dispatch::{AnyLb, LbDispatch};
 pub use network::Simulation;
 pub use report::{FallbackReason, Hop, RunReport, Summary, TraceEvent};

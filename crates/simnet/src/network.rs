@@ -12,10 +12,10 @@
 //! |---|---|---|
 //! | `portmap` | the port layout over the fabric's `tlb_net::Shape` (which owns the wiring and the climb-then-descend rule): port ids, `next_hop` in port ids, reach masks, port labels/hops, the shard partition | every module; none of them knows which fabric it is |
 //! | `events` | the event vocabulary: an event is its `(class, entity)` ordering key, and nothing else, in the FEL, the build-time schedule and the completion heap alike | every module that pushes an event; `Net::step`'s one `match` |
-//! | `link` | link physics: a port's props, what a `LinkEvent` does to them, every state a link reaches, the in-flight bound, payload capacity | build, `admin`, `hybrid`, `sharded` |
+//! | `link` | link physics: a port's props, an uplink's port pair, every state a link reaches over the admin schedule, the in-flight bound, payload capacity | build, `admin`, `hybrid`, `sharded` |
 //! | `forward` | the per-packet switch path: admission, serialization, delivery pipes and their FIFO floor (the pipe's tail), the balancer decision, LB ticks | the event loop, `host`, `hybrid` (`choose_up`), `sharded` (`schedule_arrival`) |
 //! | `host` | the endpoints: flow start, timers, sender outputs, receiver delivery, completion | the event loop, `forward`, `hybrid` |
-//! | `admin` | scheduled link changes and failures, routing reconvergence | the event loop, on the serial engine and on every shard replica alike |
+//! | `admin` | the admin schedule's one handler: rate changes, failures and repairs, routing reconvergence | the event loop, on the serial engine and on every shard replica alike |
 //! | `hybrid` | the fluid seam: migration, the completion heap — one of the run's three event sources, merged with the FEL head and the build-time schedule by `Net::peek` — and demotion; `Net::hybrid` is `Some` iff the run is hybrid | `host` (per ACK), `admin`, the event loop |
 //! | `metrics` | the metric collectors, their build-time sizing, the shard fold and [`crate::RunReport`] assembly | the packet path writes them; `run_with`/`sharded` finish them |
 //! | `finish` | closing the conservation audit, counting what is still on the wire | `metrics` (`into_report`), `sharded` (the fold) |
@@ -23,13 +23,14 @@
 //!
 //! ## Failures
 //!
-//! [`crate::config::FailureEvent`]s flip ports administratively down/up at
-//! their scheduled time: queued and in-service packets drain normally,
-//! new admissions drop with ordinary accounting, and per-destination
-//! reachability masks are recomputed so every LB decision sees only the
-//! uplinks that can still reach the packet's destination group. Runs
-//! without failure events never consult the masks and are bit-identical
-//! to the historical static-fabric paths.
+//! An [`crate::config::AdminEvent`] whose change is `Down` or `Up` flips
+//! ports administratively down/up at its scheduled time: queued and
+//! in-service packets drain normally, new admissions drop with ordinary
+//! accounting, and per-destination reachability masks are recomputed so
+//! every LB decision sees only the uplinks that can still reach the
+//! packet's destination group. Runs whose schedule takes nothing down or
+//! up ([`SimConfig::has_failures`]) keep no masks, never consult them and
+//! are bit-identical to the historical static-fabric paths.
 //!
 //! ## Delivery pipes
 //!
@@ -299,11 +300,10 @@ struct Net<'a> {
     pipes: Vec<PacketFifo>,
     /// One balancer per LB switch (leaves, or edges then aggs).
     lb_sws: Vec<LbSw>,
-    /// Whether any failure events are configured (constant per run):
-    /// gates every mask lookup so failure-free runs never touch them.
-    has_failures: bool,
     /// Per-(LB switch, destination group) usable-uplink masks, indexed
-    /// `sw * pmap.n_groups() + group`. Empty unless `has_failures`.
+    /// `sw * pmap.n_groups() + group`. Empty unless
+    /// [`SimConfig::has_failures`]; an empty table gates every mask
+    /// lookup off, so failure-free runs never touch it.
     reach: Vec<u64>,
     /// One row per flow of the job.
     rows: Vec<FlowRow>,
@@ -436,8 +436,7 @@ impl<'a> Net<'a> {
                 ..FlowRow::default()
             })
             .collect();
-        let has_failures = !cfg.failure_events.is_empty();
-        let reach_len = if has_failures {
+        let reach_len = if cfg.has_failures() {
             pmap.n_lb as usize * pmap.n_groups()
         } else {
             0
@@ -448,7 +447,6 @@ impl<'a> Net<'a> {
             senders: Slab::with_capacity(n_senders),
             receivers: Slab::with_capacity(flows.iter().filter(|f| hosts(f.dst)).count()),
             rows,
-            has_failures,
             reach: vec![0u64; reach_len],
             lb_sws: (0..pmap.n_lb as u64)
                 .map(|l| LbSw {
@@ -494,7 +492,7 @@ impl<'a> Net<'a> {
             flows,
         };
         net.seed_sched();
-        if net.has_failures {
+        if !net.reach.is_empty() {
             // Seed the reachability masks from the (fully live) fabric so
             // an `Up`-leading schedule still sees consistent state.
             net.recompute_reach();
@@ -504,8 +502,8 @@ impl<'a> Net<'a> {
 
     /// Fill [`Net::sched`] with the events known at build: every owned
     /// chain head's start, the owned balancers' first ticks, the whole
-    /// admin schedule — on every shard replica too: a link change or
-    /// failure mutates only state each replica holds a full copy of, so
+    /// admin schedule — on every shard replica too: an admin event
+    /// mutates only state each replica holds a full copy of, so
     /// each applies it to itself at the event's own `(time, key)` — and,
     /// on the serial engine or shard 0, the queue sampler. No two entries
     /// share a `(time, key)`, so one sort orders any job.
@@ -518,11 +516,10 @@ impl<'a> Net<'a> {
         for &nf in self.next_flow.iter().flatten() {
             is_chained[nf as usize] = true;
         }
-        let admin = cfg.link_events.len() + cfg.failure_events.len();
         let sched = &mut self.sched;
         // Every flow, not just the heads: a chained successor's start
         // joins later, at most one at a time (`Net::complete`).
-        sched.reserve_exact(self.flows.len() + self.lb_sws.len() + admin + 1);
+        sched.reserve_exact(self.flows.len() + self.lb_sws.len() + cfg.admin_events.len() + 1);
         for (i, f) in self.flows.iter().enumerate() {
             if !is_chained[i] && shard.is_none_or(|c| c.owns_host(f.src.0)) {
                 sched.push((f.start, key_of(class::FLOW_START, i as u32)));
@@ -539,11 +536,8 @@ impl<'a> Net<'a> {
                 }
             }
         }
-        for (i, ev) in cfg.link_events.iter().enumerate() {
-            sched.push((ev.at, key_of(class::LINK_CHANGE, i as u32)));
-        }
-        for (i, ev) in cfg.failure_events.iter().enumerate() {
-            sched.push((ev.at, key_of(class::FAILURE, i as u32)));
+        for (i, ev) in cfg.admin_events.iter().enumerate() {
+            sched.push((ev.at, key_of(class::ADMIN, i as u32)));
         }
         if cfg.sample_queues && shard.is_none_or(|c| c.id == 0) {
             sched.push((cfg.series_bucket, key_of(class::QUEUE_SAMPLE, 0)));
@@ -649,25 +643,17 @@ impl<'a> Net<'a> {
             class::TX_DONE => self.on_tx_done(entity, now),
             class::LB_TICK => self.on_lb_tick(entity as u16, now),
             class::QUEUE_SAMPLE => self.on_queue_sample(now),
-            class::LINK_CHANGE => {
-                self.admin_event_popped();
-                self.on_link_change(entity as usize, now);
-            }
-            class::FAILURE => {
-                self.admin_event_popped();
-                self.on_failure(entity as usize, now);
+            class::ADMIN => {
+                // Every shard replica pops its own copy of an admin event;
+                // the run counts it once, on shard 0, so `events` is the
+                // serial engine's.
+                if self.shard.as_ref().is_some_and(|c| c.id != 0) {
+                    self.events -= 1;
+                }
+                self.on_admin(entity as usize, now);
             }
             class::FLUID_DONE => self.on_fluid_done(now),
             _ => unreachable!("no event class {cls}"),
-        }
-    }
-
-    /// Bookkeeping shared by the two admin arms of [`Net::step`]. Every
-    /// shard replica pops its own copy of an admin event; the run counts
-    /// it once, on shard 0, so `events` is the serial engine's.
-    fn admin_event_popped(&mut self) {
-        if self.shard.as_ref().is_some_and(|c| c.id != 0) {
-            self.events -= 1;
         }
     }
 

@@ -1,45 +1,50 @@
-//! Scheduled fabric administration: mid-run link-quality changes,
-//! failures/repairs, and the routing reconvergence they force. A handler
-//! mutates only state every shard replica holds a full copy of (port
-//! props, admin flags, reach masks), so under sharding each replica runs
-//! it whole on itself at the event's own `(time, key)`; the hybrid tier's
-//! reaction at the end of each is a no-op there (sharding refuses hybrid).
-//! A link change rewrites the port's props and nothing else: packets
-//! already on the wire keep their arrival times, and the arena behind the
-//! link pipes was reserved at build for every state the schedule reaches.
+//! Scheduled fabric administration: the admin schedule's one handler —
+//! link-quality changes, failures and repairs — and the routing
+//! reconvergence a failure or repair forces. A handler mutates only state
+//! every shard replica holds a full copy of (port props, admin flags,
+//! reach masks), so under sharding each replica runs it whole on itself at
+//! the event's own `(time, key)`; the hybrid tier's reaction at the end of
+//! each is a no-op there (sharding refuses hybrid). A rate change rewrites
+//! the port's props and nothing else: packets already on the wire keep
+//! their arrival times, and the arena behind the link pipes was reserved
+//! at build for every state the schedule reaches.
 
 use super::link;
 use super::portmap::PortId;
 use super::Net;
-use crate::config::{FailureAction, FailureTarget};
+use crate::config::{Change, Target};
 use tlb_engine::SimTime;
 
 impl Net<'_> {
-    /// Apply a configured mid-run link change to both directions of the
-    /// targeted uplink pair.
-    pub(super) fn on_link_change(&mut self, i: usize, now: SimTime) {
-        let ev = &self.cfg.link_events[i];
-        let changed = link::event_ports(&self.pmap, ev);
-        for p in changed {
-            let port = &mut self.ports[p as usize];
-            port.set_link(link::apply_event(ev, port.link()));
-        }
-        self.fluid_link_update(changed, now);
-    }
-
-    /// Apply the `i`-th configured failure/repair: flip the admin state
-    /// of the target port(s) and their reverse directions, reconverge
-    /// routing (each replica's reach recompute reads the admin state of
-    /// the *whole* fabric), then demote the fluid tails that lost a link.
-    pub(super) fn on_failure(&mut self, i: usize, now: SimTime) {
-        let ev = self.cfg.failure_events[i];
-        let down = ev.action == FailureAction::Down;
+    /// Apply the `i`-th configured admin event. A rate change rewrites
+    /// both directions of its uplink by [`Change::apply`]. A failure or
+    /// repair flips the admin state of the target port(s) and their
+    /// reverse directions, reconverges routing (each replica's reach
+    /// recompute reads the admin state of the *whole* fabric), then
+    /// demotes the fluid tails that lost a link.
+    pub(super) fn on_admin(&mut self, i: usize, now: SimTime) {
+        let ev = self.cfg.admin_events[i];
+        let down = match ev.change {
+            Change::Down => true,
+            Change::Up => false,
+            Change::Rate { .. } => {
+                let Target::Link { sw, up } = ev.target else {
+                    unreachable!("validate refuses a rate change on a switch")
+                };
+                let changed = link::uplink_pair(&self.pmap, sw, up);
+                for p in changed {
+                    let port = &mut self.ports[p as usize];
+                    port.set_link(ev.change.apply(port.link()));
+                }
+                return self.fluid_link_update(changed, now);
+            }
+        };
         match ev.target {
-            FailureTarget::Link { sw, up } => {
+            Target::Link { sw, up } => {
                 let p = self.pmap.sw_up(sw.index() as u32, up.index() as u32);
                 self.set_link_state(p, down);
             }
-            FailureTarget::Switch { sw } => {
+            Target::Switch { sw } => {
                 for p in self.pmap.sw[sw].all() {
                     self.set_link_state(p, down);
                 }
@@ -69,7 +74,7 @@ impl Net<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::LinkEvent;
+    use crate::config::{AdminEvent, Change, Target};
     use crate::{Scheme, Simulation};
     use tlb_engine::SimTime;
     use tlb_net::{FlowId, HostId, LeafId, SpineId};
@@ -83,13 +88,17 @@ mod tests {
             .link_gbps(1.0)
             .target_rtt(SimTime::from_micros(100))
             .build();
-        cfg.link_events.push(LinkEvent {
+        cfg.admin_events.push(AdminEvent {
             at: SimTime::from_millis(1),
-            leaf: LeafId(0),
-            spine: SpineId(0),
-            new_prop_delay: None,
-            bw_factor: 0.5,
-            extra_delay: SimTime::ZERO,
+            target: Target::Link {
+                sw: LeafId(0),
+                up: SpineId(0),
+            },
+            change: Change::Rate {
+                new_prop_delay: None,
+                bw_factor: 0.5,
+                extra_delay: SimTime::ZERO,
+            },
         });
         let r = Simulation::new(
             cfg,

@@ -13,9 +13,9 @@
 //! local FIFO `seq`, exactly the relative order a serial run assigns) and
 //! cross-shard order is settled by `(time, key)` alone. That is what makes
 //! the sharded engine's cross-shard merge reconstruct the serial schedule.
-//! The one exception is the admin classes (`LINK_CHANGE`, `FAILURE`):
-//! every shard schedules its own copy of each, and a copy touches only its
-//! own replica, so the order among the same-`(time, key)` copies is
+//! The one exception is the admin class (`ADMIN`): every shard schedules
+//! its own copy of each admin event, and a copy touches only its own
+//! replica, so the order among the same-`(time, key)` copies is
 //! immaterial.
 
 use tlb_engine::{EventQueue, SimTime};
@@ -44,14 +44,13 @@ pub(super) mod class {
     pub const LB_TICK: u32 = 4;
     /// Sample leaf-0's uplink queues (Fig. 5 visualization); entity 0.
     pub const QUEUE_SAMPLE: u32 = 5;
-    /// Apply the `i`-th configured [`crate::config::LinkEvent`].
-    pub const LINK_CHANGE: u32 = 6;
-    /// Apply the `i`-th configured [`crate::config::FailureEvent`].
-    pub const FAILURE: u32 = 7;
+    /// Apply the `i`-th configured [`crate::config::AdminEvent`]; the
+    /// index orders the events of one instant in list order.
+    pub const ADMIN: u32 = 6;
     /// A fluid tail's completion, on its flow: the seam's heap, never the
     /// FEL, holds these. The highest class, so a completion runs after
     /// every other event of its instant.
-    pub const FLUID_DONE: u32 = 8;
+    pub const FLUID_DONE: u32 = 7;
 }
 
 #[inline]

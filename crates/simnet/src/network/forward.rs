@@ -109,7 +109,7 @@ impl Net<'_> {
     ///
     /// The wire is FIFO: `at` clamps to the arrival at the back of
     /// `pipes[p]`, so a packet never arrives before one that entered the
-    /// link earlier (that matters only after a `LinkEvent` shrank the
+    /// link earlier (that matters only after a rate change shrank the
     /// link's delay). An empty pipe's last arrival already happened, at or
     /// before now, so there is nothing to clamp to.
     ///
@@ -199,7 +199,7 @@ impl Net<'_> {
             Probe::Held(pkt) => pkt,
         };
         let uplinks = &self.ports[self.pmap.up_range(sw as usize)];
-        let view = if self.has_failures {
+        let view = if !self.reach.is_empty() {
             let row = sw as usize * self.pmap.n_groups();
             live_view(uplinks, self.reach[row + group as usize])
         } else {
@@ -228,7 +228,7 @@ impl Net<'_> {
 
     pub(super) fn on_lb_tick(&mut self, sw: u16, now: SimTime) {
         let uplinks = &self.ports[self.pmap.up_range(sw as usize)];
-        let view = if self.has_failures {
+        let view = if !self.reach.is_empty() {
             // Ticks have no destination, so they see the switch's local
             // uplink liveness rather than a reach row (an all-dead switch
             // routes nothing anyway).

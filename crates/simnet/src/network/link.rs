@@ -1,12 +1,13 @@
-//! Link physics, stated once: which [`LinkProps`] a port starts with, what
-//! a [`LinkEvent`] does to them, every state a link reaches over the
-//! configured schedule, and the quantities derived from a link's state
+//! Link physics, stated once: which [`LinkProps`] a port starts with, the
+//! two ports an uplink names, every state a link reaches over the admin
+//! schedule (each step by [`Change::apply`], the one rate rule), and the
+//! quantities derived from a link's state
 //! (its in-flight packet bound, the fabric-wide sum, the arena's
 //! reservation, its payload goodput).
 
 use super::portmap::{PortId, PortMap, PortRef};
-use crate::config::{LinkEvent, SimConfig};
-use tlb_net::{Fabric, LinkProps};
+use crate::config::{Change, SimConfig, Target};
+use tlb_net::{Fabric, LeafId, LinkProps, SpineId};
 use tlb_switch::OutPort;
 use tlb_transport::TcpConfig;
 
@@ -26,26 +27,17 @@ pub(super) fn base_props(topo: &Fabric, pmap: &PortMap, p: PortId) -> LinkProps 
     }
 }
 
-/// The two directed ports of the uplink pair `ev` targets: `[up, down]`.
-pub(super) fn event_ports(pmap: &PortMap, ev: &LinkEvent) -> [PortId; 2] {
-    let up = pmap.sw_up(ev.leaf.index() as u32, ev.spine.index() as u32);
-    [up, pmap.rev[up as usize]]
-}
-
-/// What `ev` turns a link in state `l` into.
-pub(super) fn apply_event(ev: &LinkEvent, l: LinkProps) -> LinkProps {
-    LinkProps {
-        prop_delay: ev.new_prop_delay.unwrap_or(l.prop_delay),
-        ..l
-    }
-    .degraded(ev.bw_factor, ev.extra_delay)
+/// The two directed ports of LB switch `sw`'s uplink `up`: `[up, down]`.
+pub(super) fn uplink_pair(pmap: &PortMap, sw: LeafId, up: SpineId) -> [PortId; 2] {
+    let p = pmap.sw_up(sw.index() as u32, up.index() as u32);
+    [p, pmap.rev[p as usize]]
 }
 
 /// Show `see` every state each port's link ever reaches: its build-time
-/// props, then the props after each [`LinkEvent`] targeting it, replayed
-/// in FEL order (by time; same-time events keep config order). Whatever
-/// must hold for the whole run — the arena's reservation, the sharded
-/// lookahead — folds over this.
+/// props, then the props after each rate change targeting it, replayed
+/// in schedule order (by time; same-time events keep list order). The one
+/// replay of the admin schedule: whatever must hold for the whole run —
+/// the arena's reservation, the sharded lookahead — folds over this.
 pub(super) fn for_each_link_state(
     cfg: &SimConfig,
     pmap: &PortMap,
@@ -57,12 +49,17 @@ pub(super) fn for_each_link_state(
     for (p, l) in cur.iter().enumerate() {
         see(p as u32, l);
     }
-    let mut evs: Vec<&LinkEvent> = cfg.link_events.iter().collect();
-    evs.sort_by_key(|ev| ev.at);
-    for ev in evs {
-        for p in event_ports(pmap, ev) {
+    let mut rates: Vec<_> = (cfg.admin_events.iter())
+        .filter_map(|ev| match (ev.target, ev.change) {
+            (Target::Link { sw, up }, Change::Rate { .. }) => Some((ev.at, sw, up, ev.change)),
+            _ => None,
+        })
+        .collect();
+    rates.sort_by_key(|r| r.0);
+    for (_, sw, up, change) in rates {
+        for p in uplink_pair(pmap, sw, up) {
             let l = &mut cur[p as usize];
-            *l = apply_event(ev, *l);
+            *l = change.apply(*l);
             see(p, l);
         }
     }

@@ -19,10 +19,10 @@
 //! `FlowRow` per flow of the job and the metric collectors. Shards advance
 //! in barrier-synchronized **windows** bounded by the conservative lookahead
 //! `Δ` = the minimum propagation delay over any cross-shard link (folded
-//! over the whole [`crate::config::LinkEvent`] schedule): an event a shard
-//! executes at time `t` can only influence another shard at `t + Δ` or
-//! later, so every shard may freely run `[T, T + Δ)` where `T` is the
-//! global minimum pending timestamp.
+//! over every rate change of the [`crate::config::AdminEvent`] schedule):
+//! an event a shard executes at time `t` can only influence another shard
+//! at `t + Δ` or later, so every shard may freely run `[T, T + Δ)` where
+//! `T` is the global minimum pending timestamp.
 //!
 //! ## One barrier per window, and its leader
 //!
@@ -73,13 +73,13 @@
 //!
 //! ## Global events
 //!
-//! Failures and link changes ([`super::events::class::FAILURE`] /
-//! `LINK_CHANGE`) mutate fabric state every
-//! replica reads (`recompute_reach` scans the whole port table) — and only
-//! state every replica holds a full copy of: port props, admin flags,
-//! reach masks. So they are **replica-local**: every replica seeds the
-//! whole admin schedule into its own build-time schedule (`Net::sched`,
-//! never the FEL) and applies each event to itself
+//! Admin events ([`super::events::class::ADMIN`]: failures, repairs and
+//! rate changes) mutate fabric state every replica reads
+//! (`recompute_reach` scans the whole port table) — and only state every
+//! replica holds a full copy of: port props, admin flags, reach masks. So
+//! they are **replica-local**: every replica seeds the whole admin
+//! schedule into its own build-time schedule (`Net::sched`, never the FEL)
+//! and applies each event to itself
 //! at the event's own `(time, key)`, after its lower-ranked events of that
 //! instant and before the later ones — which is where the serial engine
 //! runs it. No other shard can tell when a replica did so: a shard's
@@ -90,8 +90,8 @@
 //! single-origin keys: each is pushed by every shard, one copy each, and
 //! a copy touches only its own replica, so the order among same-`(time,
 //! key)` copies is immaterial.
-//! The run counts an admin event once, on shard 0
-//! (`Net::admin_event_popped`), so `events` is the serial engine's.
+//! The run counts an admin event once, on shard 0 (in `Net::step`'s admin
+//! arm), so `events` is the serial engine's.
 //!
 //! ## Where the run ends
 //!
@@ -466,9 +466,9 @@ fn build_replicas<'a>(
 }
 
 /// The conservative lookahead: minimum propagation delay over every
-/// cross-shard directed link, folded over the whole `LinkEvent` schedule
-/// (a mid-run rewrite may shrink a delay; the lookahead must lower-bound
-/// every state the link ever reaches).
+/// cross-shard directed link, folded over every rate change of the admin
+/// schedule (a mid-run rewrite may shrink a delay; the lookahead must
+/// lower-bound every state the link ever reaches).
 fn lookahead(cfg: &SimConfig, pmap: &PortMap, map: &ShardMap) -> SimTime {
     let mut min = SimTime::from_nanos(u64::MAX);
     link::for_each_link_state(cfg, pmap, |p, l| {

@@ -163,7 +163,7 @@ fn late_duplicates_count_after_their_receiver_closes() {
 /// The high-BDP shape of `tests/fel_occupancy.rs` — 2 leaves × 4 spines ×
 /// 8 hosts, 10 Gbit/s × 500 µs links, 16 cross-rack 4 MB flows sprayed
 /// over every uplink — cut off at 60 ms with every window still in flight.
-fn high_bdp_job(link_events: Vec<crate::config::LinkEvent>) -> (crate::SimConfig, Vec<FlowSpec>) {
+fn high_bdp_job(admin_events: Vec<crate::config::AdminEvent>) -> (crate::SimConfig, Vec<FlowSpec>) {
     let mut cfg = crate::SimConfig::basic_paper(Scheme::Rps);
     cfg.audit = true;
     cfg.topo = tlb_net::LeafSpineBuilder::new(2, 4, 8)
@@ -171,7 +171,7 @@ fn high_bdp_job(link_events: Vec<crate::config::LinkEvent>) -> (crate::SimConfig
         .prop_per_link(SimTime::from_micros(500))
         .build();
     cfg.horizon = SimTime::from_millis(60);
-    cfg.link_events = link_events;
+    cfg.admin_events = admin_events;
     let flows = (0..16u32)
         .map(|i| FlowSpec {
             id: FlowId(i),
@@ -195,16 +195,20 @@ fn the_wire_follows_what_is_live() {
     // the arena empty. The second schedule stretches a busy uplink's delay
     // fivefold mid-run — its in-flight ceiling rises under packets already
     // on the wire.
-    let stretch = crate::config::LinkEvent {
+    let stretch = crate::config::AdminEvent {
         at: SimTime::from_millis(30),
-        leaf: LeafId(0),
-        spine: SpineId(0),
-        bw_factor: 1.0,
-        new_prop_delay: Some(SimTime::from_micros(2_500)),
-        extra_delay: SimTime::ZERO,
+        target: crate::config::Target::Link {
+            sw: LeafId(0),
+            up: SpineId(0),
+        },
+        change: crate::config::Change::Rate {
+            bw_factor: 1.0,
+            new_prop_delay: Some(SimTime::from_micros(2_500)),
+            extra_delay: SimTime::ZERO,
+        },
     };
-    for link_events in [vec![], vec![stretch]] {
-        let (cfg, flows) = high_bdp_job(link_events);
+    for admin_events in [vec![], vec![stretch]] {
+        let (cfg, flows) = high_bdp_job(admin_events);
         let next = vec![None; flows.len()];
         let mut net = Net::build(&cfg, &flows, &next, None);
         let reserved = link::packet_bound(&cfg, &net.pmap, &net.ports);

@@ -97,12 +97,13 @@ impl<T> FlowMap<T> {
         self.map.get(&flow.0).map(|s| &s.state)
     }
 
-    /// Mutable lookup that refreshes the activity stamp.
+    /// Mutable lookup that refreshes the activity stamp, handing back the
+    /// stamp it replaced: when the flow was last seen before `now`.
     #[inline]
-    pub fn touch(&mut self, flow: FlowId, now: SimTime) -> Option<&mut T> {
+    pub fn touch(&mut self, flow: FlowId, now: SimTime) -> Option<(&mut T, SimTime)> {
         self.map.get_mut(&flow.0).map(|s| {
-            s.last_seen = now;
-            &mut s.state
+            let last_seen = std::mem::replace(&mut s.last_seen, now);
+            (&mut s.state, last_seen)
         })
     }
 
@@ -197,6 +198,17 @@ mod tests {
     }
 
     #[test]
+    fn touch_hands_back_the_previous_stamp() {
+        let mut m: FlowMap<u8> = FlowMap::new();
+        assert!(m.touch(FlowId(1), t(5)).is_none(), "no record, no stamp");
+        m.touch_or_insert_with(FlowId(1), t(10), || 0);
+        for (now, was) in [(t(25), t(10)), (t(40), t(25)), (t(40), t(40))] {
+            let (_, last) = m.touch(FlowId(1), now).expect("the flow is tracked");
+            assert_eq!(last, was, "touch at {now:?}");
+        }
+    }
+
+    #[test]
     fn purge_keeps_recent() {
         let mut m: FlowMap<u8> = FlowMap::new();
         for i in 0..10 {
@@ -280,7 +292,7 @@ mod tests {
         // 99 KB + 1 KB = exactly 100 KB: strictly-greater rule says short.
         // One more MSS crosses it.
         for (add, expect_long) in [(1_000u64, false), (1_460, true)] {
-            let st = m.touch(f, t(1)).unwrap();
+            let (st, _) = m.touch(f, t(1)).unwrap();
             st.bytes += add;
             st.long = st.bytes > THRESHOLD;
             assert_eq!(st.long, expect_long, "at {} bytes", st.bytes);

@@ -7,7 +7,6 @@
 //! ```
 
 use tlb::prelude::*;
-use tlb::simnet::LinkEvent;
 
 fn main() {
     println!("brownout drill: at t=10ms, 4 of 15 uplinks drop to 10% bandwidth\n");
@@ -26,14 +25,15 @@ fn main() {
 
     for scheme in schemes {
         let mut cfg = SimConfig::basic_paper(scheme);
-        for spine in [1u32, 5, 9, 13] {
-            cfg.link_events.push(LinkEvent {
+        for up in [1, 5, 9, 13].map(SpineId) {
+            cfg.admin_events.push(AdminEvent {
                 at: SimTime::from_millis(10),
-                leaf: LeafId(0),
-                spine: SpineId(spine),
-                bw_factor: 0.10,
-                new_prop_delay: None,
-                extra_delay: SimTime::ZERO,
+                target: Target::Link { sw: LeafId(0), up },
+                change: Change::Rate {
+                    bw_factor: 0.10,
+                    new_prop_delay: None,
+                    extra_delay: SimTime::ZERO,
+                },
             });
         }
         let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(404));

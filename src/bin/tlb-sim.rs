@@ -310,21 +310,17 @@ fn main() {
         );
     }
 
-    for (key, action) in [
-        ("--fail", FailureAction::Down),
-        ("--repair", FailureAction::Up),
-    ] {
+    for (key, change) in [("--fail", Change::Down), ("--repair", Change::Up)] {
         for spec in args.values_of(key) {
             let [sw, up, at] = fields(key, spec, "sw:up:at_us");
             let (sw, up) = uplink(key, spec, sw, up);
-            cfg.failure_events.push(FailureEvent {
+            cfg.admin_events.push(AdminEvent {
                 at: parse_micros(key, at),
-                target: FailureTarget::Link { sw, up },
-                action,
+                target: Target::Link { sw, up },
+                change,
             });
         }
     }
-    cfg.failure_events.sort_by_key(|e| e.at);
     // The range checks above name the flag; whatever they miss still stops
     // here, before a workload is drawn over a fabric that cannot carry it.
     cfg.validate().unwrap_or_else(refuse);

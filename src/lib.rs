@@ -56,8 +56,8 @@ pub mod prelude {
     pub use tlb_model::{q_th_min, ModelParams, QTh};
     pub use tlb_net::{Fabric, FatTreeBuilder, FlowId, HostId, LeafId, LeafSpineBuilder, SpineId};
     pub use tlb_simnet::{
-        run_all, run_one_ref, AuditReport, FailureAction, FailureEvent, FailureTarget,
-        FidelityKind, LinkEvent, RunReport, Scheme, SimConfig, Simulation,
+        run_all, run_one_ref, AdminEvent, AuditReport, Change, FidelityKind, RunReport, Scheme,
+        SimConfig, Simulation, Target,
     };
     pub use tlb_switch::{LoadBalancer, PortView, QueueCfg};
     pub use tlb_transport::TcpConfig;

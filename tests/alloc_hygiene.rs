@@ -104,11 +104,11 @@ fn steady_state_is_allocation_free() {
     assert_zero_alloc(&r, "fig10");
 
     // --- mid-audit flap on a 10 Gb/s link: pipe-capacity regression ------
-    // Two stacked LinkEvents land INSIDE the audit window on one 10 Gb/s
+    // Two stacked rate changes land INSIDE the audit window on one 10 Gb/s
     // uplink: a bandwidth improvement (shorter tx time) plus extra
     // propagation delay, each growing the worst-case number of packets in
     // flight on the wire. The packet arena behind the link pipes is
-    // reserved once at build for every state the link-event schedule
+    // reserved once at build for every state the admin schedule
     // reaches; a reservation that forgot the schedule would grow the slab
     // mid-window and the realloc would trip the gate.
     {
@@ -119,13 +119,17 @@ fn steady_state_is_allocation_free() {
             .target_rtt(SimTime::from_micros(100))
             .build();
         for (at_us, extra_us) in [(1_300, 150), (1_600, 150)] {
-            cfg.link_events.push(tlb::simnet::LinkEvent {
+            cfg.admin_events.push(AdminEvent {
                 at: SimTime::from_micros(at_us),
-                leaf: LeafId(0),
-                spine: SpineId(1),
-                bw_factor: 1.25,
-                new_prop_delay: None,
-                extra_delay: SimTime::from_micros(extra_us),
+                target: Target::Link {
+                    sw: LeafId(0),
+                    up: SpineId(1),
+                },
+                change: Change::Rate {
+                    bw_factor: 1.25,
+                    new_prop_delay: None,
+                    extra_delay: SimTime::from_micros(extra_us),
+                },
             });
         }
         let wl = PoissonWorkload {

@@ -87,12 +87,12 @@ fn sim_end_never_passes_the_horizon() {
     cfg.audit = true;
     cfg.horizon = SimTime::from_millis(1);
     let flow = one_flow(10_000);
-    cfg.failure_events.push(FailureEvent {
+    cfg.admin_events.push(AdminEvent {
         at: SimTime::ZERO,
-        target: FailureTarget::Switch {
+        target: Target::Switch {
             sw: cfg.topo.leaf_of(flow.src).index(),
         },
-        action: FailureAction::Down,
+        change: Change::Down,
     });
     let horizon = cfg.horizon;
     assert!(
@@ -202,13 +202,17 @@ fn hybrid_seam_survives_a_brownout_without_demotion() {
     // than the clean run while conserving every byte.
     let clean = Simulation::new(one_path_cfg(Scheme::Ecmp), vec![cross_leaf_flow(2_000_000)]).run();
     let mut cfg = one_path_cfg(Scheme::Ecmp);
-    cfg.link_events.push(LinkEvent {
+    cfg.admin_events.push(AdminEvent {
         at: SimTime::from_millis(4),
-        leaf: LeafId(0),
-        spine: SpineId(0),
-        bw_factor: 0.5,
-        new_prop_delay: None,
-        extra_delay: SimTime::ZERO,
+        target: Target::Link {
+            sw: LeafId(0),
+            up: SpineId(0),
+        },
+        change: Change::Rate {
+            bw_factor: 0.5,
+            new_prop_delay: None,
+            extra_delay: SimTime::ZERO,
+        },
     });
     let r = Simulation::new(cfg, vec![cross_leaf_flow(2_000_000)]).run();
     assert_eq!(r.completed, 1);
@@ -245,14 +249,14 @@ fn hybrid_seam_demotes_then_remigrates_and_conserves() {
         .link_gbps(1.0)
         .target_rtt(SimTime::from_micros(100))
         .build();
-    for (at_ms, action) in [(4, FailureAction::Down), (8, FailureAction::Up)] {
-        cfg.failure_events.push(FailureEvent {
+    for (at_ms, change) in [(4, Change::Down), (8, Change::Up)] {
+        cfg.admin_events.push(AdminEvent {
             at: SimTime::from_millis(at_ms),
-            target: FailureTarget::Link {
+            target: Target::Link {
                 sw: LeafId(0),
                 up: SpineId(0),
             },
-            action,
+            change,
         });
     }
     let r = Simulation::new(cfg, vec![cross_leaf_flow(2_000_000)]).run();

@@ -14,13 +14,17 @@ fn full_feature_run(scheme: Scheme, seed: u64) -> RunReport {
     let mut cfg = SimConfig::basic_paper(scheme);
     cfg.seed = seed;
     cfg.trace_flows = vec![FlowId(0)];
-    cfg.link_events.push(LinkEvent {
+    cfg.admin_events.push(AdminEvent {
         at: SimTime::from_millis(5),
-        leaf: LeafId(0),
-        spine: SpineId(7),
-        bw_factor: 0.5,
-        new_prop_delay: None,
-        extra_delay: SimTime::from_micros(50),
+        target: Target::Link {
+            sw: LeafId(0),
+            up: SpineId(7),
+        },
+        change: Change::Rate {
+            bw_factor: 0.5,
+            new_prop_delay: None,
+            extra_delay: SimTime::from_micros(50),
+        },
     });
     let mut mix = BasicMixConfig::paper_default();
     mix.n_short = 30;
@@ -431,14 +435,14 @@ fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
         .build();
     cfg.audit = true;
     cfg.trace_flows = vec![FlowId(3)];
-    for (at_ms, action) in [(2, FailureAction::Down), (6, FailureAction::Up)] {
-        cfg.failure_events.push(FailureEvent {
+    for (at_ms, change) in [(2, Change::Down), (6, Change::Up)] {
+        cfg.admin_events.push(AdminEvent {
             at: SimTime::from_millis(at_ms),
-            target: FailureTarget::Link {
+            target: Target::Link {
                 sw: LeafId(0), // edge 0
                 up: SpineId(1),
             },
-            action,
+            change,
         });
     }
     let mut mix = BasicMixConfig::paper_default();
@@ -703,22 +707,26 @@ fn sharded_windows_span_admin_events_and_match_serial_traces() {
     // long flows are still far from done.
     let (mut cfg, _) = small_fabric();
     cfg.trace_flows = vec![FlowId(0), FlowId(5)];
-    cfg.link_events.push(LinkEvent {
+    cfg.admin_events.push(AdminEvent {
         at: SimTime::from_micros(1_000),
-        leaf: LeafId(0),
-        spine: SpineId(1),
-        bw_factor: 0.5,
-        new_prop_delay: None,
-        extra_delay: SimTime::from_micros(20),
+        target: Target::Link {
+            sw: LeafId(0),
+            up: SpineId(1),
+        },
+        change: Change::Rate {
+            bw_factor: 0.5,
+            new_prop_delay: None,
+            extra_delay: SimTime::from_micros(20),
+        },
     });
-    for (at_us, action) in [(1_200, FailureAction::Down), (6_000, FailureAction::Up)] {
-        cfg.failure_events.push(FailureEvent {
+    for (at_us, change) in [(1_200, Change::Down), (6_000, Change::Up)] {
+        cfg.admin_events.push(AdminEvent {
             at: SimTime::from_micros(at_us),
-            target: FailureTarget::Link {
+            target: Target::Link {
                 sw: LeafId(0),
                 up: SpineId(2),
             },
-            action,
+            change,
         });
     }
     let flows: Vec<FlowSpec> = (0..8)
@@ -746,14 +754,18 @@ fn sharded_admin_schedule_adds_no_coordinator_events() {
     const K: u64 = 2_400;
     let (cfg, _) = small_fabric();
     let mut noop = cfg.clone();
-    noop.link_events = (0..K)
-        .map(|i| LinkEvent {
+    noop.admin_events = (0..K)
+        .map(|i| AdminEvent {
             at: SimTime::from_micros(1_000 + i),
-            leaf: LeafId((i % 4) as u32),
-            spine: SpineId((i / 4 % 4) as u32),
-            bw_factor: 1.0,
-            new_prop_delay: None,
-            extra_delay: SimTime::ZERO,
+            target: Target::Link {
+                sw: LeafId((i % 4) as u32),
+                up: SpineId((i / 4 % 4) as u32),
+            },
+            change: Change::Rate {
+                bw_factor: 1.0,
+                new_prop_delay: None,
+                extra_delay: SimTime::ZERO,
+            },
         })
         .collect();
     let flows: Vec<FlowSpec> = (0..8)
@@ -796,26 +808,27 @@ fn same_instant_job() -> (SimConfig, Vec<FlowSpec>) {
     let us = SimTime::from_micros;
     let crowded = us(300);
     for (at, leaf, spine) in [(crowded, 1, 0), (first_tick + first_tick, 1, 1)] {
-        cfg.link_events.push(LinkEvent {
+        cfg.admin_events.push(AdminEvent {
             at,
-            leaf: LeafId(leaf),
-            spine: SpineId(spine),
-            bw_factor: 0.5,
-            new_prop_delay: None,
-            extra_delay: us(10),
+            target: Target::Link {
+                sw: LeafId(leaf),
+                up: SpineId(spine),
+            },
+            change: Change::Rate {
+                bw_factor: 0.5,
+                new_prop_delay: None,
+                extra_delay: us(10),
+            },
         });
     }
-    for (at, action) in [
-        (crowded, FailureAction::Down),
-        (us(2_000), FailureAction::Up),
-    ] {
-        cfg.failure_events.push(FailureEvent {
+    for (at, change) in [(crowded, Change::Down), (us(2_000), Change::Up)] {
+        cfg.admin_events.push(AdminEvent {
             at,
-            target: FailureTarget::Link {
+            target: Target::Link {
                 sw: LeafId(0),
                 up: SpineId(2),
             },
-            action,
+            change,
         });
     }
     let flows = vec![
@@ -860,13 +873,13 @@ fn same_instant_starts_ticks_and_admin_events_keep_their_order() {
     let Hop::LeafUplink { leaf, spine } = syn_up.hop else {
         unreachable!()
     };
-    cfg.failure_events.push(FailureEvent {
+    cfg.admin_events.push(AdminEvent {
         at: syn_up.at,
-        target: FailureTarget::Link {
+        target: Target::Link {
             sw: LeafId(leaf.into()),
             up: SpineId(spine.into()),
         },
-        action: FailureAction::Down,
+        change: Change::Down,
     });
     let delivered = first(&run_one_ref(&cfg, &flows), 0, false).at;
     flows.push(flow_of(&cfg, 6, (5, 10), 20, delivered));
@@ -910,15 +923,23 @@ fn a_chained_start_at_an_admin_instant_keeps_its_order() {
         at > SimTime::from_micros(300),
         "the repair must follow the failure"
     );
-    cfg.link_events.push(LinkEvent {
+    // Events of one instant apply in list order: the rate change goes
+    // first, before the repair it meets.
+    let rate = AdminEvent {
         at,
-        leaf: LeafId(2),
-        spine: SpineId(3),
-        bw_factor: 0.5,
-        new_prop_delay: None,
-        extra_delay: SimTime::ZERO,
-    });
-    cfg.failure_events[1].at = at;
+        target: Target::Link {
+            sw: LeafId(2),
+            up: SpineId(3),
+        },
+        change: Change::Rate {
+            bw_factor: 0.5,
+            new_prop_delay: None,
+            extra_delay: SimTime::ZERO,
+        },
+    };
+    cfg.admin_events.insert(0, rate);
+    let repair = (cfg.admin_events.iter_mut()).find(|e| e.change == Change::Up);
+    repair.expect("the job repairs its failure").at = at;
     let r = run(&cfg);
     assert_eq!(launch(&r), at, "the successor moved off the admin instant");
     assert_eq!(r.completed, r.total_flows);

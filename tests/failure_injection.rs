@@ -4,7 +4,6 @@
 
 use tlb::engine::EngineKind;
 use tlb::prelude::*;
-use tlb::simnet::config::LinkEvent;
 use tlb::simnet::Hop;
 
 fn mix() -> BasicMixConfig {
@@ -21,13 +20,17 @@ fn run_with_failure(scheme: Scheme, seed: u64) -> RunReport {
     let mut cfg = SimConfig::basic_paper(scheme);
     // 10 ms in: two uplinks brown out to 5% bandwidth with +1 ms delay.
     for spine in [2u32, 9] {
-        cfg.link_events.push(LinkEvent {
+        cfg.admin_events.push(AdminEvent {
             at: SimTime::from_millis(10),
-            leaf: LeafId(0),
-            spine: SpineId(spine),
-            bw_factor: 0.05,
-            new_prop_delay: None,
-            extra_delay: SimTime::from_millis(1),
+            target: Target::Link {
+                sw: LeafId(0),
+                up: SpineId(spine),
+            },
+            change: Change::Rate {
+                bw_factor: 0.05,
+                new_prop_delay: None,
+                extra_delay: SimTime::from_millis(1),
+            },
         });
     }
     let flows = basic_mix(&cfg.topo, &mix(), &mut SimRng::new(seed));
@@ -63,19 +66,23 @@ fn brownout_slows_oblivious_schemes_more() {
 #[test]
 fn link_event_validation() {
     let mut cfg = SimConfig::basic_paper(Scheme::Ecmp);
-    cfg.link_events.push(LinkEvent {
+    let rate = |up, bw_factor| AdminEvent {
         at: SimTime::ZERO,
-        leaf: LeafId(0),
-        spine: SpineId(99), // out of range
-        bw_factor: 0.5,
-        new_prop_delay: None,
-        extra_delay: SimTime::ZERO,
-    });
+        target: Target::Link {
+            sw: LeafId(0),
+            up: SpineId(up),
+        },
+        change: Change::Rate {
+            bw_factor,
+            new_prop_delay: None,
+            extra_delay: SimTime::ZERO,
+        },
+    };
+    cfg.admin_events.push(rate(99, 0.5)); // out of range
     assert!(cfg.validate().is_err());
-    cfg.link_events[0].spine = SpineId(0);
-    cfg.link_events[0].bw_factor = 0.0; // invalid
+    cfg.admin_events[0] = rate(0, 0.0); // invalid
     assert!(cfg.validate().is_err());
-    cfg.link_events[0].bw_factor = 0.5;
+    cfg.admin_events[0] = rate(0, 0.5);
     cfg.validate().unwrap();
 }
 
@@ -99,14 +106,14 @@ fn flap_and_repair_reconverge_cleanly() {
     let run = || {
         let mut cfg = SimConfig::basic_paper(pinned_tlb());
         cfg.audit = true;
-        for (at_ms, action) in [(5, FailureAction::Down), (12, FailureAction::Up)] {
-            cfg.failure_events.push(FailureEvent {
+        for (at_ms, change) in [(5, Change::Down), (12, Change::Up)] {
+            cfg.admin_events.push(AdminEvent {
                 at: SimTime::from_millis(at_ms),
-                target: FailureTarget::Link {
+                target: Target::Link {
                     sw: LeafId(0),
                     up: SpineId(3),
                 },
-                action,
+                change,
             });
         }
         let flows = basic_mix(&cfg.topo, &mix(), &mut SimRng::new(11));
@@ -145,14 +152,14 @@ fn fat_tree_k8_flap_matrix_is_pinned() {
             .target_rtt(SimTime::from_micros(100))
             .build();
         cfg.audit = true;
-        for (at_ms, action) in [(2, FailureAction::Down), (6, FailureAction::Up)] {
-            cfg.failure_events.push(FailureEvent {
+        for (at_ms, change) in [(2, Change::Down), (6, Change::Up)] {
+            cfg.admin_events.push(AdminEvent {
                 at: SimTime::from_millis(at_ms),
-                target: FailureTarget::Link {
+                target: Target::Link {
                     sw: LeafId(0), // edge 0
                     up: SpineId(1),
                 },
-                action,
+                change,
             });
         }
         let mut m = mix();
@@ -174,7 +181,7 @@ fn fat_tree_k8_flap_matrix_is_pinned() {
     assert_eq!(run().digest(), PINNED, "the rerun diverged");
 }
 
-/// The tie the arrival key has to settle by itself: a mid-run `LinkEvent`
+/// The tie the arrival key has to settle by itself: a mid-run rate change
 /// shortens both of leaf 0's busy uplinks from 50 µs to 5 µs, so every
 /// packet sent in the next ~45 µs clamps to the wire's FIFO floor and
 /// several cross one link at the *same* instant. The link's one chained
@@ -194,13 +201,17 @@ fn same_instant_arrivals_on_one_link_keep_fifo_order_in_every_engine() {
         cfg.audit = true;
         cfg.engine = engine;
         for spine in 0..2 {
-            cfg.link_events.push(LinkEvent {
+            cfg.admin_events.push(AdminEvent {
                 at: SimTime::from_millis(2),
-                leaf: LeafId(0),
-                spine: SpineId(spine),
-                bw_factor: 1.0,
-                new_prop_delay: Some(SimTime::from_micros(5)),
-                extra_delay: SimTime::ZERO,
+                target: Target::Link {
+                    sw: LeafId(0),
+                    up: SpineId(spine),
+                },
+                change: Change::Rate {
+                    bw_factor: 1.0,
+                    new_prop_delay: Some(SimTime::from_micros(5)),
+                    extra_delay: SimTime::ZERO,
+                },
             });
         }
         cfg.trace_flows = vec![FlowId(0), FlowId(1)];
@@ -281,13 +292,17 @@ fn degradation_actually_bites() {
             .target_rtt(SimTime::from_micros(100))
             .build();
         if with_failure {
-            cfg.link_events.push(LinkEvent {
+            cfg.admin_events.push(AdminEvent {
                 at: SimTime::from_millis(5),
-                leaf: LeafId(0),
-                spine: SpineId(0),
-                bw_factor: 0.1,
-                new_prop_delay: None,
-                extra_delay: SimTime::ZERO,
+                target: Target::Link {
+                    sw: LeafId(0),
+                    up: SpineId(0),
+                },
+                change: Change::Rate {
+                    bw_factor: 0.1,
+                    new_prop_delay: None,
+                    extra_delay: SimTime::ZERO,
+                },
             });
         }
         let flows = vec![FlowSpec {
@@ -311,31 +326,31 @@ fn degradation_actually_bites() {
     assert_eq!(failed.completed, 1);
 }
 
-/// PR 8 regression: a `FailureEvent` aimed at an already-dead target is a
+/// PR 8 regression: a `Change::Down` aimed at an already-dead target is a
 /// deterministic no-op. Downing a dead link again, or downing a port of a
-/// switch that already went dark, must change nothing except the one extra
-/// FEL pop the event itself costs — identical FCTs, drops, marks, traces,
+/// switch that already went dark, must change nothing except the event
+/// count, one higher per duplicate — identical FCTs, drops, marks, traces,
 /// audit ledger and forced-reroute tally.
 #[test]
 fn refailing_dead_targets_is_a_deterministic_noop() {
-    let link = |at_ms: u64, action: FailureAction| FailureEvent {
+    let link = |at_ms: u64, change: Change| AdminEvent {
         at: SimTime::from_millis(at_ms),
-        target: FailureTarget::Link {
+        target: Target::Link {
             sw: LeafId(0),
             up: SpineId(3),
         },
-        action,
+        change,
     };
-    let run = |extra: &[FailureEvent], base: &[FailureEvent]| {
+    let run = |extra: &[AdminEvent], base: &[AdminEvent]| {
         let mut cfg = SimConfig::basic_paper(pinned_tlb());
         cfg.audit = true;
-        cfg.failure_events.extend_from_slice(base);
-        cfg.failure_events.extend_from_slice(extra);
+        cfg.admin_events.extend_from_slice(base);
+        cfg.admin_events.extend_from_slice(extra);
         let flows = basic_mix(&cfg.topo, &mix(), &mut SimRng::new(11));
         Simulation::new(cfg, flows).run()
     };
     // Everything but the raw event count must match (the duplicate is
-    // itself one FEL pop, so `events` grows by exactly the extras).
+    // itself one event, so `events` grows by exactly the extras).
     let noev = |r: &RunReport| {
         let digest = r.digest();
         let (_events, rest) = digest.split_once('|').expect("digest has fields");
@@ -345,20 +360,20 @@ fn refailing_dead_targets_is_a_deterministic_noop() {
     // Case 1: the same link goes down twice before its repair.
     // Case 2: a whole spine goes dark, then a link event re-downs one of
     // its (already dead) ports.
-    let spine3 = FailureTarget::Switch { sw: 3 + 3 }; // 3 leaves first, then spines
-    let sw = |at_ms: u64, action: FailureAction| FailureEvent {
+    let spine3 = Target::Switch { sw: 3 + 3 }; // 3 leaves first, then spines
+    let sw = |at_ms: u64, change: Change| AdminEvent {
         at: SimTime::from_millis(at_ms),
         target: spine3,
-        action,
+        change,
     };
-    let cases: [(&[FailureEvent], &[FailureEvent]); 2] = [
+    let cases: [(&[AdminEvent], &[AdminEvent]); 2] = [
         (
-            &[link(5, FailureAction::Down), link(12, FailureAction::Up)],
-            &[link(7, FailureAction::Down), link(9, FailureAction::Down)],
+            &[link(5, Change::Down), link(12, Change::Up)],
+            &[link(7, Change::Down), link(9, Change::Down)],
         ),
         (
-            &[sw(5, FailureAction::Down), sw(12, FailureAction::Up)],
-            &[link(7, FailureAction::Down)],
+            &[sw(5, Change::Down), sw(12, Change::Up)],
+            &[link(7, Change::Down)],
         ),
     ];
     for (case, (base_ev, extra)) in cases.iter().enumerate() {

@@ -48,23 +48,27 @@ fn run_shape(shape: &str, fidelity: FidelityKind, scheme: Scheme) -> RunReport {
             // six surviving paths (and the repaired ones after 6 ms).
             for s in 0..9 {
                 match shape {
-                    "fig04-brownout" => cfg.link_events.push(LinkEvent {
+                    "fig04-brownout" => cfg.admin_events.push(AdminEvent {
                         at: SimTime::from_millis(3),
-                        leaf: LeafId(0),
-                        spine: SpineId(s),
-                        bw_factor: 0.4,
-                        new_prop_delay: None,
-                        extra_delay: SimTime::ZERO,
+                        target: Target::Link {
+                            sw: LeafId(0),
+                            up: SpineId(s),
+                        },
+                        change: Change::Rate {
+                            bw_factor: 0.4,
+                            new_prop_delay: None,
+                            extra_delay: SimTime::ZERO,
+                        },
                     }),
                     "fig04-flap" => {
-                        for (at_ms, action) in [(3, FailureAction::Down), (6, FailureAction::Up)] {
-                            cfg.failure_events.push(FailureEvent {
+                        for (at_ms, change) in [(3, Change::Down), (6, Change::Up)] {
+                            cfg.admin_events.push(AdminEvent {
                                 at: SimTime::from_millis(at_ms),
-                                target: FailureTarget::Link {
+                                target: Target::Link {
                                     sw: LeafId(0),
                                     up: SpineId(s),
                                 },
-                                action,
+                                change,
                             });
                         }
                     }
