@@ -38,7 +38,6 @@ fn main() {
     for us in [100u64, 2_000, 10_000] {
         let mut c = base;
         c.update_interval = SimTime::from_micros(us);
-        c.idle_timeout = SimTime::from_micros(us);
         variants.push((format!("t={us}us"), c));
     }
     {

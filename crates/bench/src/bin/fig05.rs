@@ -37,11 +37,7 @@ fn main() {
     out.line("  sustained 100 short + 3 long flows; snapshots every 250 us");
     out.blank();
 
-    for scheme in [
-        Scheme::Ecmp,
-        Scheme::letflow_default(),
-        Scheme::tlb_default(),
-    ] {
+    for scheme in [Scheme::Ecmp, Scheme::LetFlow, Scheme::tlb_default()] {
         let r = run_sampled(scheme, rounds, seed);
         out.line(&format!("{}:", r.scheme));
         // Restrict to the active phase (some queue non-empty): the chained

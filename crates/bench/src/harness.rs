@@ -46,7 +46,7 @@ pub fn sustained_scenario(
 pub fn granularity_schemes() -> Vec<(&'static str, Scheme)> {
     vec![
         ("flow", Scheme::Ecmp),
-        ("flowlet", Scheme::letflow_default()),
+        ("flowlet", Scheme::LetFlow),
         ("packet", Scheme::Rps),
     ]
 }

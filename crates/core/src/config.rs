@@ -17,16 +17,10 @@ pub enum ThresholdMode {
 /// All tunables of the TLB scheme. Field defaults mirror the paper.
 #[derive(Clone, Copy, Debug)]
 pub struct TlbConfig {
-    /// Granularity update interval `t` (paper: 500 µs, following CONGA).
+    /// Granularity update interval `t` (paper: 500 µs, following CONGA),
+    /// which is also the idle-flow sampling window (§5: a record without
+    /// packets for one interval is dropped at the next update).
     pub update_interval: SimTime,
-    /// Idle-flow sampling window (paper §5: same 500 µs as the update
-    /// interval — records without packets for this long are dropped).
-    pub idle_timeout: SimTime,
-    /// Bytes after which a flow is reclassified as long (paper §5: 100 KB).
-    pub short_threshold_bytes: u64,
-    /// Long-flow maximum window `W_L` in bytes (paper: 64 KB Linux receive
-    /// buffer default).
-    pub w_long_bytes: f64,
     /// Round-trip propagation delay `RTT` the model assumes.
     pub rtt: SimTime,
     /// Lower bound of the short-flow deadline distribution.
@@ -41,8 +35,6 @@ pub struct TlbConfig {
     pub mean_short_prior: f64,
     /// If true, refine `X` online with an EWMA over completed short flows.
     pub estimate_mean_short: bool,
-    /// EWMA gain for the online `X` estimate.
-    pub ewma_gain: f64,
     /// TCP segment payload size in bytes.
     pub mss: u32,
     /// Threshold selection mode.
@@ -50,21 +42,22 @@ pub struct TlbConfig {
 }
 
 impl TlbConfig {
+    /// Bytes after which a flow is reclassified as long (paper §5: 100 KB).
+    pub const SHORT_THRESHOLD_BYTES: u64 = 100_000;
+    /// EWMA gain of the online `X` estimate.
+    pub const EWMA_GAIN: f64 = 0.1;
+
     /// The NS2-simulation parameter set (§4.2/§6.1): 1 Gbit/s, 100 µs RTT,
     /// t = 500 µs, deadlines U[5 ms, 25 ms], D at the 25th percentile.
     pub fn paper_default() -> TlbConfig {
         TlbConfig {
             update_interval: SimTime::from_micros(500),
-            idle_timeout: SimTime::from_micros(500),
-            short_threshold_bytes: 100_000,
-            w_long_bytes: 65_535.0,
             rtt: SimTime::from_micros(100),
             deadline_lo: SimTime::from_millis(5),
             deadline_hi: SimTime::from_millis(25),
             deadline_percentile: 0.25,
             mean_short_prior: 70_000.0,
             estimate_mean_short: false,
-            ewma_gain: 0.1,
             mss: 1460,
             threshold_mode: ThresholdMode::Adaptive,
         }
@@ -76,16 +69,12 @@ impl TlbConfig {
     pub fn testbed_default() -> TlbConfig {
         TlbConfig {
             update_interval: SimTime::from_millis(15),
-            idle_timeout: SimTime::from_millis(15),
-            short_threshold_bytes: 100_000,
-            w_long_bytes: 65_535.0,
             rtt: SimTime::from_millis(8),
             deadline_lo: SimTime::from_secs(2),
             deadline_hi: SimTime::from_secs(6),
             deadline_percentile: 0.25,
             mean_short_prior: 70_000.0,
             estimate_mean_short: false,
-            ewma_gain: 0.1,
             mss: 1460,
             threshold_mode: ThresholdMode::Adaptive,
         }
@@ -116,11 +105,8 @@ impl TlbConfig {
         if self.mss == 0 {
             return Err("mss must be positive".into());
         }
-        if self.w_long_bytes <= 0.0 || self.mean_short_prior <= 0.0 {
-            return Err("window/size parameters must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.ewma_gain) {
-            return Err(format!("ewma_gain out of [0,1]: {}", self.ewma_gain));
+        if self.mean_short_prior <= 0.0 {
+            return Err("mean_short_prior must be positive".into());
         }
         Ok(())
     }

@@ -21,7 +21,7 @@ pub use config::{ThresholdMode, TlbConfig};
 
 use tlb_engine::{SimRng, SimTime};
 use tlb_model::{q_th_min, ModelParams, QTh};
-use tlb_net::{Packet, PktKind};
+use tlb_net::{Packet, PktKind, RWND_BYTES};
 use tlb_switch::{FlowMap, LoadBalancer, PortView};
 
 /// Per-flow record at the leaf switch.
@@ -170,7 +170,7 @@ impl Tlb {
             capacity: view.mean_capacity(),
             rtt: self.cfg.rtt.as_secs_f64(),
             interval: self.cfg.update_interval.as_secs_f64(),
-            w_long: self.cfg.w_long_bytes,
+            w_long: RWND_BYTES as f64,
             mean_short: self.mean_short_est.max(1.0),
             mss: self.cfg.mss as f64,
             deadline: self.cfg.deadline().as_secs_f64(),
@@ -212,7 +212,7 @@ impl LoadBalancer for Tlb {
                         && self.cfg.estimate_mean_short
                         && st.bytes_seen > 0
                     {
-                        let g = self.cfg.ewma_gain;
+                        let g = TlbConfig::EWMA_GAIN;
                         self.mean_short_est =
                             (1.0 - g) * self.mean_short_est + g * st.bytes_seen as f64;
                     }
@@ -238,7 +238,7 @@ impl LoadBalancer for Tlb {
                     .flows
                     .touch_or_insert_with(pkt.flow, now, || fresh(true));
                 st.bytes_seen += pkt.payload_bytes as u64;
-                st.is_long |= st.bytes_seen > self.cfg.short_threshold_bytes;
+                st.is_long |= st.bytes_seen > TlbConfig::SHORT_THRESHOLD_BYTES;
                 // Forwarding manager. Short-flow rule: every packet to the
                 // shortest queue. Long-flow rule: stick to the current
                 // uplink until its queue reaches q_th, then move to the
@@ -274,7 +274,7 @@ impl LoadBalancer for Tlb {
     fn on_tick(&mut self, view: PortView<'_>, now: SimTime) {
         // Granularity calculator (paper §3.1 + §5): sample out idle flows,
         // re-estimate the load strength, update q_th.
-        self.flows.purge_idle(now, self.cfg.idle_timeout);
+        self.flows.purge_idle(now, self.cfg.update_interval);
         if matches!(self.cfg.threshold_mode, ThresholdMode::Adaptive) {
             self.recompute_threshold(view);
         }

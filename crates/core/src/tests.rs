@@ -367,7 +367,6 @@ fn mean_short_ewma_tracks_completions() {
     let ps = OutPort::filled(&[0, 0]);
     let mut cfg = TlbConfig::paper_default();
     cfg.estimate_mean_short = true;
-    cfg.ewma_gain = 0.5;
     cfg.mean_short_prior = 70_000.0;
     let mut tlb = Tlb::new(cfg);
     let mut rng = SimRng::new(0);
@@ -378,7 +377,8 @@ fn mean_short_ewma_tracks_completions() {
     }
     tlb.choose_uplink(&fin(1), PortView::new(&ps), us(2), &mut rng);
     let est = tlb.mean_short_estimate();
-    let expect = 0.5 * 70_000.0 + 0.5 * 14_600.0;
+    let g = TlbConfig::EWMA_GAIN;
+    let expect = (1.0 - g) * 70_000.0 + g * 14_600.0;
     assert!((est - expect).abs() < 1.0, "est {est} != {expect}");
 }
 

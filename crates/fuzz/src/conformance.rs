@@ -26,7 +26,7 @@
 use tlb_core::{ThresholdMode, Tlb, TlbConfig};
 use tlb_engine::{SimRng, SimTime};
 use tlb_model::{q_th_min, ModelParams};
-use tlb_net::{FlowId, HostId, Packet, PktKind};
+use tlb_net::{FlowId, HostId, Packet, PktKind, RWND_BYTES};
 use tlb_switch::{LoadBalancer, OutPort, PortView};
 
 /// One scripted op: `(kind % 8, flow_id, queue_shape_selector)`.
@@ -60,7 +60,7 @@ pub fn expected_q_th(tlb: &Tlb, n_ports: usize, mean_capacity: f64) -> u64 {
                 capacity: mean_capacity,
                 rtt: cfg.rtt.as_secs_f64(),
                 interval: cfg.update_interval.as_secs_f64(),
-                w_long: cfg.w_long_bytes,
+                w_long: RWND_BYTES as f64,
                 mean_short: tlb.mean_short_estimate().max(1.0),
                 mss: cfg.mss as f64,
                 deadline: cfg.deadline().as_secs_f64(),
@@ -123,7 +123,7 @@ pub fn run_conformance(
                 _ => &ports[..],
             };
             tlb.on_tick(PortView::new(seen), now);
-            let cutoff = now.saturating_sub(cfg.idle_timeout);
+            let cutoff = now.saturating_sub(cfg.update_interval);
             mirror.retain(|_, f| f.last_seen >= cutoff);
             m_short = mirror.values().filter(|f| f.counted && !f.long).count();
             m_long = mirror.values().filter(|f| f.counted && f.long).count();
@@ -214,7 +214,7 @@ pub fn run_conformance(
                 f.last_seen = now;
                 let cur = f.port;
                 f.bytes += PAYLOAD as u64;
-                let became_long = !f.long && f.bytes > tlb.config().short_threshold_bytes;
+                let became_long = !f.long && f.bytes > TlbConfig::SHORT_THRESHOLD_BYTES;
                 if became_long {
                     f.long = true;
                 }

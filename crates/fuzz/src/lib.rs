@@ -119,7 +119,7 @@ const HYBRID_FCT_BAND: (f64, f64) = (0.05, 20.0);
 /// lower bound — a migrated flow's packet prefix and fluid tail overlap
 /// in time), and compare the runs. Exact across fidelities: completion
 /// counts and a pinned TLB's zero voluntary reroutes. Banded: per-class
-/// mean FCT within [`HYBRID_FCT_BAND`].
+/// mean FCT within `HYBRID_FCT_BAND` of the packet run's.
 pub fn run_scenario_checked_hybrid(raw: RawScenario) -> Result<(), String> {
     let built = Scenario::from_raw(raw).build();
     let packet = tlb_simnet::run_one_ref(&built.cfg, &built.flows);

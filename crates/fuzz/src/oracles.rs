@@ -160,7 +160,8 @@ pub fn check_report_with(
         match r.forced_reroutes {
             None | Some(0) => {}
             Some(n) => violations.push(format!(
-                "scheme {} reported {n} failure-forced reroutes in a run                  with no failure schedule",
+                "scheme {} reported {n} failure-forced reroutes in a run with no failure \
+                 schedule",
                 r.scheme
             )),
         }

@@ -234,15 +234,15 @@ impl Scenario {
         match self.scheme_idx {
             0 => Scheme::Ecmp,
             1 => Scheme::Rps,
-            2 => Scheme::presto_default(),
-            3 => Scheme::letflow_default(),
+            2 => Scheme::Presto,
+            3 => Scheme::LetFlow,
             4 => Scheme::tlb_default(),
             5 => {
                 let mut cfg = tlb_core::TlbConfig::paper_default();
                 cfg.threshold_mode = tlb_core::ThresholdMode::Fixed(u64::MAX);
                 Scheme::Tlb(cfg)
             }
-            _ => Scheme::diffflow_default(),
+            _ => Scheme::DiffFlow,
         }
     }
 

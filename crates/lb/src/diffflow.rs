@@ -23,12 +23,11 @@ struct DiffState {
 }
 
 /// Short flows are sprayed per packet over the live uplinks; once a flow's
-/// byte count exceeds `threshold_bytes` it is pinned to the then-shortest
+/// byte count exceeds [`DiffFlow::THRESHOLD_BYTES`] it is pinned to the then-shortest
 /// queue and stays there (barring link failure) until its FIN removes the
 /// rule.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DiffFlow {
-    threshold_bytes: u64,
     flows: FlowMap<DiffState>,
     /// Pinned flows moved because their uplink went down.
     forced: u64,
@@ -36,26 +35,11 @@ pub struct DiffFlow {
 
 impl DiffFlow {
     /// The conventional short/long boundary: 100 KB.
-    pub const DEFAULT_THRESHOLD_BYTES: u64 = 100 * 1000;
+    pub const THRESHOLD_BYTES: u64 = 100 * 1000;
 
-    /// A DiffFlow balancer with the given pin threshold.
-    pub fn new(threshold_bytes: u64) -> DiffFlow {
-        assert!(threshold_bytes > 0);
-        DiffFlow {
-            threshold_bytes,
-            flows: FlowMap::new(),
-            forced: 0,
-        }
-    }
-
-    /// Default 100 KB-threshold instance.
-    pub fn paper_default() -> DiffFlow {
-        DiffFlow::new(Self::DEFAULT_THRESHOLD_BYTES)
-    }
-
-    #[inline]
-    fn spray(view: &PortView<'_>, rng: &mut SimRng) -> usize {
-        view.nth_live(rng.index(view.n_live()))
+    /// A DiffFlow balancer pinning flows past 100 KB.
+    pub fn new() -> DiffFlow {
+        DiffFlow::default()
     }
 }
 
@@ -71,7 +55,7 @@ impl LoadBalancer for DiffFlow {
             PktKind::Fin => {
                 // Rule uninstall: the flow is over.
                 self.flows.remove(pkt.flow);
-                Self::spray(&view, rng)
+                view.random_live(rng)
             }
             PktKind::Data => {
                 let st = self
@@ -83,9 +67,9 @@ impl LoadBalancer for DiffFlow {
                     });
                 st.sent_bytes += pkt.payload_bytes as u64;
                 if !st.pinned {
-                    if st.sent_bytes <= self.threshold_bytes {
+                    if st.sent_bytes <= Self::THRESHOLD_BYTES {
                         // Still short: spray.
-                        return Self::spray(&view, rng);
+                        return view.random_live(rng);
                     }
                     // Crossed the boundary: install the rule on the
                     // currently-shortest queue.
@@ -103,7 +87,7 @@ impl LoadBalancer for DiffFlow {
                 }
             }
             // Control traffic never accumulates bytes and is sprayed.
-            PktKind::Syn | PktKind::SynAck | PktKind::Ack => Self::spray(&view, rng),
+            PktKind::Syn | PktKind::SynAck | PktKind::Ack => view.random_live(rng),
         }
     }
 
@@ -145,7 +129,7 @@ mod tests {
     #[test]
     fn short_flows_spray_across_ports() {
         let ps = OutPort::filled(&[0; 8]);
-        let mut lb = DiffFlow::paper_default();
+        let mut lb = DiffFlow::new();
         let mut rng = SimRng::new(1);
         let mut used = [false; 8];
         for seq in 0..60 {
@@ -159,7 +143,7 @@ mod tests {
     #[test]
     fn long_flows_pin_after_threshold() {
         let ps = OutPort::filled(&[0; 8]);
-        let mut lb = DiffFlow::paper_default();
+        let mut lb = DiffFlow::new();
         let mut rng = SimRng::new(2);
         // 70 packets push the flow over 100 kB.
         let mut last = 0;
@@ -179,7 +163,7 @@ mod tests {
     #[test]
     fn fin_uninstalls_the_rule() {
         let ps = OutPort::filled(&[0; 4]);
-        let mut lb = DiffFlow::paper_default();
+        let mut lb = DiffFlow::new();
         let mut rng = SimRng::new(3);
         for seq in 0..80 {
             lb.choose_uplink(&data(1, seq), PortView::new(&ps), SimTime::ZERO, &mut rng);
@@ -200,7 +184,7 @@ mod tests {
     #[test]
     fn dead_uplink_forces_a_reinstall() {
         let ps = OutPort::filled(&[0; 4]);
-        let mut lb = DiffFlow::paper_default();
+        let mut lb = DiffFlow::new();
         let mut rng = SimRng::new(4);
         let mut pinned = 0;
         for seq in 0..80 {

@@ -5,37 +5,26 @@ use tlb_engine::{SimRng, SimTime};
 use tlb_net::Packet;
 use tlb_switch::{LoadBalancer, PortView};
 
-/// DRILL(d, m): for each packet, sample `d` random uplinks, compare them with
-/// the `m` remembered best ports from the previous decision, and send the
-/// packet to the least-loaded of the candidates. The classic configuration is
-/// DRILL(2, 1) — "two choices plus memory" (Mitzenmacher's power of two
-/// choices applied per packet).
-#[derive(Debug)]
+/// DRILL(2, 1): for each packet, sample [`Drill::D`] = 2 random uplinks,
+/// compare them with the [`Drill::M`] = 1 best port remembered from the
+/// previous decision, and send the packet to the least-loaded of the
+/// candidates — "two choices plus memory" (Mitzenmacher's power of two
+/// choices applied per packet), DRILL's published configuration.
+#[derive(Debug, Default)]
 pub struct Drill {
-    d: usize,
-    memory: Vec<usize>,
-    m: usize,
+    /// The previous decision's winner.
+    memory: Option<usize>,
 }
 
 impl Drill {
     /// The published random samples per decision: 2.
-    pub const DEFAULT_D: usize = 2;
+    pub const D: usize = 2;
     /// The published remembered best ports: 1.
-    pub const DEFAULT_M: usize = 1;
+    pub const M: usize = 1;
 
-    /// A DRILL instance sampling `d` random ports with `m` remembered ports.
-    pub fn new(d: usize, m: usize) -> Drill {
-        assert!(d >= 1, "DRILL needs at least one random sample");
-        Drill {
-            d,
-            memory: Vec::with_capacity(m),
-            m,
-        }
-    }
-
-    /// The published default: DRILL(2, 1).
-    pub fn default_config() -> Drill {
-        Drill::new(Self::DEFAULT_D, Self::DEFAULT_M)
+    /// A DRILL(2, 1) instance.
+    pub fn new() -> Drill {
+        Drill::default()
     }
 }
 
@@ -50,7 +39,7 @@ impl LoadBalancer for Drill {
         let n = view.n_ports();
         // Sample uniformly over the live uplinks only; a remembered port is
         // considered only while it stays live.
-        let mut best = view.nth_live(rng.index(view.n_live()));
+        let mut best = view.random_live(rng);
         let mut best_len = view.qlen_bytes(best);
         let consider = |cand: usize, best: &mut usize, best_len: &mut u64| {
             let l = view.qlen_bytes(cand);
@@ -59,28 +48,21 @@ impl LoadBalancer for Drill {
                 *best_len = l;
             }
         };
-        for _ in 1..self.d {
-            consider(
-                view.nth_live(rng.index(view.n_live())),
-                &mut best,
-                &mut best_len,
-            );
+        for _ in 1..Self::D {
+            consider(view.random_live(rng), &mut best, &mut best_len);
         }
-        for &cand in &self.memory {
+        if let Some(cand) = self.memory {
             if cand < n && view.is_live(cand) {
                 consider(cand, &mut best, &mut best_len);
             }
         }
         // Remember the winner for the next decision.
-        self.memory.clear();
-        if self.m > 0 {
-            self.memory.push(best);
-        }
+        self.memory = Some(best);
         best
     }
 
     fn state_bytes(&self) -> usize {
-        (self.m + 1) * std::mem::size_of::<usize>()
+        (Self::M + 1) * std::mem::size_of::<usize>()
     }
 }
 
@@ -99,7 +81,7 @@ mod tests {
         // One empty port among 4 loaded ones: DRILL(2,1) converges onto it
         // and keeps choosing it thanks to memory.
         let ps = OutPort::filled(&[50, 50, 0, 50]);
-        let mut lb = Drill::default_config();
+        let mut lb = Drill::new();
         let mut rng = SimRng::new(1);
         let mut hits = 0;
         for _ in 0..200 {
@@ -116,41 +98,28 @@ mod tests {
 
     #[test]
     fn never_picks_worse_than_sampled() {
+        // The loaded port 0 wins only while both samples and the memory
+        // hold it; once the empty port 1 is sampled, memory keeps it.
         let ps = OutPort::filled(&[10, 0]);
-        let mut lb = Drill::new(2, 0); // d=2 over 2 ports: sees both often
+        let mut lb = Drill::new();
         let mut rng = SimRng::new(2);
-        let mut worst_picks = 0;
-        for _ in 0..500 {
-            if lb.choose_uplink(&pkt(), PortView::new(&ps), SimTime::ZERO, &mut rng) == 0 {
-                worst_picks += 1;
-            }
-        }
-        // Picking port 0 requires both samples to be port 0: p = 1/4.
-        assert!(
-            (50..=200).contains(&worst_picks),
-            "unexpected loaded-port rate: {worst_picks}/500"
-        );
+        let picks: Vec<usize> = (0..500)
+            .map(|_| lb.choose_uplink(&pkt(), PortView::new(&ps), SimTime::ZERO, &mut rng))
+            .collect();
+        let found = picks.iter().position(|&p| p == 1).expect("port 1 sampled");
+        assert!(found < 10, "port 1 first picked at decision {found}");
+        assert!(picks[found..].iter().all(|&p| p == 1), "{picks:?}");
     }
 
     #[test]
-    fn memory_capacity_respected() {
+    fn memory_holds_the_last_winner() {
         let ps = OutPort::filled(&[1, 1, 1]);
-        let mut lb = Drill::new(2, 1);
+        let mut lb = Drill::new();
         let mut rng = SimRng::new(3);
+        assert_eq!(lb.memory, None);
         for _ in 0..10 {
-            lb.choose_uplink(&pkt(), PortView::new(&ps), SimTime::ZERO, &mut rng);
-            assert!(lb.memory.len() <= 1);
+            let p = lb.choose_uplink(&pkt(), PortView::new(&ps), SimTime::ZERO, &mut rng);
+            assert_eq!(lb.memory, Some(p));
         }
-        let mut no_mem = Drill::new(1, 0);
-        for _ in 0..10 {
-            no_mem.choose_uplink(&pkt(), PortView::new(&ps), SimTime::ZERO, &mut rng);
-            assert!(no_mem.memory.is_empty());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one random sample")]
-    fn rejects_zero_samples() {
-        let _ = Drill::new(0, 1);
     }
 }

@@ -22,52 +22,28 @@ struct BenderState {
 }
 
 /// Flow-level rerouting driven by a per-window congestion fraction: a flow
-/// stays on its path until more than `frac_threshold` of its last
-/// `window_pkts` packets found the path congested, then rehashes onto a
-/// random other uplink.
-#[derive(Debug)]
+/// stays on its path until more than [`FlowBender::FRAC_THRESHOLD`] of its
+/// last [`FlowBender::WINDOW_PKTS`] packets found the path congested, then
+/// rehashes onto a random other uplink.
+#[derive(Debug, Default)]
 pub struct FlowBender {
-    /// Queue length (packets) above which a path counts as congested —
-    /// FlowBender inherits DCTCP's marking threshold.
-    mark_threshold_pkts: usize,
-    /// Fraction of congested observations that triggers a reroute
-    /// (published default: 5%).
-    frac_threshold: f64,
-    /// Observation window in packets (≈ one congestion window).
-    window_pkts: u32,
     flows: FlowMap<BenderState>,
     /// Flows rehashed off a dead uplink without a congestion trigger.
     forced: u64,
 }
 
 impl FlowBender {
-    /// The published sensing threshold: DCTCP's K = 20 packets.
-    pub const DEFAULT_MARK_THRESHOLD_PKTS: usize = 20;
+    /// Queue length (packets) at which a path counts as congested —
+    /// FlowBender's published sensing threshold, DCTCP's K = 20 packets.
+    pub const MARK_THRESHOLD_PKTS: usize = 20;
     /// The published reroute trigger: 5% congested observations.
-    pub const DEFAULT_FRAC_THRESHOLD: f64 = 0.05;
-    /// One-window epochs: 32 packets.
-    pub const DEFAULT_WINDOW_PKTS: u32 = 32;
+    pub const FRAC_THRESHOLD: f64 = 0.05;
+    /// Observation window (≈ one congestion window): 32 packets.
+    pub const WINDOW_PKTS: u32 = 32;
 
-    /// A FlowBender instance with explicit parameters.
-    pub fn new(mark_threshold_pkts: usize, frac_threshold: f64, window_pkts: u32) -> FlowBender {
-        assert!(window_pkts > 0);
-        assert!((0.0..=1.0).contains(&frac_threshold));
-        FlowBender {
-            mark_threshold_pkts,
-            frac_threshold,
-            window_pkts,
-            flows: FlowMap::new(),
-            forced: 0,
-        }
-    }
-
-    /// The published configuration: the three `DEFAULT_*` values.
-    pub fn paper_default() -> FlowBender {
-        FlowBender::new(
-            Self::DEFAULT_MARK_THRESHOLD_PKTS,
-            Self::DEFAULT_FRAC_THRESHOLD,
-            Self::DEFAULT_WINDOW_PKTS,
-        )
+    /// A FlowBender instance with the published parameters.
+    pub fn new() -> FlowBender {
+        FlowBender::default()
     }
 }
 
@@ -79,7 +55,7 @@ impl LoadBalancer for FlowBender {
         now: SimTime,
         rng: &mut SimRng,
     ) -> usize {
-        let initial = view.nth_live(rng.index(view.n_live()));
+        let initial = view.random_live(rng);
         let st = self
             .flows
             .touch_or_insert_with(pkt.flow, now, || BenderState {
@@ -91,19 +67,19 @@ impl LoadBalancer for FlowBender {
         if !view.is_live(port) {
             // The cached uplink died: rehash immediately onto a live one and
             // restart the observation window.
-            port = view.nth_live(rng.index(view.n_live()));
+            port = view.random_live(rng);
             st.port = port;
             st.marked = 0;
             st.total = 0;
             self.forced += 1;
         }
         st.total += 1;
-        if view.qlen_pkts(port) >= self.mark_threshold_pkts {
+        if view.qlen_pkts(port) >= Self::MARK_THRESHOLD_PKTS {
             st.marked += 1;
         }
-        if st.total >= self.window_pkts {
+        if st.total >= Self::WINDOW_PKTS {
             let live = view.n_live();
-            if st.marked as f64 / st.total as f64 > self.frac_threshold && live > 1 {
+            if st.marked as f64 / st.total as f64 > Self::FRAC_THRESHOLD && live > 1 {
                 // Rehash: any live uplink but the current one, expressed in
                 // live-rank space so dead ports are never candidates.
                 let jump = 1 + rng.index(live - 1);
@@ -157,7 +133,7 @@ mod tests {
     #[test]
     fn stays_put_when_uncongested() {
         let ps = OutPort::filled(&[0, 0, 0, 0]);
-        let mut lb = FlowBender::paper_default();
+        let mut lb = FlowBender::new();
         let mut rng = SimRng::new(1);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         for i in 1..200 {
@@ -173,7 +149,7 @@ mod tests {
     fn reroutes_when_congested() {
         // Find the initial port, then congest it.
         let ps = OutPort::filled(&[0, 0, 0, 0]);
-        let mut lb = FlowBender::paper_default();
+        let mut lb = FlowBender::new();
         let mut rng = SimRng::new(2);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         let mut lens = [0usize; 4];
@@ -199,7 +175,7 @@ mod tests {
     fn below_fraction_threshold_does_not_trigger() {
         // One congested observation out of 32 (3%) stays under the 5% bar.
         let ps = OutPort::filled(&[0, 0]);
-        let mut lb = FlowBender::paper_default();
+        let mut lb = FlowBender::new();
         let mut rng = SimRng::new(3);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         let mut lens = [0usize; 2];
@@ -221,14 +197,23 @@ mod tests {
 
     #[test]
     fn reroute_picks_a_different_port() {
-        let mut lb = FlowBender::new(1, 0.0, 1); // hair-trigger
+        // Every uplink above K: each 32-packet window ends in a rehash.
+        let mut lb = FlowBender::new();
         let mut rng = SimRng::new(4);
         let ps = OutPort::filled(&[30, 30, 30, 30]);
-        let mut prev = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
-        for i in 1..50 {
-            let p = lb.choose_uplink(&data(1, i), PortView::new(&ps), us(i as u64), &mut rng);
-            assert_ne!(p, prev, "hair-trigger config must hop every packet");
-            prev = p;
+        let window = FlowBender::WINDOW_PKTS as usize;
+        let seen: Vec<usize> = (0..8 * window as u32)
+            .map(|i| lb.choose_uplink(&data(1, i), PortView::new(&ps), us(i as u64), &mut rng))
+            .collect();
+        let windows: Vec<&[usize]> = seen.chunks(window).collect();
+        for w in &windows {
+            assert!(
+                w.iter().all(|&p| p == w[0]),
+                "one port per window: {seen:?}"
+            );
+        }
+        for pair in windows.windows(2) {
+            assert_ne!(pair[0][0], pair[1][0], "every window must rehash: {seen:?}");
         }
     }
 }

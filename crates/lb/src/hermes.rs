@@ -8,11 +8,12 @@
 //! leaf-local variant keeps its two signature rules:
 //!
 //! 1. **Size gating** — a flow may only be rerouted after it has sent more
-//!    than `reroute_size_bytes` (avoids reordering short flows);
+//!    than [`HermesLite::REROUTE_SIZE_BYTES`] (avoids reordering short
+//!    flows);
 //! 2. **Cautious benefit check** — reroute only when the current path is
 //!    congested *and* the best alternative is at least
-//!    `benefit_factor`× shorter, so marginal moves (which cost reordering
-//!    but gain little) are skipped.
+//!    [`HermesLite::BENEFIT_FACTOR`]× shorter, so marginal moves (which cost
+//!    reordering but gain little) are skipped.
 
 use tlb_engine::{SimRng, SimTime};
 use tlb_net::{Packet, PktKind};
@@ -25,16 +26,8 @@ struct HermesState {
 }
 
 /// Cautious flow-level rerouting with size gating and a benefit test.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HermesLite {
-    /// Bytes a flow must have sent before it becomes reroutable.
-    reroute_size_bytes: u64,
-    /// Queue length (packets) above which the current path counts as
-    /// congested.
-    congested_pkts: usize,
-    /// Required improvement: reroute only if
-    /// `best_qlen * benefit_factor <= cur_qlen`.
-    benefit_factor: f64,
     flows: FlowMap<HermesState>,
     /// Flows moved off a dead uplink, bypassing the size gate and benefit
     /// check (the old path no longer exists, caution does not apply).
@@ -43,32 +36,17 @@ pub struct HermesLite {
 
 impl HermesLite {
     /// The Hermes paper's size gate: 100 KB sent before a reroute.
-    pub const DEFAULT_REROUTE_SIZE_BYTES: u64 = 100_000;
-    /// DCTCP-threshold congestion sensing: 20 packets.
-    pub const DEFAULT_CONGESTED_PKTS: usize = 20;
-    /// A move must halve the queue the flow sees.
-    pub const DEFAULT_BENEFIT_FACTOR: f64 = 2.0;
+    pub const REROUTE_SIZE_BYTES: u64 = 100_000;
+    /// Queue length (packets) at which the current path counts as
+    /// congested: DCTCP's marking threshold, 20 packets.
+    pub const CONGESTED_PKTS: usize = 20;
+    /// Required improvement: a move must at least halve the queue the flow
+    /// sees (`best_qlen * BENEFIT_FACTOR <= cur_qlen`).
+    pub const BENEFIT_FACTOR: f64 = 2.0;
 
-    /// A Hermes-lite instance with explicit parameters.
-    pub fn new(reroute_size_bytes: u64, congested_pkts: usize, benefit_factor: f64) -> HermesLite {
-        assert!(benefit_factor >= 1.0, "benefit factor must be >= 1");
-        HermesLite {
-            reroute_size_bytes,
-            congested_pkts,
-            benefit_factor,
-            flows: FlowMap::new(),
-            forced: 0,
-        }
-    }
-
-    /// Defaults in the spirit of the Hermes paper: the three `DEFAULT_*`
-    /// values.
-    pub fn paper_default() -> HermesLite {
-        HermesLite::new(
-            Self::DEFAULT_REROUTE_SIZE_BYTES,
-            Self::DEFAULT_CONGESTED_PKTS,
-            Self::DEFAULT_BENEFIT_FACTOR,
-        )
+    /// A Hermes-lite instance with the three constants above.
+    pub fn new() -> HermesLite {
+        HermesLite::default()
     }
 }
 
@@ -81,7 +59,7 @@ impl LoadBalancer for HermesLite {
         rng: &mut SimRng,
     ) -> usize {
         // New flows start ECMP-like: uniform over the live uplinks.
-        let initial = view.nth_live(rng.index(view.n_live()));
+        let initial = view.random_live(rng);
         let st = self
             .flows
             .touch_or_insert_with(pkt.flow, now, || HermesState {
@@ -101,17 +79,17 @@ impl LoadBalancer for HermesLite {
             return cur;
         }
         // Size gate: young flows never move.
-        if st.sent_bytes <= self.reroute_size_bytes {
+        if st.sent_bytes <= Self::REROUTE_SIZE_BYTES {
             return cur;
         }
         // Cautious reroute: current path congested AND clear benefit.
         let cur_len = view.qlen_pkts(cur);
-        if cur_len < self.congested_pkts {
+        if cur_len < Self::CONGESTED_PKTS {
             return cur;
         }
         let best = view.shortest_bytes_rand(rng);
         let best_len = view.qlen_pkts(best);
-        if (best_len as f64) * self.benefit_factor <= cur_len as f64 {
+        if (best_len as f64) * Self::BENEFIT_FACTOR <= cur_len as f64 {
             st.port = best;
             best
         } else {
@@ -170,7 +148,7 @@ mod tests {
     #[test]
     fn young_flows_never_move() {
         // Flow under 100 kB stays put even on a congested path.
-        let mut lb = HermesLite::paper_default();
+        let mut lb = HermesLite::new();
         let mut rng = SimRng::new(1);
         let ps = OutPort::filled(&[0, 0, 0]);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
@@ -193,7 +171,7 @@ mod tests {
 
     #[test]
     fn mature_flow_moves_only_with_clear_benefit() {
-        let mut lb = HermesLite::paper_default();
+        let mut lb = HermesLite::new();
         let mut rng = SimRng::new(2);
         let ps = OutPort::filled(&[0, 0, 0]);
         let p0 = warm_up(&mut lb, &ps, &mut rng);
@@ -219,7 +197,7 @@ mod tests {
 
     #[test]
     fn uncongested_mature_flow_stays() {
-        let mut lb = HermesLite::paper_default();
+        let mut lb = HermesLite::new();
         let mut rng = SimRng::new(3);
         let ps = OutPort::filled(&[0, 0, 0]);
         let p0 = warm_up(&mut lb, &ps, &mut rng);
@@ -236,7 +214,7 @@ mod tests {
 
     #[test]
     fn control_packets_do_not_advance_the_gate() {
-        let mut lb = HermesLite::paper_default();
+        let mut lb = HermesLite::new();
         let mut rng = SimRng::new(4);
         let ps = OutPort::filled(&[0, 0]);
         let ack = Packet::control(

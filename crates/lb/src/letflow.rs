@@ -27,6 +27,8 @@ use tlb_switch::{FlowMap, LoadBalancer, PortView};
 /// gaps, so rerouting opportunities are rare.
 #[derive(Debug)]
 pub struct LetFlow {
+    /// The flowlet timeout: [`LetFlow::TIMEOUT`] or, for CONGA-lite,
+    /// [`LetFlow::CONGA_TIMEOUT`].
     timeout: SimTime,
     /// The repick rule: the shortest queue (CONGA-lite) instead of a
     /// random uplink (LetFlow).
@@ -40,15 +42,15 @@ pub struct LetFlow {
 
 impl LetFlow {
     /// The paper's NS2 flowlet timeout: 150 µs (§2.2, citing Hermes).
-    pub const DEFAULT_TIMEOUT: SimTime = SimTime::from_micros(150);
+    pub const TIMEOUT: SimTime = SimTime::from_micros(150);
 
     /// CONGA's published flowlet timeout: 500 µs.
     pub const CONGA_TIMEOUT: SimTime = SimTime::from_micros(500);
 
-    /// A LetFlow balancer with the given flowlet timeout.
-    pub fn new(timeout: SimTime) -> LetFlow {
+    /// A LetFlow balancer: random repicks, 150 µs flowlet timeout.
+    pub fn new() -> LetFlow {
         LetFlow {
-            timeout,
+            timeout: Self::TIMEOUT,
             to_shortest: false,
             flows: FlowMap::new(),
             forced: 0,
@@ -56,22 +58,19 @@ impl LetFlow {
     }
 
     /// A CONGA-lite balancer: flowlet switching onto the shortest local
-    /// uplink queue, with the given flowlet timeout.
-    pub fn conga(timeout: SimTime) -> LetFlow {
+    /// uplink queue, 500 µs flowlet timeout.
+    pub fn conga() -> LetFlow {
         LetFlow {
+            timeout: Self::CONGA_TIMEOUT,
             to_shortest: true,
-            ..LetFlow::new(timeout)
+            ..LetFlow::new()
         }
     }
+}
 
-    /// Default 150 µs-timeout instance.
-    pub fn paper_default() -> LetFlow {
-        LetFlow::new(Self::DEFAULT_TIMEOUT)
-    }
-
-    /// The configured flowlet timeout.
-    pub fn timeout(&self) -> SimTime {
-        self.timeout
+impl Default for LetFlow {
+    fn default() -> Self {
+        LetFlow::new()
     }
 }
 
@@ -87,7 +86,7 @@ impl LoadBalancer for LetFlow {
         // CONGA-lite ranks the queues before every lookup; LetFlow draws
         // only when it re-picks. Either way the pick is a live uplink.
         let shortest = self.to_shortest.then(|| view.shortest_bytes_rand(rng));
-        let mut repick = || shortest.unwrap_or_else(|| view.nth_live(rng.index(view.n_live())));
+        let mut repick = || shortest.unwrap_or_else(|| view.random_live(rng));
         match self.flows.touch(pkt.flow, now) {
             Some((port, last_pkt)) => {
                 let gap = now.saturating_sub(last_pkt);
@@ -153,7 +152,7 @@ mod tests {
     #[test]
     fn back_to_back_packets_stick() {
         let ps = OutPort::filled(&[0; 8]);
-        let mut lb = LetFlow::paper_default();
+        let mut lb = LetFlow::new();
         let mut rng = SimRng::new(1);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         for i in 1..100 {
@@ -166,7 +165,7 @@ mod tests {
     #[test]
     fn gap_allows_reroute() {
         let ps = OutPort::filled(&[0; 16]);
-        let mut lb = LetFlow::new(us(150));
+        let mut lb = LetFlow::new();
         let mut rng = SimRng::new(2);
         let mut t = SimTime::ZERO;
         let mut changed = 0;
@@ -186,7 +185,7 @@ mod tests {
     #[test]
     fn gap_exactly_at_timeout_does_not_reroute() {
         let ps = OutPort::filled(&[0; 4]);
-        let mut lb = LetFlow::new(us(150));
+        let mut lb = LetFlow::new();
         let mut rng = SimRng::new(3);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         // Gap == timeout: strictly-greater semantics keep the flowlet alive.
@@ -197,7 +196,7 @@ mod tests {
     #[test]
     fn flows_are_independent() {
         let ps = OutPort::filled(&[0; 8]);
-        let mut lb = LetFlow::paper_default();
+        let mut lb = LetFlow::new();
         let mut rng = SimRng::new(4);
         let mut used = std::collections::HashSet::new();
         for f in 0..64 {
@@ -209,7 +208,7 @@ mod tests {
     #[test]
     fn purge_drops_dead_flows() {
         let ps = OutPort::filled(&[0; 2]);
-        let mut lb = LetFlow::paper_default();
+        let mut lb = LetFlow::new();
         let mut rng = SimRng::new(5);
         lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         let resident = lb.state_bytes();
@@ -231,7 +230,7 @@ mod tests {
     #[test]
     fn new_flow_takes_shortest() {
         let ps = OutPort::filled(&[5, 2, 9]);
-        let mut lb = LetFlow::conga(LetFlow::CONGA_TIMEOUT);
+        let mut lb = LetFlow::conga();
         let mut rng = SimRng::new(1);
         assert_eq!(
             lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng),
@@ -242,7 +241,7 @@ mod tests {
     #[test]
     fn sticks_within_flowlet() {
         let ps = OutPort::filled(&[5, 2, 9]);
-        let mut lb = LetFlow::conga(LetFlow::CONGA_TIMEOUT);
+        let mut lb = LetFlow::conga();
         let mut rng = SimRng::new(1);
         let p0 = lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         // Even though port 0 may become shorter, within the gap we stick.
@@ -254,7 +253,7 @@ mod tests {
     #[test]
     fn reroutes_to_shortest_after_gap() {
         let ps = OutPort::filled(&[5, 2, 9]);
-        let mut lb = LetFlow::conga(LetFlow::CONGA_TIMEOUT);
+        let mut lb = LetFlow::conga();
         let mut rng = SimRng::new(1);
         lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
         let ps2 = OutPort::filled(&[0, 2, 9]);

@@ -20,32 +20,23 @@ struct Cell {
 /// The original Presto runs at the vSwitch; hosting it at the leaf switch is
 /// equivalent for a leaf-spine fabric where the leaf makes the only
 /// multipath choice.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Presto {
-    cell_limit: u64,
     flows: FlowMap<Cell>,
     /// Round-robin cursor shared across flows, so simultaneous cells from
     /// different flows land on different uplinks.
     rr_next: usize,
-    idle_timeout: SimTime,
     /// Cells moved off a dead uplink before their cell boundary.
     forced: u64,
 }
 
 impl Presto {
-    /// Presto's published default: 64 KB flowcells.
-    pub const DEFAULT_CELL_BYTES: u64 = 64 * 1024;
+    /// Presto's published flowcell size: 64 KB.
+    pub const CELL_BYTES: u64 = 64 * 1024;
 
-    /// A Presto balancer with the given cell size.
-    pub fn new(cell_bytes: u64) -> Presto {
-        assert!(cell_bytes > 0);
-        Presto {
-            cell_limit: cell_bytes,
-            flows: FlowMap::new(),
-            rr_next: 0,
-            idle_timeout: SimTime::from_millis(10),
-            forced: 0,
-        }
+    /// A Presto balancer with 64 KB cells.
+    pub fn new() -> Presto {
+        Presto::default()
     }
 
     /// Advance `i` (mod the port count) to the next live uplink. With a full
@@ -59,11 +50,6 @@ impl Presto {
             }
             i = (i + 1) % n;
         }
-    }
-
-    /// Default 64 KB-cell instance.
-    pub fn default_cells() -> Presto {
-        Presto::new(Self::DEFAULT_CELL_BYTES)
     }
 }
 
@@ -88,11 +74,11 @@ impl LoadBalancer for Presto {
         if inserted {
             // New flow: it consumed the RR cursor for its first cell.
             self.rr_next = (rr0 + 1) % n;
-        } else if entry.cell_bytes >= self.cell_limit || !view.is_live(entry.port) {
+        } else if entry.cell_bytes >= Self::CELL_BYTES || !view.is_live(entry.port) {
             // Cell boundary — or the cached uplink died mid-cell, which
             // forces an early boundary. Either way move to the next live
             // uplink in round-robin order.
-            if entry.cell_bytes < self.cell_limit {
+            if entry.cell_bytes < Self::CELL_BYTES {
                 self.forced += 1;
             }
             entry.cell_bytes = 0;
@@ -104,7 +90,7 @@ impl LoadBalancer for Presto {
     }
 
     fn on_tick(&mut self, _view: PortView<'_>, now: SimTime) {
-        self.flows.purge_idle(now, self.idle_timeout);
+        self.flows.purge_idle(now, SimTime::from_millis(10));
     }
 
     fn tick_interval(&self) -> Option<SimTime> {
@@ -138,43 +124,44 @@ mod tests {
         )
     }
 
+    /// Full-size segments that fill one 64 KB flowcell: 45.
+    const PER_CELL: usize = Presto::CELL_BYTES.div_ceil(1460) as usize;
+
     #[test]
     fn stays_within_cell_then_moves() {
         let ps = OutPort::filled(&[0; 4]);
-        let mut lb = Presto::new(10 * 1460); // 10-packet cells for the test
+        let mut lb = Presto::new();
         let mut rng = SimRng::new(0);
         let mut seen = Vec::new();
-        for seq in 0..30 {
+        for seq in 0..3 * PER_CELL as u32 {
             seen.push(lb.choose_uplink(&data(1, seq), PortView::new(&ps), SimTime::ZERO, &mut rng));
         }
-        // First 10 packets on one port, next 10 on another, etc.
-        let first = seen[0];
-        assert!(seen[..10].iter().all(|&p| p == first));
-        let second = seen[10];
-        assert_ne!(second, first);
-        assert!(seen[10..20].iter().all(|&p| p == second));
-        let third = seen[20];
-        assert_ne!(third, second);
+        // The first 45 packets on one port, the next 45 on another, etc.
+        let cells: Vec<&[usize]> = seen.chunks(PER_CELL).collect();
+        for cell in &cells {
+            assert!(cell.iter().all(|&p| p == cell[0]), "{seen:?}");
+        }
+        assert_ne!(cells[1][0], cells[0][0]);
+        assert_ne!(cells[2][0], cells[1][0]);
     }
 
     #[test]
     fn cells_advance_round_robin() {
         let ps = OutPort::filled(&[0; 4]);
-        let mut lb = Presto::new(1460);
+        let mut lb = Presto::new();
         let mut rng = SimRng::new(0);
-        // One flow, 1-packet cells: ports must cycle 0,1,2,3,0...
-        let seq_ports: Vec<usize> = (0..8)
+        // One flow, eight cells: their ports must cycle 0,1,2,3,0...
+        let seen: Vec<usize> = (0..8 * PER_CELL as u32)
             .map(|s| lb.choose_uplink(&data(1, s), PortView::new(&ps), SimTime::ZERO, &mut rng))
             .collect();
-        for w in seq_ports.windows(2) {
-            assert_ne!(w[0], w[1], "adjacent cells must differ: {seq_ports:?}");
-        }
+        let cell_ports: Vec<usize> = seen.into_iter().step_by(PER_CELL).collect();
+        assert_eq!(cell_ports, [0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
     fn flows_start_on_distinct_ports() {
         let ps = OutPort::filled(&[0; 4]);
-        let mut lb = Presto::default_cells();
+        let mut lb = Presto::new();
         let mut rng = SimRng::new(0);
         let mut firsts = Vec::new();
         for f in 0..4 {
@@ -189,7 +176,7 @@ mod tests {
     #[test]
     fn acks_do_not_advance_cells() {
         let ps = OutPort::filled(&[0; 4]);
-        let mut lb = Presto::new(1460);
+        let mut lb = Presto::new();
         let mut rng = SimRng::new(0);
         let ack = Packet::control(
             FlowId(2),
@@ -212,7 +199,7 @@ mod tests {
     #[test]
     fn idle_flows_get_purged() {
         let ps = OutPort::filled(&[0; 2]);
-        let mut lb = Presto::default_cells();
+        let mut lb = Presto::new();
         let mut rng = SimRng::new(0);
         lb.choose_uplink(&data(1, 0), PortView::new(&ps), SimTime::ZERO, &mut rng);
         assert!(lb.state_bytes() > 0);

@@ -27,7 +27,7 @@ impl LoadBalancer for Rps {
     ) -> usize {
         // Spray over the live uplinks only. With a full mask this draws the
         // identical random index the unmasked code drew.
-        view.nth_live(rng.index(view.n_live()))
+        view.random_live(rng)
     }
 
     fn state_bytes(&self) -> usize {

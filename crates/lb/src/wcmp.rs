@@ -33,7 +33,7 @@ impl Wcmp {
             .map(|i| view.link_bytes_per_sec(i))
             .sum();
         if total == 0 {
-            return view.nth_live(rng.index(view.n_live()));
+            return view.random_live(rng);
         }
         let mut x = rng.gen_range(total);
         let mut last = 0;

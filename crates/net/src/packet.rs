@@ -122,6 +122,10 @@ pub struct Packet {
     pub enqueued_at: SimTime,
 }
 
+/// The receive window in bytes: the 64 KB Linux default, which caps every
+/// sender's window and is TLB's long-flow window `W_L` (§4.1).
+pub const RWND_BYTES: u32 = 65_535;
+
 impl Packet {
     /// Wire size of a control packet (SYN/ACK/FIN): TCP/IP headers only.
     pub const CTRL_WIRE_BYTES: u32 = 64;

@@ -599,8 +599,12 @@ mod tests {
                 E::Tcp("mss must be positive".into()),
             ),
             (
-                broken(&|c| c.scheme = Scheme::Presto { cell_bytes: 0 }),
-                E::Scheme("Presto: cell_bytes must be positive".into()),
+                broken(&|c| {
+                    let mut tlb = tlb_core::TlbConfig::paper_default();
+                    tlb.update_interval = SimTime::ZERO;
+                    c.scheme = Scheme::Tlb(tlb);
+                }),
+                E::Scheme("TLB: update_interval must be positive".into()),
             ),
             (
                 broken(&|c| c.host_queue.capacity_pkts = 0),

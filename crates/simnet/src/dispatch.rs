@@ -129,32 +129,14 @@ impl Scheme {
         match self {
             Scheme::Ecmp => AnyLb::Ecmp(Ecmp::new(salt)),
             Scheme::Rps => AnyLb::Rps(Rps::new()),
-            Scheme::Presto { cell_bytes } => AnyLb::Presto(Presto::new(*cell_bytes)),
-            Scheme::LetFlow { timeout } => AnyLb::LetFlow(LetFlow::new(*timeout)),
-            Scheme::Drill { d, m } => AnyLb::Drill(Drill::new(*d, *m)),
-            Scheme::CongaLite { timeout } => AnyLb::LetFlow(LetFlow::conga(*timeout)),
-            Scheme::FlowBender {
-                mark_threshold_pkts,
-                frac_threshold,
-                window_pkts,
-            } => AnyLb::FlowBender(FlowBender::new(
-                *mark_threshold_pkts,
-                *frac_threshold,
-                *window_pkts,
-            )),
-            Scheme::Hermes {
-                reroute_size_bytes,
-                congested_pkts,
-                benefit_factor,
-            } => AnyLb::Hermes(HermesLite::new(
-                *reroute_size_bytes,
-                *congested_pkts,
-                *benefit_factor,
-            )),
+            Scheme::Presto => AnyLb::Presto(Presto::new()),
+            Scheme::LetFlow => AnyLb::LetFlow(LetFlow::new()),
+            Scheme::Drill => AnyLb::Drill(Drill::new()),
+            Scheme::CongaLite => AnyLb::LetFlow(LetFlow::conga()),
+            Scheme::FlowBender => AnyLb::FlowBender(FlowBender::new()),
+            Scheme::Hermes => AnyLb::Hermes(HermesLite::new()),
             Scheme::Wcmp => AnyLb::Wcmp(Wcmp::new()),
-            Scheme::DiffFlow { threshold_bytes } => {
-                AnyLb::DiffFlow(DiffFlow::new(*threshold_bytes))
-            }
+            Scheme::DiffFlow => AnyLb::DiffFlow(DiffFlow::new()),
             Scheme::Tlb(cfg) => AnyLb::Tlb(Box::new(Tlb::new(*cfg))),
         }
     }

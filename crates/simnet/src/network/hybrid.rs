@@ -177,7 +177,7 @@ impl Net<'_> {
                 .sender
                 .map_or(0, |s| self.senders[s].snd_nxt()),
             self.cfg.tcp.mss,
-            self.cfg.tcp.header_bytes,
+            TcpConfig::HEADER_BYTES,
             now,
         );
         let mut port = self.pmap.host_nic(spec.src.0);

@@ -68,10 +68,10 @@ pub(super) fn for_each_link_state(
 /// Most packets ever in flight on a link in state `l`: each lives exactly
 /// one propagation delay on the wire, and one serializer puts through at
 /// most `prop_delay / tx(header)` of them in that time — every packet is
-/// at least a bare header, of `tcp.header_bytes` — plus the two straddling
-/// its ends.
-pub(super) fn in_flight_bound(tcp: &TcpConfig, l: &LinkProps) -> usize {
-    let min_wire = tcp.header_bytes.max(1) as u64;
+/// at least a bare header, of [`TcpConfig::HEADER_BYTES`] — plus the two
+/// straddling its ends.
+pub(super) fn in_flight_bound(l: &LinkProps) -> usize {
+    let min_wire = TcpConfig::HEADER_BYTES as u64;
     let tx = tlb_engine::time::tx_time(min_wire, l.bytes_per_sec)
         .as_nanos()
         .max(1);
@@ -84,7 +84,7 @@ pub(super) fn in_flight_bound(tcp: &TcpConfig, l: &LinkProps) -> usize {
 /// change takes hold the link carries packets of both states).
 pub(super) fn wire_bound(cfg: &SimConfig, pmap: &PortMap) -> usize {
     let mut total = 0;
-    for_each_link_state(cfg, pmap, |_, l| total += in_flight_bound(&cfg.tcp, l));
+    for_each_link_state(cfg, pmap, |_, l| total += in_flight_bound(l));
     total
 }
 
@@ -105,5 +105,6 @@ pub(super) fn packet_bound(cfg: &SimConfig, pmap: &PortMap, ports: &[OutPort]) -
 /// wire rate scaled by MSS/(MSS+header) — what a saturating packet flow
 /// can actually deliver end to end.
 pub(super) fn payload_capacity(tcp: &TcpConfig, l: &LinkProps) -> f64 {
-    l.bytes_per_sec as f64 * (tcp.mss as f64 / (tcp.mss as f64 + tcp.header_bytes as f64))
+    let mss = tcp.mss as f64;
+    l.bytes_per_sec as f64 * (mss / (mss + TcpConfig::HEADER_BYTES as f64))
 }

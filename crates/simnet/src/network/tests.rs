@@ -331,7 +331,7 @@ fn dctcp_keeps_queues_shallow() {
 #[test]
 fn determinism_same_seed_same_everything() {
     let mk = || {
-        let mut cfg = crate::SimConfig::basic_paper(Scheme::letflow_default());
+        let mut cfg = crate::SimConfig::basic_paper(Scheme::LetFlow);
         cfg.seed = 42;
         let mut mix = tlb_workload::BasicMixConfig::paper_default();
         mix.n_short = 30;
@@ -469,7 +469,7 @@ fn all_schemes_complete_the_basic_mix() {
 
 #[test]
 fn asymmetric_topology_still_completes() {
-    let mut cfg = crate::SimConfig::basic_paper(Scheme::letflow_default());
+    let mut cfg = crate::SimConfig::basic_paper(Scheme::LetFlow);
     cfg.topo
         .degrade_link(LeafId(0), SpineId(0), 0.25, SimTime::from_micros(200));
     cfg.topo

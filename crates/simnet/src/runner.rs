@@ -68,7 +68,7 @@ mod tests {
         let schemes = [
             Scheme::Ecmp,
             Scheme::Rps,
-            Scheme::letflow_default(),
+            Scheme::LetFlow,
             Scheme::tlb_default(),
         ];
         (0..8)

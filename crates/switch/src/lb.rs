@@ -85,6 +85,13 @@ impl<'a> PortView<'a> {
         m.trailing_zeros() as usize
     }
 
+    /// A uniformly random live uplink: one `rng.index` draw over the live
+    /// count, so a full mask draws exactly the index an unmasked spray did.
+    #[inline]
+    pub fn random_live(&self, rng: &mut SimRng) -> usize {
+        self.nth_live(rng.index(self.n_live()))
+    }
+
     /// Rank of live uplink `i` among the live uplinks (inverse of
     /// [`nth_live`](Self::nth_live)). With a full mask this is `i` itself.
     #[inline]
@@ -252,6 +259,24 @@ mod tests {
         // empty live port 3 wins.
         let w = PortView::with_mask(&ps, 0b1010);
         assert_eq!(w.shortest_bytes_rand(&mut rng), 3);
+    }
+
+    #[test]
+    fn random_live_draws_only_live_ports() {
+        let ps = OutPort::filled(&[0; 5]);
+        // Ports 0, 2 and 4 dead: every draw lands on 1 or 3, and each
+        // takes exactly the draw `nth_live(rng.index(n_live))` takes.
+        let v = PortView::with_mask(&ps, 0b01010);
+        let mut rng = SimRng::new(5);
+        let mut twin = rng.clone();
+        let mut hits = [0usize; 5];
+        for _ in 0..400 {
+            let p = v.random_live(&mut rng);
+            assert_eq!(p, v.nth_live(twin.index(2)));
+            hits[p] += 1;
+        }
+        assert_eq!([hits[0], hits[2], hits[4]], [0, 0, 0], "{hits:?}");
+        assert!(hits[1] > 150 && hits[3] > 150, "{hits:?}");
     }
 
     #[test]

@@ -1,66 +1,42 @@
 //! Transport parameters.
 
 use tlb_engine::SimTime;
-
-/// DCTCP congestion-control extension parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct DctcpConfig {
-    /// EWMA gain `g` for the marked-fraction estimate `α` (paper value 1/16).
-    pub g: f64,
-}
-
-impl Default for DctcpConfig {
-    fn default() -> Self {
-        DctcpConfig { g: 1.0 / 16.0 }
-    }
-}
+use tlb_net::RWND_BYTES;
 
 /// TCP endpoint configuration shared by all flows of a simulation.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpConfig {
     /// Maximum segment payload in bytes.
     pub mss: u32,
-    /// TCP/IP header overhead added to each data segment on the wire.
-    pub header_bytes: u32,
-    /// Initial congestion window in segments (Eq. 3 assumes 2).
-    pub init_cwnd: f64,
-    /// Receive window cap in bytes (the paper's `W_L`: 64 KB Linux default).
-    pub rwnd_bytes: u32,
-    /// Duplicate ACKs triggering fast retransmit.
-    pub dupack_threshold: u32,
-    /// Lower bound for the retransmission timeout.
+    /// Lower bound for the retransmission timeout, and the RTO used before
+    /// any RTT sample exists.
     pub min_rto: SimTime,
-    /// RTO used before any RTT sample exists.
-    pub initial_rto: SimTime,
     /// Upper bound for backed-off RTOs.
     pub max_rto: SimTime,
-    /// `Some` enables DCTCP window control (requires ECN-marking switches).
-    pub dctcp: Option<DctcpConfig>,
+    /// DCTCP window control (requires ECN-marking switches); NewReno when
+    /// false.
+    pub dctcp: bool,
 }
 
 impl TcpConfig {
+    /// TCP/IP header overhead added to each data segment on the wire.
+    pub const HEADER_BYTES: u32 = 40;
+    /// Initial congestion window in segments (Eq. 3 assumes 2).
+    pub const INIT_CWND: f64 = 2.0;
+    /// Duplicate ACKs triggering fast retransmit.
+    pub const DUPACK_THRESHOLD: u32 = 3;
+    /// DCTCP's EWMA gain `g` for the marked-fraction estimate `α` (1/16).
+    pub const DCTCP_G: f64 = 1.0 / 16.0;
+
     /// DCTCP endpoints as used throughout the paper's NS2 simulations:
     /// MSS 1460 B, IW 2, 64 KB receive window, 10 ms minimum RTO (the usual
     /// datacenter NS2 setting).
     pub fn dctcp_default() -> TcpConfig {
         TcpConfig {
             mss: 1460,
-            header_bytes: 40,
-            init_cwnd: 2.0,
-            rwnd_bytes: 65_535,
-            dupack_threshold: 3,
             min_rto: SimTime::from_millis(10),
-            initial_rto: SimTime::from_millis(10),
             max_rto: SimTime::from_secs(2),
-            dctcp: Some(DctcpConfig::default()),
-        }
-    }
-
-    /// Plain TCP NewReno (ECN ignored) — for ablations.
-    pub fn newreno_default() -> TcpConfig {
-        TcpConfig {
-            dctcp: None,
-            ..TcpConfig::dctcp_default()
+            dctcp: true,
         }
     }
 
@@ -69,15 +45,14 @@ impl TcpConfig {
     pub fn testbed_default() -> TcpConfig {
         TcpConfig {
             min_rto: SimTime::from_millis(200),
-            initial_rto: SimTime::from_millis(200),
             max_rto: SimTime::from_secs(4),
             ..TcpConfig::dctcp_default()
         }
     }
 
-    /// The receive window in whole segments (at least 1).
+    /// The receive window ([`RWND_BYTES`]) in whole segments (at least 1).
     pub fn rwnd_segs(&self) -> u32 {
-        (self.rwnd_bytes / self.mss).max(1)
+        (RWND_BYTES / self.mss).max(1)
     }
 
     /// Upper bound on [`crate::SenderOutput`]s a *single* sender entry
@@ -104,22 +79,11 @@ impl TcpConfig {
         if self.mss == 0 {
             return Err("mss must be positive".into());
         }
-        if self.init_cwnd < 1.0 {
-            return Err("init_cwnd must be at least 1 segment".into());
-        }
-        if self.dupack_threshold == 0 {
-            return Err("dupack_threshold must be positive".into());
-        }
-        if self.min_rto.is_zero() || self.initial_rto.is_zero() {
+        if self.min_rto.is_zero() {
             return Err("RTO bounds must be positive".into());
         }
         if self.max_rto < self.min_rto {
             return Err("max_rto < min_rto".into());
-        }
-        if let Some(d) = self.dctcp {
-            if !(0.0..=1.0).contains(&d.g) {
-                return Err(format!("DCTCP g out of [0,1]: {}", d.g));
-            }
         }
         Ok(())
     }
@@ -132,7 +96,6 @@ mod tests {
     #[test]
     fn defaults_validate() {
         TcpConfig::dctcp_default().validate().unwrap();
-        TcpConfig::newreno_default().validate().unwrap();
         TcpConfig::testbed_default().validate().unwrap();
     }
 
@@ -149,13 +112,10 @@ mod tests {
         bad.mss = 0;
         assert!(bad.validate().is_err());
         let mut bad = ok;
-        bad.init_cwnd = 0.5;
+        bad.min_rto = SimTime::ZERO;
         assert!(bad.validate().is_err());
         let mut bad = ok;
         bad.max_rto = SimTime::from_nanos(1);
-        assert!(bad.validate().is_err());
-        let mut bad = ok;
-        bad.dctcp = Some(DctcpConfig { g: 2.0 });
         assert!(bad.validate().is_err());
     }
 }

@@ -26,6 +26,6 @@ mod proptests;
 pub mod receiver;
 pub mod sender;
 
-pub use config::{DctcpConfig, TcpConfig};
+pub use config::TcpConfig;
 pub use receiver::{ReceiverStats, TcpReceiver};
 pub use sender::{SenderOutput, SenderStats, TcpSender};

@@ -119,8 +119,8 @@ impl TcpSender {
         let last_payload = (size_bytes - (total_segs as u64 - 1) * mss) as u32;
         TcpSender {
             ssthresh: cfg.rwnd_segs() as f64,
-            cwnd: cfg.init_cwnd,
-            rto: cfg.initial_rto,
+            cwnd: TcpConfig::INIT_CWND,
+            rto: cfg.min_rto,
             cfg,
             flow,
             host,
@@ -415,7 +415,7 @@ impl TcpSender {
             // RFC 9293 says drop it.
             return;
         }
-        if self.cfg.dctcp.is_some() {
+        if self.cfg.dctcp {
             self.ack_cnt += 1;
             if ece {
                 self.ce_cnt += 1;
@@ -479,13 +479,13 @@ impl TcpSender {
                 // Window inflation keeps the pipe full during recovery.
                 self.cwnd += 1.0;
                 self.send_available(now, out);
-            } else if self.dup_acks == self.cfg.dupack_threshold {
+            } else if self.dup_acks == TcpConfig::DUPACK_THRESHOLD {
                 self.stats.fast_retransmits += 1;
                 let flight = (self.snd_nxt - self.snd_una) as f64;
                 self.ssthresh = (flight / 2.0).max(2.0);
                 self.recover = self.snd_nxt;
                 self.in_recovery = true;
-                self.cwnd = self.ssthresh + self.cfg.dupack_threshold as f64;
+                self.cwnd = self.ssthresh + TcpConfig::DUPACK_THRESHOLD as f64;
                 self.retransmit(self.snd_una, now, out);
                 self.deadline = now + self.rto;
                 self.arm(now, out);
@@ -498,13 +498,13 @@ impl TcpSender {
     /// and, if the window saw any marks, cut cwnd by α/2 (entering
     /// congestion avoidance at the new size).
     fn dctcp_window_check(&mut self, ack: u32) {
-        let Some(dctcp) = self.cfg.dctcp else { return };
-        if ack < self.obs_window_end {
+        if !self.cfg.dctcp || ack < self.obs_window_end {
             return;
         }
         if self.ack_cnt > 0 {
             let f = self.ce_cnt as f64 / self.ack_cnt as f64;
-            self.alpha = (1.0 - dctcp.g) * self.alpha + dctcp.g * f;
+            let g = TcpConfig::DCTCP_G;
+            self.alpha = (1.0 - g) * self.alpha + g * f;
             if self.ce_cnt > 0 {
                 self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max(1.0);
                 self.ssthresh = self.cwnd.max(2.0);
@@ -539,7 +539,7 @@ impl TcpSender {
                 self.peer,
                 seq,
                 self.payload_of(seq),
-                self.cfg.header_bytes,
+                TcpConfig::HEADER_BYTES,
                 now,
             );
             if seq + 1 == self.total_segs {
@@ -561,7 +561,7 @@ impl TcpSender {
             self.peer,
             seq,
             self.payload_of(seq),
-            self.cfg.header_bytes,
+            TcpConfig::HEADER_BYTES,
             now,
         );
         pkt.flags.set(PktFlags::RETX, true);

@@ -3,7 +3,6 @@
 //! loopback "network" end to end against the real receiver.
 
 use super::*;
-use crate::config::DctcpConfig;
 use crate::receiver::TcpReceiver;
 use tlb_engine::SimRng;
 
@@ -270,7 +269,7 @@ fn handshake_timeout_resends_syn() {
     let mut out = Vec::new();
     s.start(us(0), &mut out);
     out.clear();
-    s.on_timer(us(0) + cfg().initial_rto, &mut out);
+    s.on_timer(us(0) + cfg().min_rto, &mut out);
     let syns: Vec<_> = out
         .iter()
         .filter(|o| matches!(o, SenderOutput::Send(p) if p.kind == PktKind::Syn))
@@ -326,7 +325,10 @@ fn dctcp_no_marks_no_cuts() {
 #[test]
 fn newreno_config_ignores_ece() {
     let mut s = TcpSender::new(
-        TcpConfig::newreno_default(),
+        TcpConfig {
+            dctcp: false,
+            ..cfg()
+        },
         FlowId(1),
         HostId(0),
         HostId(9),
@@ -412,12 +414,12 @@ fn retransmitted_syn_takes_no_rtt_sample() {
     let mut out = Vec::new();
     s.start(us(0), &mut out);
     out.clear();
-    s.on_timer(cfg.initial_rto + us(1_000), &mut out);
+    s.on_timer(cfg.min_rto + us(1_000), &mut out);
     assert_eq!(s.stats().timeouts, 1);
     let backed_off = s.rto();
-    assert_eq!(backed_off, cfg.initial_rto * 2, "timeout doubles the RTO");
+    assert_eq!(backed_off, cfg.min_rto * 2, "timeout doubles the RTO");
     out.clear();
-    let at = cfg.initial_rto + us(2_000);
+    let at = cfg.min_rto + us(2_000);
     s.on_packet(&synack(at), at, &mut out);
     assert!(!sent_data(&out).is_empty(), "connection is established");
     assert_eq!(s.srtt(), None, "ambiguous handshake sample must be dropped");
@@ -490,16 +492,7 @@ fn zero_size_flow_rejected() {
 /// Run a complete transfer through a channel dropping `loss_pct` percent of
 /// data packets. Returns (sender, receiver) after completion.
 fn run_lossy_transfer(size: u64, loss_pct: u32, seed: u64) -> (TcpSender, TcpReceiver) {
-    let mut s = TcpSender::new(
-        TcpConfig {
-            dctcp: Some(DctcpConfig::default()),
-            ..TcpConfig::dctcp_default()
-        },
-        FlowId(1),
-        HostId(0),
-        HostId(9),
-        size,
-    );
+    let mut s = TcpSender::new(cfg(), FlowId(1), HostId(0), HostId(9), size);
     let mut r = TcpReceiver::new(FlowId(1), HostId(9), HostId(0));
     let mut rng = SimRng::new(seed);
     let mut now = SimTime::ZERO;

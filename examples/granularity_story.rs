@@ -58,7 +58,7 @@ fn main() {
     let cases: Vec<(&str, Scheme)> = vec![
         ("flow (ECMP)", Scheme::Ecmp),
         ("packet (RPS)", Scheme::Rps),
-        ("flowlet (LetFlow)", Scheme::letflow_default()),
+        ("flowlet (LetFlow)", Scheme::LetFlow),
         ("adaptive (TLB)", Scheme::tlb_default()),
     ];
 

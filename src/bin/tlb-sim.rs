@@ -195,14 +195,14 @@ fn scheme_from(name: &str) -> Scheme {
     match name {
         "ecmp" => Scheme::Ecmp,
         "rps" => Scheme::Rps,
-        "presto" => Scheme::presto_default(),
-        "letflow" => Scheme::letflow_default(),
-        "drill" => Scheme::drill_default(),
-        "flowbender" => Scheme::flowbender_default(),
-        "hermes" => Scheme::hermes_default(),
+        "presto" => Scheme::Presto,
+        "letflow" => Scheme::LetFlow,
+        "drill" => Scheme::Drill,
+        "flowbender" => Scheme::FlowBender,
+        "hermes" => Scheme::Hermes,
         "wcmp" => Scheme::Wcmp,
-        "conga" => Scheme::conga_default(),
-        "diffflow" => Scheme::diffflow_default(),
+        "conga" => Scheme::CongaLite,
+        "diffflow" => Scheme::DiffFlow,
         "tlb" => Scheme::tlb_default(),
         other => usage_error(format!(
             "bad --scheme '{other}', expected one of the listed"

@@ -81,7 +81,7 @@ fn sim_end_never_passes_the_horizon() {
     // every rate derived from `sim_end`. Arrange the worst case — the only
     // pending event is an RTO timer far beyond the horizon: the source's
     // leaf goes down at t = 0, so the SYN drops at its first hop with
-    // ordinary accounting; the handshake timer is armed at `initial_rto` =
+    // ordinary accounting; the handshake timer is armed at `min_rto` =
     // 10 ms while the horizon is 1 ms.
     let mut cfg = SimConfig::basic_paper(Scheme::Ecmp);
     cfg.audit = true;
@@ -96,7 +96,7 @@ fn sim_end_never_passes_the_horizon() {
     });
     let horizon = cfg.horizon;
     assert!(
-        cfg.tcp.initial_rto > horizon,
+        cfg.tcp.min_rto > horizon,
         "test premise: the timer must be armed past the horizon"
     );
     let r = Simulation::new(cfg, vec![flow]).run();

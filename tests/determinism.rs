@@ -584,7 +584,7 @@ fn small_fabric() -> (SimConfig, u32) {
         .build();
     cfg.audit = true;
     let lookahead = cfg.topo.uplink_props(0, 0).prop_delay.as_nanos();
-    let header_tx = cfg.tcp.header_bytes as u64 * 8; // ns at 1 Gbit/s
+    let header_tx = TcpConfig::HEADER_BYTES as u64 * 8; // ns at 1 Gbit/s
     (cfg, (lookahead / header_tx + 2) as u32)
 }
 

@@ -82,7 +82,7 @@ fn rps_reorders_more_than_letflow() {
     // Fig. 3(b)/8(a): packet granularity reorders far more than flowlets.
     let mix = small_mix(60, 3);
     let rps = run(Scheme::Rps, &mix, 3);
-    let letflow = run(Scheme::letflow_default(), &mix, 3);
+    let letflow = run(Scheme::LetFlow, &mix, 3);
     assert!(
         rps.short.reorder_ratio() > 3.0 * letflow.short.reorder_ratio(),
         "RPS {} !>> LetFlow {}",
@@ -122,7 +122,7 @@ fn asymmetry_hurts_oblivious_schemes_more() {
     };
     let rps = degrade(Scheme::Rps);
     let tlb = degrade(Scheme::tlb_default());
-    let letflow = degrade(Scheme::letflow_default());
+    let letflow = degrade(Scheme::LetFlow);
     assert!(
         tlb.long_throughput() > rps.long_throughput(),
         "TLB {} !> RPS {} under asymmetry",

@@ -159,7 +159,7 @@ fn syn_handshake_is_visible_in_the_trace() {
 
 #[test]
 fn trace_times_are_monotone() {
-    let r = run_traced(Scheme::letflow_default(), one_flow(0, 20, 100_000), &[0]);
+    let r = run_traced(Scheme::LetFlow, one_flow(0, 20, 100_000), &[0]);
     for w in r.traces.windows(2) {
         assert!(w[0].at <= w[1].at, "trace out of order: {w:?}");
     }
