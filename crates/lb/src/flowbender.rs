@@ -55,11 +55,10 @@ impl LoadBalancer for FlowBender {
         now: SimTime,
         rng: &mut SimRng,
     ) -> usize {
-        let initial = view.random_live(rng);
         let st = self
             .flows
             .touch_or_insert_with(pkt.flow, now, || BenderState {
-                port: initial,
+                port: view.random_live(rng),
                 marked: 0,
                 total: 0,
             });
@@ -128,6 +127,21 @@ mod tests {
 
     fn us(n: u64) -> SimTime {
         SimTime::from_micros(n)
+    }
+
+    #[test]
+    fn an_established_uncongested_flow_draws_nothing() {
+        let ps = OutPort::filled(&[0, 0, 0, 0]);
+        let mut lb = FlowBender::new();
+        let mut rng = SimRng::new(5);
+        lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
+        let mut twin = rng.clone();
+        lb.choose_uplink(&data(1, 1), PortView::new(&ps), us(1), &mut rng);
+        assert_eq!(
+            rng.next_u64(),
+            twin.next_u64(),
+            "only a new flow draws its initial uplink"
+        );
     }
 
     #[test]

@@ -59,11 +59,10 @@ impl LoadBalancer for HermesLite {
         rng: &mut SimRng,
     ) -> usize {
         // New flows start ECMP-like: uniform over the live uplinks.
-        let initial = view.random_live(rng);
         let st = self
             .flows
             .touch_or_insert_with(pkt.flow, now, || HermesState {
-                port: initial,
+                port: view.random_live(rng),
                 sent_bytes: 0,
             });
         let mut cur = st.port;
@@ -143,6 +142,21 @@ mod tests {
             port = lb.choose_uplink(&data(1, seq), PortView::new(ps), us(seq as u64), rng);
         }
         port
+    }
+
+    #[test]
+    fn an_established_uncongested_flow_draws_nothing() {
+        let mut lb = HermesLite::new();
+        let mut rng = SimRng::new(5);
+        let ps = OutPort::filled(&[0, 0, 0]);
+        lb.choose_uplink(&data(1, 0), PortView::new(&ps), us(0), &mut rng);
+        let mut twin = rng.clone();
+        lb.choose_uplink(&data(1, 1), PortView::new(&ps), us(1), &mut rng);
+        assert_eq!(
+            rng.next_u64(),
+            twin.next_u64(),
+            "only a new flow draws its initial uplink"
+        );
     }
 
     #[test]

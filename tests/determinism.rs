@@ -109,8 +109,8 @@ fn all_schemes_are_bit_deterministic() {
         ("148054|0.001921879133|102519367.869252175093|0|2429|122", 16485, 493, 0xd7ee728841434e75), // LetFlow
         ("160160|0.001703534783|61127172.276452556252|0|1662|122", 18475, 492, 0x7f6c29b9ff607e27), // DRILL
         ("147654|0.001805493025|104734950.258824765682|0|3033|122", 16485, 495, 0x0b86128841434e75), // CONGA-lite
-        ("152854|0.002022821100|95251241.587091520429|0|3124|122", 16835, 495, 0xa0f95286e55e50cf), // FlowBender
-        ("170706|0.002059292375|82202952.124163344502|0|4806|122", 30885, 493, 0x24ca14fd729ec93f), // Hermes-lite
+        ("150358|0.001938448200|92515408.834130078554|0|2436|122", 16785, 493, 0xeca6f28841434e75), // FlowBender
+        ("168631|0.002061005958|81386232.677620664239|0|5154|122", 18035, 491, 0xb74674fd729ec93f), // Hermes-lite
         ("147661|0.002041224558|96958967.647168025374|0|2528|122", 16466, 492, 0x6040928841434e75), // WCMP
         ("157629|0.002886902583|92191668.974092945457|0|1680|122", 16466, 478, 0xb23d6a37bf434fbd), // DiffFlow
         ("162749|0.001710190317|60075767.450164601207|0|1728|122", 18085, 496, 0x9d08d9b9ff607e27), // TLB
