@@ -80,7 +80,7 @@ impl TcpConfig {
             return Err("mss must be positive".into());
         }
         if self.min_rto.is_zero() {
-            return Err("RTO bounds must be positive".into());
+            return Err("min_rto must be positive".into());
         }
         if self.max_rto < self.min_rto {
             return Err("max_rto < min_rto".into());
