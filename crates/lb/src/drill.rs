@@ -6,8 +6,8 @@ use tlb_net::Packet;
 use tlb_switch::{LoadBalancer, PortView};
 
 /// DRILL(2, 1): for each packet, sample [`Drill::D`] = 2 random uplinks,
-/// compare them with the [`Drill::M`] = 1 best port remembered from the
-/// previous decision, and send the packet to the least-loaded of the
+/// compare them with the one best port remembered from the previous
+/// decision, and send the packet to the least-loaded of the
 /// candidates — "two choices plus memory" (Mitzenmacher's power of two
 /// choices applied per packet), DRILL's published configuration.
 #[derive(Debug, Default)]
@@ -19,8 +19,6 @@ pub struct Drill {
 impl Drill {
     /// The published random samples per decision: 2.
     pub const D: usize = 2;
-    /// The published remembered best ports: 1.
-    pub const M: usize = 1;
 
     /// A DRILL(2, 1) instance.
     pub fn new() -> Drill {
@@ -62,7 +60,7 @@ impl LoadBalancer for Drill {
     }
 
     fn state_bytes(&self) -> usize {
-        (Self::M + 1) * std::mem::size_of::<usize>()
+        std::mem::size_of::<Self>()
     }
 }
 

@@ -13,9 +13,6 @@ pub struct TcpConfig {
     pub min_rto: SimTime,
     /// Upper bound for backed-off RTOs.
     pub max_rto: SimTime,
-    /// DCTCP window control (requires ECN-marking switches); NewReno when
-    /// false.
-    pub dctcp: bool,
 }
 
 impl TcpConfig {
@@ -36,7 +33,6 @@ impl TcpConfig {
             mss: 1460,
             min_rto: SimTime::from_millis(10),
             max_rto: SimTime::from_secs(2),
-            dctcp: true,
         }
     }
 

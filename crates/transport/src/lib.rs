@@ -16,7 +16,8 @@
 //!   rule for RTT sampling (RFC 6298 estimator);
 //! * a 64 KB receive-window cap — the paper's `W_L` for long flows;
 //! * DCTCP: per-packet ECN echo, `α` EWMA per window, one `α/2`-proportional
-//!   window cut per marked window;
+//!   window cut per marked window; with switch ECN marking off no window
+//!   is marked, and the sender is plain NewReno;
 //! * per-packet cumulative ACKs (no delayed ACKs) so duplicate-ACK counting
 //!   matches the reordering analysis of Fig. 3(b)/Fig. 9(a).
 

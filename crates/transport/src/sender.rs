@@ -415,12 +415,10 @@ impl TcpSender {
             // RFC 9293 says drop it.
             return;
         }
-        if self.cfg.dctcp {
-            self.ack_cnt += 1;
-            if ece {
-                self.ce_cnt += 1;
-                self.stats.ece_acks += 1;
-            }
+        self.ack_cnt += 1;
+        if ece {
+            self.ce_cnt += 1;
+            self.stats.ece_acks += 1;
         }
 
         if ack > self.snd_una {
@@ -498,7 +496,7 @@ impl TcpSender {
     /// and, if the window saw any marks, cut cwnd by α/2 (entering
     /// congestion avoidance at the new size).
     fn dctcp_window_check(&mut self, ack: u32) {
-        if !self.cfg.dctcp || ack < self.obs_window_end {
+        if ack < self.obs_window_end {
             return;
         }
         if self.ack_cnt > 0 {

@@ -323,34 +323,6 @@ fn dctcp_no_marks_no_cuts() {
 }
 
 #[test]
-fn newreno_config_ignores_ece() {
-    let mut s = TcpSender::new(
-        TcpConfig {
-            dctcp: false,
-            ..cfg()
-        },
-        FlowId(1),
-        HostId(0),
-        HostId(9),
-        1000 * 1460,
-    );
-    let mut out = Vec::new();
-    s.start(us(0), &mut out);
-    out.clear();
-    s.on_packet(&synack(us(100)), us(100), &mut out);
-    for a in 1..=50u32 {
-        out.clear();
-        s.on_packet(
-            &ack(a, true, us(200 + a as u64)),
-            us(200 + a as u64),
-            &mut out,
-        );
-    }
-    assert_eq!(s.stats().ece_acks, 0);
-    assert_eq!(s.stats().dctcp_cuts, 0);
-}
-
-#[test]
 fn completion_emits_fin_and_finished() {
     let mut s = sender(3 * 1460);
     let mut out = Vec::new();
