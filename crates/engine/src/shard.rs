@@ -19,10 +19,13 @@ pub enum EngineKind {
     Serial,
     /// Per-shard event loops over OS threads, synchronized conservatively
     /// with link propagation delay as lookahead. `workers` pins the OS
-    /// thread count; `None` uses the available parallelism. The *digests*
-    /// are worker-count independent by construction (shard count and shard
-    /// execution depend only on the topology), so `workers` is purely a
-    /// performance knob.
+    /// thread count; `None` uses the available parallelism. The shard
+    /// count follows it: one shard replica per worker, two at one worker,
+    /// at most one per pod of the fabric. The *digests* and every FCT are
+    /// worker-count independent by construction (the merged `(time, key)`
+    /// order is the serial one under any partition), so `workers` is a
+    /// performance knob; only per-replica telemetry (FEL depth samples,
+    /// pool, wire and connection peaks) follows the shard count.
     Sharded {
         /// OS worker threads (`None`: available parallelism).
         workers: Option<u32>,

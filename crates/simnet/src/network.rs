@@ -10,7 +10,7 @@
 //!
 //! | module | the one decision it owns | called from |
 //! |---|---|---|
-//! | `portmap` | the port layout over the fabric's `tlb_net::Shape` (which owns the wiring and the climb-then-descend rule): port ids, `next_hop` in port ids, reach masks, port labels/hops, the shard partition | every module; none of them knows which fabric it is |
+//! | `portmap` | the port layout over the fabric's `tlb_net::Shape` (which owns the wiring and the climb-then-descend rule): port ids, `next_hop` in port ids, reach masks, port labels/hops, the shard partition (pods dealt into one contiguous group per worker) | every module; none of them knows which fabric it is |
 //! | `events` | the event vocabulary: an event is its `(class, entity)` ordering key, and nothing else, in the FEL, the build-time schedule and the completion heap alike | every module that pushes an event; `Net::step`'s one `match` |
 //! | `link` | link physics: a port's props, an uplink's port pair, every state a link reaches over the admin schedule, the in-flight bound, payload capacity | build, `admin`, `hybrid`, `sharded` |
 //! | `forward` | the per-packet switch path: admission, serialization, delivery pipes and their FIFO floor (the pipe's tail), the balancer decision, LB ticks | the event loop, `host`, `hybrid` (`choose_up`), `sharded` (`schedule_arrival`) |

@@ -305,6 +305,9 @@ impl Net<'_> {
             engine_workers: None,
             engine_fallback: None,
             sharded_windows: 0,
+            sharded_shards: 0,
+            sharded_handoffs: 0,
+            sharded_split_windows: 0,
         }
     }
 }

@@ -251,18 +251,20 @@ impl PortMap {
         }
     }
 
-    /// The sharded engine's partition: one shard per pod (a leaf-spine's
-    /// pods are its leaves).
-    pub fn n_shards(&self) -> u16 {
+    /// The fabric's pods (a leaf-spine's pods are its leaves): the most
+    /// shards the sharded engine can deal it into.
+    pub fn n_pods(&self) -> u16 {
         self.shape.n_pods() as u16
     }
 
-    /// The shard that owns switch `sw`: its pod's; top switches, which
-    /// belong to no pod, are dealt round-robin.
-    pub fn shard_of(&self, sw: u16) -> u16 {
+    /// The shard that owns switch `sw` when the fabric is dealt into `n`
+    /// shards (`1 ≤ n ≤ n_pods`): its pod's contiguous group
+    /// (`pod · n / n_pods`); top switches, which belong to no pod, are
+    /// dealt round-robin.
+    pub fn shard_of(&self, sw: u16, n: u16) -> u16 {
         match self.shape.pod_of(sw as u32) {
-            Some(pod) => pod as u16,
-            None => self.tier(sw).1 % self.n_shards(),
+            Some(pod) => (pod as usize * n as usize / self.shape.n_pods()) as u16,
+            None => self.tier(sw).1 % n,
         }
     }
 

@@ -1,19 +1,24 @@
 //! Deterministic multi-core execution of a single simulation via
 //! conservative fabric sharding.
 //!
-//! One simulation is split into **shards** — per-pod for fat trees,
-//! per-leaf for leaf-spine fabrics, hosts colocated with their edge/leaf
-//! switch — each a replica of the [`super::Net`] state that touches only
-//! its own entities: its switches' ports, its hosts' senders/receivers,
-//! the links it receives, its slice of the events. A replica reserves arena
-//! slots for the queues of the ports it owns only (the others keep their
-//! link props and admin flag, which every replica's `recompute_reach`
-//! reads, and a capacity of 0), its arena pages in only the packets queued
-//! at its own ports and crossing its own links, and its connection slabs
-//! hold only the endpoints of the flows it hosts while they are open; its
-//! FEL reserves for the senders it hosts and the balancers it owns. Every
-//! replica borrows the job's one chain table and keeps no FCT record: a
-//! flow's start and end live in its row, on its source's replica and its
+//! One simulation is split into **shards**, one per worker thread (two
+//! when one worker runs them both, at most one per pod): the pods — a fat
+//! tree's, or a leaf-spine's leaves — are dealt out in contiguous groups
+//! (pod `p` of `P` to shard `p · n / P`), top switches round-robin, hosts
+//! with their edge/leaf switch. Fewer shards keep more hops inside one
+//! replica: a leaf↔spine hop crosses shards unless its spine was dealt to
+//! its leaf's shard, so 1 − 1/n of them cross. Each shard is a replica of
+//! the [`super::Net`] state that touches only its own entities: its
+//! switches' ports, its hosts' senders/receivers, the links it receives,
+//! its slice of the events. A replica reserves arena slots for the queues
+//! of the ports it owns only (the others keep their link props and admin
+//! flag, which every replica's `recompute_reach` reads, and a capacity of
+//! 0), its arena pages in only the packets queued at its own ports and
+//! crossing its own links, and its connection slabs hold only the
+//! endpoints of the flows it hosts while they are open; its FEL reserves
+//! for the senders it hosts and the balancers it owns. Every replica
+//! borrows the job's one chain table and keeps no FCT record: a flow's
+//! start and end live in its row, on its source's replica and its
 //! destination's, and the fold ORs the rows together before the report
 //! builds the records once. What it still duplicates per shard is one
 //! `FlowRow` per flow of the job and the metric collectors. Shards advance
@@ -67,9 +72,13 @@
 //!   the serial engine respects by construction.
 //!
 //! Worker-count independence follows because nothing above depends on
-//! *which OS thread* runs a shard — the shard partition is a function of
-//! the topology, each shard's event stream is deterministic, and message
-//! order per key is the sender's FIFO order regardless of scheduling.
+//! *which* partition is used or which OS thread runs a shard — any
+//! partition whose keys have one origin each reconstructs the serial
+//! order, each shard's event stream is deterministic, and message order
+//! per key is the sender's FIFO order regardless of scheduling. The
+//! partition does follow the worker count (one replica per worker), so
+//! what each replica holds — FEL depth samples, node-pool, wire and
+//! connection peaks — does too; the digests and every FCT do not.
 //!
 //! ## Global events
 //!
@@ -112,7 +121,11 @@
 //! latest `(now, cur_key)` over the replicas, and every shard runs the
 //! events ordered before it: that key is an arrival whose link only its
 //! own shard receives, and that shard has run it. If only some shards are
-//! done, they run on to `E`; if none is, the window is complete.
+//! done, they run on to `E`; if none is, the window is complete. Either
+//! of the first two takes a second barrier crossing: the run counts such
+//! **split windows** in [`crate::report::RunReport::sharded_split_windows`].
+//! Fewer, larger shards split fewer windows — a shard is done only once
+//! every flow its pods receive is.
 //!
 //! ## What the sharded engine refuses (and falls back to serial on)
 //!
@@ -154,11 +167,11 @@ pub(crate) struct ShardMap {
 }
 
 impl ShardMap {
-    /// Partition the fabric by [`PortMap::shard_of`]. Hosts follow their
-    /// leaf/edge, so host links are never cross-shard.
-    fn new(pmap: &PortMap) -> ShardMap {
+    /// Deal the fabric into `n` shards by [`PortMap::shard_of`]. Hosts
+    /// follow their leaf/edge, so host links are never cross-shard.
+    fn new(pmap: &PortMap, n: u16) -> ShardMap {
         let sw_owner: Vec<u16> = (0..pmap.sw.len() as u16)
-            .map(|sw| pmap.shard_of(sw))
+            .map(|sw| pmap.shard_of(sw, n))
             .collect();
         let hpl = pmap.hosts_per_lb;
         let host_owner: Vec<u16> = (0..pmap.n_hosts)
@@ -174,7 +187,7 @@ impl ShardMap {
         // A port belongs to the node its reverse link delivers to.
         let port_owner: Vec<u16> = pmap.rev.iter().map(|&r| arrive_owner[r as usize]).collect();
         ShardMap {
-            n_shards: pmap.n_shards(),
+            n_shards: n,
             sw_owner,
             host_owner,
             port_owner,
@@ -343,19 +356,22 @@ impl<'a> Net<'a> {
 /// Move every non-empty outbox bucket to its destination: an O(1) swap
 /// with the destination's inbox bucket for that source, which is empty
 /// (every replica drained its inbox at the start of the window) and so
-/// hands its capacity back.
-fn move_handoffs(nets: &mut [MutexGuard<Net>]) {
+/// hands its capacity back. Returns how many packets moved.
+fn move_handoffs(nets: &mut [MutexGuard<Net>]) -> u64 {
+    let mut moved = 0;
     for src in 0..nets.len() {
         for dst in 0..nets.len() {
             if nets[src].ctx().outbox[dst].is_empty() {
                 continue;
             }
             let msgs = std::mem::take(&mut nets[src].ctx().outbox[dst]);
+            moved += msgs.len() as u64;
             let spare = std::mem::replace(&mut nets[dst].ctx().inbox[src], msgs);
             debug_assert!(spare.is_empty(), "an inbox outlived its window");
             nets[src].ctx().outbox[dst] = spare;
         }
     }
+    moved
 }
 
 /// The earliest pending within-horizon timestamp over every replica's
@@ -396,26 +412,28 @@ pub(crate) fn try_run(
         return Err(FallbackReason::ChainedFlows);
     }
     let pmap = PortMap::new(&cfg.topo);
-    let map = ShardMap::new(&pmap);
-    if map.n_shards < 2 {
+    if pmap.n_pods() < 2 {
         return Err(FallbackReason::SingleShard);
     }
+    let workers = workers.map(|w| w as usize).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
+    // One replica per worker; one worker runs two shards, so a 1-worker
+    // run is still a sharded run.
+    let n_shards = workers.clamp(2, pmap.n_pods() as usize);
+    let n_workers = workers.clamp(1, n_shards);
+    let map = ShardMap::new(&pmap, n_shards as u16);
     let lookahead = lookahead(cfg, &pmap, &map);
     if lookahead.is_zero() {
         return Err(FallbackReason::ZeroLookahead);
     }
-    let n_workers = workers
-        .map(|w| w as usize)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, map.n_shards as usize);
     let nets = build_replicas(cfg, flows, next_flow, &map);
     let run = Run::new(cfg, flows, &nets, lookahead, n_workers);
     run.drive();
-    let windows = run.windows.into_inner();
+    let [windows, handoffs, split_windows] =
+        [run.windows, run.handoffs, run.split_windows].map(AtomicU64::into_inner);
 
     // Fold every replica into shard 0 and report from the merged state.
     let mut nets: Vec<Net> = nets
@@ -430,7 +448,10 @@ pub(crate) fn try_run(
     base.shard = None;
     let mut report = base.into_report(wall_start.elapsed());
     report.engine_workers = Some(n_workers as u32);
+    report.sharded_shards = n_shards as u32;
     report.sharded_windows = windows;
+    report.sharded_handoffs = handoffs;
+    report.sharded_split_windows = split_windows;
     Ok(report)
 }
 
@@ -494,9 +515,12 @@ struct Run<'n, 'a> {
     last_start: SimTime,
     lookahead: SimTime,
     n_workers: usize,
-    /// Parallel windows opened (surfaces in
-    /// [`crate::report::RunReport::sharded_windows`]).
+    /// Parallel windows opened, packets moved between replicas and
+    /// windows that took a second stretch (they surface in the
+    /// [`crate::report::RunReport`] fields of the same names).
     windows: AtomicU64,
+    handoffs: AtomicU64,
+    split_windows: AtomicU64,
 }
 
 impl<'n, 'a> Run<'n, 'a> {
@@ -516,6 +540,8 @@ impl<'n, 'a> Run<'n, 'a> {
             lookahead,
             n_workers,
             windows: AtomicU64::new(0),
+            handoffs: AtomicU64::new(0),
+            split_windows: AtomicU64::new(0),
         }
     }
 
@@ -533,7 +559,8 @@ impl<'n, 'a> Run<'n, 'a> {
 
     /// The window protocol, from every worker's point of view: one barrier
     /// crossing per stretch, whose last arriver decides while the others
-    /// are parked, then every worker runs its statically strided shards.
+    /// are parked, then every worker runs its one replica (a lone worker
+    /// runs both of its two).
     fn worker_loop(&self, w: usize) {
         let _party = self.barrier.party();
         loop {
@@ -567,6 +594,9 @@ impl<'n, 'a> Run<'n, 'a> {
             Limit::Before(_) => return self.finish(&mut nets),
             Limit::UntilDone(end) => {
                 let done = nets.iter().filter(|n| n.is_done()).count();
+                if done > 0 {
+                    self.split_windows.fetch_add(1, Ordering::Relaxed);
+                }
                 if done == nets.len() {
                     let last = nets.iter().map(|n| (n.now, n.cur_key)).max();
                     return set_limit(&mut nets, Limit::Before(last.expect("no replicas")));
@@ -578,7 +608,8 @@ impl<'n, 'a> Run<'n, 'a> {
             }
             Limit::Window(end) => end,
         };
-        move_handoffs(&mut nets);
+        self.handoffs
+            .fetch_add(move_handoffs(&mut nets), Ordering::Relaxed);
         let Some(t_min) = global_min(&nets, self.horizon) else {
             return self.finish(&mut nets);
         };
@@ -600,7 +631,8 @@ impl<'n, 'a> Run<'n, 'a> {
     /// the end-of-run audit counts them as propagating residuals, exactly
     /// like the serial engine's leftover in-flight packets.
     fn finish(&self, nets: &mut [MutexGuard<Net>]) {
-        move_handoffs(nets);
+        self.handoffs
+            .fetch_add(move_handoffs(nets), Ordering::Relaxed);
         for net in nets.iter_mut() {
             net.ingest();
         }
@@ -615,45 +647,55 @@ mod tests {
     use crate::Scheme;
 
     #[test]
-    fn leaf_spine_partition_colocates_hosts_and_spreads_spines() {
+    fn leaf_spine_partition_deals_leaves_in_contiguous_groups() {
         let cfg = SimConfig::basic_paper(Scheme::Ecmp);
         let pmap = PortMap::new(&cfg.topo);
-        let map = ShardMap::new(&pmap);
         let n_leaves = cfg.topo.n_leaves() as u16;
-        assert_eq!(map.n_shards, n_leaves);
-        for h in 0..cfg.topo.n_hosts() as u32 {
-            let leaf = cfg.topo.leaf_of(tlb_net::HostId(h)).index() as u16;
-            assert_eq!(map.host_owner[h as usize], leaf);
-            // Host links never cross shards.
-            let nic = pmap.host_nic(h);
-            assert_eq!(map.port_owner[nic as usize], map.arrive_owner[nic as usize]);
-        }
-        // Spines are distributed round-robin.
-        for s in 0..cfg.topo.n_spines() as u16 {
-            assert_eq!(map.sw_owner[(n_leaves + s) as usize], s % n_leaves);
+        assert_eq!(n_leaves, 3);
+        // Two shards take leaves 0..2 and 2; one per leaf is the finest
+        // partition.
+        for (n, leaf_owner) in [(2, [0, 0, 1]), (3, [0, 1, 2])] {
+            let map = ShardMap::new(&pmap, n);
+            assert_eq!(map.n_shards, n);
+            assert_eq!(map.sw_owner[..3], leaf_owner);
+            for h in 0..cfg.topo.n_hosts() as u32 {
+                let leaf = cfg.topo.leaf_of(tlb_net::HostId(h)).index();
+                assert_eq!(map.host_owner[h as usize], leaf_owner[leaf]);
+                // Host links never cross shards.
+                let nic = pmap.host_nic(h);
+                assert_eq!(map.port_owner[nic as usize], map.arrive_owner[nic as usize]);
+            }
+            // Spines are distributed round-robin.
+            for s in 0..cfg.topo.n_spines() as u16 {
+                assert_eq!(map.sw_owner[(n_leaves + s) as usize], s % n);
+            }
         }
     }
 
     #[test]
-    fn fat_tree_partition_is_per_pod() {
+    fn fat_tree_partition_deals_pods_in_contiguous_groups() {
         let mut cfg = SimConfig::basic_paper(Scheme::Ecmp);
         cfg.topo = tlb_net::FatTreeBuilder::new(4).build();
         let pmap = PortMap::new(&cfg.topo);
-        let map = ShardMap::new(&pmap);
+        assert_eq!(pmap.n_pods(), 4);
         // k = 4: 4 pods of 2 edges (switches 0..8) and 2 aggs (8..16) over
-        // 4 cores (16..20), 2 hosts per edge.
-        assert_eq!(map.n_shards, 4);
-        // Every edge and agg lives with its pod; hosts with their edge;
-        // cores are dealt round-robin.
-        for e in 0..8 {
-            assert_eq!(map.sw_owner[e], (e / 2) as u16);
-            assert_eq!(map.sw_owner[8 + e], (e / 2) as u16);
-        }
-        for c in 0..4 {
-            assert_eq!(map.sw_owner[16 + c], c as u16);
-        }
-        for h in 0..16 {
-            assert_eq!(map.host_owner[h], map.sw_owner[h / 2]);
+        // 4 cores (16..20), 2 hosts per edge. Every edge and agg lives with
+        // its pod's group (pods 0-1 and 2-3 at two shards, one pod each
+        // at four); hosts with their edge; cores are dealt round-robin.
+        for n in [2u16, 3, 4] {
+            let map = ShardMap::new(&pmap, n);
+            assert_eq!(map.n_shards, n);
+            for e in 0..8 {
+                let group = (e / 2) as u16 * n / 4;
+                assert_eq!(map.sw_owner[e], group, "edge {e} of {n} shards");
+                assert_eq!(map.sw_owner[8 + e], group, "agg {e} of {n} shards");
+            }
+            for c in 0..4 {
+                assert_eq!(map.sw_owner[16 + c], c as u16 % n);
+            }
+            for h in 0..16 {
+                assert_eq!(map.host_owner[h], map.sw_owner[h / 2]);
+            }
         }
     }
 
@@ -680,7 +722,7 @@ mod tests {
                 let cfg = SimConfig::basic_paper(Scheme::Ecmp);
                 let flows = one_flow(&cfg, 200);
                 let pmap = PortMap::new(&cfg.topo);
-                let map = ShardMap::new(&pmap);
+                let map = ShardMap::new(&pmap, 2);
                 let la = lookahead(&cfg, &pmap, &map);
                 let nets = build_replicas(&cfg, &flows, &[None], &map);
                 nets[faulty].lock().unwrap().panic_at_event = Some(50);
@@ -720,9 +762,9 @@ mod tests {
                 wire + every + 1
             );
 
-            let map = ShardMap::new(&pmap);
+            let map = ShardMap::new(&pmap, 2);
             let nets = build_replicas(&cfg, &flows, &[None], &map);
-            assert!(nets.len() > 1);
+            assert_eq!(nets.len(), 2);
             for (id, net) in nets.iter().enumerate() {
                 let owned = |p: &u32| map.port_owner[*p as usize] == id as u16;
                 let own: usize = ports().filter(owned).map(|p| queue(p) + 1).sum();
@@ -781,7 +823,7 @@ mod tests {
     fn lookahead_is_min_cross_shard_prop() {
         let cfg = SimConfig::basic_paper(Scheme::Ecmp);
         let pmap = PortMap::new(&cfg.topo);
-        let map = ShardMap::new(&pmap);
+        let map = ShardMap::new(&pmap, 2);
         let la = lookahead(&cfg, &pmap, &map);
         // Every cross-shard link is a leaf↔spine pair; the minimum is the
         // fabric's uplink propagation delay.

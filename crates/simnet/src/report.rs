@@ -326,6 +326,17 @@ pub struct RunReport {
     /// of a sharded run executes inside a window. Tests use this to prove
     /// a job actually exercised barrier-synchronized parallel execution.
     pub sharded_windows: u64,
+    /// Shards the sharded engine dealt the fabric into (one per worker,
+    /// two at one worker, at most one per pod); 0 for serial runs.
+    pub sharded_shards: u32,
+    /// Packets handed from one shard replica to another (each crossed a
+    /// link whose ends two shards own); 0 for serial runs.
+    pub sharded_handoffs: u64,
+    /// Windows that ran in two stretches: the run could end in them and
+    /// some shard was done by their end, so the leader settled them at a
+    /// second barrier crossing (the window that settles the run's end
+    /// counts too). 0 for serial runs.
+    pub sharded_split_windows: u64,
 }
 
 /// Why a run that asked for the sharded engine executed on the serial one:
@@ -338,7 +349,8 @@ pub enum FallbackReason {
     /// Closed-loop chains: a completion on one shard would have to start
     /// the successor flow on another at the same instant.
     ChainedFlows,
-    /// The fabric partitions into fewer than two shards.
+    /// The fabric has fewer than two pods (leaves, on a leaf-spine), so it
+    /// partitions into one shard however many workers run it.
     SingleShard,
     /// Some cross-shard link has zero propagation delay at some point of
     /// the run, so no window can be opened.

@@ -39,7 +39,8 @@ OPTIONS:
     --engine <e>          serial | sharded — sharded falls back to serial when
                           the config is unpartitionable, with bit-identical
                           results; stderr says which ran, or why not         [serial]
-    --workers <n>         worker threads; needs --engine sharded       [all cores]
+    --workers <n>         worker threads, one shard each (at most one per pod;
+                          one worker runs two); needs --engine sharded    [all cores]
     --degrade l:s:bw:us   degrade uplink leaf l -> spine s to bw x bandwidth
                           with +us microseconds delay (repeatable)
     --fail sw:up:at_us    take LB switch sw's uplink up down at_us microseconds
@@ -363,7 +364,10 @@ fn main() {
     // Which machinery produced the (identical) results goes to stderr: the
     // summary on stdout is compared across engines.
     let engine = match (r.engine_workers, r.engine_fallback) {
-        (Some(workers), _) => format!("sharded, {workers} workers, {} windows", r.sharded_windows),
+        (Some(workers), _) => format!(
+            "sharded, {workers} workers, {} shards, {} windows ({} split), {} handoffs",
+            r.sharded_shards, r.sharded_windows, r.sharded_split_windows, r.sharded_handoffs
+        ),
         (None, Some(why)) => format!("serial, sharded engine refused: {why}"),
         (None, None) => "serial".to_string(),
     };

@@ -164,9 +164,27 @@ fn the_engine_line_says_which_engine_ran_and_why() {
         engine.to_string()
     };
     assert_eq!(engine_line(&[]), "engine: serial");
+    // "sharded, 2 workers, 2 shards, W windows (S split), H handoffs": one
+    // replica per worker; every event runs inside a window, at most every
+    // window is split, and a cross-rack job hands packets between shards.
     let sharded = engine_line(&["--engine", "sharded", "--workers", "2"]);
+    let counts: Vec<u64> = (sharded.strip_prefix("engine: sharded, 2 workers, "))
+        .unwrap_or_else(|| panic!("{sharded:?}"))
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|w| !w.is_empty())
+        .map(|w| w.parse().expect("digits"))
+        .collect();
+    let [shards, windows, split, handoffs] = counts[..] else {
+        panic!("want 'N shards, W windows (S split), H handoffs', got {sharded:?}");
+    };
     assert!(
-        sharded.starts_with("engine: sharded, 2 workers, ") && sharded.ends_with(" windows"),
+        sharded.contains(" shards, ")
+            && sharded.ends_with(&format!(" split), {handoffs} handoffs")),
+        "{sharded:?}"
+    );
+    assert_eq!(shards, 2, "{sharded:?}");
+    assert!(
+        windows > 0 && split <= windows && handoffs > 0,
         "{sharded:?}"
     );
     let refused = engine_line(&["--engine", "sharded", "--fidelity", "hybrid"]);

@@ -385,26 +385,38 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
         assert!(flows.iter().any(|f| f.size_bytes >= cfg.short_threshold));
     }
     let serial = run_all(differential_batch());
-    // The per-replica telemetry is worker-count independent too: a replica
-    // takes in its handoffs only at the start of a window, so what it
-    // holds at each of its events does not depend on when its neighbours'
-    // workers ran.
+    // The per-replica telemetry follows the partition, which follows the
+    // worker count: one replica per worker, two at one worker. It repeats
+    // exactly between two runs at each count — a replica takes in its
+    // handoffs only at the start of a window, so what it holds at each of
+    // its events does not depend on when its neighbours' workers ran — and
+    // is equal at 1 and 2 workers, which both run two shards.
     let telemetry = |r: &RunReport| {
         let depth = r.fel_depth.samples().to_vec();
         (depth, r.fel_nodes_peak, r.wire_pkts_peak, r.conns_peak)
     };
-    let mut at_one_worker = None;
+    let mut at_two_shards = None;
     for workers in [1u32, 2, 4, 8] {
-        let sharded = run_all(with_mode(differential_batch(), |c| {
-            c.engine = EngineKind::Sharded {
-                workers: Some(workers),
-            }
-        }));
+        let run = || {
+            run_all(with_mode(differential_batch(), |c| {
+                c.engine = EngineKind::Sharded {
+                    workers: Some(workers),
+                }
+            }))
+        };
+        let sharded = run();
         let seen: Vec<_> = sharded.iter().map(telemetry).collect();
+        let again: Vec<_> = run().iter().map(telemetry).collect();
         assert!(
-            *at_one_worker.get_or_insert_with(|| seen.clone()) == seen,
-            "per-replica telemetry moved at {workers} workers"
+            seen == again,
+            "per-replica telemetry moved between two runs at {workers} workers"
         );
+        if workers <= 2 {
+            assert!(
+                *at_two_shards.get_or_insert_with(|| seen.clone()) == seen,
+                "per-replica telemetry moved between 1 and 2 workers"
+            );
+        }
         assert_eq!(serial.len(), sharded.len());
         for (a, b) in serial.iter().zip(&sharded) {
             assert!(
@@ -425,7 +437,8 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
 #[test]
 fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
     // Three-tier partition + global events: a k=8 fat tree (128 hosts,
-    // 80 switches, 8 pod shards) with a mid-run edge-uplink down/up flap.
+    // 80 switches, 8 pods dealt into 2, 4 or 8 shards) with a mid-run
+    // edge-uplink down/up flap.
     // Failures force whole-fabric reachability recomputes, which every
     // replica must run on itself at exactly the serial instant.
     let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
@@ -451,10 +464,49 @@ fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
     mix.long_lo = 1_500_000;
     mix.long_hi = 2_500_000;
     let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(23));
-    // `engine_workers == Some(w)` in the helper: k=8 shards into 8 pods.
+    // `engine_workers == Some(w)` in the helper: k=8 has 8 pods, so each
+    // of up to 8 workers runs one shard of whole pods.
     for sharded in sharded_vs_serial(&cfg, &flows, &[2, 4, 8]) {
         // Windows before, between and after the two failure events.
         assert!(sharded.sharded_windows > 0, "k8 flap ran without windows");
+    }
+}
+
+#[test]
+fn sharded_handoffs_follow_the_shard_count() {
+    // One replica per worker: the 8×8 leaf-spine dealt into two shards of
+    // four leaves keeps half of the leaf↔spine hops inside a shard, into
+    // eight shards only one in eight. The same job must hand fewer packets
+    // between replicas at 2 workers than at 8, and a serial run reports no
+    // shards, handoffs or split windows.
+    let mut cfg = SimConfig::large_scale(Scheme::tlb_default(), 4);
+    cfg.audit = true;
+    let mut mix = BasicMixConfig::paper_default();
+    mix.n_short = 40;
+    mix.n_long = 2;
+    mix.long_lo = 1_500_000;
+    mix.long_hi = 2_500_000;
+    let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(31));
+    let serial = run_one_ref(&cfg, &flows);
+    assert_eq!(
+        (
+            serial.sharded_shards,
+            serial.sharded_handoffs,
+            serial.sharded_split_windows
+        ),
+        (0, 0, 0)
+    );
+    let [two, eight] = <[RunReport; 2]>::try_from(sharded_vs_serial(&cfg, &flows, &[2, 8]))
+        .unwrap_or_else(|_| unreachable!("two worker counts"));
+    assert_eq!((two.sharded_shards, eight.sharded_shards), (2, 8));
+    assert!(
+        0 < two.sharded_handoffs && two.sharded_handoffs < eight.sharded_handoffs,
+        "handoffs at 2 and 8 workers: {} and {}",
+        two.sharded_handoffs,
+        eight.sharded_handoffs
+    );
+    for r in [&two, &eight] {
+        assert!(r.sharded_split_windows <= r.sharded_windows);
     }
 }
 
@@ -684,9 +736,10 @@ fn sharded_last_completions_tie_across_shards() {
 #[test]
 fn sharded_shards_with_nothing_to_receive_match_serial() {
     // Incast into one rack: twelve TLB flows from leaves 1–3 into leaf 0,
-    // 5 µs apart. Three of the four shards receive nothing, so they are
-    // done from the start: once every flow has started, they run each
-    // window only after the receiving shard has run it.
+    // 5 µs apart. At four workers three of the four shards receive
+    // nothing (at one or two, one of two), so they are done from the
+    // start: once every flow has started, they run each window only after
+    // the receiving shard has run it.
     let (cfg, _) = small_fabric();
     let flows: Vec<FlowSpec> = (0..12)
         .map(|i| {

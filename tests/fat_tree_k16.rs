@@ -216,23 +216,26 @@ mod resident_memory {
     /// kept a ring of its own; 9,996 KiB while every flow also kept its
     /// endpoint slots to the end of the run).
     const LEAFSPINE_SERIAL_CEILING_KIB: u64 = 3_170;
-    /// 1.2 × the 2,644 KiB two workers' eight replicas added to that when
-    /// this ceiling was cut (the highest of ten readings, 2,212–2,644 on a
-    /// 2-core host), and below every reading, 3,232–3,800 KiB, taken while
-    /// each replica also kept FCT records and a chain table of its own. It
-    /// read 13,760 KiB while every replica built a sender and a receiver
-    /// slot for each of the job's 3,125 flows (≈ 11 MB of it).
-    const REPLICA_OVERHEAD_CEILING_KIB: u64 = 3_170;
+    /// 1.25 × the 884 KiB two workers' two replicas added to that when
+    /// this ceiling was cut (the highest of ten readings, 512–884 on a
+    /// 2-core host), and below every reading, 2,212–2,644 KiB, taken while
+    /// two workers drove eight replicas, one per leaf; 3,232–3,800 KiB
+    /// while each replica also kept FCT records and a chain table of its
+    /// own. It read 13,760 KiB while every replica built a sender and a
+    /// receiver slot for each of the job's 3,125 flows (≈ 11 MB of it).
+    const REPLICA_OVERHEAD_CEILING_KIB: u64 = 1_105;
 
-    /// Eight shard replicas may not cost eight fabrics: a replica reserves
-    /// queue slots only for the ports it owns, parks only the packets
-    /// queued there and crossing the links it receives, holds endpoints
-    /// only for the connections it hosts while they are open, borrows the
-    /// job's chain table and keeps no FCT record (the report builds those
-    /// once, from the merged rows). What it still duplicates is the
-    /// overhead gated here, `sharded − serial`: one 24-byte flow row per
-    /// flow of the job (≈ 73 KiB × 8), then the FEL and metric-collector
-    /// reservations each replica sizes for the whole job.
+    /// Two shard replicas, one per worker, may not cost two fabrics: a
+    /// replica reserves queue slots only for the ports it owns, parks only
+    /// the packets queued there and crossing the links it receives, holds
+    /// endpoints only for the connections it hosts while they are open,
+    /// borrows the job's chain table and keeps no FCT record (the report
+    /// builds those once, from the merged rows). What it still duplicates
+    /// is the overhead gated here, `sharded − serial`: one 24-byte flow row
+    /// per flow of the job (≈ 73 KiB × 2), then the FEL and
+    /// metric-collector reservations each replica sizes for the whole job.
+    /// The replica count follows the worker count, not the fabric's eight
+    /// leaves.
     ///
     /// Both ceilings are absolute. This gate used to read `sharded ≤ 2 ×
     /// serial` and passed at 1.61 × only because numerator and denominator
