@@ -35,8 +35,6 @@ pub struct TlbConfig {
     pub mean_short_prior: f64,
     /// If true, refine `X` online with an EWMA over completed short flows.
     pub estimate_mean_short: bool,
-    /// TCP segment payload size in bytes.
-    pub mss: u32,
     /// Threshold selection mode.
     pub threshold_mode: ThresholdMode,
 }
@@ -58,7 +56,6 @@ impl TlbConfig {
             deadline_percentile: 0.25,
             mean_short_prior: 70_000.0,
             estimate_mean_short: false,
-            mss: 1460,
             threshold_mode: ThresholdMode::Adaptive,
         }
     }
@@ -75,7 +72,6 @@ impl TlbConfig {
             deadline_percentile: 0.25,
             mean_short_prior: 70_000.0,
             estimate_mean_short: false,
-            mss: 1460,
             threshold_mode: ThresholdMode::Adaptive,
         }
     }
@@ -101,9 +97,6 @@ impl TlbConfig {
                 "deadline_percentile out of [0,1]: {}",
                 self.deadline_percentile
             ));
-        }
-        if self.mss == 0 {
-            return Err("mss must be positive".into());
         }
         if self.mean_short_prior <= 0.0 {
             return Err("mean_short_prior must be positive".into());
@@ -153,9 +146,6 @@ mod tests {
         assert!(bad.validate().is_err());
         let mut bad = ok;
         bad.deadline_hi = SimTime::ZERO;
-        assert!(bad.validate().is_err());
-        let mut bad = ok;
-        bad.mss = 0;
         assert!(bad.validate().is_err());
         let mut bad = ok;
         bad.update_interval = SimTime::ZERO;

@@ -21,7 +21,7 @@ pub use config::{ThresholdMode, TlbConfig};
 
 use tlb_engine::{SimRng, SimTime};
 use tlb_model::{q_th_min, ModelParams, QTh};
-use tlb_net::{Packet, PktKind, RWND_BYTES};
+use tlb_net::{Packet, PktKind, MSS_BYTES, RWND_BYTES};
 use tlb_switch::{FlowMap, LoadBalancer, PortView};
 
 /// Per-flow record at the leaf switch.
@@ -172,7 +172,7 @@ impl Tlb {
             interval: self.cfg.update_interval.as_secs_f64(),
             w_long: RWND_BYTES as f64,
             mean_short: self.mean_short_est.max(1.0),
-            mss: self.cfg.mss as f64,
+            mss: MSS_BYTES as f64,
             deadline: self.cfg.deadline().as_secs_f64(),
         };
         self.q_th_bytes = if m_long == 0 {

@@ -18,16 +18,18 @@ pub enum EngineKind {
     /// The single-threaded reference event loop.
     Serial,
     /// Per-shard event loops over OS threads, synchronized conservatively
-    /// with link propagation delay as lookahead. `workers` pins the OS
-    /// thread count; `None` uses the available parallelism. The shard
-    /// count follows it: one shard replica per worker, two at one worker,
-    /// at most one per pod of the fabric. The *digests* and every FCT are
+    /// with link propagation delay as lookahead. `workers` sets the shard
+    /// count: one shard replica per worker, two at one worker, at most one
+    /// per pod of the fabric; `None` asks for one per available core. The
+    /// OS threads that run them are the shards or the host's cores,
+    /// whichever are fewer, each thread working several replicas when the
+    /// cores are fewer. The *digests* and every FCT are
     /// worker-count independent by construction (the merged `(time, key)`
     /// order is the serial one under any partition), so `workers` is a
     /// performance knob; only per-replica telemetry (FEL depth samples,
     /// pool, wire and connection peaks) follows the shard count.
     Sharded {
-        /// OS worker threads (`None`: available parallelism).
+        /// Workers asked for (`None`: available parallelism).
         workers: Option<u32>,
     },
 }

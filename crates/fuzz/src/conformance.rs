@@ -26,7 +26,7 @@
 use tlb_core::{ThresholdMode, Tlb, TlbConfig};
 use tlb_engine::{SimRng, SimTime};
 use tlb_model::{q_th_min, ModelParams};
-use tlb_net::{FlowId, HostId, Packet, PktKind, RWND_BYTES};
+use tlb_net::{FlowId, HostId, Packet, PktKind, MSS_BYTES, RWND_BYTES};
 use tlb_switch::{LoadBalancer, OutPort, PortView};
 
 /// One scripted op: `(kind % 8, flow_id, queue_shape_selector)`.
@@ -62,7 +62,7 @@ pub fn expected_q_th(tlb: &Tlb, n_ports: usize, mean_capacity: f64) -> u64 {
                 interval: cfg.update_interval.as_secs_f64(),
                 w_long: RWND_BYTES as f64,
                 mean_short: tlb.mean_short_estimate().max(1.0),
-                mss: cfg.mss as f64,
+                mss: MSS_BYTES as f64,
                 deadline: cfg.deadline().as_secs_f64(),
             };
             q_th_min(&params).as_bytes_saturating()

@@ -183,10 +183,10 @@ pub fn run_scenario_checked_sharded(raw: RawScenario) -> Result<(), String> {
     let sharded = tlb_simnet::run_one_ref(&cfg, &built.flows);
 
     let mut violations: Vec<String> = Vec::new();
-    if sharded.engine_fallback.is_none() && sharded.engine_workers != Some(2) {
+    if sharded.engine_fallback.is_none() && sharded.sharded_shards != 2 {
         violations.push(format!(
-            "ran on {:?} workers without naming a fallback reason",
-            sharded.engine_workers
+            "ran on {} shards without naming a fallback reason",
+            sharded.sharded_shards
         ));
     }
     let shown = |r: &tlb_simnet::RunReport| {

@@ -16,4 +16,4 @@ pub use ascii::chart;
 pub use fct::{FctRecorder, FctSummary, FlowClass};
 pub use samples::SampleSet;
 pub use series::TimeSeries;
-pub use stats::{max, mean, min, percentile, percentile_select, Cdf};
+pub use stats::{max, mean, min, percentile, Cdf};

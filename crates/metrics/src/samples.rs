@@ -1,6 +1,6 @@
 //! A bag of scalar samples with summary statistics.
 
-use crate::stats::{max, mean, min, percentile, percentile_select, Cdf};
+use crate::stats::{max, mean, min, percentile, Cdf};
 
 /// Collects scalar observations (queue lengths, queueing delays, …) and
 /// summarizes them. Sorting is deferred to read time.
@@ -51,23 +51,15 @@ impl SampleSet {
         mean(&self.samples)
     }
 
-    /// The `p`-quantile; 0 when empty. Selects within a scratch copy
-    /// (`O(n)`, no full sort) — bit-identical to the sorted path, see
-    /// [`percentile_select`]. Readers that need several quantiles of the
-    /// same set should still use [`SampleSet::quantiles`], which sorts
-    /// once and indexes.
+    /// The `p`-quantile; 0 when empty. Readers that need several
+    /// quantiles of the same set should use [`SampleSet::quantiles`],
+    /// which sorts once for all of them.
     pub fn quantile(&self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut scratch = self.samples.clone();
-        percentile_select(&mut scratch, p)
+        self.quantiles(&[p])[0]
     }
 
-    /// Batch quantiles with a single sort (the per-call [`Self::quantile`]
-    /// clones and re-sorts the whole sample vector every time, which the
-    /// figure reports were paying several times per set). Empty sets yield
-    /// all zeros.
+    /// Batch quantiles over one sorted copy of the samples. Empty sets
+    /// yield all zeros.
     pub fn quantiles(&self, ps: &[f64]) -> Vec<f64> {
         if self.samples.is_empty() {
             return vec![0.0; ps.len()];

@@ -52,36 +52,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// The `p`-quantile of **unsorted** data without sorting it: two
-/// `select_nth_unstable` partitions instead of a full `O(n log n)` sort.
-/// Matches [`percentile`]-after-sort bit for bit (the interpolation
-/// convention is shared), but runs in `O(n)` — the right tool when a
-/// caller wants a single quantile of a large set. Reorders `xs`.
-pub fn percentile_select(xs: &mut [f64], p: f64) -> f64 {
-    assert!(!xs.is_empty(), "percentile of empty data");
-    assert!((0.0..=1.0).contains(&p), "p out of range: {p}");
-    if xs.len() == 1 {
-        return xs[0];
-    }
-    let rank = p * (xs.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN sample");
-    let (_, &mut v_lo, rest) = xs.select_nth_unstable_by(lo, cmp);
-    if lo == hi {
-        return v_lo;
-    }
-    // `sorted[lo + 1]` is exactly the minimum of the right partition
-    // (`rest` is non-empty because `hi <= len - 1`).
-    let v_hi = rest
-        .iter()
-        .copied()
-        .min_by(|a, b| a.partial_cmp(b).expect("NaN sample"))
-        .expect("right partition empty");
-    let frac = rank - lo as f64;
-    v_lo * (1.0 - frac) + v_hi * frac
-}
-
 /// An empirical cumulative distribution function built from samples.
 #[derive(Clone, Debug)]
 pub struct Cdf {
@@ -173,24 +143,6 @@ mod tests {
         assert_eq!(percentile(&[7.0], 0.99), 7.0);
     }
 
-    /// The selection-based median must equal the full-sort median exactly,
-    /// on both parities: odd length hits one element, even length
-    /// interpolates between the two middle elements.
-    #[test]
-    fn select_median_matches_sort_for_even_and_odd_lengths() {
-        let odd = [9.0, 2.0, 5.0, 7.0, 1.0];
-        let even = [9.0, 2.0, 5.0, 7.0, 1.0, 8.0];
-        for xs in [&odd[..], &even[..]] {
-            let mut sorted = xs.to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let want = percentile(&sorted, 0.5);
-            let mut scratch = xs.to_vec();
-            let got = percentile_select(&mut scratch, 0.5);
-            assert_eq!(got.to_bits(), want.to_bits(), "n={}", xs.len());
-        }
-        assert_eq!(percentile_select(&mut [7.0], 0.5), 7.0);
-    }
-
     #[test]
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
@@ -234,22 +186,6 @@ mod tests {
             prop_assert!(v_lo <= v_hi + 1e-9);
             prop_assert!(v_lo >= xs[0] - 1e-9);
             prop_assert!(v_hi <= xs[xs.len() - 1] + 1e-9);
-        }
-
-        /// Selection must agree with sort-then-index bit for bit at any p,
-        /// on any data — the contract that lets `SampleSet::quantile` swap
-        /// the full sort for two partitions.
-        #[test]
-        fn prop_select_matches_sort(
-            xs in proptest::collection::vec(-1e6f64..1e6, 1..200),
-            p in 0.0f64..1.0,
-        ) {
-            let mut sorted = xs.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let want = percentile(&sorted, p);
-            let mut scratch = xs;
-            let got = percentile_select(&mut scratch, p);
-            prop_assert_eq!(got.to_bits(), want.to_bits());
         }
 
         /// fraction_below(quantile(p)) >= p - 1/n: the interpolated-quantile

@@ -16,5 +16,5 @@ pub use arena::{PacketArena, PacketFifo, PacketSlot};
 pub use fabric::{Fabric, FabricBuilder, FatTreeBuilder, LeafSpineBuilder};
 pub use fluid::{FluidNet, RateChange, MAX_FLUID_PATH};
 pub use ids::{FlowId, HostId, LeafId, SpineId};
-pub use packet::{Packet, PktKind, RWND_BYTES};
+pub use packet::{Packet, PktKind, MSS_BYTES, RWND_BYTES};
 pub use topology::{LinkProps, Route, Shape, Tier};

@@ -126,6 +126,10 @@ pub struct Packet {
 /// sender's window and is TLB's long-flow window `W_L` (§4.1).
 pub const RWND_BYTES: u32 = 65_535;
 
+/// The TCP segment payload in bytes (the paper's NS2 MSS), which every
+/// transport preset sends and TLB's model (§4) reads as `MSS`.
+pub const MSS_BYTES: u32 = 1460;
+
 impl Packet {
     /// Wire size of a control packet (SYN/ACK/FIN): TCP/IP headers only.
     pub const CTRL_WIRE_BYTES: u32 = 64;

@@ -36,6 +36,6 @@ pub use audit::{AuditReport, KindCounts};
 pub use config::{AdminEvent, Change, ConfigError, DeliveryKind, FidelityKind, SimConfig, Target};
 pub use dispatch::{AnyLb, LbDispatch};
 pub use network::Simulation;
-pub use report::{FallbackReason, Hop, RunReport, Summary, TraceEvent};
+pub use report::{FallbackReason, Hop, RunReport, TraceEvent};
 pub use runner::{run_all, run_one_ref};
 pub use scheme::Scheme;

@@ -1,8 +1,9 @@
 //! Deterministic multi-core execution of a single simulation via
 //! conservative fabric sharding.
 //!
-//! One simulation is split into **shards**, one per worker thread (two
-//! when one worker runs them both, at most one per pod): the pods — a fat
+//! One simulation is split into **shards**, one per worker asked for (two
+//! for one worker, at most one per pod) and run on as many threads as
+//! there are shards or host cores, whichever is fewer: the pods — a fat
 //! tree's, or a leaf-spine's leaves — are dealt out in contiguous groups
 //! (pod `p` of `P` to shard `p · n / P`), top switches round-robin, hosts
 //! with their edge/leaf switch. Fewer shards keep more hops inside one
@@ -76,9 +77,10 @@
 //! partition whose keys have one origin each reconstructs the serial
 //! order, each shard's event stream is deterministic, and message order
 //! per key is the sender's FIFO order regardless of scheduling. The
-//! partition does follow the worker count (one replica per worker), so
-//! what each replica holds — FEL depth samples, node-pool, wire and
-//! connection peaks — does too; the digests and every FCT do not.
+//! partition does follow the requested worker count (one replica per
+//! worker), so what each replica holds — FEL depth samples, node-pool,
+//! wire and connection peaks — does too; the digests and every FCT do
+//! not.
 //!
 //! ## Global events
 //!
@@ -415,15 +417,15 @@ pub(crate) fn try_run(
     if pmap.n_pods() < 2 {
         return Err(FallbackReason::SingleShard);
     }
-    let workers = workers.map(|w| w as usize).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    // One replica per worker; one worker runs two shards, so a 1-worker
-    // run is still a sharded run.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = workers.map_or(cores, |w| w as usize);
+    // One replica per worker asked for; one worker runs two shards, so a
+    // 1-worker run is still a sharded run. The threads are no more than
+    // the shards or the host's cores: a thread beyond the cores only spins
+    // at the barrier for one the host has descheduled, so the workers
+    // share the replicas out instead (`Run::worker_loop`).
     let n_shards = workers.clamp(2, pmap.n_pods() as usize);
-    let n_workers = workers.clamp(1, n_shards);
+    let n_workers = workers.clamp(1, n_shards).min(cores);
     let map = ShardMap::new(&pmap, n_shards as u16);
     let lookahead = lookahead(cfg, &pmap, &map);
     if lookahead.is_zero() {
@@ -559,8 +561,9 @@ impl<'n, 'a> Run<'n, 'a> {
 
     /// The window protocol, from every worker's point of view: one barrier
     /// crossing per stretch, whose last arriver decides while the others
-    /// are parked, then every worker runs its one replica (a lone worker
-    /// runs both of its two).
+    /// are parked, then every worker runs its replicas: every
+    /// `n_workers`-th from its own index (one each when there are as many
+    /// threads as shards).
     fn worker_loop(&self, w: usize) {
         let _party = self.barrier.party();
         loop {

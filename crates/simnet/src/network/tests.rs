@@ -503,19 +503,25 @@ fn report_one_line_formats() {
 }
 
 #[test]
-fn summary_digest_matches_report() {
+fn json_row_carries_the_report() {
     let r = run_basic(Scheme::Ecmp, one_flow(1_000_000));
-    let s = r.to_summary();
-    assert_eq!(s.scheme, r.scheme);
-    assert_eq!(s.completed, r.completed);
-    assert_eq!(s.short_afct_s, r.fct_short.afct);
-    assert_eq!(s.long_goodput_bps, r.long_throughput());
-    assert_eq!(s.events, r.events);
-    // And it serializes.
-    let json = serde_json::to_string(&s).unwrap();
-    assert!(json.contains("\"scheme\":\"ECMP\""));
-    let back: crate::report::Summary = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.events, s.events);
+    let json = r.to_json();
+    assert!(json.starts_with("{\n") && json.ends_with("\n}"), "{json}");
+    for row in [
+        "  \"scheme\": \"ECMP\",".to_string(),
+        format!("  \"completed\": {},", r.completed),
+        format!("  \"events\": {},", r.events),
+    ] {
+        assert!(json.lines().any(|l| l == row), "{row} not in {json}");
+    }
+    assert_eq!(json.lines().count(), 17, "15 keys, one a line: {json}");
+    // JSON has no NaN: a non-finite float prints as null.
+    let mut r = r;
+    r.fct_short.afct = f64::NAN;
+    assert!(r
+        .to_json()
+        .lines()
+        .any(|l| l == "  \"short_afct_s\": null,"));
 }
 
 #[test]

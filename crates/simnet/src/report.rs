@@ -143,42 +143,6 @@ impl AllocAudit {
     }
 }
 
-/// A flat, serializable digest of a run — what sweep scripts and the CLI's
-/// `--json` mode emit.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct Summary {
-    /// Scheme display name.
-    pub scheme: String,
-    /// Every flow of the job, started or not.
-    pub total_flows: usize,
-    /// Flows that delivered every byte.
-    pub completed: usize,
-    /// Mean short-flow FCT (seconds).
-    pub short_afct_s: f64,
-    /// 99th-percentile short-flow FCT (seconds).
-    pub short_p99_s: f64,
-    /// Fraction of deadline-carrying flows that missed.
-    pub deadline_miss: f64,
-    /// Mean long-flow goodput (bytes/second).
-    pub long_goodput_bps: f64,
-    /// Short-flow out-of-order arrival ratio.
-    pub short_reorder: f64,
-    /// Long-flow out-of-order arrival ratio.
-    pub long_reorder: f64,
-    /// Packets dropped.
-    pub drops: u64,
-    /// Packets ECN-marked.
-    pub marks: u64,
-    /// Mean leaf-uplink utilization.
-    pub mean_uplink_utilization: f64,
-    /// Engine events processed.
-    pub events: u64,
-    /// Simulated duration (seconds).
-    pub sim_end_s: f64,
-    /// Wall-clock runtime (milliseconds).
-    pub wall_ms: u128,
-}
-
 /// Everything measured in one run. Time series carry
 /// `(bucket_start_seconds, value)` points. A field is here because a
 /// figure binary, a test, `tlb-sim` or the benchmark reads it, and none
@@ -426,24 +390,43 @@ impl RunReport {
         }
     }
 
-    /// The flat serializable digest of this run.
-    pub fn to_summary(&self) -> Summary {
-        Summary {
-            scheme: self.scheme.clone(),
-            total_flows: self.total_flows,
-            completed: self.completed,
-            short_afct_s: self.fct_short.afct,
-            short_p99_s: self.fct_short.p99,
-            deadline_miss: self.fct_short.deadline_miss,
-            long_goodput_bps: self.long_throughput(),
-            short_reorder: self.short.reorder_ratio(),
-            long_reorder: self.long.reorder_ratio(),
-            drops: self.drops,
-            marks: self.marks,
-            mean_uplink_utilization: self.mean_uplink_utilization(),
-            events: self.events,
-            sim_end_s: self.sim_end.as_secs_f64(),
-            wall_ms: self.wall.as_millis(),
-        }
+    /// The run's result row as JSON — what `tlb-sim --json` prints: the
+    /// paper's §6 metrics plus the run's totals, one key per line, sorted,
+    /// two-space indent. Floats print in Rust's shortest round-trip form
+    /// (`{:?}`) and non-finite ones as `null`; the scheme name is a fixed
+    /// ASCII word, so its `{:?}` quoting is its JSON string.
+    pub fn to_json(&self) -> String {
+        let num = |x: f64| {
+            if x.is_finite() {
+                format!("{x:?}")
+            } else {
+                "null".to_string()
+            }
+        };
+        let fields = [
+            ("completed", self.completed.to_string()),
+            ("deadline_miss", num(self.fct_short.deadline_miss)),
+            ("drops", self.drops.to_string()),
+            ("events", self.events.to_string()),
+            ("long_goodput_bps", num(self.long_throughput())),
+            ("long_reorder", num(self.long.reorder_ratio())),
+            ("marks", self.marks.to_string()),
+            (
+                "mean_uplink_utilization",
+                num(self.mean_uplink_utilization()),
+            ),
+            ("scheme", format!("{:?}", self.scheme)),
+            ("short_afct_s", num(self.fct_short.afct)),
+            ("short_p99_s", num(self.fct_short.p99)),
+            ("short_reorder", num(self.short.reorder_ratio())),
+            ("sim_end_s", num(self.sim_end.as_secs_f64())),
+            ("total_flows", self.total_flows.to_string()),
+            ("wall_ms", self.wall.as_millis().to_string()),
+        ];
+        let rows: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| format!("  \"{k}\": {v}"))
+            .collect();
+        format!("{{\n{}\n}}", rows.join(",\n"))
     }
 }

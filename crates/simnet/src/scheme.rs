@@ -128,7 +128,7 @@ mod tests {
             scheme.validate().expect("defaults are valid");
         }
         let mut tlb = TlbConfig::paper_default();
-        tlb.mss = 0;
+        tlb.deadline_percentile = 1.5;
         let scheme = Scheme::Tlb(tlb);
         let why = scheme.validate().expect_err("out-of-range parameter");
         assert!(why.starts_with(scheme.name()), "{why}");

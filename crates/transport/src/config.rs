@@ -1,7 +1,7 @@
 //! Transport parameters.
 
 use tlb_engine::SimTime;
-use tlb_net::RWND_BYTES;
+use tlb_net::{MSS_BYTES, RWND_BYTES};
 
 /// TCP endpoint configuration shared by all flows of a simulation.
 #[derive(Clone, Copy, Debug)]
@@ -26,11 +26,11 @@ impl TcpConfig {
     pub const DCTCP_G: f64 = 1.0 / 16.0;
 
     /// DCTCP endpoints as used throughout the paper's NS2 simulations:
-    /// MSS 1460 B, IW 2, 64 KB receive window, 10 ms minimum RTO (the usual
+    /// MSS 1460 B ([`MSS_BYTES`]), IW 2, 64 KB receive window, 10 ms minimum RTO (the usual
     /// datacenter NS2 setting).
     pub fn dctcp_default() -> TcpConfig {
         TcpConfig {
-            mss: 1460,
+            mss: MSS_BYTES,
             min_rto: SimTime::from_millis(10),
             max_rto: SimTime::from_secs(2),
         }

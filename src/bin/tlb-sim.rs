@@ -39,8 +39,9 @@ OPTIONS:
     --engine <e>          serial | sharded — sharded falls back to serial when
                           the config is unpartitionable, with bit-identical
                           results; stderr says which ran, or why not         [serial]
-    --workers <n>         worker threads, one shard each (at most one per pod;
-                          one worker runs two); needs --engine sharded    [all cores]
+    --workers <n>         shards, one per worker (at most one per pod; one
+                          worker runs two), run on at most as many threads
+                          as cores; needs --engine sharded                [all cores]
     --degrade l:s:bw:us   degrade uplink leaf l -> spine s to bw x bandwidth
                           with +us microseconds delay (repeatable)
     --fail sw:up:at_us    take LB switch sw's uplink up down at_us microseconds
@@ -394,10 +395,7 @@ fn main() {
     }
 
     if args.flag("--json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&r.to_summary()).expect("serializable summary")
-        );
+        println!("{}", r.to_json());
     } else {
         println!("{}", r.one_line());
         println!(

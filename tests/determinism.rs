@@ -354,6 +354,18 @@ fn assert_sharded_matches(serial: &RunReport, sharded: &RunReport, label: &str) 
     }
 }
 
+/// Assert `r` ran on the sharded engine, on the threads `requested`
+/// workers get: one per shard, no more than the host's cores.
+fn assert_ran_sharded(r: &RunReport, requested: u32, label: &str) {
+    assert!(
+        r.engine_fallback.is_none() && r.sharded_shards >= 2,
+        "{label}: sharded engine refused"
+    );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
+    let threads = requested.min(r.sharded_shards).min(cores);
+    assert_eq!(r.engine_workers, Some(threads), "{label}: worker threads");
+}
+
 /// `cfg` run serially and on each of `workers` sharded worker counts, the
 /// sharded reports checked against the serial one and returned.
 fn sharded_vs_serial(cfg: &SimConfig, flows: &[FlowSpec], workers: &[u32]) -> Vec<RunReport> {
@@ -365,7 +377,7 @@ fn sharded_vs_serial(cfg: &SimConfig, flows: &[FlowSpec], workers: &[u32]) -> Ve
             let mut cfg = cfg.clone();
             cfg.engine = EngineKind::Sharded { workers: Some(w) };
             let sharded = run_one_ref(&cfg, flows);
-            assert_eq!(sharded.engine_workers, Some(w));
+            assert_ran_sharded(&sharded, w, &format!("{w} workers"));
             assert_sharded_matches(&serial, &sharded, &format!("{w} workers"));
             sharded
         })
@@ -464,8 +476,8 @@ fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
     mix.long_lo = 1_500_000;
     mix.long_hi = 2_500_000;
     let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(23));
-    // `engine_workers == Some(w)` in the helper: k=8 has 8 pods, so each
-    // of up to 8 workers runs one shard of whole pods.
+    // k=8 has 8 pods, so each of up to 8 workers gets one shard of whole
+    // pods; the helper checks the threads that ran them.
     for sharded in sharded_vs_serial(&cfg, &flows, &[2, 4, 8]) {
         // Windows before, between and after the two failure events.
         assert!(sharded.sharded_windows > 0, "k8 flap ran without windows");
@@ -566,7 +578,7 @@ fn sharded_fcts_match_serial_when_the_horizon_cuts_flows() {
     );
     cfg.engine = EngineKind::Sharded { workers: Some(2) };
     let sharded = run_one_ref(&cfg, &flows);
-    assert_eq!(sharded.engine_workers, Some(2));
+    assert_ran_sharded(&sharded, 2, "horizon-cut web-search");
     assert_sharded_matches(&serial, &sharded, "horizon-cut web-search");
 }
 
@@ -726,10 +738,11 @@ fn sharded_last_completions_tie_across_shards() {
     let [a, b] = [0, 1].map(|i| serial.fct.fct_of(FlowId(i)).map(f64::to_bits));
     assert!(a.is_some() && a == b, "the two completions must tie");
     sharded_vs_serial(&cfg, &flows, &[1, 2, 4]);
-    // Eight workers ask for more threads than the four leaves give shards.
+    // Eight workers ask for more shards than the four leaves give.
     cfg.engine = EngineKind::Sharded { workers: Some(8) };
     let sharded = run_one_ref(&cfg, &flows);
-    assert_eq!(sharded.engine_workers, Some(4));
+    assert_eq!(sharded.sharded_shards, 4);
+    assert_ran_sharded(&sharded, 8, "8 workers");
     assert_sharded_matches(&serial, &sharded, "8 workers");
 }
 
@@ -938,7 +951,7 @@ fn same_instant_starts_ticks_and_admin_events_keep_their_order() {
     flows.push(flow_of(&cfg, 6, (5, 10), 20, delivered));
     cfg.trace_flows.push(FlowId(6));
     let sharded = sharded_vs_serial(&cfg, &flows, &[2]).remove(0);
-    assert_eq!(sharded.engine_workers, Some(2));
+    assert_eq!(sharded.sharded_shards, 2);
     let up = first(&sharded, 3, true);
     assert_eq!(
         (up.at, up.hop),
