@@ -4,6 +4,7 @@
 
 use tlb_bench::{load_sweep_panels, Out};
 use tlb_core::TlbConfig;
+use tlb_engine::SimTime;
 use tlb_simnet::Scheme;
 
 fn main() {
@@ -12,16 +13,17 @@ fn main() {
     out.line("  true deadlines U[5ms, 25ms]; TLB protects a fixed percentile");
     out.blank();
 
+    // D at the 5th/25th/50th/75th percentile of U[5 ms, 25 ms].
     let variants: Vec<(String, Scheme)> = [
-        (0.05, "TLB-5th"),
-        (0.25, "TLB-25th"),
-        (0.50, "TLB-50th"),
-        (0.75, "TLB-75th"),
+        (6, "TLB-5th"),
+        (10, "TLB-25th"),
+        (15, "TLB-50th"),
+        (20, "TLB-75th"),
     ]
     .into_iter()
-    .map(|(pct, name)| {
+    .map(|(ms, name)| {
         let mut cfg = TlbConfig::paper_default();
-        cfg.deadline_percentile = pct;
+        cfg.deadline = SimTime::from_millis(ms);
         (name.to_string(), Scheme::Tlb(cfg))
     })
     .collect();
@@ -61,7 +63,7 @@ fn main() {
                 let mut mix = tlb_workload::BasicMixConfig::paper_default();
                 mix.n_short = n_short;
                 mix.n_long = 6;
-                mix.short_window = tlb_engine::SimTime::from_millis(15);
+                mix.short_window = SimTime::from_millis(15);
                 // A decaying burst: m_S starts huge and drains, crossing
                 // the different percentile thresholds at different times —
                 // that is when the variants diverge.

@@ -57,32 +57,27 @@ pub fn granularity_schemes() -> Vec<(&'static str, Scheme)> {
 /// the trace instead.
 const LARGE_SCALE_HOSTS_PER_LEAF: usize = 32;
 
-/// Large-scale (§6.2) jobs: one `(cfg, flows)` pair per scheme at one load.
-/// Shared flow set per load so schemes are compared on identical traffic.
-fn large_scale_jobs(
-    schemes: &[Scheme],
+/// One large-scale (§6.2) job: `scheme` on the 8×8 fabric under Poisson
+/// arrivals from `dist` at `load`, drawn from `seed ^ load`, so every
+/// scheme at one (load, seed) sees identical traffic.
+pub fn large_scale_job(
+    scheme: Scheme,
     dist: &impl SizeDist,
     load: f64,
-    scale: Scale,
-) -> Vec<(SimConfig, Vec<FlowSpec>)> {
-    let duration = scale.pick(SimTime::from_millis(25), SimTime::from_millis(150));
-    schemes
-        .iter()
-        .map(|scheme| {
-            let cfg = SimConfig::large_scale(scheme.clone(), LARGE_SCALE_HOSTS_PER_LEAF);
-            let wl = PoissonWorkload {
-                load,
-                dist,
-                duration,
-                deadline_lo: SimTime::from_millis(5),
-                deadline_hi: SimTime::from_millis(25),
-                short_threshold: 100_000,
-                inter_leaf_only: true,
-            };
-            let flows = wl.generate(&cfg.topo, &mut SimRng::new(base_seed() ^ load.to_bits()));
-            (cfg, flows)
-        })
-        .collect()
+    seed: u64,
+) -> (SimConfig, Vec<FlowSpec>) {
+    let cfg = SimConfig::large_scale(scheme, LARGE_SCALE_HOSTS_PER_LEAF);
+    let wl = PoissonWorkload {
+        load,
+        dist,
+        duration: Scale::from_env().pick(SimTime::from_millis(25), SimTime::from_millis(150)),
+        deadline_lo: SimTime::from_millis(5),
+        deadline_hi: SimTime::from_millis(25),
+        short_threshold: 100_000,
+        inter_leaf_only: true,
+    };
+    let flows = wl.generate(&cfg.topo, &mut SimRng::new(seed ^ load.to_bits()));
+    (cfg, flows)
 }
 
 /// The load axis of Fig. 10–12.
@@ -220,11 +215,14 @@ pub fn load_sweep_panels(
     names: &[&str],
     dist: &impl SizeDist,
 ) -> (Vec<f64>, Vec<RunReport>) {
-    let scale = Scale::from_env();
-    let loads = load_sweep(scale);
+    let loads = load_sweep(Scale::from_env());
     let mut jobs = Vec::new();
     for &load in &loads {
-        jobs.extend(large_scale_jobs(schemes, dist, load, scale));
+        jobs.extend(
+            schemes
+                .iter()
+                .map(|s| large_scale_job(s.clone(), dist, load, base_seed())),
+        );
     }
     let reports = tlb_simnet::run_all(jobs);
     let labels: Vec<String> = loads.iter().map(|l| format!("{l:.1}")).collect();

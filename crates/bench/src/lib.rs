@@ -1,7 +1,8 @@
 //! # tlb-bench — the paper-reproduction harness
 //!
 //! One binary per figure of the paper's evaluation (`fig03` … `fig17`),
-//! plus `ablation`, `extensions` and a `repro_all` driver. Each binary
+//! plus `ablation` (the multi-seed regime sweep of TLB's threshold policy
+//! and update interval), `extensions` and a `repro_all` driver. Each binary
 //! prints the rows/series its figure plots and writes the same text to
 //! `results/<id>.txt`. [`harness`] holds what they share: the scenario
 //! builders, the one (x × scheme) panel writer and the one decision-cost

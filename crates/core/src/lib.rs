@@ -66,9 +66,6 @@ pub struct Tlb {
     /// Current switching threshold in bytes; `u64::MAX` encodes "infinite"
     /// (long flows pinned).
     q_th_bytes: u64,
-    /// Online estimate of the mean short-flow size `X` (EWMA over completed
-    /// short flows), used when [`TlbConfig::estimate_mean_short`] is set.
-    mean_short_est: f64,
     /// Number of granularity recomputations performed (diagnostics).
     updates: u64,
     /// Number of long-flow reroutes performed (diagnostics / Fig. 9).
@@ -91,7 +88,6 @@ impl Tlb {
             ThresholdMode::Fixed(q) => q,
         };
         Tlb {
-            mean_short_est: cfg.mean_short_prior,
             cfg,
             flows: FlowMap::new(),
             q_th_bytes: q0,
@@ -134,11 +130,6 @@ impl Tlb {
         (m_short, m_long)
     }
 
-    /// The current mean-short-flow-size estimate `X` in bytes.
-    pub fn mean_short_estimate(&self) -> f64 {
-        self.mean_short_est
-    }
-
     /// How many times a long flow was rerouted to a new uplink.
     pub fn long_reroutes(&self) -> u64 {
         self.long_reroutes
@@ -171,9 +162,9 @@ impl Tlb {
             rtt: self.cfg.rtt.as_secs_f64(),
             interval: self.cfg.update_interval.as_secs_f64(),
             w_long: RWND_BYTES as f64,
-            mean_short: self.mean_short_est.max(1.0),
+            mean_short: ModelParams::paper_defaults().mean_short,
             mss: MSS_BYTES as f64,
-            deadline: self.cfg.deadline().as_secs_f64(),
+            deadline: self.cfg.deadline.as_secs_f64(),
         };
         self.q_th_bytes = if m_long == 0 {
             // No long flows: the threshold is moot; keep them free to switch.
@@ -206,17 +197,7 @@ impl LoadBalancer for Tlb {
                 // (its record leaves the table). The FIN itself still needs
                 // forwarding; as a single control packet it takes the
                 // shortest queue.
-                if let Some(st) = self.flows.remove(pkt.flow) {
-                    if st.counted
-                        && !st.is_long
-                        && self.cfg.estimate_mean_short
-                        && st.bytes_seen > 0
-                    {
-                        let g = TlbConfig::EWMA_GAIN;
-                        self.mean_short_est =
-                            (1.0 - g) * self.mean_short_est + g * st.bytes_seen as f64;
-                    }
-                }
+                self.flows.remove(pkt.flow);
                 shortest
             }
             PktKind::Syn => {

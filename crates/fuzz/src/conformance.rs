@@ -61,9 +61,9 @@ pub fn expected_q_th(tlb: &Tlb, n_ports: usize, mean_capacity: f64) -> u64 {
                 rtt: cfg.rtt.as_secs_f64(),
                 interval: cfg.update_interval.as_secs_f64(),
                 w_long: RWND_BYTES as f64,
-                mean_short: tlb.mean_short_estimate().max(1.0),
+                mean_short: ModelParams::paper_defaults().mean_short,
                 mss: MSS_BYTES as f64,
-                deadline: cfg.deadline().as_secs_f64(),
+                deadline: cfg.deadline.as_secs_f64(),
             };
             q_th_min(&params).as_bytes_saturating()
         }

@@ -128,7 +128,7 @@ mod tests {
             scheme.validate().expect("defaults are valid");
         }
         let mut tlb = TlbConfig::paper_default();
-        tlb.deadline_percentile = 1.5;
+        tlb.update_interval = tlb_engine::SimTime::ZERO;
         let scheme = Scheme::Tlb(tlb);
         let why = scheme.validate().expect_err("out-of-range parameter");
         assert!(why.starts_with(scheme.name()), "{why}");

@@ -25,22 +25,22 @@ fn main() {
     mix.n_long = 6;
     mix.short_window = SimTime::from_millis(15);
 
-    for (label, pct) in [
-        ("TLB-5th", 0.05),
-        ("TLB-25th", 0.25),
-        ("TLB-50th", 0.50),
-        ("TLB-75th", 0.75),
+    // D at the 5th/25th/50th/75th percentile of U[5 ms, 25 ms].
+    for (label, d_ms) in [
+        ("TLB-5th", 6),
+        ("TLB-25th", 10),
+        ("TLB-50th", 15),
+        ("TLB-75th", 20),
     ] {
         let mut tlb_cfg = TlbConfig::paper_default();
-        tlb_cfg.deadline_percentile = pct;
-        let protected = tlb_cfg.deadline();
+        tlb_cfg.deadline = SimTime::from_millis(d_ms);
         let cfg = SimConfig::basic_paper(Scheme::Tlb(tlb_cfg));
         let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(31));
         let r = Simulation::new(cfg, flows).run();
         println!(
-            "{:<12} {:>8.0} {:>12.3} {:>12.3} {:>10.1} {:>14.1}",
+            "{:<12} {:>8} {:>12.3} {:>12.3} {:>10.1} {:>14.1}",
             label,
-            protected.as_millis_f64(),
+            d_ms,
             r.fct_short.afct * 1e3,
             r.fct_short.p99 * 1e3,
             r.fct_short.deadline_miss * 100.0,
