@@ -382,6 +382,18 @@ impl RunReport {
         )
     }
 
+    /// Order-sensitive FNV-1a fold of every flow's FCT, in flow order
+    /// (the bits of [`FctRecorder::fct_of`], `u64::MAX` for a flow with
+    /// none): unlike the digest's two class means, it moves when any one
+    /// flow's completion time does.
+    pub fn fct_hash(&self) -> u64 {
+        (0..self.total_flows as u32)
+            .map(|i| self.fct.fct_of(FlowId(i)).map_or(u64::MAX, f64::to_bits))
+            .fold(0xcbf2_9ce4_8422_2325, |h, v| {
+                (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+    }
+
     /// Class summary accessor by enum.
     pub fn summary(&self, class: FlowClass) -> &FctSummary {
         match class {

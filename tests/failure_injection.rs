@@ -103,6 +103,7 @@ fn pinned_tlb() -> Scheme {
 #[test]
 fn flap_and_repair_reconverge_cleanly() {
     const PINNED: &str = "229701|0.001427352100|115883260.809832736850|0|3361|53";
+    const PINNED_FCTS: u64 = 0xdf18a9fc8b3bcf01;
     let run = || {
         let mut cfg = SimConfig::basic_paper(pinned_tlb());
         cfg.audit = true;
@@ -135,8 +136,10 @@ fn flap_and_repair_reconverge_cleanly() {
         base.forced_reroutes.is_some(),
         "failure schedule present but forced-reroute accounting missing"
     );
-    assert_eq!(base.digest(), PINNED, "the flap run moved off its pin");
-    assert_eq!(run().digest(), PINNED, "the rerun diverged");
+    let pin = |r: &RunReport| (r.digest(), format!("{:#018x}", r.fct_hash()));
+    let pinned = (PINNED.to_string(), format!("{PINNED_FCTS:#018x}"));
+    assert_eq!(pin(&base), pinned, "the flap run moved off its pin");
+    assert_eq!(pin(&run()), pinned, "the rerun diverged");
 }
 
 /// Acceptance run: a k=8 fat tree (128 hosts, 80 switches) with a mid-run
@@ -145,6 +148,7 @@ fn flap_and_repair_reconverge_cleanly() {
 #[test]
 fn fat_tree_k8_flap_matrix_is_pinned() {
     const PINNED: &str = "96293|0.002202837325|89494925.066918015480|2|1720|42";
+    const PINNED_FCTS: u64 = 0x4bc3820164191e06;
     let run = || {
         let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
         cfg.topo = FatTreeBuilder::new(8)
@@ -177,8 +181,10 @@ fn fat_tree_k8_flap_matrix_is_pinned() {
         "fat-tree flap stranded flows"
     );
     assert!(base.audit.is_some(), "conservation audit did not run");
-    assert_eq!(base.digest(), PINNED, "the k=8 flap moved off its pin");
-    assert_eq!(run().digest(), PINNED, "the rerun diverged");
+    let pin = |r: &RunReport| (r.digest(), format!("{:#018x}", r.fct_hash()));
+    let pinned = (PINNED.to_string(), format!("{PINNED_FCTS:#018x}"));
+    assert_eq!(pin(&base), pinned, "the k=8 flap moved off its pin");
+    assert_eq!(pin(&run()), pinned, "the rerun diverged");
 }
 
 /// The tie the arrival key has to settle by itself: a mid-run rate change

@@ -50,10 +50,13 @@ fn k16_smoke_completes_with_clean_audit() {
 #[test]
 fn k16_digests_are_stable_across_reruns_and_backends() {
     const PINNED: &str = "168905|0.006145906813|61770810.437453903258|0|4796|84";
+    const PINNED_FCTS: u64 = 0x51c29658f67fd82c;
+    let pin = |r: &RunReport| (r.digest(), format!("{:#018x}", r.fct_hash()));
+    let pinned = (PINNED.to_string(), format!("{PINNED_FCTS:#018x}"));
     let base = k16_run(Scheme::tlb_default(), FidelityKind::Packet, 16);
-    assert_eq!(base.digest(), PINNED, "k=16 run moved off its pin");
+    assert_eq!(pin(&base), pinned, "k=16 run moved off its pin");
     let rerun = k16_run(Scheme::tlb_default(), FidelityKind::Packet, 16);
-    assert_eq!(rerun.digest(), PINNED, "k=16 rerun diverged");
+    assert_eq!(pin(&rerun), pinned, "k=16 rerun diverged");
 }
 
 #[test]
