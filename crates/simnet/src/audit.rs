@@ -9,10 +9,15 @@
 //! transition to an [`AuditLedger`]:
 //!
 //! ```text
-//! emit ──> enqueue ──> start_service ──> tx_done ──> arrive ──┬─> deliver
-//!             │                                               └─> (re-enqueue
-//!             └─> drop (drop-tail)                                 at next hop)
+//! emit ──> enqueue ──> depart ──> arrive ──┬─> deliver
+//!             │                            └─> (re-enqueue
+//!             └─> drop (drop-tail)              at next hop)
 //! ```
+//!
+//! A packet departs when its serialization starts and goes on the wire at
+//! once, so [`AuditLedger::departed`] counts both its serialization's
+//! start and its end; one still serializing when the run ends is moved
+//! back from done to in service there ([`AuditLedger::residual_in_service`]).
 //!
 //! and at end of run [`AuditLedger::finish`] proves, per packet class (the
 //! transport invariants, last, are checked earlier, as each endpoint
@@ -223,19 +228,14 @@ impl AuditLedger {
         }
     }
 
-    /// A port began serializing `pkt`.
+    /// A port began serializing `pkt` and put it on the wire: its
+    /// serialization's start and end both count now.
     #[inline]
-    pub fn tx_started(&mut self, pkt: &Packet) {
+    pub fn departed(&mut self, pkt: &Packet) {
         if self.enabled {
-            self.at(pkt).tx_started += 1;
-        }
-    }
-
-    /// A port finished serializing `pkt`.
-    #[inline]
-    pub fn tx_done(&mut self, pkt: &Packet) {
-        if self.enabled {
-            self.at(pkt).tx_done += 1;
+            let c = self.at(pkt);
+            c.tx_started += 1;
+            c.tx_done += 1;
         }
     }
 
@@ -285,11 +285,14 @@ impl AuditLedger {
         }
     }
 
-    /// End of run: `pkt` was mid-serialization (its serialization had not ended).
+    /// End of run: `pkt` was mid-serialization. Its serialization, counted
+    /// done when it departed, had not ended.
     #[inline]
     pub fn residual_in_service(&mut self, pkt: &Packet) {
         if self.enabled {
-            self.at(pkt).in_service_at_end += 1;
+            let c = self.at(pkt);
+            c.in_service_at_end += 1;
+            c.tx_done -= 1;
         }
     }
 
@@ -427,7 +430,7 @@ pub struct PortAudit {
     pub dropped: u64,
     /// `len_pkts()` at end of run.
     pub queued_now: u64,
-    /// `in_service()` at end of run.
+    /// Its last departed packet was still serializing at end of run.
     pub in_service: bool,
     /// `len_bytes()` at end of run.
     pub queued_bytes_stat: u64,
@@ -436,11 +439,13 @@ pub struct PortAudit {
 }
 
 impl PortAudit {
-    /// Snapshot a port whose packets are parked in `arena`.
+    /// Snapshot a port whose packets are parked in `arena`, `in_service`
+    /// if its last departed packet was still serializing.
     pub fn of(
         label: String,
         port: &tlb_switch::OutPort,
         arena: &tlb_net::PacketArena,
+        in_service: bool,
     ) -> PortAudit {
         PortAudit {
             label,
@@ -448,7 +453,7 @@ impl PortAudit {
             pkts_tx: port.stats().pkts_tx,
             dropped: port.stats().dropped,
             queued_now: port.len_pkts() as u64,
-            in_service: port.in_service(),
+            in_service,
             queued_bytes_stat: port.len_bytes(),
             queued_bytes_actual: port.queued_in(arena).map(|p| p.wire_bytes as u64).sum(),
         }
@@ -476,8 +481,7 @@ mod tests {
         ledger.emitted(&p);
         ledger.enqueue_attempt(&p);
         ledger.enqueued(&p);
-        ledger.tx_started(&p);
-        ledger.tx_done(&p);
+        ledger.departed(&p);
         ledger.arrived(&p);
         ledger.delivered(&p);
     }
@@ -508,8 +512,7 @@ mod tests {
         for _ in 0..2 {
             l.enqueue_attempt(&p);
             l.enqueued(&p);
-            l.tx_started(&p);
-            l.tx_done(&p);
+            l.departed(&p);
             l.arrived(&p);
         }
         // First arrival forwards (re-enqueues); second delivers.
@@ -534,8 +537,7 @@ mod tests {
         l.emitted(&p);
         l.enqueue_attempt(&p);
         l.enqueued(&p);
-        l.tx_started(&p);
-        l.tx_done(&p);
+        l.departed(&p);
         l.residual_propagating(&p);
         let r = l
             .finish(
@@ -563,9 +565,8 @@ mod tests {
         l.emitted(&p);
         l.enqueue_attempt(&p);
         l.enqueued(&p);
-        l.tx_started(&p);
-        l.tx_done(&p);
-        // The packet vanishes between tx_done and arrive — no residual
+        l.departed(&p);
+        // The packet vanishes between departure and arrival — no residual
         // accounts for it.
         l.finish(&[], 0);
     }

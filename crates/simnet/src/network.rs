@@ -37,13 +37,15 @@
 //! A link's port serializes packets one at a time and its wire is FIFO,
 //! so arrival times per link are non-decreasing. Every packet occupies one
 //! slot of `Net::arena` from its host's emission to its delivery or drop,
-//! on one list at a time: its port's queue, that port's service slot, the
-//! link's pipe, the next port's queue, and so on — moving on relinks the
-//! slot and never copies the packet. A link's pipe is a
-//! [`tlb_net::PacketFifo`] — two slot indices — holding the packets that
-//! have left its port's serializer and not yet arrived
-//! (`Net::schedule_arrival` is the one way on; `Net::wire_pkts` counts
-//! them). Instead of one FEL entry per in-flight packet, a pipe
+//! on one list at a time: its port's queue, the link's pipe, the next
+//! port's queue, and so on — moving on relinks the slot and never copies
+//! the packet. A link's pipe is a [`tlb_net::PacketFifo`] — two slot
+//! indices — holding the packets that have started serializing onto the
+//! link and not yet arrived: a packet departs its port as its
+//! serialization starts (`Net::schedule_arrival` is the one way on;
+//! `Net::wire_pkts` counts them), and the port keeps only the time its
+//! serializer is busy until. A port's `TX_DONE` is an event only when a
+//! packet waits for the serializer. Instead of one FEL entry per in-flight packet, a pipe
 //! keeps at most one chained `ARRIVAL` event in the FEL; popping it
 //! delivers the head and re-arms the chain. That is exact, not an
 //! approximation: the one live `ARRIVAL` is the only event under its
@@ -353,6 +355,8 @@ struct Net<'a> {
     /// where it was, so this, not `q.now()`, is when the run stopped.
     now: SimTime,
     events: u64,
+    /// `events` by class rank ([`crate::report::EVENT_CLASSES`]).
+    events_by_class: [u64; crate::report::EVENT_CLASSES.len()],
     /// Unit-test fault injection: the arrival this many arrivals from now
     /// vanishes without any accounting layer hearing of it — the
     /// simulator bug the conservation audit exists to catch.
@@ -419,7 +423,7 @@ impl<'a> Net<'a> {
             .filter(|&l| shard.as_ref().is_none_or(|c| c.owns_sw(l)))
             .count();
         // Size the FEL to the most `fel_bound` can reach, so steady state
-        // never reallocates: one `TX_DONE` and one `ARRIVAL` per port, one
+        // never reallocates: a `TX_DONE` and an `ARRIVAL` per port, one
         // timer per sender this `Net` hosts, one tick per LB switch it
         // owns, one queue sample. No flow start enters it, so a shard
         // replica reserves for its own partition. (The calendar reserves
@@ -481,6 +485,7 @@ impl<'a> Net<'a> {
             other_pending: 0,
             now: SimTime::ZERO,
             events: 0,
+            events_by_class: [0; crate::report::EVENT_CLASSES.len()],
             audit: AuditLedger::new(cfg.audit),
             #[cfg(test)]
             lose_arrival: None,
@@ -550,8 +555,9 @@ impl<'a> Net<'a> {
     /// across thread counts, so the samples are deterministic.
     const FEL_DEPTH_SAMPLE_EVERY: u64 = 4096;
 
-    /// The FEL occupancy bound: at most one `TX_DONE` and one `ARRIVAL` per
-    /// port, plus every other event pending in the FEL.
+    /// The FEL occupancy bound: at most one `TX_DONE` (while a packet
+    /// waits) and one `ARRIVAL` per port, plus every other event pending
+    /// in the FEL.
     /// Computed from a counter the schedule alone decides, so its peak is
     /// deterministic.
     #[inline]
@@ -612,6 +618,7 @@ impl<'a> Net<'a> {
         }
         self.now = now;
         self.events += 1;
+        self.events_by_class[cls as usize] += 1;
         #[cfg(test)]
         assert_ne!(self.panic_at_event, Some(self.events), "injected fault");
         if self.events == self.warmup_at {
@@ -649,6 +656,7 @@ impl<'a> Net<'a> {
                 // serial engine's.
                 if self.shard.as_ref().is_some_and(|c| c.id != 0) {
                     self.events -= 1;
+                    self.events_by_class[cls as usize] -= 1;
                 }
                 self.on_admin(entity as usize, now);
             }

@@ -7,7 +7,10 @@
 //! each is a no-op there (sharding refuses hybrid). A rate change rewrites
 //! the port's props and nothing else: packets already on the wire keep
 //! their arrival times, and the arena behind the link pipes was reserved
-//! at build for every state the schedule reaches.
+//! at build for every state the schedule reaches. A packet is on the wire
+//! from its service start, so one still serializing when the change lands
+//! keeps the serialization time and the propagation delay it read then;
+//! the next packet to start takes the new ones.
 
 use super::link;
 use super::portmap::PortId;
@@ -75,9 +78,10 @@ impl Net<'_> {
 #[cfg(test)]
 mod tests {
     use crate::config::{AdminEvent, Change, Target};
-    use crate::{Scheme, Simulation};
-    use tlb_engine::SimTime;
-    use tlb_net::{FlowId, HostId, LeafId, SpineId};
+    use crate::{Hop, Scheme, Simulation};
+    use tlb_engine::{time::tx_time, SimTime};
+    use tlb_net::{FlowId, HostId, LeafId, Packet, PktKind, SpineId};
+    use tlb_transport::TcpConfig;
     use tlb_workload::FlowSpec;
 
     #[test]
@@ -116,5 +120,72 @@ mod tests {
         let fct = r.fct.fct_of(FlowId(0)).unwrap();
         // 5 MB at 1 Gbit/s ~ 40 ms; at 0.5 Gbit/s after the first ms ~ 79 ms.
         assert!(fct > 0.06, "brownout had no effect: fct {fct}");
+    }
+
+    #[test]
+    fn a_packet_serializing_across_a_rate_change_keeps_its_delay() {
+        // A lone flow's SYN enters an idle leaf uplink and starts
+        // serializing at once; 1 ns later a rate change adds 50 µs to the
+        // link's delay. The SYN arrives at the spine its serialization
+        // time plus the old delay after it started — the delay it read
+        // when its service began — and the first data segment, which
+        // starts after the change, takes the new one.
+        let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
+        cfg.trace_flows = vec![FlowId(0)];
+        let flows = vec![FlowSpec {
+            id: FlowId(0),
+            src: HostId(0),
+            dst: HostId(cfg.topo.hosts_per_leaf() as u32),
+            size_bytes: 10 * cfg.tcp.mss as u64,
+            start: SimTime::ZERO,
+            deadline: None,
+        }];
+        let run = |cfg: &crate::SimConfig| Simulation::new(cfg.clone(), flows.clone()).run();
+        let first = |r: &crate::RunReport, kind: PktKind, up: bool| {
+            let t = (r.traces.iter())
+                .find(|t| {
+                    t.kind == kind
+                        && match t.hop {
+                            Hop::LeafUplink { .. } => up,
+                            Hop::SpineDownlink { .. } => !up,
+                            _ => false,
+                        }
+                })
+                .expect("traced hop");
+            (t.at, t.hop)
+        };
+        let (syn_up, hop) = first(&run(&cfg), PktKind::Syn, true);
+        let Hop::LeafUplink { leaf, spine } = hop else {
+            unreachable!()
+        };
+        let props = cfg.topo.uplink_props(leaf.into(), spine.into());
+        let extra = SimTime::from_micros(50);
+        cfg.admin_events.push(AdminEvent {
+            at: syn_up + SimTime::from_nanos(1),
+            target: Target::Link {
+                sw: LeafId(leaf.into()),
+                up: SpineId(spine.into()),
+            },
+            change: Change::Rate {
+                new_prop_delay: None,
+                bw_factor: 1.0,
+                extra_delay: extra,
+            },
+        });
+        let r = run(&cfg);
+        let tx = |bytes: u32| tx_time(bytes as u64, props.bytes_per_sec);
+        let crossing = |kind| first(&r, kind, false).0 - first(&r, kind, true).0;
+        assert_eq!(first(&r, PktKind::Syn, true).0, syn_up);
+        assert_eq!(
+            crossing(PktKind::Syn),
+            tx(Packet::CTRL_WIRE_BYTES) + props.prop_delay,
+            "the SYN took the delay of its service start"
+        );
+        let data = cfg.tcp.mss + TcpConfig::HEADER_BYTES;
+        assert_eq!(
+            crossing(PktKind::Data),
+            tx(data) + props.prop_delay + extra,
+            "the first data segment took the new delay"
+        );
     }
 }

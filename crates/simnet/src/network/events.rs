@@ -38,7 +38,12 @@ pub(super) mod class {
     /// most one is live per port, so the key alone places each link's
     /// next arrival.
     pub const ARRIVAL: u32 = 2;
-    /// The packet in service on a port finished serializing, on the port.
+    /// The serialization on a port ended with a packet waiting behind it,
+    /// on the port: the head departs. A port pushes one only when a packet
+    /// queues behind the one serializing (its first, at that one's end) or
+    /// departs with more waiting (at its own end); a departure that leaves
+    /// the queue empty schedules nothing, since the packet is already on
+    /// the wire.
     pub const TX_DONE: u32 = 3;
     /// An LB switch balancer's periodic tick, on the LB switch.
     pub const LB_TICK: u32 = 4;
@@ -90,6 +95,26 @@ mod tests {
         // nodes per cache line; a payload beside the key pads it to 40.
         let node = tlb_engine::fel::CalendarFel::<()>::NODE_BYTES;
         assert!(node <= 32, "FEL node grew to {node} bytes");
+    }
+
+    #[test]
+    fn every_class_rank_names_its_report_column() {
+        use super::class::*;
+        let names = crate::report::EVENT_CLASSES;
+        let ranks = [
+            (FLOW_START, "flow_start"),
+            (TIMER, "timer"),
+            (ARRIVAL, "arrival"),
+            (TX_DONE, "tx_done"),
+            (LB_TICK, "lb_tick"),
+            (QUEUE_SAMPLE, "queue_sample"),
+            (ADMIN, "admin"),
+            (FLUID_DONE, "fluid_done"),
+        ];
+        assert_eq!(ranks.len(), names.len());
+        for (rank, name) in ranks {
+            assert_eq!(names[rank as usize], name);
+        }
     }
 
     #[test]

@@ -1,33 +1,69 @@
-//! Closing the packet-conservation audit at end of run.
+//! Closing the run's books: where it ended, the service its ports had not
+//! finished there, and the packet-conservation audit.
 
 use super::Net;
 use crate::audit::{AuditLedger, AuditReport, PortAudit};
+use tlb_engine::SimTime;
+use tlb_switch::OutPort;
 
 impl Net<'_> {
-    /// Hand `ledger` every packet still crossing a link and leave the pipes
-    /// empty — and, once no port holds a packet any more, the arena too.
-    pub(super) fn drain_pipes(&mut self, ledger: &mut AuditLedger) {
-        for pipe in &mut self.pipes {
-            for (_, pkt) in self.arena.drain(pipe) {
-                ledger.residual_propagating(&pkt);
-            }
+    /// Where the run ended: the clock it reports and the `(time, key)` of
+    /// its last event. A run that completed every flow ended at the event
+    /// that completed the last one. Any other ran every event up to the
+    /// horizon, so its end lies past all of them, and its clock reads the
+    /// latest of them — the last event it ran or the end of a
+    /// serialization that no event marks (a port schedules its `TX_DONE`
+    /// only when a packet waits).
+    pub(super) fn end_of_run(&self) -> (SimTime, (SimTime, u32)) {
+        let horizon = self.cfg.horizon;
+        // The clock can only pass the horizon through a bug (the run loop
+        // stops *before* popping any later event); clamp as a backstop so
+        // a regression can't inflate every duration-derived rate.
+        if self.n_completed == self.flows.len() {
+            return (self.now.min(horizon), (self.now, self.cur_key));
         }
-        self.wire_pkts = 0;
-        debug_assert!(
-            self.arena.is_empty(),
-            "{} arena slots are on no port and no link's pipe",
-            self.arena.live()
-        );
+        let through = (self.ports.iter().map(OutPort::busy_until)).filter(|&t| t <= horizon);
+        (
+            through.fold(self.now, SimTime::max).min(horizon),
+            (horizon, u32::MAX),
+        )
+    }
+
+    /// Settle every port whose last departed packet was still serializing
+    /// at `end`, the run's last `(time, key)`: it takes that packet back
+    /// out of its counters, and its service past `sim_end`
+    /// ([`OutPort::cut_service`]). The packet is the one its link's pipe
+    /// took last. Returns, per port, whether it had one. Runs before
+    /// anything reads the port counters, audit or no audit.
+    pub(super) fn cut_service_at_end(
+        &mut self,
+        sim_end: SimTime,
+        end: (SimTime, u32),
+    ) -> Vec<bool> {
+        (0..self.ports.len() as u32)
+            .map(|p| {
+                let serializing = self.serializing(p, end);
+                if serializing {
+                    let pipe = &self.pipes[p as usize];
+                    let pkt =
+                        (self.arena.iter(pipe).last()).expect("a departed packet is on its link");
+                    self.ports[p as usize].cut_service(sim_end, pkt.wire_bytes as u64);
+                }
+                serializing
+            })
+            .collect()
     }
 
     /// Close the packet-conservation ledger: feed it the end-of-run
-    /// residuals (queued packets, pending serializations and propagations,
-    /// each read in the arena), per-port accounting snapshots and the
-    /// engine's clock counter, then let it verify everything, the endpoint
-    /// checks made as each endpoint closed included (see
-    /// [`crate::audit`]). Empties the ports, the link pipes and the arena;
-    /// call only from [`Net::into_report`], after every endpoint closed.
-    pub(super) fn finish_audit(&mut self) -> Option<AuditReport> {
+    /// residuals (queued packets, pending serializations — the last packet
+    /// on each link whose port was `serializing` at the end — and
+    /// propagations, each read in the arena), per-port accounting
+    /// snapshots and the engine's clock counter, then let it verify
+    /// everything, the endpoint checks made as each endpoint closed
+    /// included (see [`crate::audit`]). Empties the ports, the link pipes
+    /// and the arena; call only from [`Net::into_report`], after every
+    /// endpoint closed.
+    pub(super) fn finish_audit(&mut self, serializing: &[bool]) -> Option<AuditReport> {
         let mut ledger = std::mem::replace(&mut self.audit, AuditLedger::new(false));
         if !ledger.enabled() {
             return None;
@@ -36,21 +72,30 @@ impl Net<'_> {
             for pkt in p.queued_in(&self.arena) {
                 ledger.residual_queued(pkt);
             }
-            // The serializing packet is still parked in the port.
-            if let Some(pkt) = p.in_service_in(&self.arena) {
-                ledger.residual_in_service(pkt);
-            }
         }
         let port_audits: Vec<PortAudit> = (0..)
-            .zip(&self.ports)
-            .map(|(p, port)| PortAudit::of(self.pmap.label(p), port, &self.arena))
+            .zip(self.ports.iter().zip(serializing))
+            .map(|(p, (port, &busy))| PortAudit::of(self.pmap.label(p), port, &self.arena, busy))
             .collect();
         for p in &mut self.ports {
             p.release_in(&mut self.arena);
         }
-
-        let monotonicity = self.q.monotonicity_violations();
-        self.drain_pipes(&mut ledger);
-        ledger.finish(&port_audits, monotonicity)
+        for (pipe, &busy) in self.pipes.iter_mut().zip(serializing) {
+            let mut wire = self.arena.drain(pipe).peekable();
+            while let Some((_, pkt)) = wire.next() {
+                if busy && wire.peek().is_none() {
+                    ledger.residual_in_service(&pkt);
+                } else {
+                    ledger.residual_propagating(&pkt);
+                }
+            }
+        }
+        self.wire_pkts = 0;
+        debug_assert!(
+            self.arena.is_empty(),
+            "{} arena slots are on no port and no link's pipe",
+            self.arena.live()
+        );
+        ledger.finish(&port_audits, self.q.monotonicity_violations())
     }
 }

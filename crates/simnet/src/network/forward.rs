@@ -5,7 +5,7 @@
 //! read and marked in place. Everything here runs per packet-hop and
 //! performs no steady-state allocation.
 
-use super::events::{class, push_ev};
+use super::events::{class, key_of, push_ev};
 use super::portmap::{NextHop, NodeRef, PortId};
 use super::sharded::XMsg;
 use super::Net;
@@ -34,19 +34,25 @@ pub(super) enum Probe<'p> {
 
 impl Net<'_> {
     /// Offer the packet in slot `pkt` — parked in the arena on no list —
-    /// to port `p`: it joins the queue (and starts serializing if the port
-    /// was idle) or is dropped, which frees its slot.
+    /// to port `p`: it joins the queue or is dropped, which frees its
+    /// slot. A packet that finds the port idle departs at once; the first
+    /// to queue behind a packet still serializing schedules the port's
+    /// next departure, its `TX_DONE`, where that one's serialization ends.
     pub(super) fn enqueue(&mut self, p: PortId, pkt: PacketSlot, now: SimTime) {
         if self.rows[self.arena.get(pkt).flow.index()].traced {
             let traced = *self.arena.get(pkt);
             self.trace(self.pmap.hop(p), &traced, now);
         }
         self.audit.enqueue_attempt(self.arena.get(pkt));
-        match self.ports[p as usize].offer_in(&mut self.arena, pkt, now) {
+        let busy = self.serializing(p, (now, self.cur_key));
+        match self.ports[p as usize].offer_in(&mut self.arena, pkt, now, busy) {
             Enqueued::Queued { was_idle, .. } => {
                 self.audit.enqueued(self.arena.get(pkt));
+                let port = &self.ports[p as usize];
                 if was_idle {
                     self.start_tx(p, now);
+                } else if port.len_pkts() == 1 {
+                    push_ev(&mut self.q, port.busy_until(), class::TX_DONE, p);
                 }
             }
             Enqueued::Dropped => {
@@ -58,14 +64,25 @@ impl Net<'_> {
         }
     }
 
+    /// Whether the last packet to depart port `p` is still serializing at
+    /// the instant `at` = `(time, key)`: its serialization ends at the
+    /// port's `busy_until`, and an event ranked there below the port's
+    /// `TX_DONE` key still sees it in service — the order a port whose
+    /// every serialization ended in a `TX_DONE` event gave them.
+    pub(super) fn serializing(&self, p: PortId, at: (SimTime, u32)) -> bool {
+        at < (
+            self.ports[p as usize].busy_until(),
+            key_of(class::TX_DONE, p),
+        )
+    }
+
+    /// Port `p`'s head packet starts serializing now, and goes on the
+    /// link at once: it arrives a serialization time plus the link's
+    /// propagation delay from now — both read off the link as it is now.
+    /// The port's next departure is scheduled only if a packet waits.
     fn start_tx(&mut self, p: PortId, now: SimTime) {
         let pi = p as usize;
-        let slot = self.ports[pi]
-            .start_in(&mut self.arena)
-            .expect("start_tx on an empty port");
-        // The port memoized this packet's serialization time when service
-        // started — one division per packet-hop instead of three.
-        let tx_time = self.ports[pi].service_tx_time();
+        let (slot, tx) = self.ports[pi].depart_in(&mut self.arena, now);
         let pkt = self.arena.get(slot);
         // Leaf-uplink queueing delay of short-flow data (Fig. 8(b)) — the
         // queues the load balancer controls; NIC and downlink waits are the
@@ -74,31 +91,28 @@ impl Net<'_> {
             let w = now.saturating_sub(pkt.enqueued_at).as_secs_f64();
             self.m.short_qdelay.push(w);
         }
-        self.audit.tx_started(pkt);
-        push_ev(&mut self.q, now + tx_time, class::TX_DONE, p);
-    }
-
-    pub(super) fn on_tx_done(&mut self, p: PortId, now: SimTime) {
-        let pi = p as usize;
-        let (pkt, more) = self.ports[pi].finish_in(&self.arena);
-        self.audit.tx_done(self.arena.get(pkt));
-        let prop = self.ports[pi].link().prop_delay;
-        if more {
-            self.start_tx(p, now);
+        self.audit.departed(pkt);
+        if self.ports[pi].len_pkts() > 0 {
+            push_ev(&mut self.q, now + tx, class::TX_DONE, p);
         }
-        let at = now + prop;
+        let at = now + tx + self.ports[pi].link().prop_delay;
         match self.shard.as_mut() {
             // The next hop lives in another shard: hand the packet off,
             // out of this replica's arena; the owner parks it in its own
             // and runs the same `schedule_arrival` when it ingests the
-            // message.
+            // message, at least a lookahead before `at`.
             Some(ctx) if ctx.map.arrive_owner[pi] != ctx.id => {
-                let pkt = self.arena.take(pkt);
+                let pkt = self.arena.take(slot);
                 let dst = ctx.map.arrive_owner[pi] as usize;
                 ctx.outbox[dst].push(XMsg { port: p, at, pkt });
             }
-            _ => self.schedule_arrival(p, at, pkt),
+            _ => self.schedule_arrival(p, at, slot),
         }
+    }
+
+    /// The serialization ahead of port `p`'s queue ended: the head departs.
+    pub(super) fn on_tx_done(&mut self, p: PortId, now: SimTime) {
+        self.start_tx(p, now);
     }
 
     /// The one place an arrival meets the FEL: the packet in slot `pkt`

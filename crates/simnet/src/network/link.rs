@@ -89,15 +89,15 @@ pub(super) fn wire_bound(cfg: &SimConfig, pmap: &PortMap) -> usize {
 }
 
 /// Most packets a `Net` ever parks at once, its arena's one reservation:
-/// the [`wire_bound`] plus, for every port in its table, a full queue and
-/// the packet in service (`capacity_pkts + 1`), plus one — the packet a
-/// host has just emitted, parked before its NIC admits or drops it. (A
-/// packet between two lists otherwise holds a place it just left: the
-/// service slot on its way to the wire, the wire on its way to a queue.)
-/// A shard replica's stub of a port it does not own has capacity 0 and
-/// adds its 1.
+/// the [`wire_bound`], a full queue for every port in its table, and one
+/// more — the packet a host has just emitted, parked before its NIC admits
+/// or drops it. (A packet between two lists otherwise holds a place it
+/// just left: the wire on its way to a queue.) A packet leaves its port as
+/// its serialization starts, so the one serializing onto a link rides the
+/// link's pipe, which the wire bound counts. A shard replica's stub of a
+/// port it does not own has capacity 0 and adds nothing.
 pub(super) fn packet_bound(cfg: &SimConfig, pmap: &PortMap, ports: &[OutPort]) -> usize {
-    let queues: usize = ports.iter().map(|p| p.capacity_pkts() + 1).sum();
+    let queues: usize = ports.iter().map(OutPort::capacity_pkts).sum();
     wire_bound(cfg, pmap) + queues + 1
 }
 

@@ -76,9 +76,9 @@ impl Metrics {
         let short_segs = segs(|r| r.short);
         let short_cap = (short_segs + short_segs / 4 + 64).min(1 << 22);
         // FEL-depth samples — the one collector that follows the event
-        // count, at one `f64` per 4096 events: a data segment costs
-        // O(2 hops·(TX_DONE+ARRIVAL)) events each way, so 24·segs/4096 is a
-        // generous estimate.
+        // count, at one `f64` per 4096 events: a data segment costs at
+        // most a `TX_DONE` and an `ARRIVAL` per hop each way, so
+        // 24·segs/4096 is a generous estimate.
         let depth_cap = (segs(|_| true) * 24 / 4096 + 64).min(1 << 20);
         let traced_segs = segs(|r| r.traced);
         // A traced data segment records ~5 hops each way (NIC, uplink,
@@ -216,11 +216,9 @@ impl Net<'_> {
     }
 
     pub(super) fn into_report(mut self, wall: std::time::Duration) -> RunReport {
-        // The clock can only pass the horizon through a bug (the run loop
-        // stops *before* popping any later event); clamp as a backstop so a
-        // regression can't inflate every duration-derived rate.
-        let sim_end = self.now.min(self.cfg.horizon);
+        let (sim_end, end) = self.end_of_run();
         let dur = sim_end.as_secs_f64().max(1e-9);
+        let serializing = self.cut_service_at_end(sim_end, end);
 
         // The reusable sender-output buffer was sized from the state
         // machine's worst case (`TcpConfig::max_outputs_per_call`); a
@@ -232,7 +230,7 @@ impl Net<'_> {
         );
 
         self.close_open_endpoints();
-        let audit = self.finish_audit();
+        let audit = self.finish_audit(&serializing);
 
         let uplink_utilization = (0..self.pmap.n_lb as usize)
             .map(|l| {
@@ -298,6 +296,7 @@ impl Net<'_> {
             tlb_long_reroutes: sum_reported(|lb| lb.long_reroutes()),
             forced_reroutes: sum_reported(|lb| lb.forced_reroutes()),
             events: self.events,
+            events_by_class: self.events_by_class,
             audit,
             alloc_audit: self.alloc_report,
             sim_end,

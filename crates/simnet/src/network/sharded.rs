@@ -299,13 +299,13 @@ impl<'a> Net<'a> {
     }
 
     /// Fold one shard replica into this one (the run folds every shard
-    /// into shard 0, then reports from the result). Ports and
-    /// balancers move wholesale to their owner, a port's queued and
-    /// in-service packets re-parked in this replica's arena; the other
-    /// replica's open
+    /// into shard 0, then reports from the result). Ports, pipes and
+    /// balancers move wholesale to their owner, a port's queued packets
+    /// and a pipe's crossing ones re-parked in this replica's arena, where
+    /// `finish_audit` reads them; the other replica's open
     /// endpoints close where they are, as the serial engine's would at the
     /// end of the run, folding into its counters and ledger; counters add;
-    /// the clocks join on the latest. Per the ownership partition every
+    /// the clocks join on the latest event. Per the ownership partition every
     /// moved entity on `self` is still in its pristine build state, so the
     /// merged `Net` reports what a serial run would have (up to the FEL
     /// telemetry caveat on [`super::metrics::Metrics::absorb`]).
@@ -321,7 +321,15 @@ impl<'a> Net<'a> {
                 other.ports[pi].rehome(&mut other.arena, &mut self.arena);
                 std::mem::swap(&mut self.ports[pi], &mut other.ports[pi]);
             }
+            if map.arrive_owner[pi] == oid {
+                let mut wire = std::mem::take(&mut other.pipes[pi]);
+                for (at, pkt) in other.arena.drain(&mut wire) {
+                    let slot = self.arena.insert(pkt);
+                    self.arena.link_back(&mut self.pipes[pi], slot, at);
+                }
+            }
         }
+        debug_assert!(other.arena.is_empty(), "a packet on no port and no pipe");
         for l in 0..self.lb_sws.len() {
             if map.sw_owner[l] == oid {
                 std::mem::swap(&mut self.lb_sws[l], &mut other.lb_sws[l]);
@@ -339,19 +347,18 @@ impl<'a> Net<'a> {
         }
         self.n_completed += other.n_completed;
         self.events += other.events;
+        for (mine, theirs) in self.events_by_class.iter_mut().zip(other.events_by_class) {
+            *mine += theirs;
+        }
         self.audit.absorb(&other.audit);
-        // What is still crossing the links the other shard receives feeds
-        // the merged ledger here — all its arena still holds; queued and
-        // in-service residuals rode the moved ports into this one's,
-        // scanned later by `finish_audit`.
-        other.drain_pipes(&mut self.audit);
         self.m.absorb(other.m);
         self.m.fel_nodes_peak = self.m.fel_nodes_peak.max(other.q.pool_nodes_peak() as u64);
         self.m.wire_pkts_peak += other.wire_pkts_peak as u64;
         self.m.conns_peak += (other.senders.peak() + other.receivers.peak()) as u64;
         self.q
             .absorb_monotonicity_violations(other.q.monotonicity_violations());
-        self.now = self.now.max(other.now);
+        // The run's last event is the latest any replica ran.
+        (self.now, self.cur_key) = (self.now, self.cur_key).max((other.now, other.cur_key));
     }
 }
 
@@ -739,11 +746,11 @@ mod tests {
         }
     }
 
-    /// The arena's reservation is the wire bound plus a full queue and a
-    /// packet in service for every port a `Net` holds — NICs at the host
-    /// queue's capacity, switch ports at the switch queue's, and, on a
-    /// shard replica, 1 for each stub of a port another shard owns — plus
-    /// the one packet a host holds before its NIC admits it.
+    /// The arena's reservation is the wire bound plus a full queue for
+    /// every port a `Net` holds — NICs at the host queue's capacity, switch
+    /// ports at the switch queue's, and, on a shard replica, nothing for a
+    /// stub of a port another shard owns — plus the one packet a host holds
+    /// before its NIC admits it.
     #[test]
     fn the_arena_reserves_the_wire_and_every_owned_queue() {
         let leaf_spine = SimConfig::basic_paper(Scheme::Ecmp);
@@ -759,7 +766,7 @@ mod tests {
             let ports = || 0..pmap.n_ports() as u32;
             let wire = link::wire_bound(&cfg, &pmap);
             let serial = Net::build(&cfg, &flows, &[None], None);
-            let every: usize = ports().map(|p| queue(p) + 1).sum();
+            let every: usize = ports().map(queue).sum();
             assert_eq!(
                 link::packet_bound(&cfg, &pmap, &serial.ports),
                 wire + every + 1
@@ -770,12 +777,11 @@ mod tests {
             assert_eq!(nets.len(), 2);
             for (id, net) in nets.iter().enumerate() {
                 let owned = |p: &u32| map.port_owner[*p as usize] == id as u16;
-                let own: usize = ports().filter(owned).map(|p| queue(p) + 1).sum();
-                let stubs = ports().filter(|p| !owned(p)).count();
+                let own: usize = ports().filter(owned).map(queue).sum();
                 let net = net.lock().unwrap();
                 assert_eq!(
                     link::packet_bound(&cfg, &pmap, &net.ports),
-                    wire + own + stubs + 1,
+                    wire + own + 1,
                     "shard {id}"
                 );
             }

@@ -215,9 +215,7 @@ fn the_wire_follows_what_is_live() {
         net.run_loop();
         let on_wire = net.wire_pkts;
         assert!(on_wire > 0, "the horizon cut nothing off");
-        let queued: usize = (net.ports.iter())
-            .map(|p| p.len_pkts() + p.in_service() as usize)
-            .sum();
+        let queued: usize = net.ports.iter().map(|p| p.len_pkts()).sum();
         assert_eq!(net.arena.live(), on_wire + queued);
         assert!(
             net.arena.slots_allocated() <= reserved,
@@ -229,17 +227,55 @@ fn the_wire_follows_what_is_live() {
         assert!(net.wire_pkts_peak >= on_wire);
         assert!(net.wire_pkts_peak <= link::wire_bound(&cfg, &net.pmap));
         assert!(net.arena.peak_live() > net.wire_pkts_peak);
-        let audit = net.finish_audit().expect("the audit is on");
-        let propagating: u64 = audit.kinds.iter().map(|k| k.propagating_at_end).sum();
-        assert_eq!(propagating, on_wire as u64);
-        let held: u64 = (audit.kinds.iter())
-            .map(|k| k.queued_at_end + k.in_service_at_end)
-            .sum();
-        assert_eq!(held, queued as u64);
+        // A departed packet rides its link's pipe from its service start;
+        // the ones still serializing when the horizon cut the run in are
+        // counted in service, not propagating.
+        let (sim_end, end) = net.end_of_run();
+        let serializing = net.cut_service_at_end(sim_end, end);
+        let in_service = serializing.iter().filter(|&&s| s).count() as u64;
+        let audit = net.finish_audit(&serializing).expect("the audit is on");
+        let sum = |f: fn(&crate::audit::KindCounts) -> u64| audit.kinds.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|k| k.propagating_at_end), on_wire as u64 - in_service);
+        assert_eq!(sum(|k| k.in_service_at_end), in_service);
+        assert_eq!(sum(|k| k.queued_at_end), queued as u64);
         assert!(net.pipes.iter().all(|pipe| pipe.is_empty()));
-        assert!(net.ports.iter().all(|p| p.is_idle()));
+        assert!(net.ports.iter().all(|p| p.len_pkts() == 0));
         assert!(net.arena.is_empty());
     }
+}
+
+#[test]
+fn a_horizon_mid_serialization_leaves_the_packet_in_service() {
+    // A horizon 1 ns before the end of a serialization at the sending
+    // host's NIC cuts that packet's service. It is already on its link's
+    // pipe, yet the audit counts it in service, not propagating, and the
+    // NIC gives back its serialization past the end — the counters hold
+    // only what was through by then.
+    let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
+    cfg.audit = true;
+    cfg.horizon = SimTime::from_millis(3);
+    let flows = one_flow(5_000_000);
+    let nic = |net: &Net| net.pmap.host_nic(0) as usize;
+    let mut net = Net::build(&cfg, &flows, &[None], None);
+    net.run_loop();
+    cfg.horizon = net.ports[nic(&net)].busy_until() - SimTime::from_nanos(1);
+    let mut net = Net::build(&cfg, &flows, &[None], None);
+    let nic = nic(&net);
+    net.run_loop();
+    let (sim_end, end) = net.end_of_run();
+    assert_eq!(end, (cfg.horizon, u32::MAX), "the horizon cut the run");
+    assert!(net.serializing(nic as u32, end));
+    let (busy, sent) = (net.ports[nic].stats().busy, net.ports[nic].stats().pkts_tx);
+    let serializing = net.cut_service_at_end(sim_end, end);
+    assert!(serializing[nic]);
+    let nic_stats = *net.ports[nic].stats();
+    assert_eq!(nic_stats.pkts_tx, sent - 1);
+    let past_end = net.ports[nic].busy_until() - sim_end;
+    assert_eq!(nic_stats.busy, busy - past_end);
+    let audit = net.finish_audit(&serializing).expect("the audit is on");
+    let data = &audit.kinds[2];
+    assert!(data.in_service_at_end >= 1);
+    assert_eq!(data.tx_done, data.tx_started - data.in_service_at_end);
 }
 
 #[test]
@@ -514,7 +550,16 @@ fn json_row_carries_the_report() {
     ] {
         assert!(json.lines().any(|l| l == row), "{row} not in {json}");
     }
-    assert_eq!(json.lines().count(), 17, "15 keys, one a line: {json}");
+    let by_class = (crate::report::EVENT_CLASSES.iter().zip(r.events_by_class))
+        .filter(|&(_, n)| n > 0)
+        .count();
+    assert!(by_class >= 3, "starts, arrivals and departures: {json}");
+    assert_eq!(r.events_by_class.iter().sum::<u64>(), r.events);
+    let row = (json.lines())
+        .find(|l| l.starts_with("  \"events_by_class\": {\"admin\": "))
+        .unwrap_or_else(|| panic!("no events_by_class row in {json}"));
+    assert!(row.ends_with(&format!("\"tx_done\": {}}},", r.events_by_class[3])));
+    assert_eq!(json.lines().count(), 18, "16 keys, one a line: {json}");
     // JSON has no NaN: a non-finite float prints as null.
     let mut r = r;
     r.fct_short.afct = f64::NAN;

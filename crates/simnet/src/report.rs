@@ -143,6 +143,20 @@ impl AllocAudit {
     }
 }
 
+/// The engine's event classes, in same-instant dispatch order: the names
+/// [`RunReport::events_by_class`] counts under. A port's `tx_done` runs
+/// only when a packet waits behind the one serializing.
+pub const EVENT_CLASSES: [&str; 8] = [
+    "flow_start",
+    "timer",
+    "arrival",
+    "tx_done",
+    "lb_tick",
+    "queue_sample",
+    "admin",
+    "fluid_done",
+];
+
 /// Everything measured in one run. Time series carry
 /// `(bucket_start_seconds, value)` points. A field is here because a
 /// figure binary, a test, `tlb-sim` or the benchmark reads it, and none
@@ -202,7 +216,8 @@ pub struct RunReport {
     /// shard's under the sharded engine; not part of any digest.
     pub fel_nodes_peak: u64,
     /// High-water mark of packets crossing links at once, counted on the
-    /// link pipes: how full the wire got. (The packet arena also holds what
+    /// link pipes, which a packet joins as its serialization starts: how
+    /// full the wire got. (The packet arena also holds what
     /// waits at the ports, so its own high-water mark is at least this.)
     /// Under the sharded engine, the sum of the shards' own high-water
     /// marks, each over the links it receives; not part of any digest.
@@ -264,6 +279,9 @@ pub struct RunReport {
     pub queue_series: Vec<(f64, Vec<u32>)>,
     /// Events processed by the engine.
     pub events: u64,
+    /// [`RunReport::events`] by event class, in [`EVENT_CLASSES`] order:
+    /// they sum to it.
+    pub events_by_class: [u64; EVENT_CLASSES.len()],
     /// Packet-conservation audit outcome — `Some` iff the run had
     /// [`crate::SimConfig::audit`] set (a failing audit panics instead of
     /// reporting).
@@ -402,6 +420,28 @@ impl RunReport {
         }
     }
 
+    /// [`RunReport::events_by_class`] as one JSON object on one line,
+    /// keys sorted.
+    fn events_by_class_json(&self) -> String {
+        let mut pairs: Vec<(&str, u64)> = EVENT_CLASSES
+            .into_iter()
+            .zip(self.events_by_class)
+            .collect();
+        pairs.sort_unstable();
+        let rows: Vec<String> = pairs.iter().map(|(k, n)| format!("\"{k}\": {n}")).collect();
+        format!("{{{}}}", rows.join(", "))
+    }
+
+    /// `E (class N, …)`: the event count, then the classes that ran, in
+    /// [`EVENT_CLASSES`] order — what `tlb-sim` prints on its engine line.
+    pub fn events_line(&self) -> String {
+        let ran: Vec<String> = (EVENT_CLASSES.iter().zip(self.events_by_class))
+            .filter(|&(_, n)| n > 0)
+            .map(|(k, n)| format!("{k} {n}"))
+            .collect();
+        format!("{} ({})", self.events, ran.join(", "))
+    }
+
     /// The run's result row as JSON — what `tlb-sim --json` prints: the
     /// paper's §6 metrics plus the run's totals, one key per line, sorted,
     /// two-space indent. Floats print in Rust's shortest round-trip form
@@ -420,6 +460,7 @@ impl RunReport {
             ("deadline_miss", num(self.fct_short.deadline_miss)),
             ("drops", self.drops.to_string()),
             ("events", self.events.to_string()),
+            ("events_by_class", self.events_by_class_json()),
             ("long_goodput_bps", num(self.long_throughput())),
             ("long_reorder", num(self.long.reorder_ratio())),
             ("marks", self.marks.to_string()),

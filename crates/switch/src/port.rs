@@ -2,17 +2,26 @@
 //! counters over a FIFO of packets parked in a [`PacketArena`].
 //!
 //! A port owns no packet storage. Its queue is a [`PacketFifo`] through an
-//! arena's slots and its packet in service a [`PacketSlot`] there, so a
-//! packet enters a port by linking the slot it already has and leaves by
-//! unlinking it — nothing is copied. The simulator keeps one arena for its
-//! whole fabric, from the sending host's NIC to the receiving host, builds
-//! its ports with [`OutPort::shared`] and passes that arena to the `*_in`
-//! methods. [`OutPort::new`] builds the standalone form instead: a port
-//! with a private arena of `capacity_pkts + 1` slots (a full queue plus the
-//! packet in service), whose [`OutPort::enqueue`] /
-//! [`OutPort::start_service`] / [`OutPort::finish_service`] run the same
-//! `*_in` methods over it — what unit tests, benches and balancer fixtures
-//! use.
+//! arena's slots, so a packet enters a port by linking the slot it already
+//! has and leaves by unlinking it — nothing is copied. A packet leaves when
+//! its serialization starts: [`OutPort::depart_in`] unlinks the head,
+//! accounts it and returns its serialization time, and the caller puts it
+//! on the link at once, to arrive a serialization time plus a propagation
+//! delay later. The port keeps no packet in service, only `busy_until`,
+//! when the last departed packet's last bit leaves; the caller tells
+//! [`OutPort::offer_in`] whether that moment has passed, and starts the
+//! next departure there only when a packet waits.
+//!
+//! The simulator keeps one arena for its whole fabric, from the sending
+//! host's NIC to the receiving host, builds its ports with
+//! [`OutPort::shared`] and passes that arena to the `*_in` methods.
+//! [`OutPort::new`] builds the standalone form instead: a port with a
+//! private arena of `capacity_pkts + 1` slots (a full queue plus the
+//! departed packet it holds until [`OutPort::finish_service`]), whose
+//! [`OutPort::enqueue`] / [`OutPort::start_service`] /
+//! [`OutPort::finish_service`] run the same `*_in` methods over it,
+//! serving back to back from time zero — what unit tests, benches and
+//! balancer fixtures use.
 
 use tlb_engine::{time::tx_time, SimTime};
 use tlb_net::{FlowId, HostId, LinkProps, Packet, PacketArena, PacketFifo, PacketSlot};
@@ -43,8 +52,8 @@ impl QueueCfg {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Enqueued {
     /// Packet admitted. `marked` reports ECN CE marking; `was_idle` tells
-    /// the caller the port had no packet in service or queued before this
-    /// one, i.e. serialization of this packet should be scheduled now.
+    /// the caller the port had no packet serializing or queued before this
+    /// one, i.e. this packet should depart now.
     Queued { marked: bool, was_idle: bool },
     /// Queue full (or the port down); the packet was dropped.
     Dropped,
@@ -59,23 +68,25 @@ pub struct PortStats {
     pub dropped: u64,
     /// Packets that received a CE mark here.
     pub marked: u64,
-    /// Bytes fully serialized onto the wire.
+    /// Bytes serialized onto the wire, counted as each packet departs
+    /// ([`OutPort::cut_service`] takes back one still serializing when the
+    /// run ends).
     pub bytes_tx: u64,
-    /// Packets fully serialized onto the wire.
+    /// Packets serialized onto the wire, counted like `bytes_tx`.
     pub pkts_tx: u64,
-    /// Time the transmitter spent busy (for utilization).
+    /// Time the transmitter spent busy (for utilization), counted like
+    /// `bytes_tx`.
     pub busy: SimTime,
 }
 
 /// An output port: a FIFO of packets plus its outgoing link.
 ///
 /// The port does not schedule events itself — the simulation driver calls
-/// [`OutPort::start_in`] / [`OutPort::finish_in`] around the serialization
-/// events it schedules, so the port stays a pure data structure that is
-/// easy to test.
+/// [`OutPort::depart_in`] at each service start it schedules, so the port
+/// stays a pure data structure that is easy to test.
 ///
 /// The first cache line holds what every admission and every balancer
-/// probe ([`crate::PortView`]) reads — length, bytes, FIFO, in-service,
+/// probe ([`crate::PortView`]) reads — length, bytes, FIFO, `busy_until`,
 /// capacity, `K`, the admin flag — and the link props; the counters and the
 /// standalone form's arena follow.
 #[derive(Debug)]
@@ -83,11 +94,9 @@ pub struct PortStats {
 pub struct OutPort {
     queued_bytes: u64,
     fifo: PacketFifo,
-    /// The packet being serialized, if any: unlinked from `fifo` but its
-    /// last bit has not left yet. Holding it here (rather than in the
-    /// end-of-serialization event) keeps the driver's event payload small
-    /// and lets audits see the in-flight packet.
-    in_service: Option<PacketSlot>,
+    /// When the last packet to depart finishes serializing: the earliest
+    /// the next one may start.
+    busy_until: SimTime,
     /// Packets on `fifo`.
     len: u32,
     /// `QueueCfg::capacity_pkts`.
@@ -96,20 +105,25 @@ pub struct OutPort {
     /// gets that long: an arena addresses 2^24 packets).
     ecn_k: u32,
     /// Administratively down (failure injection): new packets are dropped
-    /// at admission while anything already queued or in flight drains
+    /// at admission while anything already queued or serializing drains
     /// normally — the counters stay on the same `stats.dropped` path the
     /// conservation audit cross-checks per port.
     down: bool,
-    /// Serialization time of the in-service packet, memoized at
-    /// [`OutPort::start_in`] against the link properties *then* — so a
-    /// mid-service [`OutPort::set_link`] neither reschedules the packet nor
-    /// mis-accounts its busy time.
-    service_tx: SimTime,
     link: LinkProps,
     stats: PortStats,
-    /// The standalone form's private arena ([`OutPort::new`]); `None` on a
-    /// port of a shared arena ([`OutPort::shared`]).
-    own: Option<Box<PacketArena>>,
+    /// The standalone form's private arena and departed packet
+    /// ([`OutPort::new`]); `None` on a port of a shared arena
+    /// ([`OutPort::shared`]).
+    own: Option<Box<Standalone>>,
+}
+
+/// What a standalone port keeps beside the port proper: its packets and
+/// the one that departed and has not been taken out by
+/// [`OutPort::finish_service`] yet.
+#[derive(Debug)]
+struct Standalone {
+    arena: PacketArena,
+    departed: Option<PacketSlot>,
 }
 
 impl OutPort {
@@ -119,7 +133,10 @@ impl OutPort {
     pub fn new(link: LinkProps, cfg: QueueCfg) -> OutPort {
         let slots = cfg.capacity_pkts.saturating_add(1);
         OutPort {
-            own: Some(Box::new(PacketArena::with_capacity(slots))),
+            own: Some(Box::new(Standalone {
+                arena: PacketArena::with_capacity(slots),
+                departed: None,
+            })),
             ..OutPort::shared(link, cfg)
         }
     }
@@ -169,12 +186,11 @@ impl OutPort {
         OutPort {
             queued_bytes: 0,
             fifo: PacketFifo::default(),
-            in_service: None,
+            busy_until: SimTime::ZERO,
             len: 0,
             capacity: k(cfg.capacity_pkts),
             ecn_k: cfg.ecn_threshold_pkts.map_or(u32::MAX, k),
             down: false,
-            service_tx: SimTime::ZERO,
             link,
             stats: PortStats::default(),
             own: None,
@@ -188,8 +204,8 @@ impl OutPort {
     }
 
     /// Replace the link's properties mid-run (failure/degradation
-    /// injection). Affects packets serialized from now on; the packet
-    /// currently on the wire keeps its old timing.
+    /// injection). Affects packets departing from now on; a packet that
+    /// already departed keeps the timing it left with.
     pub fn set_link(&mut self, link: LinkProps) {
         self.link = link;
     }
@@ -197,8 +213,7 @@ impl OutPort {
     /// Administratively bring the port down or back up (failure
     /// injection). A down port rejects new packets at admission
     /// ([`OutPort::offer_in`] returns [`Enqueued::Dropped`]) but drains
-    /// whatever is already queued or in service, so every packet's fate
-    /// stays accounted.
+    /// whatever is already queued, so every packet's fate stays accounted.
     pub fn set_down(&mut self, down: bool) {
         self.down = down;
     }
@@ -210,28 +225,29 @@ impl OutPort {
     }
 
     /// Drop-tail capacity in packets: the most this port ever queues, not
-    /// counting the packet in service.
+    /// counting the packet serializing.
     #[inline]
     pub fn capacity_pkts(&self) -> usize {
         self.capacity as usize
     }
 
-    /// Queue length in packets (excluding the packet in service).
+    /// Queue length in packets (excluding the packet serializing).
     #[inline]
     pub fn len_pkts(&self) -> usize {
         self.len as usize
     }
 
-    /// Queue length in bytes (excluding the packet in service).
+    /// Queue length in bytes (excluding the packet serializing).
     #[inline]
     pub fn len_bytes(&self) -> u64 {
         self.queued_bytes
     }
 
-    /// True when nothing is queued or being serialized.
+    /// When the last packet to depart finishes serializing ([`SimTime::ZERO`]
+    /// before the first departure).
     #[inline]
-    pub fn is_idle(&self) -> bool {
-        self.len == 0 && self.in_service.is_none()
+    pub fn busy_until(&self) -> SimTime {
+        self.busy_until
     }
 
     /// Serialization time of a packet of `bytes` on this port's link.
@@ -240,27 +256,34 @@ impl OutPort {
         tx_time(bytes, self.link.bytes_per_sec)
     }
 
-    /// Offer the packet `pkt` names, parked in `arena` on no list. Applies
-    /// drop-tail admission and ECN marking (in place), stamps
+    /// Offer the packet `pkt` names, parked in `arena` on no list, while
+    /// the last departed packet is (`busy`) or is not still serializing.
+    /// Applies drop-tail admission and ECN marking (in place), stamps
     /// `enqueued_at`, links the slot at the back of the queue, and reports
-    /// whether the caller must kick off serialization (`was_idle`). On
+    /// whether the caller must start its departure now (`was_idle`). On
     /// [`Enqueued::Dropped`] the slot is left untouched: the caller reads
     /// what it needs and frees it.
-    pub fn offer_in(&mut self, arena: &mut PacketArena, pkt: PacketSlot, now: SimTime) -> Enqueued {
+    pub fn offer_in(
+        &mut self,
+        arena: &mut PacketArena,
+        pkt: PacketSlot,
+        now: SimTime,
+        busy: bool,
+    ) -> Enqueued {
         if !self.admits() {
             return self.refuse();
         }
         let p = arena.get_mut(pkt);
         // The instantaneous queue DCTCP marks against includes the packet
         // being serialized: it has left the FIFO but not the port.
-        let occupancy = self.len + self.in_service.is_some() as u32;
+        let occupancy = self.len + busy as u32;
         let marked = occupancy >= self.ecn_k && p.ecn_capable();
         if marked {
             p.mark_ce();
             self.stats.marked += 1;
         }
         p.enqueued_at = now;
-        let was_idle = self.is_idle();
+        let was_idle = self.len == 0 && !busy;
         self.queued_bytes += p.wire_bytes as u64;
         self.len += 1;
         arena.link_back(&mut self.fifo, pkt, now);
@@ -281,50 +304,36 @@ impl OutPort {
         Enqueued::Dropped
     }
 
-    /// Move the head packet into the service slot and mark the transmitter
-    /// busy, returning its handle (`None` on an empty queue). The caller
-    /// schedules the end-of-serialization event
-    /// [`OutPort::service_tx_time`] later and then calls
-    /// [`OutPort::finish_in`] to take the packet's slot back out.
+    /// Start serializing the head packet at `now`: unlink its slot, on no
+    /// list, account it as transmitted and mark the transmitter busy until
+    /// it is through. Returns the slot and its serialization time, read off
+    /// the link as it is now — the caller puts the packet on the wire at
+    /// once, so a later [`OutPort::set_link`] changes nothing about it.
     ///
-    /// Panics if called while already serializing (a driver bug).
-    pub fn start_in(&mut self, arena: &mut PacketArena) -> Option<PacketSlot> {
-        assert!(self.in_service.is_none(), "start_service while busy");
-        let pkt = arena.unlink_front(&mut self.fifo)?;
+    /// Panics on an empty queue or before the last departure is through
+    /// (a driver bug).
+    pub fn depart_in(&mut self, arena: &mut PacketArena, now: SimTime) -> (PacketSlot, SimTime) {
+        assert!(now >= self.busy_until, "depart_in while serializing");
+        let pkt = (arena.unlink_front(&mut self.fifo)).expect("depart_in on an empty port");
         let bytes = arena.get(pkt).wire_bytes as u64;
+        let tx = self.tx_time(bytes);
         self.len -= 1;
         self.queued_bytes -= bytes;
-        self.service_tx = self.tx_time(bytes);
-        self.in_service = Some(pkt);
-        Some(pkt)
-    }
-
-    /// Serialization time of the packet currently in service, as computed
-    /// when its service started. The driver schedules the
-    /// end-of-serialization event from this instead of recomputing against
-    /// a link that may have changed since.
-    ///
-    /// Panics if no packet is in service (a driver bug).
-    #[inline]
-    pub fn service_tx_time(&self) -> SimTime {
-        assert!(self.in_service.is_some(), "service_tx_time while idle");
-        self.service_tx
-    }
-
-    /// Take the fully serialized packet's slot out of the service slot,
-    /// on no list, and account for it. The `bool` is `true` if more packets
-    /// are waiting (the caller should start the next service immediately).
-    ///
-    /// Panics if no packet is in service (a driver bug).
-    pub fn finish_in(&mut self, arena: &PacketArena) -> (PacketSlot, bool) {
-        let pkt = self.in_service.take().expect("finish_service while idle");
-        self.stats.bytes_tx += arena.get(pkt).wire_bytes as u64;
+        self.stats.bytes_tx += bytes;
         self.stats.pkts_tx += 1;
-        // The memoized value, not a recomputation: if the link changed
-        // mid-service, the packet on the wire kept its old timing, and the
-        // busy clock must agree with the schedule the driver used.
-        self.stats.busy += self.service_tx;
-        (pkt, self.len > 0)
+        self.stats.busy += tx;
+        self.busy_until = now + tx;
+        (pkt, tx)
+    }
+
+    /// The run ended at `end` with the last departed packet, of `bytes`
+    /// wire bytes, still serializing: take it back out of `pkts_tx` and
+    /// `bytes_tx`, which then count packets fully serialized, and its
+    /// service past `end` out of `busy`.
+    pub fn cut_service(&mut self, end: SimTime, bytes: u64) {
+        self.stats.pkts_tx -= 1;
+        self.stats.bytes_tx -= bytes;
+        self.stats.busy -= self.busy_until.saturating_sub(end);
     }
 
     /// Lifetime counters.
@@ -333,54 +342,33 @@ impl OutPort {
         &self.stats
     }
 
-    /// True while a packet is being serialized (unlinked from the queue
-    /// but not yet fully on the wire).
-    #[inline]
-    pub fn in_service(&self) -> bool {
-        self.in_service.is_some()
-    }
-
-    /// The packet currently being serialized, if any, read in `arena`.
-    /// Exposed for end-of-run conservation audits.
-    #[inline]
-    pub fn in_service_in<'a>(&self, arena: &'a PacketArena) -> Option<&'a Packet> {
-        self.in_service.map(|pkt| arena.get(pkt))
-    }
-
-    /// The packets currently queued (excluding the one in service), head
+    /// The packets currently queued (excluding the one serializing), head
     /// first, read in `arena`. Exposed for end-of-run conservation audits.
     pub fn queued_in<'a>(&self, arena: &'a PacketArena) -> impl Iterator<Item = &'a Packet> + 'a {
         arena.iter(&self.fifo)
     }
 
-    /// Free every packet the port holds — queued and in service — back to
-    /// `arena`, leaving the port idle. The counters keep their history, so
-    /// call it only once they have been read (end of run).
+    /// Free every queued packet back to `arena`, leaving the queue empty.
+    /// The counters keep their history, so call it only once they have
+    /// been read (end of run).
     pub fn release_in(&mut self, arena: &mut PacketArena) {
         arena.drain(&mut self.fifo).for_each(drop);
-        if let Some(pkt) = self.in_service.take() {
-            arena.take(pkt);
-        }
         self.len = 0;
         self.queued_bytes = 0;
     }
 
-    /// Re-park every packet the port holds, queued (in order) and in
-    /// service, from `from` into `to` — the port moving to another
-    /// arena's owner.
+    /// Re-park every queued packet, in order, from `from` into `to` — the
+    /// port moving to another arena's owner.
     pub fn rehome(&mut self, from: &mut PacketArena, to: &mut PacketArena) {
         let mut queued = std::mem::take(&mut self.fifo);
         for (at, pkt) in from.drain(&mut queued) {
             let slot = to.insert(pkt);
             to.link_back(&mut self.fifo, slot, at);
         }
-        if let Some(pkt) = self.in_service {
-            self.in_service = Some(to.insert(from.take(pkt)));
-        }
     }
 
-    /// Run `f` on this standalone port and its private arena.
-    fn with_own<R>(&mut self, f: impl FnOnce(&mut OutPort, &mut PacketArena) -> R) -> R {
+    /// Run `f` on this standalone port and what it keeps beside it.
+    fn with_own<R>(&mut self, f: impl FnOnce(&mut OutPort, &mut Standalone) -> R) -> R {
         let mut own =
             (self.own.take()).expect("a port built by OutPort::shared has no arena of its own");
         let r = f(self, &mut own);
@@ -388,36 +376,48 @@ impl OutPort {
         r
     }
 
-    /// [`OutPort::offer_in`] on a standalone port: a packet the port
-    /// admits parks in the private arena, one it drops never does, so the
-    /// arena holds at most a full queue and the packet in service.
+    /// [`OutPort::offer_in`] on a standalone port, busy from
+    /// [`OutPort::start_service`] to [`OutPort::finish_service`]: a packet
+    /// the port admits parks in the private arena, one it drops never
+    /// does, so the arena holds at most a full queue and the departed
+    /// packet.
     pub fn enqueue(&mut self, pkt: Packet, now: SimTime) -> Enqueued {
         if !self.admits() {
             return self.refuse();
         }
-        self.with_own(|port, arena| {
-            let slot = arena.insert(pkt);
-            port.offer_in(arena, slot, now)
+        self.with_own(|port, own| {
+            let slot = own.arena.insert(pkt);
+            port.offer_in(&mut own.arena, slot, now, own.departed.is_some())
         })
     }
 
-    /// [`OutPort::start_in`] on a standalone port, returning a borrow of
-    /// the packet now in service.
+    /// [`OutPort::depart_in`] on a standalone port, at the end of the last
+    /// departure's serialization, returning a borrow of the packet that
+    /// departed (`None` on an empty queue).
     ///
-    /// Panics if called while already serializing (a driver bug).
+    /// Panics if the last packet to depart was not taken out by
+    /// [`OutPort::finish_service`] yet (a driver bug).
     pub fn start_service(&mut self) -> Option<&Packet> {
-        let pkt = self.with_own(|port, arena| port.start_in(arena))?;
-        Some(self.own.as_ref()?.get(pkt))
+        let pkt = self.with_own(|port, own| {
+            assert!(own.departed.is_none(), "start_service while busy");
+            if port.len == 0 {
+                return None;
+            }
+            let (pkt, _) = port.depart_in(&mut own.arena, port.busy_until);
+            own.departed = Some(pkt);
+            Some(pkt)
+        })?;
+        Some(self.own.as_ref()?.arena.get(pkt))
     }
 
-    /// [`OutPort::finish_in`] on a standalone port, taking the packet out
-    /// of the private arena.
+    /// Take the packet [`OutPort::start_service`] departed out of the
+    /// private arena. The `bool` is `true` if more packets are waiting.
     ///
-    /// Panics if no packet is in service (a driver bug).
+    /// Panics if no packet departed (a driver bug).
     pub fn finish_service(&mut self) -> (Packet, bool) {
-        self.with_own(|port, arena| {
-            let (pkt, more) = port.finish_in(arena);
-            (arena.take(pkt), more)
+        self.with_own(|port, own| {
+            let pkt = (own.departed.take()).expect("finish_service while idle");
+            (own.arena.take(pkt), port.len > 0)
         })
     }
 }
@@ -462,7 +462,8 @@ mod tests {
             let (pkt, _) = p.finish_service();
             assert_eq!(pkt.seq, s);
         }
-        assert!(p.is_idle());
+        assert_eq!(p.len_pkts(), 0);
+        assert!(p.start_service().is_none());
     }
 
     #[test]
@@ -535,46 +536,57 @@ mod tests {
     }
 
     #[test]
-    fn audit_accessors_reflect_state() {
+    fn a_departed_packet_leaves_the_port_and_its_slot_with_the_caller() {
         let mut arena = PacketArena::new();
         let mut p = OutPort::shared(link(), cfg(16, None));
-        assert!(!p.in_service());
         for s in 0..2 {
             let slot = arena.insert(data(s));
-            p.offer_in(&mut arena, slot, SimTime::ZERO);
+            p.offer_in(&mut arena, slot, SimTime::ZERO, false);
         }
-        assert!(p.in_service_in(&arena).is_none());
-        let head = p.start_in(&mut arena).unwrap();
-        assert!(p.in_service());
-        assert_eq!(p.in_service_in(&arena).unwrap().seq, 0);
+        let now = SimTime::from_micros(3);
+        let (head, tx) = p.depart_in(&mut arena, now);
+        // 1500 B at 1 Gbit/s.
+        assert_eq!(tx, SimTime::from_micros(12));
+        assert_eq!(p.busy_until(), now + tx);
         let queued: Vec<u32> = p.queued_in(&arena).map(|q| q.seq).collect();
-        assert_eq!(queued, vec![1], "in-service packet is not in the queue");
-        assert_eq!(p.finish_in(&arena), (head, true));
-        assert!(!p.in_service());
-        // The finished packet is the caller's: still parked, on no list.
+        assert_eq!(queued, vec![1], "the departed packet is not in the queue");
+        assert_eq!((p.stats().pkts_tx, p.stats().bytes_tx), (1, 1500));
+        // The departed packet is the caller's: still parked, on no list.
         assert_eq!(arena.live(), 2);
         assert_eq!(arena.take(head).seq, 0);
         p.release_in(&mut arena);
-        assert!(p.is_idle() && arena.is_empty());
+        assert!(p.len_pkts() == 0 && arena.is_empty());
         assert_eq!(p.stats().enqueued, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "depart_in while serializing")]
+    fn departing_before_the_last_one_is_through_panics() {
+        let mut arena = PacketArena::new();
+        let mut p = OutPort::shared(link(), cfg(16, None));
+        for s in 0..2 {
+            let slot = arena.insert(data(s));
+            p.offer_in(&mut arena, slot, SimTime::ZERO, false);
+        }
+        p.depart_in(&mut arena, SimTime::ZERO);
+        p.depart_in(&mut arena, SimTime::from_micros(11));
     }
 
     #[test]
     fn a_shared_port_writes_each_packet_once() {
         // Admission marks and stamps the packet in its slot, and the handle
-        // that comes out of service is the one that went in.
+        // that departs is the one that went in.
         let mut arena = PacketArena::with_capacity(2);
         let mut p = OutPort::shared(link(), cfg(16, Some(0)));
         let slot = arena.insert(data(9));
         let now = SimTime::from_micros(3);
         assert!(matches!(
-            p.offer_in(&mut arena, slot, now),
+            p.offer_in(&mut arena, slot, now, false),
             Enqueued::Queued { marked: true, .. }
         ));
         assert!(arena.get(slot).ce());
         assert_eq!(arena.get(slot).enqueued_at, now);
-        assert_eq!(p.start_in(&mut arena), Some(slot));
-        assert_eq!(p.finish_in(&arena), (slot, false));
+        assert_eq!(p.depart_in(&mut arena, now).0, slot);
         assert_eq!(arena.slots_allocated(), 1);
     }
 
@@ -584,20 +596,17 @@ mod tests {
         let mut p = OutPort::shared(link(), cfg(16, None));
         for s in 0..4 {
             let slot = from.insert(data(s));
-            p.offer_in(&mut from, slot, SimTime::from_nanos(s as u64));
+            p.offer_in(&mut from, slot, SimTime::from_nanos(s as u64), false);
         }
-        p.start_in(&mut from).unwrap();
+        let (head, _) = p.depart_in(&mut from, SimTime::ZERO);
+        from.take(head);
         p.rehome(&mut from, &mut to);
         assert!(from.is_empty());
-        assert_eq!(to.live(), 4);
-        assert_eq!(p.in_service_in(&to).unwrap().seq, 0);
+        assert_eq!(to.live(), 3);
         let queued: Vec<u32> = p.queued_in(&to).map(|q| q.seq).collect();
         assert_eq!(queued, [1, 2, 3]);
         assert_eq!((p.len_pkts(), p.len_bytes()), (3, 4500));
-        let (head, more) = p.finish_in(&to);
-        assert!(more);
-        assert_eq!(to.take(head).seq, 0);
-        let next = p.start_in(&mut to).unwrap();
+        let (next, _) = p.depart_in(&mut to, p.busy_until());
         assert_eq!(to.get(next).seq, 1);
     }
 
@@ -608,7 +617,7 @@ mod tests {
         let hot_ends = [
             offset_of!(OutPort, queued_bytes) + size_of::<u64>(),
             offset_of!(OutPort, fifo) + size_of::<PacketFifo>(),
-            offset_of!(OutPort, in_service) + size_of::<Option<PacketSlot>>(),
+            offset_of!(OutPort, busy_until) + size_of::<SimTime>(),
             offset_of!(OutPort, len) + size_of::<u32>(),
             offset_of!(OutPort, capacity) + size_of::<u32>(),
             offset_of!(OutPort, ecn_k) + size_of::<u32>(),
@@ -623,7 +632,7 @@ mod tests {
 
     #[test]
     fn a_standalone_port_stays_inside_its_private_arena() {
-        // A full queue, a packet in service and drops on top: the private
+        // A full queue, a departed packet and drops on top: the private
         // arena never needs more than the `capacity_pkts + 1` slots `new`
         // reserved for it.
         let mut p = OutPort::new(link(), cfg(3, None));
@@ -635,7 +644,7 @@ mod tests {
             p.enqueue(data(s), SimTime::ZERO);
         }
         assert_eq!(p.stats().dropped, 5);
-        let arena = p.own.as_ref().unwrap();
+        let arena = &p.own.as_ref().unwrap().arena;
         assert_eq!((arena.live(), arena.slots_allocated()), (4, 4));
     }
 
@@ -698,37 +707,55 @@ mod tests {
     }
 
     #[test]
-    fn busy_time_accumulates() {
+    fn a_standalone_port_serves_back_to_back() {
         let mut p = OutPort::new(link(), cfg(16, None));
         p.enqueue(data(0), SimTime::ZERO);
+        p.enqueue(data(1), SimTime::ZERO);
         p.start_service().unwrap();
-        p.finish_service();
-        // 1500 B at 1 Gbit/s = 12 us.
+        // 1500 B at 1 Gbit/s = 12 us, counted as the packet departs.
         assert_eq!(p.stats().busy, SimTime::from_micros(12));
-        assert_eq!(p.stats().bytes_tx, 1500);
-        assert_eq!(p.stats().pkts_tx, 1);
+        assert_eq!((p.stats().bytes_tx, p.stats().pkts_tx), (1500, 1));
+        p.finish_service();
+        p.start_service().unwrap();
+        assert_eq!(p.busy_until(), SimTime::from_micros(24));
+        assert_eq!(p.stats().busy, SimTime::from_micros(24));
     }
 
     #[test]
     fn busy_time_uses_link_at_service_start() {
         // A mid-service link change must not retroactively change the
-        // in-flight packet's accounting: set_link documents that the
-        // packet on the wire keeps its old timing.
-        let mut p = OutPort::new(link(), cfg(16, None));
-        p.enqueue(data(0), SimTime::ZERO);
-        p.start_service().unwrap();
-        let scheduled = p.service_tx_time();
+        // departed packet's accounting: set_link documents that the packet
+        // on the wire keeps its old timing.
+        let mut arena = PacketArena::new();
+        let mut p = OutPort::shared(link(), cfg(16, None));
+        for s in 0..2 {
+            let slot = arena.insert(data(s));
+            p.offer_in(&mut arena, slot, SimTime::ZERO, false);
+        }
+        let (_, scheduled) = p.depart_in(&mut arena, SimTime::ZERO);
         assert_eq!(scheduled, SimTime::from_micros(12));
         // Halve the bandwidth while the packet is being serialized.
         p.set_link(LinkProps::gbps(0.5, SimTime::from_micros(10)));
-        p.finish_service();
         assert_eq!(p.stats().busy, scheduled, "busy clock matches schedule");
+        assert_eq!(p.busy_until(), scheduled);
         // The next packet serializes at the new rate.
-        p.enqueue(data(1), SimTime::ZERO);
-        p.start_service().unwrap();
-        assert_eq!(p.service_tx_time(), SimTime::from_micros(24));
-        p.finish_service();
+        let (_, next) = p.depart_in(&mut arena, p.busy_until());
+        assert_eq!(next, SimTime::from_micros(24));
         assert_eq!(p.stats().busy, SimTime::from_micros(36));
+    }
+
+    #[test]
+    fn cutting_service_at_the_end_keeps_only_what_was_through() {
+        let mut arena = PacketArena::new();
+        let mut p = OutPort::shared(link(), cfg(16, None));
+        let slot = arena.insert(data(0));
+        p.offer_in(&mut arena, slot, SimTime::ZERO, false);
+        p.depart_in(&mut arena, SimTime::from_micros(2));
+        // The run ends 5 us into the packet's 12.
+        p.cut_service(SimTime::from_micros(7), 1500);
+        let s = p.stats();
+        assert_eq!((s.pkts_tx, s.bytes_tx), (0, 0));
+        assert_eq!(s.busy, SimTime::from_micros(5));
     }
 
     #[test]
@@ -746,7 +773,7 @@ mod tests {
         p.finish_service();
         assert_eq!(p.start_service().unwrap().seq, 1);
         p.finish_service();
-        assert!(p.is_idle());
+        assert_eq!(p.len_pkts(), 0);
         // Repair restores admission.
         p.set_down(false);
         assert!(matches!(
@@ -813,6 +840,7 @@ mod tests {
         #[test]
         fn prop_accounting(ops in proptest::collection::vec(0u8..3, 1..200)) {
             let mut p = OutPort::new(link(), cfg(8, Some(4)));
+            let mut serializing = false;
             let mut seq = 0u32;
             for op in ops {
                 match op {
@@ -829,10 +857,11 @@ mod tests {
                         }
                     }
                     _ => {
-                        if p.in_service() {
+                        if serializing {
                             p.finish_service();
+                            serializing = false;
                         } else {
-                            let _ = p.start_service();
+                            serializing = p.start_service().is_some();
                         }
                     }
                 }
@@ -844,11 +873,12 @@ mod tests {
 
         /// 1–8 ports over one shared arena, driven by random interleaved
         /// offers (data of varying sizes and non-ECN control packets),
-        /// service starts and finishes and admin flips, against a per-port
-        /// `VecDeque` model: same admission, marks and `was_idle`; same
-        /// FIFO order out of service and in the queue; same lengths, bytes
-        /// and counters; and the arena holds exactly the packets the ports
-        /// do — `live() == Σ (len + in_service)`.
+        /// departures, ends of serialization and admin flips, against a
+        /// per-port `VecDeque` model: same admission, marks and
+        /// `was_idle`; same FIFO order out of the queue and in it; same
+        /// lengths, bytes and counters; and the arena holds exactly the
+        /// packets the ports and their wires do — `live() == Σ (len +
+        /// serializing)`.
         #[test]
         fn prop_shared_arena_ports_match_the_vecdeque_model(
             qcfgs in proptest::collection::vec((1usize..6, 0usize..6), 1..9),
@@ -860,10 +890,13 @@ mod tests {
                 qcfgs.into_iter().map(|(c, k)| cfg(c, (k < 5).then_some(k))).collect();
             let mut ports: Vec<OutPort> =
                 qcfgs.iter().map(|&q| OutPort::shared(link(), q)).collect();
+            // What each port's driver holds: the departed packet still
+            // serializing, if any.
+            let mut wires: Vec<Option<PacketSlot>> = vec![None; ports.len()];
             let mut model: Vec<ModelPort> = qcfgs.iter().map(|_| ModelPort::default()).collect();
             for (seq, (op, i, payload)) in (0u32..).zip(ops) {
                 let i = i % ports.len();
-                let (port, m) = (&mut ports[i], &mut model[i]);
+                let (port, wire, m) = (&mut ports[i], &mut wires[i], &mut model[i]);
                 let now = SimTime::from_nanos(seq as u64);
                 match op {
                     0..=2 => {
@@ -881,25 +914,28 @@ mod tests {
                             )
                         };
                         let slot = arena.insert(pkt);
-                        let got = port.offer_in(&mut arena, slot, now);
+                        let got = port.offer_in(&mut arena, slot, now, wire.is_some());
                         prop_assert_eq!(got, m.offer(pkt, qcfgs[i], now));
                         if got == Enqueued::Dropped {
                             arena.take(slot);
                         }
                     }
-                    3 if port.in_service() => {
-                        let (slot, more) = port.finish_in(&arena);
+                    3 if wire.is_some() => {
+                        let slot = wire.take().unwrap();
                         let want = m.in_service.take().unwrap();
                         prop_assert_eq!(seen(arena.get(slot)), seen(&want));
-                        prop_assert_eq!(more, !m.queue.is_empty());
                         arena.take(slot);
+                    }
+                    3 | 4 if wire.is_none() && port.len_pkts() > 0 => {
+                        let at = now.max(port.busy_until());
+                        let (slot, tx) = port.depart_in(&mut arena, at);
+                        prop_assert_eq!(port.busy_until(), at + tx);
+                        let want = m.queue.pop_front().unwrap();
+                        prop_assert_eq!(seen(arena.get(slot)), seen(&want));
                         m.pkts_tx += 1;
                         m.bytes_tx += want.wire_bytes as u64;
-                    }
-                    3 | 4 if !port.in_service() => {
-                        let got = port.start_in(&mut arena).map(|s| seen(arena.get(s)));
-                        m.in_service = m.queue.pop_front();
-                        prop_assert_eq!(got, m.in_service.as_ref().map(seen));
+                        m.in_service = Some(want);
+                        *wire = Some(slot);
                     }
                     3 | 4 => {}
                     _ => {
@@ -911,8 +947,6 @@ mod tests {
                     prop_assert_eq!(port.len_pkts(), m.queue.len());
                     let bytes: u64 = m.queue.iter().map(|p| p.wire_bytes as u64).sum();
                     prop_assert_eq!(port.len_bytes(), bytes);
-                    prop_assert_eq!(port.in_service(), m.in_service.is_some());
-                    prop_assert_eq!(port.is_idle(), m.queue.is_empty() && m.in_service.is_none());
                     prop_assert_eq!(port.is_down(), m.down);
                     let queued: Vec<_> = port.queued_in(&arena).map(seen).collect();
                     let want: Vec<_> = m.queue.iter().map(seen).collect();
@@ -923,8 +957,8 @@ mod tests {
                         (m.enqueued, m.dropped, m.marked, m.pkts_tx, m.bytes_tx)
                     );
                 }
-                let held: usize = (ports.iter())
-                    .map(|p| p.len_pkts() + p.in_service() as usize)
+                let held: usize = (ports.iter().zip(&wires))
+                    .map(|(p, w)| p.len_pkts() + w.is_some() as usize)
                     .sum();
                 prop_assert_eq!(arena.live(), held);
             }

@@ -376,14 +376,16 @@ fn main() {
     // high-water mark, i.e. how much of it the wheel kept resident. Then
     // how full the wire got: the most packets crossing links at once. Then
     // the most connection endpoints ever open at once.
+    // Last, the events the run dispatched, by class.
     eprintln!(
         "engine: {engine}; fel depth p50 {:.0} max {:.0}, pool peak {} nodes; wire peak {} pkts; \
-         conns peak {}",
+         conns peak {}; events {}",
         r.fel_depth.quantile(0.5),
         r.fel_depth.max(),
         r.fel_nodes_peak,
         r.wire_pkts_peak,
-        r.conns_peak
+        r.conns_peak,
+        r.events_line()
     );
     // What the fluid tier did: rate changes only move entries of the
     // seam's completion heap, never FEL events.

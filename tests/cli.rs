@@ -144,8 +144,29 @@ fn the_engine_line_says_which_engine_ran_and_why() {
         // many connection endpoints were ever open at once (at least one,
         // at most a sender and a receiver per flow). All four are
         // per-replica telemetry, summed or maxed over the shards, so the
-        // sharded figures are not the serial ones.
-        let (engine, fel) = lines[0]
+        // sharded figures are not the serial ones. Last, the events the
+        // run dispatched and how they split over the classes that ran.
+        let (line, events) = lines[0]
+            .split_once("; events ")
+            .unwrap_or_else(|| panic!("no events in {lines:?}"));
+        let (total, by_class) = (events.strip_suffix(')'))
+            .and_then(|e| e.split_once(" ("))
+            .unwrap_or_else(|| panic!("want 'E (class N, ...)', got {events:?}"));
+        let counts: Vec<u64> = (by_class.split(", "))
+            .map(|c| {
+                c.rsplit_once(' ')
+                    .expect("class N")
+                    .1
+                    .parse()
+                    .expect("digits")
+            })
+            .collect();
+        assert_eq!(counts.iter().sum::<u64>(), total.parse::<u64>().unwrap());
+        assert!(
+            by_class.contains("arrival ") && by_class.contains("tx_done "),
+            "{events:?}"
+        );
+        let (engine, fel) = line
             .split_once("; fel depth p50 ")
             .unwrap_or_else(|| panic!("no FEL half in {lines:?}"));
         let nums: Vec<u64> = fel
