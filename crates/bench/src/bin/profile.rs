@@ -212,14 +212,28 @@ fn in_repo(loc: &str, root: &str) -> Option<String> {
     (rel.starts_with("crates/") || rel.starts_with("src/")).then(|| rel.to_string())
 }
 
-/// A demangled symbol without its trailing `::h<hash>`.
-fn unhashed(sym: &str) -> &str {
-    match sym.rsplit_once("::h") {
+/// A demangled symbol without its trailing `::h<hash>` and without the
+/// generic arguments that follow a name (`sort<T, F>` reads `sort`); a
+/// qualified path's `<T as Trait>` or `<impl T>` stays.
+fn short_name(sym: &str) -> String {
+    let sym = match sym.rsplit_once("::h") {
         Some((name, hash)) if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) => {
             name
         }
         _ => sym,
+    };
+    let (mut out, mut skip) = (String::new(), 0);
+    for c in sym.chars() {
+        match c {
+            '<' if skip > 0 || out.ends_with(|p: char| p.is_alphanumeric() || p == '_') => {
+                skip += 1
+            }
+            '>' if skip > 0 => skip -= 1,
+            _ if skip > 0 => {}
+            _ => out.push(c),
+        }
     }
+    out
 }
 
 /// Resolve each distinct PC with `addr2line -a -i -f -C` to (first repo
@@ -253,7 +267,7 @@ fn symbolize(exe: &std::path::Path, pcs: &[u64]) -> HashMap<u64, (String, String
         while lines.peek().is_some_and(|l| !l.starts_with("0x")) {
             let f = lines.next().unwrap_or_default();
             let loc = lines.next().unwrap_or_default();
-            func = unhashed(f).to_string();
+            func = short_name(f);
             line = line.or_else(|| in_repo(loc, &root));
         }
         resolved.insert(

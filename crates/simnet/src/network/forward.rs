@@ -100,7 +100,7 @@ impl Net<'_> {
             // The next hop lives in another shard: hand the packet off,
             // out of this replica's arena; the owner parks it in its own
             // and runs the same `schedule_arrival` when it ingests the
-            // message, at least a lookahead before `at`.
+            // message, in time: `at` lies at least a lookahead past now.
             Some(ctx) if ctx.map.arrive_owner[pi] != ctx.id => {
                 let pkt = self.arena.take(slot);
                 let dst = ctx.map.arrive_owner[pi] as usize;

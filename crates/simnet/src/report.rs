@@ -432,16 +432,6 @@ impl RunReport {
         format!("{{{}}}", rows.join(", "))
     }
 
-    /// `E (class N, …)`: the event count, then the classes that ran, in
-    /// [`EVENT_CLASSES`] order — what `tlb-sim` prints on its engine line.
-    pub fn events_line(&self) -> String {
-        let ran: Vec<String> = (EVENT_CLASSES.iter().zip(self.events_by_class))
-            .filter(|&(_, n)| n > 0)
-            .map(|(k, n)| format!("{k} {n}"))
-            .collect();
-        format!("{} ({})", self.events, ran.join(", "))
-    }
-
     /// The run's result row as JSON — what `tlb-sim --json` prints: the
     /// paper's §6 metrics plus the run's totals, one key per line, sorted,
     /// two-space indent. Floats print in Rust's shortest round-trip form

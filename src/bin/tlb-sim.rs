@@ -11,6 +11,7 @@
 
 use tlb::engine::EngineKind;
 use tlb::prelude::*;
+use tlb::simnet::EVENT_CLASSES;
 
 const HELP: &str = "\
 tlb-sim — packet-level DCN load-balancing simulator (TLB reproduction)
@@ -376,16 +377,22 @@ fn main() {
     // high-water mark, i.e. how much of it the wheel kept resident. Then
     // how full the wire got: the most packets crossing links at once. Then
     // the most connection endpoints ever open at once.
-    // Last, the events the run dispatched, by class.
+    // Last, the events the run dispatched: the count, then the classes
+    // that ran.
+    let by_class: Vec<String> = (EVENT_CLASSES.iter().zip(r.events_by_class))
+        .filter(|&(_, n)| n > 0)
+        .map(|(class, n)| format!("{class} {n}"))
+        .collect();
     eprintln!(
         "engine: {engine}; fel depth p50 {:.0} max {:.0}, pool peak {} nodes; wire peak {} pkts; \
-         conns peak {}; events {}",
+         conns peak {}; events {} ({})",
         r.fel_depth.quantile(0.5),
         r.fel_depth.max(),
         r.fel_nodes_peak,
         r.wire_pkts_peak,
         r.conns_peak,
-        r.events_line()
+        r.events,
+        by_class.join(", ")
     );
     // What the fluid tier did: rate changes only move entries of the
     // seam's completion heap, never FEL events.
