@@ -19,7 +19,7 @@
 //! start and its end; one still serializing when the run ends is moved
 //! back from done to in service there ([`AuditLedger::residual_in_service`]).
 //!
-//! and at end of run [`AuditLedger::finish`] proves, per packet class (the
+//! At end of run [`AuditLedger::finish`] proves, per packet class (the
 //! transport invariants, last, are checked earlier, as each endpoint
 //! closes):
 //!

@@ -45,9 +45,10 @@
 //! serialization starts (`Net::schedule_arrival` is the one way on;
 //! `Net::wire_pkts` counts them), and the port keeps only the time its
 //! serializer is busy until. A port's `TX_DONE` is an event only when a
-//! packet waits for the serializer. Instead of one FEL entry per in-flight packet, a pipe
-//! keeps at most one chained `ARRIVAL` event in the FEL; popping it
-//! delivers the head and re-arms the chain. That is exact, not an
+//! packet waits for the serializer. Instead of one FEL entry per
+//! in-flight packet, a pipe keeps at most one chained `ARRIVAL` event in
+//! the FEL; popping it delivers the head and re-arms the chain. That is
+//! exact, not an
 //! approximation: the one live `ARRIVAL` is the only event under its
 //! port's arrival key, so the FEL's `(time, key, seq)` order places it
 //! where the link's next arrival belongs among every other event, and

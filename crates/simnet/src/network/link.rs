@@ -65,11 +65,12 @@ pub(super) fn for_each_link_state(
     }
 }
 
-/// Most packets ever in flight on a link in state `l`: each lives exactly
-/// one propagation delay on the wire, and one serializer puts through at
-/// most `prop_delay / tx(header)` of them in that time — every packet is
-/// at least a bare header, of [`TcpConfig::HEADER_BYTES`] — plus the two
-/// straddling its ends.
+/// Most packets ever in flight on a link in state `l`: a packet is on the
+/// link from its serialization's start to its arrival, one propagation
+/// delay after its serialization ends; one serializer finishes at most
+/// `prop_delay / tx(header)` of them in a propagation delay — every packet
+/// is at least a bare header, of [`TcpConfig::HEADER_BYTES`] — plus the
+/// one straddling the far end and the one serializing.
 pub(super) fn in_flight_bound(l: &LinkProps) -> usize {
     let min_wire = TcpConfig::HEADER_BYTES as u64;
     let tx = tlb_engine::time::tx_time(min_wire, l.bytes_per_sec)

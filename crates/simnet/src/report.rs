@@ -434,7 +434,8 @@ impl RunReport {
 
     /// The run's result row as JSON — what `tlb-sim --json` prints: the
     /// paper's §6 metrics plus the run's totals, one key per line, sorted,
-    /// two-space indent. Floats print in Rust's shortest round-trip form
+    /// two-space indent (`events_by_class` is one object, on its line).
+    /// Floats print in Rust's shortest round-trip form
     /// (`{:?}`) and non-finite ones as `null`; the scheme name is a fixed
     /// ASCII word, so its `{:?}` quoting is its JSON string.
     pub fn to_json(&self) -> String {
