@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! cargo build --profile profiling -p tlb-bench --bin profile
-//! target/profiling/profile --job leafspine --seconds 10 [--top 25] [--pcs FILE]
+//! target/profiling/profile --job leafspine --seconds 10 [--pcs FILE]
 //! ```
 //!
 //! Jobs: `leafspine` (8×8 leaf-spine, 256 hosts, TLB, web-search at load
@@ -278,12 +278,15 @@ fn symbolize(exe: &std::path::Path, pcs: &[u64]) -> HashMap<u64, (String, String
     resolved
 }
 
-/// The `top` heaviest keys of `counts`, as shares of `total`.
-fn print_top(title: &str, counts: HashMap<&str, usize>, total: usize, top: usize) {
+/// Rows each table of the report prints.
+const TOP: usize = 25;
+
+/// The [`TOP`] heaviest keys of `counts`, as shares of `total`.
+fn print_top(title: &str, counts: HashMap<&str, usize>, total: usize) {
     let mut rows: Vec<(&str, usize)> = counts.into_iter().collect();
     rows.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     println!("\n{title}");
-    for (key, n) in rows.into_iter().take(top) {
+    for (key, n) in rows.into_iter().take(TOP) {
         println!("  {:>5.1} %  {key}", 100.0 * n as f64 / total as f64);
     }
 }
@@ -313,7 +316,6 @@ fn main() {
         ))
     });
     let seconds = num("--seconds", 5.0);
-    let top = num("--top", 25.0) as usize;
 
     const HZ: f64 = 1000.0;
     sampler::install((seconds * HZ * 2.0) as usize + 1024);
@@ -360,8 +362,8 @@ fn main() {
     if rel.is_empty() {
         fail("no samples: the interval timer never fired".into());
     }
-    print_top("first repo frame", lines, rel.len(), top);
-    print_top("symbol (not inlined)", funcs, rel.len(), top);
+    print_top("first repo frame", lines, rel.len());
+    print_top("symbol (not inlined)", funcs, rel.len());
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
