@@ -35,7 +35,7 @@ pub mod scheme;
 pub use audit::{AuditReport, KindCounts};
 pub use config::{AdminEvent, Change, ConfigError, DeliveryKind, FidelityKind, SimConfig, Target};
 pub use dispatch::{AnyLb, LbDispatch};
-pub use network::Simulation;
-pub use report::{FallbackReason, Hop, RunReport, TraceEvent, EVENT_CLASSES};
+pub use network::{Simulation, EVENT_CLASSES};
+pub use report::{FallbackReason, Hop, RunReport, TraceEvent};
 pub use runner::{run_all, run_one_ref};
 pub use scheme::Scheme;

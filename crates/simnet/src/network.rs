@@ -90,6 +90,10 @@ use tlb_switch::{LoadBalancer, OutPort, QueueCfg};
 use tlb_transport::{SenderOutput, TcpReceiver, TcpSender};
 use tlb_workload::FlowSpec;
 
+/// The engine's event classes by name, in same-instant dispatch order:
+/// the names [`RunReport::events_by_class`] counts under.
+pub use events::class::NAMES as EVENT_CLASSES;
+
 /// An LB switch's control state (its ports live in the flat table).
 struct LbSw {
     lb: AnyLb,
@@ -356,8 +360,8 @@ struct Net<'a> {
     /// where it was, so this, not `q.now()`, is when the run stopped.
     now: SimTime,
     events: u64,
-    /// `events` by class rank ([`crate::report::EVENT_CLASSES`]).
-    events_by_class: [u64; crate::report::EVENT_CLASSES.len()],
+    /// `events` by class rank ([`EVENT_CLASSES`]).
+    events_by_class: [u64; EVENT_CLASSES.len()],
     /// Unit-test fault injection: the arrival this many arrivals from now
     /// vanishes without any accounting layer hearing of it — the
     /// simulator bug the conservation audit exists to catch.
@@ -486,7 +490,7 @@ impl<'a> Net<'a> {
             other_pending: 0,
             now: SimTime::ZERO,
             events: 0,
-            events_by_class: [0; crate::report::EVENT_CLASSES.len()],
+            events_by_class: [0; EVENT_CLASSES.len()],
             audit: AuditLedger::new(cfg.audit),
             #[cfg(test)]
             lose_arrival: None,

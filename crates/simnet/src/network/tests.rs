@@ -550,7 +550,7 @@ fn json_row_carries_the_report() {
     ] {
         assert!(json.lines().any(|l| l == row), "{row} not in {json}");
     }
-    let by_class = (crate::report::EVENT_CLASSES.iter().zip(r.events_by_class))
+    let by_class = (EVENT_CLASSES.iter().zip(r.events_by_class))
         .filter(|&(_, n)| n > 0)
         .count();
     assert!(by_class >= 3, "starts, arrivals and departures: {json}");

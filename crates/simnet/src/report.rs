@@ -1,5 +1,6 @@
 //! The result of one simulation run.
 
+use crate::network::EVENT_CLASSES;
 use tlb_engine::SimTime;
 use tlb_metrics::{FctRecorder, FctSummary, FlowClass, SampleSet};
 use tlb_net::{FlowId, PktKind};
@@ -142,20 +143,6 @@ impl AllocAudit {
         self.allocs + self.reallocs
     }
 }
-
-/// The engine's event classes, in same-instant dispatch order: the names
-/// [`RunReport::events_by_class`] counts under. A port's `tx_done` runs
-/// only when a packet waits behind the one serializing.
-pub const EVENT_CLASSES: [&str; 8] = [
-    "flow_start",
-    "timer",
-    "arrival",
-    "tx_done",
-    "lb_tick",
-    "queue_sample",
-    "admin",
-    "fluid_done",
-];
 
 /// Everything measured in one run. Time series carry
 /// `(bucket_start_seconds, value)` points. A field is here because a
