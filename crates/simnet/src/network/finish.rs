@@ -33,7 +33,10 @@ impl Net<'_> {
     /// at `end`, the run's last `(time, key)`: it takes that packet back
     /// out of its counters, and its service past `sim_end`
     /// ([`OutPort::cut_service`]). The packet is the one its link's pipe
-    /// took last. Returns, per port, whether it had one. Runs before
+    /// took last, if the pipe still holds it: on a link with no
+    /// propagation delay it may already have arrived, at its `ARRIVAL`
+    /// rank below its port's `TX_DONE` rank, and a packet that arrived is
+    /// through. Returns, per port, whether it had one. Runs before
     /// anything reads the port counters, audit or no audit.
     pub(super) fn cut_service_at_end(
         &mut self,
@@ -42,14 +45,15 @@ impl Net<'_> {
     ) -> Vec<bool> {
         (0..self.ports.len() as u32)
             .map(|p| {
-                let serializing = self.serializing(p, end);
-                if serializing {
-                    let pipe = &self.pipes[p as usize];
-                    let pkt =
-                        (self.arena.iter(pipe).last()).expect("a departed packet is on its link");
-                    self.ports[p as usize].cut_service(sim_end, pkt.wire_bytes as u64);
-                }
-                serializing
+                let pipe = &self.pipes[p as usize];
+                let last = (self.serializing(p, end))
+                    .then(|| self.arena.iter(pipe).last())
+                    .flatten();
+                let Some(bytes) = last.map(|pkt| pkt.wire_bytes as u64) else {
+                    return false;
+                };
+                self.ports[p as usize].cut_service(sim_end, bytes);
+                true
             })
             .collect()
     }

@@ -68,12 +68,11 @@ impl Net<'_> {
     /// the instant `at` = `(time, key)`: its serialization ends at the
     /// port's `busy_until`, and an event ranked there below the port's
     /// `TX_DONE` key still sees it in service — the order a port whose
-    /// every serialization ended in a `TX_DONE` event gave them.
+    /// every serialization ended in a `TX_DONE` event gave them. A port
+    /// that never sent a packet serializes nothing.
     pub(super) fn serializing(&self, p: PortId, at: (SimTime, u32)) -> bool {
-        at < (
-            self.ports[p as usize].busy_until(),
-            key_of(class::TX_DONE, p),
-        )
+        let port = &self.ports[p as usize];
+        at < (port.busy_until(), key_of(class::TX_DONE, p)) && port.stats().pkts_tx > 0
     }
 
     /// Port `p`'s head packet starts serializing now, and goes on the

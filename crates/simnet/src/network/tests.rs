@@ -279,6 +279,62 @@ fn a_horizon_mid_serialization_leaves_the_packet_in_service() {
 }
 
 #[test]
+fn a_run_with_no_flows_ends_at_zero_with_nothing_in_service() {
+    // No flow, no event: every port is as built, none has departed a
+    // packet, so none is serializing at the run's end, (0, 0).
+    let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
+    cfg.audit = true;
+    let net = Net::build(&cfg, &[], &[], None);
+    assert!((0..net.ports.len() as u32).all(|p| !net.serializing(p, (SimTime::ZERO, 0))));
+    let r = Simulation::new(cfg, vec![]).run();
+    assert_eq!((r.completed, r.events, r.sim_end), (0, 0, SimTime::ZERO));
+    let audit = r.audit.expect("the audit is on");
+    assert_eq!(audit.total_emitted(), 0);
+}
+
+#[test]
+fn a_port_that_never_sent_is_idle_at_time_zero() {
+    // A lone one-segment flow starting at time 0: every packet finds its
+    // port idle and departs at once, so no port ever pushes a `TX_DONE`.
+    let r = run_basic(Scheme::Ecmp, one_flow(1000));
+    assert_eq!(r.completed, 1);
+    assert_eq!(r.events_by_class[events::class::TX_DONE as usize], 0);
+}
+
+#[test]
+fn a_zero_delay_fabric_completes_with_the_audit_clean() {
+    // With no propagation delay a packet arrives at the instant its
+    // serialization ends, at its `ARRIVAL` rank, ahead of its port's
+    // `TX_DONE` rank: the arrival that completes the last flow leaves its
+    // port's pipe empty, and that port's service is over, not cut.
+    for scheme in [Scheme::Ecmp, Scheme::Rps] {
+        let mut cfg = crate::SimConfig::basic_paper(scheme);
+        cfg.audit = true;
+        cfg.topo = tlb_net::LeafSpineBuilder::new(3, 4, 4)
+            .prop_per_link(SimTime::ZERO)
+            .build();
+        let flows: Vec<FlowSpec> = (0..6u32)
+            .map(|i| FlowSpec {
+                start: SimTime::from_micros(7 * i as u64),
+                size_bytes: 20_000 + 30_000 * i as u64,
+                ..flow(i, i, (i + 5) % 12)
+            })
+            .collect();
+        let mut net = Net::build(&cfg, &flows, &[None; 6], None);
+        net.run_loop();
+        let (sim_end, end) = net.end_of_run();
+        let last = events::entity_of(end.1);
+        assert_eq!(events::class_of(end.1), events::class::ARRIVAL);
+        assert!(net.serializing(last, end) && net.pipes[last as usize].is_empty());
+        let serializing = net.cut_service_at_end(sim_end, end);
+        assert!(!serializing[last as usize]);
+        let r = Simulation::new(cfg, flows).run();
+        assert_eq!(r.completed, 6);
+        assert!(r.audit.is_some());
+    }
+}
+
+#[test]
 fn rps_single_flow_may_reorder_but_completes() {
     let r = run_basic(Scheme::Rps, one_flow(5_000_000));
     assert_eq!(r.completed, 1);
