@@ -189,12 +189,23 @@ impl fmt::Display for SimTime {
 
 /// Compute the serialization (transmission) time of `bytes` on a link of
 /// `bytes_per_sec` capacity, rounding up to the next nanosecond so that a
-/// busy link is never modelled as infinitely fast.
+/// busy link is never modelled as infinitely fast. Exact: the product is
+/// formed in `u64` (one division, no `u128` call) unless it overflows,
+/// past 18 GB, where it falls back to `u128`.
 #[inline]
 pub fn tx_time(bytes: u64, bytes_per_sec: u64) -> SimTime {
     debug_assert!(bytes_per_sec > 0, "zero-capacity link");
-    let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128);
-    SimTime::from_nanos(ns as u64)
+    let ns = match bytes.checked_mul(1_000_000_000) {
+        Some(bits) => bits.div_ceil(bytes_per_sec),
+        None => tx_time_wide(bytes, bytes_per_sec),
+    };
+    SimTime::from_nanos(ns)
+}
+
+/// [`tx_time`]'s nanoseconds in `u128`, for a product past `u64::MAX`.
+#[cold]
+fn tx_time_wide(bytes: u64, bytes_per_sec: u64) -> u64 {
+    (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128) as u64
 }
 
 #[cfg(test)]
@@ -238,6 +249,30 @@ mod tests {
     fn tx_time_rounds_up() {
         // 1 byte at 3 bytes/s = 333_333_333.3 ns -> rounds up.
         assert_eq!(tx_time(1, 3).as_nanos(), 333_333_334);
+    }
+
+    #[test]
+    fn tx_time_equals_the_wide_formula() {
+        // The `u64` path and its overflow fallback against the `u128`
+        // formula, at packet sizes, around the overflow edge and far past
+        // it, on links from 1 B/s to 100 Gbit/s.
+        let edge = u64::MAX / 1_000_000_000;
+        let sizes = [1, 40, 1500, 1 << 34, edge - 1, edge, edge + 1, u64::MAX / 4];
+        let rates = [1, 3, 1_000, 125_000_000, 1_250_000_000, 12_500_000_000];
+        for bytes in sizes {
+            for rate in rates {
+                let wide = (bytes as u128 * 1_000_000_000).div_ceil(rate as u128);
+                if let Ok(ns) = u64::try_from(wide) {
+                    assert_eq!(
+                        tx_time(bytes, rate).as_nanos(),
+                        ns,
+                        "{bytes} B at {rate} B/s"
+                    );
+                }
+            }
+        }
+        assert!(edge.checked_mul(1_000_000_000).is_some());
+        assert!((edge + 1).checked_mul(1_000_000_000).is_none());
     }
 
     #[test]

@@ -44,17 +44,17 @@
 //! link and not yet arrived: a packet departs its port as its
 //! serialization starts (`Net::schedule_arrival` is the one way on;
 //! `Net::wire_pkts` counts them), and the port keeps only the time its
-//! serializer is busy until. A port's `TX_DONE` is an event only when a
-//! packet waits for the serializer. Instead of one FEL entry per
-//! in-flight packet, a pipe keeps at most one chained `ARRIVAL` event in
-//! the FEL; popping it delivers the head and re-arms the chain. That is
-//! exact, not an
-//! approximation: the one live `ARRIVAL` is the only event under its
-//! port's arrival key, so the FEL's `(time, key, seq)` order places it
-//! where the link's next arrival belongs among every other event, and
-//! packets that reach the far end at the same instant leave the pipe in
-//! the order they entered the wire. FEL occupancy is bounded by
-//! O(ports + links + pending timers) instead of O(packets in flight);
+//! serializer is busy until. A port has no event of its own: a packet that
+//! waits departs lazily where its serialization starts, on the next read
+//! of the port ordered after that instant (`Net::advance`; DESIGN §13).
+//! Instead of one FEL entry per in-flight packet, a pipe keeps at most
+//! one chained `ARRIVAL` event in the FEL; popping it delivers the head
+//! and re-arms the chain. That is exact, not an approximation: the one
+//! live `ARRIVAL` is the only event under its port's arrival key, so the
+//! FEL's `(time, key, seq)` order places it where the link's next arrival
+//! belongs among every other event, and packets that reach the far end at
+//! the same instant leave the pipe in the order they entered the wire. FEL occupancy is bounded by
+//! O(ports + pending timers) instead of O(packets in flight);
 //! every engine's run loop enforces that bound whenever the audit is on.
 //! What is known at build — chain heads' starts, the admin schedule,
 //! first ticks and samples — never enters the FEL: it waits in
@@ -98,6 +98,11 @@ pub use events::class::NAMES as EVENT_CLASSES;
 struct LbSw {
     lb: AnyLb,
     rng: SimRng,
+    /// No packet waiting at one of its uplinks starts before this: the
+    /// least of their `Net::head_start`s when [`Net::advance_uplinks`]
+    /// last passed over them, lowered as packets queue there. A head's
+    /// start only ever moves later.
+    up_due: SimTime,
 }
 
 /// What the packet path indexes per flow, and all a flow leaves for the
@@ -300,6 +305,12 @@ struct Net<'a> {
     pmap: PortMap,
     /// Every output queue in the fabric, laid out per [`PortMap`].
     ports: Vec<OutPort>,
+    /// Per port, when the head of its queue starts serializing: its
+    /// `busy_until` while a packet waits, `SimTime::MAX` while none does.
+    /// Kept beside `ports`, dense, because [`Net::advance`] reads it at
+    /// every arrival and every balancer view, mostly to find nothing due;
+    /// `Net::enqueue` and `Net::start_tx` keep it.
+    head_start: Vec<SimTime>,
     /// Per-link delivery pipes, parallel to `ports` (each port drives
     /// exactly one link): the packets crossing the link, oldest first,
     /// chained through `arena`. On a shard replica the ones in use are the
@@ -351,17 +362,22 @@ struct Net<'a> {
     alloc_at_warmup: Option<alloc_audit::AllocCounters>,
     /// Steady-state allocation report, filled at run-loop exit.
     alloc_report: Option<AllocAudit>,
-    /// Events pending in the FEL that are not port events (`TX_DONE`,
-    /// `ARRIVAL`): timers, later LB ticks and later queue samples — the
-    /// schedule-decided term of [`Net::fel_bound`].
+    /// Events pending in the FEL that are not a link's `ARRIVAL`: timers,
+    /// later LB ticks and later queue samples — the schedule-decided term
+    /// of [`Net::fel_bound`].
     other_pending: u64,
     /// The run's clock: the time of the last event from either source
     /// ([`Net::peek`]). A tail completion leaves the FEL's own clock
     /// where it was, so this, not `q.now()`, is when the run stopped.
     now: SimTime,
+    /// The latest start of any departure so far: a packet that waited
+    /// starts at no event, so a run the horizon cuts reads its clock off
+    /// this as well as `now` ([`Net::end_of_run`]).
+    last_start: SimTime,
     events: u64,
-    /// `events` by class rank ([`EVENT_CLASSES`]).
-    events_by_class: [u64; EVENT_CLASSES.len()],
+    /// `events` by class rank: [`events::class::EVENTS`] index it, and
+    /// the departure rank stays 0.
+    events_by_rank: [u64; 8],
     /// Unit-test fault injection: the arrival this many arrivals from now
     /// vanishes without any accounting layer hearing of it — the
     /// simulator bug the conservation audit exists to catch.
@@ -428,14 +444,14 @@ impl<'a> Net<'a> {
             .filter(|&l| shard.as_ref().is_none_or(|c| c.owns_sw(l)))
             .count();
         // Size the FEL to the most `fel_bound` can reach, so steady state
-        // never reallocates: a `TX_DONE` and an `ARRIVAL` per port, one
-        // timer per sender this `Net` hosts, one tick per LB switch it
-        // owns, one queue sample. No flow start enters it, so a shard
+        // never reallocates: an `ARRIVAL` per port, one timer per sender
+        // this `Net` hosts, one tick per LB switch it owns, one queue
+        // sample. No flow start enters it, so a shard
         // replica reserves for its own partition. (The calendar reserves
         // it once per tier — the overflow heap, the wheel's node pool and
         // the active bucket — and touches only as much of each as the
         // run's depth reaches.)
-        let fel_cap = 2 * n_ports + n_senders + owned_lb + 1;
+        let fel_cap = n_ports + n_senders + owned_lb + 1;
         let rows: Vec<FlowRow> = flows
             .iter()
             .map(|f| FlowRow {
@@ -461,12 +477,14 @@ impl<'a> Net<'a> {
                 .map(|l| LbSw {
                     lb: cfg.scheme.build_static(l + 1),
                     rng: master_rng.fork(l),
+                    up_due: SimTime::MAX,
                 })
                 .collect(),
             hybrid: (cfg.fidelity == FidelityKind::Hybrid)
                 .then(|| hybrid::Hybrid::new(&cfg.tcp, &ports, n)),
             pmap,
             ports,
+            head_start: vec![SimTime::MAX; n_ports],
             pipes: vec![PacketFifo::default(); n_ports],
             next_flow,
             n_completed: 0,
@@ -489,8 +507,9 @@ impl<'a> Net<'a> {
             alloc_report: None,
             other_pending: 0,
             now: SimTime::ZERO,
+            last_start: SimTime::ZERO,
             events: 0,
-            events_by_class: [0; EVENT_CLASSES.len()],
+            events_by_rank: [0; 8],
             audit: AuditLedger::new(cfg.audit),
             #[cfg(test)]
             lose_arrival: None,
@@ -560,14 +579,13 @@ impl<'a> Net<'a> {
     /// across thread counts, so the samples are deterministic.
     const FEL_DEPTH_SAMPLE_EVERY: u64 = 4096;
 
-    /// The FEL occupancy bound: at most one `TX_DONE` (while a packet
-    /// waits) and one `ARRIVAL` per port, plus every other event pending
-    /// in the FEL.
+    /// The FEL occupancy bound: at most one `ARRIVAL` per port (no
+    /// departure is an event), plus every other event pending in the FEL.
     /// Computed from a counter the schedule alone decides, so its peak is
     /// deterministic.
     #[inline]
     fn fel_bound(&self) -> u64 {
-        2 * self.ports.len() as u64 + self.other_pending
+        self.ports.len() as u64 + self.other_pending
     }
 
     /// `(time, key)` of the run's next event, over its three sources: the
@@ -611,9 +629,9 @@ impl<'a> Net<'a> {
         debug_assert_eq!(self.peek(), Some(next), "step on an event that is not next");
         let (now, key) = next;
         let cls = events::class_of(key);
-        // Port events come from the FEL alone, so the per-packet path
-        // never reads the schedule here.
-        if matches!(cls, class::TX_DONE | class::ARRIVAL) {
+        // Arrivals come from the FEL alone, so the per-packet path never
+        // reads the schedule here.
+        if cls == class::ARRIVAL {
             self.q.pop().expect("peeked event vanished");
         } else if self.sched.last() == Some(&next) {
             self.sched.pop();
@@ -623,7 +641,7 @@ impl<'a> Net<'a> {
         }
         self.now = now;
         self.events += 1;
-        self.events_by_class[cls as usize] += 1;
+        self.events_by_rank[cls as usize] += 1;
         #[cfg(test)]
         assert_ne!(self.panic_at_event, Some(self.events), "injected fault");
         if self.events == self.warmup_at {
@@ -652,7 +670,6 @@ impl<'a> Net<'a> {
             class::FLOW_START => self.on_flow_start(entity, now),
             class::TIMER => self.on_timer(entity, now),
             class::ARRIVAL => self.on_deliver(entity, now),
-            class::TX_DONE => self.on_tx_done(entity, now),
             class::LB_TICK => self.on_lb_tick(entity as u16, now),
             class::QUEUE_SAMPLE => self.on_queue_sample(now),
             class::ADMIN => {
@@ -661,7 +678,7 @@ impl<'a> Net<'a> {
                 // serial engine's.
                 if self.shard.as_ref().is_some_and(|c| c.id != 0) {
                     self.events -= 1;
-                    self.events_by_class[cls as usize] -= 1;
+                    self.events_by_rank[cls as usize] -= 1;
                 }
                 self.on_admin(entity as usize, now);
             }

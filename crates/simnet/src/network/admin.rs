@@ -10,7 +10,9 @@
 //! at build for every state the schedule reaches. A packet is on the wire
 //! from its service start, so one still serializing when the change lands
 //! keeps the serialization time and the propagation delay it read then;
-//! the next packet to start takes the new ones.
+//! the next packet to start takes the new ones. Packets that wait depart
+//! lazily, so the change first departs every one whose start came before
+//! it ([`Net::advance`]): each reads the link as it was at its own start.
 
 use super::link;
 use super::portmap::PortId;
@@ -19,8 +21,9 @@ use crate::config::{Change, Target};
 use tlb_engine::SimTime;
 
 impl Net<'_> {
-    /// Apply the `i`-th configured admin event. A rate change rewrites
-    /// both directions of its uplink by [`Change::apply`]. A failure or
+    /// Apply the `i`-th configured admin event. A rate change advances
+    /// both directions of its uplink to now, then rewrites their links by
+    /// [`Change::apply`]. A failure or
     /// repair flips the admin state of the target port(s) and their
     /// reverse directions, reconverges routing (each replica's reach
     /// recompute reads the admin state of the *whole* fabric), then
@@ -36,6 +39,8 @@ impl Net<'_> {
                 };
                 let changed = link::uplink_pair(&self.pmap, sw, up);
                 for p in changed {
+                    // What started before the change read the old link.
+                    self.advance(p, (now, self.cur_key));
                     let port = &mut self.ports[p as usize];
                     port.set_link(ev.change.apply(port.link()));
                 }
@@ -187,5 +192,101 @@ mod tests {
             tx(data) + props.prop_delay + extra,
             "the first data segment took the new delay"
         );
+    }
+
+    #[test]
+    fn a_rate_change_reaches_waiting_packets_at_their_own_starts() {
+        // Four hosts of one rack send to the other over the one spine, so
+        // the leaf's uplink holds a standing queue. A rate change halves
+        // the uplink and adds 20 µs to its delay 1 ns after a packet that
+        // waited started there. Every packet through the uplink, in FIFO
+        // order, starts where the one ahead of it ends (or as it enters an
+        // idle port) and reaches the spine a serialization time plus a
+        // delay after its own start, both read off the link as it was at
+        // that start: the one that started 1 ns before the change keeps
+        // the old ones, every later one takes the new.
+        let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
+        cfg.topo = tlb_net::LeafSpineBuilder::new(2, 1, 4)
+            .link_gbps(1.0)
+            .target_rtt(SimTime::from_micros(100))
+            .build();
+        let flows: Vec<FlowSpec> = (0..4u32)
+            .map(|i| FlowSpec {
+                id: FlowId(i),
+                src: HostId(i),
+                dst: HostId(4 + i),
+                size_bytes: 400 * cfg.tcp.mss as u64,
+                start: SimTime::ZERO,
+                deadline: None,
+            })
+            .collect();
+        cfg.trace_flows = flows.iter().map(|f| f.id).collect();
+        let old = cfg.topo.uplink_props(0, 0);
+        let change = Change::Rate {
+            new_prop_delay: None,
+            bw_factor: 0.5,
+            extra_delay: SimTime::from_micros(20),
+        };
+        let data = (cfg.tcp.mss + TcpConfig::HEADER_BYTES) as u64;
+        let wire_bytes = |kind| match kind {
+            PktKind::Data => data,
+            _ => Packet::CTRL_WIRE_BYTES as u64,
+        };
+        // The uplink's packets in FIFO order: when each entered, its wire
+        // bytes, and when it reached the spine.
+        let crossings = |r: &crate::RunReport| {
+            let entered = (r.traces.iter())
+                .filter(|t| matches!(t.hop, Hop::LeafUplink { leaf: 0, .. }))
+                .map(|t| (t.at, wire_bytes(t.kind)));
+            let reached = (r.traces.iter())
+                .filter(|t| matches!(t.hop, Hop::SpineDownlink { leaf: 1, .. }))
+                .map(|t| t.at);
+            entered.zip(reached).collect::<Vec<_>>()
+        };
+        // The FIFO model: each packet's start, when it entered and when it
+        // reaches the spine, on the link as it was at its start (the
+        // change lands at `change_at`).
+        let model = |seen: &[((SimTime, u64), SimTime)], change_at: SimTime| {
+            let (mut free, mut back) = (SimTime::ZERO, SimTime::ZERO);
+            (seen.iter())
+                .map(|&((entered, bytes), _)| {
+                    let start = entered.max(free);
+                    // A start at the change's instant ranks before it.
+                    let l = if start <= change_at {
+                        old
+                    } else {
+                        change.apply(old)
+                    };
+                    free = start + tx_time(bytes, l.bytes_per_sec);
+                    back = back.max(free + l.prop_delay);
+                    (start, entered, back)
+                })
+                .collect::<Vec<_>>()
+        };
+        let before = Simulation::new(cfg.clone(), flows.clone()).run();
+        assert_eq!(before.drops, 0);
+        let seen = crossings(&before);
+        let never = SimTime::from_nanos(u64::MAX);
+        let waited: Vec<SimTime> = (model(&seen, never).into_iter())
+            .filter(|&(start, entered, _)| start > entered)
+            .map(|(start, ..)| start)
+            .collect();
+        assert!(waited.len() > 100, "the uplink must hold a queue");
+        let change_at = waited[waited.len() / 2] + SimTime::from_nanos(1);
+        cfg.admin_events.push(AdminEvent {
+            at: change_at,
+            target: Target::Link {
+                sw: LeafId(0),
+                up: SpineId(0),
+            },
+            change,
+        });
+        let r = Simulation::new(cfg, flows).run();
+        assert_eq!((r.completed, r.drops), (4, 0));
+        let seen = crossings(&r);
+        let arrivals: Vec<SimTime> = seen.iter().map(|&(_, at)| at).collect();
+        let expected: Vec<SimTime> = model(&seen, change_at).into_iter().map(|m| m.2).collect();
+        assert!(arrivals.iter().any(|&at| at > change_at));
+        assert_eq!(arrivals, expected);
     }
 }

@@ -8,6 +8,12 @@
 //! (see [`super::hybrid`]). [`super::Net::step`] dispatches all of them
 //! through one `match` on [`class_of`].
 //!
+//! Rank 3, [`class::DEPART`], orders a queued packet's departure, but no
+//! event carries it: a port's queue is FIFO and serves back to back from
+//! its `busy_until`, so each waiting packet's start is fixed once it
+//! queues, and [`super::Net::advance`] departs it on the next read of the
+//! port that comes after `(busy_until, key_of(DEPART, port))`.
+//!
 //! Each `(class, entity)` pair is pushed by exactly one shard, so
 //! same-`(time, key)` ties are always same-shard (ordered by that shard's
 //! local FIFO `seq`, exactly the relative order a serial run assigns) and
@@ -38,13 +44,12 @@ pub(super) mod class {
     /// most one is live per port, so the key alone places each link's
     /// next arrival.
     pub const ARRIVAL: u32 = 2;
-    /// The serialization on a port ended with a packet waiting behind it,
-    /// on the port: the head departs. A port pushes one only when a packet
-    /// queues behind the one serializing (its first, at that one's end) or
-    /// departs with more waiting (at its own end); a departure that leaves
-    /// the queue empty schedules nothing, since the packet is already on
-    /// the wire.
-    pub const TX_DONE: u32 = 3;
+    /// The rank of a queued packet's departure, on its port. No event
+    /// carries it: a packet that waits departs lazily ([`super::Net::advance`])
+    /// at `(busy_until, key_of(DEPART, port))`, the instant and rank a port's
+    /// end of serialization takes among the events, so every read of a
+    /// port's queue sees exactly the departures ordered before it.
+    pub const DEPART: u32 = 3;
     /// An LB switch balancer's periodic tick, on the LB switch.
     pub const LB_TICK: u32 = 4;
     /// Sample leaf-0's uplink queues (Fig. 5 visualization); entity 0.
@@ -57,13 +62,24 @@ pub(super) mod class {
     /// every other event of its instant.
     pub const FLUID_DONE: u32 = 7;
 
-    /// Each class's name, indexed by its rank: the names
+    /// The ranks that are event classes, in dispatch order: every rank
+    /// but [`DEPART`].
+    pub const EVENTS: [u32; 7] = [
+        FLOW_START,
+        TIMER,
+        ARRIVAL,
+        LB_TICK,
+        QUEUE_SAMPLE,
+        ADMIN,
+        FLUID_DONE,
+    ];
+
+    /// Each event class's name, in [`EVENTS`] order: the names
     /// [`crate::RunReport::events_by_class`] counts under.
-    pub const NAMES: [&str; 8] = [
+    pub const NAMES: [&str; 7] = [
         "flow_start",
         "timer",
         "arrival",
-        "tx_done",
         "lb_tick",
         "queue_sample",
         "admin",

@@ -1,5 +1,7 @@
-//! Closing the run's books: where it ended, the service its ports had not
-//! finished there, and the packet-conservation audit.
+//! Closing the run's books: where it ended — every port first departs
+//! what started by then, since a packet that waited departs only when
+//! something reads its port — the service its ports had not finished
+//! there, and the packet-conservation audit.
 
 use super::Net;
 use crate::audit::{AuditLedger, AuditReport, PortAudit};
@@ -8,25 +10,33 @@ use tlb_switch::OutPort;
 
 impl Net<'_> {
     /// Where the run ended: the clock it reports and the `(time, key)` of
-    /// its last event. A run that completed every flow ended at the event
-    /// that completed the last one. Any other ran every event up to the
-    /// horizon, so its end lies past all of them, and its clock reads the
-    /// latest of them — the last event it ran or the end of a
-    /// serialization that no event marks (a port schedules its `TX_DONE`
-    /// only when a packet waits).
-    pub(super) fn end_of_run(&self) -> (SimTime, (SimTime, u32)) {
+    /// its last event, to which it first departs every packet that started
+    /// before it ([`Net::advance`] on every port). A run that completed
+    /// every flow ended at the event that completed the last one. Any
+    /// other ran every event up to the horizon, so its end lies past all
+    /// of them, and its clock reads the latest of them, the start of the
+    /// latest departure (a packet that waited starts at no event) or the
+    /// end of a serialization within the horizon.
+    pub(super) fn end_of_run(&mut self) -> (SimTime, (SimTime, u32)) {
         let horizon = self.cfg.horizon;
+        let completed = self.n_completed == self.flows.len();
+        let end = if completed {
+            (self.now, self.cur_key)
+        } else {
+            (horizon, u32::MAX)
+        };
+        for p in 0..self.ports.len() as u32 {
+            self.advance(p, end);
+        }
         // The clock can only pass the horizon through a bug (the run loop
         // stops *before* popping any later event); clamp as a backstop so
         // a regression can't inflate every duration-derived rate.
-        if self.n_completed == self.flows.len() {
-            return (self.now.min(horizon), (self.now, self.cur_key));
+        if completed {
+            return (self.now.min(horizon), end);
         }
         let through = (self.ports.iter().map(OutPort::busy_until)).filter(|&t| t <= horizon);
-        (
-            through.fold(self.now, SimTime::max).min(horizon),
-            (horizon, u32::MAX),
-        )
+        let clock = through.fold(self.now.max(self.last_start), SimTime::max);
+        (clock.min(horizon), end)
     }
 
     /// Settle every port whose last departed packet was still serializing
@@ -35,7 +45,7 @@ impl Net<'_> {
     /// ([`OutPort::cut_service`]). The packet is the one its link's pipe
     /// took last, if the pipe still holds it: on a link with no
     /// propagation delay it may already have arrived, at its `ARRIVAL`
-    /// rank below its port's `TX_DONE` rank, and a packet that arrived is
+    /// rank below its port's departure rank, and a packet that arrived is
     /// through. Returns, per port, whether it had one. Runs before
     /// anything reads the port counters, audit or no audit.
     pub(super) fn cut_service_at_end(

@@ -4,6 +4,13 @@
 //! leaf-0 queue sampler. A packet travels this path as its arena slot,
 //! read and marked in place. Everything here runs per packet-hop and
 //! performs no steady-state allocation.
+//!
+//! A port has no event of its own. A packet that finds it idle departs at
+//! once; one that waits departs lazily, at the start its FIFO place fixed
+//! (`(busy_until, DEPART rank)`), when [`Net::advance`] runs before the
+//! next read of the port ordered after it — an admission, a balancer's
+//! view, a tick or sample, a rate change, an `ARRIVAL` on its own link, or
+//! the end of the run. Both go through one [`Net::start_tx`].
 
 use super::events::{class, key_of, push_ev};
 use super::portmap::{NextHop, NodeRef, PortId};
@@ -35,24 +42,32 @@ pub(super) enum Probe<'p> {
 impl Net<'_> {
     /// Offer the packet in slot `pkt` — parked in the arena on no list —
     /// to port `p`: it joins the queue or is dropped, which frees its
-    /// slot. A packet that finds the port idle departs at once; the first
-    /// to queue behind a packet still serializing schedules the port's
-    /// next departure, its `TX_DONE`, where that one's serialization ends.
+    /// slot. The port first departs what was due before this instant
+    /// ([`Net::advance`]); a packet that then finds it idle departs at
+    /// once, and one that queues departs lazily at its turn.
     pub(super) fn enqueue(&mut self, p: PortId, pkt: PacketSlot, now: SimTime) {
         if self.rows[self.arena.get(pkt).flow.index()].traced {
             let traced = *self.arena.get(pkt);
             self.trace(self.pmap.hop(p), &traced, now);
         }
         self.audit.enqueue_attempt(self.arena.get(pkt));
-        let busy = self.serializing(p, (now, self.cur_key));
+        let at = (now, self.cur_key);
+        self.advance(p, at);
+        let busy = self.serializing(p, at);
         match self.ports[p as usize].offer_in(&mut self.arena, pkt, now, busy) {
             Enqueued::Queued { was_idle, .. } => {
                 self.audit.enqueued(self.arena.get(pkt));
                 let port = &self.ports[p as usize];
                 if was_idle {
-                    self.start_tx(p, now);
+                    self.start_tx(p, now, true);
                 } else if port.len_pkts() == 1 {
-                    push_ev(&mut self.q, port.busy_until(), class::TX_DONE, p);
+                    self.head_start[p as usize] = port.busy_until();
+                    if self.pipes[p as usize].is_empty() && self.receives(p) {
+                        // The packet serializing ahead of it already
+                        // arrived: a zero-delay link, between that
+                        // arrival and this packet's start.
+                        self.arm_head(p);
+                    }
                 }
             }
             Enqueued::Dropped => {
@@ -67,51 +82,120 @@ impl Net<'_> {
     /// Whether the last packet to depart port `p` is still serializing at
     /// the instant `at` = `(time, key)`: its serialization ends at the
     /// port's `busy_until`, and an event ranked there below the port's
-    /// `TX_DONE` key still sees it in service — the order a port whose
-    /// every serialization ended in a `TX_DONE` event gave them. A port
+    /// departure rank ([`class::DEPART`]) still sees it in service. A port
     /// that never sent a packet serializes nothing.
     pub(super) fn serializing(&self, p: PortId, at: (SimTime, u32)) -> bool {
         let port = &self.ports[p as usize];
-        at < (port.busy_until(), key_of(class::TX_DONE, p)) && port.stats().pkts_tx > 0
+        at < (port.busy_until(), key_of(class::DEPART, p)) && port.stats().pkts_tx > 0
     }
 
-    /// Port `p`'s head packet starts serializing now, and goes on the
-    /// link at once: it arrives a serialization time plus the link's
-    /// propagation delay from now — both read off the link as it is now.
-    /// The port's next departure is scheduled only if a packet waits.
-    fn start_tx(&mut self, p: PortId, now: SimTime) {
+    /// Depart every packet queued at port `p` whose start comes before
+    /// `at` = `(time, key)`. The queue is FIFO and serves back to back, so
+    /// its head starts at `(busy_until, key_of(DEPART, p))` — where the
+    /// port's serialization ends — and the next one where the head's ends.
+    /// Runs before anything reads the port's queue or its link: so every
+    /// reader sees what an event at each start would have left, and no
+    /// start needs an event of its own. It reads `Net::head_start`, not
+    /// the port, so a port with nothing due stays untouched.
+    #[inline]
+    pub(super) fn advance(&mut self, p: PortId, at: (SimTime, u32)) {
+        if self.due(p, at) {
+            self.depart_due(p, at);
+        }
+    }
+
+    /// Whether port `p`'s head starts before `at`.
+    #[inline]
+    fn due(&self, p: PortId, at: (SimTime, u32)) -> bool {
+        (self.head_start[p as usize], key_of(class::DEPART, p)) < at
+    }
+
+    /// [`Net::advance`]'s departures, out of its callers' way.
+    #[inline(never)]
+    fn depart_due(&mut self, p: PortId, at: (SimTime, u32)) {
+        loop {
+            self.start_tx(p, self.head_start[p as usize], false);
+            if !self.due(p, at) {
+                return;
+            }
+        }
+    }
+
+    /// Whether this `Net` receives port `p`'s link: holds its pipe and runs
+    /// its `ARRIVAL`s (every link on the serial engine).
+    fn receives(&self, p: PortId) -> bool {
+        (self.shard.as_ref()).is_none_or(|c| c.map.arrive_owner[p as usize] == c.id)
+    }
+
+    /// Arm port `p`'s `ARRIVAL` where the head of its queue will arrive,
+    /// `busy_until + tx + prop`, read off the link now. Only while the
+    /// pipe is empty and the head waits: on a zero-delay link, between the
+    /// arrival of the packet ahead of it and its own start, when no admin
+    /// event can land (admin ranks after a departure).
+    fn arm_head(&mut self, p: PortId) {
+        let port = &self.ports[p as usize];
+        let head = port
+            .queued_in(&self.arena)
+            .next()
+            .expect("arming an empty port");
+        let at = port.busy_until() + port.tx_time(head.wire_bytes as u64) + port.link().prop_delay;
+        push_ev(&mut self.q, at, class::ARRIVAL, p);
+    }
+
+    /// [`Net::advance`] over LB switch `sw`'s uplinks: what its balancer
+    /// reads. Nothing to do while `at` comes before the switch's
+    /// `up_due`, a lower bound on its uplinks' `head_start`s, which a
+    /// pass over them makes exact again.
+    fn advance_uplinks(&mut self, sw: usize, at: (SimTime, u32)) {
+        if at.0 < self.lb_sws[sw].up_due {
+            return;
+        }
+        let mut due = SimTime::MAX;
+        for p in self.pmap.up_range(sw) {
+            self.advance(p as PortId, at);
+            due = due.min(self.head_start[p]);
+        }
+        self.lb_sws[sw].up_due = due;
+    }
+
+    /// Port `p`'s head packet starts serializing at `start`, and goes on
+    /// the link at once: it arrives a serialization time plus the link's
+    /// propagation delay after `start` — both read off the link as it is
+    /// then. `idle` tells a packet that found the port idle, which arms
+    /// its link's `ARRIVAL` if the pipe is empty, from one that waited: a
+    /// link whose pipe or queue holds a packet has its `ARRIVAL` armed
+    /// already ([`Net::arm_head`]).
+    fn start_tx(&mut self, p: PortId, start: SimTime, idle: bool) {
         let pi = p as usize;
-        let (slot, tx) = self.ports[pi].depart_in(&mut self.arena, now);
+        let (slot, tx) = self.ports[pi].depart_in(&mut self.arena, start);
+        self.head_start[pi] = match self.ports[pi].len_pkts() {
+            0 => SimTime::MAX,
+            _ => self.ports[pi].busy_until(),
+        };
+        self.last_start = self.last_start.max(start);
         let pkt = self.arena.get(slot);
         // Leaf-uplink queueing delay of short-flow data (Fig. 8(b)) — the
         // queues the load balancer controls; NIC and downlink waits are the
         // same for every scheme and would only dilute the comparison.
         if self.pmap.is_lb_up(p) && pkt.kind == PktKind::Data && self.rows[pkt.flow.index()].short {
-            let w = now.saturating_sub(pkt.enqueued_at).as_secs_f64();
+            let w = start.saturating_sub(pkt.enqueued_at).as_secs_f64();
             self.m.short_qdelay.push(w);
         }
         self.audit.departed(pkt);
-        if self.ports[pi].len_pkts() > 0 {
-            push_ev(&mut self.q, now + tx, class::TX_DONE, p);
-        }
-        let at = now + tx + self.ports[pi].link().prop_delay;
+        let at = start + tx + self.ports[pi].link().prop_delay;
         match self.shard.as_mut() {
             // The next hop lives in another shard: hand the packet off,
             // out of this replica's arena; the owner parks it in its own
             // and runs the same `schedule_arrival` when it ingests the
-            // message, in time: `at` lies at least a lookahead past now.
+            // message, in time: `at` lies at least a lookahead past
+            // `start`, which is no earlier than the window's start.
             Some(ctx) if ctx.map.arrive_owner[pi] != ctx.id => {
                 let pkt = self.arena.take(slot);
                 let dst = ctx.map.arrive_owner[pi] as usize;
                 ctx.outbox[dst].push(XMsg { port: p, at, pkt });
             }
-            _ => self.schedule_arrival(p, at, slot),
+            _ => self.schedule_arrival(p, at, slot, idle),
         }
-    }
-
-    /// The serialization ahead of port `p`'s queue ended: the head departs.
-    pub(super) fn on_tx_done(&mut self, p: PortId, now: SimTime) {
-        self.start_tx(p, now);
     }
 
     /// The one place an arrival meets the FEL: the packet in slot `pkt`
@@ -126,20 +210,20 @@ impl Net<'_> {
     /// link's delay). An empty pipe's last arrival already happened, at or
     /// before now, so there is nothing to clamp to.
     ///
-    /// The slot is linked at the back of `pipes[p]`. Only an empty pipe
-    /// arms `p`'s `ARRIVAL` event; successors chain when it pops. At most
-    /// one is ever live and nothing else carries port `p`'s arrival key,
-    /// so `(time, key)` alone places each arrival, and same-instant
-    /// arrivals leave in the pipe's FIFO order.
+    /// The slot is linked at the back of `pipes[p]`. An empty pipe arms
+    /// `p`'s `ARRIVAL` event when `arm` is set; successors chain when it
+    /// pops. At most one is ever live and nothing else carries port `p`'s
+    /// arrival key, so `(time, key)` alone places each arrival, and
+    /// same-instant arrivals leave in the pipe's FIFO order.
     #[inline]
-    pub(super) fn schedule_arrival(&mut self, p: PortId, at: SimTime, pkt: PacketSlot) {
+    pub(super) fn schedule_arrival(&mut self, p: PortId, at: SimTime, pkt: PacketSlot, arm: bool) {
         let pipe = &mut self.pipes[p as usize];
         let was_empty = pipe.is_empty();
         let at = self.arena.back_at(pipe).map_or(at, |back| at.max(back));
         self.arena.link_back(pipe, pkt, at);
         self.wire_pkts += 1;
         self.wire_pkts_peak = self.wire_pkts_peak.max(self.wire_pkts);
-        if was_empty {
+        if was_empty && arm {
             push_ev(&mut self.q, at, class::ARRIVAL, p);
         }
     }
@@ -158,12 +242,27 @@ impl Net<'_> {
         pkt
     }
 
-    /// The head of `p`'s pipe arrives now. Re-arm the chain for the next
-    /// in-flight packet, then hand the packet to the arrival logic.
+    /// The head of `p`'s pipe arrives now. Depart first what `p` started
+    /// before this instant — since `tx + prop > 0`, the packet that
+    /// serialized behind this one is always among it on a link with a
+    /// delay — then re-arm the chain for the next in-flight packet and
+    /// hand this one to the arrival logic.
+    ///
+    /// On a zero-delay link the next packet starts at this arrival's own
+    /// instant, at its departure rank after this one: a pipe that empties
+    /// with a packet still queued arms its `ARRIVAL` where that packet
+    /// will arrive ([`Net::arm_head`]). The packet joins the pipe at its
+    /// departure, under the armed event, or here at the latest. So a link
+    /// has one `ARRIVAL` armed exactly while its pipe or its queue holds a
+    /// packet.
     pub(super) fn on_deliver(&mut self, p: PortId, now: SimTime) {
+        self.advance(p, (now, self.cur_key));
         let pkt = self.pop_pipe(p, now);
-        if let Some(at) = self.arena.front_at(&self.pipes[p as usize]) {
+        let pi = p as usize;
+        if let Some(at) = self.arena.front_at(&self.pipes[pi]) {
             push_ev(&mut self.q, at, class::ARRIVAL, p);
+        } else if self.head_start[pi] < SimTime::MAX {
+            self.arm_head(p);
         }
         self.on_arrive(p, pkt, now);
     }
@@ -207,6 +306,7 @@ impl Net<'_> {
     /// other.
     pub(super) fn choose_up(&mut self, sw: u16, group: u32, pkt: Probe<'_>, now: SimTime) -> u32 {
         self.m.lb_decisions += 1;
+        self.advance_uplinks(sw as usize, (now, self.cur_key));
         let pkt = match pkt {
             Probe::Parked(slot) => self.arena.get(slot),
             Probe::Held(pkt) => pkt,
@@ -237,9 +337,12 @@ impl Net<'_> {
             self.m.short_qlen.push(qlen);
         }
         self.enqueue(p, pkt, now);
+        let l = &mut self.lb_sws[sw as usize];
+        l.up_due = l.up_due.min(self.head_start[p as usize]);
     }
 
     pub(super) fn on_lb_tick(&mut self, sw: u16, now: SimTime) {
+        self.advance_uplinks(sw as usize, (now, self.cur_key));
         let uplinks = &self.ports[self.pmap.up_range(sw as usize)];
         let view = if !self.reach.is_empty() {
             // Ticks have no destination, so they see the switch's local
@@ -279,6 +382,7 @@ impl Net<'_> {
 
     /// Record leaf-0's uplink occupancy and re-arm the sampler.
     pub(super) fn on_queue_sample(&mut self, now: SimTime) {
+        self.advance_uplinks(0, (now, self.cur_key));
         let uplinks = &self.ports[self.pmap.up_range(0)];
         (self.m.queue_lens).extend(uplinks.iter().map(|p| p.len_pkts() as u32));
         let next = now + self.cfg.series_bucket;

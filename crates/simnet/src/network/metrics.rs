@@ -77,8 +77,8 @@ impl Metrics {
         let short_cap = (short_segs + short_segs / 4 + 64).min(1 << 22);
         // FEL-depth samples — the one collector that follows the event
         // count, at one `f64` per 4096 events: a data segment costs at
-        // most a `TX_DONE` and an `ARRIVAL` per hop each way, so
-        // 24·segs/4096 is a generous estimate.
+        // most an `ARRIVAL` per hop each way (no departure is an event),
+        // so 24·segs/4096 is a generous estimate.
         let depth_cap = (segs(|_| true) * 24 / 4096 + 64).min(1 << 20);
         let traced_segs = segs(|r| r.traced);
         // A traced data segment records ~5 hops each way (NIC, uplink,
@@ -296,7 +296,7 @@ impl Net<'_> {
             tlb_long_reroutes: sum_reported(|lb| lb.long_reroutes()),
             forced_reroutes: sum_reported(|lb| lb.forced_reroutes()),
             events: self.events,
-            events_by_class: self.events_by_class,
+            events_by_class: super::events::class::EVENTS.map(|c| self.events_by_rank[c as usize]),
             audit,
             alloc_audit: self.alloc_report,
             sim_end,

@@ -59,6 +59,16 @@
 //! on its way out, so the others panic instead of spinning and the run
 //! ends with the panic, as a serial run would.
 //!
+//! A packet that waits at a port departs lazily, with no event of its own
+//! ([`Net::advance`]); on a serial run the `ARRIVAL`s of its port's own
+//! link see to it, but a cross-shard port's link is received by another
+//! replica. So each replica advances its cross-shard ports at the end of
+//! every stretch to the point it ran to, handing off what started, and
+//! the leader folds each replica's earliest waiting cross-shard departure
+//! ([`Net::next_handoff`]) into `T`: a window opens at or before every
+//! such start, and the handoff, sent at the window's end, lands at least
+//! a lookahead after it, past the window.
+//!
 //! ## Why the merged schedule is bit-identical to the serial engine
 //!
 //! Both engines order events by `(time, key, seq)` where the key
@@ -216,6 +226,10 @@ pub(crate) struct ShardCtx<'a> {
     /// How far the replica's next [`Net::run_window`] goes, written by
     /// the leader at the barrier.
     limit: Limit,
+    /// The ports this shard owns whose link another shard receives: no
+    /// `ARRIVAL` of theirs runs here to depart what waits in them, so the
+    /// replica advances them at the end of each stretch.
+    cross: Vec<PortId>,
 }
 
 impl ShardCtx<'_> {
@@ -258,7 +272,9 @@ impl<'a> Net<'a> {
 
     /// One shard's share of a parallel window: take in the handoffs moved
     /// here since the last one, then run every local event at or before
-    /// `horizon` that the leader's [`Limit`] admits.
+    /// `horizon` that the leader's [`Limit`] admits, and last depart every
+    /// packet that started at a cross-shard port by the point it ran to,
+    /// handing it off.
     fn run_window(&mut self, horizon: SimTime) {
         self.ingest();
         let limit = self.ctx().limit;
@@ -273,6 +289,27 @@ impl<'a> Net<'a> {
             }
             self.step(next);
         }
+        let ran_to = match limit {
+            Limit::UntilDone(_) if self.is_done() => (self.now, self.cur_key),
+            Limit::Window(end) | Limit::UntilDone(end) => (end, 0),
+            Limit::Before(last) => last,
+        };
+        let ran_to = ran_to.min((horizon, u32::MAX));
+        for i in 0..self.ctx().cross.len() {
+            let p = self.ctx().cross[i];
+            self.advance(p, ran_to);
+        }
+    }
+
+    /// The earliest start of a packet waiting at one of this shard's
+    /// cross-shard ports: a departure no event of its own marks, whose
+    /// handoff the window that holds it must send.
+    fn next_handoff(&self) -> Option<SimTime> {
+        let ctx = self.shard.as_ref().expect("sharded net without ctx");
+        (ctx.cross.iter())
+            .map(|&p| self.head_start[p as usize])
+            .min()
+            .filter(|&t| t < SimTime::MAX)
     }
 
     /// Every flow this shard receives has completed.
@@ -292,7 +329,7 @@ impl<'a> Net<'a> {
             let mut msgs = std::mem::take(&mut self.ctx().inbox[src]);
             for XMsg { port, at, pkt } in msgs.drain(..) {
                 let slot = self.arena.insert(pkt);
-                self.schedule_arrival(port, at, slot);
+                self.schedule_arrival(port, at, slot, true);
             }
             self.ctx().inbox[src] = msgs;
         }
@@ -320,6 +357,7 @@ impl<'a> Net<'a> {
             if map.port_owner[pi] == oid {
                 other.ports[pi].rehome(&mut other.arena, &mut self.arena);
                 std::mem::swap(&mut self.ports[pi], &mut other.ports[pi]);
+                self.head_start[pi] = other.head_start[pi];
             }
             if map.arrive_owner[pi] == oid {
                 let mut wire = std::mem::take(&mut other.pipes[pi]);
@@ -347,9 +385,10 @@ impl<'a> Net<'a> {
         }
         self.n_completed += other.n_completed;
         self.events += other.events;
-        for (mine, theirs) in self.events_by_class.iter_mut().zip(other.events_by_class) {
+        for (mine, theirs) in self.events_by_rank.iter_mut().zip(other.events_by_rank) {
             *mine += theirs;
         }
+        self.last_start = self.last_start.max(other.last_start);
         self.audit.absorb(&other.audit);
         self.m.absorb(other.m);
         self.m.fel_nodes_peak = self.m.fel_nodes_peak.max(other.q.pool_nodes_peak() as u64);
@@ -384,15 +423,17 @@ fn move_handoffs(nets: &mut [MutexGuard<Net>]) -> u64 {
 }
 
 /// The earliest pending within-horizon timestamp over every replica's
-/// next event ([`Net::peek`]) and parked handoffs (the null-message horizon update of classic
-/// conservative PDES, carried on the data path); `None` when there is
-/// none.
+/// next event ([`Net::peek`]), its next cross-shard departure
+/// ([`Net::next_handoff`]) and parked handoffs (the null-message horizon
+/// update of classic conservative PDES, carried on the data path); `None`
+/// when there is none.
 fn global_min(nets: &[MutexGuard<Net>], horizon: SimTime) -> Option<SimTime> {
     (nets.iter())
         .flat_map(|n| {
             let ctx = n.shard.as_ref().expect("sharded net without ctx");
             let parked = ctx.inbox.iter().flatten().map(|m| m.at);
-            n.peek().map(|(t, _)| t).into_iter().chain(parked)
+            let next = n.peek().map(|(t, _)| t).into_iter();
+            next.chain(n.next_handoff()).chain(parked)
         })
         .filter(|&t| t <= horizon)
         .min()
@@ -485,6 +526,12 @@ fn build_replicas<'a>(
                     .filter(|f| map.host_owner[f.dst.index()] == sid as u16)
                     .count(),
                 limit: Limit::Window(SimTime::ZERO),
+                cross: (0..map.port_owner.len() as PortId)
+                    .filter(|&p| {
+                        let p = p as usize;
+                        map.port_owner[p] == sid as u16 && map.arrive_owner[p] != sid as u16
+                    })
+                    .collect(),
             };
             sc.spawn(move || *slot = Some(Net::build(cfg, flows, next_flow, Some(ctx))));
         }

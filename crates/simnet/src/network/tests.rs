@@ -71,7 +71,7 @@ fn conservation_sent_equals_received_plus_losses() {
 #[test]
 #[should_panic(expected = "audit")]
 fn audit_catches_a_packet_dropped_outside_port_accounting() {
-    // The 5th arrival vanishes between a port's TX_DONE and the next node,
+    // The 5th arrival vanishes between a port's departure and the next node,
     // exactly the class of simulator bug no per-port counter can see. The
     // transport recovers the loss, so the flow still finishes, and the
     // audit must panic at report time. A short horizon keeps the doomed
@@ -213,6 +213,8 @@ fn the_wire_follows_what_is_live() {
         let mut net = Net::build(&cfg, &flows, &next, None);
         let reserved = link::packet_bound(&cfg, &net.pmap, &net.ports);
         net.run_loop();
+        // The run's end departs what started by the horizon.
+        let (sim_end, end) = net.end_of_run();
         let on_wire = net.wire_pkts;
         assert!(on_wire > 0, "the horizon cut nothing off");
         let queued: usize = net.ports.iter().map(|p| p.len_pkts()).sum();
@@ -230,7 +232,6 @@ fn the_wire_follows_what_is_live() {
         // A departed packet rides its link's pipe from its service start;
         // the ones still serializing when the horizon cut the run in are
         // counted in service, not propagating.
-        let (sim_end, end) = net.end_of_run();
         let serializing = net.cut_service_at_end(sim_end, end);
         let in_service = serializing.iter().filter(|&&s| s).count() as u64;
         let audit = net.finish_audit(&serializing).expect("the audit is on");
@@ -258,6 +259,7 @@ fn a_horizon_mid_serialization_leaves_the_packet_in_service() {
     let nic = |net: &Net| net.pmap.host_nic(0) as usize;
     let mut net = Net::build(&cfg, &flows, &[None], None);
     net.run_loop();
+    net.end_of_run();
     cfg.horizon = net.ports[nic(&net)].busy_until() - SimTime::from_nanos(1);
     let mut net = Net::build(&cfg, &flows, &[None], None);
     let nic = nic(&net);
@@ -295,17 +297,18 @@ fn a_run_with_no_flows_ends_at_zero_with_nothing_in_service() {
 #[test]
 fn a_port_that_never_sent_is_idle_at_time_zero() {
     // A lone one-segment flow starting at time 0: every packet finds its
-    // port idle and departs at once, so no port ever pushes a `TX_DONE`.
+    // port idle and departs at once — a port read as serializing before
+    // its first departure would hold the SYN back with nothing to start
+    // it, and the flow would never complete.
     let r = run_basic(Scheme::Ecmp, one_flow(1000));
     assert_eq!(r.completed, 1);
-    assert_eq!(r.events_by_class[events::class::TX_DONE as usize], 0);
 }
 
 #[test]
 fn a_zero_delay_fabric_completes_with_the_audit_clean() {
     // With no propagation delay a packet arrives at the instant its
     // serialization ends, at its `ARRIVAL` rank, ahead of its port's
-    // `TX_DONE` rank: the arrival that completes the last flow leaves its
+    // departure rank: the arrival that completes the last flow leaves its
     // port's pipe empty, and that port's service is over, not cut.
     for scheme in [Scheme::Ecmp, Scheme::Rps] {
         let mut cfg = crate::SimConfig::basic_paper(scheme);
@@ -331,6 +334,100 @@ fn a_zero_delay_fabric_completes_with_the_audit_clean() {
         let r = Simulation::new(cfg, flows).run();
         assert_eq!(r.completed, 6);
         assert!(r.audit.is_some());
+    }
+}
+
+/// FNV-1a over `words`: one literal pins a table of counters or floats.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    (words.into_iter()).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// What a cut or drained run leaves to pin: its clock, every uplink's
+/// utilization and the audit ledger's counters, each folded to a word.
+fn end_state(r: &RunReport) -> (u64, u64, u64) {
+    let util = r.uplink_utilization.iter().flatten().map(|u| u.to_bits());
+    let audit = r.audit.as_ref().expect("the audit is on");
+    let ledger = audit.kinds.iter().flat_map(|k| {
+        [
+            k.emitted,
+            k.enqueue_attempts,
+            k.enqueued,
+            k.dropped,
+            k.tx_started,
+            k.tx_done,
+            k.arrived,
+            k.delivered,
+            k.queued_at_end,
+            k.in_service_at_end,
+            k.propagating_at_end,
+        ]
+    });
+    (r.sim_end.as_nanos(), fnv(util), fnv(ledger))
+}
+
+#[test]
+fn a_standing_queue_on_a_zero_delay_fabric_keeps_its_fcts() {
+    // Eight senders on two racks into one host of the third, with no
+    // propagation delay anywhere: the spine downlinks and the last
+    // leaf's host port hold standing queues, so a packet that waited
+    // starts at the instant the one ahead of it arrives, one rank later.
+    // Its link's `ARRIVAL` is armed while the pipe is empty — when that
+    // arrival empties the pipe or a packet queues behind it at that
+    // instant. Every FCT, mark and drop, and the clean audit, are the
+    // ones a port with an event per departure gave.
+    for (scheme, pin) in [
+        (Scheme::Ecmp, (0x52a4_3150_b754_3a04, 1218, 0)),
+        (Scheme::Rps, (0x9d79_fe47_b644_02ab, 1157, 0)),
+    ] {
+        let mut cfg = crate::SimConfig::basic_paper(scheme);
+        cfg.audit = true;
+        cfg.topo = tlb_net::LeafSpineBuilder::new(3, 4, 4)
+            .prop_per_link(SimTime::ZERO)
+            .build();
+        let flows: Vec<FlowSpec> = (0..8u32)
+            .map(|i| FlowSpec {
+                start: SimTime::from_micros(3 * i as u64),
+                size_bytes: 300_000,
+                ..flow(i, i, 10)
+            })
+            .collect();
+        let r = Simulation::new(cfg, flows).run();
+        assert_eq!(r.completed, 8);
+        assert!(r.audit.is_some());
+        assert_eq!((r.fct_hash(), r.marks, r.drops), pin, "{}", r.scheme);
+    }
+}
+
+#[test]
+fn a_horizon_just_past_a_queued_start_reads_that_start() {
+    // A lone long flow's sending NIC serves each window's burst back to
+    // back. Cut the run 1 ns after the start of the last departure a run
+    // to 2, 3 and 4 ms began there: a packet that waited, whose start no
+    // event marks and whose serialization the horizon cuts. The clock
+    // must read that start, and the ports' busy time and the ledger
+    // (that packet in service, not propagating) what a port with an event
+    // per departure left.
+    for (horizon, pin) in [
+        (2, (1_994_240, 0x985a_2415_abc1_7d35, 0x6c3e_ec6c_5737_b219)),
+        (3, (2_990_240, 0x9a56_62c1_1a8d_34ac, 0x50c2_03f7_7ab8_8a6f)),
+        (4, (3_998_240, 0x60c5_2504_6c62_29f5, 0xe272_850b_6aa6_8ec7)),
+    ] {
+        let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
+        cfg.audit = true;
+        cfg.horizon = SimTime::from_millis(horizon);
+        let flows = one_flow(5_000_000);
+        let mut net = Net::build(&cfg, &flows, &[None], None);
+        net.run_loop();
+        net.end_of_run();
+        let nic = &net.ports[net.pmap.host_nic(0) as usize];
+        let data = cfg.tcp.mss as u64 + tlb_transport::TcpConfig::HEADER_BYTES as u64;
+        let start = nic.busy_until() - nic.tx_time(data);
+        cfg.horizon = start + SimTime::from_nanos(1);
+        let r = Simulation::new(cfg, flows).run();
+        assert_eq!(r.sim_end, start, "cut at {horizon} ms");
+        assert_eq!(end_state(&r), pin, "cut at {horizon} ms");
     }
 }
 
@@ -609,12 +706,12 @@ fn json_row_carries_the_report() {
     let by_class = (EVENT_CLASSES.iter().zip(r.events_by_class))
         .filter(|&(_, n)| n > 0)
         .count();
-    assert!(by_class >= 3, "starts, arrivals and departures: {json}");
+    assert!(by_class >= 2, "starts and arrivals: {json}");
     assert_eq!(r.events_by_class.iter().sum::<u64>(), r.events);
     let row = (json.lines())
         .find(|l| l.starts_with("  \"events_by_class\": {\"admin\": "))
         .unwrap_or_else(|| panic!("no events_by_class row in {json}"));
-    assert!(row.ends_with(&format!("\"tx_done\": {}}},", r.events_by_class[3])));
+    assert!(row.ends_with(&format!("\"timer\": {}}},", r.events_by_class[1])));
     assert_eq!(json.lines().count(), 18, "16 keys, one a line: {json}");
     // JSON has no NaN: a non-finite float prints as null.
     let mut r = r;

@@ -203,8 +203,11 @@ pub struct RunReport {
     /// shard's under the sharded engine; not part of any digest.
     pub fel_nodes_peak: u64,
     /// High-water mark of packets crossing links at once, counted on the
-    /// link pipes, which a packet joins as its serialization starts: how
-    /// full the wire got. (The packet arena also holds what
+    /// link pipes: how full the wire got. A packet joins its pipe at its
+    /// departure — at once if it found its port idle, and if it waited,
+    /// when the port is next read after its start (its lazy departure),
+    /// so a waiting packet counts from there and the mark can sit a little
+    /// below the instantaneous one. (The packet arena also holds what
     /// waits at the ports, so its own high-water mark is at least this.)
     /// Under the sharded engine, the sum of the shards' own high-water
     /// marks, each over the links it receives; not part of any digest.

@@ -102,7 +102,7 @@ fn pinned_tlb() -> Scheme {
 /// digest, on a rerun too.
 #[test]
 fn flap_and_repair_reconverge_cleanly() {
-    const PINNED: &str = "167065|0.001427352100|115883260.809832736850|0|3361|53";
+    const PINNED: &str = "115063|0.001427352100|115883260.809832736850|0|3361|53";
     const PINNED_FCTS: u64 = 0xdf18a9fc8b3bcf01;
     let run = || {
         let mut cfg = SimConfig::basic_paper(pinned_tlb());
@@ -147,7 +147,7 @@ fn flap_and_repair_reconverge_cleanly() {
 /// reproduces its pinned digest, on a rerun too.
 #[test]
 fn fat_tree_k8_flap_matrix_is_pinned() {
-    const PINNED: &str = "66020|0.002202837325|89494925.066918015480|2|1720|42";
+    const PINNED: &str = "49851|0.002202837325|89494925.066918015480|2|1720|42";
     const PINNED_FCTS: u64 = 0x4bc3820164191e06;
     let run = || {
         let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());

@@ -49,7 +49,7 @@ fn k16_smoke_completes_with_clean_audit() {
 /// The k=16 run reproduces its pinned digest, on a rerun too.
 #[test]
 fn k16_digests_are_stable_across_reruns_and_backends() {
-    const PINNED: &str = "112435|0.006145906813|61770810.437453903258|0|4796|84";
+    const PINNED: &str = "90688|0.006145906813|61770810.437453903258|0|4796|84";
     const PINNED_FCTS: u64 = 0x51c29658f67fd82c;
     let pin = |r: &RunReport| (r.digest(), format!("{:#018x}", r.fct_hash()));
     let pinned = (PINNED.to_string(), format!("{PINNED_FCTS:#018x}"));
